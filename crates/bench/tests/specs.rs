@@ -2,7 +2,8 @@
 //! must parse, name a known analysis (or be a streaming run), build a
 //! runnable scenario, and round-trip through the canonical printer.
 //! A streaming spec is also executed end-to-end at the spec level,
-//! pinning the observer path byte-identical to the materialized trace.
+//! pinning the observer path byte-identical to the materialized trace,
+//! and through the real `xp run`, pinning the samples CSV's bytes.
 
 use std::path::{Path, PathBuf};
 
@@ -212,4 +213,39 @@ fn smoke_spec_streams_byte_identically_to_the_materialized_run() {
     assert!(skew.count() > 0, "smoke horizon too short to sample");
     // on_finish is idempotent bookkeeping for these observers.
     skew.on_finish(&reference.stats);
+}
+
+/// The samples CSV is an output contract (checked-in `results/*.csv`,
+/// the content-addressed cache, the benchmark digest): the bytes
+/// `xp run experiments/smoke.spec` streams to disk are pinned to what
+/// `std`'s float formatter produced before `ftgcs_sim::numfmt` took
+/// over, so a drift in the hand-rolled number writer fails here and
+/// not only in the benchmark.
+#[test]
+fn smoke_spec_samples_csv_bytes_are_pinned() {
+    const LEN: usize = 2746;
+    const FNV1A: u64 = 0xd048_4347_690b_536a;
+
+    let dir = std::env::temp_dir().join(format!("ftgcs_specs_pin_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_xp"))
+        .current_dir(&dir)
+        .arg("run")
+        .arg(experiments_dir().join("smoke.spec"))
+        .output()
+        .expect("xp run");
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let csv = std::fs::read(dir.join("results/smoke_samples.csv")).expect("samples CSV");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        (csv.len(), ftgcs_serve::hash::fnv1a_64(&csv)),
+        (LEN, FNV1A),
+        "smoke_samples.csv drifted:\n{}",
+        String::from_utf8_lossy(&csv)
+    );
 }

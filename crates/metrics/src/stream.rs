@@ -10,7 +10,8 @@
 //! * [`SkewStream`] — running max/mean global skew plus approximate
 //!   quantiles from a fixed-size log-bucketed histogram;
 //! * [`CsvSampleWriter`] — incremental samples CSV (optionally
-//!   decimated), byte-identical at stride 1 to
+//!   decimated), each line printed by the same [`ftgcs_sim::numfmt`]
+//!   function as
 //!   [`Trace::write_samples_csv`](ftgcs_sim::trace::Trace::write_samples_csv);
 //! * [`RowCounter`] — row counts per kind.
 //!
@@ -20,6 +21,7 @@ use std::collections::BTreeMap;
 use std::io::{self, Write};
 
 use ftgcs_sim::engine::SimStats;
+use ftgcs_sim::numfmt;
 use ftgcs_sim::observe::Observer;
 use ftgcs_sim::trace::{ClockSample, Row};
 
@@ -256,10 +258,12 @@ impl Observer for SkewStream {
 
 /// Streaming CSV writer for clock samples.
 ///
-/// Emits the identical format as
+/// Emits the format of
 /// [`Trace::write_samples_csv`](ftgcs_sim::trace::Trace::write_samples_csv)
-/// (`t,n0,n1,…` header then one line per sample) but incrementally, so
-/// no sample is ever held in memory. A `stride > 1` decimates: every
+/// (`t,n0,n1,…` header then one line per sample, both through
+/// [`ftgcs_sim::numfmt`]) but incrementally, so no sample is ever held
+/// in memory: each line is built in one reused buffer and handed to
+/// the `BufWriter` whole. A `stride > 1` decimates: every
 /// stride-th sample is written (the windowed form used by long-horizon
 /// runs, where full-rate CSV would dwarf the simulation itself).
 ///
@@ -268,6 +272,9 @@ impl Observer for SkewStream {
 /// it; the observer callbacks themselves stay infallible.
 pub struct CsvSampleWriter<W: Write> {
     out: io::BufWriter<W>,
+    /// The current line; reused, so streaming allocates nothing per
+    /// sample once it has grown to the line length.
+    line: Vec<u8>,
     stride: usize,
     seen: usize,
     written: usize,
@@ -307,6 +314,7 @@ impl<W: Write> CsvSampleWriter<W> {
         assert!(stride > 0, "stride must be positive");
         CsvSampleWriter {
             out: io::BufWriter::new(out),
+            line: Vec::new(),
             stride,
             seen: 0,
             written: 0,
@@ -334,19 +342,16 @@ impl<W: Write> CsvSampleWriter<W> {
     }
 
     fn try_write(&mut self, sample: &ClockSample) -> io::Result<()> {
+        self.line.clear();
         if !self.header_done {
             self.header_done = true;
-            write!(self.out, "t")?;
-            for i in 0..sample.logical.len() {
-                write!(self.out, ",n{i}")?;
-            }
-            writeln!(self.out)?;
+            // 17 digits, a point and a comma per clock, plus slack:
+            // sized once, ordinary clock values never regrow the line.
+            self.line.reserve(24 * (sample.logical.len() + 1));
+            numfmt::push_sample_header(&mut self.line, sample.logical.len());
         }
-        write!(self.out, "{}", sample.t.as_secs())?;
-        for v in &sample.logical {
-            write!(self.out, ",{v}")?;
-        }
-        writeln!(self.out)?;
+        numfmt::push_sample_line(&mut self.line, sample);
+        self.out.write_all(&self.line)?;
         self.written += 1;
         Ok(())
     }

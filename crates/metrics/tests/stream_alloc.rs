@@ -1,0 +1,103 @@
+//! Regression test: streaming samples through [`CsvSampleWriter`]
+//! must not allocate per sample.
+//!
+//! The writer builds each line in one reused buffer with
+//! `ftgcs_sim::numfmt` (no `String` per number, no `core::fmt`
+//! machinery) and hands it to its `BufWriter` whole; the first sample
+//! sizes the buffer, after which an arbitrarily long run performs zero
+//! allocations. Same counting-allocator technique as
+//! `ftgcs-sim/tests/hot_path_alloc.rs`.
+//!
+//! The test binary has exactly one test so no concurrent test thread
+//! can pollute the counter.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::io;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+use ftgcs_metrics::stream::CsvSampleWriter;
+use ftgcs_sim::observe::Observer;
+use ftgcs_sim::time::SimTime;
+use ftgcs_sim::trace::ClockSample;
+
+static COUNTING: AtomicBool = AtomicBool::new(false);
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+struct CountingAllocator;
+
+// SAFETY: delegates directly to the system allocator; the counter has
+// no allocator-visible side effects.
+unsafe impl GlobalAlloc for CountingAllocator {
+    // SAFETY: forwards `layout` unchanged to `System.alloc`, inheriting
+    // its contract.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if COUNTING.load(Ordering::Relaxed) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        System.alloc(layout)
+    }
+    // SAFETY: forwards `ptr`/`layout` unchanged to `System.dealloc`;
+    // the caller's obligations are exactly `System`'s.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    // SAFETY: forwards all arguments unchanged to `System.realloc`,
+    // inheriting its contract.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if COUNTING.load(Ordering::Relaxed) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+#[test]
+fn streaming_samples_after_the_first_line_does_not_allocate() {
+    // Sanity: the counter must actually observe allocations, or the
+    // assertion below would pass vacuously.
+    ALLOCS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    std::hint::black_box(Vec::<u64>::with_capacity(32));
+    COUNTING.store(false, Ordering::SeqCst);
+    assert!(
+        ALLOCS.load(Ordering::SeqCst) >= 1,
+        "counting allocator is not wired up"
+    );
+
+    // A run as `xp run` sees it: 36 nodes, all clocks zero on the
+    // first line (the shortest line there is), then full 17-digit
+    // values a little apart from the sample time.
+    const NODES: usize = 36;
+    const SAMPLES: usize = 20_000;
+    let mut sample = ClockSample {
+        t: SimTime::ZERO,
+        logical: vec![0.0; NODES],
+        hardware: vec![0.0; NODES],
+    };
+    let mut writer = CsvSampleWriter::new(io::sink(), 1);
+    writer.on_sample(&sample);
+
+    ALLOCS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    for i in 1..SAMPLES {
+        let t = i as f64 * 0.0005;
+        sample.t = SimTime::from_secs(t);
+        for (v, l) in sample.logical.iter_mut().enumerate() {
+            *l = t * (1.0 + 1e-4 * v as f64) + 1e-7 * v as f64;
+        }
+        writer.on_sample(&sample);
+    }
+    COUNTING.store(false, Ordering::SeqCst);
+
+    writer.finish().expect("a sink cannot fail");
+    assert_eq!(writer.written(), SAMPLES);
+    assert_eq!(
+        ALLOCS.load(Ordering::SeqCst),
+        0,
+        "CsvSampleWriter allocated while streaming {SAMPLES} samples — \
+         the line buffer must be reused and push_f64 must not allocate"
+    );
+}

@@ -14,7 +14,8 @@
 //! * **Deterministic randomness** ([`rng`]) — a run is a pure function of
 //!   `(seed, configuration)`.
 //! * **Trace recording** ([`trace`]) — periodic clock samples plus
-//!   algorithm-emitted rows for offline skew analysis.
+//!   algorithm-emitted rows for offline skew analysis, printed by the
+//!   one samples-CSV formatter in [`numfmt`].
 //!
 //! ## Quickstart
 //!
@@ -61,6 +62,7 @@ pub mod clock;
 pub mod engine;
 pub mod network;
 pub mod node;
+pub mod numfmt;
 pub mod observe;
 #[allow(unsafe_code)] // sanctioned: par's raw-pointer cells, all SAFETY-commented
 pub mod par;

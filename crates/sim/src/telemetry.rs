@@ -37,6 +37,7 @@
 //! every recording method is a single predictable branch and the struct
 //! holds no per-shard storage: the overhead is a dead `bool` test.
 
+use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::engine::SimStats;
@@ -653,14 +654,17 @@ pub struct TelemetryReport {
 /// Identifies the report schema; bump on breaking shape changes.
 pub const SCHEMA: &str = "ftgcs-telemetry-v1";
 
-fn json_f64(x: f64) -> String {
+/// Appends the line `    "key": x` + `tail` for one `f64` field.
+fn json_f64(out: &mut Vec<u8>, key: &str, x: f64, tail: &str) {
+    let _ = write!(out, "    \"{key}\": ");
     // JSON has no Infinity/NaN; the report never produces them from
     // real runs, but a serializer must not emit invalid output anyway.
     if x.is_finite() {
-        format!("{x}")
+        crate::numfmt::push_f64(out, x);
     } else {
-        "null".to_string()
+        out.extend_from_slice(b"null");
     }
+    let _ = writeln!(out, "{tail}");
 }
 
 impl TelemetryReport {
@@ -671,8 +675,7 @@ impl TelemetryReport {
     #[must_use]
     #[allow(clippy::too_many_lines)] // a flat serializer reads best flat
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
+        let mut s = Vec::new();
         let d = &self.deterministic;
         let g = &self.diagnostics;
         let w = &self.wall;
@@ -703,11 +706,7 @@ impl TelemetryReport {
             "    \"planned_shard_windows\": {},",
             d.planned_shard_windows
         );
-        let _ = writeln!(
-            s,
-            "    \"horizon_span_secs\": {}",
-            json_f64(d.horizon_span_secs)
-        );
+        json_f64(&mut s, "horizon_span_secs", d.horizon_span_secs, "");
         let _ = writeln!(s, "  }},");
         let _ = writeln!(s, "  \"per_shard\": [");
         for (i, sh) in self.per_shard.iter().enumerate() {
@@ -736,8 +735,8 @@ impl TelemetryReport {
         let _ = writeln!(s, "  \"diagnostics\": {{");
         let _ = writeln!(s, "    \"shards_dealt\": {},", g.shards_dealt);
         let _ = writeln!(s, "    \"shards_stolen\": {},", g.shards_stolen);
-        let _ = writeln!(s, "    \"dealt_share\": {},", json_f64(g.dealt_share));
-        let _ = writeln!(s, "    \"stolen_share\": {},", json_f64(g.stolen_share));
+        json_f64(&mut s, "dealt_share", g.dealt_share, ",");
+        json_f64(&mut s, "stolen_share", g.stolen_share, ",");
         let _ = writeln!(
             s,
             "    \"inbox_merged_entries\": {},",
@@ -763,11 +762,11 @@ impl TelemetryReport {
         let _ = writeln!(s, "    ]");
         let _ = writeln!(s, "  }},");
         let _ = writeln!(s, "  \"wall\": {{");
-        let _ = writeln!(s, "    \"total_secs\": {},", json_f64(w.total_secs));
-        let _ = writeln!(s, "    \"barrier_secs\": {},", json_f64(w.barrier_secs));
-        let _ = writeln!(s, "    \"execute_secs\": {},", json_f64(w.execute_secs));
-        let _ = writeln!(s, "    \"merge_secs\": {},", json_f64(w.merge_secs));
-        let _ = writeln!(s, "    \"events_per_sec\": {}", json_f64(w.events_per_sec));
+        json_f64(&mut s, "total_secs", w.total_secs, ",");
+        json_f64(&mut s, "barrier_secs", w.barrier_secs, ",");
+        json_f64(&mut s, "execute_secs", w.execute_secs, ",");
+        json_f64(&mut s, "merge_secs", w.merge_secs, ",");
+        json_f64(&mut s, "events_per_sec", w.events_per_sec, "");
         let _ = writeln!(s, "  }},");
         let _ = writeln!(
             s,
@@ -775,7 +774,7 @@ impl TelemetryReport {
             self.alloc.allocations
         );
         let _ = writeln!(s, "}}");
-        s
+        String::from_utf8(s).expect("the serializer writes only UTF-8")
     }
 }
 
@@ -849,9 +848,13 @@ mod tests {
     fn json_has_the_stable_schema_shape() {
         let tel = Telemetry::new(vec![0], 1);
         tel.event_dispatched(NodeId(0));
-        let r = tel.report("global", None, SimStats::default(), None, None);
+        let mut r = tel.report("global", None, SimStats::default(), None, None);
+        r.wall.total_secs = 0.1 + 0.2;
+        r.wall.events_per_sec = f64::INFINITY;
         let json = r.to_json();
         for key in [
+            "    \"total_secs\": 0.30000000000000004,\n",
+            "    \"events_per_sec\": null\n",
             "\"schema\": \"ftgcs-telemetry-v1\"",
             "\"deterministic\": {",
             "\"per_shard\": [",

@@ -4,13 +4,15 @@
 //!
 //! * **Clock samples** — the main logical clock `L_v(t)` of every node on a
 //!   periodic Newtonian grid (plus hardware readings), which metrics code
-//!   turns into skew curves.
+//!   turns into skew curves. Their CSV form is printed by
+//!   [`numfmt`](crate::numfmt), the one sample-line formatter.
 //! * **Rows** — untyped, behavior-emitted records `(t, node, kind, values)`
 //!   used for algorithm-internal quantities (round corrections `Δ_v(r)`,
 //!   pulse times, trigger decisions, ...). Keeping rows untyped lets the
 //!   substrate stay independent of any particular algorithm.
 
 use crate::node::NodeId;
+use crate::numfmt;
 use crate::time::SimTime;
 
 /// One periodic snapshot of every node's clocks.
@@ -116,25 +118,24 @@ impl Trace {
         self.to_bytes() == other.to_bytes()
     }
 
-    /// Writes the clock samples as CSV (`t,node0,node1,...`) to `out`.
+    /// Writes the clock samples as CSV (`t,n0,n1,...`) to `out`, one
+    /// `write_all` per line, every line formatted by
+    /// [`numfmt`](crate::numfmt) — the same function the streaming
+    /// `CsvSampleWriter` calls, so the two agree by construction.
     ///
     /// # Errors
     ///
     /// Propagates any I/O error from `out`.
     pub fn write_samples_csv<W: std::io::Write>(&self, out: &mut W) -> std::io::Result<()> {
+        let mut line = Vec::new();
         if let Some(first) = self.samples.first() {
-            write!(out, "t")?;
-            for i in 0..first.logical.len() {
-                write!(out, ",n{i}")?;
-            }
-            writeln!(out)?;
+            numfmt::push_sample_header(&mut line, first.logical.len());
+            out.write_all(&line)?;
         }
         for s in &self.samples {
-            write!(out, "{}", s.t.as_secs())?;
-            for v in &s.logical {
-                write!(out, ",{v}")?;
-            }
-            writeln!(out)?;
+            line.clear();
+            numfmt::push_sample_line(&mut line, s);
+            out.write_all(&line)?;
         }
         Ok(())
     }
