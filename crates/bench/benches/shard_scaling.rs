@@ -8,11 +8,10 @@
 //!
 //! Every scheduler dispatches the identical event sequence (pinned by
 //! `crates/sim/tests/shard_equivalence.rs`), so any time difference is
-//! pure queue and executor mechanics: per-shard heaps of `m/s` entries
-//! versus one heap of `m`, inbox staging that turns pulse fan-out into
-//! bulk merges, and — for the parallel groups — how much of each
-//! `d − U` lookahead window the workers can overlap versus barrier
-//! overhead.
+//! pure queue and executor mechanics: per-shard calendar queues of
+//! `m/s` entries versus one of `m`, the shard switches between them,
+//! and — for the parallel groups — how much of each `d − U` lookahead
+//! window the workers can overlap versus barrier overhead.
 //!
 //! The `hub` groups run a **hub-and-spoke** cluster star under a ragged
 //! partition (one shard holding the hub cluster plus a third of the

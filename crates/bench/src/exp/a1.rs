@@ -1,4 +1,4 @@
-//! **A1 — Ablation: mode policy** (DESIGN.md §4 "Mode policy").
+//! **A1 — Ablation: mode policy** (`ftgcs::triggers::ModePolicy`).
 //!
 //! Algorithm 2 only specifies when a node *must* go fast or slow; when
 //! neither trigger fires the implementation chooses. We compare the

@@ -1,5 +1,5 @@
-//! **A4 — Ablation: max-estimator level unit X** (Appendix C.2 /
-//! DESIGN.md's documented deviation).
+//! **A4 — Ablation: max-estimator level unit X** (Appendix C.2 / the
+//! deviation documented in `ftgcs::global_max`'s module docs).
 //!
 //! The paper floods a level pulse every `d−U` of estimate growth; we use
 //! a configurable unit `X ≥ d−U` (default `δ`). The trade-off: message

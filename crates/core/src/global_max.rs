@@ -13,7 +13,8 @@
 //!   its message was in flight for at least `d−U` while `L_max` kept
 //!   rising at rate ≥ 1 (Lemma C.2's argument).
 //!
-//! **Deviation from the paper (documented in DESIGN.md):** the paper uses
+//! **Deviation from the paper (measured by ablation `a4_level_unit_ablation`,
+//! EXPERIMENTS.md "Ablations"):** the paper uses
 //! `X = d−U`, which is safe with the bump `(ℓ+1)(d−U)` but floods
 //! `Θ(1/(d−U))` messages per second per node. We use a configurable
 //! `X ≥ d−U` (default `δ`) with the weaker-but-safe bump
@@ -36,6 +37,23 @@ struct ClusterLevels {
     members: Vec<NodeId>,
     /// Highest level reported by each member.
     seen: Vec<u64>,
+    /// The `(f+1)`-th largest of `seen`: the highest level at least one
+    /// correct member has reported. Reports only rise, so it does too.
+    confirmed: u64,
+}
+
+/// The `(n+1)`-th largest of `values` (0 if there are at most `n`),
+/// selected by counting — no copy, no sort; `values` holds one cluster.
+fn nth_largest(values: &[u64], n: usize) -> u64 {
+    values
+        .iter()
+        .copied()
+        .find(|&x| {
+            let above = values.iter().filter(|&&v| v > x).count();
+            let at_or_above = values.iter().filter(|&&v| v >= x).count();
+            above <= n && n < at_or_above
+        })
+        .unwrap_or(0)
 }
 
 /// The per-node max-estimator component.
@@ -90,6 +108,7 @@ impl MaxEstimator {
                 .map(|members| ClusterLevels {
                     seen: vec![0; members.len()],
                     members,
+                    confirmed: 0,
                 })
                 .collect(),
         }
@@ -122,25 +141,27 @@ impl MaxEstimator {
     /// Byzantine node cannot inject reports for clusters it is not in,
     /// because identity is carried by the channel).
     pub fn on_level(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, level: u64) {
-        let mut candidate = None;
-        for cl in &mut self.clusters {
-            if let Some(slot) = cl.members.iter().position(|&m| m == from) {
-                if level > cl.seen[slot] {
-                    cl.seen[slot] = level;
-                }
-                // (f+1)-th largest report: at least one correct member of
-                // this cluster has genuinely crossed this level.
-                let mut sorted = cl.seen.clone();
-                sorted.sort_unstable_by(|a, b| b.cmp(a));
-                let confirmed = sorted.get(self.f).copied().unwrap_or(0);
-                if confirmed > 0 {
-                    let bump = confirmed as f64 * self.unit + self.min_delay;
-                    candidate = Some(candidate.map_or(bump, |c: f64| c.max(bump)));
-                }
-                break;
-            }
+        let Some((cl, slot)) = self.clusters.iter_mut().find_map(|cl| {
+            let slot = cl.members.iter().position(|&m| m == from)?;
+            Some((cl, slot))
+        }) else {
+            return;
+        };
+        if level > cl.seen[slot] {
+            cl.seen[slot] = level;
         }
-        if let Some(bump) = candidate {
+        // A report at or below the confirmed level cannot move the
+        // (f+1)-th largest, and `M_v` never falls back below a bump it
+        // already took: nothing to do for most of the flood.
+        if level <= cl.confirmed {
+            return;
+        }
+        // (f+1)-th largest report: at least one correct member of this
+        // cluster has genuinely crossed this level.
+        let confirmed = nth_largest(&cl.seen, self.f);
+        if confirmed > cl.confirmed {
+            cl.confirmed = confirmed;
+            let bump = confirmed as f64 * self.unit + self.min_delay;
             if bump > self.value(ctx) {
                 ctx.jump_track(self.track, bump);
                 // The pending boundary timer now targets the past and will
@@ -188,6 +209,7 @@ mod tests {
     use ftgcs_sim::network::{DelayConfig, DelayDistribution};
     use ftgcs_sim::node::Behavior;
     use ftgcs_sim::time::{SimDuration, SimTime};
+    use proptest::prelude::*;
     use std::sync::Arc;
     use std::sync::Mutex;
 
@@ -212,31 +234,105 @@ mod tests {
     const UNIT: f64 = 0.01;
     const MIN_DELAY: f64 = 1e-3;
 
-    /// Feeds a scripted sequence of level reports into one MaxEstimator
-    /// at t = 0 (before the track has self-advanced measurably) and
-    /// records the value after each report.
-    struct LevelHarness {
-        script: Vec<(NodeId, u64)>,
-        values: Arc<Mutex<Vec<f64>>>,
+    /// The clone-and-sort `on_level` this module shipped with, kept as
+    /// the reference the allocation-free one is compared against.
+    fn on_level_reference(
+        est: &mut MaxEstimator,
+        ctx: &mut Ctx<'_, Msg>,
+        from: NodeId,
+        level: u64,
+    ) {
+        let mut candidate = None;
+        for cl in &mut est.clusters {
+            if let Some(slot) = cl.members.iter().position(|&m| m == from) {
+                if level > cl.seen[slot] {
+                    cl.seen[slot] = level;
+                }
+                let mut sorted = cl.seen.clone();
+                sorted.sort_unstable_by(|a, b| b.cmp(a));
+                let confirmed = sorted.get(est.f).copied().unwrap_or(0);
+                if confirmed > 0 {
+                    let bump = confirmed as f64 * est.unit + est.min_delay;
+                    candidate = Some(candidate.map_or(bump, |c: f64| c.max(bump)));
+                }
+                break;
+            }
+        }
+        if let Some(bump) = candidate {
+            if bump > est.value(ctx) {
+                ctx.jump_track(est.track, bump);
+            }
+        }
     }
 
-    impl Behavior<Msg> for LevelHarness {
+    /// Feeds one script to two estimators on two tracks of one node —
+    /// the shipped `on_level` and the reference — and records both
+    /// values after every report.
+    struct TwinHarness {
+        f: usize,
+        clusters: Vec<Vec<NodeId>>,
+        script: Vec<(NodeId, u64)>,
+        values: Arc<Mutex<Vec<(f64, f64)>>>,
+    }
+
+    impl Behavior<Msg> for TwinHarness {
         fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-            let track = ctx.new_track(0.0, 1.0);
-            let members: Vec<NodeId> = (1..=4).map(NodeId).collect();
-            let mut est = MaxEstimator::new(track, UNIT, MIN_DELAY, 1, vec![members]);
+            let mut twins = [(); 2].map(|()| {
+                let track = ctx.new_track(0.0, 1.0);
+                MaxEstimator::new(track, UNIT, MIN_DELAY, self.f, self.clusters.clone())
+            });
             for &(from, level) in &self.script {
-                est.on_level(ctx, from, level);
-                self.values.lock().unwrap().push(est.value(ctx));
+                twins[0].on_level(ctx, from, level);
+                on_level_reference(&mut twins[1], ctx, from, level);
+                let pair = (twins[0].value(ctx), twins[1].value(ctx));
+                self.values.lock().unwrap().push(pair);
             }
         }
         fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: NodeId, _msg: &Msg) {}
         fn on_timer(&mut self, _ctx: &mut Ctx<'_, Msg>, _tag: TimerTag) {}
     }
 
-    fn run_script(script: Vec<(NodeId, u64)>) -> Vec<f64> {
-        let values = Arc::new(Mutex::new(Vec::new()));
-        let config = SimConfig {
+    proptest! {
+        #[test]
+        fn on_level_matches_the_clone_and_sort_reference(
+            f in 0usize..3,
+            ops in prop::collection::vec((0u8..4, 0usize..12, 0u64..40), 1..120),
+        ) {
+            // Two audible clusters of 3f+1 members (ids from 1), and a
+            // few ids nobody registered.
+            let k = 3 * f + 1;
+            let clusters: Vec<Vec<NodeId>> =
+                (0..2).map(|c| (1 + c * k..=(c + 1) * k).map(NodeId).collect()).collect();
+            let mut liar_claim = 0;
+            let script: Vec<(NodeId, u64)> = ops
+                .into_iter()
+                .map(|(kind, who, level)| match kind {
+                    // A lone liar escalating without bound.
+                    0 => {
+                        liar_claim += 1000;
+                        (NodeId(1), liar_claim)
+                    }
+                    // A sender no cluster lists.
+                    1 => (NodeId(2 * k + 1 + who), level),
+                    // Members, with repeats and regressions.
+                    _ => (NodeId(1 + who % (2 * k)), level),
+                })
+                .collect();
+            let values = run_twins(f, clusters, script.clone());
+            prop_assert_eq!(values.len(), script.len());
+            for (step, &(new, reference)) in values.iter().enumerate() {
+                prop_assert!(
+                    new.to_bits() == reference.to_bits(),
+                    "step {step} {:?}: M_v {new} != reference {reference}",
+                    script[step]
+                );
+            }
+        }
+    }
+
+    /// No drift, no sampling: a track read is its anchor exactly.
+    fn quiet_config() -> SimConfig {
+        SimConfig {
             delay: DelayConfig::new(
                 SimDuration::from_millis(1.0),
                 SimDuration::ZERO,
@@ -247,17 +343,34 @@ mod tests {
             seed: 5,
             sample_interval: None,
             ..SimConfig::default()
-        };
-        let mut b = SimBuilder::new(config);
-        b.add_node(Box::new(LevelHarness {
+        }
+    }
+
+    /// Runs `script` at t = 0 (before the tracks have self-advanced
+    /// measurably) and returns `(M_v, reference M_v)` after each report.
+    fn run_twins(
+        f: usize,
+        clusters: Vec<Vec<NodeId>>,
+        script: Vec<(NodeId, u64)>,
+    ) -> Vec<(f64, f64)> {
+        let values = Arc::new(Mutex::new(Vec::new()));
+        let mut b = SimBuilder::new(quiet_config());
+        b.add_node(Box::new(TwinHarness {
+            f,
+            clusters,
             script,
             values: Arc::clone(&values),
         }));
-        let mut sim = b.build();
-        sim.run_until(SimTime::ZERO);
+        b.build().run_until(SimTime::ZERO);
         let out = values.lock().unwrap().clone();
-        drop(sim);
         out
+    }
+
+    /// `M_v` after each report of `script`, one cluster `1..=4`, `f = 1`.
+    fn run_script(script: Vec<(NodeId, u64)>) -> Vec<f64> {
+        let members = (1..=4).map(NodeId).collect();
+        let twins = run_twins(1, vec![members], script);
+        twins.into_iter().map(|(value, _)| value).collect()
     }
 
     #[test]

@@ -1,0 +1,106 @@
+//! Regression test: the algorithm's message path — level reports into
+//! the max estimator above all, three quarters of a line's events —
+//! must not allocate per message.
+//!
+//! The sibling of `crates/sim/tests/hot_path_alloc.rs` one layer up:
+//! that one pins the engine at (essentially) zero allocations per event,
+//! this one a small FT-GCS line with the max estimator on at under 100
+//! per 1 000 events. What remains (about 70) is per *round*, not per
+//! message: the rows a node emits each round and ClusterSync's
+//! per-round vectors. `MaxEstimator::on_level` used to clone and sort
+//! its cluster's reports on every level message, which alone read about
+//! 820.
+//!
+//! The test binary has exactly one test so no concurrent test thread
+//! can pollute the counter.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+use ftgcs::params::Params;
+use ftgcs::runner::Scenario;
+use ftgcs_sim::observe::Observer;
+use ftgcs_sim::time::SimTime;
+use ftgcs_topology::{generators, ClusterGraph};
+
+static COUNTING: AtomicBool = AtomicBool::new(false);
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+struct CountingAllocator;
+
+// SAFETY: delegates directly to the system allocator; the counter has
+// no allocator-visible side effects.
+unsafe impl GlobalAlloc for CountingAllocator {
+    // SAFETY: forwards `layout` unchanged to `System.alloc`, inheriting
+    // its contract.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if COUNTING.load(Ordering::Relaxed) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        System.alloc(layout)
+    }
+    // SAFETY: forwards `ptr`/`layout` unchanged to `System.dealloc`;
+    // the caller's obligations are exactly `System`'s.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    // SAFETY: forwards all arguments unchanged to `System.realloc`,
+    // inheriting its contract.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if COUNTING.load(Ordering::Relaxed) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Drops every row and sample: what is counted is the simulation's own.
+struct Discard;
+impl Observer for Discard {}
+
+#[test]
+fn level_flooding_does_not_allocate_per_message() {
+    // Sanity: the counter must actually observe allocations, or the
+    // assertion below would pass vacuously.
+    COUNTING.store(true, Ordering::SeqCst);
+    std::hint::black_box(Vec::<u64>::with_capacity(32));
+    COUNTING.store(false, Ordering::SeqCst);
+    assert!(
+        ALLOCS.load(Ordering::SeqCst) >= 1,
+        "counting allocator is not wired up"
+    );
+
+    // The headline setting in small: a line of 8 clusters, f = 1.
+    let params = Params::practical(1e-4, 1e-3, 1e-4, 1).expect("feasible environment");
+    let cg = ClusterGraph::new(generators::line(8), 4, 1);
+    let mut scenario = Scenario::new(cg, params);
+    scenario.seed(11).max_estimator(true).sample_interval(None);
+    let mut sim = scenario.build();
+
+    // Warm-up to the high-water mark of every queue and buffer.
+    sim.run_until_with(SimTime::from_secs(2.0), &mut Discard);
+    let events_before = sim.stats().events;
+    let messages_before = sim.stats().messages;
+
+    ALLOCS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    sim.run_until_with(SimTime::from_secs(8.0), &mut Discard);
+    COUNTING.store(false, Ordering::SeqCst);
+
+    let allocs = ALLOCS.load(Ordering::SeqCst);
+    let events = sim.stats().events - events_before;
+    let messages = sim.stats().messages - messages_before;
+    assert!(
+        events > 50_000 && 2 * messages > events,
+        "window too small or not message-bound: {events} events, {messages} messages"
+    );
+    assert!(
+        allocs * 1000 < events * 100,
+        "{allocs} allocations over {events} events ({} per 1 000): \
+         a per-message allocation is back on the algorithm's path",
+        allocs * 1000 / events
+    );
+}

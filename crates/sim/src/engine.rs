@@ -10,15 +10,15 @@
 //! model without discretization error.
 //!
 //! Changing a multiplier (or jumping a track) re-anchors the track and
-//! transparently reschedules every pending timer on it; stale heap entries
+//! transparently reschedules every pending timer on it; stale queue entries
 //! are skipped via generation counters. All mutable per-node state —
 //! clocks, tracks, timer slots, RNG streams — lives in one [`NodeState`]
 //! per node, which is what lets [`SchedulerKind::Parallel`] hand disjoint
 //! node sets to worker threads (see [`crate::par`]).
 //!
-//! Event storage is delegated to a [`ShardQueue`]: one heap per
+//! Event storage is delegated to a [`ShardQueue`]: one calendar queue per
 //! [`shard`](crate::shard) of the network, advanced under conservative
-//! lookahead, with the classic single global heap as the 1-shard
+//! lookahead, with the classic single global queue as the 1-shard
 //! degenerate case ([`SchedulerKind::Global`]). Every scheduler —
 //! including the parallel one, on any worker count — dispatches the
 //! identical global event order, so they all produce byte-identical
@@ -34,8 +34,8 @@ use crate::observe::Observer;
 use crate::par::ParQueue;
 use crate::rng::SimRng;
 use crate::shard::{
-    resolve_workers, tie_for_engine, tie_for_node, Entry, Key, Partition, SchedulerKind, Shard,
-    ShardQueue,
+    resolve_workers, tie_for_engine, tie_for_node, Entry, Key, Partition, QueueStats,
+    SchedulerKind, Shard, ShardQueue,
 };
 use crate::telemetry::{Phase, Telemetry, TelemetryReport};
 use crate::time::{SimDuration, SimTime};
@@ -54,7 +54,7 @@ pub struct SimConfig {
     pub seed: u64,
     /// If set, record a [`ClockSample`] every interval of Newtonian time.
     pub sample_interval: Option<SimDuration>,
-    /// Event scheduler: one global heap, per-shard heaps under
+    /// Event scheduler: one global queue, per-shard queues under
     /// conservative lookahead, or the same shards on a worker-thread
     /// pool. Never changes a run's result — only its throughput.
     pub scheduler: SchedulerKind,
@@ -107,7 +107,7 @@ struct TimerSlot {
     /// fault-lifecycle layer, whose transition times are spec-given
     /// Newtonian instants.
     newtonian: bool,
-    /// Bumped on every reschedule (re-anchoring); stale heap entries
+    /// Bumped on every reschedule (re-anchoring); stale queue entries
     /// carry an older generation and are skipped on pop.
     generation: u32,
     /// Bumped on every slot *reuse*; a [`TimerId`] carries the epoch it
@@ -314,7 +314,7 @@ impl NodeState {
         true
     }
 
-    /// Retires a timer whose heap entry just fired: O(1), no allocation.
+    /// Retires a timer whose queue entry just fired: O(1), no allocation.
     fn retire_fired_timer(&mut self, id: usize) {
         self.timer_slots[id].active = false;
         self.unlink_timer(id);
@@ -322,8 +322,8 @@ impl NodeState {
     }
 
     /// Deactivates every pending timer of this node in slot order and
-    /// returns how many were live. Already-queued heap entries become
-    /// stale (inactive slots are skipped on pop) — no heap surgery, no
+    /// returns how many were live. Already-queued entries become
+    /// stale (inactive slots are skipped on pop) — no queue surgery, no
     /// allocation beyond the free-list pushes.
     fn cancel_all_timers(&mut self) -> usize {
         let mut cancelled = 0;
@@ -394,15 +394,9 @@ pub(crate) enum QueueKind<'a, M> {
 }
 
 impl<M> QueueKind<'_, M> {
-    fn push(&mut self, dst: NodeId, time: SimTime, tie: u128, payload: Pending<M>, staged: bool) {
+    fn push(&mut self, dst: NodeId, time: SimTime, tie: u128, payload: Pending<M>) {
         match self {
-            QueueKind::Serial(q) => {
-                if staged {
-                    q.stage_for_keyed(dst, time, tie, payload);
-                } else {
-                    q.push_for_keyed(dst, time, tie, payload);
-                }
-            }
+            QueueKind::Serial(q) => q.push_for_keyed(dst, time, tie, payload),
             QueueKind::Boot(pq) => pq.push(dst, time, tie, payload),
             QueueKind::Worker {
                 local,
@@ -416,11 +410,7 @@ impl<M> QueueKind<'_, M> {
                 };
                 let shard = shard_of[dst.index()];
                 if shard == *my_shard {
-                    if staged {
-                        local.stage(entry);
-                    } else {
-                        local.heap.push(entry);
-                    }
+                    local.push(entry);
                 } else {
                     // Cross-shard: batch in the worker's outbox; the
                     // whole window's batch is delivered to the
@@ -546,7 +536,7 @@ impl<M: Clone> Ctx<'_, M> {
     ///
     /// This is the hottest control-path operation (once per node per round
     /// phase): it must not allocate. Rescheduling bumps each pending
-    /// timer's generation — the stale heap entries are skipped on pop —
+    /// timer's generation — the stale queue entries are skipped on pop —
     /// and iterates the live-timer list in place by index.
     fn reanchor(&mut self, track: TrackId, new_value: Option<f64>, new_mult: f64) {
         assert!(new_mult > 0.0, "track multipliers must be positive");
@@ -585,7 +575,6 @@ impl<M: Clone> Ctx<'_, M> {
                 id,
                 generation: slot.generation,
             },
-            false,
         );
     }
 
@@ -654,7 +643,7 @@ impl<M: Clone> Ctx<'_, M> {
     }
 
     /// Installs `slot` into the slab, reusing a free slot (bumping its
-    /// generation and epoch so stale heap entries and stale handles
+    /// generation and epoch so stale queue entries and stale handles
     /// cannot touch the new timer) or growing the slab.
     fn install_timer_slot(&mut self, slot: TimerSlot) -> usize {
         if let Some(id) = self.state.timer_free.pop() {
@@ -675,7 +664,7 @@ impl<M: Clone> Ctx<'_, M> {
     /// Cancels **every** pending timer of this node (track-driven and
     /// Newtonian alike), returning how many were live.
     ///
-    /// Already-queued heap entries are left in place and skipped as
+    /// Already-queued entries are left in place and skipped as
     /// stale when popped. This is the shutdown primitive of crash and
     /// lifecycle behaviors: a crashed node must not drag its dead
     /// timers through the event queue for the rest of the run.
@@ -721,7 +710,7 @@ impl<M: Clone> Ctx<'_, M> {
         }
     }
 
-    fn send_with(&mut self, to: NodeId, msg: M, staged: bool) {
+    fn send_to(&mut self, to: NodeId, msg: M) {
         let from = self.node;
         let delay = self
             .shared
@@ -732,7 +721,7 @@ impl<M: Clone> Ctx<'_, M> {
         let tie = self.state.next_tie(from);
         self.shared.telemetry.message_queued(from, to);
         self.queue
-            .push(to, time, tie, Pending::Message { from, to, msg }, staged);
+            .push(to, time, tie, Pending::Message { from, to, msg });
     }
 
     /// Sends `msg` to a neighbor; delivery is delayed per the configured
@@ -749,35 +738,30 @@ impl<M: Clone> Ctx<'_, M> {
             self.node,
             to
         );
-        self.send_with(to, msg, false);
+        self.send_to(to, msg);
     }
 
     /// Sends `msg` to every neighbor (not to the sender itself).
-    ///
-    /// The fan-out is staged in per-shard inboxes so each destination
-    /// shard absorbs its share of the batch with one bulk heap merge
-    /// instead of per-message sifting pushes.
     pub fn broadcast(&mut self, msg: M) {
         let count = self.shared.adjacency[self.node.index()].len();
         for i in 0..count {
             let to = self.shared.adjacency[self.node.index()][i];
-            self.send_with(to, msg.clone(), true);
+            self.send_to(to, msg.clone());
         }
     }
 
     /// Sends `msg` to every neighbor *and* to the sender itself (loopback
     /// with the same delay bounds) — the pulse semantics of ClusterSync,
-    /// where a node also observes its own pulse. The loopback joins the
-    /// broadcast's staged fan-out batch.
+    /// where a node also observes its own pulse.
     pub fn broadcast_with_loopback(&mut self, msg: M) {
         self.broadcast(msg.clone());
-        self.send_with(self.node, msg, true);
+        self.send_to(self.node, msg);
     }
 
     /// Sends `msg` only to the sender itself (a *virtual* pulse, used by
     /// silent estimator instances).
     pub fn send_self(&mut self, msg: M) {
-        self.send_with(self.node, msg, false);
+        self.send_to(self.node, msg);
     }
 
     /// This node's deterministic random stream.
@@ -1087,9 +1071,9 @@ impl<M: Clone> SimBuilder<M> {
 
 /// Where queued events live between dispatches.
 pub(crate) enum EventStore<M> {
-    /// The single-threaded engines (global heap or sharded).
+    /// The single-threaded engines (global queue or sharded).
     Serial(ShardQueue<Pending<M>>),
-    /// The parallel executor's per-shard heaps.
+    /// The parallel executor's per-shard queues.
     Parallel(ParQueue<M>),
 }
 
@@ -1154,7 +1138,7 @@ impl<M> Simulation<M> {
             EventStore::Parallel(pq) => (
                 "parallel",
                 Some(pq.workers),
-                None,
+                Some(QueueStats::of_shards(&pq.shards)),
                 Some(pq.planned_events.as_slice()),
             ),
         };

@@ -1,7 +1,7 @@
 //! The parallel shard executor.
 //!
 //! [`SchedulerKind::Parallel`](crate::shard::SchedulerKind) advances the
-//! per-shard event heaps of [`crate::shard`] on a pool of worker threads
+//! per-shard calendar queues of [`crate::shard`] on a pool of worker threads
 //! between **conservative lookahead barriers**. The model provides the
 //! safety argument: every message is delayed by at least `d − U > 0`, so
 //! an event chain starting at key time `t` in one shard cannot influence
@@ -12,7 +12,7 @@
 //!
 //! Each window gives every shard its *own* cap instead of one global
 //! `T₀ + (d − U)`. Let `m_s` be shard `s`'s earliest pending key time
-//! (heap head, staged inbox, and mutex inbox included) and `L = d − U`.
+//! (queue head and mutex inbox included) and `L = d − U`.
 //! Messages travel only along node adjacency ([`crate::engine::Ctx`]
 //! enforces it), so influence propagates along the **shard adjacency
 //! graph**: the earliest time an event chain starting *outside* `s` can
@@ -79,8 +79,8 @@
 //!
 //! Cross-shard sends are batched in a per-worker outbox and flushed into
 //! the destination shards' mutex-guarded inboxes once per window (one
-//! lock per destination instead of one per message); owners absorb their
-//! inbox when they next advance. The horizon floor guarantees staged
+//! lock per destination instead of one per message); owners push their
+//! inbox into their queue when they next advance. The horizon floor guarantees staged
 //! arrivals never land below the destination's cap, so flush/drain
 //! ordering across workers is irrelevant — and a shard skipped as idle
 //! cannot become due mid-window.
@@ -147,7 +147,7 @@ fn time_inf() -> SimTime {
 /// distance a real partition produces, so it never costs parallelism.
 const HORIZON_WINDOW_FACTOR: f64 = 1024.0;
 
-/// The parallel executor's event store: per-shard heaps plus the sample
+/// The parallel executor's event store: per-shard queues plus the sample
 /// chain (samples never enter a shard — they are engine-global) and the
 /// persistent worker pool.
 pub(crate) struct ParQueue<M> {
@@ -196,10 +196,10 @@ impl<M> ParQueue<M> {
     }
 
     /// Serial-phase push (boot / between runs): straight into the owning
-    /// shard's heap.
+    /// shard's queue.
     pub(crate) fn push(&mut self, dst: NodeId, time: SimTime, tie: u128, payload: Pending<M>) {
         let shard = self.shard_of[dst.index()] as usize;
-        self.shards[shard].heap.push(Entry {
+        self.shards[shard].push(Entry {
             key: Key { time, tie },
             payload,
         });
@@ -266,19 +266,18 @@ impl<M> Inbox<M> {
         self.min_time_bits.store(min_bits, Ordering::Release);
     }
 
-    /// Moves all staged arrivals into `shard`'s bulk-merge inbox,
-    /// returning how many entries moved (telemetry: merge batching).
+    /// Moves all staged arrivals into `shard`'s queue, returning how
+    /// many entries moved (telemetry: arrival batching).
     fn drain_into(&self, shard: &mut Shard<Pending<M>>) -> usize {
         let mut guard = self.buf.lock().expect("inbox poisoned");
         let buf = &mut *guard;
-        if buf.entries.is_empty() {
+        let moved = buf.entries.len();
+        if moved == 0 {
             return 0;
         }
-        if buf.min < shard.inbox_min {
-            shard.inbox_min = buf.min;
+        for entry in buf.entries.drain(..) {
+            shard.push(entry);
         }
-        let moved = buf.entries.len();
-        shard.inbox.append(&mut buf.entries);
         buf.min = Key::max();
         self.min_time_bits
             .store(f64::INFINITY.to_bits(), Ordering::Release);
@@ -1279,7 +1278,7 @@ fn advance_shard<M: Clone + Send>(
         let node = entry
             .payload
             .owner()
-            .expect("samples never enter shard heaps");
+            .expect("samples never enter shard queues");
         tel.event_dispatched(node);
         debug_assert_eq!(
             pool.shard_of[node.index()] as usize,

@@ -1,8 +1,9 @@
 //! Sharded event scheduling with conservative lookahead.
 //!
 //! The engine's event queue can be split into *shards* — one per cluster
-//! of the simulated network — each owning a private binary heap. The
-//! split exploits the seam the paper's model provides: every
+//! of the simulated network — each owning a private calendar queue
+//! ([`Shard`]; the one-shard case is the classic single global queue).
+//! The split exploits the seam the paper's model provides: every
 //! inter-cluster message is delayed by at least `d − U > 0`, so a shard
 //! that is globally earliest can process a *run* of its own events
 //! without consulting the others (Chandy–Misra-style conservative
@@ -12,22 +13,29 @@
 //! Concretely, [`ShardQueue`] maintains for the currently *selected*
 //! shard a **horizon**: the smallest event key any other shard could
 //! dispatch next. While the selected shard's head stays below the
-//! horizon it pops from its own heap only (the fast path); cross-shard
-//! sends lower the horizon as they are staged, which is exactly the
+//! horizon it pops from its own queue only (the fast path); cross-shard
+//! sends lower the horizon as they are pushed, which is exactly the
 //! lookahead barrier. Events carry a `(time, seq)` key with a globally
 //! unique sequence number, and the queue always dispatches the global
 //! key minimum — so a sharded run is **event-for-event identical** to a
-//! single-heap run, which `tests/shard_equivalence.rs` pins down
+//! single-queue run, which `tests/shard_equivalence.rs` pins down
 //! byte-for-byte. The delay floor `d − U` is therefore a *performance*
 //! knob (larger floor → longer fast-path runs), never a correctness
 //! input.
 //!
-//! Incoming events are staged in a per-shard **inbox** and merged into
-//! the heap in bulk the next time the shard pops. A k-member cluster
-//! pulse enqueues its k² fan-out entries as appends plus one
-//! heapify-extend instead of k² sifting pushes.
+//! The model also bounds every delay from above, by `d`, so nearly all
+//! of a shard's events are due within a narrow band of "now". That is
+//! the good case for a calendar queue: a push is an O(1) append to the
+//! list of the time bucket the event is due in, and a bucket is sorted
+//! only when it becomes current — a dozen comparisons on adjacent
+//! memory where a binary heap of a few thousand 64-byte entries sifts
+//! through a dozen scattered levels. A k-member cluster pulse enqueues
+//! its k² fan-out as k² appends. The bucket width is the queue's own
+//! business: it is worked out from the spacing of the events popped,
+//! and by construction cannot change the dispatch order (see
+//! [`Shard`]).
 //!
-//! [`SchedulerKind::Parallel`] reuses the same per-shard heaps but
+//! [`SchedulerKind::Parallel`] reuses the same per-shard queues but
 //! advances them on worker threads between lookahead barriers (see
 //! [`crate::par`]); its tie-breaking key is supplied by the engine so
 //! that the dispatch order is identical on every thread count.
@@ -231,18 +239,18 @@ pub(crate) fn shard_adjacency(
 /// Every variant dispatches events in the identical global order, so
 /// switching the scheduler never changes a run's trace — only its
 /// throughput. `Global` is literally the 1-shard degenerate case of the
-/// sharded queue, and `Parallel` runs the same per-shard heaps on
+/// sharded queue, and `Parallel` runs the same per-shard queues on
 /// worker threads between conservative lookahead barriers.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
-    /// One global heap (the 1-shard degenerate case).
+    /// One global queue (the 1-shard degenerate case).
     #[default]
     Global,
-    /// Per-shard heaps advanced under conservative lookahead,
+    /// Per-shard queues advanced under conservative lookahead,
     /// single-threaded. The partition must cover exactly the
     /// simulation's nodes.
     Sharded(Partition),
-    /// Per-shard heaps advanced on a worker-thread pool between
+    /// Per-shard queues advanced on a worker-thread pool between
     /// `d − U` lookahead barriers. The merged trace is byte-identical
     /// to the other schedulers on every worker count.
     Parallel {
@@ -296,80 +304,521 @@ pub(crate) struct Entry<T> {
     pub(crate) payload: T,
 }
 
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
+/// Buckets ("days") in a ring ("year"); a power of two. A shard has
+/// two rings, so setting one up costs `2 · RING` `u32` list heads —
+/// 8 KB — and nothing else.
+const RING_BITS: u32 = 10;
+const RING: usize = 1 << RING_BITS;
+const RING_MASK: u64 = RING as u64 - 1;
+/// End-of-list marker of the intrusive lists.
+const NIL: u32 = u32::MAX;
+/// Pops between two looks at the bucket width.
+const EPOCH: u32 = 1024;
+/// The width aims at `2^PER_BUCKET_LOG2` typical pop-to-pop gaps per
+/// bucket. (The typical gap is a geometric mean of floored exponents,
+/// which reads about 2.5 times under the arithmetic mean of evenly
+/// random arrivals: the bucket then holds some 6 events — an insertion
+/// sort.)
+const PER_BUCKET_LOG2: i32 = 4;
+/// Consecutive epochs that must all ask for a wider bucket before the
+/// queue widens (it narrows at once: a burst is where the events are).
+const WIDEN_PATIENCE: u32 = 4;
+/// Bucket widths are `2^e` seconds for `e` in `±WIDTH_EXP_MAX`, so the
+/// reciprocal is an exact, finite `f64`.
+const WIDTH_EXP_MAX: i32 = 1000;
+
+/// One queued event in the slab. `next` links it into its bucket's list
+/// (or into the free list once `payload` is taken); it sits between the
+/// two key halves so the node adds no padding to an [`Entry`].
+struct Node<T> {
+    time: SimTime,
+    next: u32,
+    tie: u128,
+    payload: Option<T>,
 }
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+
+/// A sortable reference to a slab node: the key travels with the index
+/// so ordering a bucket never touches the slab.
+#[derive(Clone, Copy)]
+struct Handle {
+    time: SimTime,
+    node: u32,
+    tie: u128,
 }
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        other.key.cmp(&self.key)
+
+impl Handle {
+    fn of<T>(nodes: &[Node<T>], node: u32) -> Handle {
+        let n = &nodes[node as usize];
+        Handle {
+            time: n.time,
+            node,
+            tie: n.tie,
+        }
+    }
+
+    fn key(&self) -> Key {
+        Key {
+            time: self.time,
+            tie: self.tie,
+        }
     }
 }
 
-/// One shard: a heap of accepted events plus an inbox of staged
-/// arrivals that are merged in bulk at the next pop.
+/// `2^exp` as an exact `f64` (`|exp| ≤ WIDTH_EXP_MAX`).
+fn pow2(exp: i32) -> f64 {
+    f64::from_bits(((1023 + exp) as u64) << 52)
+}
+
+/// `⌊log₂ x⌋` of a positive finite `x`, read off the exponent field
+/// (subnormals report −1023; callers clamp).
+fn floor_log2(x: f64) -> i32 {
+    ((x.to_bits() >> 52) & 0x7ff) as i32 - 1023
+}
+
+/// [`RING`] intrusive lists through a slab, with one occupancy bit per
+/// list so runs of empty slots are skipped a word at a time.
+struct Ring {
+    heads: Vec<u32>,
+    occupied: [u64; RING / 64],
+}
+
+impl Ring {
+    fn new() -> Self {
+        Ring {
+            heads: vec![NIL; RING],
+            occupied: [0; RING / 64],
+        }
+    }
+
+    fn clear(&mut self) {
+        self.heads.fill(NIL);
+        self.occupied = [0; RING / 64];
+    }
+
+    fn is_occupied(&self, slot: usize) -> bool {
+        self.occupied[slot / 64] & 1 << (slot % 64) != 0
+    }
+
+    /// Prepends node `idx` to `slot`'s list.
+    fn link<T>(&mut self, nodes: &mut [Node<T>], slot: usize, idx: u32) {
+        nodes[idx as usize].next = self.heads[slot];
+        self.heads[slot] = idx;
+        self.occupied[slot / 64] |= 1 << (slot % 64);
+    }
+
+    /// Empties `slot`, returning the head of what was its list.
+    fn take(&mut self, slot: usize) -> u32 {
+        self.occupied[slot / 64] &= !(1 << (slot % 64));
+        std::mem::replace(&mut self.heads[slot], NIL)
+    }
+
+    /// The ring distance (`from..=RING`) from slot `start` to the next
+    /// occupied slot.
+    fn next_occupied(&self, start: usize, from: usize) -> Option<usize> {
+        let mut dist = from;
+        while dist <= RING {
+            let slot = (start + dist) & (RING - 1);
+            let word = self.occupied[slot / 64] >> (slot % 64);
+            if word != 0 {
+                let dist = dist + word.trailing_zeros() as usize;
+                return (dist <= RING).then_some(dist);
+            }
+            dist += 64 - slot % 64;
+        }
+        None
+    }
+}
+
+/// One shard's event store: a two-level calendar queue.
+///
+/// Every queued event lives in one slab node and is due in bucket
+/// ("day") `⌊time / w⌋`; [`RING`] consecutive days, aligned, are a
+/// year. An event due later in the current year is prepended, in O(1),
+/// to the list of its day's slot in the `days` ring; one due in a later
+/// year to the list of that year's slot in the `years` ring, and moved
+/// to its day when its year begins. An event more than `RING` years
+/// ahead shares a `years` slot with nearer ones and is told apart by
+/// recomputing its year; it is stepped over once per `RING` years. (The
+/// second ring is the overflow tier. Year tags in a single ring were
+/// measured first: on `line64_global` a timer set 30 ms ahead was
+/// stepped over in each of the 60 half-millisecond years it waited,
+/// four list steps per dispatched event at the best width and eight at
+/// a quarter of it, where the second ring costs each event at most one
+/// move.) When a day becomes current its events move as [`Handle`]s
+/// into `cur`, sorted by [`Key`] so pops take from the end. An event
+/// pushed into or before the current day goes to `late`, a binary
+/// min-heap of handles, so such a push costs O(log b) whatever the day
+/// holds. The next event is the smaller of `cur`'s end and `late`'s
+/// root.
+///
+/// `⌊time / w⌋` is monotone in `time` for every `w > 0`, days dispatch
+/// in index order and each is fully sorted, so the pop order is the
+/// `(time, tie)` order **whatever `w` is** — the width only moves cost.
+/// It is a power of two chosen from the queue's own history (see
+/// [`Shard::retune`]). A new shard starts with a width that puts every
+/// finite time in day 0, i.e. as a plain heap.
 pub(crate) struct Shard<T> {
-    pub(crate) heap: BinaryHeap<Entry<T>>,
-    pub(crate) inbox: Vec<Entry<T>>,
-    /// Smallest key in `inbox` (`Key::max()` when empty).
-    pub(crate) inbox_min: Key,
+    nodes: Vec<Node<T>>,
+    /// Head of the free list through `nodes`.
+    free: u32,
+    /// Later days of the current year, by day.
+    days: Ring,
+    /// Later years, by year.
+    years: Ring,
+    /// The current day's events, sorted descending.
+    cur: Vec<Handle>,
+    /// Min-heap of events pushed at or before the current day.
+    late: Vec<Handle>,
+    /// Index of the current day: every event in the rings is due in a
+    /// later one, every event in `cur` or `late` in this or an earlier.
+    cur_bucket: u64,
+    /// Bucket width `2^width_exp` seconds and its reciprocal.
+    width_exp: i32,
+    inv_width: f64,
+    len: usize,
+    /// Time of the latest pop.
+    last_pop: SimTime,
+    /// Pops until the width is looked at again; the positive gaps
+    /// between them so far, and the sum of their floored binary
+    /// exponents.
+    pops_left: u32,
+    gaps: u32,
+    gap_exp_sum: i64,
+    /// Epochs in a row that asked for a wider bucket, and the narrowest
+    /// they asked for.
+    wider_epochs: u32,
+    wider_exp: i32,
+    stats: QueueStats,
 }
 
 impl<T> Shard<T> {
     pub(crate) fn new() -> Self {
         Shard {
-            heap: BinaryHeap::new(),
-            inbox: Vec::new(),
-            inbox_min: Key::max(),
+            nodes: Vec::new(),
+            free: NIL,
+            days: Ring::new(),
+            years: Ring::new(),
+            cur: Vec::new(),
+            late: Vec::new(),
+            cur_bucket: 0,
+            width_exp: WIDTH_EXP_MAX,
+            inv_width: pow2(-WIDTH_EXP_MAX),
+            len: 0,
+            last_pop: SimTime::ZERO,
+            pops_left: EPOCH,
+            gaps: 0,
+            gap_exp_sum: 0,
+            wider_epochs: 0,
+            wider_exp: WIDTH_EXP_MAX,
+            stats: QueueStats::default(),
         }
     }
 
-    /// Smallest key this shard could dispatch next.
-    pub(crate) fn head_key(&self) -> Key {
-        let heap_min = self.heap.peek().map_or_else(Key::max, |e| e.key);
-        heap_min.min(self.inbox_min)
+    /// Number of queued events.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.len
     }
 
-    /// Stages one entry in the inbox.
-    pub(crate) fn stage(&mut self, entry: Entry<T>) {
-        if entry.key < self.inbox_min {
-            self.inbox_min = entry.key;
-        }
-        self.inbox.push(entry);
+    /// The day `time` is due in. The cast saturates: times too large
+    /// for the width share the last day (and are ordered by its sort),
+    /// negative ones the first.
+    fn bucket_of(&self, time: SimTime) -> u64 {
+        (time.as_secs() * self.inv_width) as u64
     }
 
-    /// Pops the earliest event (merging the inbox first), or `None`
-    /// when the shard is empty.
-    pub(crate) fn pop_min(&mut self) -> Option<Entry<T>> {
-        if !self.inbox.is_empty() {
-            self.merge_inbox();
-        }
-        self.heap.pop()
-    }
-
-    /// Merges the inbox into the heap: one O(n+m) heapify when the
-    /// batch is large relative to the heap (the k² pulse fan-out case),
-    /// ordinary sifting pushes when it is small.
-    pub(crate) fn merge_inbox(&mut self) {
-        if self.inbox.is_empty() {
+    /// Enqueues one event.
+    pub(crate) fn push(&mut self, entry: Entry<T>) {
+        let Key { time, tie } = entry.key;
+        let node = Node {
+            time,
+            next: NIL,
+            tie,
+            payload: Some(entry.payload),
+        };
+        let idx = if self.free == NIL {
+            self.nodes.push(node);
+            u32::try_from(self.nodes.len() - 1).expect("fewer than 2^32 queued events")
+        } else {
+            let idx = self.free;
+            self.free = self.nodes[idx as usize].next;
+            self.nodes[idx as usize] = node;
+            idx
+        };
+        self.len += 1;
+        let bucket = self.bucket_of(time);
+        if bucket > self.cur_bucket {
+            self.place(idx, bucket);
             return;
         }
-        if self.inbox.len() >= self.heap.len() / 2 {
-            let mut v = std::mem::take(&mut self.heap).into_vec();
-            v.append(&mut self.inbox);
-            self.heap = BinaryHeap::from(v);
-        } else {
-            self.heap.extend(self.inbox.drain(..));
+        self.stats.late_pushes += 1;
+        let handle = Handle {
+            time,
+            node: idx,
+            tie,
+        };
+        // Sift up.
+        let mut i = self.late.len();
+        self.late.push(handle);
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            self.stats.key_compares += 1;
+            if self.late[parent].key() <= handle.key() {
+                break;
+            }
+            self.late[i] = self.late[parent];
+            i = parent;
         }
-        self.inbox_min = Key::max();
+        self.late[i] = handle;
+    }
+
+    /// Links node `idx`, due in the later day `bucket`, into its ring.
+    fn place(&mut self, idx: u32, bucket: u64) {
+        let year = bucket >> RING_BITS;
+        if year == self.cur_bucket >> RING_BITS {
+            let day = (bucket & RING_MASK) as usize;
+            self.days.link(&mut self.nodes, day, idx);
+        } else {
+            let slot = (year & RING_MASK) as usize;
+            self.years.link(&mut self.nodes, slot, idx);
+        }
+    }
+
+    /// Smallest key this shard could dispatch next (`Key::max()` when
+    /// empty).
+    pub(crate) fn head_key(&mut self) -> Key {
+        self.settle();
+        match (self.cur.last(), self.late.first()) {
+            (Some(c), Some(l)) => c.key().min(l.key()),
+            (Some(h), None) | (None, Some(h)) => h.key(),
+            (None, None) => Key::max(),
+        }
+    }
+
+    /// Pops the earliest event, or `None` when the shard is empty.
+    pub(crate) fn pop_min(&mut self) -> Option<Entry<T>> {
+        self.settle();
+        let from_late = match (self.cur.last(), self.late.first()) {
+            (Some(c), Some(l)) => l.key() < c.key(),
+            (None, Some(_)) => true,
+            (Some(_), None) => false,
+            (None, None) => return None,
+        };
+        let handle = if from_late {
+            self.pop_late()
+        } else {
+            self.cur.pop().expect("checked non-empty")
+        };
+        let node = &mut self.nodes[handle.node as usize];
+        let payload = node.payload.take().expect("queued node holds a payload");
+        node.next = self.free;
+        self.free = handle.node;
+        self.len -= 1;
+
+        let gap = (handle.time - self.last_pop).as_secs();
+        self.last_pop = handle.time;
+        if gap > 0.0 && gap.is_finite() {
+            self.gaps += 1;
+            self.gap_exp_sum += i64::from(floor_log2(gap));
+        }
+        self.pops_left -= 1;
+        if self.pops_left == 0 {
+            self.retune();
+        }
+        Some(Entry {
+            key: handle.key(),
+            payload,
+        })
+    }
+
+    /// Removes the root of the `late` heap.
+    fn pop_late(&mut self) -> Handle {
+        let root = self.late[0];
+        let last = self.late.pop().expect("late heap is non-empty");
+        let n = self.late.len();
+        if n > 0 {
+            // Sift `last` down from the root.
+            let mut i = 0;
+            loop {
+                let mut child = 2 * i + 1;
+                if child >= n {
+                    break;
+                }
+                if child + 1 < n && self.late[child + 1].key() < self.late[child].key() {
+                    child += 1;
+                }
+                self.stats.key_compares += 2;
+                if last.key() <= self.late[child].key() {
+                    break;
+                }
+                self.late[i] = self.late[child];
+                i = child;
+            }
+            self.late[i] = last;
+        }
+        root
+    }
+
+    /// Makes `cur` or `late` hold the earliest event whenever the shard
+    /// holds any.
+    fn settle(&mut self) {
+        if self.cur.is_empty() && self.late.is_empty() && self.len > 0 {
+            self.advance();
+        }
+    }
+
+    /// Makes the earliest non-empty day current. Called with `cur` and
+    /// `late` empty, so every queued event is in the rings.
+    fn advance(&mut self) {
+        loop {
+            // The rest of the year: only later days' bits are ever set,
+            // so the ring scan cannot wrap into the next year.
+            let today = (self.cur_bucket & RING_MASK) as usize;
+            if let Some(dist) = self.days.next_occupied(today, 1) {
+                self.cur_bucket += dist as u64;
+                self.load_day(today + dist);
+                return;
+            }
+            // The next year that has events, spread over its days.
+            let year = self.cur_bucket >> RING_BITS;
+            let this_slot = (year & RING_MASK) as usize;
+            let mut from = 1;
+            let next_year = loop {
+                let Some(dist) = self.years.next_occupied(this_slot, from) else {
+                    // Nothing is due within `RING` years: go straight
+                    // to the earliest event's year.
+                    let first = self.first_bucket() >> RING_BITS;
+                    self.open_year(first);
+                    break first;
+                };
+                if self.open_year(year + dist as u64) {
+                    break year + dist as u64;
+                }
+                from = dist + 1;
+            };
+            // Day 0 is the one day the scan above, which starts after
+            // the current day, would miss.
+            self.cur_bucket = next_year << RING_BITS;
+            if self.days.is_occupied(0) {
+                self.load_day(0);
+                return;
+            }
+        }
+    }
+
+    /// Moves `day`'s events into `cur`, sorted.
+    fn load_day(&mut self, day: usize) {
+        let mut idx = self.days.take(day);
+        while idx != NIL {
+            self.cur.push(Handle::of(&self.nodes, idx));
+            idx = self.nodes[idx as usize].next;
+        }
+        self.sort_cur();
+    }
+
+    /// Moves the events of `year` from their `years` slot to their days;
+    /// events of later years stay. Returns whether any moved.
+    fn open_year(&mut self, year: u64) -> bool {
+        let slot = (year & RING_MASK) as usize;
+        let mut idx = self.years.take(slot);
+        let mut moved = false;
+        while idx != NIL {
+            let next = self.nodes[idx as usize].next;
+            let bucket = self.bucket_of(self.nodes[idx as usize].time);
+            if bucket >> RING_BITS == year {
+                let day = (bucket & RING_MASK) as usize;
+                self.days.link(&mut self.nodes, day, idx);
+                moved = true;
+            } else {
+                self.years.link(&mut self.nodes, slot, idx);
+                self.stats.entries_walked += 1;
+            }
+            idx = next;
+        }
+        moved
+    }
+
+    /// Sorts `cur`, freshly filled with a day's events.
+    fn sort_cur(&mut self) {
+        let mut compares = 0;
+        self.cur.sort_unstable_by(|a, b| {
+            compares += 1;
+            b.key().cmp(&a.key())
+        });
+        self.stats.key_compares += compares;
+        self.stats.buckets_sorted += 1;
+        self.stats.entries_sorted += self.cur.len() as u64;
+    }
+
+    /// The earliest day any queued event is due in.
+    fn first_bucket(&mut self) -> u64 {
+        self.stats.entries_walked += self.nodes.len() as u64;
+        self.nodes
+            .iter()
+            .filter(|n| n.payload.is_some())
+            .map(|n| self.bucket_of(n.time))
+            .min()
+            .expect("a non-empty shard has a first bucket")
+    }
+
+    /// Every [`EPOCH`] pops: reads the typical gap between them as the
+    /// mean binary exponent of the positive ones — a geometric mean, so
+    /// the many short gaps inside a burst outweigh the few long ones
+    /// between bursts and the width fits where the events are — and
+    /// wants a bucket of `2^PER_BUCKET_LOG2` such gaps. Narrows at once
+    /// when that is less than half the current width; widens, to the
+    /// narrowest width asked for, only after [`WIDEN_PATIENCE`] epochs
+    /// in a row asked for more than double. Too narrow costs an event
+    /// one move between the rings and too wide `log` of the bucket in
+    /// its sort, so being off is cheap either way; what this avoids is
+    /// re-bucketing on every swing between burst and lull.
+    fn retune(&mut self) {
+        let (gaps, sum) = (self.gaps, self.gap_exp_sum);
+        (self.pops_left, self.gaps, self.gap_exp_sum) = (EPOCH, 0, 0);
+        if gaps == 0 {
+            return; // one instant: no width separates it
+        }
+        let typical = sum.div_euclid(i64::from(gaps)) as i32;
+        let want = (typical + PER_BUCKET_LOG2).clamp(-WIDTH_EXP_MAX, WIDTH_EXP_MAX);
+        if want >= self.width_exp + 2 {
+            self.wider_epochs += 1;
+            self.wider_exp = self.wider_exp.min(want);
+            if self.wider_epochs < WIDEN_PATIENCE {
+                return;
+            }
+            self.rewidth(self.wider_exp);
+        } else if want <= self.width_exp - 2 {
+            self.rewidth(want);
+        }
+        (self.wider_epochs, self.wider_exp) = (0, WIDTH_EXP_MAX);
+    }
+
+    /// Re-buckets every queued event at width `2^exp`.
+    fn rewidth(&mut self, exp: i32) {
+        self.stats.rewidths += 1;
+        self.width_exp = exp;
+        self.inv_width = pow2(-exp);
+        self.days.clear();
+        self.years.clear();
+        self.cur.clear();
+        self.late.clear();
+        if self.len == 0 {
+            self.cur_bucket = self.bucket_of(self.last_pop);
+            return;
+        }
+        self.cur_bucket = self.first_bucket();
+        self.stats.entries_walked += self.nodes.len() as u64;
+        for idx in 0..self.nodes.len() {
+            if self.nodes[idx].payload.is_some() {
+                let bucket = self.bucket_of(self.nodes[idx].time);
+                if bucket == self.cur_bucket {
+                    self.cur.push(Handle::of(&self.nodes, idx as u32));
+                } else {
+                    self.place(idx as u32, bucket);
+                }
+            }
+        }
+        self.sort_cur();
     }
 }
 
@@ -377,23 +826,54 @@ impl<T> std::fmt::Debug for Shard<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "Shard(heap={}, inbox={})",
-            self.heap.len(),
-            self.inbox.len()
+            "Shard(len={}, width=2^{}, current={}+{})",
+            self.len,
+            self.width_exp,
+            self.cur.len(),
+            self.late.len()
         )
     }
 }
 
-/// Work counters exposed for tests and diagnostics.
+/// Work counters exposed for tests and diagnostics: what the calendar
+/// queues of all shards did, summed, plus the shard selection's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Inbox → heap bulk merges performed (lookahead barriers crossed).
-    pub merges: u64,
-    /// Entries moved by those merges (telemetry: how much the staging
-    /// path batches).
-    pub merged_entries: u64,
+    /// Buckets made current and sorted.
+    pub buckets_sorted: u64,
+    /// Events in those buckets (÷ `buckets_sorted`: the mean bucket).
+    pub entries_sorted: u64,
+    /// Pushes into or before the current bucket (the O(log b) tier).
+    pub late_pushes: u64,
+    /// Key comparisons made by the bucket sorts and the late tier's
+    /// sifts: what keeping the order cost.
+    pub key_compares: u64,
+    /// Times a queue re-bucketed itself at another width.
+    pub rewidths: u64,
+    /// List and slab steps that dispatched nothing: events passed over
+    /// because they are due a year or more ahead, scans for the first
+    /// bucket, re-bucketing.
+    pub entries_walked: u64,
     /// Shard re-selections (ends of fast-path runs).
     pub reselects: u64,
+}
+
+impl QueueStats {
+    /// The summed counters of `shards`' queues.
+    pub(crate) fn of_shards<T>(shards: &[Shard<T>]) -> QueueStats {
+        shards.iter().fold(QueueStats::default(), |sum, shard| {
+            let s = shard.stats;
+            QueueStats {
+                buckets_sorted: sum.buckets_sorted + s.buckets_sorted,
+                entries_sorted: sum.entries_sorted + s.entries_sorted,
+                late_pushes: sum.late_pushes + s.late_pushes,
+                key_compares: sum.key_compares + s.key_compares,
+                rewidths: sum.rewidths + s.rewidths,
+                entries_walked: sum.entries_walked + s.entries_walked,
+                reselects: 0,
+            }
+        })
+    }
 }
 
 /// One entry of the head index: a shard advertising its earliest key.
@@ -458,7 +938,8 @@ pub struct ShardQueue<T> {
     /// shard's actual head) are discarded during re-selection. Every
     /// non-empty, non-selected shard always has a current entry.
     heads: BinaryHeap<Head>,
-    stats: QueueStats,
+    /// Shard re-selections so far.
+    reselects: u64,
 }
 
 impl<T> ShardQueue<T> {
@@ -475,7 +956,7 @@ impl<T> ShardQueue<T> {
             selected: 0,
             horizon: Key::max(),
             heads: BinaryHeap::new(),
-            stats: QueueStats::default(),
+            reselects: 0,
         }
     }
 
@@ -497,10 +978,13 @@ impl<T> ShardQueue<T> {
         self.shards.len()
     }
 
-    /// Work counters.
+    /// Work counters, summed over the shards.
     #[must_use]
     pub fn stats(&self) -> QueueStats {
-        self.stats
+        QueueStats {
+            reselects: self.reselects,
+            ..QueueStats::of_shards(&self.shards)
+        }
     }
 
     /// Next internal tie value (insertion order) for the convenience
@@ -511,26 +995,16 @@ impl<T> ShardQueue<T> {
         tie
     }
 
-    /// `true` to stage in the inbox (bulk-merged later), `false` for a
-    /// direct sifting push into the selected shard's heap.
-    ///
     /// The caller supplies the tie-break; ties must be unique per key
     /// (the auto API uses an insertion counter, the engine a
     /// `(source, counter)` encoding — the two must not be mixed on one
     /// queue).
-    fn push_to_shard(&mut self, shard: usize, time: SimTime, tie: u128, payload: T, stage: bool) {
+    fn push_to_shard(&mut self, shard: usize, time: SimTime, tie: u128, payload: T) {
         let key = Key { time, tie };
-        if shard == self.selected && !stage {
-            // Single event on the running shard: a direct heap push is
-            // cheaper than staging one entry and merging it right back.
-            self.shards[shard].heap.push(Entry { key, payload });
-            self.len += 1;
-            return;
-        }
         if shard != self.selected {
-            // A staged cross-shard arrival may now be the earliest
-            // event another shard can dispatch: advertise the improved
-            // head and shrink the selected shard's lookahead horizon.
+            // A cross-shard arrival may now be the earliest event
+            // another shard can dispatch: advertise the improved head
+            // and shrink the selected shard's lookahead horizon.
             if key < self.shards[shard].head_key() {
                 self.heads.push(Head { key, shard });
             }
@@ -538,11 +1012,7 @@ impl<T> ShardQueue<T> {
                 self.horizon = key;
             }
         }
-        let s = &mut self.shards[shard];
-        s.inbox.push(Entry { key, payload });
-        if key < s.inbox_min {
-            s.inbox_min = key;
-        }
+        self.shards[shard].push(Entry { key, payload });
         self.len += 1;
     }
 
@@ -556,28 +1026,14 @@ impl<T> ShardQueue<T> {
     pub fn push_for(&mut self, node: NodeId, time: SimTime, payload: T) {
         let shard = self.shard_of[node.index()] as usize;
         let tie = self.next_seq_tie();
-        self.push_to_shard(shard, time, tie, payload, false);
-    }
-
-    /// Enqueues one event of a fan-out batch (a broadcast's k messages):
-    /// always staged in the destination shard's inbox so the whole batch
-    /// is absorbed by one bulk heap merge instead of k sifting pushes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is outside the partition the queue was built
-    /// with.
-    pub fn stage_for(&mut self, node: NodeId, time: SimTime, payload: T) {
-        let shard = self.shard_of[node.index()] as usize;
-        let tie = self.next_seq_tie();
-        self.push_to_shard(shard, time, tie, payload, true);
+        self.push_to_shard(shard, time, tie, payload);
     }
 
     /// Enqueues an engine-global event (samples); it is owned by shard
     /// 0 and still dispatched in global order.
     pub fn push_unowned(&mut self, time: SimTime, payload: T) {
         let tie = self.next_seq_tie();
-        self.push_to_shard(0, time, tie, payload, false);
+        self.push_to_shard(0, time, tie, payload);
     }
 
     /// Keyed variant of [`ShardQueue::push_for`]: the caller supplies
@@ -586,18 +1042,12 @@ impl<T> ShardQueue<T> {
     /// identical across schedulers and thread counts.
     pub(crate) fn push_for_keyed(&mut self, node: NodeId, time: SimTime, tie: u128, payload: T) {
         let shard = self.shard_of[node.index()] as usize;
-        self.push_to_shard(shard, time, tie, payload, false);
-    }
-
-    /// Keyed variant of [`ShardQueue::stage_for`].
-    pub(crate) fn stage_for_keyed(&mut self, node: NodeId, time: SimTime, tie: u128, payload: T) {
-        let shard = self.shard_of[node.index()] as usize;
-        self.push_to_shard(shard, time, tie, payload, true);
+        self.push_to_shard(shard, time, tie, payload);
     }
 
     /// Keyed variant of [`ShardQueue::push_unowned`].
     pub(crate) fn push_unowned_keyed(&mut self, time: SimTime, tie: u128, payload: T) {
-        self.push_to_shard(0, time, tie, payload, false);
+        self.push_to_shard(0, time, tie, payload);
     }
 
     /// Recomputes the selected shard (global head-key minimum) and the
@@ -606,7 +1056,7 @@ impl<T> ShardQueue<T> {
     ///
     /// Precondition: the queue is non-empty.
     fn reselect(&mut self) -> Key {
-        self.stats.reselects += 1;
+        self.reselects += 1;
         // Re-advertise the outgoing shard: its head moved while it was
         // selected, so its previous advertisement (if any) is stale.
         let cur = self.shards[self.selected].head_key();
@@ -669,9 +1119,9 @@ impl<T> ShardQueue<T> {
     /// Invariant check used by debug assertions and property tests: the
     /// fast-path head is the true global minimum.
     #[cfg(test)]
-    fn true_min(&self) -> Key {
+    fn true_min(&mut self) -> Key {
         self.shards
-            .iter()
+            .iter_mut()
             .map(Shard::head_key)
             .min()
             .unwrap_or_else(Key::max)
@@ -690,13 +1140,9 @@ impl<T> ShardQueue<T> {
         if key.time > until {
             return None;
         }
-        let s = &mut self.shards[self.selected];
-        if !s.inbox.is_empty() {
-            self.stats.merges += 1;
-            self.stats.merged_entries += s.inbox.len() as u64;
-            s.merge_inbox();
-        }
-        let e = s.heap.pop().expect("peeked key implies a queued event");
+        let e = self.shards[self.selected]
+            .pop_min()
+            .expect("peeked key implies a queued event");
         debug_assert_eq!(e.key, key, "shard head changed between peek and pop");
         self.len -= 1;
         Some((e.key, e.payload))
@@ -718,6 +1164,7 @@ impl<T> std::fmt::Debug for ShardQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
 
     fn t(secs: f64) -> SimTime {
         SimTime::from_secs(secs)
@@ -855,44 +1302,102 @@ mod tests {
     }
 
     #[test]
-    fn bulk_merge_and_fast_path_counters_behave() {
+    fn burst_is_sorted_not_sifted_and_fast_path_covers_it() {
         let p = Partition::by_blocks(8, 4);
         let mut q = ShardQueue::new(&p);
-        // Staged burst of 16 events into shard 0 (a pulse fan-out), one
-        // far event into shard 1.
+        // Warm shard 0's queue up to a real bucket width (a new shard
+        // starts as a plain heap).
+        for i in 0..2 * EPOCH {
+            q.push_for(NodeId(0), t(1e-3 * f64::from(i)), 0);
+        }
+        while q.pop_before(t(f64::MAX)).is_some() {}
+        let before = q.stats();
+        assert!(before.rewidths >= 1, "2048 pops must have set a width");
+        // A burst of 16 events into shard 0 (a pulse fan-out), one far
+        // event into shard 1.
         for i in 0..16 {
-            q.stage_for(NodeId(i % 4), t(1.0 + 0.01 * i as f64), i);
+            q.push_for(NodeId(i % 4), t(3.0 + 0.01 * i as f64), i);
         }
         q.push_for(NodeId(7), t(50.0), 99);
-        while q.pop_before(t(2.0)).is_some() {}
+        while q.pop_before(t(4.0)).is_some() {}
         let stats = q.stats();
-        assert!(stats.merges >= 1, "staged inbox must be bulk-merged");
+        // Shard 1 is untouched, hence still a plain heap: its one event
+        // is the only sifted push.
+        assert_eq!(stats.late_pushes, before.late_pushes + 1, "burst sifted");
+        assert_eq!(stats.entries_sorted - before.entries_sorted, 16);
         assert!(
-            stats.reselects <= 3,
+            stats.reselects - before.reselects <= 3,
             "fast path must cover the burst (reselects = {})",
-            stats.reselects
+            stats.reselects - before.reselects
         );
         assert_eq!(q.len(), 1);
     }
 
     #[test]
-    fn staged_and_direct_pushes_interleave_correctly() {
+    fn late_and_ring_pushes_interleave_correctly() {
         let p = Partition::by_blocks(4, 2);
         let mut q = ShardQueue::new(&p);
-        q.stage_for(NodeId(0), t(2.0), "staged-late");
-        q.push_for(NodeId(0), t(1.0), "direct-early");
-        q.stage_for(NodeId(3), t(1.5), "cross-staged");
-        q.push_for(NodeId(2), t(0.5), "cross-direct");
+        q.push_for(NodeId(0), t(2.0), "late");
+        q.push_for(NodeId(0), t(1.0), "early");
+        q.push_for(NodeId(3), t(1.5), "cross");
+        q.push_for(NodeId(2), t(0.5), "cross-first");
+        q.push_unowned(t(f64::INFINITY), "never");
         let order: Vec<&str> =
             std::iter::from_fn(|| q.pop_before(t(10.0)).map(|(_, s)| s)).collect();
-        assert_eq!(
-            order,
-            vec![
-                "cross-direct",
-                "direct-early",
-                "cross-staged",
-                "staged-late"
-            ]
-        );
+        assert_eq!(order, vec!["cross-first", "early", "cross", "late"]);
+        assert_eq!(q.len(), 1);
+    }
+
+    /// Reference order: `std`'s heap over the same keys.
+    fn drain_matches_heap(shard: &mut Shard<usize>, heap: &mut BinaryHeap<Reverse<(Key, usize)>>) {
+        while let Some(Reverse((key, id))) = heap.pop() {
+            assert_eq!(shard.head_key(), key);
+            let e = shard.pop_min().expect("shard ran dry before the heap");
+            assert_eq!((e.key, e.payload), (key, id));
+        }
+        assert_eq!(shard.head_key(), Key::max());
+        assert!(shard.pop_min().is_none());
+        assert_eq!(shard.len(), 0);
+    }
+
+    #[test]
+    fn sentinel_keys_and_year_wraps_pop_in_heap_order() {
+        let mut shard = Shard::new();
+        let mut heap = BinaryHeap::new();
+        let mut id = 0usize;
+        let mut push = |shard: &mut Shard<usize>, heap: &mut BinaryHeap<_>, key: Key| {
+            shard.push(Entry { key, payload: id });
+            heap.push(Reverse((key, id)));
+            id += 1;
+        };
+        // A dense stretch that sets a narrow width, with the sentinel
+        // and a few far-future events (years ahead) queued throughout.
+        push(&mut shard, &mut heap, Key::max());
+        for year in 1..4u32 {
+            let time = t(f64::from(year) * 1e3);
+            push(&mut shard, &mut heap, Key { time, tie: 7 });
+        }
+        for i in 0..3 * EPOCH {
+            let time = t(1e-6 * f64::from(i));
+            push(&mut shard, &mut heap, Key { time, tie: 1 });
+            push(&mut shard, &mut heap, Key { time, tie: 0 });
+        }
+        drain_matches_heap(&mut shard, &mut heap);
+        assert!(shard.stats.rewidths >= 1);
+    }
+
+    #[test]
+    fn ring_scan_wraps_and_width_helpers_are_exact() {
+        assert_eq!(pow2(-3), 0.125);
+        assert_eq!(pow2(WIDTH_EXP_MAX).log2(), f64::from(WIDTH_EXP_MAX));
+        assert_eq!(floor_log2(0.75), -1);
+        assert_eq!(floor_log2(8.0), 3);
+        let mut ring = Ring::new();
+        assert_eq!(ring.next_occupied(5, 1), None);
+        ring.occupied[0] = 1 << 5 | 1 << 2;
+        // From slot 5: slot 2 is 1021 slots ahead, slot 5 itself a year.
+        assert_eq!(ring.next_occupied(5, 1), Some(RING - 3));
+        assert_eq!(ring.next_occupied(5, RING - 2), Some(RING));
+        assert_eq!(ring.next_occupied(RING - 1, 1), Some(3));
     }
 }

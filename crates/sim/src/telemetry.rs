@@ -397,7 +397,7 @@ impl Telemetry {
 
     /// Assembles the report. The engine passes the run-level context
     /// telemetry cannot see on its own: scheduler identity, run stats,
-    /// serial queue counters, and the parallel deal record.
+    /// the shards' queue counters, and the parallel deal record.
     #[must_use]
     pub(crate) fn report(
         &self,
@@ -485,8 +485,12 @@ impl Telemetry {
                 dealt_share: share(dealt),
                 stolen_share: share(stolen),
                 inbox_merged_entries,
-                queue_merges: q.merges,
-                queue_merged_entries: q.merged_entries,
+                queue_buckets_sorted: q.buckets_sorted,
+                queue_entries_sorted: q.entries_sorted,
+                queue_late_pushes: q.late_pushes,
+                queue_key_compares: q.key_compares,
+                queue_rewidths: q.rewidths,
+                queue_entries_walked: q.entries_walked,
                 queue_reselects: q.reselects,
                 per_worker,
             },
@@ -589,10 +593,20 @@ pub struct Diagnostics {
     pub stolen_share: f64,
     /// Parallel arrival-inbox entries bulk-merged.
     pub inbox_merged_entries: u64,
-    /// Serial queue: inbox → heap bulk merges performed.
-    pub queue_merges: u64,
-    /// Serial queue: entries moved by those merges.
-    pub queue_merged_entries: u64,
+    /// Calendar queues (all shards): buckets made current and sorted.
+    pub queue_buckets_sorted: u64,
+    /// Events in those buckets; ÷ `queue_buckets_sorted` is the mean
+    /// bucket the adaptive width settled on.
+    pub queue_entries_sorted: u64,
+    /// Pushes into or before the current bucket (O(log b) heap tier).
+    pub queue_late_pushes: u64,
+    /// Key comparisons in bucket sorts and heap-tier sifts.
+    pub queue_key_compares: u64,
+    /// Times a queue re-bucketed itself at another width.
+    pub queue_rewidths: u64,
+    /// List and slab steps that dispatched nothing (events a year or
+    /// more ahead passed over, first-bucket scans, re-bucketing).
+    pub queue_entries_walked: u64,
     /// Serial queue: shard re-selections.
     pub queue_reselects: u64,
     /// Per-executor claim records.
@@ -742,12 +756,16 @@ impl TelemetryReport {
             "    \"inbox_merged_entries\": {},",
             g.inbox_merged_entries
         );
-        let _ = writeln!(s, "    \"queue_merges\": {},", g.queue_merges);
-        let _ = writeln!(
-            s,
-            "    \"queue_merged_entries\": {},",
-            g.queue_merged_entries
-        );
+        for (name, count) in [
+            ("queue_buckets_sorted", g.queue_buckets_sorted),
+            ("queue_entries_sorted", g.queue_entries_sorted),
+            ("queue_late_pushes", g.queue_late_pushes),
+            ("queue_key_compares", g.queue_key_compares),
+            ("queue_rewidths", g.queue_rewidths),
+            ("queue_entries_walked", g.queue_entries_walked),
+        ] {
+            let _ = writeln!(s, "    \"{name}\": {count},");
+        }
         let _ = writeln!(s, "    \"queue_reselects\": {},", g.queue_reselects);
         let _ = writeln!(s, "    \"per_worker\": [");
         for (i, pw) in g.per_worker.iter().enumerate() {

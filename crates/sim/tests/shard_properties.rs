@@ -4,7 +4,12 @@
 //!
 //! 1. **Shard order** — events pop in globally nondecreasing time order,
 //!    hence also nondecreasing within every shard, under arbitrary
-//!    push/pop interleavings that never push into the past.
+//!    push/pop interleavings that never push into the past; and, against
+//!    `std`'s `BinaryHeap` as the reference, in exactly the `(time,
+//!    insertion)` order wherever the calendar queue puts an event (the
+//!    current day, the rings, years ahead, the saturated last day) and
+//!    whatever width it has given itself — with the queue's work, not
+//!    its time, bounded at both density extremes.
 //! 2. **Lookahead floor & dispatch order** — under sharded scheduling
 //!    with cross-shard traffic, deliveries happen in nondecreasing
 //!    global time order (the scheduler invariant: no shard outruns an
@@ -15,7 +20,8 @@
 //!    timer double-fires, however many generation-bumping rate changes
 //!    and track jumps interleave with the cancellations.
 
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 use std::sync::{Arc, Mutex};
 
 use ftgcs_sim::clock::RateModel;
@@ -80,6 +86,224 @@ proptest! {
             );
         }
     }
+}
+
+/// A [`ShardQueue`] beside the reference it must agree with: `std`'s
+/// heap over `(time, insertion number)`, the order the queue's public
+/// API promises.
+struct Twin {
+    queue: ShardQueue<u64>,
+    heap: BinaryHeap<Reverse<(SimTime, u64)>>,
+    pushed: u64,
+    now: SimTime,
+}
+
+impl Twin {
+    fn new(partition: &Partition) -> Self {
+        Twin {
+            queue: ShardQueue::new(partition),
+            heap: BinaryHeap::new(),
+            pushed: 0,
+            now: SimTime::ZERO,
+        }
+    }
+
+    fn push(&mut self, node: usize, time: SimTime) {
+        self.queue.push_for(NodeId(node), time, self.pushed);
+        self.heap.push(Reverse((time, self.pushed)));
+        self.pushed += 1;
+    }
+
+    /// Pops both; `Err` names the first disagreement.
+    fn pop(&mut self) -> Result<Option<SimTime>, String> {
+        let got = self.queue.pop_before(SimTime::from_secs(f64::INFINITY));
+        let want = self.heap.pop().map(|Reverse(e)| e);
+        if got != want {
+            return Err(format!("queue popped {got:?}, heap {want:?}"));
+        }
+        if let Some((time, _)) = got {
+            self.now = time;
+        }
+        Ok(got.map(|(time, _)| time))
+    }
+
+    /// A hold model: `pops` times, pop one event and push one a random
+    /// lead in `[0, spread)` ahead — steady traffic at a density the
+    /// queue then fits its width to.
+    fn hold(&mut self, pops: usize, spread: f64, lcg: &mut u64) -> Result<(), String> {
+        for _ in 0..pops {
+            self.pop()?;
+            *lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let lead = (*lcg >> 11) as f64 / (1u64 << 53) as f64 * spread;
+            let node = (*lcg >> 7) as usize % NODES;
+            self.push(node, self.now + SimDuration::from_secs(lead));
+        }
+        Ok(())
+    }
+
+    fn drain(&mut self) -> Result<(), String> {
+        while self.pop()?.is_some() {}
+        if self.queue.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("heap ran dry with {} queued", self.queue.len()))
+        }
+    }
+}
+
+const NODES: usize = 6;
+
+proptest! {
+    #[test]
+    fn pops_match_a_binary_heap_wherever_an_event_lands(
+        shards in 1usize..4,
+        ops in prop::collection::vec((0u8..12, 0usize..NODES, 0.0f64..1.0), 50..400),
+    ) {
+        let partition = Partition::from_assignment((0..NODES).map(|n| n % shards).collect());
+        let mut twin = Twin::new(&partition);
+        // Give every shard a real bucket width first: some 40 events in
+        // flight, a millisecond of leads, 3000 pops.
+        let mut lcg = 0x2545_F491_4F6C_DD1Du64;
+        for n in 0..40 {
+            twin.push(n % NODES, SimTime::from_secs(1e-5 * n as f64));
+        }
+        if let Err(e) = twin.hold(3000 * shards, 1e-3, &mut lcg) {
+            prop_assert!(false, "warm-up: {e}");
+        }
+        prop_assert!(twin.queue.stats().rewidths >= shards as u64);
+        for (kind, node, x) in ops {
+            let now = twin.now.as_secs();
+            let time = match kind {
+                // Pop (a third of the ops).
+                0..=3 => {
+                    if let Err(e) = twin.pop() {
+                        prop_assert!(false, "{e}");
+                    }
+                    continue;
+                }
+                // This very instant: equal times, distinct ties.
+                4 => now,
+                // The current day or the next few.
+                5 => now + x * 1e-6,
+                // Somewhere in the year.
+                6 | 7 => now + x * 1e-3,
+                // Years ahead; beyond the ring of years.
+                8 => now + 1.0 + x * 100.0,
+                9 => now + 1e6 * (1.0 + x),
+                // Where doubles are integers and every width saturates
+                // the day index (once popped, `now` is up there too and
+                // the cases above add nothing to it).
+                10 => 9.0e15 + (x * 64.0).floor(),
+                // The empty-shard sentinel's time.
+                _ => f64::INFINITY,
+            };
+            twin.push(node, SimTime::from_secs(time));
+        }
+        if let Err(e) = twin.drain() {
+            prop_assert!(false, "drain: {e}");
+        }
+    }
+}
+
+#[test]
+fn one_crowded_instant_costs_n_log_n_comparisons() {
+    const N: u64 = 100_000;
+    let mut twin = Twin::new(&Partition::single(NODES));
+    let mut lcg = 7;
+    for n in 0..64 {
+        twin.push(n % NODES, SimTime::from_secs(1e-5 * n as f64));
+    }
+    twin.hold(4000, 1e-3, &mut lcg).unwrap();
+    let before = twin.queue.stats();
+    // Half the crowd is queued ahead of time and lands in one day's
+    // list; the other half arrives while that day is current, one push
+    // per pop — into the sorted day if pushes cost O(day), into the
+    // heap tier if they cost O(log day).
+    let instant = twin.now + SimDuration::from_secs(0.5);
+    for n in 0..N / 2 {
+        twin.push(n as usize % NODES, instant);
+    }
+    while twin.now < instant {
+        twin.pop().unwrap();
+    }
+    for n in 0..N / 2 {
+        twin.push(n as usize % NODES, instant);
+        twin.pop().unwrap();
+    }
+    twin.drain().unwrap();
+    let stats = twin.queue.stats();
+    let compares = stats.key_compares - before.key_compares;
+    assert!(
+        compares < 2 * N * u64::from(N.ilog2() + 1),
+        "{compares} comparisons for {N} events at one instant"
+    );
+    assert!(stats.late_pushes - before.late_pushes >= N / 2);
+    assert!(
+        stats.entries_walked - before.entries_walked < N,
+        "{} list steps wasted on a crowd that is all due at once",
+        stats.entries_walked - before.entries_walked
+    );
+}
+
+#[test]
+fn a_million_empty_days_between_events_are_never_walked() {
+    const N: u64 = 6000;
+    let mut twin = Twin::new(&Partition::single(NODES));
+    let mut lcg = 7;
+    for n in 0..64 {
+        twin.push(n % NODES, SimTime::from_secs(1e-5 * n as f64));
+    }
+    // Leads within a millisecond, 64 in flight: days of some 100 µs.
+    twin.hold(4000, 1e-3, &mut lcg).unwrap();
+    twin.drain().unwrap();
+    let before = twin.queue.stats();
+    // Now one event every 100 s: a million such days apart, a thousand
+    // years, so each is beyond even the ring of years when pushed.
+    for n in 1..=N {
+        twin.push(
+            n as usize % NODES,
+            twin.now + SimDuration::from_secs(100.0 * n as f64),
+        );
+    }
+    twin.drain().unwrap();
+    let stats = twin.queue.stats();
+    let sorted = stats.buckets_sorted - before.buckets_sorted;
+    assert!(sorted <= N, "{sorted} days sorted for {N} events");
+    // Until the width has caught up each pop may look through every
+    // queued event once or twice; day by day it would be 10⁶ steps per
+    // event.
+    let walked = stats.entries_walked - before.entries_walked;
+    assert!(
+        walked < N * 20_000,
+        "{walked} steps for {N} sparse events: walking the empty days?"
+    );
+    assert!(
+        stats.rewidths > before.rewidths,
+        "the width never caught up"
+    );
+}
+
+#[test]
+fn rewidths_in_both_directions_leave_the_pop_order_alone() {
+    let mut twin = Twin::new(&Partition::single(NODES));
+    let mut lcg = 11;
+    for n in 0..64 {
+        twin.push(n % NODES, SimTime::from_secs(1e-7 * n as f64));
+    }
+    // Dense (a microsecond of leads), then a thousand times sparser,
+    // then dense again: leaves the plain-heap start, widens, narrows.
+    let mut rewidths = Vec::new();
+    for spread in [1e-6, 1e-3, 1e-6] {
+        twin.hold(8 * 1024, spread, &mut lcg).unwrap();
+        rewidths.push(twin.queue.stats().rewidths);
+    }
+    twin.drain().unwrap();
+    assert!(
+        rewidths[0] >= 1 && rewidths[1] > rewidths[0] && rewidths[2] > rewidths[1],
+        "re-widths after each phase: {rewidths:?}"
+    );
 }
 
 // ---------------------------------------------------------------------
