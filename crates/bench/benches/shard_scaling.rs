@@ -1,17 +1,16 @@
 //! Criterion bench: scheduler sharding — the same workloads as
 //! `engine_free_run` (raw substrate message flood) and
-//! `cluster_simulated_second` (full ClusterSync), swept over 1/2/4/8/64
-//! scheduler shards (1 = the global-heap `Scenario` default, 64 = one
-//! shard per cluster, what `Scenario::sharded_by_cluster` selects),
-//! plus the **parallel executor** on the 64-shard split swept over
-//! 1/2/4/8 worker threads.
+//! `cluster_simulated_second` (full ClusterSync) on the global queue
+//! (the one-shard row `1`, the baseline the parallel groups are read
+//! against) and on the **parallel executor** over the 64-shard split
+//! (one shard per cluster, what `Scenario::parallel` selects) swept
+//! over 1/2/4/8 worker threads.
 //!
-//! Every scheduler dispatches the identical event sequence (pinned by
+//! Both schedulers dispatch the identical event sequence (pinned by
 //! `crates/sim/tests/shard_equivalence.rs`), so any time difference is
 //! pure queue and executor mechanics: per-shard calendar queues of
-//! `m/s` entries versus one of `m`, the shard switches between them,
-//! and — for the parallel groups — how much of each `d − U` lookahead
-//! window the workers can overlap versus barrier overhead.
+//! `m/64` entries versus one of `m`, and how much of each `d − U`
+//! lookahead window the workers can overlap versus barrier overhead.
 //!
 //! The `hub` groups run a **hub-and-spoke** cluster star under a ragged
 //! partition (one shard holding the hub cluster plus a third of the
@@ -70,15 +69,6 @@ impl Behavior<BaseMsg> for Flooder {
 /// splits always cut only `≥ d−U`-delayed intercluster edges.
 fn cluster_graph() -> ClusterGraph {
     ClusterGraph::new(generators::line(CLUSTERS), K, 1)
-}
-
-fn scheduler_for(shards: usize) -> SchedulerKind {
-    let nodes = CLUSTERS * K;
-    if shards == 1 {
-        SchedulerKind::Global
-    } else {
-        SchedulerKind::Sharded(Partition::by_blocks(nodes, nodes / shards))
-    }
 }
 
 /// The parallel executor on the finest (one-shard-per-cluster) split.
@@ -170,11 +160,9 @@ fn cluster_second_once(params: &Params, scheduler: SchedulerKind) -> u64 {
 fn bench_free_run_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("shard_scaling_free_run");
     group.sample_size(10);
-    for shards in [1usize, 2, 4, 8, 64] {
-        group.bench_with_input(BenchmarkId::from_parameter(shards), &shards, |b, &s| {
-            b.iter(|| black_box(free_run_once(scheduler_for(s))));
-        });
-    }
+    group.bench_function(BenchmarkId::from_parameter(1), |b| {
+        b.iter(|| black_box(free_run_once(SchedulerKind::Global)));
+    });
     group.finish();
 }
 
@@ -193,11 +181,9 @@ fn bench_cluster_second_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("shard_scaling_cluster_second");
     group.sample_size(10);
     let params = Params::practical(1e-4, 1e-3, 1e-4, 1).expect("feasible");
-    for shards in [1usize, 2, 4, 8, 64] {
-        group.bench_with_input(BenchmarkId::from_parameter(shards), &shards, |b, &s| {
-            b.iter(|| black_box(cluster_second_once(&params, scheduler_for(s))));
-        });
-    }
+    group.bench_function(BenchmarkId::from_parameter(1), |b| {
+        b.iter(|| black_box(cluster_second_once(&params, SchedulerKind::Global)));
+    });
     group.finish();
 }
 
@@ -247,18 +233,14 @@ fn bench_hub_parallel(c: &mut Criterion) {
 /// a >2x throughput regression against the checked-in baseline.
 fn report_group_events(_c: &mut Criterion) {
     let params = Params::practical(1e-4, 1e-3, 1e-4, 1).expect("feasible");
-    for shards in [1usize, 2, 4, 8, 64] {
-        let events = free_run_once(scheduler_for(shards));
-        println!("events/shard_scaling_free_run/{shards}: {events} events");
-    }
+    let events = free_run_once(SchedulerKind::Global);
+    println!("events/shard_scaling_free_run/1: {events} events");
     for workers in [1usize, 2, 4, 8] {
         let events = free_run_once(parallel_for(workers));
         println!("events/shard_scaling_free_run_parallel/{workers}: {events} events");
     }
-    for shards in [1usize, 2, 4, 8, 64] {
-        let events = cluster_second_once(&params, scheduler_for(shards));
-        println!("events/shard_scaling_cluster_second/{shards}: {events} events");
-    }
+    let events = cluster_second_once(&params, SchedulerKind::Global);
+    println!("events/shard_scaling_cluster_second/1: {events} events");
     for workers in [1usize, 2, 4, 8] {
         let events = cluster_second_once(&params, parallel_for(workers));
         println!("events/shard_scaling_cluster_second_parallel/{workers}: {events} events");

@@ -154,41 +154,6 @@ mod tests {
         assert_eq!(sim.node_count(), 16);
     }
 
-    /// Smoke guard for `benches/shard_scaling.rs` (and, transitively,
-    /// `benches/engine.rs` / `benches/cluster_round.rs`): building the
-    /// bench workloads with a sharded scheduler must stay cheap and
-    /// correct, so `cargo bench --no-run` in CI can't silently rot and
-    /// per-shard setup overhead can't creep into the measured loop.
-    #[test]
-    fn sharded_bench_setup_is_sound() {
-        use ftgcs_sim::shard::{Partition, SchedulerKind};
-        let p = default_params(1);
-        // The partition seam is only meaningful while inter-cluster
-        // messages have a positive delay floor.
-        assert!(p.lookahead() > 0.0, "d - U must be positive");
-        let cg = ClusterGraph::new(line(4), 4, 1);
-        let nodes = cg.physical().node_count();
-        let mut runs = Vec::new();
-        for shards in [1usize, 2, 4] {
-            let mut s = Scenario::new(cg.clone(), p.clone());
-            s.seed(2).sample_interval(None);
-            if shards == 1 {
-                s.scheduler(SchedulerKind::Global);
-            } else {
-                s.scheduler(SchedulerKind::Sharded(Partition::by_blocks(
-                    nodes,
-                    nodes / shards,
-                )));
-            }
-            runs.push(s.run_for(5.0 * p.t_round).stats);
-        }
-        assert!(runs[0].events > 0);
-        // Identical work under every split — the bench compares queue
-        // mechanics, not diverging executions.
-        assert_eq!(runs[0], runs[1]);
-        assert_eq!(runs[0], runs[2]);
-    }
-
     #[test]
     fn measure_skews_produces_finite_values() {
         let p = default_params(1);

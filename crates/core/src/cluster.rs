@@ -41,8 +41,7 @@ use crate::params::Params;
 /// inside one shard, while every inter-cluster message is delayed by at
 /// least `d − U` ([`crate::params::Params::lookahead`]), giving each
 /// shard that much lookahead before it must consult its neighbors.
-/// [`crate::runner::Scenario::sharded_by_cluster`] selects this
-/// partition.
+/// [`crate::runner::Scenario::parallel`] selects this partition.
 ///
 /// # Examples
 ///

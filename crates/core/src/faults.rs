@@ -591,7 +591,7 @@ pub enum LifecyclePhase {
 /// Transitions are ordinary timer events: each is armed with
 /// [`Ctx::set_timer_at_newtonian`] and dispatched under the standard
 /// `(time, source, counter)` key, so lifecycle runs stay byte-identical
-/// across the Serial, Sharded, and Parallel schedulers.
+/// across the global and parallel schedulers.
 ///
 /// At a transition the wrapper cancels every pending timer, drops all
 /// extra clock tracks, and boots a fresh inner behavior. **Recovery** is

@@ -164,17 +164,13 @@ impl Params {
     /// The minimum message delay `d − U`: the conservative-lookahead
     /// floor of the per-cluster scheduler partition. Any message
     /// between clusters takes at least this long, so a scheduler shard
-    /// that is globally earliest can advance this far before other
-    /// shards could affect it.
+    /// can advance this far before other shards could affect it.
     ///
-    /// For the single-threaded schedulers this is *descriptive*: the
-    /// sharded queue ([`ftgcs_sim::shard`]) derives its horizon from
-    /// actual queued event keys, so the floor is enforced by the delay
-    /// model itself. The **parallel** executor
-    /// ([`crate::runner::Scenario::parallel`]) consumes it directly as
-    /// the width of its inter-barrier windows — a larger floor means
-    /// fewer barriers and longer uninterrupted per-shard runs, so this
-    /// is the knob that decides how well parallel sharding scales.
+    /// The global scheduler never reads it (it runs at `U = d` too).
+    /// The **parallel** executor ([`crate::runner::Scenario::parallel`])
+    /// consumes it as the width of its inter-barrier windows — a larger
+    /// floor means fewer barriers and longer uninterrupted per-shard
+    /// runs — and therefore needs it positive.
     #[must_use]
     pub fn lookahead(&self) -> f64 {
         self.d - self.u

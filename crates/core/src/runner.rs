@@ -268,10 +268,15 @@ impl Scenario {
         }
         match spec.scheduler {
             SchedulerSpec::Global => {}
-            SchedulerSpec::ShardedByCluster => {
-                scenario.sharded_by_cluster();
-            }
             SchedulerSpec::Parallel(workers) => {
+                // The conservative windows are `d − U` wide; the engine
+                // asserts on a zero width, a spec gets an error.
+                if scenario.params.lookahead() <= 0.0 {
+                    return Err(SpecError::new(
+                        "scheduler parallel needs a positive lookahead d − U \
+                         (with U = d use `scheduler global`)",
+                    ));
+                }
                 scenario.parallel(workers);
             }
         }
@@ -306,14 +311,6 @@ impl Scenario {
         })?;
         let scheduler = match &self.scheduler {
             SchedulerKind::Global => SchedulerSpec::Global,
-            SchedulerKind::Sharded(p) => {
-                if *p != cluster_partition(&self.cg) {
-                    return Err(SpecError::new(
-                        "only the per-cluster shard partition is spec-expressible",
-                    ));
-                }
-                SchedulerSpec::ShardedByCluster
-            }
             SchedulerKind::Parallel { partition, workers } => {
                 if *partition != cluster_partition(&self.cg) {
                     return Err(SpecError::new(
@@ -416,25 +413,16 @@ impl Scenario {
         self
     }
 
-    /// Sets the event scheduler. The default is [`SchedulerKind::Global`]
-    /// — under the engine's strict equal-order guarantee the sharded
-    /// queue is ~5–10% slower single-threaded (see EXPERIMENTS.md);
-    /// [`Scenario::parallel`] is what makes sharding pay. Scheduling
-    /// never changes a run's trace — `tests/scheduler_equivalence.rs`
-    /// pins every scheduler (including the parallel one on any worker
-    /// count) to byte-identical output — so this is a throughput knob
-    /// and an A/B handle for benches.
+    /// Sets the event scheduler. The default is [`SchedulerKind::Global`],
+    /// one queue drained on the calling thread; [`Scenario::parallel`]
+    /// selects the per-cluster parallel executor. Scheduling never
+    /// changes a run's trace — `tests/scheduler_equivalence.rs` pins the
+    /// parallel scheduler on any worker count to the global queue's
+    /// bytes — so this is a throughput knob and an A/B handle for
+    /// benches.
     pub fn scheduler(&mut self, kind: SchedulerKind) -> &mut Self {
         self.scheduler = kind;
         self
-    }
-
-    /// Selects the sharded scheduler with one shard per cluster
-    /// ([`cluster_partition`]) — the scale-out configuration the
-    /// `shard_scaling` bench measures.
-    pub fn sharded_by_cluster(&mut self) -> &mut Self {
-        let partition = cluster_partition(&self.cg);
-        self.scheduler(SchedulerKind::Sharded(partition))
     }
 
     /// Selects the **parallel** shard executor: one shard per cluster
@@ -446,7 +434,7 @@ impl Scenario {
     /// `0` meaning the machine's available parallelism — capped at
     /// both the core count and the cluster count.
     ///
-    /// The merged trace is byte-identical to every other scheduler on
+    /// The merged trace is byte-identical to the global scheduler's on
     /// every worker count; see `crates/sim/src/par.rs` for the
     /// conservative-window argument.
     pub fn parallel(&mut self, workers: usize) -> &mut Self {
@@ -1248,24 +1236,5 @@ mod tests {
                 "parallel scheduler diverged at {workers} workers"
             );
         }
-    }
-
-    #[test]
-    fn scheduler_override_reproduces_the_default_run() {
-        // The default (global heap) and the per-cluster sharded
-        // scheduler must agree event-for-event; the full byte-level
-        // differential lives in tests/scheduler_equivalence.rs.
-        let mut a = scenario();
-        a.seed(9);
-        let mut b = scenario();
-        b.seed(9).sharded_by_cluster();
-        let ra = a.run_for(0.5);
-        let rb = b.run_for(0.5);
-        assert_eq!(ra.stats, rb.stats);
-        assert_eq!(
-            ra.trace.final_logical(),
-            rb.trace.final_logical(),
-            "global and sharded schedulers diverged"
-        );
     }
 }

@@ -247,10 +247,8 @@ pub enum SampleSpec {
 /// spec never carries an explicit node → shard map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerSpec {
-    /// One global heap (the default).
+    /// One global queue (the default).
     Global,
-    /// Per-cluster shards, single-threaded.
-    ShardedByCluster,
     /// Per-cluster shards on a worker pool; `0` workers means auto.
     Parallel(usize),
 }
@@ -456,9 +454,6 @@ impl ScenarioSpec {
         match self.scheduler {
             SchedulerSpec::Global => {
                 let _ = writeln!(w, "scheduler global");
-            }
-            SchedulerSpec::ShardedByCluster => {
-                let _ = writeln!(w, "scheduler sharded");
             }
             SchedulerSpec::Parallel(workers) => {
                 let _ = writeln!(w, "scheduler parallel {workers}");
@@ -690,14 +685,13 @@ impl ScenarioSpec {
                 "scheduler" => {
                     spec.scheduler = match args {
                         ["global"] => SchedulerSpec::Global,
-                        ["sharded"] => SchedulerSpec::ShardedByCluster,
                         ["parallel", workers] => {
                             SchedulerSpec::Parallel(parse_num(workers, lineno)?)
                         }
                         _ => {
                             return Err(SpecError::at(
                                 lineno,
-                                "scheduler is `global`, `sharded`, or `parallel <workers>`",
+                                "scheduler is `global` or `parallel <workers>`",
                             ));
                         }
                     };

@@ -1,8 +1,7 @@
 //! Scheduler differential for the fault-lifecycle engine: scenarios
 //! with time-windowed faults, crash–recover churn, and mobile Byzantine
-//! adversaries produce **byte-identical** traces on the global heap,
-//! the per-cluster sharded queue, and the parallel executor on every
-//! worker count.
+//! adversaries produce **byte-identical** traces on the global queue
+//! and the parallel executor on every worker count.
 //!
 //! Lifecycle transitions are ordinary Newtonian timer events with the
 //! standard `(time, source, counter)` dispatch key, so nothing here
@@ -66,17 +65,6 @@ fn lifecycle_runs_match_across_all_schedulers() {
             spec.name
         );
 
-        let sharded = run(&spec, |s| {
-            s.sharded_by_cluster();
-        });
-        assert_eq!(sharded.stats, global.stats, "{}: sharded stats", spec.name);
-        assert_eq!(
-            sharded.trace.to_bytes(),
-            global.trace.to_bytes(),
-            "{}: sharded scheduler changed a lifecycle run",
-            spec.name
-        );
-
         for workers in [1usize, 2, 4, 0] {
             let parallel = run(&spec, |s| {
                 s.parallel(workers);
@@ -115,9 +103,6 @@ fn random_fault_placement_is_scheduler_independent() {
     let schedulers: Vec<Configure> = vec![
         Box::new(|s| {
             s.scheduler(SchedulerKind::Global);
-        }),
-        Box::new(|s| {
-            s.sharded_by_cluster();
         }),
         Box::new(|s| {
             s.parallel(2);

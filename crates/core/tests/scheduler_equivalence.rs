@@ -1,8 +1,7 @@
 //! Full-stack scheduler differential: a complete FTGCS scenario —
 //! cluster sync, estimators, triggers, Byzantine faults — produces
-//! **byte-identical** traces whether the engine runs one global heap,
-//! one shard per cluster, or the parallel executor on any worker
-//! count.
+//! **byte-identical** traces whether the engine runs one global queue
+//! or the parallel executor on any worker count.
 //!
 //! The substrate-level matrix lives in
 //! `crates/sim/tests/shard_equivalence.rs`; this test adds the layers
@@ -25,30 +24,6 @@ fn scenario(seed: u64, faulty: bool) -> Scenario {
         s.with_fault_per_cluster(&FaultKind::TwoFaced { amplitude: 1e-3 }, 1);
     }
     s
-}
-
-#[test]
-fn sharded_by_cluster_matches_global_heap_byte_for_byte() {
-    for seed in [7u64, 23] {
-        for faulty in [false, true] {
-            let mut s = scenario(seed, faulty);
-            s.sharded_by_cluster();
-            let sharded = s.run_for(20.0);
-            let mut g = scenario(seed, faulty);
-            g.scheduler(SchedulerKind::Global);
-            let global = g.run_for(20.0);
-            assert!(
-                !sharded.trace.samples.is_empty() && !sharded.trace.rows.is_empty(),
-                "trace must be non-trivial"
-            );
-            assert_eq!(sharded.stats, global.stats, "seed {seed}, faulty {faulty}");
-            assert_eq!(
-                sharded.trace.to_bytes(),
-                global.trace.to_bytes(),
-                "scheduler changed a full-stack run (seed {seed}, faulty {faulty})"
-            );
-        }
-    }
 }
 
 #[test]
@@ -83,16 +58,19 @@ fn parallel_executor_matches_global_heap_byte_for_byte() {
 }
 
 #[test]
-fn explicit_cluster_partition_matches_sharded_by_cluster() {
-    // `scheduler(Sharded(cluster_partition(..)))` is exactly what the
-    // `sharded_by_cluster` convenience selects; handing the partition
-    // down explicitly must be a no-op.
+fn explicit_cluster_partition_matches_the_parallel_convenience() {
+    // `scheduler(Parallel { cluster_partition(..), .. })` is exactly
+    // what `parallel(workers)` selects; handing the partition down
+    // explicitly must be a no-op.
     let mut base = scenario(5, false);
-    base.sharded_by_cluster();
+    base.parallel(2);
     let base = base.run_for(10.0);
     let mut explicit = scenario(5, false);
     let partition = cluster_partition(explicit.cluster_graph());
-    explicit.scheduler(SchedulerKind::Sharded(partition));
+    explicit.scheduler(SchedulerKind::Parallel {
+        partition,
+        workers: 2,
+    });
     let run = explicit.run_for(10.0);
     assert_eq!(base.trace.to_bytes(), run.trace.to_bytes());
 }

@@ -123,9 +123,8 @@ fn assemble(
     spec.max_estimator = spread % 2 == 0;
     spec.offset_spread = pick_f64(spread) * 1e-4;
     spec.offset_ramp = pick_f64(spread ^ 3) * 1e-4;
-    spec.scheduler = match sched % 3 {
+    spec.scheduler = match sched % 2 {
         0 => SchedulerSpec::Global,
-        1 => SchedulerSpec::ShardedByCluster,
         _ => SchedulerSpec::Parallel((sched % 7) as usize),
     };
     for (i, &(a, b, c)) in lists.iter().enumerate() {
@@ -295,6 +294,38 @@ fn from_spec_rejects_degenerate_sampling_durations_and_names() {
     assert!(Scenario::from_spec(&spec).is_err());
     let spec = ScenarioSpec::new("has#hash", TopologySpec::Line(2), 1);
     assert!(Scenario::from_spec(&spec).is_err());
+}
+
+#[test]
+fn parallel_scheduler_at_zero_lookahead_is_an_error_not_a_panic() {
+    // `U = d` leaves the conservative windows no width: the engine's
+    // builder asserts, so a spec has to be turned away before it.
+    let text = |scheduler: &str| {
+        format!(
+            "name z\ntopology line 2\nf 1\nenv 1e-4 1e-3 1e-3\nseed 7\n\
+             duration 8 rounds\nscheduler {scheduler}\n"
+        )
+    };
+    let spec = ScenarioSpec::parse(&text("parallel 2")).expect("the text itself is well-formed");
+    let err = Scenario::from_spec(&spec).unwrap_err();
+    assert!(err.msg.contains("lookahead"), "{err}");
+
+    // The global scheduler is the one that runs there.
+    let spec = ScenarioSpec::parse(&text("global")).unwrap();
+    let scenario = Scenario::from_spec(&spec).expect("U = d is a valid environment");
+    assert_eq!(scenario.params().lookahead(), 0.0);
+    let run = scenario.run_for(spec.duration.resolve(scenario.params()));
+    assert!(run.stats.messages > 0 && !run.trace.samples.is_empty());
+}
+
+#[test]
+fn the_removed_sharded_scheduler_is_rejected_with_its_line_number() {
+    let err = ScenarioSpec::parse("name x\ntopology line 2\nscheduler sharded\n").unwrap_err();
+    assert_eq!(err.line, 3, "{err}");
+    assert!(
+        err.msg.contains("`global` or `parallel <workers>`"),
+        "{err}"
+    );
 }
 
 #[test]

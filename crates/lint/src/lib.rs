@@ -1,9 +1,9 @@
 //! # ftgcs-lint — determinism-audit static analysis for the FTGCS workspace
 //!
 //! The repo's load-bearing guarantee is that a simulation run is a pure
-//! function of `(seed, configuration)`: the serial, sharded, and
-//! parallel schedulers produce **byte-identical traces at any worker
-//! count** (see `crates/sim/tests/shard_equivalence.rs`). That property
+//! function of `(seed, configuration)`: the global and parallel
+//! schedulers produce **byte-identical traces at any worker count**
+//! (see `crates/sim/tests/shard_equivalence.rs`). That property
 //! survives only as long as nobody writes an ambient source of
 //! nondeterminism into an order-sensitive path. This crate is the
 //! machine check: a comment- and string-literal-aware source scanner

@@ -2,7 +2,7 @@
 //!
 //! Every rule exists to defend one property: **a simulation run is a
 //! pure function of `(seed, configuration)`, byte-identical across the
-//! serial, sharded, and parallel schedulers at any worker count.** The
+//! global and parallel schedulers at any worker count.** The
 //! rules ban the ambient sources of nondeterminism Rust makes easy to
 //! reach for — wall clocks, OS-seeded randomness, hash-order iteration,
 //! stray threads — and enforce the workspace's unsafety discipline

@@ -16,16 +16,15 @@
 //! per node, which is what lets [`SchedulerKind::Parallel`] hand disjoint
 //! node sets to worker threads (see [`crate::par`]).
 //!
-//! Event storage is delegated to a [`ShardQueue`]: one calendar queue per
-//! [`shard`](crate::shard) of the network, advanced under conservative
-//! lookahead, with the classic single global queue as the 1-shard
-//! degenerate case ([`SchedulerKind::Global`]). Every scheduler —
-//! including the parallel one, on any worker count — dispatches the
-//! identical global event order, so they all produce byte-identical
-//! traces. The order is `(time, source, per-source counter)`: each node
-//! stamps the events it creates with its own monotone counter, which is a
-//! deterministic function of the node's observed event sequence and
-//! therefore independent of how shards raced across threads.
+//! Events wait in calendar queues (see [`crate::shard`]): a single
+//! [`EventQueue`] under [`SchedulerKind::Global`], one queue per shard of
+//! the network under [`SchedulerKind::Parallel`]. Both schedulers — the
+//! parallel one on any worker count — dispatch the identical global
+//! event order, so they produce byte-identical traces. The order is
+//! `(time, source, per-source counter)`: each node stamps the events it
+//! creates with its own monotone counter, which is a deterministic
+//! function of the node's observed event sequence and therefore
+//! independent of how shards raced across threads.
 
 use crate::clock::{HardwareClock, RateModel};
 use crate::network::{DelayConfig, DelayDistribution};
@@ -34,8 +33,8 @@ use crate::observe::Observer;
 use crate::par::ParQueue;
 use crate::rng::SimRng;
 use crate::shard::{
-    resolve_workers, tie_for_engine, tie_for_node, Entry, Key, Partition, QueueStats,
-    SchedulerKind, Shard, ShardQueue,
+    resolve_workers, tie_for_engine, tie_for_node, Entry, EventQueue, Key, QueueStats,
+    SchedulerKind, Shard,
 };
 use crate::telemetry::{Phase, Telemetry, TelemetryReport};
 use crate::time::{SimDuration, SimTime};
@@ -54,9 +53,9 @@ pub struct SimConfig {
     pub seed: u64,
     /// If set, record a [`ClockSample`] every interval of Newtonian time.
     pub sample_interval: Option<SimDuration>,
-    /// Event scheduler: one global queue, per-shard queues under
-    /// conservative lookahead, or the same shards on a worker-thread
-    /// pool. Never changes a run's result — only its throughput.
+    /// Event scheduler: one global queue, or per-shard queues on a
+    /// worker-thread pool under conservative lookahead. Never changes a
+    /// run's result — only its throughput.
     pub scheduler: SchedulerKind,
     /// Record runtime telemetry (see [`crate::telemetry`]). Strictly a
     /// side channel: traces are byte-identical on or off, and the
@@ -372,9 +371,9 @@ pub(crate) struct SimShared {
 
 /// Where a dispatch pushes the events it creates.
 pub(crate) enum QueueKind<'a, M> {
-    /// The single-threaded engines: one [`ShardQueue`] in global
+    /// The single-threaded engine: one [`EventQueue`] in global
     /// `(time, tie)` pop order.
-    Serial(&'a mut ShardQueue<Pending<M>>),
+    Serial(&'a mut EventQueue<Pending<M>>),
     /// The parallel store outside any window (`on_start`, i.e. the boot
     /// phase, runs serially).
     Boot(&'a mut ParQueue<M>),
@@ -396,7 +395,7 @@ pub(crate) enum QueueKind<'a, M> {
 impl<M> QueueKind<'_, M> {
     fn push(&mut self, dst: NodeId, time: SimTime, tie: u128, payload: Pending<M>) {
         match self {
-            QueueKind::Serial(q) => q.push_for_keyed(dst, time, tie, payload),
+            QueueKind::Serial(q) => q.push_keyed(time, tie, payload),
             QueueKind::Boot(pq) => pq.push(dst, time, tie, payload),
             QueueKind::Worker {
                 local,
@@ -974,29 +973,22 @@ impl<M: Clone> SimBuilder<M> {
     ///
     /// # Panics
     ///
-    /// Panics if a sharded/parallel partition does not cover exactly the
-    /// simulation's nodes, or if [`SchedulerKind::Parallel`] is selected
-    /// with a zero lookahead (`d == U`) — the conservative windows would
-    /// make no progress.
+    /// Panics if [`SchedulerKind::Parallel`] is selected with a partition
+    /// that does not cover exactly the simulation's nodes, or with a zero
+    /// lookahead (`d == U`) — the conservative windows would make no
+    /// progress.
     #[must_use]
     pub fn build(self) -> Simulation<M> {
         let n = self.behaviors.len();
-        let check_partition = |p: &Partition| {
-            assert_eq!(
-                p.node_count(),
-                n,
-                "scheduler partition covers {} nodes but the simulation has {n}",
-                p.node_count()
-            );
-        };
         let store = match &self.config.scheduler {
-            SchedulerKind::Global => EventStore::Serial(ShardQueue::new(&Partition::single(n))),
-            SchedulerKind::Sharded(p) => {
-                check_partition(p);
-                EventStore::Serial(ShardQueue::new(p))
-            }
+            SchedulerKind::Global => EventStore::Serial(EventQueue::new()),
             SchedulerKind::Parallel { partition, workers } => {
-                check_partition(partition);
+                assert_eq!(
+                    partition.node_count(),
+                    n,
+                    "scheduler partition covers {} nodes but the simulation has {n}",
+                    partition.node_count()
+                );
                 assert!(
                     self.config.delay.min_delay().is_positive(),
                     "the parallel scheduler requires a positive lookahead (d − U > 0)"
@@ -1011,7 +1003,7 @@ impl<M: Clone> SimBuilder<M> {
         let telemetry = if self.config.telemetry {
             let (shard_of, nshards) = match &self.config.scheduler {
                 SchedulerKind::Global => (vec![0u32; n], 1),
-                SchedulerKind::Sharded(p) | SchedulerKind::Parallel { partition: p, .. } => {
+                SchedulerKind::Parallel { partition: p, .. } => {
                     (p.shard_map().to_vec(), p.shard_count())
                 }
             };
@@ -1070,9 +1062,10 @@ impl<M: Clone> SimBuilder<M> {
 }
 
 /// Where queued events live between dispatches.
+#[allow(clippy::large_enum_variant)] // one store per simulation: a Box would buy nothing
 pub(crate) enum EventStore<M> {
-    /// The single-threaded engines (global queue or sharded).
-    Serial(ShardQueue<Pending<M>>),
+    /// The single-threaded engine's one global queue.
+    Serial(EventQueue<Pending<M>>),
     /// The parallel executor's per-shard queues.
     Parallel(ParQueue<M>),
 }
@@ -1128,13 +1121,7 @@ impl<M> Simulation<M> {
     #[must_use]
     pub fn telemetry(&self) -> TelemetryReport {
         let (scheduler, workers, queue, planned) = match &self.store {
-            EventStore::Serial(q) => {
-                let label = match self.shared.config.scheduler {
-                    SchedulerKind::Global => "global",
-                    _ => "sharded",
-                };
-                (label, None, Some(q.stats()), None)
-            }
+            EventStore::Serial(q) => ("global", None, Some(q.stats()), None),
             EventStore::Parallel(pq) => (
                 "parallel",
                 Some(pq.workers),
@@ -1217,7 +1204,7 @@ impl<M> Simulation<M> {
             EventStore::Serial(q) => {
                 let tie = tie_for_engine(self.sample_seq);
                 self.sample_seq += 1;
-                q.push_unowned_keyed(time, tie, Pending::Sample);
+                q.push_keyed(time, tie, Pending::Sample);
             }
             EventStore::Parallel(pq) => pq.pending_samples.push(time),
         }
@@ -1370,7 +1357,7 @@ impl<M: Clone + Send + 'static> Simulation<M> {
                     if let Some(interval) = shared.config.sample_interval {
                         let tie = tie_for_engine(*sample_seq);
                         *sample_seq += 1;
-                        queue.push_unowned_keyed(time + interval, tie, Pending::Sample);
+                        queue.push_keyed(time + interval, tie, Pending::Sample);
                     }
                 }
                 pending => {
@@ -1400,13 +1387,6 @@ impl<M: Clone + Send + 'static> Simulation<M> {
     pub fn run_for(&mut self, duration: SimDuration) {
         let until = self.now + duration;
         self.run_until(until);
-    }
-
-    /// Streaming twin of [`Simulation::run_for`]: runs for a further
-    /// duration, feeding `obs` instead of the internal trace.
-    pub fn run_for_with(&mut self, duration: SimDuration, obs: &mut dyn Observer) {
-        let until = self.now + duration;
-        self.run_until_with(until, obs);
     }
 }
 

@@ -77,7 +77,7 @@ pub use engine::{Ctx, SimBuilder, SimConfig, SimStats, Simulation};
 pub use network::{DelayConfig, DelayDistribution};
 pub use node::{Behavior, NodeId, TimerId, TimerTag, TrackId};
 pub use rng::SimRng;
-pub use shard::{Partition, SchedulerKind, ShardQueue};
+pub use shard::{EventQueue, Partition, SchedulerKind};
 pub use telemetry::{Stopwatch, TelemetryReport};
 pub use time::{SimDuration, SimTime};
 pub use trace::{ClockSample, Row, Trace};

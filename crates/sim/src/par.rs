@@ -627,7 +627,7 @@ impl<M> Simulation<M> {
     /// never changes results — traces stay byte-identical. Must be
     /// called before the first parallel window: once the pool has
     /// spawned, the spawn-time count is fixed and later calls are
-    /// ignored. No-op on serial schedulers.
+    /// ignored. No-op on the global scheduler.
     pub fn pin_workers(&mut self, workers: usize) {
         if let EventStore::Parallel(pq) = &mut self.store {
             pq.workers = workers.max(1);
@@ -635,7 +635,7 @@ impl<M> Simulation<M> {
     }
 
     /// Cumulative per-worker totals of events *dealt* by the parallel
-    /// executor's window balancer, or `None` on serial schedulers.
+    /// executor's window balancer, or `None` on the global scheduler.
     ///
     /// Entry `w` sums, over all windows so far, the events dispatched
     /// by the shards the coordinator dealt to worker `w` in that

@@ -1,47 +1,30 @@
-//! Sharded event scheduling with conservative lookahead.
+//! The event queue, and how the network is partitioned into shards of it.
 //!
-//! The engine's event queue can be split into *shards* — one per cluster
-//! of the simulated network — each owning a private calendar queue
-//! ([`Shard`]; the one-shard case is the classic single global queue).
-//! The split exploits the seam the paper's model provides: every
-//! inter-cluster message is delayed by at least `d − U > 0`, so a shard
-//! that is globally earliest can process a *run* of its own events
-//! without consulting the others (Chandy–Misra-style conservative
-//! synchronization, here as a single-threaded min-merge over shard
-//! heads rather than null messages).
+//! Every scheduler stores its events in the one queue type here,
+//! [`Shard`]: a two-level calendar queue popping in `(time, tie)` order.
+//! The model bounds every message delay from above, by `d`, so nearly all
+//! queued events are due within a narrow band of "now". That is the good
+//! case for a calendar queue: a push is an O(1) append to the list of the
+//! time bucket the event is due in, and a bucket is sorted only when it
+//! becomes current — a dozen comparisons on adjacent memory where a
+//! binary heap of a few thousand 64-byte entries sifts through a dozen
+//! scattered levels. A k-member cluster pulse enqueues its k² fan-out as
+//! k² appends. The bucket width is the queue's own business: it is worked
+//! out from the spacing of the events popped, and by construction cannot
+//! change the dispatch order (see [`Shard`]).
 //!
-//! Concretely, [`ShardQueue`] maintains for the currently *selected*
-//! shard a **horizon**: the smallest event key any other shard could
-//! dispatch next. While the selected shard's head stays below the
-//! horizon it pops from its own queue only (the fast path); cross-shard
-//! sends lower the horizon as they are pushed, which is exactly the
-//! lookahead barrier. Events carry a `(time, seq)` key with a globally
-//! unique sequence number, and the queue always dispatches the global
-//! key minimum — so a sharded run is **event-for-event identical** to a
-//! single-queue run, which `tests/shard_equivalence.rs` pins down
-//! byte-for-byte. The delay floor `d − U` is therefore a *performance*
-//! knob (larger floor → longer fast-path runs), never a correctness
-//! input.
-//!
-//! The model also bounds every delay from above, by `d`, so nearly all
-//! of a shard's events are due within a narrow band of "now". That is
-//! the good case for a calendar queue: a push is an O(1) append to the
-//! list of the time bucket the event is due in, and a bucket is sorted
-//! only when it becomes current — a dozen comparisons on adjacent
-//! memory where a binary heap of a few thousand 64-byte entries sifts
-//! through a dozen scattered levels. A k-member cluster pulse enqueues
-//! its k² fan-out as k² appends. The bucket width is the queue's own
-//! business: it is worked out from the spacing of the events popped,
-//! and by construction cannot change the dispatch order (see
-//! [`Shard`]).
-//!
-//! [`SchedulerKind::Parallel`] reuses the same per-shard queues but
+//! [`SchedulerKind::Global`] drains a single such queue ([`EventQueue`],
+//! which is also the face the differential and property tests drive).
+//! [`SchedulerKind::Parallel`] splits the network along the seam the
+//! paper's model provides — every inter-cluster message is delayed by at
+//! least `d − U > 0` — into one queue per [`Partition`] shard and
 //! advances them on worker threads between lookahead barriers (see
-//! [`crate::par`]); its tie-breaking key is supplied by the engine so
-//! that the dispatch order is identical on every thread count.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! [`crate::par`]). Events carry a `(time, tie)` key whose tie the engine
+//! derives from `(source, per-source counter)`, so the dispatch order is
+//! the same total order on one queue, on many, and on every thread count
+//! — `tests/shard_equivalence.rs` pins it byte-for-byte. The delay floor
+//! `d − U` is therefore a *performance* knob (larger floor → longer
+//! windows), never a correctness input.
 
 use crate::node::NodeId;
 use crate::time::SimTime;
@@ -72,8 +55,8 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// All nodes in one shard — the degenerate case equivalent to a
-    /// single global heap.
+    /// All nodes in one shard — the degenerate case, equivalent to the
+    /// single global queue.
     #[must_use]
     pub fn single(nodes: usize) -> Self {
         Partition {
@@ -236,23 +219,20 @@ pub(crate) fn shard_adjacency(
 
 /// Which event scheduler a simulation uses.
 ///
-/// Every variant dispatches events in the identical global order, so
+/// Both variants dispatch events in the identical global order, so
 /// switching the scheduler never changes a run's trace — only its
-/// throughput. `Global` is literally the 1-shard degenerate case of the
-/// sharded queue, and `Parallel` runs the same per-shard queues on
-/// worker threads between conservative lookahead barriers.
+/// throughput. `Global` drains one [`EventQueue`]; `Parallel` runs one
+/// queue of the same kind per shard on worker threads between
+/// conservative lookahead barriers.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
-    /// One global queue (the 1-shard degenerate case).
+    /// One global queue; the reference path, and the only one that runs
+    /// at zero lookahead (`U = d`).
     #[default]
     Global,
-    /// Per-shard queues advanced under conservative lookahead,
-    /// single-threaded. The partition must cover exactly the
-    /// simulation's nodes.
-    Sharded(Partition),
     /// Per-shard queues advanced on a worker-thread pool between
     /// `d − U` lookahead barriers. The merged trace is byte-identical
-    /// to the other schedulers on every worker count.
+    /// to the global queue's on every worker count.
     Parallel {
         /// Node → shard assignment; must cover exactly the
         /// simulation's nodes.
@@ -265,8 +245,8 @@ pub enum SchedulerKind {
 }
 
 /// Total dispatch order: earliest time first, tie-break among equal
-/// times. The tie is either an internal insertion sequence number (the
-/// [`ShardQueue`] convenience API) or an engine-supplied deterministic
+/// times. The tie is either an insertion sequence number
+/// ([`EventQueue::push`]) or an engine-supplied deterministic
 /// `(source, per-source counter)` encoding — the latter is what makes
 /// the dispatch order independent of how events raced across worker
 /// threads.
@@ -515,7 +495,6 @@ impl<T> Shard<T> {
     }
 
     /// Number of queued events.
-    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.len
     }
@@ -836,7 +815,7 @@ impl<T> std::fmt::Debug for Shard<T> {
 }
 
 /// Work counters exposed for tests and diagnostics: what the calendar
-/// queues of all shards did, summed, plus the shard selection's.
+/// queue did (for the parallel scheduler, its shards' queues, summed).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Buckets made current and sorted.
@@ -854,8 +833,6 @@ pub struct QueueStats {
     /// because they are due a year or more ahead, scans for the first
     /// bucket, re-bucketing.
     pub entries_walked: u64,
-    /// Shard re-selections (ends of fast-path runs).
-    pub reselects: u64,
 }
 
 impl QueueStats {
@@ -870,294 +847,112 @@ impl QueueStats {
                 key_compares: sum.key_compares + s.key_compares,
                 rewidths: sum.rewidths + s.rewidths,
                 entries_walked: sum.entries_walked + s.entries_walked,
-                reselects: 0,
             }
         })
     }
 }
 
-/// One entry of the head index: a shard advertising its earliest key.
-/// Lazily invalidated — an entry is current iff `key` still equals the
-/// shard's actual head key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Head {
-    key: Key,
-    shard: usize,
-}
-
-impl PartialOrd for Head {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Head {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: earliest-advertised-key first.
-        other.key.cmp(&self.key)
-    }
-}
-
-/// A partitioned event queue dispatching in global `(time, seq)` order.
+/// The single event queue behind [`SchedulerKind::Global`]: one calendar
+/// queue popping in `(time, tie)` order.
 ///
-/// See the [module docs](self) for the ordering and lookahead
-/// invariants. The queue is generic over its payload so it can be
-/// property-tested independently of the engine.
+/// Generic over its payload so it can be property-tested independently
+/// of the engine. The public push breaks ties by insertion order; the
+/// engine supplies its own deterministic `(source, counter)` ties — the
+/// two must not be mixed on one queue.
 ///
 /// # Examples
 ///
 /// ```
-/// use ftgcs_sim::shard::{Partition, ShardQueue};
-/// use ftgcs_sim::node::NodeId;
+/// use ftgcs_sim::shard::EventQueue;
 /// use ftgcs_sim::time::SimTime;
 ///
-/// let mut q = ShardQueue::new(&Partition::by_blocks(4, 2));
-/// q.push_for(NodeId(3), SimTime::from_secs(2.0), "late");
-/// q.push_for(NodeId(0), SimTime::from_secs(1.0), "early");
-/// let horizon = SimTime::from_secs(10.0);
-/// assert_eq!(q.pop_before(horizon), Some((SimTime::from_secs(1.0), "early")));
-/// assert_eq!(q.pop_before(horizon), Some((SimTime::from_secs(2.0), "late")));
-/// assert_eq!(q.pop_before(horizon), None);
+/// let mut q = EventQueue::new();
+/// q.push(SimTime::from_secs(2.0), "late");
+/// q.push(SimTime::from_secs(1.0), "early");
+/// let until = SimTime::from_secs(10.0);
+/// assert_eq!(q.pop_before(until), Some((SimTime::from_secs(1.0), "early")));
+/// assert_eq!(q.pop_before(until), Some((SimTime::from_secs(2.0), "late")));
+/// assert_eq!(q.pop_before(until), None);
 /// ```
-pub struct ShardQueue<T> {
-    shards: Vec<Shard<T>>,
-    shard_of: Vec<u32>,
-    /// Next globally unique sequence number.
+pub struct EventQueue<T> {
+    shard: Shard<T>,
+    /// Next insertion-order tie.
     seq: u64,
-    /// Total queued events across all shards.
-    len: usize,
-    /// The shard currently holding the global minimum (may be stale;
-    /// revalidated against `horizon` on every peek).
-    selected: usize,
-    /// Lower bound on every *other* shard's head key. Exact at
-    /// re-selection, tightened by cross-shard pushes afterwards.
-    horizon: Key,
-    /// Lazy min-heap over advertised shard heads, so switching shards
-    /// costs O(log s) instead of scanning every shard. Entries are
-    /// advertised when a push improves a non-selected shard's head and
-    /// when a shard is deselected; stale entries (key no longer the
-    /// shard's actual head) are discarded during re-selection. Every
-    /// non-empty, non-selected shard always has a current entry.
-    heads: BinaryHeap<Head>,
-    /// Shard re-selections so far.
-    reselects: u64,
 }
 
-impl<T> ShardQueue<T> {
-    /// Creates an empty queue over `partition`.
+impl<T> Default for EventQueue<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> EventQueue<T> {
+    /// Creates an empty queue.
     #[must_use]
-    pub fn new(partition: &Partition) -> Self {
-        let count = partition.shard_count().max(1);
-        let shards = (0..count).map(|_| Shard::new()).collect();
-        ShardQueue {
-            shards,
-            shard_of: partition.shard_of.clone(),
+    pub fn new() -> Self {
+        EventQueue {
+            shard: Shard::new(),
             seq: 0,
-            len: 0,
-            selected: 0,
-            horizon: Key::max(),
-            heads: BinaryHeap::new(),
-            reselects: 0,
         }
     }
 
     /// Number of queued events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.shard.len()
     }
 
     /// Whether the queue is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Work counters, summed over the shards.
+    /// Work counters of the calendar queue.
     #[must_use]
     pub fn stats(&self) -> QueueStats {
-        QueueStats {
-            reselects: self.reselects,
-            ..QueueStats::of_shards(&self.shards)
-        }
+        self.shard.stats
     }
 
-    /// Next internal tie value (insertion order) for the convenience
-    /// push API.
-    fn next_seq_tie(&mut self) -> u128 {
+    /// Enqueues an event; equal times pop in insertion order.
+    pub fn push(&mut self, time: SimTime, payload: T) {
         let tie = u128::from(self.seq);
         self.seq += 1;
-        tie
+        self.push_keyed(time, tie, payload);
     }
 
-    /// The caller supplies the tie-break; ties must be unique per key
-    /// (the auto API uses an insertion counter, the engine a
-    /// `(source, counter)` encoding — the two must not be mixed on one
-    /// queue).
-    fn push_to_shard(&mut self, shard: usize, time: SimTime, tie: u128, payload: T) {
-        let key = Key { time, tie };
-        if shard != self.selected {
-            // A cross-shard arrival may now be the earliest event
-            // another shard can dispatch: advertise the improved head
-            // and shrink the selected shard's lookahead horizon.
-            if key < self.shards[shard].head_key() {
-                self.heads.push(Head { key, shard });
-            }
-            if key < self.horizon {
-                self.horizon = key;
-            }
-        }
-        self.shards[shard].push(Entry { key, payload });
-        self.len += 1;
-    }
-
-    /// Enqueues a single event owned by `node` (dispatched on its
-    /// shard), tie-broken by insertion order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is outside the partition the queue was built
-    /// with.
-    pub fn push_for(&mut self, node: NodeId, time: SimTime, payload: T) {
-        let shard = self.shard_of[node.index()] as usize;
-        let tie = self.next_seq_tie();
-        self.push_to_shard(shard, time, tie, payload);
-    }
-
-    /// Enqueues an engine-global event (samples); it is owned by shard
-    /// 0 and still dispatched in global order.
-    pub fn push_unowned(&mut self, time: SimTime, payload: T) {
-        let tie = self.next_seq_tie();
-        self.push_to_shard(0, time, tie, payload);
-    }
-
-    /// Keyed variant of [`ShardQueue::push_for`]: the caller supplies
-    /// the tie-break (unique per queue). The engine uses this with its
+    /// Keyed variant of [`EventQueue::push`]: the caller supplies the
+    /// tie-break (unique per queue). The engine uses this with its
     /// deterministic `(source, counter)` ties so dispatch order is
     /// identical across schedulers and thread counts.
-    pub(crate) fn push_for_keyed(&mut self, node: NodeId, time: SimTime, tie: u128, payload: T) {
-        let shard = self.shard_of[node.index()] as usize;
-        self.push_to_shard(shard, time, tie, payload);
+    pub(crate) fn push_keyed(&mut self, time: SimTime, tie: u128, payload: T) {
+        self.shard.push(Entry {
+            key: Key { time, tie },
+            payload,
+        });
     }
 
-    /// Keyed variant of [`ShardQueue::push_unowned`].
-    pub(crate) fn push_unowned_keyed(&mut self, time: SimTime, tie: u128, payload: T) {
-        self.push_to_shard(0, time, tie, payload);
-    }
-
-    /// Recomputes the selected shard (global head-key minimum) and the
-    /// horizon (minimum over the remaining shards) from the lazy head
-    /// index. O(log s) amortized per switch.
-    ///
-    /// Precondition: the queue is non-empty.
-    fn reselect(&mut self) -> Key {
-        self.reselects += 1;
-        // Re-advertise the outgoing shard: its head moved while it was
-        // selected, so its previous advertisement (if any) is stale.
-        let cur = self.shards[self.selected].head_key();
-        if cur < Key::max() {
-            self.heads.push(Head {
-                key: cur,
-                shard: self.selected,
-            });
-        }
-        // Select the earliest *current* advertisement. Every non-empty
-        // shard has one (pushes advertise head improvements, the line
-        // above covers the outgoing shard), so this loop always
-        // terminates on a valid entry while the queue is non-empty.
-        loop {
-            let Head { key, shard } = self
-                .heads
-                .pop()
-                .expect("non-empty queue must have an advertised head");
-            if self.shards[shard].head_key() != key {
-                continue; // stale advertisement
-            }
-            self.selected = shard;
-            // Horizon: the earliest current head among the *other*
-            // shards. Entries of the newly selected shard are dropped —
-            // deselection re-advertises unconditionally, so that is
-            // safe.
-            loop {
-                match self.heads.peek() {
-                    None => {
-                        self.horizon = Key::max();
-                        break;
-                    }
-                    Some(&Head { key: k, shard: s }) => {
-                        if s != self.selected && self.shards[s].head_key() == k {
-                            self.horizon = k;
-                            break;
-                        }
-                        self.heads.pop();
-                    }
-                }
-            }
-            return key;
-        }
-    }
-
-    /// The key of the globally next event, revalidating the fast path.
-    fn peek_key(&mut self) -> Option<Key> {
-        if self.len == 0 {
-            return None;
-        }
-        let k = self.shards[self.selected].head_key();
-        if k < self.horizon {
-            // Fast path: the selected shard is still strictly earliest.
-            Some(k)
-        } else {
-            Some(self.reselect())
-        }
-    }
-
-    /// Invariant check used by debug assertions and property tests: the
-    /// fast-path head is the true global minimum.
-    #[cfg(test)]
-    fn true_min(&mut self) -> Key {
-        self.shards
-            .iter_mut()
-            .map(Shard::head_key)
-            .min()
-            .unwrap_or_else(Key::max)
-    }
-
-    /// Pops the globally earliest event if its time is at most `until`.
+    /// Pops the earliest event if its time is at most `until`.
     pub fn pop_before(&mut self, until: SimTime) -> Option<(SimTime, T)> {
         self.pop_before_keyed(until).map(|(key, p)| (key.time, p))
     }
 
-    /// Like [`ShardQueue::pop_before`], but returns the full dispatch
+    /// Like [`EventQueue::pop_before`], but returns the full dispatch
     /// key (the engine threads it into row tagging so serial and
     /// relaxed trace modes agree on event identity).
     pub(crate) fn pop_before_keyed(&mut self, until: SimTime) -> Option<(Key, T)> {
-        let key = self.peek_key()?;
-        if key.time > until {
+        // An empty queue's head is `Key::max()`, whose time no `until`
+        // exceeds; `pop_min` covers `until = +∞`.
+        if self.shard.head_key().time > until {
             return None;
         }
-        let e = self.shards[self.selected]
-            .pop_min()
-            .expect("peeked key implies a queued event");
-        debug_assert_eq!(e.key, key, "shard head changed between peek and pop");
-        self.len -= 1;
-        Some((e.key, e.payload))
+        self.shard.pop_min().map(|e| (e.key, e.payload))
     }
 }
 
-impl<T> std::fmt::Debug for ShardQueue<T> {
+impl<T> std::fmt::Debug for EventQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ShardQueue(shards={}, len={}, selected={})",
-            self.shards.len(),
-            self.len,
-            self.selected
-        )
+        write!(f, "EventQueue({:?})", self.shard)
     }
 }
 
@@ -1165,6 +960,7 @@ impl<T> std::fmt::Debug for ShardQueue<T> {
 mod tests {
     use super::*;
     use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn t(secs: f64) -> SimTime {
         SimTime::from_secs(secs)
@@ -1184,10 +980,6 @@ mod tests {
         let p = Partition::from_assignment(vec![2, 0, 2, 1]);
         assert_eq!(p.shard_count(), 3);
         assert_eq!(p.shard_of(NodeId(0)), 2);
-
-        // Empty partitions still have one shard for unowned events.
-        let q = ShardQueue::<u8>::new(&Partition::single(0));
-        assert_eq!(q.shard_count(), 1);
     }
 
     #[test]
@@ -1214,137 +1006,71 @@ mod tests {
     }
 
     #[test]
-    fn pops_in_global_time_order_across_shards() {
-        let p = Partition::by_blocks(4, 1);
-        let mut q = ShardQueue::new(&p);
-        q.push_for(NodeId(0), t(3.0), 'a');
-        q.push_for(NodeId(1), t(1.0), 'b');
-        q.push_for(NodeId(2), t(2.0), 'c');
-        q.push_for(NodeId(3), t(1.5), 'd');
-        let order: Vec<char> =
-            std::iter::from_fn(|| q.pop_before(t(10.0)).map(|(_, c)| c)).collect();
-        assert_eq!(order, vec!['b', 'd', 'c', 'a']);
+    fn equal_times_pop_in_insertion_order() {
+        let mut q = EventQueue::new();
+        q.push(t(1.0), "first");
+        q.push(t(1.0), "second");
+        q.push(t(1.0), "third");
+        assert_eq!(q.pop_before(t(1.0)).unwrap().1, "first");
+        assert_eq!(q.pop_before(t(1.0)).unwrap().1, "second");
+        assert_eq!(q.pop_before(t(1.0)).unwrap().1, "third");
         assert!(q.is_empty());
     }
 
     #[test]
-    fn equal_times_pop_in_insertion_order() {
-        let p = Partition::by_blocks(2, 1);
-        let mut q = ShardQueue::new(&p);
-        q.push_for(NodeId(1), t(1.0), "first");
-        q.push_for(NodeId(0), t(1.0), "second");
-        q.push_unowned(t(1.0), "third");
-        assert_eq!(q.pop_before(t(1.0)).unwrap().1, "first");
-        assert_eq!(q.pop_before(t(1.0)).unwrap().1, "second");
-        assert_eq!(q.pop_before(t(1.0)).unwrap().1, "third");
-    }
-
-    #[test]
     fn pop_before_respects_bound() {
-        let mut q = ShardQueue::new(&Partition::single(1));
-        q.push_for(NodeId(0), t(5.0), ());
+        let mut q = EventQueue::new();
+        assert_eq!(q.pop_before(t(f64::INFINITY)), None);
+        q.push(t(5.0), ());
         assert_eq!(q.pop_before(t(4.999)), None);
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop_before(t(5.0)), Some((t(5.0), ())));
     }
 
     #[test]
-    fn cross_shard_push_shrinks_horizon_mid_run() {
-        // Shard 0 has a run of events; a later push lands an earlier
-        // event in shard 1 which must preempt the rest of the run.
-        let p = Partition::by_blocks(2, 1);
-        let mut q = ShardQueue::new(&p);
-        for i in 0..5 {
-            q.push_for(NodeId(0), t(1.0 + f64::from(i)), 0usize);
-        }
-        assert_eq!(q.pop_before(t(100.0)).unwrap().0, t(1.0));
-        // While "processing" shard 0, an event for shard 1 arrives at
-        // t=2.5, between shard 0's pending events.
-        q.push_for(NodeId(1), t(2.5), 1usize);
-        let seq: Vec<(f64, usize)> =
-            std::iter::from_fn(|| q.pop_before(t(100.0)).map(|(tm, s)| (tm.as_secs(), s)))
-                .collect();
-        assert_eq!(seq, vec![(2.0, 0), (2.5, 1), (3.0, 0), (4.0, 0), (5.0, 0)]);
-    }
-
-    #[test]
-    fn fast_path_always_returns_the_global_minimum() {
-        // Deterministic pseudo-random interleaving of pushes and pops
-        // over 5 shards; every pop must match the exhaustive minimum.
-        let p = Partition::from_assignment(vec![0, 1, 2, 3, 4, 0, 1, 2]);
-        let mut q = ShardQueue::new(&p);
-        let mut lcg: u64 = 0x243F_6A88_85A3_08D3;
-        let mut step = || {
-            lcg = lcg
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            lcg >> 33
-        };
-        let mut now = 0.0f64;
-        for _ in 0..4000 {
-            let r = step();
-            if r % 3 != 0 || q.is_empty() {
-                let node = (step() % 8) as usize;
-                let dt = (step() % 1000) as f64 * 1e-4;
-                q.push_for(NodeId(node), t(now + dt), node);
-            } else {
-                let expect = q.true_min();
-                let (tm, _) = q.pop_before(t(f64::MAX / 2.0)).expect("non-empty");
-                assert_eq!(tm, expect.time, "queue skipped the global minimum");
-                now = tm.as_secs();
-            }
-        }
-        let mut last = SimTime::ZERO;
-        while let Some((tm, _)) = q.pop_before(t(f64::MAX / 2.0)) {
-            assert!(tm >= last);
-            last = tm;
-        }
-    }
-
-    #[test]
     fn burst_is_sorted_not_sifted_and_fast_path_covers_it() {
-        let p = Partition::by_blocks(8, 4);
-        let mut q = ShardQueue::new(&p);
-        // Warm shard 0's queue up to a real bucket width (a new shard
-        // starts as a plain heap).
+        let mut q = EventQueue::new();
+        // Warm the queue up to a real bucket width (a new queue starts
+        // as a plain heap).
         for i in 0..2 * EPOCH {
-            q.push_for(NodeId(0), t(1e-3 * f64::from(i)), 0);
+            q.push(t(1e-3 * f64::from(i)), 0);
         }
         while q.pop_before(t(f64::MAX)).is_some() {}
         let before = q.stats();
         assert!(before.rewidths >= 1, "2048 pops must have set a width");
-        // A burst of 16 events into shard 0 (a pulse fan-out), one far
-        // event into shard 1.
+        // A burst of 16 events (a pulse fan-out): 16 appends ahead of
+        // the current day, none through the heap tier.
         for i in 0..16 {
-            q.push_for(NodeId(i % 4), t(3.0 + 0.01 * i as f64), i);
+            q.push(t(3.0 + 0.01 * f64::from(i)), i);
         }
-        q.push_for(NodeId(7), t(50.0), 99);
         while q.pop_before(t(4.0)).is_some() {}
         let stats = q.stats();
-        // Shard 1 is untouched, hence still a plain heap: its one event
-        // is the only sifted push.
-        assert_eq!(stats.late_pushes, before.late_pushes + 1, "burst sifted");
+        assert_eq!(stats.late_pushes, before.late_pushes, "burst sifted");
         assert_eq!(stats.entries_sorted - before.entries_sorted, 16);
-        assert!(
-            stats.reselects - before.reselects <= 3,
-            "fast path must cover the burst (reselects = {})",
-            stats.reselects - before.reselects
-        );
-        assert_eq!(q.len(), 1);
+        assert!(q.is_empty());
     }
 
     #[test]
     fn late_and_ring_pushes_interleave_correctly() {
-        let p = Partition::by_blocks(4, 2);
-        let mut q = ShardQueue::new(&p);
-        q.push_for(NodeId(0), t(2.0), "late");
-        q.push_for(NodeId(0), t(1.0), "early");
-        q.push_for(NodeId(3), t(1.5), "cross");
-        q.push_for(NodeId(2), t(0.5), "cross-first");
-        q.push_unowned(t(f64::INFINITY), "never");
+        let mut q = EventQueue::new();
+        // Warm up as above, so pushes behind the current day (the late
+        // tier) and ahead of it (the rings) are different paths.
+        for i in 0..2 * EPOCH {
+            q.push(t(1e-3 * f64::from(i)), "warm-up");
+        }
+        while q.pop_before(t(f64::MAX)).is_some() {}
+        assert!(q.stats().rewidths >= 1);
+        q.push(t(4.0), "last");
+        q.push(t(3.0), "second");
+        assert_eq!(q.pop_before(t(10.0)).unwrap().1, "second");
+        let late = q.stats().late_pushes;
+        q.push(t(3.5), "ring");
+        q.push(t(3.0), "late");
+        q.push(t(f64::INFINITY), "never");
+        assert_eq!(q.stats().late_pushes, late + 1);
         let order: Vec<&str> =
             std::iter::from_fn(|| q.pop_before(t(10.0)).map(|(_, s)| s)).collect();
-        assert_eq!(order, vec!["cross-first", "early", "cross", "late"]);
+        assert_eq!(order, vec!["late", "ring", "last"]);
         assert_eq!(q.len(), 1);
     }
 

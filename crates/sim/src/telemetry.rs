@@ -1,9 +1,9 @@
 //! Runtime introspection for the engine: a strictly observational side
 //! channel.
 //!
-//! The determinism contract of this codebase is that every scheduler —
-//! global heap, sharded, parallel on any worker count — dispatches the
-//! identical `(time, source, counter)` event order. Telemetry must
+//! The determinism contract of this codebase is that both schedulers —
+//! the global queue, and the parallel one on any worker count — dispatch
+//! the identical `(time, source, counter)` event order. Telemetry must
 //! therefore never feed back into scheduling: everything in this module
 //! is write-only from the engine's point of view (relaxed atomic
 //! counters, wall-clock phase accumulators) and is read only when a
@@ -491,7 +491,6 @@ impl Telemetry {
                 queue_key_compares: q.key_compares,
                 queue_rewidths: q.rewidths,
                 queue_entries_walked: q.entries_walked,
-                queue_reselects: q.reselects,
                 per_worker,
             },
             wall: WallClock {
@@ -607,8 +606,6 @@ pub struct Diagnostics {
     /// List and slab steps that dispatched nothing (events a year or
     /// more ahead passed over, first-bucket scans, re-bucketing).
     pub queue_entries_walked: u64,
-    /// Serial queue: shard re-selections.
-    pub queue_reselects: u64,
     /// Per-executor claim records.
     pub per_worker: Vec<WorkerReport>,
 }
@@ -647,11 +644,11 @@ pub struct TelemetryReport {
     /// Whether the simulation recorded telemetry (a disabled report is
     /// all zeros).
     pub enabled: bool,
-    /// `"global"`, `"sharded"`, or `"parallel"`.
+    /// `"global"` or `"parallel"`.
     pub scheduler: &'static str,
     /// Shard count (1 for the global scheduler).
     pub shards: usize,
-    /// Resolved executor count (`None` on serial schedulers).
+    /// Resolved executor count (`None` on the global scheduler).
     pub workers: Option<usize>,
     /// Machine-independent counters.
     pub deterministic: DeterministicCounters,
@@ -766,7 +763,6 @@ impl TelemetryReport {
         ] {
             let _ = writeln!(s, "    \"{name}\": {count},");
         }
-        let _ = writeln!(s, "    \"queue_reselects\": {},", g.queue_reselects);
         let _ = writeln!(s, "    \"per_worker\": [");
         for (i, pw) in g.per_worker.iter().enumerate() {
             let comma = if i + 1 < g.per_worker.len() { "," } else { "" };

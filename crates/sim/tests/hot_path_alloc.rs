@@ -20,7 +20,7 @@ use ftgcs_sim::clock::RateModel;
 use ftgcs_sim::engine::{Ctx, SimBuilder, SimConfig};
 use ftgcs_sim::network::{DelayConfig, DelayDistribution};
 use ftgcs_sim::node::{Behavior, NodeId, TimerTag, TrackId};
-use ftgcs_sim::shard::{Partition, SchedulerKind};
+use ftgcs_sim::shard::SchedulerKind;
 use ftgcs_sim::time::{SimDuration, SimTime};
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
@@ -116,15 +116,14 @@ fn build_with(nodes: usize, telemetry: bool) -> ftgcs_sim::engine::Simulation<u8
         rate_model: RateModel::Constant { frac: 0.5 },
         seed: 3,
         sample_interval: None,
-        scheduler: SchedulerKind::Sharded(Partition::by_blocks(nodes, 4)),
+        scheduler: SchedulerKind::Global,
         telemetry,
     };
     let mut b = SimBuilder::new(config);
     let ids: Vec<NodeId> = (0..nodes)
         .map(|_| b.add_node(Box::new(PhaseNode { phase: 0 })))
         .collect();
-    // Two cliques of 4 bridged by one edge: intra-shard fan-out plus
-    // cross-shard traffic.
+    // Two cliques of 4 bridged by one edge.
     for c in 0..nodes / 4 {
         for i in 0..4 {
             for j in (i + 1)..4 {

@@ -1,8 +1,8 @@
 //! Streaming-observer ⇄ materialized-trace equivalence.
 //!
 //! The observer redesign must not change a single byte of recorded
-//! output: for every scheduler kind (global heap, sharded, parallel on
-//! several worker counts), streaming the run through a
+//! output: for every scheduler kind (global queue, parallel on several
+//! worker counts), streaming the run through a
 //! collect-everything observer must reproduce the materialized
 //! [`Trace`] exactly, and stepping the simulation in fine increments
 //! must match the one-shot run byte-for-byte (the persistent worker
@@ -53,13 +53,7 @@ fn build(scheduler: SchedulerKind) -> Simulation<u32> {
 }
 
 fn schedulers() -> Vec<(String, SchedulerKind)> {
-    let mut kinds = vec![
-        ("global".to_string(), SchedulerKind::Global),
-        (
-            "sharded".to_string(),
-            SchedulerKind::Sharded(Partition::by_blocks(NODES, 2)),
-        ),
-    ];
+    let mut kinds = vec![("global".to_string(), SchedulerKind::Global)];
     for workers in [1usize, 2, 4] {
         kinds.push((
             format!("parallel-{workers}"),

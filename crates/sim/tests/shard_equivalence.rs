@@ -1,22 +1,21 @@
-//! Differential test: the sharded **and parallel** schedulers are
-//! **byte-identical** to the global heap.
+//! Differential test: the parallel scheduler is **byte-identical** to
+//! the global queue.
 //!
 //! For a matrix of seeds × topologies (clique, line, NoC grid,
-//! adversarial hub) the same workload runs once per scheduler — the
-//! 1-shard global heap, an even split, a one-shard-per-cluster split, a
-//! ragged split, and the parallel executor across several worker
-//! counts — and every run must produce the same trace byte-for-byte
-//! and the same work counters. This extends the determinism tests
-//! (`tests/determinism.rs`): determinism pins a run to its
-//! `(seed, config)`; this test pins it across *schedulers and thread
-//! counts*, the invariant that makes deep engine refactors safe to
-//! land.
+//! adversarial hub) the same workload runs once on the global queue and
+//! once per parallel axis — even splits, a one-shard-per-node split, a
+//! ragged split, across several worker counts — and every run must
+//! produce the same trace byte-for-byte and the same work counters. This
+//! extends the determinism tests (`tests/determinism.rs`): determinism
+//! pins a run to its `(seed, config)`; this test pins it across
+//! *schedulers and thread counts*, the invariant that makes deep engine
+//! refactors safe to land.
 //!
-//! All axes funnel through one [`assert_equivalent`] helper: strict
-//! in-order runs append rows at dispatch, relaxed-ordering (parallel)
-//! runs merge their per-shard buffers back into `(time, key)` order
-//! before the trace is observable — so a single merge-then-compare
-//! byte-identity assertion covers both modes.
+//! All axes funnel through one [`assert_equivalent`] helper: the global
+//! queue appends rows at dispatch, parallel runs merge their per-shard
+//! buffers back into `(time, key)` order before the trace is observable
+//! — so a single merge-then-compare byte-identity assertion covers both
+//! modes.
 
 use ftgcs_sim::clock::RateModel;
 use ftgcs_sim::engine::{Ctx, SimBuilder, SimConfig, SimStats, Simulation};
@@ -167,7 +166,7 @@ fn run(topology: &str, n: usize, seed: u64, scheduler: SchedulerKind) -> (Trace,
     (sim.into_trace(), stats)
 }
 
-/// The partitions each cell is checked under, besides the global heap.
+/// The partitions each cell is checked under.
 fn partitions(n: usize) -> Vec<(&'static str, Partition)> {
     let ragged: Vec<usize> = (0..n)
         .map(|i| if i == 0 { 0 } else { 1 + (i - 1) % 3 })
@@ -194,9 +193,8 @@ fn parallel_axes(n: usize) -> Vec<(String, SchedulerKind)> {
     axes
 }
 
-/// The single comparison point for every scheduler axis (strict *and*
-/// relaxed trace ordering): same work counters, byte-identical merged
-/// trace.
+/// The single comparison point for every scheduler axis: same work
+/// counters, byte-identical merged trace.
 fn assert_equivalent(label: &str, reference: &(Trace, SimStats), candidate: &(Trace, SimStats)) {
     assert_eq!(candidate.1, reference.1, "{label}: work counters diverged");
     assert!(
@@ -206,33 +204,15 @@ fn assert_equivalent(label: &str, reference: &(Trace, SimStats), candidate: &(Tr
 }
 
 #[test]
-fn sharded_and_global_schedulers_are_byte_identical() {
-    let n = 16;
-    for topology in ["clique", "line", "grid", "hub"] {
-        for seed in [1u64, 42, 1729] {
-            let reference = run(topology, n, seed, SchedulerKind::Global);
-            assert!(
-                !reference.0.rows.is_empty() && !reference.0.samples.is_empty(),
-                "{topology}/seed {seed}: reference trace must be non-trivial"
-            );
-            for (name, partition) in partitions(n) {
-                let candidate = run(topology, n, seed, SchedulerKind::Sharded(partition));
-                assert_equivalent(
-                    &format!("{topology}/seed {seed}/{name}"),
-                    &reference,
-                    &candidate,
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn parallel_executor_is_byte_identical_on_every_worker_count() {
     let n = 16;
     for topology in ["clique", "line", "grid", "hub"] {
         for seed in [1u64, 42] {
             let reference = run(topology, n, seed, SchedulerKind::Global);
+            assert!(
+                !reference.0.rows.is_empty() && !reference.0.samples.is_empty(),
+                "{topology}/seed {seed}: reference trace must be non-trivial"
+            );
             for (name, scheduler) in parallel_axes(n) {
                 let candidate = run(topology, n, seed, scheduler);
                 assert_equivalent(
@@ -300,9 +280,6 @@ fn mid_run_reconfiguration_stays_equivalent() {
         (sim.into_trace().to_bytes(), stats)
     };
     let (global, gs) = drive(SchedulerKind::Global);
-    let (sharded, ss) = drive(SchedulerKind::Sharded(Partition::by_blocks(8, 2)));
-    assert_eq!(gs, ss);
-    assert_eq!(global, sharded, "mid-run reconfiguration broke equivalence");
     for workers in [1usize, 2] {
         let (parallel, ps) = drive(SchedulerKind::Parallel {
             partition: Partition::by_blocks(8, 2),

@@ -1,21 +1,20 @@
-//! Property tests for the sharded scheduler and the timer machinery.
+//! Property tests for the event queue, the partitioned scheduler and the
+//! timer machinery.
 //!
 //! Three invariants, each fuzzed over generated inputs:
 //!
-//! 1. **Shard order** — events pop in globally nondecreasing time order,
-//!    hence also nondecreasing within every shard, under arbitrary
-//!    push/pop interleavings that never push into the past; and, against
-//!    `std`'s `BinaryHeap` as the reference, in exactly the `(time,
-//!    insertion)` order wherever the calendar queue puts an event (the
-//!    current day, the rings, years ahead, the saturated last day) and
-//!    whatever width it has given itself — with the queue's work, not
-//!    its time, bounded at both density extremes.
-//! 2. **Lookahead floor & dispatch order** — under sharded scheduling
-//!    with cross-shard traffic, deliveries happen in nondecreasing
-//!    global time order (the scheduler invariant: no shard outruns an
-//!    earlier event pending elsewhere), and every latency lies in
-//!    `[d − U, d]` end to end (the delay model survives the staged
-//!    fan-out path).
+//! 1. **Pop order** — against `std`'s `BinaryHeap` as the reference,
+//!    events pop in exactly the `(time, insertion)` order wherever the
+//!    calendar queue puts an event (the current day, the rings, years
+//!    ahead, the saturated last day) and whatever width it has given
+//!    itself — with the queue's work, not its time, bounded at both
+//!    density extremes.
+//! 2. **Lookahead floor & dispatch order** — under the parallel
+//!    scheduler with cross-shard traffic, the merged trace lists
+//!    deliveries in nondecreasing global time order (the scheduler
+//!    invariant: no shard outruns an earlier event pending elsewhere),
+//!    and every latency lies in `[d − U, d]` end to end (the delay model
+//!    survives the cross-shard outbox path).
 //! 3. **Timer invalidation** — a cancelled timer never fires, and no
 //!    timer double-fires, however many generation-bumping rate changes
 //!    and track jumps interleave with the cancellations.
@@ -28,7 +27,7 @@ use ftgcs_sim::clock::RateModel;
 use ftgcs_sim::engine::{Ctx, SimBuilder, SimConfig};
 use ftgcs_sim::network::{DelayConfig, DelayDistribution};
 use ftgcs_sim::node::{Behavior, NodeId, TimerId, TimerTag, TrackId};
-use ftgcs_sim::shard::{Partition, SchedulerKind, ShardQueue};
+use ftgcs_sim::shard::{EventQueue, Partition, SchedulerKind};
 use ftgcs_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -36,80 +35,28 @@ use proptest::prelude::*;
 // Property 1: pop order.
 // ---------------------------------------------------------------------
 
-proptest! {
-    #[test]
-    fn events_pop_in_nondecreasing_time_order_per_shard(
-        assignment in prop::collection::vec(0usize..5, 1..24),
-        ops in prop::collection::vec((0u8..4, 0usize..24, 1u32..500), 1..200),
-    ) {
-        let nodes = assignment.len();
-        let partition = Partition::from_assignment(assignment.clone());
-        let mut q = ShardQueue::new(&partition);
-        // `now` advances with pops; pushes are always scheduled at or
-        // after `now`, mirroring how the engine uses the queue.
-        let mut now = SimTime::ZERO;
-        let mut pushed = 0usize;
-        let mut popped: Vec<(usize, SimTime)> = Vec::new();
-        for (action, node, dt_ms) in ops {
-            let node = node % nodes;
-            if action < 3 {
-                let t = now + SimDuration::from_millis(f64::from(dt_ms));
-                q.push_for(NodeId(node), t, node);
-                pushed += 1;
-            } else if let Some((t, payload)) =
-                q.pop_before(SimTime::from_secs(f64::MAX / 2.0))
-            {
-                prop_assert!(t >= now, "pop went back in time: {t} < {now}");
-                now = t;
-                popped.push((assignment[payload], t));
-            }
-        }
-        // Drain the rest.
-        while let Some((t, payload)) = q.pop_before(SimTime::from_secs(f64::MAX / 2.0)) {
-            prop_assert!(t >= now, "drain went back in time");
-            now = t;
-            popped.push((assignment[payload], t));
-        }
-        // Nothing lost or duplicated.
-        prop_assert_eq!(popped.len(), pushed);
-        // Global nondecreasing order implies per-shard nondecreasing
-        // order; check the per-shard claim explicitly anyway.
-        for shard in 0..partition.shard_count() {
-            let times: Vec<SimTime> = popped
-                .iter()
-                .filter(|&&(s, _)| s == shard)
-                .map(|&(_, t)| t)
-                .collect();
-            prop_assert!(
-                times.windows(2).all(|w| w[0] <= w[1]),
-                "shard {shard} popped out of order"
-            );
-        }
-    }
-}
-
-/// A [`ShardQueue`] beside the reference it must agree with: `std`'s
+/// An [`EventQueue`] beside the reference it must agree with: `std`'s
 /// heap over `(time, insertion number)`, the order the queue's public
 /// API promises.
 struct Twin {
-    queue: ShardQueue<u64>,
+    queue: EventQueue<u64>,
     heap: BinaryHeap<Reverse<(SimTime, u64)>>,
     pushed: u64,
     now: SimTime,
 }
 
 impl Twin {
-    fn new(partition: &Partition) -> Self {
+    fn new() -> Self {
         Twin {
-            queue: ShardQueue::new(partition),
+            queue: EventQueue::new(),
             heap: BinaryHeap::new(),
             pushed: 0,
             now: SimTime::ZERO,
         }
     }
 
-    fn push(&mut self, node: usize, time: SimTime) {
-        self.queue.push_for(NodeId(node), time, self.pushed);
+    fn push(&mut self, time: SimTime) {
+        self.queue.push(time, self.pushed);
         self.heap.push(Reverse((time, self.pushed)));
         self.pushed += 1;
     }
@@ -137,8 +84,7 @@ impl Twin {
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let lead = (*lcg >> 11) as f64 / (1u64 << 53) as f64 * spread;
-            let node = (*lcg >> 7) as usize % NODES;
-            self.push(node, self.now + SimDuration::from_secs(lead));
+            self.push(self.now + SimDuration::from_secs(lead));
         }
         Ok(())
     }
@@ -153,27 +99,23 @@ impl Twin {
     }
 }
 
-const NODES: usize = 6;
-
 proptest! {
     #[test]
     fn pops_match_a_binary_heap_wherever_an_event_lands(
-        shards in 1usize..4,
-        ops in prop::collection::vec((0u8..12, 0usize..NODES, 0.0f64..1.0), 50..400),
+        ops in prop::collection::vec((0u8..12, 0.0f64..1.0), 50..400),
     ) {
-        let partition = Partition::from_assignment((0..NODES).map(|n| n % shards).collect());
-        let mut twin = Twin::new(&partition);
-        // Give every shard a real bucket width first: some 40 events in
+        let mut twin = Twin::new();
+        // Give the queue a real bucket width first: some 40 events in
         // flight, a millisecond of leads, 3000 pops.
         let mut lcg = 0x2545_F491_4F6C_DD1Du64;
         for n in 0..40 {
-            twin.push(n % NODES, SimTime::from_secs(1e-5 * n as f64));
+            twin.push(SimTime::from_secs(1e-5 * f64::from(n)));
         }
-        if let Err(e) = twin.hold(3000 * shards, 1e-3, &mut lcg) {
+        if let Err(e) = twin.hold(3000, 1e-3, &mut lcg) {
             prop_assert!(false, "warm-up: {e}");
         }
-        prop_assert!(twin.queue.stats().rewidths >= shards as u64);
-        for (kind, node, x) in ops {
+        prop_assert!(twin.queue.stats().rewidths >= 1);
+        for (kind, x) in ops {
             let now = twin.now.as_secs();
             let time = match kind {
                 // Pop (a third of the ops).
@@ -196,10 +138,10 @@ proptest! {
                 // the day index (once popped, `now` is up there too and
                 // the cases above add nothing to it).
                 10 => 9.0e15 + (x * 64.0).floor(),
-                // The empty-shard sentinel's time.
+                // The empty-queue sentinel's time.
                 _ => f64::INFINITY,
             };
-            twin.push(node, SimTime::from_secs(time));
+            twin.push(SimTime::from_secs(time));
         }
         if let Err(e) = twin.drain() {
             prop_assert!(false, "drain: {e}");
@@ -210,10 +152,10 @@ proptest! {
 #[test]
 fn one_crowded_instant_costs_n_log_n_comparisons() {
     const N: u64 = 100_000;
-    let mut twin = Twin::new(&Partition::single(NODES));
+    let mut twin = Twin::new();
     let mut lcg = 7;
     for n in 0..64 {
-        twin.push(n % NODES, SimTime::from_secs(1e-5 * n as f64));
+        twin.push(SimTime::from_secs(1e-5 * f64::from(n)));
     }
     twin.hold(4000, 1e-3, &mut lcg).unwrap();
     let before = twin.queue.stats();
@@ -222,14 +164,14 @@ fn one_crowded_instant_costs_n_log_n_comparisons() {
     // per pop — into the sorted day if pushes cost O(day), into the
     // heap tier if they cost O(log day).
     let instant = twin.now + SimDuration::from_secs(0.5);
-    for n in 0..N / 2 {
-        twin.push(n as usize % NODES, instant);
+    for _ in 0..N / 2 {
+        twin.push(instant);
     }
     while twin.now < instant {
         twin.pop().unwrap();
     }
-    for n in 0..N / 2 {
-        twin.push(n as usize % NODES, instant);
+    for _ in 0..N / 2 {
+        twin.push(instant);
         twin.pop().unwrap();
     }
     twin.drain().unwrap();
@@ -250,10 +192,10 @@ fn one_crowded_instant_costs_n_log_n_comparisons() {
 #[test]
 fn a_million_empty_days_between_events_are_never_walked() {
     const N: u64 = 6000;
-    let mut twin = Twin::new(&Partition::single(NODES));
+    let mut twin = Twin::new();
     let mut lcg = 7;
     for n in 0..64 {
-        twin.push(n % NODES, SimTime::from_secs(1e-5 * n as f64));
+        twin.push(SimTime::from_secs(1e-5 * f64::from(n)));
     }
     // Leads within a millisecond, 64 in flight: days of some 100 µs.
     twin.hold(4000, 1e-3, &mut lcg).unwrap();
@@ -262,10 +204,7 @@ fn a_million_empty_days_between_events_are_never_walked() {
     // Now one event every 100 s: a million such days apart, a thousand
     // years, so each is beyond even the ring of years when pushed.
     for n in 1..=N {
-        twin.push(
-            n as usize % NODES,
-            twin.now + SimDuration::from_secs(100.0 * n as f64),
-        );
+        twin.push(twin.now + SimDuration::from_secs(100.0 * n as f64));
     }
     twin.drain().unwrap();
     let stats = twin.queue.stats();
@@ -287,10 +226,10 @@ fn a_million_empty_days_between_events_are_never_walked() {
 
 #[test]
 fn rewidths_in_both_directions_leave_the_pop_order_alone() {
-    let mut twin = Twin::new(&Partition::single(NODES));
+    let mut twin = Twin::new();
     let mut lcg = 11;
     for n in 0..64 {
-        twin.push(n % NODES, SimTime::from_secs(1e-7 * n as f64));
+        twin.push(SimTime::from_secs(1e-7 * f64::from(n)));
     }
     // Dense (a microsecond of leads), then a thousand times sparser,
     // then dense again: leaves the plain-heap start, widens, narrows.
@@ -310,19 +249,12 @@ fn rewidths_in_both_directions_leave_the_pop_order_alone() {
 // Property 2: lookahead floor.
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Default)]
-struct DeliveryLog {
-    /// `(from, to, send_time, delivery_time)` per delivery.
-    deliveries: Vec<(usize, usize, f64, f64)>,
-}
-
 /// Broadcasts its current Newtonian time on a fixed cadence; receivers
-/// log the send → delivery latency. (Reading Newtonian time in a
+/// emit one `(from, send_time)` row per delivery, stamped by the engine
+/// with the receiver and the delivery time. (Reading Newtonian time in a
 /// behavior is the omniscient-observer convention used by trace
 /// recorders; here it measures the network itself.)
-struct Beacon {
-    log: Arc<Mutex<DeliveryLog>>,
-}
+struct Beacon;
 
 impl Behavior<f64> for Beacon {
     fn on_start(&mut self, ctx: &mut Ctx<'_, f64>) {
@@ -335,12 +267,7 @@ impl Behavior<f64> for Beacon {
         ctx.set_timer_at(TrackId::MAIN, next, TimerTag::new(0));
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_, f64>, from: NodeId, msg: &f64) {
-        self.log.lock().unwrap().deliveries.push((
-            from.index(),
-            ctx.my_id().index(),
-            *msg,
-            ctx.newtonian_now().as_secs(),
-        ));
+        ctx.emit("delivery", vec![from.index() as f64, *msg]);
     }
 }
 
@@ -374,14 +301,14 @@ proptest! {
             rate_model: RateModel::RandomConstant,
             seed,
             sample_interval: None,
-            scheduler: SchedulerKind::Sharded(partition.clone()),
+            scheduler: SchedulerKind::Parallel {
+                partition: partition.clone(),
+                workers: 2,
+            },
             telemetry: false,
         };
-        let log = Arc::new(Mutex::new(DeliveryLog::default()));
         let mut b = SimBuilder::new(config);
-        let ids: Vec<NodeId> = (0..nodes)
-            .map(|_| b.add_node(Box::new(Beacon { log: Arc::clone(&log) })))
-            .collect();
+        let ids: Vec<NodeId> = (0..nodes).map(|_| b.add_node(Box::new(Beacon))).collect();
         // Ring plus one long chord: guarantees cross-shard edges for
         // every block size > 0.
         for i in 0..nodes {
@@ -392,14 +319,18 @@ proptest! {
         }
         let mut sim = b.build();
         sim.run_until(SimTime::from_secs(0.5));
-        let log = log.lock().unwrap();
-        prop_assert!(!log.deliveries.is_empty(), "workload delivered nothing");
+        let deliveries = &sim.trace().rows;
+        prop_assert!(!deliveries.is_empty(), "workload delivered nothing");
         let mut cross_shard = 0usize;
-        // Deliveries are logged in dispatch order; a scheduler that let
-        // one shard outrun an earlier event pending in another shard
-        // would produce a decreasing delivery timestamp here.
+        // The trace lists rows in the merged dispatch order, which must
+        // be the global time order: a barrier merge that interleaved two
+        // shards' windows wrongly would show as a decreasing delivery
+        // timestamp here. (A shard outrunning an arrival trips the
+        // executor's own debug assertion.)
         let mut last_dispatch = f64::NEG_INFINITY;
-        for &(from, to, sent, delivered) in &log.deliveries {
+        for row in deliveries {
+            let (from, to) = (row.values[0] as usize, row.node.index());
+            let (sent, delivered) = (row.values[1], row.t.as_secs());
             prop_assert!(
                 delivered >= last_dispatch,
                 "dispatch went backwards: {from}->{to} delivered at \

@@ -96,10 +96,7 @@ fn quads() -> Partition {
 
 /// Every scheduler axis the neutrality claim is checked on.
 fn axes() -> Vec<(String, SchedulerKind)> {
-    let mut axes = vec![
-        ("global".to_string(), SchedulerKind::Global),
-        ("sharded/quads".to_string(), SchedulerKind::Sharded(quads())),
-    ];
+    let mut axes = vec![("global".to_string(), SchedulerKind::Global)];
     for workers in [1usize, 2, 4, 0] {
         axes.push((
             format!("parallel/quads/w{workers}"),
@@ -146,7 +143,7 @@ fn deterministic_counters_are_identical_across_schedulers_and_workers() {
     let mut parallel_reports = Vec::new();
     for (label, scheduler) in axes().into_iter().skip(1) {
         let report = run(scheduler, true).2;
-        // Partition-independent counters match the global heap exactly.
+        // Partition-independent counters match the global queue exactly.
         assert_eq!(
             report.deterministic.events, reference.deterministic.events,
             "{label}: events diverged"
@@ -171,9 +168,7 @@ fn deterministic_counters_are_identical_across_schedulers_and_workers() {
             report.deterministic.messages_delivered, reference.deterministic.messages_delivered,
             "{label}: messages_delivered diverged"
         );
-        if label.starts_with("parallel") {
-            parallel_reports.push((label, report));
-        }
+        parallel_reports.push((label, report));
     }
 
     // The full deterministic block — including windows, planned
