@@ -9,8 +9,9 @@
 //! ```
 //!
 //! Spec files (`experiments/*.spec`) either name an `analysis` —
-//! dispatching into the figure/table/ablation code the legacy binaries
-//! wrap — or describe a plain scenario, which runs **streaming**:
+//! dispatching into the figure/table/ablation code in
+//! `ftgcs_bench::exp` — or describe a plain scenario, which runs
+//! **streaming**:
 //! samples and rows flow through bounded-memory observers into
 //! `results/*.csv`, never materializing a full trace.
 //!

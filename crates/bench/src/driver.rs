@@ -1,17 +1,14 @@
 //! The `xp` experiment driver: one code path for every experiment.
 //!
 //! An experiment is a text file under `experiments/` (see
-//! [`crate::spec::SpecFile`]). Three entry points share this module:
+//! [`crate::spec::SpecFile`]). Two entry points share this module:
 //!
-//! * `xp run <file>` — [`run_file`];
-//! * `xp sweep <file> key=v1,v2 …` — [`sweep_file`] (add `--parallel`
-//!   and the cells run as `xp run-cell` child processes through
-//!   [`ftgcs_serve`]'s bounded job pool, with a content-addressed
-//!   result cache — stdout stays byte-identical to the in-process
-//!   sweep);
-//! * the legacy `{a,f,t}*` binaries, each of which `include_str!`s its
-//!   checked-in spec and calls [`run_text`] — so the legacy CSVs and
-//!   the `xp`-driven ones are byte-identical by construction.
+//! * `xp run <file>` — [`run_file_with`];
+//! * `xp sweep <file> key=v1,v2 …` — [`sweep_file_with`] (add
+//!   `--parallel` and the cells run as `xp run-cell` child processes
+//!   through [`ftgcs_serve`]'s bounded job pool, with a
+//!   content-addressed result cache — stdout stays byte-identical to
+//!   the in-process sweep).
 //!
 //! [`run_cell_cmd`] is the child half of the multi-process executor and
 //! [`serve_cmd`] is the `xp serve` results service; both reuse the same
@@ -61,32 +58,13 @@ pub struct RunOptions {
 ///
 /// Returns a human-readable message if the file cannot be read, parsed,
 /// or executed.
-pub fn run_file(path: &Path) -> Result<(), String> {
-    run_file_with(path, &RunOptions::default())
-}
-
-/// [`run_file`] with explicit [`RunOptions`].
-///
-/// # Errors
-///
-/// Returns a human-readable message if the file cannot be read, parsed,
-/// or executed.
 pub fn run_file_with(path: &Path, opts: &RunOptions) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     run_text_with(&path.display().to_string(), &text, opts)
 }
 
 /// Runs one experiment from its text form. `label` names the source in
-/// diagnostics (a path for `xp`, the spec name for wrapper binaries).
-///
-/// # Errors
-///
-/// Returns a human-readable message on parse or execution failure.
-pub fn run_text(label: &str, text: &str) -> Result<(), String> {
-    run_text_with(label, text, &RunOptions::default())
-}
-
-/// [`run_text`] with explicit [`RunOptions`].
+/// diagnostics (the path for `xp run`, `run-cell` for a child).
 ///
 /// # Errors
 ///
@@ -404,15 +382,7 @@ fn parse_row_tsv(line: &str) -> Result<(f64, u64, Vec<String>), String> {
 /// samples CSV — a sweep's product is its summary), and writes one row
 /// per cell to `results/<name>_sweep.csv`.
 ///
-/// # Errors
-///
-/// Returns a human-readable message on the first cell that fails.
-pub fn sweep_file(path: &Path, axes: &[SweepAxis]) -> Result<(), String> {
-    sweep_file_with(path, axes, &SweepOptions::default())
-}
-
-/// [`sweep_file`] with explicit [`SweepOptions`]. With
-/// `opts.parallel`, cells run as `xp run-cell --row` children over the
+/// With `opts.parallel`, cells run as `xp run-cell --row` children over the
 /// bounded job pool: every cell is expanded and canonicalized up
 /// front, results are delivered (and printed) in cell order, crashed
 /// children are retried (byte-identical by determinism), and finished
@@ -767,12 +737,17 @@ mod tests {
 
     #[test]
     fn run_text_rejects_unknown_analysis() {
-        let err = run_text("x", "name x\ntopology line 2\nanalysis bogus\n").unwrap_err();
+        let err = run_text_with(
+            "x",
+            "name x\ntopology line 2\nanalysis bogus\n",
+            &RunOptions::default(),
+        )
+        .unwrap_err();
         assert!(err.contains("unknown analysis"), "{err}");
     }
 
     #[test]
     fn run_text_rejects_bad_specs() {
-        assert!(run_text("x", "topology line 2\n").is_err());
+        assert!(run_text_with("x", "topology line 2\n", &RunOptions::default()).is_err());
     }
 }

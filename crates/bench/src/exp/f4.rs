@@ -126,8 +126,8 @@ fn run_lifecycle_cell(params: &Params, seed: u64, windows: &[FaultWindow]) -> (f
 
 /// Runs the analysis (spec: environment, seed base — cell `i` at
 /// `seed + i`, lifecycle rows at `seed + 50 + 10f + j`, the over-budget
-/// row at `seed + 899`, matching the legacy binary's `100 + i` / `999`
-/// layout at the default base 100).
+/// row at `seed + 899`: `100 + i` / `999` at the checked-in spec's
+/// base 100).
 pub fn run(spec: &SpecFile) {
     println!("F4: attack strategy x fault budget matrix\n");
     let mut table = Table::new(&[

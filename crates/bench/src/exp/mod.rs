@@ -1,17 +1,8 @@
 //! The figure, table, and ablation analyses of the reproduction.
 //!
-//! Each submodule holds the body of one paper artifact regeneration —
-//! the code that used to live in a dedicated `src/bin/{a,f,t}*.rs`
-//! binary. Both entry points now share it:
-//!
-//! * the **`xp` driver** dispatches here when a spec file names an
-//!   `analysis`;
-//! * the **legacy binaries** are thin wrappers that feed their
-//!   checked-in `experiments/<name>.spec` through the same driver.
-//!
-//! Byte-identical CSVs between `xp run experiments/<name>.spec` and the
-//! legacy binary are therefore structural: there is exactly one code
-//! path.
+//! Each submodule holds the body of one paper artifact regeneration.
+//! The `xp` driver dispatches here when a spec file names an
+//! `analysis`; `xp run experiments/<name>.spec` is the one way in.
 //!
 //! Every analysis takes the parsed [`SpecFile`] and reads its
 //! environment `(ρ, d, U)`, base seed, and (where the analysis runs a
@@ -42,8 +33,8 @@ pub mod t6;
 /// An analysis entry point.
 pub type Analysis = fn(&SpecFile);
 
-/// Name → analysis registry (the names match the legacy binaries and
-/// the output CSVs).
+/// Name → analysis registry (the names match the spec files and the
+/// output CSVs).
 pub const ANALYSES: &[(&str, Analysis)] = &[
     ("a1_mode_policy_ablation", a1::run),
     ("a2_slack_ablation", a2::run),

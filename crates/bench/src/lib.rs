@@ -4,11 +4,11 @@
 //! ([`spec::SpecFile`]): the unified `xp` binary executes them
 //! (`xp run`, `xp sweep`, `xp list` — see [`driver`]), dispatching
 //! either into one of the figure/table/ablation analyses in [`exp`] or
-//! into the default streaming runner. The fifteen legacy
-//! `src/bin/{a,f,t}*.rs` binaries are thin wrappers that feed their
-//! checked-in spec through the same driver, so both entry points emit
-//! byte-identical CSVs. `EXPERIMENTS.md` at the repository root indexes
-//! everything. This module itself holds the pieces the analyses share:
+//! into the default streaming runner. `xp` is the crate's only binary:
+//! `xp run experiments/<name>.spec` is how every figure, table and
+//! ablation is regenerated. `EXPERIMENTS.md` at the repository root
+//! indexes everything. This module itself holds the pieces the analyses
+//! share:
 //! the adversarial clock-rate schedule, the standard post-warmup skew
 //! measurement, and CSV output.
 
@@ -120,8 +120,8 @@ pub fn results_dir() -> PathBuf {
 ///
 /// # Panics
 ///
-/// Panics on I/O errors (experiment binaries have no error channel more
-/// useful than aborting).
+/// Panics on I/O errors (an analysis has no error channel more useful
+/// than aborting).
 pub fn emit_table(name: &str, table: &Table) {
     println!("{}", table.render());
     let path = results_dir().join(format!("{name}.csv"));

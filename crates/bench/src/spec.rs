@@ -5,8 +5,7 @@
 //! extended with driver-only keys the core format does not know about:
 //!
 //! * `analysis <name>` — run the named figure/table analysis from
-//!   [`crate::exp`] (the code the legacy `{a,f,t}*` binaries wrap)
-//!   instead of the default streaming run;
+//!   [`crate::exp`] instead of the default streaming run;
 //! * `csv_stride <n>` — decimation factor of the streaming samples CSV
 //!   (default 1 = every sample).
 //!

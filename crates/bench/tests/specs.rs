@@ -155,11 +155,9 @@ fn cache_keys_are_canonical_and_sensitive() {
 }
 
 #[test]
-fn every_legacy_binary_has_its_spec_checked_in() {
-    // The wrapper binaries include_str! these paths at compile time, so
-    // a rename that misses one side fails the build — this test instead
-    // guards the inverse: every analysis in the registry has a spec
-    // file driving it.
+fn every_registered_analysis_has_a_spec_checked_in() {
+    // A spec is the only way to reach an analysis (`xp run`), so one
+    // without a checked-in spec is unreachable code.
     let specs = checked_in_specs();
     for &(name, _) in exp::ANALYSES {
         assert!(

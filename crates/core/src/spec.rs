@@ -11,9 +11,7 @@
 //! `tests/spec_roundtrip.rs`).
 //!
 //! Spec files are the unit of experiment exchange: the `xp` driver in
-//! `ftgcs-bench` executes the files checked in under `experiments/`,
-//! and every legacy figure/table binary is a thin wrapper around one of
-//! them.
+//! `ftgcs-bench` executes the files checked in under `experiments/`.
 //!
 //! # Format
 //!

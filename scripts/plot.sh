@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Regenerate the paper-style figures F1-F5 from the CSVs the `xp`
-# driver (or the legacy wrapper binaries) wrote into results/.
+# driver wrote into results/.
 #
 #   ./scripts/plot.sh            # all figures whose CSV exists
 #   ./scripts/plot.sh f1 f3      # just these
