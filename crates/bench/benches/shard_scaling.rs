@@ -160,7 +160,7 @@ fn cluster_second_once(params: &Params, scheduler: SchedulerKind) -> u64 {
 fn bench_free_run_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("shard_scaling_free_run");
     group.sample_size(10);
-    group.bench_function(BenchmarkId::from_parameter(1), |b| {
+    group.bench_function("1", |b| {
         b.iter(|| black_box(free_run_once(SchedulerKind::Global)));
     });
     group.finish();
@@ -181,7 +181,7 @@ fn bench_cluster_second_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("shard_scaling_cluster_second");
     group.sample_size(10);
     let params = Params::practical(1e-4, 1e-3, 1e-4, 1).expect("feasible");
-    group.bench_function(BenchmarkId::from_parameter(1), |b| {
+    group.bench_function("1", |b| {
         b.iter(|| black_box(cluster_second_once(&params, SchedulerKind::Global)));
     });
     group.finish();

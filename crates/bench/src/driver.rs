@@ -382,8 +382,8 @@ fn parse_row_tsv(line: &str) -> Result<(f64, u64, Vec<String>), String> {
 /// samples CSV — a sweep's product is its summary), and writes one row
 /// per cell to `results/<name>_sweep.csv`.
 ///
-/// With `opts.parallel`, cells run as `xp run-cell --row` children over the
-/// bounded job pool: every cell is expanded and canonicalized up
+/// With `opts.parallel`, cells run as `xp run-cell --row` children over
+/// the bounded job pool: every cell is expanded and canonicalized up
 /// front, results are delivered (and printed) in cell order, crashed
 /// children are retried (byte-identical by determinism), and finished
 /// rows are kept in the content-addressed cache so a repeated sweep

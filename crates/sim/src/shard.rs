@@ -1027,17 +1027,23 @@ mod tests {
         assert_eq!(q.pop_before(t(5.0)), Some((t(5.0), ())));
     }
 
-    #[test]
-    fn burst_is_sorted_not_sifted_and_fast_path_covers_it() {
+    /// An empty queue warmed up to a real bucket width (a new queue
+    /// starts as a plain heap): pushes behind the current day (the late
+    /// tier) and ahead of it (the rings) are then different paths.
+    fn warmed_up<T: Copy>(filler: T) -> EventQueue<T> {
         let mut q = EventQueue::new();
-        // Warm the queue up to a real bucket width (a new queue starts
-        // as a plain heap).
         for i in 0..2 * EPOCH {
-            q.push(t(1e-3 * f64::from(i)), 0);
+            q.push(t(1e-3 * f64::from(i)), filler);
         }
         while q.pop_before(t(f64::MAX)).is_some() {}
+        assert!(q.stats().rewidths >= 1, "2048 pops must have set a width");
+        q
+    }
+
+    #[test]
+    fn burst_is_sorted_not_sifted_and_fast_path_covers_it() {
+        let mut q = warmed_up(0);
         let before = q.stats();
-        assert!(before.rewidths >= 1, "2048 pops must have set a width");
         // A burst of 16 events (a pulse fan-out): 16 appends ahead of
         // the current day, none through the heap tier.
         for i in 0..16 {
@@ -1052,14 +1058,7 @@ mod tests {
 
     #[test]
     fn late_and_ring_pushes_interleave_correctly() {
-        let mut q = EventQueue::new();
-        // Warm up as above, so pushes behind the current day (the late
-        // tier) and ahead of it (the rings) are different paths.
-        for i in 0..2 * EPOCH {
-            q.push(t(1e-3 * f64::from(i)), "warm-up");
-        }
-        while q.pop_before(t(f64::MAX)).is_some() {}
-        assert!(q.stats().rewidths >= 1);
+        let mut q = warmed_up("warm-up");
         q.push(t(4.0), "last");
         q.push(t(3.0), "second");
         assert_eq!(q.pop_before(t(10.0)).unwrap().1, "second");
