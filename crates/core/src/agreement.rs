@@ -45,11 +45,21 @@ pub struct Midpoint {
 /// assert_eq!(m.bounds, (0.0, 1.0));
 /// ```
 pub fn trimmed_midpoint(observations: &[f64], f: usize) -> Result<Midpoint, MidpointError> {
+    trimmed_midpoint_mut(&mut observations.to_vec(), f)
+}
+
+/// [`trimmed_midpoint`] on a buffer the caller gives up: sorts
+/// `observations` in place instead of copying them, so ClusterSync,
+/// which has no further use for its round's multiset, allocates nothing.
+pub(crate) fn trimmed_midpoint_mut(
+    observations: &mut [f64],
+    f: usize,
+) -> Result<Midpoint, MidpointError> {
     let n = observations.len();
     if n < 2 * f + 1 {
         return Err(MidpointError::TooFewObservations { n, f });
     }
-    let mut sorted: Vec<f64> = observations.to_vec();
+    let sorted = observations;
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("observations must not be NaN"));
     let lo = sorted[f]; // S^(f+1), 1-indexed
     let hi = sorted[n - 1 - f]; // S^(n-f)
@@ -159,6 +169,37 @@ mod tests {
             MidpointError::TooFewObservations { n: 2, f: 1 }
         ));
         assert!(err.to_string().contains("2f+1"));
+    }
+
+    proptest::proptest! {
+        /// The copying entry point and the in-place one agree bit for
+        /// bit — missing entries, repeated values, error cases and
+        /// all — and the former leaves its input alone.
+        #[test]
+        fn in_place_and_copying_midpoints_are_bit_equal(
+            raw in proptest::collection::vec((0u8..8, -1e3f64..1e3), 0..30),
+            f in 0usize..9,
+        ) {
+            let observations: Vec<f64> = raw
+                .iter()
+                .map(|&(kind, x)| match kind {
+                    0 => f64::INFINITY,
+                    1 => x.round(), // collisions, and both zeros
+                    _ => x,
+                })
+                .collect();
+            let bits = |m: Result<Midpoint, MidpointError>| {
+                m.map(|m| (m.delta.to_bits(), m.bounds.0.to_bits(), m.bounds.1.to_bits()))
+            };
+            let before = observations.clone();
+            let copied = bits(trimmed_midpoint(&observations, f));
+            proptest::prop_assert_eq!(
+                observations.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                before.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            );
+            let mut scratch = before;
+            proptest::prop_assert_eq!(bits(trimmed_midpoint_mut(&mut scratch, f)), copied);
+        }
     }
 
     #[test]

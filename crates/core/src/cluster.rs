@@ -29,7 +29,7 @@ use ftgcs_sim::node::{NodeId, TimerTag, TrackId};
 use ftgcs_sim::shard::Partition;
 use ftgcs_topology::ClusterGraph;
 
-use crate::agreement::trimmed_midpoint;
+use crate::agreement::trimmed_midpoint_mut;
 use crate::messages::Msg;
 use crate::params::Params;
 
@@ -127,7 +127,10 @@ pub struct ClusterInstance {
     /// Current round, 1-indexed.
     round: u64,
     phase: Phase,
-    /// Per-slot receive logical time for the current round (`∞` missing).
+    /// Per-slot receive logical time for the current round (`∞` missing)
+    /// — until `compute_correction` turns it, in place, into the round's
+    /// sorted offset multiset: from then on pulses go to `pending`, and
+    /// nothing reads `current` before `advance_round` resets it.
     current: Vec<f64>,
     /// Early arrivals for the next round.
     pending: Vec<f64>,
@@ -384,23 +387,22 @@ impl ClusterInstance {
         };
         // Multiset S_v of offsets tau_wv = L(t_wv) - L(t_vv); missing
         // pulses become +inf and are trimmed if within the fault budget.
-        let mut observations: Vec<f64> = self
-            .current
-            .iter()
-            .map(|&l| {
-                if l.is_finite() {
-                    l - own
-                } else {
-                    f64::INFINITY
-                }
-            })
-            .collect();
+        // Built where the receive times were (see `current`): no copy,
+        // no allocation.
+        let observations = &mut self.current;
+        for l in observations.iter_mut() {
+            *l = if l.is_finite() {
+                *l - own
+            } else {
+                f64::INFINITY
+            };
+        }
         if self.silent {
             // The estimator participates as a (k+1)-th virtual member.
             observations.push(0.0);
         }
         let missing = observations.iter().filter(|x| !x.is_finite()).count();
-        let delta = match trimmed_midpoint(&observations, p.f) {
+        let delta = match trimmed_midpoint_mut(observations, p.f) {
             Ok(m) => m.delta,
             Err(_) => {
                 // More than f missing: improper execution. Apply no
@@ -443,7 +445,8 @@ impl ClusterInstance {
         self.phase = Phase::Listening;
         // Pulses that arrived during phase 3 belong to the new round.
         std::mem::swap(&mut self.current, &mut self.pending);
-        self.pending.iter_mut().for_each(|x| *x = f64::INFINITY);
+        self.pending.clear();
+        self.pending.resize(self.observed.len(), f64::INFINITY);
         self.own_virtual = self.own_virtual_pending;
         self.own_virtual_pending = f64::INFINITY;
         self.apply_listen_multiplier(ctx);

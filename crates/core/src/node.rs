@@ -69,6 +69,9 @@ pub struct FtGcsNode {
     cfg: NodeConfig,
     own: ClusterInstance,
     estimators: Vec<ClusterInstance>,
+    /// The estimators' track values at the last round boundary: the
+    /// buffer `choose_mode` refills each round.
+    estimates: Vec<f64>,
     max_est: Option<MaxEstimator>,
     mode: Mode,
 }
@@ -97,6 +100,7 @@ impl FtGcsNode {
         FtGcsNode {
             own,
             estimators: Vec::new(),
+            estimates: Vec::new(),
             max_est: None,
             mode: Mode::Slow,
             cfg,
@@ -126,12 +130,10 @@ impl FtGcsNode {
     fn choose_mode(&mut self, ctx: &mut Ctx<'_, Msg>, new_round: u64) {
         let p = &self.cfg.params;
         let own_l = ctx.track_value(TrackId::MAIN);
-        let estimates: Vec<f64> = self
-            .estimators
-            .iter()
-            .map(|e| ctx.track_value(e.track()))
-            .collect();
-        let outcome = evaluate(own_l, &estimates, p.kappa, p.delta);
+        self.estimates.clear();
+        self.estimates
+            .extend(self.estimators.iter().map(|e| ctx.track_value(e.track())));
+        let outcome = evaluate(own_l, &self.estimates, p.kappa, p.delta);
         // Keep M_v >= L_v before it is consulted.
         let max_value = if let Some(est) = &mut self.max_est {
             est.observe_own_clock(ctx, own_l);

@@ -27,7 +27,8 @@ use crate::messages::Msg;
 use crate::node::{FtGcsNode, NodeConfig};
 use crate::params::Params;
 use crate::spec::{
-    check_churn, check_window, DurationSpec, SampleSpec, SchedulerSpec, SpecError, TopologySpec,
+    check_churn, check_sample_spacing, check_window, DurationSpec, SampleSpec, SchedulerSpec,
+    SpecError, TopologySpec,
 };
 use crate::triggers::ModePolicy;
 
@@ -158,6 +159,7 @@ impl Scenario {
             return Err(SpecError::new("duration must be finite and non-negative"));
         }
         let params = spec.params()?;
+        spec.topology.check(0)?;
         let cg = ClusterGraph::new(spec.topology.build(), spec.cluster_size, spec.f);
         let nodes = cg.physical().node_count();
         let clusters = cg.cluster_count();
@@ -224,6 +226,7 @@ impl Scenario {
                         "sample_interval must be positive and finite",
                     ));
                 }
+                check_sample_spacing(secs, spec.duration.resolve(&scenario.params), 0)?;
                 scenario.sample_interval(Some(SimDuration::from_secs(secs)));
             }
         }

@@ -140,6 +140,27 @@ impl TopologySpec {
         }
     }
 
+    /// The generator's precondition, as a [`SpecError`] at `line` with
+    /// the sentence of the generator's own `assert!` — which stays, as
+    /// the guard of a direct library call.
+    pub(crate) fn check(&self, line: usize) -> Result<(), SpecError> {
+        let (ok, needs) = match *self {
+            TopologySpec::Line(n) => (n >= 1, "line needs at least one vertex"),
+            TopologySpec::Ring(n) => (n >= 3, "ring needs at least three vertices"),
+            TopologySpec::Star(n) => (n >= 2, "star needs at least two vertices"),
+            TopologySpec::Complete(n) => (n >= 1, "complete graph needs at least one vertex"),
+            TopologySpec::Grid(r, c) => (r >= 1 && c >= 1, "grid needs positive dimensions"),
+            TopologySpec::Torus(r, c) => (r >= 3 && c >= 3, "torus needs dimensions >= 3"),
+            TopologySpec::Hypercube(d) => (d >= 1, "hypercube needs dimension >= 1"),
+            TopologySpec::Tree(a, _) => (a >= 1, "tree arity must be >= 1"),
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(SpecError::at(line, needs))
+        }
+    }
+
     fn print(&self) -> String {
         match *self {
             TopologySpec::Line(n) => format!("line {n}"),
@@ -168,7 +189,7 @@ impl TopologySpec {
             }
         };
         let num = |i: usize| parse_num::<usize>(args[i], line);
-        Ok(match kind {
+        let topology = match kind {
             "line" => {
                 want(1)?;
                 TopologySpec::Line(num(1)?)
@@ -204,7 +225,9 @@ impl TopologySpec {
             other => {
                 return Err(SpecError::at(line, format!("unknown topology {other:?}")));
             }
-        })
+        };
+        topology.check(line)?;
+        Ok(topology)
     }
 }
 
@@ -474,6 +497,7 @@ impl ScenarioSpec {
         let mut name: Option<String> = None;
         let mut topology: Option<TopologySpec> = None;
         let mut cluster_size: Option<usize> = None;
+        let mut sample_line = 0;
         let mut spec = ScenarioSpec::new("", TopologySpec::Line(1), 0);
         for (idx, raw) in text.lines().enumerate() {
             let lineno = idx + 1;
@@ -528,6 +552,7 @@ impl ScenarioSpec {
                 "delay" => spec.delay = parse_delay(one("distribution")?, lineno)?,
                 "rate_model" => spec.rate_model = parse_rate_model(args, lineno)?,
                 "sample_interval" => {
+                    sample_line = lineno;
                     spec.sample_interval = match one("value")? {
                         "half_round" => SampleSpec::HalfRound,
                         "none" => SampleSpec::Off,
@@ -713,6 +738,12 @@ impl ScenarioSpec {
                 3 * spec.f + 1
             )));
         }
+        // Against the horizon, which lines after `sample_interval` may
+        // still have moved. (An infeasible `env` is `from_spec`'s to
+        // report.)
+        if let (SampleSpec::Secs(secs), Ok(params)) = (spec.sample_interval, spec.params()) {
+            check_sample_spacing(secs, spec.duration.resolve(&params), sample_line)?;
+        }
         Ok(spec)
     }
 }
@@ -726,6 +757,25 @@ impl ScenarioSpec {
 /// [`Scenario::from_spec`]: crate::runner::Scenario::from_spec
 pub(crate) fn name_is_canonical(name: &str) -> bool {
     !name.is_empty() && !name.contains(char::is_whitespace) && !name.contains('#')
+}
+
+/// Rejects a sample interval so small that f64 cannot add it to the
+/// time at the horizon: it passes "positive and finite", and the sample
+/// chain then never gets there (`sample_interval 1e-300`). Shared by the
+/// parser (with the line) and [`Scenario::from_spec`] (line 0).
+///
+/// [`Scenario::from_spec`]: crate::runner::Scenario::from_spec
+pub(crate) fn check_sample_spacing(secs: f64, horizon: f64, line: usize) -> Result<(), SpecError> {
+    if horizon + secs == horizon {
+        return Err(SpecError::at(
+            line,
+            format!(
+                "sample_interval {secs:e} is below the f64 spacing at the horizon \
+                 ({horizon} s): sampling would never get there"
+            ),
+        ));
+    }
+    Ok(())
 }
 
 /// Validates one fault window: finite bounds, `from ≥ 0`, `to > from`.

@@ -31,8 +31,8 @@ fn pick_topology(kind: u64, a: usize, b: usize) -> TopologySpec {
         2 => TopologySpec::Star(a + 1),
         3 => TopologySpec::Complete(a),
         4 => TopologySpec::Grid(a, b),
-        5 => TopologySpec::Torus(a + 1, b + 1),
-        6 => TopologySpec::Hypercube((a % 5) as u32),
+        5 => TopologySpec::Torus(a + 2, b + 2),
+        6 => TopologySpec::Hypercube((1 + a % 5) as u32),
         _ => TopologySpec::Tree(a.clamp(2, 3), b % 4),
     }
 }
@@ -294,6 +294,79 @@ fn from_spec_rejects_degenerate_sampling_durations_and_names() {
     assert!(Scenario::from_spec(&spec).is_err());
     let spec = ScenarioSpec::new("has#hash", TopologySpec::Line(2), 1);
     assert!(Scenario::from_spec(&spec).is_err());
+}
+
+#[test]
+fn degenerate_topologies_are_line_numbered_errors_not_generator_panics() {
+    // Every spelling a generator's `assert!` turns away: the parser
+    // says the same sentence, with the line; the assert stays for the
+    // library caller.
+    use TopologySpec::{Complete, Grid, Hypercube, Line, Ring, Star, Torus, Tree};
+    for (spelling, topology) in [
+        ("line 0", Line(0)),
+        ("ring 0", Ring(0)),
+        ("ring 1", Ring(1)),
+        ("ring 2", Ring(2)),
+        ("star 0", Star(0)),
+        ("star 1", Star(1)),
+        ("complete 0", Complete(0)),
+        ("grid 0 3", Grid(0, 3)),
+        ("grid 3 0", Grid(3, 0)),
+        ("torus 2 3", Torus(2, 3)),
+        ("torus 3 2", Torus(3, 2)),
+        ("torus 0 0", Torus(0, 0)),
+        ("hypercube 0", Hypercube(0)),
+        ("tree 0 2", Tree(0, 2)),
+    ] {
+        let err = ScenarioSpec::parse(&format!("name x\ntopology {spelling}\nf 1\n")).unwrap_err();
+        assert_eq!(err.line, 2, "{spelling}: {err}");
+        // A spec built in code gets the sentence too (no line to name)…
+        let built = Scenario::from_spec(&ScenarioSpec::new("x", topology, 1)).unwrap_err();
+        assert_eq!((built.line, &built.msg), (0, &err.msg), "{spelling}");
+        // …and it is the generator's own.
+        let panic = std::panic::catch_unwind(move || topology.build()).unwrap_err();
+        let said = panic
+            .downcast_ref::<&str>()
+            .expect("a literal assert message");
+        assert_eq!(*said, err.msg, "{spelling}");
+    }
+    // The smallest graphs each family does have still run.
+    for spelling in [
+        "line 1",
+        "ring 3",
+        "star 2",
+        "complete 1",
+        "grid 1 1",
+        "torus 3 3",
+    ] {
+        let text = format!("name x\ntopology {spelling}\nf 1\nduration 2 rounds\n");
+        let spec = ScenarioSpec::parse(&text).unwrap();
+        let scenario = Scenario::from_spec(&spec).unwrap();
+        let run = scenario.run_for(spec.duration.resolve(scenario.params()));
+        assert!(run.stats.messages > 0, "{spelling}");
+    }
+}
+
+#[test]
+fn a_sample_interval_below_the_f64_spacing_is_an_error_not_a_hang() {
+    // `1e-300` is positive and finite; from t = 0 the sample chain would
+    // need 10^297 steps to reach the first message.
+    let text = |interval: &str| {
+        format!("name x\ntopology line 2\nf 1\nsample_interval {interval}\nduration 2 rounds\n")
+    };
+    let err = ScenarioSpec::parse(&text("1e-300")).unwrap_err();
+    assert_eq!(err.line, 4, "{err}");
+    assert!(err.msg.contains("below the f64 spacing"), "{err}");
+    // Set in code, `from_spec` turns it away.
+    let mut spec = ScenarioSpec::parse(&text("1e-6")).unwrap();
+    spec.sample_interval = SampleSpec::Secs(1e-300);
+    let err = Scenario::from_spec(&spec).unwrap_err();
+    assert!(err.msg.contains("below the f64 spacing"), "{err}");
+    // A microsecond is a lot of samples and a valid request.
+    let spec = ScenarioSpec::parse(&text("1e-6")).unwrap();
+    let scenario = Scenario::from_spec(&spec).unwrap();
+    let run = scenario.run_for(spec.duration.resolve(scenario.params()));
+    assert!(run.trace.samples.len() > 100_000);
 }
 
 #[test]

@@ -25,6 +25,11 @@
 //! creates with its own monotone counter, which is a deterministic
 //! function of the node's observed event sequence and therefore
 //! independent of how shards raced across threads.
+//!
+//! Both dispatch loops (the serial one here, a parallel window's in
+//! [`crate::par`]) have the pop and `run_event` inlined into them, and
+//! `QueueKind::push` builds an event inside the arm that stores it: an
+//! event is copied once into the queue and once out (see [`crate::shard`]).
 
 use crate::clock::{HardwareClock, RateModel};
 use crate::network::{DelayConfig, DelayDistribution};
@@ -33,8 +38,8 @@ use crate::observe::Observer;
 use crate::par::ParQueue;
 use crate::rng::SimRng;
 use crate::shard::{
-    resolve_workers, tie_for_engine, tie_for_node, Entry, EventQueue, Key, QueueStats,
-    SchedulerKind, Shard,
+    resolve_workers, tie_for_engine, tie_for_node, EventQueue, Key, QueueStats, SchedulerKind,
+    Shard,
 };
 use crate::telemetry::{Phase, Telemetry, TelemetryReport};
 use crate::time::{SimDuration, SimTime};
@@ -384,7 +389,7 @@ pub(crate) enum QueueKind<'a, M> {
         /// The shard currently being advanced.
         local: &'a mut Shard<Pending<M>>,
         /// Per-destination-shard batches of cross-shard sends.
-        outbox: &'a mut [Vec<Entry<Pending<M>>>],
+        outbox: &'a mut [Vec<(Key, Pending<M>)>],
         /// Node → shard map.
         shard_of: &'a [u32],
         /// Index of `local` among the shards.
@@ -393,30 +398,32 @@ pub(crate) enum QueueKind<'a, M> {
 }
 
 impl<M> QueueKind<'_, M> {
-    fn push(&mut self, dst: NodeId, time: SimTime, tie: u128, payload: Pending<M>) {
+    /// Queues the event `make` builds for node `dst`. Each arm calls
+    /// `make` where it stores the result, so the event is built in
+    /// place: as an argument, the one out-of-line arm would make every
+    /// caller stage it on the stack first.
+    #[inline(always)]
+    fn push(&mut self, dst: NodeId, time: SimTime, tie: u128, make: impl FnOnce() -> Pending<M>) {
+        let key = Key { time, tie };
         match self {
-            QueueKind::Serial(q) => q.push_keyed(time, tie, payload),
-            QueueKind::Boot(pq) => pq.push(dst, time, tie, payload),
+            QueueKind::Serial(q) => q.push_keyed(time, tie, make()),
+            QueueKind::Boot(pq) => pq.push(dst, key, make()),
             QueueKind::Worker {
                 local,
                 outbox,
                 shard_of,
                 my_shard,
             } => {
-                let entry = Entry {
-                    key: Key { time, tie },
-                    payload,
-                };
                 let shard = shard_of[dst.index()];
                 if shard == *my_shard {
-                    local.push(entry);
+                    local.push(key, make());
                 } else {
                     // Cross-shard: batch in the worker's outbox; the
                     // whole window's batch is delivered to the
                     // destination inbox under one lock at the barrier.
                     // The lookahead floor keeps the arrival outside the
                     // current window, so deferred delivery is invisible.
-                    outbox[shard as usize].push(entry);
+                    outbox[shard as usize].push((key, make()));
                 }
             }
         }
@@ -565,16 +572,12 @@ impl<M: Clone> Ctx<'_, M> {
                 .when_track_reaches(slot.track, slot.target, self.now)
         };
         let tie = self.state.next_tie(self.node);
-        self.queue.push(
-            self.node,
-            time,
-            tie,
-            Pending::Timer {
-                node: self.node,
-                id,
-                generation: slot.generation,
-            },
-        );
+        let node = self.node;
+        self.queue.push(node, time, tie, || Pending::Timer {
+            node,
+            id,
+            generation: slot.generation,
+        });
     }
 
     /// Schedules [`Behavior::on_timer`] for when `track` reaches `target`.
@@ -720,7 +723,7 @@ impl<M: Clone> Ctx<'_, M> {
         let tie = self.state.next_tie(from);
         self.shared.telemetry.message_queued(from, to);
         self.queue
-            .push(to, time, tie, Pending::Message { from, to, msg });
+            .push(to, time, tie, || Pending::Message { from, to, msg });
     }
 
     /// Sends `msg` to a neighbor; delivery is delayed per the configured
@@ -783,9 +786,39 @@ impl<M: Clone> Ctx<'_, M> {
     }
 }
 
+/// Runs `call` on `cell`'s behavior — taken out meanwhile, so that it
+/// can be handed `&mut self` beside the context — with the [`Ctx`] of
+/// the event `key` on `node`.
+#[inline(always)]
+fn with_ctx<M: Clone>(
+    cell: &mut NodeCell<M>,
+    node: NodeId,
+    shared: &SimShared,
+    queue: QueueKind<'_, M>,
+    rows: RowSink<'_>,
+    key: Key,
+    call: impl FnOnce(&mut dyn Behavior<M>, &mut Ctx<'_, M>),
+) {
+    let mut behavior = cell.behavior.take().expect("behavior present");
+    let mut ctx = Ctx {
+        node,
+        now: key.time,
+        key,
+        state: &mut cell.state,
+        shared,
+        queue,
+        rows,
+    };
+    call(&mut *behavior, &mut ctx);
+    cell.behavior = Some(behavior);
+}
+
 /// Dispatches one popped timer or message event on its owning node.
 /// Samples are engine-global and are handled by the callers directly.
+/// Inlined into both dispatch loops, so the context is put together from
+/// their registers and not from a copy of the arguments.
 #[allow(clippy::too_many_arguments)] // the flat list *is* the dispatch record
+#[inline(always)]
 pub(crate) fn run_event<M: Clone>(
     cell: &mut NodeCell<M>,
     node: NodeId,
@@ -793,7 +826,6 @@ pub(crate) fn run_event<M: Clone>(
     queue: QueueKind<'_, M>,
     rows: RowSink<'_>,
     stats: &mut SimStats,
-    now: SimTime,
     key: Key,
     pending: Pending<M>,
 ) {
@@ -808,68 +840,32 @@ pub(crate) fn run_event<M: Clone>(
             cell.state.retire_fired_timer(id);
             stats.timers += 1;
             shared.telemetry.timer_fired(node);
-            let mut behavior = cell.behavior.take().expect("behavior present");
-            {
-                let mut ctx = Ctx {
-                    node,
-                    now,
-                    key,
-                    state: &mut cell.state,
-                    shared,
-                    queue,
-                    rows,
-                };
-                behavior.on_timer(&mut ctx, slot.tag);
-            }
-            cell.behavior = Some(behavior);
+            with_ctx(cell, node, shared, queue, rows, key, |b, ctx| {
+                b.on_timer(ctx, slot.tag);
+            });
         }
         Pending::Message { from, msg, .. } => {
             stats.messages += 1;
             shared.telemetry.message_delivered(node);
-            let mut behavior = cell.behavior.take().expect("behavior present");
-            {
-                let mut ctx = Ctx {
-                    node,
-                    now,
-                    key,
-                    state: &mut cell.state,
-                    shared,
-                    queue,
-                    rows,
-                };
-                behavior.on_message(&mut ctx, from, &msg);
-            }
-            cell.behavior = Some(behavior);
+            with_ctx(cell, node, shared, queue, rows, key, |b, ctx| {
+                b.on_message(ctx, from, &msg);
+            });
         }
         Pending::Sample => unreachable!("samples are dispatched by the engine loop"),
     }
 }
 
-/// Runs one node's `on_start` (boot phase; always serial).
-fn run_start<M: Clone>(
-    cell: &mut NodeCell<M>,
-    node: NodeId,
-    shared: &SimShared,
-    queue: QueueKind<'_, M>,
-    rows: RowSink<'_>,
-) {
-    let mut behavior = cell.behavior.take().expect("behavior present");
-    {
-        let mut ctx = Ctx {
-            node,
-            now: SimTime::ZERO,
-            key: Key {
-                time: SimTime::ZERO,
-                tie: 0,
-            },
-            state: &mut cell.state,
-            shared,
-            queue,
-            rows,
-        };
-        behavior.on_start(&mut ctx);
-    }
-    cell.behavior = Some(behavior);
+/// When the sample after the one at `time` is due. An interval below
+/// the f64 spacing at `time` would re-arm the chain at the same instant
+/// for ever: that is a panic, not a hang.
+pub(crate) fn next_sample(time: SimTime, interval: SimDuration) -> SimTime {
+    let next = time + interval;
+    assert!(
+        next > time,
+        "sample interval {} s is below the f64 spacing at t = {time}",
+        interval.as_secs()
+    );
+    next
 }
 
 /// Records one engine-global clock sample over all nodes and streams it
@@ -1232,13 +1228,15 @@ impl<M: Clone + Send + 'static> Simulation<M> {
                 EventStore::Serial(q) => QueueKind::Serial(q),
                 EventStore::Parallel(pq) => QueueKind::Boot(pq),
             };
-            run_start(
-                cell,
-                NodeId(i),
-                shared,
-                queue,
-                RowSink::Direct(&mut scratch),
-            );
+            // Boot phase, always serial: every `on_start` at the zero key.
+            let rows = RowSink::Direct(&mut scratch);
+            let key = Key {
+                time: SimTime::ZERO,
+                tie: 0,
+            };
+            with_ctx(cell, NodeId(i), shared, queue, rows, key, |b, ctx| {
+                b.on_start(ctx);
+            });
             for row in scratch.drain(..) {
                 obs.on_row_owned(row);
             }
@@ -1357,7 +1355,7 @@ impl<M: Clone + Send + 'static> Simulation<M> {
                     if let Some(interval) = shared.config.sample_interval {
                         let tie = tie_for_engine(*sample_seq);
                         *sample_seq += 1;
-                        queue.push_keyed(time + interval, tie, Pending::Sample);
+                        queue.push_keyed(next_sample(time, interval), tie, Pending::Sample);
                     }
                 }
                 pending => {
@@ -1370,7 +1368,6 @@ impl<M: Clone + Send + 'static> Simulation<M> {
                         QueueKind::Serial(queue),
                         RowSink::Direct(&mut scratch),
                         stats,
-                        time,
                         key,
                         pending,
                     );

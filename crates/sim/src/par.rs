@@ -83,7 +83,8 @@
 //! inbox into their queue when they next advance. The horizon floor guarantees staged
 //! arrivals never land below the destination's cap, so flush/drain
 //! ordering across workers is irrelevant — and a shard skipped as idle
-//! cannot become due mid-window.
+//! cannot become due mid-window. A window drains its shard through the
+//! serial engine's pop (`Shard::pop_if`), held strictly below the cap.
 //!
 //! The worker count is a pure throughput knob — results are
 //! byte-identical on every count — so it is clamped to the machine's
@@ -115,12 +116,12 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::engine::{
-    run_event, take_sample, EventStore, NodeCell, Pending, QueueKind, RowSink, RunError, SimShared,
-    SimStats, Simulation,
+    next_sample, run_event, take_sample, EventStore, NodeCell, Pending, QueueKind, RowSink,
+    RunError, SimShared, SimStats, Simulation,
 };
 use crate::node::NodeId;
 use crate::observe::Observer;
-use crate::shard::{shard_adjacency, Entry, Key, Partition, Shard};
+use crate::shard::{shard_adjacency, Key, Partition, Shard};
 use crate::telemetry::Phase;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Row;
@@ -197,12 +198,9 @@ impl<M> ParQueue<M> {
 
     /// Serial-phase push (boot / between runs): straight into the owning
     /// shard's queue.
-    pub(crate) fn push(&mut self, dst: NodeId, time: SimTime, tie: u128, payload: Pending<M>) {
+    pub(crate) fn push(&mut self, dst: NodeId, key: Key, payload: Pending<M>) {
         let shard = self.shard_of[dst.index()] as usize;
-        self.shards[shard].push(Entry {
-            key: Key { time, tie },
-            payload,
-        });
+        self.shards[shard].push(key, payload);
     }
 }
 
@@ -221,7 +219,7 @@ impl<M> std::fmt::Debug for ParQueue<M> {
 /// Staged cross-shard arrivals for one shard, with their running
 /// minimum key so barrier head-scans are O(1).
 struct InboxBuf<M> {
-    entries: Vec<Entry<Pending<M>>>,
+    entries: Vec<(Key, Pending<M>)>,
     min: Key,
 }
 
@@ -254,12 +252,10 @@ impl<M> Inbox<M> {
     }
 
     /// Appends one worker's window batch for this shard.
-    fn stage_batch(&self, batch: &mut Vec<Entry<Pending<M>>>) {
+    fn stage_batch(&self, batch: &mut Vec<(Key, Pending<M>)>) {
         let mut buf = self.buf.lock().expect("inbox poisoned");
-        for entry in batch.iter() {
-            if entry.key < buf.min {
-                buf.min = entry.key;
-            }
+        for &(key, _) in batch.iter() {
+            buf.min = buf.min.min(key);
         }
         let min_bits = buf.min.time.as_secs().to_bits();
         buf.entries.append(batch);
@@ -275,8 +271,8 @@ impl<M> Inbox<M> {
         if moved == 0 {
             return 0;
         }
-        for entry in buf.entries.drain(..) {
-            shard.push(entry);
+        for (key, payload) in buf.entries.drain(..) {
+            shard.push(key, payload);
         }
         buf.min = Key::max();
         self.min_time_bits
@@ -792,7 +788,7 @@ impl<M: Clone + Send + 'static> Simulation<M> {
             // the calling thread claims every due shard itself, in an
             // order the claim probe may permute (results are invariant;
             // the property test below pins it).
-            let mut outbox: Vec<Vec<Entry<Pending<M>>>> =
+            let mut outbox: Vec<Vec<(Key, Pending<M>)>> =
                 (0..nshards).map(|_| Vec::new()).collect();
             let mut order: Vec<u32> = (0..nshards as u32).collect();
             let mut window_index = 0u64;
@@ -986,7 +982,7 @@ impl Windows<'_> {
                 // coordinator is the only thread touching node state.
                 take_sample(unsafe { pool.cells.all() }, ts, self.obs);
                 if let Some(interval) = pool.shared.config.sample_interval {
-                    self.pending_samples.push(ts + interval);
+                    self.pending_samples.push(next_sample(ts, interval));
                 }
             }
 
@@ -1167,7 +1163,7 @@ fn shard_due<M>(s: usize, pool: &Pool<'_, M>) -> bool {
 fn try_claim_advance<M: Clone + Send>(
     s: usize,
     pool: Pool<'_, M>,
-    outbox: &mut [Vec<Entry<Pending<M>>>],
+    outbox: &mut [Vec<(Key, Pending<M>)>],
     me: u32,
 ) {
     if !shard_due(s, &pool) {
@@ -1199,7 +1195,7 @@ fn try_claim_advance<M: Clone + Send>(
 /// whole simulation; between `run_until` calls it parks on the gate's
 /// condvar.
 fn worker_loop<M: Clone + Send>(worker: usize, nshards: usize, gate: &Gate, spin_limit: u32) {
-    let mut outbox: Vec<Vec<Entry<Pending<M>>>> = (0..nshards).map(|_| Vec::new()).collect();
+    let mut outbox: Vec<Vec<(Key, Pending<M>)>> = (0..nshards).map(|_| Vec::new()).collect();
     let mut seen = 0u64;
     let me = worker as u32;
     loop {
@@ -1243,7 +1239,7 @@ fn worker_loop<M: Clone + Send>(worker: usize, nshards: usize, gate: &Gate, spin
 
 /// Delivers a window's batched cross-shard sends: one inbox lock per
 /// destination shard instead of one per message.
-fn flush_outbox<M>(outbox: &mut [Vec<Entry<Pending<M>>>], inboxes: &[Inbox<M>]) {
+fn flush_outbox<M>(outbox: &mut [Vec<(Key, Pending<M>)>], inboxes: &[Inbox<M>]) {
     for (dst, batch) in outbox.iter_mut().enumerate() {
         if !batch.is_empty() {
             inboxes[dst].stage_batch(batch);
@@ -1257,7 +1253,7 @@ fn flush_outbox<M>(outbox: &mut [Vec<Entry<Pending<M>>>], inboxes: &[Inbox<M>]) 
 fn advance_shard<M: Clone + Send>(
     s: usize,
     pool: Pool<'_, M>,
-    outbox: &mut [Vec<Entry<Pending<M>>>],
+    outbox: &mut [Vec<(Key, Pending<M>)>],
 ) {
     let cap = pool.cap(s);
     let tel = &pool.shared.telemetry;
@@ -1266,19 +1262,15 @@ fn advance_shard<M: Clone + Send>(
     let task = &mut *task;
     let drained = pool.inboxes[s].drain_into(&mut task.shard);
     tel.inbox_merged(s, drained as u64);
-    loop {
-        let head = task.shard.head_key();
-        if head == Key::max() || head.time >= cap || head.time > pool.until {
-            break;
-        }
-        let entry = task.shard.pop_min().expect("non-empty head implies entry");
-        debug_assert!(entry.key.time >= task.now, "shard time went backwards");
-        task.now = entry.key.time;
+    // Strictly below the cap: an arrival from another shard may still
+    // land exactly on it.
+    let due =
+        |time: SimTime| time.as_secs() < cap.as_secs() && time.as_secs() <= pool.until.as_secs();
+    while let Some((key, pending)) = task.shard.pop_if(due) {
+        debug_assert!(key.time >= task.now, "shard time went backwards");
+        task.now = key.time;
         task.stats.events += 1;
-        let node = entry
-            .payload
-            .owner()
-            .expect("samples never enter shard queues");
+        let node = pending.owner().expect("samples never enter shard queues");
         tel.event_dispatched(node);
         debug_assert_eq!(
             pool.shard_of[node.index()] as usize,
@@ -1302,9 +1294,8 @@ fn advance_shard<M: Clone + Send>(
             },
             RowSink::Buffered(&mut task.rows),
             &mut task.stats,
-            entry.key.time,
-            entry.key,
-            entry.payload,
+            key,
+            pending,
         );
     }
     // Release pairs with the Acquire loads in the coordinator scan and

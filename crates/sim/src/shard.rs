@@ -25,6 +25,14 @@
 //! — `tests/shard_equivalence.rs` pins it byte-for-byte. The delay floor
 //! `d − U` is therefore a *performance* knob (larger floor → longer
 //! windows), never a correctness input.
+//!
+//! An event crosses the queue's boundary once in each direction:
+//! `Shard::push` is inlined up to the expression that builds the
+//! payload, which is so written once, into its slab node, and
+//! `Shard::pop_if`, the only pop, hands it from there to the dispatch
+//! loop it is inlined into. (Every further copy through the stack was a
+//! 16-byte reload of bytes just stored in 8-byte pieces, which the store
+//! buffer cannot forward: EXPERIMENTS.md, "Cost of moving an event".)
 
 use crate::node::NodeId;
 use crate::time::SimTime;
@@ -250,10 +258,35 @@ pub enum SchedulerKind {
 /// `(source, per-source counter)` encoding — the latter is what makes
 /// the dispatch order independent of how events raced across worker
 /// threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Key {
     pub(crate) time: SimTime,
     pub(crate) tie: u128,
+}
+
+/// Written out — two float tests, then the ties — because every bucket
+/// sort, late-tier sift and tier pick pays for it, and the derived chain
+/// goes through `SimTime`'s out-of-line `partial_cmp().expect()`. A
+/// `SimTime` is never NaN, so "neither less nor greater" is "equal".
+impl Ord for Key {
+    #[inline]
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        let (a, b) = (self.time.as_secs(), other.time.as_secs());
+        if a < b {
+            std::cmp::Ordering::Less
+        } else if a > b {
+            std::cmp::Ordering::Greater
+        } else {
+            self.tie.cmp(&other.tie)
+        }
+    }
+}
+
+impl PartialOrd for Key {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl Key {
@@ -277,11 +310,6 @@ pub(crate) fn tie_for_node(node: NodeId, counter: u64) -> u128 {
 /// engine's behaviour of arming the sample chain first.
 pub(crate) fn tie_for_engine(counter: u64) -> u128 {
     u128::from(counter)
-}
-
-pub(crate) struct Entry<T> {
-    pub(crate) key: Key,
-    pub(crate) payload: T,
 }
 
 /// Buckets ("days") in a ring ("year"); a power of two. A shard has
@@ -309,7 +337,7 @@ const WIDTH_EXP_MAX: i32 = 1000;
 
 /// One queued event in the slab. `next` links it into its bucket's list
 /// (or into the free list once `payload` is taken); it sits between the
-/// two key halves so the node adds no padding to an [`Entry`].
+/// two key halves so the node adds no padding to its key and payload.
 struct Node<T> {
     time: SimTime,
     next: u32,
@@ -506,14 +534,15 @@ impl<T> Shard<T> {
         (time.as_secs() * self.inv_width) as u64
     }
 
-    /// Enqueues one event.
-    pub(crate) fn push(&mut self, entry: Entry<T>) {
-        let Key { time, tie } = entry.key;
+    /// Enqueues one event. Inlined all the way up to the expression
+    /// that builds `payload`, which is so written straight into the slab.
+    #[inline(always)]
+    pub(crate) fn push(&mut self, Key { time, tie }: Key, payload: T) {
         let node = Node {
             time,
             next: NIL,
             tie,
-            payload: Some(entry.payload),
+            payload: Some(payload),
         };
         let idx = if self.free == NIL {
             self.nodes.push(node);
@@ -574,20 +603,27 @@ impl<T> Shard<T> {
         }
     }
 
-    /// Pops the earliest event, or `None` when the shard is empty.
-    pub(crate) fn pop_min(&mut self) -> Option<Entry<T>> {
+    /// Pops the earliest event if `due` accepts its time — the caller's
+    /// horizon, inclusive for the serial engine, strict for a parallel
+    /// window. `None`, and nothing moved, if it does not or the shard is
+    /// empty.
+    #[inline]
+    pub(crate) fn pop_if(&mut self, due: impl FnOnce(SimTime) -> bool) -> Option<(Key, T)> {
         self.settle();
-        let from_late = match (self.cur.last(), self.late.first()) {
-            (Some(c), Some(l)) => l.key() < c.key(),
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
+        let (handle, from_late) = match (self.cur.last(), self.late.first()) {
+            (Some(c), Some(l)) if l.key() < c.key() => (*l, true),
+            (Some(c), _) => (*c, false),
+            (None, Some(l)) => (*l, true),
             (None, None) => return None,
         };
-        let handle = if from_late {
-            self.pop_late()
+        if !due(handle.time) {
+            return None;
+        }
+        if from_late {
+            self.pop_late();
         } else {
-            self.cur.pop().expect("checked non-empty")
-        };
+            self.cur.pop();
+        }
         let node = &mut self.nodes[handle.node as usize];
         let payload = node.payload.take().expect("queued node holds a payload");
         node.next = self.free;
@@ -604,15 +640,11 @@ impl<T> Shard<T> {
         if self.pops_left == 0 {
             self.retune();
         }
-        Some(Entry {
-            key: handle.key(),
-            payload,
-        })
+        Some((handle.key(), payload))
     }
 
     /// Removes the root of the `late` heap.
-    fn pop_late(&mut self) -> Handle {
-        let root = self.late[0];
+    fn pop_late(&mut self) {
         let last = self.late.pop().expect("late heap is non-empty");
         let n = self.late.len();
         if n > 0 {
@@ -635,7 +667,6 @@ impl<T> Shard<T> {
             }
             self.late[i] = last;
         }
-        root
     }
 
     /// Makes `cur` or `late` hold the earliest event whenever the shard
@@ -925,11 +956,9 @@ impl<T> EventQueue<T> {
     /// tie-break (unique per queue). The engine uses this with its
     /// deterministic `(source, counter)` ties so dispatch order is
     /// identical across schedulers and thread counts.
+    #[inline(always)]
     pub(crate) fn push_keyed(&mut self, time: SimTime, tie: u128, payload: T) {
-        self.shard.push(Entry {
-            key: Key { time, tie },
-            payload,
-        });
+        self.shard.push(Key { time, tie }, payload);
     }
 
     /// Pops the earliest event if its time is at most `until`.
@@ -940,13 +969,9 @@ impl<T> EventQueue<T> {
     /// Like [`EventQueue::pop_before`], but returns the full dispatch
     /// key (the engine threads it into row tagging so serial and
     /// relaxed trace modes agree on event identity).
+    #[inline]
     pub(crate) fn pop_before_keyed(&mut self, until: SimTime) -> Option<(Key, T)> {
-        // An empty queue's head is `Key::max()`, whose time no `until`
-        // exceeds; `pop_min` covers `until = +∞`.
-        if self.shard.head_key().time > until {
-            return None;
-        }
-        self.shard.pop_min().map(|e| (e.key, e.payload))
+        self.shard.pop_if(|time| time.as_secs() <= until.as_secs())
     }
 }
 
@@ -1073,15 +1098,19 @@ mod tests {
         assert_eq!(q.len(), 1);
     }
 
-    /// Reference order: `std`'s heap over the same keys.
+    /// Reference order: `std`'s heap over the same keys. Pops the way a
+    /// parallel window does, under a strict cap: at the head's own time
+    /// nothing pops and nothing moves.
     fn drain_matches_heap(shard: &mut Shard<usize>, heap: &mut BinaryHeap<Reverse<(Key, usize)>>) {
         while let Some(Reverse((key, id))) = heap.pop() {
             assert_eq!(shard.head_key(), key);
-            let e = shard.pop_min().expect("shard ran dry before the heap");
-            assert_eq!((e.key, e.payload), (key, id));
+            let before = (shard.len(), shard.stats, shard.last_pop);
+            assert_eq!(shard.pop_if(|time| time < key.time), None);
+            assert_eq!((shard.len(), shard.stats, shard.last_pop), before);
+            assert_eq!(shard.pop_if(|time| time <= key.time), Some((key, id)));
         }
         assert_eq!(shard.head_key(), Key::max());
-        assert!(shard.pop_min().is_none());
+        assert_eq!(shard.pop_if(|_| true), None);
         assert_eq!(shard.len(), 0);
     }
 
@@ -1091,7 +1120,7 @@ mod tests {
         let mut heap = BinaryHeap::new();
         let mut id = 0usize;
         let mut push = |shard: &mut Shard<usize>, heap: &mut BinaryHeap<_>, key: Key| {
-            shard.push(Entry { key, payload: id });
+            shard.push(key, id);
             heap.push(Reverse((key, id)));
             id += 1;
         };
@@ -1109,6 +1138,17 @@ mod tests {
         }
         drain_matches_heap(&mut shard, &mut heap);
         assert!(shard.stats.rewidths >= 1);
+    }
+
+    /// A fatter event is a decision, not an accident: with a message of
+    /// a tag and a `u64` (`ftgcs::messages::Msg`; `Option<u64>` here) a
+    /// queued event is one cache line, and so are two sort handles.
+    #[test]
+    fn a_queued_event_is_one_cache_line() {
+        type Event = crate::engine::Pending<Option<u64>>;
+        assert_eq!(size_of::<Event>(), 32);
+        assert_eq!(size_of::<Node<Event>>(), 64);
+        assert_eq!(size_of::<Handle>(), 32);
     }
 
     #[test]

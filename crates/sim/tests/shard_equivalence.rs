@@ -146,7 +146,8 @@ fn config(seed: u64, scheduler: SchedulerKind, adversarial: bool) -> SimConfig {
     }
 }
 
-fn run(topology: &str, n: usize, seed: u64, scheduler: SchedulerKind) -> (Trace, SimStats) {
+/// `n` churning nodes wired as `topology`, ready to run.
+fn build(topology: &str, n: usize, seed: u64, scheduler: SchedulerKind) -> Simulation<u64> {
     let adversarial = topology == "hub";
     let mut builder = SimBuilder::new(config(seed, scheduler, adversarial));
     let ids: Vec<NodeId> = (0..n)
@@ -160,7 +161,11 @@ fn run(topology: &str, n: usize, seed: u64, scheduler: SchedulerKind) -> (Trace,
     for (a, b) in edges(topology, n) {
         builder.add_edge(ids[a], ids[b]);
     }
-    let mut sim: Simulation<u64> = builder.build();
+    builder.build()
+}
+
+fn run(topology: &str, n: usize, seed: u64, scheduler: SchedulerKind) -> (Trace, SimStats) {
+    let mut sim = build(topology, n, seed, scheduler);
     sim.run_until(SimTime::from_secs(1.0));
     let stats = sim.stats();
     (sim.into_trace(), stats)
@@ -257,19 +262,7 @@ fn mid_run_reconfiguration_stays_equivalent() {
     // engine state outside any node callback; the schedulers must still
     // agree afterwards.
     let drive = |scheduler: SchedulerKind| {
-        let mut builder = SimBuilder::new(config(7, scheduler, false));
-        let ids: Vec<NodeId> = (0..8)
-            .map(|_| {
-                builder.add_node(Box::new(Churn {
-                    pending: None,
-                    beats: 0,
-                }))
-            })
-            .collect();
-        for (a, b) in edges("clique", 8) {
-            builder.add_edge(ids[a], ids[b]);
-        }
-        let mut sim: Simulation<u64> = builder.build();
+        let mut sim = build("clique", 8, 7, scheduler);
         sim.run_until(SimTime::from_secs(0.3));
         sim.set_delay_distribution(DelayDistribution::Minimal);
         sim.set_sample_interval(Some(SimDuration::from_millis(10.0)));
@@ -289,6 +282,32 @@ fn mid_run_reconfiguration_stays_equivalent() {
         assert_eq!(
             global, parallel,
             "mid-run reconfiguration broke the parallel executor (w{workers})"
+        );
+    }
+}
+
+#[test]
+fn a_vanishing_sample_interval_panics_instead_of_spinning() {
+    // An interval below the f64 spacing at the current time re-arms the
+    // sample chain at the same instant: both schedulers must say so.
+    for scheduler in [
+        SchedulerKind::Global,
+        SchedulerKind::Parallel {
+            partition: Partition::by_blocks(4, 2),
+            workers: 2,
+        },
+    ] {
+        let mut sim = build("clique", 4, 7, scheduler.clone());
+        sim.run_until(SimTime::from_secs(0.3));
+        sim.set_sample_interval(Some(SimDuration::from_secs(1e-300)));
+        let stuck = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.run_until(SimTime::from_secs(0.6));
+        }))
+        .expect_err("the run must stop");
+        let message = stuck.downcast_ref::<String>().expect("a formatted panic");
+        assert!(
+            message.contains("below the f64 spacing"),
+            "{scheduler:?}: {message}"
         );
     }
 }

@@ -6,9 +6,10 @@
 //! 1. **Pop order** — against `std`'s `BinaryHeap` as the reference,
 //!    events pop in exactly the `(time, insertion)` order wherever the
 //!    calendar queue puts an event (the current day, the rings, years
-//!    ahead, the saturated last day) and whatever width it has given
-//!    itself — with the queue's work, not its time, bounded at both
-//!    density extremes.
+//!    ahead, the saturated last day), whatever width it has given
+//!    itself and whatever horizon the pop is held to (none, the head's
+//!    own time, just below it — where nothing may pop or move) — with
+//!    the queue's work, not its time, bounded at both density extremes.
 //! 2. **Lookahead floor & dispatch order** — under the parallel
 //!    scheduler with cross-shard traffic, the merged trace lists
 //!    deliveries in nondecreasing global time order (the scheduler
@@ -43,6 +44,14 @@ struct Twin {
     heap: BinaryHeap<Reverse<(SimTime, u64)>>,
     pushed: u64,
     now: SimTime,
+    /// State of the generator that draws each pop's horizon.
+    horizons: u64,
+}
+
+fn lcg(state: u64) -> u64 {
+    state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407)
 }
 
 impl Twin {
@@ -52,6 +61,7 @@ impl Twin {
             heap: BinaryHeap::new(),
             pushed: 0,
             now: SimTime::ZERO,
+            horizons: 0x9E37_79B9_7F4A_7C15,
         }
     }
 
@@ -61,9 +71,44 @@ impl Twin {
         self.pushed += 1;
     }
 
-    /// Pops both; `Err` names the first disagreement.
+    /// A pop held to the last instant before `head`: it must return
+    /// nothing and move nothing — the length stays, and a second such
+    /// pop (the first may have made the head's day current) leaves the
+    /// work counters where they were.
+    fn pop_below(&mut self, head: SimTime) -> Result<(), String> {
+        let below = SimTime::from_secs(head.as_secs().next_down());
+        let len = self.queue.len();
+        let first = self.queue.pop_before(below);
+        let stats = self.queue.stats();
+        let second = self.queue.pop_before(below);
+        if first.is_some() || second.is_some() {
+            return Err(format!(
+                "popped {first:?}, {second:?} below the head {head:?}"
+            ));
+        }
+        if self.queue.len() != len || self.queue.stats() != stats {
+            return Err(format!("a pop below the head {head:?} moved the queue"));
+        }
+        Ok(())
+    }
+
+    /// Pops both, the queue under a horizon drawn per pop: none, the
+    /// head's own time (the bound is inclusive), a microsecond past it,
+    /// or the head's time after a try just below it. An empty queue is
+    /// asked with no horizon. `Err` names the first disagreement.
     fn pop(&mut self) -> Result<Option<SimTime>, String> {
-        let got = self.queue.pop_before(SimTime::from_secs(f64::INFINITY));
+        self.horizons = lcg(self.horizons);
+        let head = self.heap.peek().map(|&Reverse((time, _))| time);
+        let until = match (head, self.horizons >> 62) {
+            (None, _) | (_, 0) => SimTime::from_secs(f64::INFINITY),
+            (Some(head), 1) => head,
+            (Some(head), 2) => head + SimDuration::from_micros(1.0),
+            (Some(head), _) => {
+                self.pop_below(head)?;
+                head
+            }
+        };
+        let got = self.queue.pop_before(until);
         let want = self.heap.pop().map(|Reverse(e)| e);
         if got != want {
             return Err(format!("queue popped {got:?}, heap {want:?}"));
@@ -80,9 +125,7 @@ impl Twin {
     fn hold(&mut self, pops: usize, spread: f64, lcg: &mut u64) -> Result<(), String> {
         for _ in 0..pops {
             self.pop()?;
-            *lcg = lcg
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
+            *lcg = self::lcg(*lcg);
             let lead = (*lcg >> 11) as f64 / (1u64 << 53) as f64 * spread;
             self.push(self.now + SimDuration::from_secs(lead));
         }
@@ -147,6 +190,50 @@ proptest! {
             prop_assert!(false, "drain: {e}");
         }
     }
+}
+
+/// The horizon cases by name, on a queue with a real width: the head
+/// in the current day and in the late tier, a bound below, at and
+/// between equal times, no bound on an empty queue.
+#[test]
+fn finite_horizons_hold_the_head_back_and_nothing_else() {
+    let t = SimTime::from_secs;
+    let mut twin = Twin::new();
+    let mut lcg = 3;
+    for n in 0..40 {
+        twin.push(t(1e-5 * f64::from(n)));
+    }
+    twin.hold(3000, 1e-3, &mut lcg).unwrap();
+    twin.drain().unwrap();
+    assert_eq!(twin.queue.pop_before(t(f64::INFINITY)), None);
+
+    // Head in a later day; then, that day current, a push behind it
+    // (the late tier) becomes the head.
+    let base = twin.now.as_secs();
+    let (first, second) = (twin.pushed, twin.pushed + 1);
+    twin.push(t(base + 0.5));
+    twin.push(t(base + 0.5));
+    twin.pop_below(t(base + 0.5)).unwrap();
+    let late = twin.queue.stats().late_pushes;
+    twin.push(t(base + 0.25));
+    assert_eq!(twin.queue.stats().late_pushes, late + 1);
+    twin.pop_below(t(base + 0.25)).unwrap();
+    assert_eq!(
+        twin.queue.pop_before(t(base + 0.4)),
+        Some((t(base + 0.25), second + 1))
+    );
+    // Inclusive, and between two equal times the earlier insertion.
+    assert_eq!(
+        twin.queue.pop_before(t(base + 0.5)),
+        Some((t(base + 0.5), first))
+    );
+    twin.pop_below(t(base + 0.5)).unwrap();
+    assert_eq!(
+        twin.queue.pop_before(t(base + 0.5)),
+        Some((t(base + 0.5), second))
+    );
+    assert_eq!(twin.queue.pop_before(t(f64::INFINITY)), None);
+    assert!(twin.queue.is_empty());
 }
 
 #[test]
