@@ -2,21 +2,24 @@
 //! `engine_free_run` (raw substrate message flood) and
 //! `cluster_simulated_second` (full ClusterSync) on the global queue
 //! (the one-shard row `1`, the baseline the parallel groups are read
-//! against) and on the **parallel executor** over the 64-shard split
-//! (one shard per cluster, what `Scenario::parallel` selects) swept
-//! over 1/2/4/8 worker threads.
+//! against) and on the **parallel executor** swept over 1/2/4/8
+//! requested workers, each on the partition a spec's `scheduler
+//! parallel <n>` selects on this machine (`worker_partition` at the
+//! resolved count: four contiguous runs of clusters per worker, so the
+//! rows above this machine's core count repeat the row at it).
 //!
 //! Both schedulers dispatch the identical event sequence (pinned by
 //! `crates/sim/tests/shard_equivalence.rs`), so any time difference is
-//! pure queue and executor mechanics: per-shard calendar queues of
-//! `m/64` entries versus one of `m`, and how much of each `d − U`
+//! pure queue and executor mechanics: per-shard calendar queues versus
+//! one, cut edges staged and merged, and how much of each `d − U`
 //! lookahead window the workers can overlap versus barrier overhead.
 //!
 //! The `hub` groups run a **hub-and-spoke** cluster star under a ragged
-//! partition (one shard holding the hub cluster plus a third of the
-//! spokes, singleton shards for the rest) — the shape that pinned most
-//! of every window on worker 0 under the old static `shard % workers`
-//! assignment. The final "benches" print `events/...` lines (the
+//! explicit partition (one shard holding the hub cluster plus a third
+//! of the spokes, 42 singleton shards for the rest) at a pinned worker
+//! count — the stress case for the window balancer's deal and steal,
+//! and the only rows here with more shards than a spec would choose.
+//! The final "benches" print `events/...` lines (the
 //! deterministic per-cell event counts, so `scripts/bench.sh` can
 //! derive machine-local events/sec from the medians) and `balance/...`
 //! lines recording each worker's *dealt* share of all events
@@ -26,6 +29,7 @@
 //! than 2x against the checked-in baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ftgcs::cluster::worker_partition;
 use ftgcs::params::Params;
 use ftgcs::runner::Scenario;
 use ftgcs_baselines::BaseMsg;
@@ -33,14 +37,14 @@ use ftgcs_sim::clock::RateModel;
 use ftgcs_sim::engine::{Ctx, SimBuilder, SimConfig};
 use ftgcs_sim::network::{DelayConfig, DelayDistribution};
 use ftgcs_sim::node::{Behavior, NodeId, TimerTag, TrackId};
-use ftgcs_sim::shard::{Partition, SchedulerKind};
+use ftgcs_sim::shard::{resolve_workers, Partition, SchedulerKind};
 use ftgcs_sim::time::{SimDuration, SimTime};
 use ftgcs_topology::{generators, ClusterGraph};
 use std::hint::black_box;
 
 /// Nodes per cluster in both workloads.
 const K: usize = 4;
-/// Clusters (so the finest split, one shard per cluster, is 64).
+/// Clusters in both topologies.
 const CLUSTERS: usize = 64;
 
 /// The `engine_free_run` flooder: broadcast a beacon every `period`
@@ -71,10 +75,12 @@ fn cluster_graph() -> ClusterGraph {
     ClusterGraph::new(generators::line(CLUSTERS), K, 1)
 }
 
-/// The parallel executor on the finest (one-shard-per-cluster) split.
+/// The parallel executor as `scheduler parallel <workers>` selects it
+/// (`Scenario::parallel`): the partition sized by the resolved count.
 fn parallel_for(workers: usize) -> SchedulerKind {
+    let resolved = resolve_workers(workers, CLUSTERS);
     SchedulerKind::Parallel {
-        partition: Partition::by_blocks(CLUSTERS * K, K),
+        partition: worker_partition(&cluster_graph(), resolved),
         workers,
     }
 }

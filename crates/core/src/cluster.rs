@@ -33,30 +33,51 @@ use crate::agreement::trimmed_midpoint_mut;
 use crate::messages::Msg;
 use crate::params::Params;
 
-/// The engine [`Partition`] that places each cluster in its own
-/// scheduler shard.
+/// Shards per worker in [`worker_partition`]: enough that the window
+/// balancer has something to deal and steal (with one shard per worker
+/// a window waits on its slower half: `line64_par2` reads 7.4–10.5 M
+/// events/s from run to run where four read 9.2–10.2 M; EXPERIMENTS.md,
+/// "Cost of a window"), few enough that each shard keeps its calendar
+/// queue busy and few edges are cut.
+const SHARDS_PER_WORKER: usize = 4;
+
+/// The engine [`Partition`] of the parallel scheduler for `workers`
+/// (resolved, see [`ftgcs_sim::shard::resolve_workers`]) threads:
+/// `min(4 · workers, clusters)` shards, each a contiguous run of whole
+/// clusters, the runs' lengths differing by at most one.
 ///
-/// Clusters are the natural conservative-synchronization seam of the
-/// paper's model: intra-cluster traffic (the clique's pulses) stays
-/// inside one shard, while every inter-cluster message is delayed by at
-/// least `d − U` ([`crate::params::Params::lookahead`]), giving each
-/// shard that much lookahead before it must consult its neighbors.
-/// [`crate::runner::Scenario::parallel`] selects this partition.
+/// Any partition is sound — every message, intra-cluster ones included,
+/// is delayed by at least `d − U` ([`crate::params::Params::lookahead`])
+/// — so this one is sized for cost: a cluster's clique traffic never
+/// crosses shards, and on a line or grid of clusters numbered along the
+/// topology only the edges between consecutive runs do.
+/// [`crate::runner::Scenario::parallel`] selects this partition. The
+/// trace does not depend on it.
 ///
 /// # Examples
 ///
 /// ```
-/// use ftgcs::cluster::cluster_partition;
+/// use ftgcs::cluster::worker_partition;
 /// use ftgcs_topology::{generators, ClusterGraph};
 ///
+/// let cg = ClusterGraph::new(generators::line(64), 4, 1);
+/// let p = worker_partition(&cg, 2);
+/// assert_eq!(p.shard_count(), 8);
+/// assert_eq!(p.node_count(), 256);
+/// // Few workers on a small graph: one shard per cluster at most.
 /// let cg = ClusterGraph::new(generators::line(3), 4, 1);
-/// let p = cluster_partition(&cg);
-/// assert_eq!(p.shard_count(), 3);
-/// assert_eq!(p.node_count(), 12);
+/// assert_eq!(worker_partition(&cg, 2).shard_count(), 3);
 /// ```
 #[must_use]
-pub fn cluster_partition(cg: &ClusterGraph) -> Partition {
-    Partition::by_blocks(cg.physical().node_count(), cg.cluster_size())
+pub fn worker_partition(cg: &ClusterGraph, workers: usize) -> Partition {
+    let clusters = cg.cluster_count();
+    let shards = (SHARDS_PER_WORKER * workers).clamp(1, clusters.max(1));
+    let k = cg.cluster_size();
+    Partition::from_assignment(
+        (0..cg.physical().node_count())
+            .map(|node| (node / k) * shards / clusters)
+            .collect(),
+    )
 }
 
 /// Timer kind: send the round's pulse (end of phase 1).

@@ -15,13 +15,13 @@ use ftgcs_sim::network::{DelayConfig, DelayDistribution};
 use ftgcs_sim::node::NodeId;
 use ftgcs_sim::observe::Observer;
 use ftgcs_sim::rng::SimRng;
-use ftgcs_sim::shard::SchedulerKind;
+use ftgcs_sim::shard::{resolve_workers, Partition, SchedulerKind};
 use ftgcs_sim::telemetry::TelemetryReport;
 use ftgcs_sim::time::{SimDuration, SimTime};
 use ftgcs_sim::trace::Trace;
 use ftgcs_topology::ClusterGraph;
 
-use crate::cluster::cluster_partition;
+use crate::cluster::worker_partition;
 use crate::faults::{make_fault_behavior, FaultKind, LifecycleNode, LifecyclePhase};
 use crate::messages::Msg;
 use crate::node::{FtGcsNode, NodeConfig};
@@ -304,7 +304,7 @@ impl Scenario {
     ///
     /// Returns a [`SpecError`] if the scenario was hand-assembled (its
     /// topology generator is unknown) or uses a scheduler partition
-    /// other than the per-cluster one.
+    /// other than the one [`Scenario::parallel`] selects.
     pub fn to_spec(&self) -> Result<ScenarioSpec, SpecError> {
         let provenance = self.provenance.as_ref().ok_or_else(|| {
             SpecError::new(
@@ -315,9 +315,9 @@ impl Scenario {
         let scheduler = match &self.scheduler {
             SchedulerKind::Global => SchedulerSpec::Global,
             SchedulerKind::Parallel { partition, workers } => {
-                if *partition != cluster_partition(&self.cg) {
+                if *partition != self.parallel_partition(*workers) {
                     return Err(SpecError::new(
-                        "only the per-cluster shard partition is spec-expressible",
+                        "only the per-worker shard partition is spec-expressible",
                     ));
                 }
                 SchedulerSpec::Parallel(*workers)
@@ -418,7 +418,10 @@ impl Scenario {
 
     /// Sets the event scheduler. The default is [`SchedulerKind::Global`],
     /// one queue drained on the calling thread; [`Scenario::parallel`]
-    /// selects the per-cluster parallel executor. Scheduling never
+    /// selects the parallel executor on its per-worker partition (an
+    /// explicit [`SchedulerKind::Parallel`] here takes any partition,
+    /// but only that one round-trips through [`Scenario::to_spec`]).
+    /// Scheduling never
     /// changes a run's trace — `tests/scheduler_equivalence.rs` pins the
     /// parallel scheduler on any worker count to the global queue's
     /// bytes — so this is a throughput knob and an A/B handle for
@@ -428,21 +431,31 @@ impl Scenario {
         self
     }
 
-    /// Selects the **parallel** shard executor: one shard per cluster
-    /// ([`cluster_partition`]), advanced on `workers` threads between
-    /// `d − U` lookahead barriers ([`Params::lookahead`] is the window
-    /// width). The `FTGCS_WORKERS` environment variable, when set, pins
-    /// the exact thread count and overrides this argument (that is how
-    /// CI exercises pinned counts); otherwise `workers` is used —
-    /// `0` meaning the machine's available parallelism — capped at
-    /// both the core count and the cluster count.
+    /// Selects the **parallel** shard executor: four shards per worker,
+    /// each a contiguous run of clusters ([`worker_partition`]),
+    /// advanced by `workers` threads — the caller and `workers − 1`
+    /// spawned for the length of the run — between `d − U` lookahead
+    /// barriers ([`Params::lookahead`] is the window width). The
+    /// `FTGCS_WORKERS` environment variable, when set, pins the exact
+    /// thread count and overrides this argument (that is how CI
+    /// exercises pinned counts); otherwise `workers` is used — `0`
+    /// meaning the machine's available parallelism — capped at both
+    /// the core count and the cluster count. The count is resolved
+    /// here, where the partition is sized by it.
     ///
     /// The merged trace is byte-identical to the global scheduler's on
     /// every worker count; see `crates/sim/src/par.rs` for the
     /// conservative-window argument.
     pub fn parallel(&mut self, workers: usize) -> &mut Self {
-        let partition = cluster_partition(&self.cg);
+        let partition = self.parallel_partition(workers);
         self.scheduler(SchedulerKind::Parallel { partition, workers })
+    }
+
+    /// The partition [`Scenario::parallel`] selects for a requested
+    /// worker count.
+    fn parallel_partition(&self, workers: usize) -> Partition {
+        let resolved = resolve_workers(workers, self.cg.cluster_count());
+        worker_partition(&self.cg, resolved)
     }
 
     /// Enables or disables runtime telemetry (see

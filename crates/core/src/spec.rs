@@ -270,7 +270,8 @@ pub enum SampleSpec {
 pub enum SchedulerSpec {
     /// One global queue (the default).
     Global,
-    /// Per-cluster shards on a worker pool; `0` workers means auto.
+    /// The parallel executor on this many threads, sharded by
+    /// `cluster::worker_partition`; `0` workers means auto.
     Parallel(usize),
 }
 

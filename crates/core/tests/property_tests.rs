@@ -4,9 +4,11 @@
 //! augmentation arithmetic.
 
 use ftgcs::agreement::trimmed_midpoint;
+use ftgcs::cluster::worker_partition;
 use ftgcs::params::Params;
 use ftgcs::triggers::{conditions, evaluate};
 use ftgcs_sim::clock::{HardwareClock, RateModel};
+use ftgcs_sim::node::NodeId;
 use ftgcs_sim::rng::SimRng;
 use ftgcs_sim::time::SimTime;
 use ftgcs_topology::generators::line;
@@ -176,6 +178,39 @@ proptest! {
             prop_assert_eq!(cg.node_id(cg.cluster_of(v), cg.slot_of(v)), v);
         }
         prop_assert!(cg.physical().is_consistent());
+    }
+
+    /// The parallel scheduler's partition: `min(4 · workers, clusters)`
+    /// shards, each a contiguous run of whole clusters, the runs'
+    /// lengths within one cluster of each other.
+    #[test]
+    fn worker_partition_is_balanced_contiguous_cluster_runs(
+        clusters in 1usize..41,
+        f in 0usize..3,
+        workers in 1usize..10,
+    ) {
+        let k = 3 * f + 1; // 1, 4, 7
+        let cg = ClusterGraph::new(line(clusters), k, f);
+        let p = worker_partition(&cg, workers);
+        prop_assert_eq!(p.node_count(), clusters * k);
+        prop_assert_eq!(p.shard_count(), (4 * workers).min(clusters));
+        let mut run_lengths = vec![0usize; p.shard_count()];
+        let mut previous = 0;
+        for c in 0..clusters {
+            let shard = p.shard_of(NodeId(cg.node_id(c, 0)));
+            for slot in 1..k {
+                let same = p.shard_of(NodeId(cg.node_id(c, slot))) == shard;
+                prop_assert!(same, "cluster {} split", c);
+            }
+            // Non-decreasing by steps of at most one: with the count
+            // above, every id in `0..shard_count` is used.
+            prop_assert!(shard == previous || shard == previous + 1, "cluster {}: {} after {}", c, shard, previous);
+            previous = shard;
+            run_lengths[shard] += 1;
+        }
+        prop_assert_eq!(previous + 1, p.shard_count());
+        let (min, max) = (run_lengths.iter().min().unwrap(), run_lengths.iter().max().unwrap());
+        prop_assert!(max - min <= 1, "run lengths {:?}", run_lengths);
     }
 }
 

@@ -8,11 +8,11 @@
 //! above the engine: every message class of the algorithm, fault
 //! behaviors, and the max estimator.
 
-use ftgcs::cluster::cluster_partition;
+use ftgcs::cluster::worker_partition;
 use ftgcs::params::Params;
 use ftgcs::runner::Scenario;
 use ftgcs::FaultKind;
-use ftgcs_sim::shard::SchedulerKind;
+use ftgcs_sim::shard::{resolve_workers, SchedulerKind};
 use ftgcs_topology::{generators, ClusterGraph};
 
 fn scenario(seed: u64, faulty: bool) -> Scenario {
@@ -59,14 +59,15 @@ fn parallel_executor_matches_global_heap_byte_for_byte() {
 
 #[test]
 fn explicit_cluster_partition_matches_the_parallel_convenience() {
-    // `scheduler(Parallel { cluster_partition(..), .. })` is exactly
-    // what `parallel(workers)` selects; handing the partition down
-    // explicitly must be a no-op.
+    // `scheduler(Parallel { worker_partition(.., resolved), .. })` is
+    // exactly what `parallel(workers)` selects; handing the partition
+    // down explicitly must be a no-op.
     let mut base = scenario(5, false);
     base.parallel(2);
     let base = base.run_for(10.0);
     let mut explicit = scenario(5, false);
-    let partition = cluster_partition(explicit.cluster_graph());
+    let cg = explicit.cluster_graph();
+    let partition = worker_partition(cg, resolve_workers(2, cg.cluster_count()));
     explicit.scheduler(SchedulerKind::Parallel {
         partition,
         workers: 2,

@@ -411,6 +411,19 @@ fn hand_assembled_scenarios_refuse_to_spec() {
 }
 
 #[test]
+fn parallel_worker_counts_round_trip_through_to_spec() {
+    // The partition is sized by the *resolved* worker count; `to_spec`
+    // has to resolve the requested one the same way to recognise it —
+    // for auto (0) and for counts above this machine's cores alike.
+    for workers in [0usize, 1, 2, 4] {
+        let mut spec = ScenarioSpec::new("par", TopologySpec::Line(9), 1);
+        spec.scheduler = SchedulerSpec::Parallel(workers);
+        let scenario = Scenario::from_spec(&spec).expect("builds");
+        assert_eq!(scenario.to_spec().expect("round-trips"), spec);
+    }
+}
+
+#[test]
 fn spec_duration_resolves_rounds_against_derived_params() {
     let spec = ScenarioSpec::new("dur", TopologySpec::Line(2), 1);
     let params = spec.params().unwrap();

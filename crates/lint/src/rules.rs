@@ -89,9 +89,10 @@ pub struct FileCtx {
     /// example/test/bench targets of every crate print legitimately.
     pub lib_source: bool,
     /// `no-thread-spawn` is waived: exactly `crates/sim/src/par.rs`
-    /// (simulation fan-out behind the lookahead barrier) and all of
+    /// (simulation fan-out behind the lookahead barrier), all of
     /// `crates/serve` (infrastructure threads over OS processes and
-    /// sockets, which never touch simulated state).
+    /// sockets, which never touch simulated state) and the `benchmark/`
+    /// package's load clients, which are of the same kind.
     pub spawn_exempt: bool,
 }
 
@@ -219,6 +220,10 @@ const OS_RNG: &[&str] = &[
     "getrandom",
 ];
 const HASH_ORDER: &[&str] = &["HashMap", "HashSet"];
+/// Every way std starts a thread: detached, through a builder (whose
+/// `spawn_scoped` included), and scoped (`scope(|s| s.spawn(..))` never
+/// spells the first).
+const THREAD_SPAWN: &[&str] = &["thread::spawn", "thread::Builder", "thread::scope"];
 const PRINT_MACROS: &[&str] = &["println", "print", "eprintln", "eprint", "dbg"];
 
 /// Runs every applicable rule over one file's source.
@@ -295,8 +300,7 @@ pub fn check_source(source: &str, ctx: &FileCtx) -> Vec<Diagnostic> {
                 }
             }
         }
-        if !ctx.spawn_exempt && (code.contains("thread::spawn") || code.contains("thread::Builder"))
-        {
+        if !ctx.spawn_exempt && THREAD_SPAWN.iter().any(|pat| code.contains(pat)) {
             hits.push((
                 "no-thread-spawn",
                 "threads may only be spawned by the parallel executor (crates/sim/src/par.rs) or the serve infrastructure crate (crates/serve)"
@@ -414,13 +418,18 @@ mod tests {
 
     #[test]
     fn thread_spawn_waived_only_in_par() {
-        let src = "std::thread::spawn(|| {});\n";
-        assert_eq!(check_source(src, &lib_ctx()).len(), 1);
         let par = FileCtx {
             spawn_exempt: true,
             ..lib_ctx()
         };
-        assert!(check_source(src, &par).is_empty());
+        for src in [
+            "std::thread::spawn(|| {});\n",
+            "std::thread::scope(|s| { s.spawn(|| {}); });\n",
+            "let b = std::thread::Builder::new();\n",
+        ] {
+            assert_eq!(check_source(src, &lib_ctx()).len(), 1, "{src}");
+            assert!(check_source(src, &par).is_empty(), "{src}");
+        }
     }
 
     #[test]

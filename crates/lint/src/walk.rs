@@ -52,12 +52,17 @@ pub fn classify(path: &Path) -> FileCtx {
     let in_lib_target = inside.first() == Some(&"src") && inside.get(1) != Some(&"bin");
     let order_sensitive = crate_name.is_some_and(|c| ORDER_SENSITIVE.contains(&c));
     let lib_source = in_lib_target && crate_name.is_some_and(|c| SILENT_LIBS.contains(&c));
-    // Two sanctioned spawn sites: the parallel shard executor (the one
-    // place simulation work may fan out, behind the lookahead barrier)
-    // and the whole of `crates/serve` — infrastructure threads that
-    // manage OS processes and sockets, never simulated events.
-    let spawn_exempt =
-        (crate_name == Some("sim") && inside == ["src", "par.rs"]) || crate_name == Some("serve");
+    // Two sanctioned spawn sites in the workspace: the parallel shard
+    // executor (the one place simulation work may fan out, behind the
+    // lookahead barrier) and the whole of `crates/serve` —
+    // infrastructure threads that manage OS processes and sockets,
+    // never simulated events. The `benchmark/` package beside the
+    // workspace is of the second kind (its load clients drive `xp
+    // serve` over HTTP from two threads) and is measured as committed,
+    // so it cannot carry a line pragma instead.
+    let spawn_exempt = (crate_name == Some("sim") && inside == ["src", "par.rs"])
+        || crate_name == Some("serve")
+        || (crate_name.is_none() && comps.contains(&"benchmark"));
 
     FileCtx {
         crate_name: crate_name.map(str::to_owned),
@@ -157,5 +162,10 @@ mod tests {
         let loose = classify(Path::new("scripts/tool.rs"));
         assert_eq!(loose.crate_name, None);
         assert!(!loose.order_sensitive && !loose.lib_source && !loose.spawn_exempt);
+
+        let harness = classify(Path::new("/root/repo/benchmark/src/shell.rs"));
+        assert!(harness.spawn_exempt && !harness.order_sensitive && !harness.lib_source);
+        let not_harness = classify(Path::new("crates/bench/src/benchmark/x.rs"));
+        assert!(!not_harness.spawn_exempt);
     }
 }

@@ -39,6 +39,7 @@ const EXPECTED_BAD: &[(&str, &[(usize, &str)])] = &[
         "crates/bench/src/spawn_in_driver.rs",
         &[(6, "no-thread-spawn")],
     ),
+    ("crates/core/src/scoped_spawn.rs", &[(6, "no-thread-spawn")]),
     ("crates/sim/src/print_in_lib.rs", &[(4, "no-print-in-lib")]),
     (
         "crates/sim/src/unsafe_no_safety.rs",

@@ -1,9 +1,12 @@
 //! Good: thread spawning is sanctioned in exactly this file — the
 //! parallel executor (mirrors crates/sim/src/par.rs).
 
-pub fn spawn_worker() -> std::thread::JoinHandle<()> {
-    std::thread::Builder::new()
-        .name("ftgcs-worker-0".into())
-        .spawn(|| {})
-        .expect("spawn worker")
+pub fn run_with_worker(work: &(dyn Fn() + Sync)) {
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .name("ftgcs-worker-1".into())
+            .spawn_scoped(scope, work)
+            .expect("spawn worker");
+        work();
+    });
 }

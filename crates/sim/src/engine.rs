@@ -58,8 +58,8 @@ pub struct SimConfig {
     pub seed: u64,
     /// If set, record a [`ClockSample`] every interval of Newtonian time.
     pub sample_interval: Option<SimDuration>,
-    /// Event scheduler: one global queue, or per-shard queues on a
-    /// worker-thread pool under conservative lookahead. Never changes a
+    /// Event scheduler: one global queue, or per-shard queues on
+    /// several threads under conservative lookahead. Never changes a
     /// run's result — only its throughput.
     pub scheduler: SchedulerKind,
     /// Record runtime telemetry (see [`crate::telemetry`]). Strictly a
@@ -192,8 +192,8 @@ impl SimStats {
 /// Returned by [`Simulation::try_run_until`]. Everything processed
 /// before the stop is preserved: the trace holds every emitted row and
 /// sample, [`Simulation::now`] reports how far the run got, and the
-/// simulation stays usable (workers parked, queues intact) — though a
-/// retry of the same horizon reports the same error again.
+/// simulation stays usable (worker threads joined, queues intact) —
+/// though a retry of the same horizon reports the same error again.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum RunError {
@@ -1207,7 +1207,7 @@ impl<M> Simulation<M> {
     }
 }
 
-impl<M: Clone + Send + 'static> Simulation<M> {
+impl<M: Clone + Send> Simulation<M> {
     pub(crate) fn start_if_needed(&mut self, obs: &mut dyn Observer) {
         if self.started {
             return;
@@ -1262,9 +1262,10 @@ impl<M: Clone + Send + 'static> Simulation<M> {
     /// On `Err`, everything processed before the stop is preserved —
     /// the trace holds every row and sample emitted so far,
     /// [`Simulation::now`] reports the stuck time, and the simulation
-    /// (including a parallel worker pool, parked cleanly at its gate)
-    /// stays alive. Behavior panics still unwind, with the same
-    /// partial-trace preservation.
+    /// stays alive. Behavior panics still unwind — with the behavior's
+    /// own payload, on either scheduler — with the same partial-trace
+    /// preservation (the parallel executor's granularity is the window:
+    /// the rows of every completed one).
     pub fn try_run_until(&mut self, until: SimTime) -> Result<(), RunError> {
         let mut trace = std::mem::take(&mut self.trace);
         // Restore the trace even if a behavior panics, so everything
@@ -1391,6 +1392,7 @@ impl<M: Clone + Send + 'static> Simulation<M> {
 mod tests {
     use super::*;
     use crate::network::DelayDistribution;
+    use crate::shard::Partition;
     use std::sync::{Arc, Mutex};
 
     #[derive(Clone)]
@@ -1460,16 +1462,31 @@ mod tests {
 
     #[test]
     fn trace_recorded_before_a_behavior_panic_is_preserved() {
-        let mut b = SimBuilder::new(fixed_delay_config());
-        b.add_node(Box::new(EmitThenBoom { ticks: 0 }));
-        let mut sim = b.build();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sim.run_until(SimTime::from_secs(1.0));
-        }));
-        assert!(outcome.is_err(), "the behavior must have panicked");
-        // Everything materialized before the panic stays inspectable.
-        assert_eq!(sim.trace().rows.len(), 2);
-        assert_eq!(sim.trace().rows[0].kind, "tick");
+        let parallel = SchedulerKind::Parallel {
+            partition: Partition::by_blocks(2, 1),
+            workers: 2,
+        };
+        for scheduler in [SchedulerKind::Global, parallel] {
+            let mut b = SimBuilder::new(SimConfig {
+                scheduler,
+                ..fixed_delay_config()
+            });
+            b.add_node(Box::new(EmitThenBoom { ticks: 0 }));
+            b.add_node(Box::new(EmitThenBoom { ticks: 0 }));
+            let mut sim = b.build();
+            // Two real threads on the parallel scheduler, whatever
+            // this machine's core count (no-op on the global one).
+            sim.pin_workers(2);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.run_until(SimTime::from_secs(1.0));
+            }));
+            assert!(outcome.is_err(), "the behavior must have panicked");
+            // Everything materialized before the panic stays
+            // inspectable: both nodes' first two ticks (on the parallel
+            // scheduler, the rows of every completed window).
+            assert_eq!(sim.trace().rows.len(), 4);
+            assert!(sim.trace().rows.iter().all(|row| row.kind == "tick"));
+        }
     }
 
     #[test]

@@ -1,40 +1,39 @@
 //! The parallel shard executor.
 //!
 //! [`SchedulerKind::Parallel`](crate::shard::SchedulerKind) advances the
-//! per-shard calendar queues of [`crate::shard`] on a pool of worker threads
+//! per-shard calendar queues of [`crate::shard`] on several threads
 //! between **conservative lookahead barriers**. The model provides the
-//! safety argument: every message is delayed by at least `d − U > 0`, so
-//! an event chain starting at key time `t` in one shard cannot influence
-//! a neighboring shard before `t + (d − U)` — the classic Chandy–Misra
+//! safety argument: every message is delayed by at least `L = d − U > 0`,
+//! so an event chain starting at key time `t` in one shard cannot
+//! influence another shard before `t + L` — the classic Chandy–Misra
 //! argument, executed here truly in parallel.
 //!
-//! ## Per-shard horizons
+//! ## One window, one cap
 //!
-//! Each window gives every shard its *own* cap instead of one global
-//! `T₀ + (d − U)`. Let `m_s` be shard `s`'s earliest pending key time
-//! (queue head and mutex inbox included) and `L = d − U`.
-//! Messages travel only along node adjacency ([`crate::engine::Ctx`]
-//! enforces it), so influence propagates along the **shard adjacency
-//! graph**: the earliest time an event chain starting *outside* `s` can
-//! deliver into `s` is governed by the fixpoint
+//! At each barrier the coordinator takes the earliest pending key time
+//! `T₀` over all shards (queue heads and staged arrivals) and opens a
+//! window with the single cap `min(T₀ + L, next sample)`. A shard
+//! processes every local event with `time < cap` without consulting
+//! anyone: whatever another shard sends during the window was sent at or
+//! after `T₀` and lands at or after `T₀ + L`. After the window every
+//! pending event is at or past the cap (or past `until`) and every row
+//! the window emitted lies strictly below it, so the barrier hands the
+//! window's rows to the observer in full — nothing waits for a later
+//! barrier. (FT-GCS traffic is dense: every node pulses every round and
+//! floods every `d`, so every shard's front sits at the global front and
+//! per-shard caps bought 1.2 % fewer windows for a Dijkstra per barrier;
+//! EXPERIMENTS.md, "Cost of a window".)
 //!
-//! ```text
-//! e_s   = min(m_s, min over neighbors s' of (e_s' + L))
-//! cap_s = min over neighbors s' of (e_s' + L)      (∞ if no neighbors)
-//! ```
+//! ## One scoped call; the caller is worker 0
 //!
-//! solved Dijkstra-style per barrier (uniform edge weight `L`). A shard
-//! may process every local event with `time < cap_s` without consulting
-//! anyone: any cross-shard arrival lands at or after `cap_s`. Note the
-//! fixpoint — *not* the one-hop `min(other heads) + L` — is required: an
-//! empty neighbor is itself constrained by *its* neighbors, and using
-//! its bare head (∞) would let two-hop message bounces land in a
-//! shard's already-processed past. The global minimum shard always gets
-//! `cap ≥ T₀ + L`, so every window makes progress; far-ahead shards on
-//! sparse shard graphs get caps that grow with their hop distance from
-//! the frontier. Caps are additionally clamped at the next engine
-//! sample time and at a large multiple of `L` (buffer hygiene); both
-//! clamps only shrink windows and never affect soundness.
+//! [`Simulation::run_parallel`] is one [`std::thread::scope`]. It spawns
+//! `workers − 1` threads that borrow the run's [`Pool`] directly; the
+//! calling thread plans each window and then executes it as worker 0
+//! through the same body ([`execute_window`]) the spawned workers run, so
+//! a `parallel <n>` run works on exactly `n` OS threads and with one
+//! worker nothing is spawned at all. No thread outlives the call. Between
+//! windows the spawned workers wait at the [`Gate`], spinning briefly and
+//! then yielding.
 //!
 //! ## Deterministic work stealing
 //!
@@ -43,7 +42,7 @@
 //! longest-processing-time packing over per-shard cost estimates
 //! (events dispatched in the shard's last active window), then workers
 //! **steal**: after finishing their dealt shards they sweep every shard
-//! still unclaimed. A per-shard atomic claim flag makes ownership
+//! still unclaimed. A per-shard atomic claim makes ownership
 //! exactly-once per window; shards are independent within a window, so
 //! *any* executor may run *any* shard and only wall-clock changes. The
 //! dealt shares are recorded per worker
@@ -61,59 +60,55 @@
 //!   thread runs a shard, and in which order shards are claimed, is
 //!   invisible to results — pinned by the claim-order property test
 //!   below and the stress suites.
-//! * **Watermarked trace merge.** Workers buffer emitted rows per
-//!   shard, tagged with the emitting event's key. Because caps differ
-//!   per shard, windows no longer partition time — so the coordinator
-//!   keeps a pending-row buffer and emits, each barrier, only rows with
-//!   `time` strictly below the new global minimum pending time (and
-//!   below the next sample): everything earlier can no longer be
-//!   preceded by any future event or sample. The remainder flushes at
-//!   run end. The result is exactly the serial engine's strict in-order
-//!   stream.
+//! * **Trace merge.** Executors buffer emitted rows per shard, tagged
+//!   with the emitting event's key; the coordinator sorts each window's
+//!   rows by key and streams them out at the barrier. The result is
+//!   exactly the serial engine's strict in-order stream.
 //! * **Barrier-handled samples.** Periodic clock samples read *every*
 //!   node's clock, so they are executed by the coordinator between
-//!   windows. All caps are clamped at the earliest pending sample time,
-//!   so when a sample fires no processed event at or after it exists —
-//!   and at equal times samples sort before node events
-//!   ([`crate::shard`]'s engine tie), matching the serial order.
+//!   windows. The cap never passes the earliest pending sample time, so
+//!   when a sample fires no processed event at or after it exists — and
+//!   at equal times samples sort before node events ([`crate::shard`]'s
+//!   engine tie), matching the serial order.
 //!
-//! Cross-shard sends are batched in a per-worker outbox and flushed into
-//! the destination shards' mutex-guarded inboxes once per window (one
-//! lock per destination instead of one per message); owners push their
-//! inbox into their queue when they next advance. The horizon floor guarantees staged
-//! arrivals never land below the destination's cap, so flush/drain
-//! ordering across workers is irrelevant — and a shard skipped as idle
-//! cannot become due mid-window. A window drains its shard through the
-//! serial engine's pop (`Shard::pop_if`), held strictly below the cap.
+//! Cross-shard sends are batched in a per-executor outbox and flushed
+//! into the destination shards' mutex-guarded inboxes once per window
+//! (one lock per destination instead of one per message); owners push
+//! their inbox into their queue when they next advance. Staged arrivals
+//! never land below the cap, so flush/drain ordering across executors is
+//! irrelevant — and a shard the coordinator found idle cannot become due
+//! mid-window. A window drains its shard through the serial engine's pop
+//! (`Shard::pop_if`), held strictly below the cap.
 //!
 //! The worker count is a pure throughput knob — results are
 //! byte-identical on every count — so it is clamped to the machine's
-//! available parallelism ([`crate::shard::resolve_workers`]), and a
-//! resolved count of one skips the pool entirely and runs the same
-//! windows inline on the calling thread ([`Simulation::pin_workers`]
-//! overrides the resolution for balance measurement and tests). The
-//! pool is hand-rolled (a spin/yield/park gate) because the build
-//! environment has no crates.io access.
+//! available parallelism ([`crate::shard::resolve_workers`];
+//! [`Simulation::pin_workers`] overrides the resolution for balance
+//! measurement and tests). The rendezvous is hand-rolled because the
+//! build environment has no crates.io access.
 //!
-//! **The pool persists across `run_until` calls.** Threads are spawned
-//! on the first multi-worker window and stored in the simulation's event
-//! store; between calls they park on a condvar, so a driver stepping the
-//! simulation in fine increments pays no per-call thread-spawn cost.
-//! Each `run_until` publishes a pointer to its per-run window state
-//! through the gate; the stepping-granularity equivalence test in
-//! `tests/observer_equivalence.rs` pins that stepping never changes the
-//! trace.
+//! ## Panics and structured stops
+//!
+//! A behaviour that panics inside a window keeps its message whichever
+//! thread ran its shard: the executor catches the unwind, stores the
+//! payload at the gate and finishes the window like any other; the
+//! coordinator, once every executor has acknowledged, re-raises the
+//! original payload from `run_until`. Rows of every completed window
+//! have reached the observer by then. The coordinator releases the
+//! spawned workers from a drop guard, so neither that unwind nor one out
+//! of its own barrier work (an observer, say) can leave a worker waiting
+//! while the scope joins it.
 //!
 //! A lookahead below the f64 ulp of the current simulation time cannot
 //! advance any window; the coordinator surfaces that as the structured
 //! [`RunError::LookaheadVanished`] from [`Simulation::try_run_until`]
-//! (with every processed row preserved and the workers parked cleanly)
-//! instead of panicking mid-run.
+//! (with every processed row preserved) instead of panicking mid-run.
 
+use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use crate::engine::{
     next_sample, run_event, take_sample, EventStore, NodeCell, Pending, QueueKind, RowSink,
@@ -121,52 +116,28 @@ use crate::engine::{
 };
 use crate::node::NodeId;
 use crate::observe::Observer;
-use crate::shard::{shard_adjacency, Key, Partition, Shard};
+use crate::shard::{Key, Partition, Shard};
 use crate::telemetry::Phase;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Row;
-
-/// `f64::to_bits` of a time (the lock-free head/cap encoding).
-fn time_to_bits(t: SimTime) -> u64 {
-    t.as_secs().to_bits()
-}
-
-/// Inverse of [`time_to_bits`].
-fn time_from_bits(bits: u64) -> SimTime {
-    SimTime::from_secs(f64::from_bits(bits))
-}
 
 /// The "no pending event" sentinel.
 fn time_inf() -> SimTime {
     SimTime::from_secs(f64::INFINITY)
 }
 
-/// Buffer-hygiene clamp: a shard's cap never exceeds its own front by
-/// more than this many lookaheads, so one barrier's pending-row buffer
-/// stays bounded even for degenerate shard graphs (e.g. a single shard,
-/// whose horizon is otherwise infinite). Far larger than any hop
-/// distance a real partition produces, so it never costs parallelism.
-const HORIZON_WINDOW_FACTOR: f64 = 1024.0;
-
 /// The parallel executor's event store: per-shard queues plus the sample
 /// chain (samples never enter a shard — they are engine-global) and the
-/// persistent worker pool.
+/// balancer's record.
 pub(crate) struct ParQueue<M> {
     pub(crate) shards: Vec<Shard<Pending<M>>>,
     pub(crate) shard_of: Vec<u32>,
-    /// Resolved worker count (see [`crate::shard::resolve_workers`] and
-    /// [`Simulation::pin_workers`]).
+    /// Resolved worker count, in `[1, shards]` (see
+    /// [`crate::shard::resolve_workers`] and [`Simulation::pin_workers`]).
     pub(crate) workers: usize,
     /// Pending engine-global sample times (usually one; transiently more
     /// after `set_sample_interval` toggles, mirroring the serial queue).
     pub(crate) pending_samples: Vec<SimTime>,
-    /// Worker threads, spawned lazily on the first multi-worker
-    /// `run_until` and kept alive (parked between runs) until the
-    /// simulation is dropped.
-    pub(crate) pool: Option<PoolHandle>,
-    /// Inter-shard adjacency (the horizon graph), built once on the
-    /// first parallel window.
-    pub(crate) shard_graph: Option<Vec<Vec<u32>>>,
     /// Per-shard cost estimate for the deal-out: events the shard
     /// dispatched in its last active window (halved while idle).
     pub(crate) shard_cost: Vec<u64>,
@@ -174,10 +145,6 @@ pub(crate) struct ParQueue<M> {
     /// deterministic load-balance record behind
     /// [`Simulation::planned_worker_events`].
     pub(crate) planned_events: Vec<u64>,
-    /// Test-only knob: permute the inline path's shard claim order per
-    /// window with this seed. Results must be invariant (pinned by the
-    /// claim-order property test).
-    pub(crate) claim_probe: Option<u64>,
 }
 
 impl<M> ParQueue<M> {
@@ -188,11 +155,8 @@ impl<M> ParQueue<M> {
             shard_of: partition.shard_map().to_vec(),
             workers,
             pending_samples: Vec::new(),
-            pool: None,
-            shard_graph: None,
             shard_cost: vec![0; count],
             planned_events: Vec::new(),
-            claim_probe: None,
         }
     }
 
@@ -208,136 +172,108 @@ impl<M> std::fmt::Debug for ParQueue<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "ParQueue(shards={}, workers={}, pool={})",
+            "ParQueue(shards={}, workers={})",
             self.shards.len(),
-            self.workers,
-            if self.pool.is_some() { "live" } else { "-" }
+            self.workers
         )
     }
 }
 
-/// Staged cross-shard arrivals for one shard, with their running
-/// minimum key so barrier head-scans are O(1).
-struct InboxBuf<M> {
-    entries: Vec<(Key, Pending<M>)>,
-    min: Key,
+/// Cross-shard sends bound for one shard. An executor's *outbox* holds
+/// one batch per destination shard.
+type Batch<M> = Vec<(Key, Pending<M>)>;
+
+fn new_outbox<M>(nshards: usize) -> Vec<Batch<M>> {
+    (0..nshards).map(|_| Vec::new()).collect()
 }
 
-/// One shard's arrival inbox: the buffer itself behind a mutex, plus a
-/// lock-free mirror of the staged minimum's *time* so front scans need
-/// no locks at all (matching the `heads` array).
-pub(crate) struct Inbox<M> {
-    buf: Mutex<InboxBuf<M>>,
-    /// `f64::to_bits` of `buf.min.time` (`INFINITY` when empty).
-    /// Written only while holding `buf`'s lock, with `Release`; read
-    /// with `Acquire` by the coordinator's barrier scan and by workers'
-    /// steal-pass due checks. The coordinator-vs-worker visibility also
-    /// rides the gate's release/acquire edges (see [`Pool::heads`] for
-    /// the pinned argument); the explicit edge covers the *mid-window*
-    /// worker-vs-worker reads that stealing introduced. A momentarily
-    /// stale value is harmless either way: due checks are a fast-path
-    /// filter, and the claim CAS / inbox mutex arbitrate for real.
-    min_time_bits: AtomicU64,
+/// Staged cross-shard arrivals for one shard, with their earliest time
+/// so the barrier's front scan need not walk them. Lives behind a mutex
+/// in [`Pool::inboxes`]: any executor may stage into it mid-window.
+struct Inbox<M> {
+    entries: Batch<M>,
+    /// Earliest staged time (`INFINITY` when empty).
+    min_time: SimTime,
 }
 
 impl<M> Inbox<M> {
     fn new() -> Self {
         Inbox {
-            buf: Mutex::new(InboxBuf {
-                entries: Vec::new(),
-                min: Key::max(),
-            }),
-            min_time_bits: AtomicU64::new(f64::INFINITY.to_bits()),
+            entries: Vec::new(),
+            min_time: time_inf(),
         }
     }
 
-    /// Appends one worker's window batch for this shard.
-    fn stage_batch(&self, batch: &mut Vec<(Key, Pending<M>)>) {
-        let mut buf = self.buf.lock().expect("inbox poisoned");
+    /// Appends one executor's window batch for this shard.
+    fn stage_batch(&mut self, batch: &mut Batch<M>) {
         for &(key, _) in batch.iter() {
-            buf.min = buf.min.min(key);
+            self.min_time = self.min_time.min(key.time);
         }
-        let min_bits = buf.min.time.as_secs().to_bits();
-        buf.entries.append(batch);
-        self.min_time_bits.store(min_bits, Ordering::Release);
+        self.entries.append(batch);
     }
 
     /// Moves all staged arrivals into `shard`'s queue, returning how
     /// many entries moved (telemetry: arrival batching).
-    fn drain_into(&self, shard: &mut Shard<Pending<M>>) -> usize {
-        let mut guard = self.buf.lock().expect("inbox poisoned");
-        let buf = &mut *guard;
-        let moved = buf.entries.len();
-        if moved == 0 {
-            return 0;
-        }
-        for (key, payload) in buf.entries.drain(..) {
+    fn drain_into(&mut self, shard: &mut Shard<Pending<M>>) -> u64 {
+        let moved = self.entries.len() as u64;
+        for (key, payload) in self.entries.drain(..) {
             shard.push(key, payload);
         }
-        buf.min = Key::max();
-        self.min_time_bits
-            .store(f64::INFINITY.to_bits(), Ordering::Release);
+        self.min_time = time_inf();
         moved
-    }
-
-    /// The staged minimum's time, lock-free (front scans only).
-    fn min_time(&self) -> SimTime {
-        SimTime::from_secs(f64::from_bits(self.min_time_bits.load(Ordering::Acquire)))
     }
 }
 
 /// One shard's window-processing state, owned by the executor that
 /// claimed it during a window and by the coordinator between windows.
-struct Task<M> {
-    shard: Shard<Pending<M>>,
+struct Task<'a, M> {
+    shard: &'a mut Shard<Pending<M>>,
+    /// The queue's head time as of the shard's last advance.
+    head: SimTime,
     /// Relaxed-mode trace rows: `(event key, row)`, in dispatch order.
     rows: Vec<(Key, Row)>,
+    /// Work since the last barrier (the coordinator takes it there).
     stats: SimStats,
     now: SimTime,
 }
 
-/// Raw-pointer view of the node cells, shared across the pool.
+/// Raw-pointer view of the node cells, shared across the executors.
 ///
 /// # Safety contract
 ///
 /// Ownership of a cell is **dynamic, per window, per shard**: an
 /// executor may dereference the cells of shard `s`'s nodes during a
-/// window only if it *claimed* `s` for that window — either by winning
-/// the `claims[s]` compare-exchange (pooled path) or by being the sole
-/// inline executor. The partition maps each node to exactly one shard
-/// and the claim flag flips `false → true` at most once per window, so
+/// window only if it *claimed* `s` for that window by being the one
+/// whose `fetch_or` set `deal[s]`'s [`TAKEN`] bit. The partition maps
+/// each node to exactly one shard and the bit goes `clear → set` at most
+/// once per window (only the coordinator clears it, between windows), so
 /// concurrent `&mut` accesses are disjoint. Happens-before for a cell
 /// handed from window `k`'s owner to window `k+1`'s owner is the gate
-/// chain: owner's `done.fetch_add(Release)` → coordinator's
-/// `wait_done` `Acquire` loads → coordinator's claim reset and
-/// `epoch.fetch_add(Release)` → new owner's `wait_epoch` `Acquire` →
-/// new owner's claim CAS. Between windows (workers parked at the gate),
-/// only the coordinator touches cells.
+/// chain: a spawned owner's `done.fetch_add(Release)` → the
+/// coordinator's `wait_done` `Acquire` load → the coordinator's deal
+/// stores and `epoch.fetch_add(Release)` → a spawned owner's
+/// `wait_epoch` `Acquire` load → its claim; where the coordinator is
+/// itself one of the two owners (it executes as worker 0) its end of the
+/// chain is program order. The chain starts at the scope's spawns and
+/// ends at its joins. Between windows (spawned workers waiting at the
+/// gate), only the coordinator touches cells.
 struct Cells<'a, M> {
     ptr: *mut NodeCell<M>,
     len: usize,
     _marker: std::marker::PhantomData<&'a mut [NodeCell<M>]>,
 }
 
-impl<M> Clone for Cells<'_, M> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<M> Copy for Cells<'_, M> {}
-
-// SAFETY: sending a `Cells` to a worker moves only the raw pointer; the
-// pointees (`NodeCell<M>`, which embed the boxed `Behavior` and staged
-// `M` payloads) cross the thread boundary with it, hence `M: Send`.
-// Which thread may then *dereference* which cell is governed by the
-// struct-level claim contract above.
-unsafe impl<M: Send> Send for Cells<'_, M> {}
 // SAFETY: `&Cells` exposes no `&`-reachable cell data — every access
 // goes through the `unsafe fn cell`/`all` below, whose callers must
 // hold exclusive logical ownership (a window claim, or the coordinator
 // between windows) per the struct-level contract, so sharing the handle
-// itself between threads is sound (`M: Send`, not `M: Sync`, is the
-// right bound: cells are handed off, never shared).
+// itself between threads is sound. What crosses threads through it are
+// the pointees, handed from owner to owner: `NodeCell<M>` embeds the
+// boxed `Behavior` (`Send` by its trait bound) and staged `M` payloads,
+// hence `M: Send` — not `M: Sync`, cells are never shared. This impl is
+// what lets the scoped workers borrow the `Pool`; everything else in it
+// is `Sync` by the compiler's own check. (`Cells` itself never moves to
+// another thread, so it needs no `Send`.)
 unsafe impl<M: Send> Sync for Cells<'_, M> {}
 
 impl<'a, M> Cells<'a, M> {
@@ -355,8 +291,7 @@ impl<'a, M> Cells<'a, M> {
     ///
     /// The caller must hold exclusive logical ownership of node `idx`
     /// per the struct-level contract: either it claimed `idx`'s shard
-    /// for the current window (claim CAS won, or sole inline executor),
-    /// or it is the coordinator between windows.
+    /// for the current window, or it is the coordinator between windows.
     #[allow(clippy::mut_from_ref)] // the &mut really is derived from a raw pointer, not from &self
     unsafe fn cell(&self, idx: usize) -> &mut NodeCell<M> {
         debug_assert!(idx < self.len);
@@ -372,8 +307,8 @@ impl<'a, M> Cells<'a, M> {
     /// # Safety
     ///
     /// The caller must be the only thread touching *any* cell — in
-    /// practice, the coordinator between windows (workers parked at
-    /// the gate).
+    /// practice, the coordinator between windows (every spawned worker
+    /// has acknowledged the last window and waits at the gate).
     #[allow(clippy::mut_from_ref)] // the &mut really is derived from a raw pointer, not from &self
     unsafe fn all(&self) -> &mut [NodeCell<M>] {
         // SAFETY: `ptr` and `len` come verbatim from the exclusive
@@ -384,150 +319,70 @@ impl<'a, M> Cells<'a, M> {
     }
 }
 
-/// Coordinator ⇄ worker rendezvous: a sense-counting gate that spins,
-/// then yields, then parks on a condvar. The parking tier is what lets
-/// the pool outlive a `run_until` call without burning CPU between
-/// calls.
-struct Gate {
-    /// Incremented by the coordinator to open a window (or to release
-    /// workers into shutdown when `stop` is set).
-    epoch: AtomicU64,
-    /// Count of workers finished with the current window.
-    done: AtomicUsize,
-    stop: AtomicBool,
-    /// Set by a worker whose window processing panicked (it still
-    /// counts itself done so the coordinator can notice and propagate
-    /// instead of spinning forever).
-    panicked: AtomicBool,
-    /// Pointer to the current run's [`Pool`] window state, type-erased.
-    /// Published before the run's first window, cleared after its last;
-    /// workers dereference it only between an epoch open and their done
-    /// acknowledgement.
-    ctx: AtomicPtr<u8>,
-    /// Condvar tier of the epoch wait (workers park here between runs).
-    /// `open`/`shut_down` notify under the lock, so a worker that
-    /// decided to wait while holding it cannot miss the wakeup.
-    lock: Mutex<()>,
-    parked: Condvar,
-}
+/// Spin iterations before a waiting thread starts yielding its core.
+/// Windows are microseconds apart, so a short spin usually wins; the
+/// yield keeps a run pinned above the core count making progress.
+const SPINS_BEFORE_YIELD: u32 = 256;
 
-/// Yield iterations between the spin tier and the condvar tier of an
-/// epoch wait. Within a run, the next window opens within microseconds,
-/// so workers almost never reach the condvar; between runs they park
-/// quickly instead of busy-yielding until the next `run_until` call.
-const YIELDS_BEFORE_PARK: u32 = 64;
-
-impl Gate {
-    fn new() -> Self {
-        Gate {
-            epoch: AtomicU64::new(0),
-            done: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
-            panicked: AtomicBool::new(false),
-            ctx: AtomicPtr::new(std::ptr::null_mut()),
-            lock: Mutex::new(()),
-            parked: Condvar::new(),
-        }
-    }
-
-    /// Opens a window. The per-shard caps, claims, and deal stores all
-    /// happen before this call on the coordinator thread, so the
-    /// `Release` epoch bump publishes them to every worker's
-    /// `wait_epoch` `Acquire`.
-    fn open(&self) {
-        self.done.store(0, Ordering::Relaxed);
-        self.epoch.fetch_add(1, Ordering::Release);
-        // Wake any parked workers. Taking the lock orders this bump
-        // against a worker's decision to wait: the worker re-checks the
-        // epoch while holding the lock, so either it sees the new epoch
-        // or it is already waiting when the notification fires.
-        let _guard = self.lock.lock().expect("gate poisoned");
-        self.parked.notify_all();
-    }
-
-    fn shut_down(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.epoch.fetch_add(1, Ordering::Release);
-        let _guard = self.lock.lock().expect("gate poisoned");
-        self.parked.notify_all();
-    }
-
-    /// Waits until the epoch differs from `seen`: spin, then yield, then
-    /// park.
-    fn wait_epoch(&self, seen: u64, spin_limit: u32) {
-        let mut spins = 0u32;
-        loop {
-            if self.epoch.load(Ordering::Acquire) != seen {
-                return;
-            }
-            if spins < spin_limit {
-                spins += 1;
-                std::hint::spin_loop();
-            } else if spins < spin_limit + YIELDS_BEFORE_PARK {
-                spins += 1;
-                std::thread::yield_now();
-            } else {
-                let mut guard = self.lock.lock().expect("gate poisoned");
-                while self.epoch.load(Ordering::Acquire) == seen {
-                    guard = self.parked.wait(guard).expect("gate poisoned");
-                }
-                return;
-            }
-        }
-    }
-
-    /// Waits until every worker has acknowledged the current window.
-    /// A panicking worker counts itself done before unwinding, so this
-    /// always terminates for an open window.
-    fn wait_done(&self, workers: usize, spin_limit: u32) {
-        spin_until(spin_limit, || self.done.load(Ordering::Acquire) >= workers);
-    }
-}
-
-/// The persistent worker pool: the shared gate plus the OS threads.
-/// Stored inside the simulation's event store; dropped (and joined)
-/// with it.
-pub(crate) struct PoolHandle {
-    gate: Arc<Gate>,
-    /// Worker count the threads were spawned with (later mutations of
-    /// the requested count are ignored — the pool is fixed at spawn).
-    workers: usize,
-    /// Spin budget matched to the core count at spawn time.
-    spin_limit: u32,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for PoolHandle {
-    fn drop(&mut self) {
-        self.gate.shut_down();
-        for handle in self.handles.drain(..) {
-            // A worker that panicked mid-run already delivered its
-            // payload via the coordinator's propagation; the join
-            // result is informational here.
-            let _ = handle.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for PoolHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PoolHandle(workers={})", self.workers)
-    }
-}
-
-/// Spins up to `spin_limit` iterations, then yields. Windows are
-/// microseconds apart, so a short spin usually wins — but when the
-/// machine is oversubscribed (pinned worker counts above the core
-/// count) the caller passes `0` and every wait yields immediately.
-fn spin_until(spin_limit: u32, cond: impl Fn() -> bool) {
+/// Spins, then yields, until `cond` holds.
+fn spin_until(cond: impl Fn() -> bool) {
     let mut spins = 0u32;
     while !cond() {
-        if spins < spin_limit {
+        if spins < SPINS_BEFORE_YIELD {
             spins += 1;
             std::hint::spin_loop();
         } else {
             std::thread::yield_now();
         }
+    }
+}
+
+/// Coordinator ⇄ spawned-worker rendezvous for one `run_parallel` call.
+struct Gate {
+    /// Incremented by the coordinator to open a window, and once more
+    /// (with `stop` set) to release the workers for good.
+    epoch: AtomicU64,
+    /// Count of spawned workers finished with the current window.
+    done: AtomicUsize,
+    stop: AtomicBool,
+    /// The first unwind payload an executor caught in a window body;
+    /// the coordinator re-raises it once the window is acknowledged.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl Gate {
+    /// Opens a window. The cap and deal stores all happen before this
+    /// call on the coordinator thread, so the `Release` epoch bump
+    /// publishes them to every worker's `wait_epoch` `Acquire`.
+    fn open(&self) {
+        self.done.store(0, Ordering::Relaxed);
+        self.epoch.fetch_add(1, Ordering::Release);
+    }
+
+    /// Waits until the epoch moves past `seen`.
+    fn wait_epoch(&self, seen: u64) {
+        spin_until(|| self.epoch.load(Ordering::Acquire) != seen);
+    }
+
+    /// Waits until `workers` spawned workers have acknowledged the
+    /// current window. An executor whose window body panicked still
+    /// acknowledges, so this always terminates for an open window.
+    fn wait_done(&self, workers: usize) {
+        spin_until(|| self.done.load(Ordering::Acquire) >= workers);
+    }
+}
+
+/// Releases the spawned workers when the coordinator leaves the scope —
+/// by return or by unwind — so the scope's join never waits on a thread
+/// that waits on the gate.
+struct ReleaseOnDrop<'a>(&'a Gate);
+
+impl Drop for ReleaseOnDrop<'_> {
+    fn drop(&mut self) {
+        // Relaxed: the flag is published by the `Release` bump below,
+        // like every other store the epoch carries.
+        self.0.stop.store(true, Ordering::Relaxed);
+        self.0.epoch.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -540,75 +395,34 @@ fn earliest_sample(pending: &[SimTime]) -> Option<(usize, SimTime)> {
         .min_by(|a, b| a.1.cmp(&b.1))
 }
 
-/// Everything a window executor (worker thread or the inline path)
-/// needs, bundled to keep signatures manageable.
+/// `deal` slot of a shard with no work this window. Has [`TAKEN`] set,
+/// so the claim's filter skips it like a shard already claimed.
+const IDLE: u32 = u32::MAX;
+/// Bit set in a shard's `deal` slot by the executor that claims it.
+const TAKEN: u32 = 1 << 31;
+
+/// Everything the executors of one `run_parallel` call share, borrowed
+/// by the scoped workers.
 struct Pool<'a, M> {
-    tasks: &'a [Mutex<Task<M>>],
-    inboxes: &'a [Inbox<M>],
-    /// Post-window `head_key().time` bits per shard, published with
-    /// `Release` by the claiming executor and read with `Acquire` by
-    /// the coordinator's barrier scan and by other workers' steal-pass
-    /// due checks. For the coordinator the gate edge alone would
-    /// suffice (worker `done` `Release` → coordinator `wait_done`
-    /// `Acquire` happens-before the scan), but the mid-window
-    /// worker-vs-worker reads that stealing introduced have no gate
-    /// edge — the explicit Release/Acquire pairing keeps every read of
-    /// a head ordered after the advance that produced it. A stale head
-    /// in a due check is still harmless: the claim CAS (an RMW, which
-    /// always sees the latest claim value) arbitrates ownership.
-    heads: &'a [AtomicU64],
-    /// Per-shard window caps (exclusive, `f64::to_bits` of seconds),
-    /// written by the coordinator between windows (`Relaxed`; published
-    /// by the gate's `Release` epoch bump, read after the workers'
-    /// `Acquire` epoch load).
-    caps: &'a [AtomicU64],
-    /// Per-shard claim flags, reset `false` by the coordinator between
-    /// windows. The `false → true` compare-exchange is the claim: its
-    /// atomicity makes window ownership exactly-once (see [`Cells`]).
-    claims: &'a [AtomicBool],
-    /// Per-shard dealt worker (`u32::MAX` = not dealt), written by the
-    /// coordinator between windows like `caps`.
-    planned: &'a [AtomicU32],
+    tasks: Vec<Mutex<Task<'a, M>>>,
+    inboxes: Vec<Mutex<Inbox<M>>>,
+    /// Per shard: the worker the coordinator dealt it to this window, or
+    /// [`IDLE`]; the claiming executor sets [`TAKEN`] with a `fetch_or`,
+    /// whose atomicity makes window ownership exactly-once (see
+    /// [`Cells`]). Written by the coordinator between windows
+    /// (`Relaxed`; published by the gate's `Release` epoch bump, read
+    /// after the workers' `Acquire` epoch load). The claim itself is
+    /// `Relaxed` too: it arbitrates and publishes nothing — what a
+    /// claimed shard's owner reads was ordered by the gate.
+    deal: Vec<AtomicU32>,
+    /// The window's cap (exclusive), as the `f64` bits of its seconds;
+    /// written and published like `deal`.
+    cap_bits: AtomicU64,
+    gate: Gate,
     cells: Cells<'a, M>,
     shared: &'a SimShared,
     shard_of: &'a [u32],
     until: SimTime,
-}
-
-impl<M> Clone for Pool<'_, M> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<M> Copy for Pool<'_, M> {}
-
-impl<M> Pool<'_, M> {
-    /// Shard `s`'s cap for the current window.
-    fn cap(&self, s: usize) -> SimTime {
-        time_from_bits(self.caps[s].load(Ordering::Relaxed))
-    }
-}
-
-/// Reconstitutes the per-run window state from the gate's type-erased
-/// context pointer.
-///
-/// # Safety
-///
-/// `ptr` must be the pointer published by the current run's coordinator,
-/// and the caller must be inside the open-window span of the gate
-/// protocol (the coordinator keeps the pointee alive until every worker
-/// has acknowledged the window).
-unsafe fn ctx_pool<'x, M>(ptr: *const u8) -> &'x Pool<'x, M> {
-    debug_assert!(!ptr.is_null(), "window opened without a published ctx");
-    // SAFETY: the coordinator stored this pointer from a live
-    // `&Pool<M>` of the same monomorphization (workers and coordinator
-    // share the simulation's single `M`) before opening the window, and
-    // the caller contract pins the dereference inside the span where
-    // the pointee is kept alive; `Pool` is `Copy + Sync`, so a shared
-    // reference from another thread is sound. The `Ordering::Acquire`
-    // load that produced `ptr` pairs with the coordinator's `Release`
-    // store, making the pointee's initialization visible.
-    unsafe { &*ptr.cast::<Pool<'x, M>>() }
 }
 
 impl<M> Simulation<M> {
@@ -616,17 +430,16 @@ impl<M> Simulation<M> {
     ///
     /// [`crate::shard::resolve_workers`] clamps the requested count to
     /// the machine's available parallelism at build time; this knob
-    /// replaces that resolution outright (floored at 1), which is
-    /// useful for pinning the pooled code path in tests and for
-    /// measuring the deal-out balance ([`Simulation::planned_worker_events`])
-    /// at a fixed logical worker count on any machine. Thread count
-    /// never changes results — traces stay byte-identical. Must be
-    /// called before the first parallel window: once the pool has
-    /// spawned, the spawn-time count is fixed and later calls are
-    /// ignored. No-op on the global scheduler.
+    /// replaces that resolution outright (clamped to `[1, shards]`: a
+    /// shard is the unit of sequential work), which is useful for
+    /// forcing real OS threads in tests and for measuring the deal-out
+    /// balance ([`Simulation::planned_worker_events`]) at a fixed
+    /// logical worker count on any machine. Thread count never changes
+    /// results — traces stay byte-identical. Takes effect at the next
+    /// `run_until`. No-op on the global scheduler.
     pub fn pin_workers(&mut self, workers: usize) {
         if let EventStore::Parallel(pq) = &mut self.store {
-            pq.workers = workers.max(1);
+            pq.workers = workers.clamp(1, pq.shards.len());
         }
     }
 
@@ -649,7 +462,7 @@ impl<M> Simulation<M> {
     }
 }
 
-impl<M: Clone + Send + 'static> Simulation<M> {
+impl<M: Clone + Send> Simulation<M> {
     /// The parallel twin of the serial `run_until` loop. Called with the
     /// boot phase already done.
     pub(crate) fn run_parallel(
@@ -673,65 +486,37 @@ impl<M: Clone + Send + 'static> Simulation<M> {
             lookahead.is_positive(),
             "parallel scheduler built with zero lookahead"
         );
-        let nshards = pq.shards.len();
         let shared: &SimShared = shared;
-
-        // Effective executor count: the resolved request, except that a
-        // pool spawned by an earlier call fixes it for the simulation's
-        // lifetime.
-        let mut nworkers = pq.workers.clamp(1, nshards);
-        let mut gate_bits: Option<(Arc<Gate>, usize, u32)> = None;
-        if nworkers > 1 {
-            let handle = pq
-                .pool
-                .get_or_insert_with(|| spawn_pool::<M>(nworkers, nshards));
-            assert!(
-                !handle.gate.panicked.load(Ordering::Relaxed),
-                "a parallel worker died in a previous run; the pool cannot be reused"
-            );
-            nworkers = handle.workers;
-            gate_bits = Some((Arc::clone(&handle.gate), handle.workers, handle.spin_limit));
-        }
-        if pq.shard_graph.is_none() {
-            pq.shard_graph = Some(shard_adjacency(&shared.adjacency, &pq.shard_of, nshards));
-        }
+        let nshards = pq.shards.len();
+        let nworkers = pq.workers;
+        debug_assert!((1..=nshards).contains(&nworkers));
         if pq.planned_events.len() < nworkers {
             pq.planned_events.resize(nworkers, 0);
         }
-        let claim_probe = pq.claim_probe;
 
-        let tasks: Vec<Mutex<Task<M>>> = pq
-            .shards
-            .drain(..)
-            .map(|shard| {
-                Mutex::new(Task {
-                    shard,
-                    rows: Vec::new(),
-                    stats: SimStats::default(),
-                    now: *now,
-                })
-            })
-            .collect();
-        let inboxes: Vec<Inbox<M>> = (0..nshards).map(|_| Inbox::new()).collect();
-        let heads: Vec<AtomicU64> = tasks
-            .iter()
-            .map(|t| {
-                let time = t.lock().expect("task poisoned").shard.head_key().time;
-                AtomicU64::new(time.as_secs().to_bits())
-            })
-            .collect();
-        let caps: Vec<AtomicU64> = (0..nshards)
-            .map(|_| AtomicU64::new(f64::INFINITY.to_bits()))
-            .collect();
-        let claims: Vec<AtomicBool> = (0..nshards).map(|_| AtomicBool::new(true)).collect();
-        let planned: Vec<AtomicU32> = (0..nshards).map(|_| AtomicU32::new(u32::MAX)).collect();
         let pool = Pool {
-            tasks: &tasks,
-            inboxes: &inboxes,
-            heads: &heads,
-            caps: &caps,
-            claims: &claims,
-            planned: &planned,
+            tasks: pq
+                .shards
+                .iter_mut()
+                .map(|shard| {
+                    Mutex::new(Task {
+                        head: shard.head_key().time,
+                        shard,
+                        rows: Vec::new(),
+                        stats: SimStats::default(),
+                        now: *now,
+                    })
+                })
+                .collect(),
+            inboxes: (0..nshards).map(|_| Mutex::new(Inbox::new())).collect(),
+            deal: (0..nshards).map(|_| AtomicU32::new(IDLE)).collect(),
+            cap_bits: AtomicU64::new(0),
+            gate: Gate {
+                epoch: AtomicU64::new(0),
+                done: AtomicUsize::new(0),
+                stop: AtomicBool::new(false),
+                panic: Mutex::new(None),
+            },
             cells: Cells::new(cells),
             shared,
             shard_of: &pq.shard_of,
@@ -743,86 +528,37 @@ impl<M: Clone + Send + 'static> Simulation<M> {
             stats,
             lookahead,
             until,
-            graph: pq.shard_graph.as_deref().expect("graph built above"),
-            nworkers,
             shard_cost: &mut pq.shard_cost,
             planned_events: &mut pq.planned_events,
-            pending_rows: Vec::new(),
-            m: vec![time_inf(); nshards],
-            e: Vec::with_capacity(nshards),
-            dijkstra: BinaryHeap::new(),
+            rows: Vec::new(),
+            front: vec![time_inf(); nshards],
             order: Vec::with_capacity(nshards),
             bins: vec![0; nworkers],
-            planned_of: vec![u32::MAX; nshards],
-            prev_events: vec![0; nshards],
         };
 
-        let result = if let Some((gate, workers, spin_limit)) = gate_bits {
-            // Publish this run's window state. Workers read the pointer
-            // only between an epoch open and their done acknowledgement,
-            // and the coordinator keeps `pool` (and everything it
-            // borrows) alive until after the final wait_done — so the
-            // lifetime-erased dereference in the workers stays inside
-            // the pointee's real lifetime.
-            gate.ctx.store(
-                std::ptr::from_ref(&pool).cast::<u8>().cast_mut(),
-                Ordering::Release,
-            );
-            let result = windows.coordinate(pool, || {
-                gate.open();
-                gate.wait_done(workers, spin_limit);
-                if gate.panicked.load(Ordering::Relaxed) {
-                    // Every worker has acknowledged this window (the
-                    // panicking one counts itself done before
-                    // unwinding), so no thread still touches the
-                    // per-run state we are about to unwind. Survivors
-                    // park at the gate; the pool is poisoned and the
-                    // next run (or drop) shuts it down.
-                    panic!("a parallel worker panicked during a lookahead window");
-                }
-            });
-            gate.ctx.store(std::ptr::null_mut(), Ordering::Release);
-            result
-        } else {
-            // Single executor: same windows, same code path, no pool —
-            // the calling thread claims every due shard itself, in an
-            // order the claim probe may permute (results are invariant;
-            // the property test below pins it).
-            let mut outbox: Vec<Vec<(Key, Pending<M>)>> =
-                (0..nshards).map(|_| Vec::new()).collect();
-            let mut order: Vec<u32> = (0..nshards as u32).collect();
-            let mut window_index = 0u64;
-            windows.coordinate(pool, || {
-                if let Some(seed) = claim_probe {
-                    permute(&mut order, seed, window_index);
-                }
-                window_index += 1;
-                for &s in &order {
-                    let s = s as usize;
-                    if shard_due(s, &pool) {
-                        // The sole inline executor is worker 0, and the
-                        // single-bin deal plans every due shard for it —
-                        // record the claim so dealt + stolen still sums
-                        // to the executed shard-windows.
-                        let dealt = pool.planned[s].load(Ordering::Relaxed) == 0;
-                        pool.shared.telemetry.claim(0, dealt);
-                        advance_shard(s, pool, &mut outbox);
-                    }
-                }
-                flush_outbox(&mut outbox, &inboxes);
-            })
-        };
+        let result = std::thread::scope(|scope| {
+            // Before the first spawn, so that a failed one cannot strand
+            // its predecessors either.
+            let _release = ReleaseOnDrop(&pool.gate);
+            for w in 1..nworkers {
+                let pool = &pool;
+                std::thread::Builder::new()
+                    .name(format!("ftgcs-worker-{w}"))
+                    .spawn_scoped(scope, move || worker_loop(w as u32, pool))
+                    .expect("spawn parallel worker thread");
+            }
+            windows.coordinate(&pool)
+        });
 
-        for task in tasks {
-            let task = task.into_inner().expect("task poisoned");
-            stats.absorb(task.stats);
-            pq.shards.push(task.shard);
-        }
         // Arrivals staged after a shard's last window (all beyond the
-        // final caps) survive into the next run_until call.
-        for (s, inbox) in inboxes.iter().enumerate() {
-            let drained = inbox.drain_into(&mut pq.shards[s]);
-            shared.telemetry.inbox_merged(s, drained as u64);
+        // final cap) survive into the next run_until call.
+        let Pool { tasks, inboxes, .. } = pool;
+        for (s, (task, inbox)) in tasks.into_iter().zip(inboxes).enumerate() {
+            let task = task.into_inner().expect("task poisoned");
+            let mut inbox = inbox.into_inner().expect("inbox poisoned");
+            shared
+                .telemetry
+                .inbox_merged(s, inbox.drain_into(task.shard));
         }
         match result {
             Ok(()) => {
@@ -840,275 +576,158 @@ impl<M: Clone + Send + 'static> Simulation<M> {
     }
 }
 
-/// Spawns the persistent worker threads for a parallel simulation.
-fn spawn_pool<M: Clone + Send + 'static>(nworkers: usize, nshards: usize) -> PoolHandle {
-    let gate = Arc::new(Gate::new());
-    let avail = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    // The coordinator thread also wants a core while workers run.
-    let spin_limit = if avail > nworkers { 256 } else { 0 };
-    let handles = (0..nworkers)
-        .map(|w| {
-            let gate = Arc::clone(&gate);
-            std::thread::Builder::new()
-                .name(format!("ftgcs-worker-{w}"))
-                .spawn(move || worker_loop::<M>(w, nshards, &gate, spin_limit))
-                .expect("spawn parallel worker thread")
-        })
-        .collect();
-    PoolHandle {
-        gate,
-        workers: nworkers,
-        spin_limit,
-        handles,
-    }
-}
-
 /// The coordinator's per-run state: the sample chain, the observer/stat
-/// accumulators, the horizon solver's scratch, and the deal-out
-/// bookkeeping it owns between windows.
+/// accumulators, and the deal-out bookkeeping it owns between windows.
 struct Windows<'a> {
     pending_samples: &'a mut Vec<SimTime>,
     obs: &'a mut dyn Observer,
     stats: &'a mut SimStats,
     lookahead: SimDuration,
     until: SimTime,
-    /// Inter-shard adjacency (deduped, no self-edges).
-    graph: &'a [Vec<u32>],
-    /// Deal-out bin count (= executor count this run).
-    nworkers: usize,
     /// Persistent per-shard cost estimates (see [`ParQueue`]).
     shard_cost: &'a mut [u64],
     /// Persistent per-worker dealt-event totals (see [`ParQueue`]).
     planned_events: &'a mut [u64],
-    /// Rows merged from finished windows but not yet emitted: with
-    /// per-shard horizons, a row's time may exceed a *different*
-    /// shard's pending front, so rows wait until the global front
-    /// passes them.
-    pending_rows: Vec<(Key, Row)>,
-    /// Per-shard front `m_s` of the current barrier.
-    m: Vec<SimTime>,
-    /// Earliest-influence fixpoint `e_s` of the current barrier.
-    e: Vec<SimTime>,
-    /// Dijkstra frontier for the `e` relaxation.
-    dijkstra: BinaryHeap<Reverse<(SimTime, u32)>>,
+    /// The last window's rows, merged from the shards (scratch; empty
+    /// between barriers).
+    rows: Vec<(Key, Row)>,
+    /// Per-shard earliest pending time at the current barrier.
+    front: Vec<SimTime>,
     /// Due shards of the current window, heaviest-cost first.
     order: Vec<u32>,
-    /// Per-worker dealt cost this window (LPT packing state).
+    /// Per-worker dealt cost this window (LPT packing state); one bin
+    /// per executor of this run.
     bins: Vec<u64>,
-    /// Worker each shard was dealt to this window (`u32::MAX` = idle).
-    planned_of: Vec<u32>,
-    /// Per-shard cumulative event counts at the previous barrier, for
-    /// windowed deltas.
-    prev_events: Vec<u64>,
 }
 
 impl Windows<'_> {
-    /// The barrier loop: collect the last window's results, scan shard
-    /// fronts, emit matured rows, fire due samples, solve per-shard
-    /// horizons, deal shards to executors, run the window.
-    fn coordinate<M: Clone + Send>(
-        &mut self,
-        pool: Pool<'_, M>,
-        mut run_window: impl FnMut(),
-    ) -> Result<(), RunError> {
-        let nshards = pool.tasks.len();
+    /// The barrier loop: collect the last window's results and scan the
+    /// shard fronts, emit the window's rows, fire due samples, set the
+    /// cap, deal shards to executors, run the window as worker 0.
+    fn coordinate<M: Clone + Send>(&mut self, pool: &Pool<'_, M>) -> Result<(), RunError> {
         let tel = &pool.shared.telemetry;
+        let mut outbox = new_outbox(pool.tasks.len());
         let mut ran_window = false;
         loop {
             // Telemetry phase clock: collect + scan + row emission +
             // samples are the coordinator's "merge" work. Inert stamps
             // when telemetry is off.
             let t_merge = tel.stamp();
-            // Collect the previous window's results: merge the relaxed
-            // row buffers into the pending buffer and account per-shard
-            // event deltas to the cost model and the deal record.
-            // (Skipped before the first window so persisted costs are
-            // not decayed by stepping runs that open zero windows.)
-            if ran_window {
-                for (s, task) in pool.tasks.iter().enumerate() {
-                    let mut task = task.lock().expect("task poisoned");
-                    self.pending_rows.append(&mut task.rows);
-                    let events = task.stats.events;
-                    let delta = events - self.prev_events[s];
-                    self.prev_events[s] = events;
-                    self.shard_cost[s] = if delta > 0 {
-                        delta
+            // Collect the previous window's results — its rows, and the
+            // per-shard event counts for the cost model and the deal
+            // record — and scan the shard fronts (queue heads and
+            // staged arrivals) for the global minimum pending time.
+            let mut t_min = time_inf();
+            for (s, task) in pool.tasks.iter().enumerate() {
+                let mut task = task.lock().expect("task poisoned");
+                self.rows.append(&mut task.rows);
+                let done = std::mem::take(&mut task.stats);
+                // (Skipped before the first window so persisted costs
+                // are not decayed by stepping runs that open none.)
+                if ran_window {
+                    self.shard_cost[s] = if done.events > 0 {
+                        done.events
                     } else {
                         self.shard_cost[s] / 2
                     };
-                    let w = self.planned_of[s];
-                    if w != u32::MAX {
-                        self.planned_events[w as usize] += delta;
-                    }
                 }
+                let slot = pool.deal[s].load(Ordering::Relaxed);
+                if slot != IDLE {
+                    self.planned_events[(slot & !TAKEN) as usize] += done.events;
+                }
+                self.stats.absorb(done);
+                let staged = pool.inboxes[s].lock().expect("inbox poisoned").min_time;
+                self.front[s] = task.head.min(staged);
+                t_min = t_min.min(self.front[s]);
             }
 
-            // Scan shard fronts (published heads + staged inboxes) for
-            // the global minimum pending time.
-            let mut t_min = time_inf();
-            for s in 0..nshards {
-                // Acquire pairs with the claiming executor's Release
-                // head publication (see `Pool::heads`).
-                let head = time_from_bits(pool.heads[s].load(Ordering::Acquire));
-                let m = head.min(pool.inboxes[s].min_time());
-                self.m[s] = m;
-                t_min = t_min.min(m);
+            // Every row of the window lies below its cap and every
+            // pending event or sample at or past it: the rows are final.
+            // Stable sort: a single event's rows share its key and must
+            // keep their emission order.
+            self.rows.sort_by_key(|&(key, _)| key);
+            for (_, row) in self.rows.drain(..) {
+                self.obs.on_row_owned(row);
             }
-            let t_min = (t_min < time_inf()).then_some(t_min);
-
-            // Emit every pending row strictly below the watermark: no
-            // future event (all at/after `t_min`) or sample can emit
-            // below it, and ties at the watermark itself must wait (an
-            // unprocessed event at `t_min` may carry a smaller tie).
-            let mut watermark = t_min.unwrap_or_else(time_inf);
-            if let Some((_, ts)) = earliest_sample(self.pending_samples) {
-                watermark = watermark.min(ts);
-            }
-            self.emit_rows_below(watermark);
 
             // Fire due samples: engine-global reads, dispatched here at
-            // the barrier. Every cap is clamped at the sample time, so
-            // no processed event at or after it exists — and at equal
-            // times samples sort before node events, so firing now
-            // matches the serial tie-break.
+            // the barrier. The cap never passes the earliest sample
+            // time, so no processed event at or after it exists — and
+            // at equal times samples sort before node events, so firing
+            // now matches the serial tie-break.
             while let Some((idx, ts)) = earliest_sample(self.pending_samples) {
-                if ts > self.until || t_min.is_some_and(|tm| ts > tm) {
+                if ts > self.until || ts > t_min {
                     break;
                 }
                 self.pending_samples.swap_remove(idx);
                 self.stats.events += 1;
                 tel.sample_dispatched();
-                // SAFETY: workers are parked at the gate; the
-                // coordinator is the only thread touching node state.
+                // SAFETY: every spawned worker has acknowledged the
+                // last window and waits at the gate; the coordinator is
+                // the only thread touching node state.
                 take_sample(unsafe { pool.cells.all() }, ts, self.obs);
                 if let Some(interval) = pool.shared.config.sample_interval {
                     self.pending_samples.push(next_sample(ts, interval));
                 }
             }
-
-            let Some(tm) = t_min else {
-                tel.phase(Phase::Merge, t_merge);
-                break;
-            };
-            if tm > self.until {
-                tel.phase(Phase::Merge, t_merge);
-                break;
-            }
             tel.phase(Phase::Merge, t_merge);
+            if t_min == time_inf() || t_min > self.until {
+                return Ok(());
+            }
 
-            // Solve per-shard horizons and deal shards to executors;
-            // fails (cleanly, workers parked) if the lookahead has
+            // Set the cap and deal shards to executors; fails (cleanly,
+            // every processed row already emitted) if the lookahead has
             // vanished below the f64 ulp at this magnitude.
             let t_barrier = tel.stamp();
-            let planned = self.plan_window(&pool, tm);
+            let planned = self.plan_window(pool, t_min);
             tel.phase(Phase::Barrier, t_barrier);
-            if let Err(err) = planned {
-                // Everything processed so far is real — flush it so the
-                // partial trace survives the error.
-                self.emit_rows_below(time_inf());
-                return Err(err);
-            }
+            planned?;
             ran_window = true;
             let t_exec = tel.stamp();
-            run_window();
+            pool.gate.open();
+            execute_window(0, pool, &mut outbox);
+            pool.gate.wait_done(self.bins.len() - 1);
+            let panic = pool.gate.panic.lock().expect("gate poisoned").take();
+            if let Some(payload) = panic {
+                // Every executor has acknowledged this window, so no
+                // thread still touches the per-run state this unwinds
+                // through.
+                resume_unwind(payload);
+            }
             tel.phase(Phase::Execute, t_exec);
         }
-        // Run complete: every pending event is beyond `until`, so all
-        // buffered rows are final.
-        self.emit_rows_below(time_inf());
-        Ok(())
     }
 
-    /// Emits pending rows with `time < watermark`, in global key order.
-    fn emit_rows_below(&mut self, watermark: SimTime) {
-        if self.pending_rows.is_empty() {
-            return;
-        }
-        // Stable sort: a single event's rows share its key and must
-        // keep their emission order.
-        self.pending_rows.sort_by_key(|&(key, _)| key);
-        let cut = self
-            .pending_rows
-            .partition_point(|&(key, _)| key.time < watermark);
-        for (_, row) in self.pending_rows.drain(..cut) {
-            self.obs.on_row_owned(row);
-        }
-    }
-
-    /// Computes this window's per-shard caps (the earliest-influence
-    /// fixpoint over the shard graph), checks progress, and deals the
-    /// due shards to executors (greedy LPT over cost estimates). All
-    /// stores are published to workers by the subsequent gate open.
-    fn plan_window<M>(&mut self, pool: &Pool<'_, M>, tm: SimTime) -> Result<(), RunError> {
-        let nshards = self.m.len();
-        let inf = time_inf();
-
-        // e_s = min(m_s, min over neighbors s' of e_s' + L), by
-        // Dijkstra with uniform weight L: pop the smallest tentative
-        // value, relax its neighbors. Monotone (weights ≥ 0), so each
-        // shard settles at its true fixpoint value.
-        self.e.clear();
-        self.e.extend_from_slice(&self.m);
-        self.dijkstra.clear();
-        for s in 0..nshards {
-            if self.e[s] < inf && !self.graph[s].is_empty() {
-                self.dijkstra.push(Reverse((self.e[s], s as u32)));
-            }
-        }
-        while let Some(Reverse((t, s))) = self.dijkstra.pop() {
-            if t > self.e[s as usize] {
-                continue; // stale frontier entry
-            }
-            let reach = t + self.lookahead;
-            for &n in &self.graph[s as usize] {
-                if reach < self.e[n as usize] {
-                    self.e[n as usize] = reach;
-                    self.dijkstra.push(Reverse((reach, n)));
-                }
-            }
-        }
-
-        // cap_s: the earliest any neighbor's influence can arrive. The
-        // progress check runs on the raw caps: if no shard at the
-        // global front can advance, `L` has vanished below the f64 ulp
-        // at this magnitude and every future window would be empty.
-        let next_sample = earliest_sample(self.pending_samples).map(|(_, ts)| ts);
-        let mut progress = false;
-        let mut horizon_span = 0.0f64;
-        self.order.clear();
-        for s in 0..nshards {
-            let mut cap = inf;
-            for &n in &self.graph[s] {
-                cap = cap.min(self.e[n as usize] + self.lookahead);
-            }
-            if self.m[s] == tm && cap > tm {
-                progress = true;
-            }
-            // Clamps: never past the next engine sample (samples must
-            // dispatch before any event at/after them), and never more
-            // than a fixed horizon past the shard's own front (bounds
-            // the pending-row buffer; costs no real parallelism).
-            if let Some(ts) = next_sample {
-                cap = cap.min(ts);
-            }
-            if self.m[s] < inf {
-                cap = cap.min(self.m[s] + self.lookahead * HORIZON_WINDOW_FACTOR);
-            }
-            pool.caps[s].store(time_to_bits(cap), Ordering::Relaxed);
-            self.planned_of[s] = u32::MAX;
-            if self.m[s] < cap && self.m[s] <= self.until {
-                // Due shard: `cap − m` is the horizon this window
-                // grants it (both finite here — a finite front clamps
-                // its own cap).
-                horizon_span += cap.as_secs() - self.m[s].as_secs();
-                self.order.push(s as u32);
-            }
-        }
-        if !progress {
+    /// Sets this window's cap, checks progress, and deals the due shards
+    /// to executors (greedy LPT over cost estimates). All stores are
+    /// published to workers by the subsequent gate open.
+    fn plan_window<M>(&mut self, pool: &Pool<'_, M>, t_min: SimTime) -> Result<(), RunError> {
+        // If the global front cannot advance, `L` has vanished below
+        // the f64 ulp at this magnitude and every future window would
+        // be empty.
+        let reach = t_min + self.lookahead;
+        if reach <= t_min {
             return Err(RunError::LookaheadVanished {
-                at: tm,
+                at: t_min,
                 lookahead: self.lookahead,
             });
+        }
+        // Never past the next engine sample: samples must dispatch
+        // before any event at/after them. (Every pending sample is past
+        // `t_min` here — the due ones just fired — so the window stays
+        // non-empty.)
+        let cap = earliest_sample(self.pending_samples).map_or(reach, |(_, ts)| reach.min(ts));
+        pool.cap_bits
+            .store(cap.as_secs().to_bits(), Ordering::Relaxed);
+
+        let mut horizon_span = 0.0f64;
+        self.order.clear();
+        for (s, &front) in self.front.iter().enumerate() {
+            pool.deal[s].store(IDLE, Ordering::Relaxed);
+            if front < cap && front <= self.until {
+                horizon_span += cap.as_secs() - front.as_secs();
+                self.order.push(s as u32);
+            }
         }
         pool.shared
             .telemetry
@@ -1121,40 +740,78 @@ impl Windows<'_> {
         // redistributes *execution*, never the record.
         self.order
             .sort_by_key(|&s| (Reverse(self.shard_cost[s as usize]), s));
-        self.bins.clear();
-        self.bins.resize(self.nworkers, 0);
+        self.bins.fill(0);
         for &s in &self.order {
             let mut w = 0usize;
-            for b in 1..self.nworkers {
+            for b in 1..self.bins.len() {
                 if self.bins[b] < self.bins[w] {
                     w = b;
                 }
             }
-            self.planned_of[s as usize] = w as u32;
+            pool.deal[s as usize].store(w as u32, Ordering::Relaxed);
             self.bins[w] += self.shard_cost[s as usize] + 1;
-        }
-        for s in 0..nshards {
-            pool.planned[s].store(self.planned_of[s], Ordering::Relaxed);
-            // Reset the claim; workers are parked, and the gate's
-            // Release epoch bump publishes the reset together with the
-            // caps and the deal.
-            pool.claims[s].store(false, Ordering::Relaxed);
         }
         Ok(())
     }
 }
 
-/// Whether shard `s` has any event below its cap this window. A pure
-/// fast-path filter: a stale head/inbox read can only mis-report a
-/// shard as due (the claim CAS then arbitrates) or as idle after
-/// another executor already claimed it — never skip real work, because
-/// mid-window arrivals always land at or beyond `cap_s` (the horizon
-/// floor), so a shard idle at the barrier stays idle all window.
-fn shard_due<M>(s: usize, pool: &Pool<'_, M>) -> bool {
-    let cap = pool.cap(s);
-    let head = time_from_bits(pool.heads[s].load(Ordering::Acquire));
-    let m = head.min(pool.inboxes[s].min_time());
-    m < cap && m <= pool.until
+/// One spawned worker: waits at the gate, runs its share of each window,
+/// acknowledges; returns when the coordinator leaves the scope.
+fn worker_loop<M: Clone + Send>(me: u32, pool: &Pool<'_, M>) {
+    let mut outbox = new_outbox(pool.tasks.len());
+    let mut seen = 0u64;
+    loop {
+        pool.gate.wait_epoch(seen);
+        seen += 1;
+        if pool.gate.stop.load(Ordering::Relaxed) {
+            return;
+        }
+        execute_window(me, pool, &mut outbox);
+        // Release pairs with the coordinator's `wait_done` Acquire:
+        // everything this window wrote is visible to the barrier.
+        pool.gate.done.fetch_add(1, Ordering::Release);
+    }
+}
+
+/// One executor's share of a window — the coordinator's (as worker 0)
+/// and every spawned worker's alike: the shards dealt to it, then every
+/// shard still unclaimed, then its outbox.
+///
+/// A panicking behaviour must neither strand the barrier nor lose its
+/// message to whichever thread happened to run it: the unwind is caught
+/// here and its payload left at the gate for the coordinator to
+/// re-raise. (Unwind safety: the run is being torn down — the poisoned
+/// task mutex is never locked again.)
+fn execute_window<M: Clone + Send>(me: u32, pool: &Pool<'_, M>, outbox: &mut [Batch<M>]) {
+    let window = catch_unwind(AssertUnwindSafe(|| {
+        // Pass 1: the shards dealt to this executor (the balanced
+        // plan), claimed so a stealing peer cannot double-run them.
+        for (s, slot) in pool.deal.iter().enumerate() {
+            if slot.load(Ordering::Relaxed) == me {
+                try_claim_advance(s, pool, outbox, me);
+            }
+        }
+        // Pass 2: steal — sweep every shard still unclaimed, so an
+        // executor that finished its plan early drains stragglers
+        // instead of idling at the barrier.
+        for s in 0..pool.deal.len() {
+            try_claim_advance(s, pool, outbox, me);
+        }
+        // Deliver the window's batched cross-shard sends: one inbox
+        // lock per destination shard instead of one per message.
+        for (inbox, batch) in pool.inboxes.iter().zip(outbox.iter_mut()) {
+            if !batch.is_empty() {
+                inbox.lock().expect("inbox poisoned").stage_batch(batch);
+            }
+        }
+    }));
+    if let Err(payload) = window {
+        pool.gate
+            .panic
+            .lock()
+            .expect("gate poisoned")
+            .get_or_insert(payload);
+    }
 }
 
 /// Claims shard `s` for this window and advances it; no-ops if the
@@ -1162,106 +819,41 @@ fn shard_due<M>(s: usize, pool: &Pool<'_, M>) -> bool {
 /// the claiming executor for the telemetry dealt/stolen record.
 fn try_claim_advance<M: Clone + Send>(
     s: usize,
-    pool: Pool<'_, M>,
-    outbox: &mut [Vec<(Key, Pending<M>)>],
+    pool: &Pool<'_, M>,
+    outbox: &mut [Batch<M>],
     me: u32,
 ) {
-    if !shard_due(s, &pool) {
+    let slot = &pool.deal[s];
+    // A pure fast-path filter (keeps the sweep from writing to slots it
+    // cannot win); the `fetch_or` below arbitrates.
+    if slot.load(Ordering::Relaxed) & TAKEN != 0 {
         return;
     }
-    // The claim. Success ordering Acquire: pairs with the previous
-    // owner's Release head store for the fast path, though the real
-    // inter-window visibility edge is the gate chain documented on
-    // `Cells` (claims are reset only between windows, so within a
-    // window the flag flips false → true at most once — that atomicity
-    // alone makes cell ownership exclusive).
-    if pool.claims[s]
-        .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-        .is_err()
-    {
+    let dealt_to = slot.fetch_or(TAKEN, Ordering::Relaxed);
+    if dealt_to & TAKEN != 0 {
         return;
     }
     // Won the claim: record whether this shard was dealt to us or
     // stolen. A pure side-channel write — the claim outcome itself is
     // machine-dependent, the dealt/stolen *sum* is not.
-    let dealt = pool.planned[s].load(Ordering::Relaxed) == me;
-    pool.shared.telemetry.claim(me as usize, dealt);
+    pool.shared.telemetry.claim(me as usize, dealt_to == me);
     advance_shard(s, pool, outbox);
 }
 
-/// One worker: waits at the gate (spin → yield → park), processes the
-/// shards the coordinator dealt it, then sweeps every shard still
-/// unclaimed (work stealing), and flushes its outbox. Lives for the
-/// whole simulation; between `run_until` calls it parks on the gate's
-/// condvar.
-fn worker_loop<M: Clone + Send>(worker: usize, nshards: usize, gate: &Gate, spin_limit: u32) {
-    let mut outbox: Vec<Vec<(Key, Pending<M>)>> = (0..nshards).map(|_| Vec::new()).collect();
-    let mut seen = 0u64;
-    let me = worker as u32;
-    loop {
-        gate.wait_epoch(seen, spin_limit);
-        seen = seen.wrapping_add(1);
-        if gate.stop.load(Ordering::Relaxed) {
-            return;
-        }
-        // SAFETY: the coordinator published this run's Pool before
-        // opening the window and keeps it alive until every worker has
-        // acknowledged; we acknowledge only after the last dereference.
-        let pool = unsafe { ctx_pool::<M>(gate.ctx.load(Ordering::Acquire)) };
-        // A panicking behavior must not strand the coordinator: catch,
-        // flag, count this worker done, and re-raise so the panic is
-        // reported on this thread. (Unwind safety: the run is being
-        // torn down — the poisoned task mutexes are never read.)
-        let window = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // Pass 1: the shards dealt to this worker (the balanced
-            // plan), claimed so a stealing peer cannot double-run them.
-            for s in 0..nshards {
-                if pool.planned[s].load(Ordering::Relaxed) == me {
-                    try_claim_advance(s, *pool, &mut outbox, me);
-                }
-            }
-            // Pass 2: steal — sweep every shard still unclaimed, so an
-            // executor that finished its plan early drains stragglers
-            // instead of idling at the barrier.
-            for s in 0..nshards {
-                try_claim_advance(s, *pool, &mut outbox, me);
-            }
-            flush_outbox(&mut outbox, pool.inboxes);
-        }));
-        if let Err(payload) = window {
-            gate.panicked.store(true, Ordering::Relaxed);
-            gate.done.fetch_add(1, Ordering::Release);
-            std::panic::resume_unwind(payload);
-        }
-        gate.done.fetch_add(1, Ordering::Release);
-    }
-}
-
-/// Delivers a window's batched cross-shard sends: one inbox lock per
-/// destination shard instead of one per message.
-fn flush_outbox<M>(outbox: &mut [Vec<(Key, Pending<M>)>], inboxes: &[Inbox<M>]) {
-    for (dst, batch) in outbox.iter_mut().enumerate() {
-        if !batch.is_empty() {
-            inboxes[dst].stage_batch(batch);
-        }
-    }
-}
-
 /// Advances one shard through the window: absorb staged arrivals,
-/// pop-and-dispatch every local event below the shard's cap, publish
-/// the new head.
-fn advance_shard<M: Clone + Send>(
-    s: usize,
-    pool: Pool<'_, M>,
-    outbox: &mut [Vec<(Key, Pending<M>)>],
-) {
-    let cap = pool.cap(s);
+/// pop-and-dispatch every local event below the cap, record the new
+/// head.
+fn advance_shard<M: Clone + Send>(s: usize, pool: &Pool<'_, M>, outbox: &mut [Batch<M>]) {
+    let cap = SimTime::from_secs(f64::from_bits(pool.cap_bits.load(Ordering::Relaxed)));
     let tel = &pool.shared.telemetry;
     tel.shard_window(s);
     let mut task = pool.tasks[s].lock().expect("task poisoned");
     let task = &mut *task;
-    let drained = pool.inboxes[s].drain_into(&mut task.shard);
-    tel.inbox_merged(s, drained as u64);
+    let drained = pool.inboxes[s]
+        .lock()
+        .expect("inbox poisoned")
+        .drain_into(task.shard);
+    tel.inbox_merged(s, drained);
     // Strictly below the cap: an arrival from another shard may still
     // land exactly on it.
     let due =
@@ -1277,17 +869,16 @@ fn advance_shard<M: Clone + Send>(
             s,
             "event on wrong shard"
         );
-        // SAFETY: this executor claimed shard `s` for the current
-        // window (claim CAS won, or sole inline executor), so it holds
-        // exclusive logical ownership of every node mapped to `s` —
-        // see the `Cells` contract.
+        // SAFETY: this executor set `deal[s]`'s TAKEN bit for the
+        // current window, so it holds exclusive logical ownership of
+        // every node mapped to `s` — see the `Cells` contract.
         let cell = unsafe { pool.cells.cell(node.index()) };
         run_event(
             cell,
             node,
             pool.shared,
             QueueKind::Worker {
-                local: &mut task.shard,
+                local: &mut *task.shard,
                 outbox,
                 shard_of: pool.shard_of,
                 my_shard: s as u32,
@@ -1298,33 +889,7 @@ fn advance_shard<M: Clone + Send>(
             pending,
         );
     }
-    // Release pairs with the Acquire loads in the coordinator scan and
-    // in peers' steal-pass due checks (see `Pool::heads`).
-    pool.heads[s].store(
-        task.shard.head_key().time.as_secs().to_bits(),
-        Ordering::Release,
-    );
-}
-
-/// splitmix64 step — the claim probe's permutation source. Not a
-/// simulation RNG: it only shuffles the inline claim order, which is
-/// invisible to results.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Fisher–Yates over the inline path's claim order, keyed by the probe
-/// seed and the window index.
-fn permute(order: &mut [u32], seed: u64, window: u64) {
-    let mut state = seed ^ window.wrapping_mul(0xD1B5_4A32_D192_ED03);
-    for i in (1..order.len()).rev() {
-        let j = (splitmix(&mut state) % (i as u64 + 1)) as usize;
-        order.swap(i, j);
-    }
+    task.head = task.shard.head_key().time;
 }
 
 #[cfg(test)]
@@ -1334,6 +899,7 @@ mod tests {
     use crate::shard::{Partition, SchedulerKind};
     use crate::time::{SimDuration, SimTime};
     use proptest::prelude::*;
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
     /// A minimal churn workload without shared test state, so the
     /// parallel smoke test needs no synchronization of its own.
@@ -1394,8 +960,9 @@ mod tests {
 
     #[test]
     fn pool_survives_many_fine_grained_steps() {
-        // Stepping in many small increments must reuse the persistent
-        // pool (one spawn) and reproduce the one-shot trace exactly.
+        // Every `run_until` is a scope of its own: stepping in many
+        // small increments (150 of them, each spawning and joining its
+        // worker) must reproduce the one-shot trace exactly.
         let one_shot = run(SchedulerKind::Parallel {
             partition: Partition::by_blocks(8, 2),
             workers: 2,
@@ -1407,13 +974,10 @@ mod tests {
                 workers: 2,
             },
         );
-        // Force the pooled path regardless of this machine's cores.
+        // Force two real OS threads regardless of this machine's cores.
         sim.pin_workers(2);
         for _ in 0..150 {
             sim.run_for(SimDuration::from_millis(5.0));
-        }
-        if let crate::engine::EventStore::Parallel(pq) = &sim.store {
-            assert!(pq.pool.is_some(), "pool must persist across steps");
         }
         assert_eq!(
             sim.into_trace().to_bytes(),
@@ -1517,8 +1081,6 @@ mod tests {
         let mut b = SimBuilder::new(config);
         let a = b.add_node(Box::new(FarTimer { fired: false }));
         let z = b.add_node(Box::new(FarTimer { fired: false }));
-        // The edge is what constrains the horizon: without neighbors a
-        // shard's cap is infinite and no livelock is possible.
         b.add_edge(a, z);
         b.build()
     }
@@ -1548,44 +1110,94 @@ mod tests {
     #[test]
     #[should_panic(expected = "vanishes")]
     fn vanishing_lookahead_panics_via_run_until() {
-        // The pooled path: the error must come out of `run_until` as a
-        // panic *after* a clean barrier stop — workers parked, pool
-        // reusable/joinable — not as a mid-window deadlock. Dropping
-        // the simulation during unwind joins the pool, which hangs (and
-        // fails the test) if any worker were stranded.
+        // Two real threads: the error must come out of `run_until` as
+        // a panic *after* a clean barrier stop — the worker released
+        // and joined by the scope — not as a mid-window deadlock, which
+        // would hang (and fail) the test.
         let mut sim = far_timer_sim(2);
         sim.pin_workers(2);
         sim.run_until(SimTime::from_secs(1.0));
     }
 
     #[test]
-    #[should_panic(expected = "parallel worker panicked")]
+    #[should_panic(expected = "behavior exploded")]
     fn worker_panic_propagates_instead_of_hanging() {
-        struct Bomb;
-        impl Behavior<()> for Bomb {
+        /// Fires at t = 0.01; the one bomb among them panics there.
+        struct Fuse {
+            bomb: bool,
+        }
+        impl Behavior<()> for Fuse {
             fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
                 ctx.set_timer_at(TrackId::MAIN, 0.01, TimerTag::new(0));
             }
             fn on_timer(&mut self, _: &mut Ctx<'_, ()>, _: TimerTag) {
-                panic!("behavior exploded");
+                assert!(!self.bomb, "behavior exploded");
             }
             fn on_message(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: &()) {}
         }
-        let mut b = SimBuilder::<()>::new(SimConfig {
-            scheduler: SchedulerKind::Parallel {
-                partition: Partition::by_blocks(2, 1),
+        // Four singleton shards, all due in the bomb's window and all
+        // of cost zero, so the deal is round-robin: shard 0 goes to
+        // worker 0 (the caller), shard 1 to worker 1 (spawned). Which
+        // thread then *runs* the bomb is the steal race's business —
+        // the message must not depend on it. A hang here (a worker left
+        // waiting while the scope joins it) fails the test by timeout.
+        let mut payloads = Vec::new();
+        for workers in [2usize, 4] {
+            for bomb_shard in [0usize, 1] {
+                let mut b = SimBuilder::<()>::new(SimConfig {
+                    scheduler: SchedulerKind::Parallel {
+                        partition: Partition::by_blocks(4, 1),
+                        workers,
+                    },
+                    ..SimConfig::default()
+                });
+                for node in 0..4 {
+                    b.add_node(Box::new(Fuse {
+                        bomb: node == bomb_shard,
+                    }));
+                }
+                let mut sim = b.build();
+                // Real OS threads regardless of this machine's cores.
+                sim.pin_workers(workers);
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    sim.run_until(SimTime::from_secs(1.0));
+                }));
+                payloads.push(outcome.expect_err("the bomb must go off"));
+            }
+        }
+        // The payload is the behaviour's own, not a sentence about
+        // workers; the last one leaves through `should_panic`.
+        for payload in &payloads {
+            let message = payload.downcast_ref::<&str>();
+            assert!(
+                message.is_some_and(|m| m.contains("exploded")),
+                "a window replaced the behaviour's panic message"
+            );
+        }
+        resume_unwind(payloads.pop().expect("four runs"));
+    }
+
+    #[test]
+    #[should_panic(expected = "observer exploded")]
+    fn observer_panic_at_a_barrier_releases_the_workers() {
+        // The unwind starts on the coordinator, between windows, with a
+        // spawned worker waiting at the gate: unless the coordinator
+        // releases it on the way out, the scope joins it forever.
+        struct Fragile;
+        impl crate::observe::Observer for Fragile {
+            fn on_row(&mut self, _: &crate::trace::Row) {
+                panic!("observer exploded");
+            }
+        }
+        let mut sim = ring_sim(
+            8,
+            SchedulerKind::Parallel {
+                partition: Partition::by_blocks(8, 2),
                 workers: 2,
             },
-            ..SimConfig::default()
-        });
-        b.add_node(Box::new(Bomb));
-        b.add_node(Box::new(Bomb));
-        let mut sim = b.build();
-        // Force two real OS threads regardless of this machine's core
-        // count (thread count never changes results; this only selects
-        // the pooled code path).
+        );
         sim.pin_workers(2);
-        sim.run_until(SimTime::from_secs(1.0));
+        sim.run_until_with(SimTime::from_secs(0.5), &mut Fragile);
     }
 
     #[test]
@@ -1616,32 +1228,31 @@ mod tests {
     }
 
     proptest! {
-        /// Any per-window shard claim order yields the identical merged
-        /// trace: shards are independent within a window, so ownership
-        /// order is invisible to results. The probe shuffles the inline
-        /// executor's claim sequence; the pooled paths' racy claim
-        /// orders are a subset of these (and are stress-tested across
-        /// real threads in `tests/shard_stealing.rs`).
+        /// Any shard claim order yields the identical merged trace:
+        /// shards are independent within a window, so ownership order
+        /// is invisible to results. A single executor claims the due
+        /// shards in index order, so relabelling the shards (`keys`'
+        /// ranks) runs the same eight node groups in an arbitrary order
+        /// — deterministically, with no hook into the executor. The
+        /// racy claim orders of real threads are a subset of these (and
+        /// are stress-tested in `tests/shard_stealing.rs`).
         #[test]
-        fn claim_order_never_changes_the_trace(probe in 1u64..u64::MAX) {
+        fn claim_order_never_changes_the_trace(
+            keys in proptest::collection::vec(0u64..u64::MAX, 8..9),
+        ) {
             static REFERENCE: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
             let reference = REFERENCE.get_or_init(|| run(SchedulerKind::Global));
-            let mut sim = ring_sim(
-                8,
-                SchedulerKind::Parallel {
-                    partition: Partition::by_blocks(8, 2),
-                    workers: 1,
-                },
-            );
-            if let crate::engine::EventStore::Parallel(pq) = &mut sim.store {
-                pq.claim_probe = Some(probe);
-            }
-            sim.run_until(SimTime::from_secs(0.5));
-            sim.run_for(SimDuration::from_secs(0.25));
+            let labels: Vec<usize> = (0..8)
+                .map(|i| (0..8).filter(|&j| (keys[j], j) < (keys[i], i)).count())
+                .collect();
+            let parallel = run(SchedulerKind::Parallel {
+                partition: Partition::from_assignment(labels.clone()),
+                workers: 1,
+            });
             prop_assert!(
-                &sim.into_trace().to_bytes() == reference,
-                "claim order {} changed the trace",
-                probe
+                &parallel == reference,
+                "claim order {:?} changed the trace",
+                labels
             );
         }
     }

@@ -16,9 +16,9 @@
 //! [`SchedulerKind::Global`] drains a single such queue ([`EventQueue`],
 //! which is also the face the differential and property tests drive).
 //! [`SchedulerKind::Parallel`] splits the network along the seam the
-//! paper's model provides — every inter-cluster message is delayed by at
-//! least `d − U > 0` — into one queue per [`Partition`] shard and
-//! advances them on worker threads between lookahead barriers (see
+//! paper's model provides — every message is delayed by at least
+//! `d − U > 0` — into one queue per [`Partition`] shard and advances
+//! them on several threads between lookahead barriers (see
 //! [`crate::par`]). Events carry a `(time, tie)` key whose tie the engine
 //! derives from `(source, per-source counter)`, so the dispatch order is
 //! the same total order on one queue, on many, and on every thread count
@@ -39,11 +39,13 @@ use crate::time::SimTime;
 
 /// Assignment of simulation nodes to scheduler shards.
 ///
-/// Shard ids are dense (`0..shard_count`). A good partition puts nodes
-/// that exchange low-latency messages in the same shard and lets only
-/// `≥ d − U`-delayed traffic cross shards; for the paper's cluster
-/// graphs that is one shard per cluster (see
-/// `ftgcs::cluster::cluster_partition`).
+/// Shard ids are dense (`0..shard_count`). Every partition is sound —
+/// all traffic is delayed by `≥ d − U` — so a good one is a matter of
+/// cost: few edges cut (a message that crosses shards is staged and
+/// merged, one that stays is a plain push) and a handful of shards per
+/// worker, each fat enough to keep its calendar queue busy. For the
+/// paper's cluster graphs that is a few contiguous runs of clusters per
+/// worker (see `ftgcs::cluster::worker_partition`).
 ///
 /// # Examples
 ///
@@ -197,40 +199,13 @@ fn resolve_workers_from(
     want.clamp(1, shards.max(1))
 }
 
-/// Builds the inter-shard adjacency underlying the parallel executor's
-/// per-shard horizons: `graph[s]` lists the shards holding at least one
-/// node adjacent to a node of shard `s` (deduped, no self-entries).
-/// Messages travel only along node adjacency, so this graph bounds how
-/// event influence can cross shards — it is undirected because node
-/// adjacency is.
-pub(crate) fn shard_adjacency(
-    adjacency: &[Vec<NodeId>],
-    shard_of: &[u32],
-    nshards: usize,
-) -> Vec<Vec<u32>> {
-    let mut graph: Vec<Vec<u32>> = vec![Vec::new(); nshards];
-    for (u, neighbors) in adjacency.iter().enumerate() {
-        let su = shard_of[u];
-        for v in neighbors {
-            let sv = shard_of[v.index()];
-            if sv != su {
-                graph[su as usize].push(sv);
-            }
-        }
-    }
-    for list in &mut graph {
-        list.sort_unstable();
-        list.dedup();
-    }
-    graph
-}
-
 /// Which event scheduler a simulation uses.
 ///
 /// Both variants dispatch events in the identical global order, so
 /// switching the scheduler never changes a run's trace — only its
 /// throughput. `Global` drains one [`EventQueue`]; `Parallel` runs one
-/// queue of the same kind per shard on worker threads between
+/// queue of the same kind per shard, on the calling thread and
+/// `workers − 1` threads scoped to the `run_until` call, between
 /// conservative lookahead barriers.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
@@ -238,14 +213,15 @@ pub enum SchedulerKind {
     /// at zero lookahead (`U = d`).
     #[default]
     Global,
-    /// Per-shard queues advanced on a worker-thread pool between
-    /// `d − U` lookahead barriers. The merged trace is byte-identical
-    /// to the global queue's on every worker count.
+    /// Per-shard queues advanced by `workers` threads (the caller is
+    /// one of them) between `d − U` lookahead barriers. The merged
+    /// trace is byte-identical to the global queue's on every worker
+    /// count.
     Parallel {
         /// Node → shard assignment; must cover exactly the
         /// simulation's nodes.
         partition: Partition,
-        /// Worker threads; `0` means auto (the [`WORKERS_ENV`]
+        /// Executing threads; `0` means auto (the [`WORKERS_ENV`]
         /// environment variable, else available parallelism), always
         /// capped at the shard count. See [`resolve_workers`].
         workers: usize,

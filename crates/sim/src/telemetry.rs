@@ -78,11 +78,12 @@ pub mod alloc_probe {
 /// whole-run total), accumulated by [`Telemetry::phase`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Coordinator barrier work: front scan, horizon fixpoint, deal-out.
+    /// Coordinator barrier work: the window's cap and the deal-out.
     Barrier,
     /// Window execution (workers advancing shards).
     Execute,
-    /// Row/result merging back into global order, plus sample firing.
+    /// Collecting the shards' results and fronts, merging rows back
+    /// into global order, plus sample firing.
     Merge,
     /// The whole `run_until` span (all schedulers).
     Total,
@@ -361,7 +362,7 @@ impl Telemetry {
             let ns = (horizon_span_secs * 1e9).round();
             if ns.is_finite() && ns > 0.0 {
                 // The cast is exact: checked finite and positive above,
-                // and bounded by the horizon clamp — far below u64
+                // and at most one lookahead per due shard — far below u64
                 // range in nanoseconds.
                 self.horizon_span_ns.fetch_add(ns as u64, Ordering::Relaxed);
             }
@@ -617,7 +618,7 @@ pub struct Diagnostics {
 pub struct WallClock {
     /// Total host seconds spent inside `run_until` calls.
     pub total_secs: f64,
-    /// Coordinator barrier work (front scan, horizon fixpoint, deal).
+    /// Coordinator barrier work (window cap, deal).
     pub barrier_secs: f64,
     /// Window execution.
     pub execute_secs: f64,

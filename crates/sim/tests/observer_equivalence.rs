@@ -5,8 +5,8 @@
 //! worker counts), streaming the run through a
 //! collect-everything observer must reproduce the materialized
 //! [`Trace`] exactly, and stepping the simulation in fine increments
-//! must match the one-shot run byte-for-byte (the persistent worker
-//! pool must be invisible to results).
+//! must match the one-shot run byte-for-byte (where a call's window
+//! boundaries fall must be invisible to results).
 
 use ftgcs_sim::engine::{Ctx, SimBuilder, SimConfig, Simulation};
 use ftgcs_sim::node::{Behavior, NodeId, TimerTag, TrackId};
@@ -113,10 +113,10 @@ fn fanout_observer_feeds_every_sink_the_full_stream() {
 #[test]
 fn stepping_granularity_never_changes_the_trace() {
     // Fine-grained driver stepping (many run_until calls) must be
-    // byte-identical to one long call, on the serial and the pooled
-    // parallel engines alike — the persistent pool keeps its threads
-    // across calls, and the step boundaries fall at arbitrary times
-    // (including mid-window for the parallel executor).
+    // byte-identical to one long call, on the serial and the parallel
+    // engines alike — every call is a thread scope of its own, and the
+    // step boundaries fall at arbitrary times (including mid-window
+    // for the parallel executor).
     for (name, kind) in schedulers() {
         let reference = materialized(kind.clone()).to_bytes();
         for step_ms in [7.0, 50.0] {

@@ -1,13 +1,12 @@
-//! Stress suite for the parallel executor's work stealing and
-//! per-shard horizons (the dynamic shard→worker assignment landed
-//! after PR 3's static `shard % workers` split).
+//! Stress suite for the parallel executor's work stealing (the
+//! dynamic shard→worker assignment that replaced PR 3's static
+//! `shard % workers` split).
 //!
-//! The partitions here are chosen to make the *old* static assignment
+//! The partitions here are chosen to make a static assignment
 //! maximally lopsided — a hub shard holding a third of the nodes next
 //! to singleton spokes, and one giant shard next to trivial ones — so
 //! the deal-out/steal machinery actually runs (idle workers sweep the
-//! unclaimed heavy shards) while per-shard horizons give the far-ahead
-//! singleton shards caps beyond the global front. Determinism is the
+//! unclaimed heavy shards). Determinism is the
 //! assertion: whatever the claim race does, the merged trace must be
 //! byte-identical to the serial global heap, at every worker count,
 //! with real OS threads forced via [`Simulation::pin_workers`]
@@ -138,8 +137,9 @@ fn assert_ragged_partition_equivalent(name: &str, partition_of: fn(usize) -> Par
             !reference.0.is_empty(),
             "{name}/seed {seed}: empty reference"
         );
-        // workers: 1 (inline path), 2 and 4 (pooled, pinned to real OS
-        // threads), and auto (resolve_workers / FTGCS_WORKERS).
+        // workers: 1 (nothing spawned), 2 and 4 (pinned to real OS
+        // threads, the caller among them), and auto (resolve_workers /
+        // FTGCS_WORKERS).
         for (label, workers, pin) in [
             ("w1", 1usize, Some(1usize)),
             ("w2", 2, Some(2)),

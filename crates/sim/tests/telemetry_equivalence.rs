@@ -16,7 +16,7 @@
 //! process-wide counting allocator.)
 
 use ftgcs_sim::clock::RateModel;
-use ftgcs_sim::engine::{Ctx, SimBuilder, SimConfig, SimStats};
+use ftgcs_sim::engine::{Ctx, SimBuilder, SimConfig, SimStats, Simulation};
 use ftgcs_sim::network::{DelayConfig, DelayDistribution};
 use ftgcs_sim::node::{Behavior, NodeId, TimerTag, TrackId};
 use ftgcs_sim::shard::{Partition, SchedulerKind};
@@ -72,7 +72,7 @@ fn config(scheduler: SchedulerKind, telemetry: bool) -> SimConfig {
     }
 }
 
-fn run(scheduler: SchedulerKind, telemetry: bool) -> (Trace, SimStats, TelemetryReport) {
+fn build(scheduler: SchedulerKind, telemetry: bool) -> Simulation<u64> {
     let mut builder = SimBuilder::new(config(scheduler, telemetry));
     let ids: Vec<NodeId> = (0..N)
         .map(|_| builder.add_node(Box::new(Beater { beats: 0 })))
@@ -83,7 +83,11 @@ fn run(scheduler: SchedulerKind, telemetry: bool) -> (Trace, SimStats, Telemetry
         builder.add_edge(ids[i], ids[(i + 1) % N]);
         builder.add_edge(ids[i], ids[(i + 5) % N]);
     }
-    let mut sim = builder.build();
+    builder.build()
+}
+
+fn run(scheduler: SchedulerKind, telemetry: bool) -> (Trace, SimStats, TelemetryReport) {
+    let mut sim = build(scheduler, telemetry);
     sim.run_until(SimTime::from_secs(1.0));
     let stats = sim.stats();
     let report = sim.telemetry();
@@ -208,6 +212,11 @@ fn every_shard_window_is_dealt_or_stolen_and_shares_sum_to_one() {
         )
         .2;
         let d = &report.diagnostics;
+        assert_eq!(
+            report.workers,
+            Some(d.per_worker.len()),
+            "{label}: the reported worker count is the number of executors"
+        );
         let executed: u64 = report.per_shard.iter().map(|s| s.windows).sum();
         assert!(executed > 0, "{label}: no shard-windows executed");
         assert_eq!(
@@ -229,6 +238,26 @@ fn every_shard_window_is_dealt_or_stolen_and_shares_sum_to_one() {
             "{label}: per-worker claims must roll up to the totals"
         );
     }
+}
+
+#[test]
+fn a_pin_above_the_shard_count_reports_the_executors_that_ran() {
+    // Three shards cannot occupy eight workers: the pin clamps like
+    // `resolve_workers` does, and the report says what ran.
+    let mut sim = build(
+        SchedulerKind::Parallel {
+            partition: Partition::by_blocks(N, 6),
+            workers: 1,
+        },
+        true,
+    );
+    sim.pin_workers(8);
+    sim.run_until(SimTime::from_secs(0.2));
+    let report = sim.telemetry();
+    assert_eq!(report.shards, 3);
+    assert_eq!(report.workers, Some(3));
+    assert_eq!(report.diagnostics.per_worker.len(), 3);
+    assert_eq!(sim.planned_worker_events().map(<[u64]>::len), Some(3));
 }
 
 #[test]
