@@ -396,13 +396,6 @@ fn parse_row_tsv(line: &str) -> Result<(f64, u64, Vec<String>), String> {
 pub fn sweep_file_with(path: &Path, axes: &[SweepAxis], opts: &SweepOptions) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let base = SpecFile::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    if base.analysis.is_some() {
-        return Err(format!(
-            "{}: sweeps drive the streaming runner; this spec names an `analysis` \
-             (its grid is analysis-internal — run it with `xp run`)",
-            path.display()
-        ));
-    }
     if axes.is_empty() {
         return Err("sweep needs at least one key=v1,v2,… axis".into());
     }
@@ -419,13 +412,6 @@ pub fn sweep_file_with(path: &Path, axes: &[SweepAxis], opts: &SweepOptions) -> 
     let mut table = Table::new(&headers);
 
     let cells: usize = axes.iter().map(|a| a.values.len()).product();
-    println!(
-        "xp sweep {}: {} cell(s) over {} axis(es)\n",
-        path.display(),
-        cells,
-        axes.len()
-    );
-
     // Expand and parse every cell up front (odometer over the axes), so
     // both modes validate identically before any cell runs.
     let mut expanded = Vec::with_capacity(cells);
@@ -440,6 +426,14 @@ pub fn sweep_file_with(path: &Path, axes: &[SweepAxis], opts: &SweepOptions) -> 
         }
         let name = values.join("/");
         let file = SpecFile::parse(&cell_text).map_err(|e| format!("cell {name}: {e}"))?;
+        // Checked per cell, not on the base file: an axis can add the key.
+        if file.analysis.is_some() {
+            return Err(format!(
+                "{}: sweeps drive the streaming runner; cell {name} names an `analysis` \
+                 (its grid is analysis-internal — run it with `xp run`)",
+                path.display()
+            ));
+        }
         expanded.push(SweepCell { name, values, file });
         for a in (0..axes.len()).rev() {
             index[a] += 1;
@@ -449,6 +443,13 @@ pub fn sweep_file_with(path: &Path, axes: &[SweepAxis], opts: &SweepOptions) -> 
             index[a] = 0;
         }
     }
+
+    println!(
+        "xp sweep {}: {} cell(s) over {} axis(es)\n",
+        path.display(),
+        cells,
+        axes.len()
+    );
 
     let total_sw = Stopwatch::start();
     let mut total_events: u64 = 0;

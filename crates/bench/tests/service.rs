@@ -35,33 +35,57 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-fn sweep(cwd: &Path, cache: &Path, extra: &[&str]) -> std::process::Output {
+const SEEDS: &str = "seed=1,2,3";
+/// The worker sweep: one cell per scheduler, an axis value with a space.
+const SCHEDULERS: &str = "scheduler=global,parallel 1,parallel 2";
+const PARALLEL: [&str; 3] = ["--parallel", "--jobs", "2"];
+
+/// `xp sweep smoke.spec <axis> <extra…>` in `cwd`, not yet run.
+fn sweep_command(cwd: &Path, cache: &Path, axis: &str, extra: &[&str]) -> Command {
     std::fs::create_dir_all(cwd).expect("sweep cwd");
-    Command::new(xp())
+    let mut command = Command::new(xp());
+    command
         .current_dir(cwd)
         .env("FTGCS_CACHE_DIR", cache)
         .arg("sweep")
         .arg(spec_path("smoke.spec"))
-        .arg("seed=1,2,3")
-        .args(extra)
+        .arg(axis)
+        .args(extra);
+    command
+}
+
+fn sweep(cwd: &Path, cache: &Path, axis: &str, extra: &[&str]) -> std::process::Output {
+    sweep_command(cwd, cache, axis, extra)
         .output()
         .expect("xp sweep")
 }
 
 #[test]
 fn parallel_sweep_is_byte_identical_to_sequential() {
-    let dir = scratch("par_eq");
-    let seq = sweep(&dir.join("seq"), &dir.join("seq_cache"), &[]);
+    parallel_sweep_matches_sequential("par_eq_seeds", SEEDS);
+    let csv = parallel_sweep_matches_sequential("par_eq_schedulers", SCHEDULERS);
+    // A run is a pure function of its spec whatever drains the queue:
+    // the six measured columns agree on all three scheduler rows.
+    let measured: Vec<&str> = csv
+        .lines()
+        .skip(1)
+        .map(|row| row.split_once(',').expect("axis column").1)
+        .collect();
+    assert_eq!(measured.len(), 3, "{csv}");
+    assert!(measured.iter().all(|m| *m == measured[0]), "{csv}");
+}
+
+/// Sweeps `axis` sequentially, with `--parallel --jobs 2` and again
+/// from the cache; returns the sweep CSV all three agree on.
+fn parallel_sweep_matches_sequential(name: &str, axis: &str) -> String {
+    let dir = scratch(name);
+    let seq = sweep(&dir.join("seq"), &dir.join("seq_cache"), axis, &[]);
     assert!(
         seq.status.success(),
         "{}",
         String::from_utf8_lossy(&seq.stderr)
     );
-    let par = sweep(
-        &dir.join("par"),
-        &dir.join("cache"),
-        &["--parallel", "--jobs", "2"],
-    );
+    let par = sweep(&dir.join("par"), &dir.join("cache"), axis, &PARALLEL);
     assert!(
         par.status.success(),
         "{}",
@@ -72,9 +96,12 @@ fn parallel_sweep_is_byte_identical_to_sequential() {
         String::from_utf8_lossy(&par.stdout),
         "parallel sweep stdout diverged from sequential"
     );
+    let csv = std::fs::read_to_string(dir.join("seq/results/smoke_sweep.csv"))
+        .expect("sequential sweep CSV");
     assert_eq!(
-        std::fs::read(dir.join("seq/results/smoke_sweep.csv")).expect("sequential sweep CSV"),
-        std::fs::read(dir.join("par/results/smoke_sweep.csv")).expect("parallel sweep CSV"),
+        csv,
+        std::fs::read_to_string(dir.join("par/results/smoke_sweep.csv"))
+            .expect("parallel sweep CSV"),
         "merged sweep CSV diverged"
     );
     // The stderr progress channel: per-cell [k/N] indices plus the
@@ -90,11 +117,7 @@ fn parallel_sweep_is_byte_identical_to_sequential() {
 
     // A repeated parallel sweep is served from the cache ((cached)
     // markers on stderr) and still byte-identical on stdout.
-    let again = sweep(
-        &dir.join("par2"),
-        &dir.join("cache"),
-        &["--parallel", "--jobs", "2"],
-    );
+    let again = sweep(&dir.join("par2"), &dir.join("cache"), axis, &PARALLEL);
     assert!(again.status.success());
     assert_eq!(seq.stdout, again.stdout);
     assert!(
@@ -102,24 +125,44 @@ fn parallel_sweep_is_byte_identical_to_sequential() {
         "repeat sweep did not hit the cache: {}",
         String::from_utf8_lossy(&again.stderr)
     );
+    csv
+}
+
+/// An axis can give a cell the `analysis` key the base file lacks; such
+/// a sweep is refused before any cell runs, identically in both modes.
+#[test]
+fn sweep_rejects_an_analysis_axis_before_any_cell_runs() {
+    let dir = scratch("analysis_axis");
+    // A `run-cell` child would create this marker before parsing.
+    let marker = dir.join("child_marker");
+    let refused = |mode: &str, extra: &[&str]| {
+        let cwd = dir.join(mode);
+        let out = sweep_command(&cwd, &dir.join("cache"), "analysis=t4_global_skew", extra)
+            .env("FTGCS_RUN_CELL_CRASH_ONCE", &marker)
+            .output()
+            .expect("xp sweep");
+        assert_eq!(out.status.code(), Some(1), "{mode}");
+        assert!(out.stdout.is_empty(), "{mode} printed a table");
+        assert!(!cwd.join("results").exists(), "{mode} wrote a CSV");
+        String::from_utf8(out.stderr).expect("stderr is UTF-8")
+    };
+    let seq = refused("seq", &[]);
+    assert!(seq.contains("names an `analysis`"), "{seq}");
+    assert_eq!(seq.lines().count(), 1, "{seq}");
+    assert_eq!(seq, refused("par", &PARALLEL));
+    assert!(!marker.exists(), "a run-cell child was spawned");
+    assert!(!dir.join("cache").exists(), "a cache entry was created");
 }
 
 #[test]
 fn crashed_cell_is_retried_with_identical_output() {
     let dir = scratch("crash");
-    let seq = sweep(&dir.join("seq"), &dir.join("seq_cache"), &[]);
+    let seq = sweep(&dir.join("seq"), &dir.join("seq_cache"), SEEDS, &[]);
     assert!(seq.status.success());
 
     let marker = dir.join("crash_once_marker");
-    std::fs::create_dir_all(dir.join("par")).expect("par cwd");
-    let par = Command::new(xp())
-        .current_dir(dir.join("par"))
-        .env("FTGCS_CACHE_DIR", dir.join("cache"))
+    let par = sweep_command(&dir.join("par"), &dir.join("cache"), SEEDS, &PARALLEL)
         .env("FTGCS_RUN_CELL_CRASH_ONCE", &marker)
-        .arg("sweep")
-        .arg(spec_path("smoke.spec"))
-        .arg("seed=1,2,3")
-        .args(["--parallel", "--jobs", "2"])
         .output()
         .expect("xp sweep");
     assert!(
@@ -156,14 +199,22 @@ impl Drop for KillOnDrop {
 /// One HTTP exchange: `request` is `"METHOD /path"`. Returns the
 /// status code and the body.
 fn http(addr: &str, request: &str, body: &[u8]) -> (u16, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect to xp serve");
     let (method, path) = request.split_once(' ').expect("request is METHOD /path");
     let head = format!(
         "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes()).expect("send head");
-    stream.write_all(body).expect("send body");
+    http_raw(addr, &[head.as_bytes(), body].concat())
+}
+
+/// Sends `raw` as it is, half-closes (so a request cut short reads as
+/// EOF at the server, not as a ten-second timeout) and reads the reply.
+fn http_raw(addr: &str, raw: &[u8]) -> (u16, Vec<u8>) {
+    let mut stream = TcpStream::connect(addr).expect("connect to xp serve");
+    stream.write_all(raw).expect("send request");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
     let mut reply = Vec::new();
     stream.read_to_end(&mut reply).expect("read reply");
     let split = reply
@@ -295,6 +346,12 @@ fn serve_runs_submissions_and_answers_repeats_from_cache() {
     assert_eq!(code, 400);
     let (code, _) = http(&addr, "GET /status/0123456789abcdef", b"");
     assert_eq!(code, 404);
+    // A request cut off before the blank line that ends its headers is
+    // rejected too, and the server carries on.
+    let (code, _) = http_raw(&addr, b"GET /stats HTTP/1.1\r\nHost: x");
+    assert_eq!(code, 400);
+    let (code, _) = http(&addr, "GET /stats", b"");
+    assert_eq!(code, 200);
 
     let (code, _) = http(&addr, "POST /shutdown", b"");
     assert_eq!(code, 200);

@@ -5,8 +5,7 @@
 //! are not first-party workspace source:
 //!
 //! * `target` — build products;
-//! * `vendor` — vendored third-party stand-ins (criterion legitimately
-//!   reads the wall clock; it is not simulation code);
+//! * `vendor` — vendored third-party stand-ins (not simulation code);
 //! * `fixtures` — the lint's own test corpus of deliberate violations;
 //! * dot-directories (`.git`, `.github`).
 //!

@@ -68,9 +68,12 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     let mut content_length: usize = 0;
     for _ in 0..MAX_HEADERS {
         let mut line = String::new();
-        reader
+        let read = reader
             .read_line(&mut line)
             .map_err(|e| format!("reading header: {e}"))?;
+        if read == 0 {
+            return Err("request ends before the blank line that closes its headers".to_string());
+        }
         let line = line.trim_end_matches(['\r', '\n']);
         if line.is_empty() {
             let mut body = vec![0u8; content_length];
@@ -195,6 +198,9 @@ mod tests {
         assert!(parse_raw(b"GET / HTTP/1.1\r\nContent-Length: zap\r\n\r\n").is_err());
         assert!(parse_raw(b"GET / HTTP/1.1\r\nContent-Length: 99999999999999\r\n\r\n").is_err());
         assert!(parse_raw(b"GET / HTTP/1.1\r\nContent-Length: 5\r\n\r\nab").is_err());
+        // Cut off before the blank line: after the request line, mid-header.
+        assert!(parse_raw(b"GET /stats HTTP/1.1\r\n").is_err());
+        assert!(parse_raw(b"GET /stats HTTP/1.1\r\nHost: x").is_err());
     }
 
     #[test]
