@@ -162,15 +162,14 @@ impl Observer for Progress {
 /// stdout and `results/<name>_summary.csv`. Memory stays O(nodes).
 fn streaming_run(label: &str, file: &SpecFile, opts: &RunOptions) -> Result<(), String> {
     let spec = &file.scenario;
-    let params = spec.params().map_err(|e| format!("{label}: {e}"))?;
     let mut scenario = Scenario::from_spec(spec).map_err(|e| format!("{label}: {e}"))?;
     if opts.telemetry.is_some() {
         scenario.telemetry(true);
     }
-    let horizon = spec.duration.resolve(&params);
+    let horizon = spec.duration.resolve(scenario.params());
     let nodes = scenario.cluster_graph().physical().node_count();
     let mask = FaultMask::from_nodes(nodes, &scenario.faulty_nodes());
-    let warm = 5.0 * params.t_round;
+    let warm = crate::warmup(scenario.params());
 
     println!(
         "xp run {}: {} nodes, horizon {horizon:.3} s, stride {} (streaming, O(nodes) memory)",
@@ -304,13 +303,13 @@ struct CellMeasurement {
 /// sweep's merged output byte-identical.
 fn measure_cell(file: &SpecFile) -> Result<CellMeasurement, String> {
     let spec = &file.scenario;
-    let params = spec.params().map_err(|e| e.to_string())?;
     let scenario = Scenario::from_spec(spec).map_err(|e| e.to_string())?;
+    let params = scenario.params();
     let nodes = scenario.cluster_graph().physical().node_count();
     let mask = FaultMask::from_nodes(nodes, &scenario.faulty_nodes());
-    let mut skew = SkewStream::new(mask).with_warmup(5.0 * params.t_round);
+    let mut skew = SkewStream::new(mask).with_warmup(crate::warmup(params));
     let sw = Stopwatch::start();
-    let stats = scenario.run_streaming(spec.duration.resolve(&params), &mut skew);
+    let stats = scenario.run_streaming(spec.duration.resolve(params), &mut skew);
     let wall = sw.elapsed_secs();
     let fmt_opt = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |x| format!("{x:.3e}"));
     Ok(CellMeasurement {
@@ -659,11 +658,13 @@ pub fn serve_cmd(
 }
 
 /// Validates and lists every `*.spec` under `dir`, sorted by file name.
+/// Parsing runs the whole validity gate of [`ftgcs::spec`], so a file
+/// listed here is one `xp run` will not turn away.
 ///
 /// # Errors
 ///
-/// Returns a message naming every file that fails to parse (so CI can
-/// gate on "all checked-in specs parse").
+/// Returns a message naming every file the gate rejects (so CI can gate
+/// on "all checked-in specs are valid").
 pub fn list_dir(dir: &Path) -> Result<(), String> {
     let mut paths: Vec<_> = std::fs::read_dir(dir)
         .map_err(|e| format!("{}: {e}", dir.display()))?
@@ -711,14 +712,6 @@ pub fn list_dir(dir: &Path) -> Result<(), String> {
     } else {
         Err(errors.join("\n"))
     }
-}
-
-/// Keeps `Observer` in scope for the module docs' claim that the
-/// streaming path is observer-driven (and asserts the trait stays
-/// object-safe, which `Fanout` and `run_streaming` rely on).
-#[allow(dead_code)] // compile-time object-safety assertion, deliberately never called
-fn _observer_is_object_safe(obs: &mut dyn Observer) {
-    let _ = obs;
 }
 
 #[cfg(test)]

@@ -114,24 +114,26 @@ impl SpecFile {
     ///
     /// # Panics
     ///
-    /// Panics if the environment is infeasible for that `f` (analyses
-    /// have no error channel more useful than aborting).
+    /// Panics if the environment is infeasible — which no parsed file
+    /// is: [`SpecFile::parse`] has built the spec's own parameters, and
+    /// whether `(ρ, d, U)` is feasible does not depend on `f`.
     #[must_use]
     pub fn params_with_f(&self, f: usize) -> Params {
         Params::practical(self.scenario.rho, self.scenario.d, self.scenario.u, f)
-            .expect("spec environment must be feasible")
+            .expect("parse checked the environment, and feasibility does not depend on f")
     }
 
     /// The spec's own parameter set.
     ///
     /// # Panics
     ///
-    /// Panics if the environment is infeasible.
+    /// Panics if the environment is infeasible — which no parsed file
+    /// is.
     #[must_use]
     pub fn params(&self) -> Params {
         self.scenario
             .params()
-            .expect("spec environment must be feasible")
+            .expect("parse checked the environment")
     }
 
     /// The spec's `(ρ, d, U)` environment triple.
@@ -167,6 +169,9 @@ mod tests {
     fn line_numbers_survive_driver_key_stripping() {
         let err = SpecFile::parse("name x\nanalysis demo\ntopology line 2\nbogus 1\n").unwrap_err();
         assert_eq!(err.line, 4);
+        // The gate's lines too: an analysis never sees an infeasible `env`.
+        let err = SpecFile::parse("name x\nanalysis demo\ntopology line 2\nenv 0.3 1e-3 1e-4\n");
+        assert_eq!(err.unwrap_err().line, 4);
     }
 
     #[test]

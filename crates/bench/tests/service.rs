@@ -128,30 +128,71 @@ fn parallel_sweep_matches_sequential(name: &str, axis: &str) -> String {
     csv
 }
 
-/// An axis can give a cell the `analysis` key the base file lacks; such
-/// a sweep is refused before any cell runs, identically in both modes.
-#[test]
-fn sweep_rejects_an_analysis_axis_before_any_cell_runs() {
-    let dir = scratch("analysis_axis");
+/// Sweeps `axis` in both modes and asserts the sweep is refused before
+/// any cell runs: exit 1, no table, no CSV, no child, no cache entry,
+/// and the same one line on stderr, which is returned.
+fn sweep_refused_before_any_cell_runs(name: &str, axis: &str) -> String {
+    let dir = scratch(name);
     // A `run-cell` child would create this marker before parsing.
     let marker = dir.join("child_marker");
     let refused = |mode: &str, extra: &[&str]| {
         let cwd = dir.join(mode);
-        let out = sweep_command(&cwd, &dir.join("cache"), "analysis=t4_global_skew", extra)
+        let out = sweep_command(&cwd, &dir.join("cache"), axis, extra)
             .env("FTGCS_RUN_CELL_CRASH_ONCE", &marker)
             .output()
             .expect("xp sweep");
         assert_eq!(out.status.code(), Some(1), "{mode}");
-        assert!(out.stdout.is_empty(), "{mode} printed a table");
+        assert!(out.stdout.is_empty(), "{mode} printed a banner or a table");
         assert!(!cwd.join("results").exists(), "{mode} wrote a CSV");
         String::from_utf8(out.stderr).expect("stderr is UTF-8")
     };
     let seq = refused("seq", &[]);
-    assert!(seq.contains("names an `analysis`"), "{seq}");
     assert_eq!(seq.lines().count(), 1, "{seq}");
     assert_eq!(seq, refused("par", &PARALLEL));
     assert!(!marker.exists(), "a run-cell child was spawned");
     assert!(!dir.join("cache").exists(), "a cache entry was created");
+    seq
+}
+
+/// An axis can give a cell the `analysis` key the base file lacks; such
+/// a sweep is refused before any cell runs, identically in both modes.
+#[test]
+fn sweep_rejects_an_analysis_axis_before_any_cell_runs() {
+    let said = sweep_refused_before_any_cell_runs("analysis_axis", "analysis=t4_global_skew");
+    assert!(said.contains("names an `analysis`"), "{said}");
+}
+
+/// So is one whose cell the validity gate turns away: parsing a cell is
+/// the whole check, so no child is spawned to find out.
+#[test]
+fn sweep_rejects_an_invalid_cell_before_any_cell_runs() {
+    let said = sweep_refused_before_any_cell_runs("invalid_axis", "fault=99 silent");
+    assert!(said.contains("cell 99 silent: spec line "), "{said}");
+    assert!(said.contains("fault node 99 out of range"), "{said}");
+}
+
+/// `xp list` validates: a directory holding a file the gate turns away
+/// exits 1 and names the file and the line.
+#[test]
+fn list_names_a_file_the_gate_rejects() {
+    let dir = scratch("list");
+    let smoke = std::fs::read_to_string(spec_path("smoke.spec")).expect("smoke.spec");
+    std::fs::write(dir.join("good.spec"), &smoke).expect("good.spec");
+    std::fs::write(dir.join("bad.spec"), format!("{smoke}fault 99 silent\n")).expect("bad.spec");
+    let out = Command::new(xp())
+        .arg("list")
+        .arg(&dir)
+        .output()
+        .expect("xp list");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+    let line = smoke.lines().count() + 1;
+    assert!(err.contains("bad.spec"), "{err}");
+    assert!(
+        err.contains(&format!("spec line {line}: fault node 99 out of range")),
+        "{err}"
+    );
+    assert!(!err.contains("good.spec"), "{err}");
 }
 
 #[test]
@@ -324,6 +365,19 @@ fn serve_runs_submissions_and_answers_repeats_from_cache() {
     let (code, listing) = http(&addr, &format!("GET /result/{job}"), b"");
     assert_eq!(code, 200);
     assert!(String::from_utf8_lossy(&listing).contains("smoke_summary.csv"));
+
+    // What the validity gate turns away is turned away at the door —
+    // 400 with the line and the sentence, nothing queued, no child
+    // spawned to find out (`cells_spawned` below is still 1).
+    let hostile = format!("{spec_text}fault 99 silent\n");
+    let (code, body) = http(&addr, "POST /submit", hostile.as_bytes());
+    let body = String::from_utf8_lossy(&body).into_owned();
+    assert_eq!(code, 400, "{body}");
+    let line = spec_text.lines().count() + 1;
+    assert!(
+        body.contains(&format!("spec line {line}: fault node 99 out of range")),
+        "{body}"
+    );
 
     // Resubmitting the identical spec is answered from the cache:
     // still exactly one cell process ever spawned.

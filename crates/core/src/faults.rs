@@ -169,15 +169,9 @@ pub struct CrashNode {
 }
 
 impl CrashNode {
-    /// Creates a node that runs `FtGcsNode` semantics until `crash_at`
+    /// Creates a node that runs `FtGcsNode` semantics from round
+    /// `start_round` (1 at boot; see [`rejoin_round`]) until `crash_at`
     /// (Newtonian seconds).
-    #[must_use]
-    pub fn new(cfg: NodeConfig, crash_at: f64) -> Self {
-        CrashNode::new_at(cfg, crash_at, 1)
-    }
-
-    /// Mid-run variant: the correct phase starts in round `start_round`
-    /// (see [`rejoin_round`]) instead of round 1.
     #[must_use]
     pub fn new_at(cfg: NodeConfig, crash_at: f64, start_round: u64) -> Self {
         CrashNode {
@@ -286,8 +280,7 @@ struct ClusterFollower {
 }
 
 impl ClusterFollower {
-    fn new_at(cfg: &NodeConfig, me_excluded_later: bool, nominal: f64, start_round: u64) -> Self {
-        debug_assert!(me_excluded_later);
+    fn new_at(cfg: &NodeConfig, nominal: f64, start_round: u64) -> Self {
         ClusterFollower {
             tracker: None,
             params: Arc::clone(&cfg.params),
@@ -363,18 +356,12 @@ pub struct TwoFacedPulser {
 
 impl TwoFacedPulser {
     /// Creates the attacker; `amplitude` is the ± timing lie in logical
-    /// seconds.
-    #[must_use]
-    pub fn new(cfg: NodeConfig, amplitude: f64) -> Self {
-        TwoFacedPulser::new_at(cfg, amplitude, 0.0, 1)
-    }
-
-    /// Mid-run variant: the tracker opens at clock value `nominal` in
-    /// round `round` (see [`rejoin_round`]).
+    /// seconds. The tracker opens at clock value `nominal` in round
+    /// `round` (`(0.0, 1)` at boot; see [`rejoin_round`]).
     #[must_use]
     pub fn new_at(cfg: NodeConfig, amplitude: f64, nominal: f64, round: u64) -> Self {
         TwoFacedPulser {
-            follower: ClusterFollower::new_at(&cfg, true, nominal, round),
+            follower: ClusterFollower::new_at(&cfg, nominal, round),
             amplitude: amplitude.abs(),
         }
     }
@@ -439,18 +426,13 @@ pub struct SkewPuller {
 
 impl SkewPuller {
     /// Creates the attacker; negative `offset` pulses early (pulls the
-    /// cluster fast), positive pulses late.
-    #[must_use]
-    pub fn new(cfg: NodeConfig, offset: f64) -> Self {
-        SkewPuller::new_at(cfg, offset, 0.0, 1)
-    }
-
-    /// Mid-run variant: the tracker opens at clock value `nominal` in
-    /// round `round` (see [`rejoin_round`]).
+    /// cluster fast), positive pulses late. The tracker opens at clock
+    /// value `nominal` in round `round` (`(0.0, 1)` at boot; see
+    /// [`rejoin_round`]).
     #[must_use]
     pub fn new_at(cfg: NodeConfig, offset: f64, nominal: f64, round: u64) -> Self {
         SkewPuller {
-            follower: ClusterFollower::new_at(&cfg, true, nominal, round),
+            follower: ClusterFollower::new_at(&cfg, nominal, round),
             offset,
         }
     }
@@ -494,14 +476,8 @@ pub struct StealthyRusher {
 
 impl StealthyRusher {
     /// Creates the attacker with the given extra rate beyond
-    /// `(1+ϕ)(1+µ)`.
-    #[must_use]
-    pub fn new(params: Arc<Params>, extra_rate: f64) -> Self {
-        StealthyRusher::new_at(params, extra_rate, 1)
-    }
-
-    /// Mid-run variant: the rushed round schedule resumes from
-    /// `start_round` (see [`rejoin_round`]) instead of round 1.
+    /// `(1+ϕ)(1+µ)`; the rushed round schedule starts in `start_round`
+    /// (1 at boot; see [`rejoin_round`]).
     #[must_use]
     pub fn new_at(params: Arc<Params>, extra_rate: f64, start_round: u64) -> Self {
         StealthyRusher {
@@ -509,6 +485,12 @@ impl StealthyRusher {
             extra_rate,
             round: start_round,
         }
+    }
+
+    /// The track multiplier the rusher free-runs at (the engine wants it
+    /// positive; the spec gate says so before a run is built).
+    pub(crate) fn multiplier(p: &Params, extra_rate: f64) -> f64 {
+        (1.0 + p.phi) * (1.0 + p.mu) * (1.0 + extra_rate)
     }
 
     fn schedule(&self, ctx: &mut Ctx<'_, Msg>) {
@@ -523,8 +505,7 @@ impl StealthyRusher {
 
 impl Behavior<Msg> for StealthyRusher {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let p = &self.params;
-        let rate = (1.0 + p.phi) * (1.0 + p.mu) * (1.0 + self.extra_rate);
+        let rate = StealthyRusher::multiplier(&self.params, self.extra_rate);
         ctx.set_multiplier(TrackId::MAIN, rate);
         self.schedule(ctx);
     }

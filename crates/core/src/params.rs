@@ -425,11 +425,12 @@ impl ParamsBuilder {
                 "k_rounds must be positive".to_owned(),
             ));
         }
-        let k = cluster_size.unwrap_or(3 * f + 1);
-        if k < 3 * f + 1 {
+        // Saturating: an `f` whose `3f+1` overflows has no feasible `k`.
+        let min_k = f.saturating_mul(3).saturating_add(1);
+        let k = cluster_size.unwrap_or(min_k);
+        if k < min_k || min_k == usize::MAX {
             return Err(ParamError::InvalidInput(format!(
-                "cluster size {k} < 3f+1 = {}",
-                3 * f + 1
+                "cluster size {k} < 3f+1 = {min_k}"
             )));
         }
 
@@ -497,6 +498,15 @@ impl ParamsBuilder {
         if mu_bar <= rho_bar {
             return Err(ParamError::DerivedOutOfRange(format!(
                 "GCS axiom A4 violated: mu_bar={mu_bar} <= rho_bar={rho_bar}"
+            )));
+        }
+        // A level pulse takes at least `d − U` to arrive; a smaller unit
+        // would let the flooding over-claim (`global_max` module docs).
+        if params.level_unit < params.lookahead() {
+            return Err(ParamError::DerivedOutOfRange(format!(
+                "level unit {} is below the minimum delay d-U = {}",
+                params.level_unit,
+                params.lookahead()
             )));
         }
         Ok(params)
@@ -650,7 +660,15 @@ mod tests {
 
     #[test]
     fn zero_uncertainty_is_allowed() {
-        let p = Params::practical(1e-4, 1e-3, 0.0, 1).unwrap();
+        // `U = 0` is a valid input; what it needs is a level unit that
+        // still covers the minimum delay `d − U = d`, which the default
+        // `δ` does not at `ρ = 1e-4`.
+        let err = Params::practical(1e-4, 1e-3, 0.0, 1).unwrap_err();
+        assert!(matches!(err, ParamError::DerivedOutOfRange(_)), "{err}");
+        let p = Params::builder(1e-4, 1e-3, 0.0, 1)
+            .level_unit(1e-3)
+            .build()
+            .unwrap();
         assert!(p.e > 0.0, "drift alone still causes error");
         assert!(p.beta > 0.0);
     }

@@ -27,8 +27,7 @@ use crate::messages::Msg;
 use crate::node::{FtGcsNode, NodeConfig};
 use crate::params::Params;
 use crate::spec::{
-    check_churn, check_sample_spacing, check_window, DurationSpec, SampleSpec, SchedulerSpec,
-    SpecError, TopologySpec,
+    offset_rule, DurationSpec, Placements, SampleSpec, SchedulerSpec, SpecError, TopologySpec,
 };
 use crate::triggers::ModePolicy;
 
@@ -60,8 +59,8 @@ pub struct Scenario {
     sample_interval: Option<SimDuration>,
     mode_policy: ModePolicy,
     enable_max_estimator: bool,
-    faults: Vec<(usize, FaultKind)>,
-    fault_windows: Vec<(usize, FaultKind, f64, f64)>,
+    /// Permanent faults and fault windows.
+    placed: Placements,
     initial_offset_spread: f64,
     cluster_offsets: Vec<f64>,
     rate_overrides: Vec<(usize, RateModel)>,
@@ -107,9 +106,11 @@ impl Scenario {
         );
         let sample = SimDuration::from_secs(params.t_round / 2.0);
         let cluster_count = cg.cluster_count();
+        let params = Arc::new(params);
         Scenario {
+            placed: Placements::new(cg.physical().node_count(), Arc::clone(&params)),
             cg,
-            params: Arc::new(params),
+            params,
             seed: 0,
             delay_distribution: DelayDistribution::Uniform,
             rate_model: RateModel::RandomWalk {
@@ -119,8 +120,6 @@ impl Scenario {
             sample_interval: Some(sample),
             mode_policy: ModePolicy::CatchUp,
             enable_max_estimator: true,
-            faults: Vec::new(),
-            fault_windows: Vec::new(),
             initial_offset_spread: 0.0,
             cluster_offsets: vec![0.0; cluster_count],
             rate_overrides: Vec::new(),
@@ -130,7 +129,8 @@ impl Scenario {
         }
     }
 
-    /// Assembles a scenario from a declarative [`ScenarioSpec`].
+    /// Assembles a scenario from a declarative [`ScenarioSpec`]: the
+    /// validity gate of [`crate::spec`] ("Validity"), then assembly.
     ///
     /// Sugar entries (`fault_per_cluster`, `random_faults`,
     /// `offset_ramp`) are expanded in that order, before the explicit
@@ -140,148 +140,59 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns a [`SpecError`] if the environment is infeasible, the
-    /// name is not a single `#`-free word, the duration or sample
-    /// interval is degenerate, or any placement (explicit or
-    /// sugar-expanded) is out of range or lands on an already-faulty
-    /// node.
+    /// Returns a [`SpecError`] if the spec breaks a validity rule, or —
+    /// the two things only the expansion can tell — a sugar-expanded
+    /// placement collides with another one, or a mobile adversary has
+    /// nowhere to hop.
     pub fn from_spec(spec: &ScenarioSpec) -> Result<Scenario, SpecError> {
-        if !crate::spec::name_is_canonical(&spec.name) {
-            return Err(SpecError::new(format!(
-                "name {:?} is not expressible in the spec format (one word, no '#')",
-                spec.name
-            )));
-        }
-        let raw_duration = match spec.duration {
-            DurationSpec::Secs(x) | DurationSpec::Rounds(x) => x,
-        };
-        if !raw_duration.is_finite() || raw_duration < 0.0 {
-            return Err(SpecError::new("duration must be finite and non-negative"));
-        }
-        let params = spec.params()?;
-        spec.topology.check(0)?;
+        spec.check()?;
         let cg = ClusterGraph::new(spec.topology.build(), spec.cluster_size, spec.f);
-        let nodes = cg.physical().node_count();
-        let clusters = cg.cluster_count();
-        for &(count, _) in &spec.faults_per_cluster {
-            if count > spec.cluster_size {
-                return Err(SpecError::new(format!(
-                    "fault_per_cluster count {count} exceeds cluster_size {}",
-                    spec.cluster_size
-                )));
-            }
-        }
-        // The builder sugar would silently clamp an oversized count; a
-        // spec asking for more faults than a cluster has slots is a
-        // typo, not a request for a different experiment.
-        for &(count, _, _) in &spec.random_faults {
-            if count > spec.cluster_size {
-                return Err(SpecError::new(format!(
-                    "random_faults count {count} exceeds cluster_size {}",
-                    spec.cluster_size
-                )));
-            }
-        }
-        for &(node, _) in &spec.faults {
-            if node >= nodes {
-                return Err(SpecError::new(format!(
-                    "fault node {node} out of range (graph has {nodes} nodes)"
-                )));
-            }
-        }
-        for &(node, _) in &spec.rate_overrides {
-            if node >= nodes {
-                return Err(SpecError::new(format!(
-                    "rate_override node {node} out of range (graph has {nodes} nodes)"
-                )));
-            }
-        }
-        for &(cluster, offset) in &spec.cluster_offsets {
-            if cluster >= clusters {
-                return Err(SpecError::new(format!(
-                    "cluster_offset cluster {cluster} out of range ({clusters} clusters)"
-                )));
-            }
-            if offset < 0.0 {
-                return Err(SpecError::new("cluster offsets must be non-negative"));
-            }
-        }
-        let mut scenario = Scenario::new(cg, params);
+        let mut scenario = Scenario::new(cg, spec.params()?);
         scenario
             .seed(spec.seed)
             .delay_distribution(spec.delay.clone())
             .rate_model(spec.rate_model.clone())
             .mode_policy(spec.mode_policy)
-            .max_estimator(spec.max_estimator);
+            .max_estimator(spec.max_estimator)
+            .initial_offset_spread(spec.offset_spread)
+            .cluster_offset_ramp(spec.offset_ramp);
         match spec.sample_interval {
             SampleSpec::HalfRound => {} // the Scenario::new default (T/2)
             SampleSpec::Off => {
                 scenario.sample_interval(None);
             }
             SampleSpec::Secs(secs) => {
-                // A zero interval would re-arm the sample event at the
-                // same instant forever and livelock the engine.
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(SpecError::new(
-                        "sample_interval must be positive and finite",
-                    ));
-                }
-                check_sample_spacing(secs, spec.duration.resolve(&scenario.params), 0)?;
                 scenario.sample_interval(Some(SimDuration::from_secs(secs)));
             }
-        }
-        if spec.offset_spread > 0.0 {
-            scenario.initial_offset_spread(spec.offset_spread);
-        }
-        if spec.offset_ramp > 0.0 {
-            scenario.cluster_offset_ramp(spec.offset_ramp);
         }
         for &(cluster, offset) in &spec.cluster_offsets {
             scenario.cluster_offset(cluster, offset);
         }
-        // Faults, sugar first (same order the builder methods would
-        // apply), with collisions turned into errors instead of the
-        // builders' panics.
-        let add_fault = |scenario: &mut Scenario, node: usize, kind: &FaultKind| {
-            if scenario.faults.iter().any(|&(n, _)| n == node) {
-                return Err(SpecError::new(format!(
-                    "node {node} has two faults assigned (explicit `fault` lines and \
-                     sugar expansions must not overlap)"
-                )));
-            }
-            scenario.faults.push((node, kind.clone()));
-            Ok(())
-        };
-        for (count, kind) in &spec.faults_per_cluster {
-            for node in per_cluster_fault_nodes(&scenario.cg, *count) {
-                add_fault(&mut scenario, node, kind)?;
-            }
-        }
-        for (count, seed, kind) in &spec.random_faults {
-            for node in random_fault_nodes(&scenario.cg, *count, *seed) {
-                add_fault(&mut scenario, node, kind)?;
-            }
-        }
-        for (node, kind) in &spec.faults {
-            add_fault(&mut scenario, *node, kind)?;
+        // Faults, sugar first (the order the builder methods would
+        // apply).
+        let cg = &scenario.cg;
+        let per_cluster = (spec.faults_per_cluster.iter()).flat_map(|(count, kind)| {
+            per_cluster_fault_nodes(cg, *count)
+                .into_iter()
+                .map(move |n| (n, kind))
+        });
+        let random = (spec.random_faults.iter()).flat_map(|(count, seed, kind)| {
+            random_fault_nodes(cg, *count, *seed)
+                .into_iter()
+                .map(move |n| (n, kind))
+        });
+        let explicit = spec.faults.iter().map(|(node, kind)| (*node, kind));
+        for (node, kind) in per_cluster.chain(random).chain(explicit) {
+            (scenario.placed)
+                .fault(node, kind.clone())
+                .map_err(SpecError::new)?;
         }
         expand_lifecycle(&mut scenario, spec)?;
         for (node, model) in &spec.rate_overrides {
             scenario.rate_override(*node, model.clone());
         }
-        match spec.scheduler {
-            SchedulerSpec::Global => {}
-            SchedulerSpec::Parallel(workers) => {
-                // The conservative windows are `d − U` wide; the engine
-                // asserts on a zero width, a spec gets an error.
-                if scenario.params.lookahead() <= 0.0 {
-                    return Err(SpecError::new(
-                        "scheduler parallel needs a positive lookahead d − U \
-                         (with U = d use `scheduler global`)",
-                    ));
-                }
-                scenario.parallel(workers);
-            }
+        if let SchedulerSpec::Parallel(workers) = spec.scheduler {
+            scenario.parallel(workers);
         }
         scenario.provenance = Some(Provenance {
             name: spec.name.clone(),
@@ -353,9 +264,9 @@ impl Scenario {
                 .filter(|&(_, &off)| off != 0.0)
                 .map(|(c, &off)| (c, off))
                 .collect(),
-            faults: self.faults.clone(),
+            faults: self.placed.faults.clone(),
             fault_windows: {
-                let mut windows = self.fault_windows.clone();
+                let mut windows = self.placed.windows.clone();
                 windows.sort_by(|a, b| (a.0, a.2).partial_cmp(&(b.0, b.2)).expect("finite window"));
                 windows
             },
@@ -477,8 +388,12 @@ impl Scenario {
 
     /// Spreads initial logical clocks uniformly over `[0, spread]`
     /// (keep `spread ≤ E` for proper executions).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spread is negative or not finite.
     pub fn initial_offset_spread(&mut self, spread: f64) -> &mut Self {
-        assert!(spread >= 0.0, "spread must be non-negative");
+        or_panic(offset_rule("offset_spread", spread, self.params.t_round));
         self.initial_offset_spread = spread;
         self
     }
@@ -493,10 +408,10 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if the cluster id is out of range or the offset negative.
+    /// Panics if the cluster id is out of range or the offset negative
+    /// or not finite.
     pub fn cluster_offset(&mut self, cluster: usize, offset: f64) -> &mut Self {
-        assert!(cluster < self.cg.cluster_count(), "cluster out of range");
-        assert!(offset >= 0.0, "offsets must be non-negative");
+        or_panic(offset_rule("cluster_offset", offset, self.params.t_round));
         self.cluster_offsets[cluster] = offset;
         self
     }
@@ -514,17 +429,10 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if the node id is out of range or already faulty.
+    /// Panics if the node id is out of range or already has a fault, or
+    /// the strategy's argument is outside its domain.
     pub fn with_fault(&mut self, node: usize, kind: FaultKind) -> &mut Self {
-        assert!(
-            node < self.cg.physical().node_count(),
-            "faulty node id out of range"
-        );
-        assert!(
-            self.faults.iter().all(|&(n, _)| n != node),
-            "node {node} already has a fault assigned"
-        );
-        self.faults.push((node, kind));
+        or_panic(self.placed.fault(node, kind));
         self
     }
 
@@ -538,10 +446,11 @@ impl Scenario {
     /// # Panics
     ///
     /// Panics if the node id is out of range, the window is degenerate
-    /// (`to ≤ from`, negative, or non-finite), the node already has a
-    /// permanent fault, or the window overlaps/abuts another window on
-    /// the same node (abutting windows would schedule a recovery and a
-    /// re-infection at the same instant).
+    /// (`to ≤ from`, negative, or non-finite), the strategy's argument is
+    /// outside its domain, the node already has a permanent fault, or
+    /// the window overlaps/abuts another window on the same node
+    /// (abutting windows would schedule a recovery and a re-infection at
+    /// the same instant).
     pub fn with_fault_window(
         &mut self,
         node: usize,
@@ -549,24 +458,7 @@ impl Scenario {
         from: f64,
         to: f64,
     ) -> &mut Self {
-        assert!(
-            node < self.cg.physical().node_count(),
-            "faulty node id out of range"
-        );
-        if let Err(e) = check_window(from, to, 0) {
-            panic!("{e}");
-        }
-        assert!(
-            self.faults.iter().all(|&(n, _)| n != node),
-            "node {node} already has a permanent fault assigned"
-        );
-        assert!(
-            self.fault_windows
-                .iter()
-                .all(|w| w.0 != node || to < w.2 || from > w.3),
-            "node {node} already has a fault window overlapping [{from}, {to})"
-        );
-        self.fault_windows.push((node, kind, from, to));
+        or_panic(self.placed.window(node, kind, from, to));
         self
     }
 
@@ -594,11 +486,9 @@ impl Scenario {
     /// correct for the whole execution.
     #[must_use]
     pub fn faulty_nodes(&self) -> Vec<usize> {
-        let mut nodes: Vec<usize> = self
-            .faults
-            .iter()
+        let mut nodes: Vec<usize> = (self.placed.faults.iter())
             .map(|&(n, _)| n)
-            .chain(self.fault_windows.iter().map(|w| w.0))
+            .chain(self.placed.windows.iter().map(|w| w.0))
             .collect();
         nodes.sort_unstable();
         nodes.dedup();
@@ -615,16 +505,14 @@ impl Scenario {
     #[must_use]
     pub fn faults_exceed_budget(&self) -> bool {
         (0..self.cg.cluster_count()).any(|c| {
-            let permanent = self
-                .faults
-                .iter()
+            let permanent = (self.placed.faults.iter())
                 .filter(|&&(n, _)| self.cg.cluster_of(n) == c)
                 .count();
             // Sweep the window endpoints: +1 at `from`, −1 at `to`, ends
             // sorting before starts at equal times so abutting windows
             // (a handoff) never double-count.
             let mut events: Vec<(f64, i32)> = Vec::new();
-            for w in &self.fault_windows {
+            for w in &self.placed.windows {
                 if self.cg.cluster_of(w.0) == c {
                     events.push((w.2, 1));
                     events.push((w.3, -1));
@@ -694,12 +582,12 @@ impl Scenario {
                 if self.initial_offset_spread > 0.0 {
                     cfg.initial_offset += offsets.uniform(0.0, self.initial_offset_spread);
                 }
-                let fault = self.faults.iter().find(|&&(n, _)| n == node);
+                let fault = self.placed.faults.iter().find(|&&(n, _)| n == node);
                 let behavior: Box<dyn ftgcs_sim::node::Behavior<Msg>> = match fault {
                     Some((_, kind)) => make_fault_behavior(kind, cfg),
                     None => {
                         let mut schedule: Vec<(f64, LifecyclePhase)> = Vec::new();
-                        for w in self.fault_windows.iter().filter(|w| w.0 == node) {
+                        for w in self.placed.windows.iter().filter(|w| w.0 == node) {
                             schedule.push((w.2, LifecyclePhase::Faulty(w.1.clone())));
                             schedule.push((w.3, LifecyclePhase::Correct));
                         }
@@ -707,7 +595,7 @@ impl Scenario {
                             Box::new(FtGcsNode::new(cfg))
                         } else {
                             // Windows are pairwise disjoint and
-                            // non-abutting (enforced at assembly), so
+                            // non-abutting (`Placements::window`), so
                             // sorting by time yields a strictly
                             // increasing transition schedule.
                             schedule.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite window"));
@@ -780,18 +668,18 @@ impl Scenario {
         let report = sim.telemetry();
         (stats, report)
     }
+}
 
-    /// Runs for the parameter-suggested horizon of this graph's diameter.
-    #[must_use]
-    pub fn run_suggested(&self) -> ScenarioRun {
-        let d = ftgcs_topology::analysis::diameter(self.cg.base());
-        self.run_for(self.params.suggested_horizon(d))
+/// The builders' door to the rules of [`crate::spec`]: the same
+/// sentence, as a panic.
+fn or_panic(rule: Result<(), String>) {
+    if let Err(sentence) = rule {
+        panic!("{sentence}");
     }
 }
 
 /// The node ids [`Scenario::with_fault_per_cluster`] assigns: slots
-/// `0..count` of every cluster. Shared with [`Scenario::from_spec`],
-/// which applies the same expansion through its error-returning path.
+/// `0..count` of every cluster. Shared with [`Scenario::from_spec`].
 fn per_cluster_fault_nodes(cg: &ClusterGraph, count: usize) -> Vec<usize> {
     let mut nodes = Vec::with_capacity(cg.cluster_count() * count);
     for c in 0..cg.cluster_count() {
@@ -827,17 +715,15 @@ fn random_fault_nodes(cg: &ClusterGraph, count: usize, seed: u64) -> Vec<usize> 
 /// dedicated `SimRng` streams seeded by the scenario seed), so the same
 /// spec produces the same windows on every scheduler and worker count.
 ///
-/// Placement rules:
+/// Every window goes through [`Placements::window`]; the rules of a
+/// single directive are the gate's (`crate::spec`, "Validity"). What is
+/// decided here is where the sugar lands:
 ///
-/// * **Explicit windows** go exactly where the spec says, re-validated
-///   so programmatically built specs get the parser's checks too.
 /// * **Churn**: churner `j` of `churn count kind period P downtime D`
 ///   lands in cluster `j mod C` on its lowest-numbered member with no
 ///   other fault assignment, and is down over `[s + n·P, s + n·P + D)`
 ///   for every cycle `n` starting inside the horizon, with the stagger
 ///   `s = P·j/count` spreading downtimes evenly over the period.
-///   Requiring `count ≤ f·C` keeps each cluster at `⌈count/C⌉ ≤ f`
-///   churners, so churn alone never breaches the per-cluster budget.
 /// * **Mobile**: adversary `j` of `mobile count kind hop H` follows a
 ///   seed-derived itinerary, corrupting a fresh host every `H` seconds.
 ///   Hosts are drawn uniformly from the nodes with no conflicting
@@ -847,71 +733,33 @@ fn random_fault_nodes(cg: &ClusterGraph, count: usize, seed: u64) -> Vec<usize> 
 ///   therefore holds by construction, permanent faults included —
 ///   exactly the mobile-Byzantine regime the paper's per-cluster budget
 ///   permits.
+///
+/// The windows stay in one flat list (no per-node index): each hop
+/// marks the nodes faulty during it in one pass, and the candidate
+/// search scans the list once per node.
 fn expand_lifecycle(scenario: &mut Scenario, spec: &ScenarioSpec) -> Result<(), SpecError> {
     if spec.fault_windows.is_empty() && spec.churn.is_empty() && spec.mobile.is_empty() {
         return Ok(());
     }
-    let nodes = scenario.cg.physical().node_count();
-    let clusters = scenario.cg.cluster_count();
-    let f = scenario.params.f;
-    let horizon = spec.duration.resolve(&scenario.params);
-    let mut static_faulty = vec![false; nodes];
-    for &(n, _) in &scenario.faults {
-        static_faulty[n] = true;
-    }
-    // Windows collected per node with every source mixed, so the overlap
-    // and budget checks look at the union.
-    let mut windows: Vec<Vec<(FaultKind, f64, f64)>> = vec![Vec::new(); nodes];
-    // A window is admissible when the node has no permanent fault and no
-    // window overlapping *or abutting* it — abutment would collapse a
-    // recovery and a re-infection onto one instant, and the lifecycle
-    // schedule needs strictly increasing transition times.
-    let add = |windows: &mut Vec<Vec<(FaultKind, f64, f64)>>,
-               static_faulty: &[bool],
-               node: usize,
-               kind: &FaultKind,
-               from: f64,
-               to: f64|
-     -> Result<(), SpecError> {
-        if static_faulty[node] {
-            return Err(SpecError::new(format!(
-                "node {node} has both a permanent fault and a fault window"
-            )));
-        }
-        if windows[node].iter().any(|w| from <= w.2 && to >= w.1) {
-            return Err(SpecError::new(format!(
-                "node {node} has overlapping or abutting fault windows around [{from}, {to})"
-            )));
-        }
-        windows[node].push((kind.clone(), from, to));
-        Ok(())
-    };
+    let Scenario {
+        cg, params, placed, ..
+    } = scenario;
+    let nodes = cg.physical().node_count();
+    let clusters = cg.cluster_count();
+    let f = params.f;
+    let horizon = spec.duration.resolve(params);
 
     for &(node, ref kind, from, to) in &spec.fault_windows {
-        if node >= nodes {
-            return Err(SpecError::new(format!(
-                "fault window node {node} out of range (graph has {nodes} nodes)"
-            )));
-        }
-        check_window(from, to, 0)?;
-        add(&mut windows, &static_faulty, node, kind, from, to)?;
+        placed
+            .window(node, kind.clone(), from, to)
+            .map_err(SpecError::new)?;
     }
 
     for &(count, ref kind, period, downtime) in &spec.churn {
-        check_churn(period, downtime, 0)?;
-        if count > f * clusters {
-            return Err(SpecError::new(format!(
-                "churn count {count} breaches the per-cluster fault budget \
-                 (at most f × clusters = {} churners keep every cluster at ≤ f)",
-                f * clusters
-            )));
-        }
         for j in 0..count {
             let cluster = j % clusters;
-            let host = scenario
-                .cg
-                .members(cluster)
-                .find(|&n| !static_faulty[n] && windows[n].is_empty())
+            let host = (cg.members(cluster))
+                .find(|&n| !placed.assigned(n))
                 .ok_or_else(|| {
                     SpecError::new(format!(
                         "cluster {cluster} has no unassigned node left for churner {j}"
@@ -920,30 +768,15 @@ fn expand_lifecycle(scenario: &mut Scenario, spec: &ScenarioSpec) -> Result<(), 
             let stagger = period * j as f64 / count as f64;
             let mut start = stagger;
             while start < horizon {
-                add(
-                    &mut windows,
-                    &static_faulty,
-                    host,
-                    kind,
-                    start,
-                    start + downtime,
-                )?;
+                placed
+                    .window(host, kind.clone(), start, start + downtime)
+                    .map_err(SpecError::new)?;
                 start += period;
             }
         }
     }
 
     for (entry, &(count, ref kind, hop)) in spec.mobile.iter().enumerate() {
-        if !hop.is_finite() || hop <= 0.0 {
-            return Err(SpecError::new("mobile hop must be positive and finite"));
-        }
-        if count > f * clusters {
-            return Err(SpecError::new(format!(
-                "mobile count {count} breaches the per-cluster fault budget \
-                 (capacity is f × clusters = {})",
-                f * clusters
-            )));
-        }
         let hops = (horizon / hop).ceil() as usize;
         let mut rngs: Vec<SimRng> = (0..count)
             .map(|j| {
@@ -951,31 +784,29 @@ fn expand_lifecycle(scenario: &mut Scenario, spec: &ScenarioSpec) -> Result<(), 
             })
             .collect();
         let mut prev: Vec<Option<usize>> = vec![None; count];
+        let mut busy = vec![false; nodes];
         for w in 0..hops {
             let t0 = hop * w as f64;
             let t1 = hop * (w + 1) as f64;
             for j in 0..count {
+                // The nodes faulty at some instant of the hop window:
+                // a cluster must have a spare fault slot for all of it.
+                busy.fill(false);
+                for &(m, _) in &placed.faults {
+                    busy[m] = true;
+                }
+                for x in (placed.windows.iter()).filter(|x| x.2 < t1 && x.3 > t0) {
+                    busy[x.0] = true;
+                }
+                // The adversary must actually move, and its host be free
+                // over (and immediately around) the hop window.
                 let candidates: Vec<usize> = (0..nodes)
                     .filter(|&n| {
-                        // Must actually move, and the host must be free
-                        // over (and immediately around) the hop window…
-                        if static_faulty[n] || prev[j] == Some(n) {
-                            return false;
-                        }
-                        if windows[n].iter().any(|x| t0 <= x.2 && t1 >= x.1) {
-                            return false;
-                        }
-                        // …and its cluster must have a spare fault slot
-                        // for the whole window.
-                        let c = scenario.cg.cluster_of(n);
-                        let load = scenario
-                            .cg
-                            .members(c)
-                            .filter(|&m| {
-                                static_faulty[m] || windows[m].iter().any(|x| x.1 < t1 && x.2 > t0)
-                            })
-                            .count();
+                        let load = cg.members(cg.cluster_of(n)).filter(|&m| busy[m]).count();
                         load < f
+                            && prev[j] != Some(n)
+                            && !placed.permanent(n)
+                            && !placed.window_near(n, t0, t1)
                     })
                     .collect();
                 if candidates.is_empty() {
@@ -985,18 +816,16 @@ fn expand_lifecycle(scenario: &mut Scenario, spec: &ScenarioSpec) -> Result<(), 
                     )));
                 }
                 let host = candidates[rngs[j].index(candidates.len())];
-                windows[host].push((kind.clone(), t0, t1));
+                placed
+                    .window(host, kind.clone(), t0, t1)
+                    .map_err(SpecError::new)?;
                 prev[j] = Some(host);
             }
         }
     }
 
-    for (node, list) in windows.iter_mut().enumerate() {
-        list.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite window"));
-        for (kind, from, to) in list.drain(..) {
-            scenario.fault_windows.push((node, kind, from, to));
-        }
-    }
+    // By node, then by start: the windows of one node never share one.
+    (placed.windows).sort_by(|a, b| (a.0, a.2).partial_cmp(&(b.0, b.2)).expect("finite window"));
     Ok(())
 }
 
@@ -1128,14 +957,14 @@ mod tests {
         spec.churn.push((3, FaultKind::Silent, 0.3, 0.1));
         let a = Scenario::from_spec(&spec).unwrap();
         let b = Scenario::from_spec(&spec).unwrap();
-        assert_eq!(a.fault_windows, b.fault_windows);
-        assert!(!a.fault_windows.is_empty());
+        assert_eq!(a.placed.windows, b.placed.windows);
+        assert!(!a.placed.windows.is_empty());
         // Round-robin placement: one churner per cluster, so the
         // simultaneous budget holds trivially.
         assert_eq!(a.faulty_nodes().len(), 3);
         assert!(!a.faults_exceed_budget());
         // Downtime windows tile `[stagger + n·P, … + D)` within the horizon.
-        for &(_, _, from, to) in &a.fault_windows {
+        for &(_, _, from, to) in &a.placed.windows {
             assert!((to - from - 0.1).abs() < 1e-12);
             assert!(from < 1.0);
         }
@@ -1149,11 +978,11 @@ mod tests {
         spec.mobile.push((1, FaultKind::Silent, 0.25));
         let s = Scenario::from_spec(&spec).unwrap();
         let b = Scenario::from_spec(&spec).unwrap();
-        assert_eq!(s.fault_windows, b.fault_windows);
-        assert_eq!(s.fault_windows.len(), 4, "one window per hop");
+        assert_eq!(s.placed.windows, b.placed.windows);
+        assert_eq!(s.placed.windows.len(), 4, "one window per hop");
         assert!(!s.faults_exceed_budget());
         // Ordered by hop start, the adversary must move every hop.
-        let mut hops: Vec<(f64, usize)> = s.fault_windows.iter().map(|w| (w.2, w.0)).collect();
+        let mut hops: Vec<(f64, usize)> = s.placed.windows.iter().map(|w| (w.2, w.0)).collect();
         hops.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for pair in hops.windows(2) {
             assert_ne!(pair[0].1, pair[1].1, "mobile adversary failed to move");
@@ -1189,10 +1018,10 @@ mod tests {
         let canonical = s.to_spec().unwrap();
         assert!(canonical.churn.is_empty());
         assert!(canonical.mobile.is_empty());
-        assert_eq!(canonical.fault_windows, s.fault_windows);
+        assert_eq!(canonical.fault_windows, s.placed.windows);
         // The canonical spec rebuilds the identical scenario.
         let s2 = Scenario::from_spec(&canonical).unwrap();
-        assert_eq!(s.fault_windows, s2.fault_windows);
+        assert_eq!(s.placed.windows, s2.placed.windows);
         assert_eq!(s.faulty_nodes(), s2.faulty_nodes());
     }
 

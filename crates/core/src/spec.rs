@@ -35,6 +35,45 @@
 //! cluster_offset 3 0.002
 //! ```
 //!
+//! # Validity
+//!
+//! Whether a description lies inside the model is decided in one
+//! function, `ScenarioSpec::check`: [`ScenarioSpec::parse`] runs it on
+//! the filled fields (and adds the source line),
+//! [`Scenario::from_spec`](crate::runner::Scenario::from_spec) runs it
+//! before assembling (line 0). No graph is built. In the order applied:
+//!
+//! 1. `name` is one word without `#`.
+//! 2. `topology` meets its generator's precondition (in the generator's
+//!    sentence) and its vertices × `cluster_size` fit the node index.
+//! 3. `env`, `f`, `cluster_size` are feasible [`Params`] (`k ≥ 3f+1`,
+//!    `0 ≤ U ≤ d`, a contracting recursion, a level unit `≥ d − U`).
+//! 4. `duration` is finite and non-negative.
+//! 5. `sample_interval` — and `period`, `hop` — is positive and finite,
+//!    and like every interval the run re-arms on (`downtime`, a walk's
+//!    dwell, a sinusoid's segment, a pulser's interval, a rusher's
+//!    round) not below the f64 spacing at the horizon.
+//! 6. `rate_model`, `rate_override`: node in range; finite arguments,
+//!    fractions in `[0, 1]`, step `≥ 0`, dwell and period positive; a
+//!    schedule starts at `t = 0` and strictly increases.
+//! 7. `offset_spread`, `offset_ramp`, `cluster_offset`: the cluster
+//!    exists; finite, `≥ 0`, and a clock started there resolves a round.
+//! 8. `scheduler parallel` needs a lookahead `d − U > 0`.
+//! 9. Sugar: `fault_per_cluster` / `random_faults` count `≤ k`; `churn`
+//!    / `mobile` count in `1..=f·C`; `0 < downtime < period`; and, like
+//!    every line naming a fault strategy, its argument finite and any
+//!    interval it sets (pulser, rusher) positive.
+//! 10. Explicit `fault` lines, placed in file order through the two
+//!     primitives of `Placements` that every placement goes through:
+//!     node in range, `0 ≤ from < to` finite, one permanent fault per
+//!     node, no window on such a node, no two windows of a node
+//!     overlapping or abutting.
+//!
+//! Two errors need the expansion and so come only from `from_spec`'s
+//! assembly: a sugar placement colliding with another one (the same
+//! primitives, the same sentences) and a `mobile` adversary with
+//! nowhere to hop.
+//!
 //! # Examples
 //!
 //! ```
@@ -54,12 +93,13 @@
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use ftgcs_sim::clock::RateModel;
 use ftgcs_sim::network::DelayDistribution;
 use ftgcs_topology::{generators, Graph};
 
-use crate::faults::FaultKind;
+use crate::faults::{FaultKind, StealthyRusher};
 use crate::params::Params;
 use crate::triggers::ModePolicy;
 
@@ -140,25 +180,48 @@ impl TopologySpec {
         }
     }
 
-    /// The generator's precondition, as a [`SpecError`] at `line` with
-    /// the sentence of the generator's own `assert!` — which stays, as
-    /// the guard of a direct library call.
-    pub(crate) fn check(&self, line: usize) -> Result<(), SpecError> {
-        let (ok, needs) = match *self {
-            TopologySpec::Line(n) => (n >= 1, "line needs at least one vertex"),
-            TopologySpec::Ring(n) => (n >= 3, "ring needs at least three vertices"),
-            TopologySpec::Star(n) => (n >= 2, "star needs at least two vertices"),
-            TopologySpec::Complete(n) => (n >= 1, "complete graph needs at least one vertex"),
-            TopologySpec::Grid(r, c) => (r >= 1 && c >= 1, "grid needs positive dimensions"),
-            TopologySpec::Torus(r, c) => (r >= 3 && c >= 3, "torus needs dimensions >= 3"),
-            TopologySpec::Hypercube(d) => (d >= 1, "hypercube needs dimension >= 1"),
-            TopologySpec::Tree(a, _) => (a >= 1, "tree arity must be >= 1"),
+    /// The generator's precondition, in the sentence of the generator's
+    /// own `assert!` — which stays, as the guard of a direct library
+    /// call — and the vertex count in closed form and checked
+    /// arithmetic, so that no graph has to be built to know it.
+    fn check(&self) -> Result<usize, String> {
+        // 1 + a + a² + … + a^d; below arity 2 nothing overflows to end
+        // a loop of `d` steps early, so there it is the closed form.
+        let tree = |a: usize, d: usize| match a {
+            0 | 1 => d.checked_mul(a)?.checked_add(1),
+            _ => (0..d)
+                .try_fold((1usize, 1usize), |(sum, level), _| {
+                    let level = level.checked_mul(a)?;
+                    Some((sum.checked_add(level)?, level))
+                })
+                .map(|(sum, _)| sum),
         };
-        if ok {
-            Ok(())
-        } else {
-            Err(SpecError::at(line, needs))
+        let (ok, needs, vertices) = match *self {
+            Self::Line(n) => (n >= 1, "line needs at least one vertex", Some(n)),
+            Self::Ring(n) => (n >= 3, "ring needs at least three vertices", Some(n)),
+            Self::Star(n) => (n >= 2, "star needs at least two vertices", Some(n)),
+            Self::Complete(n) => (n >= 1, "complete graph needs at least one vertex", Some(n)),
+            Self::Grid(r, c) => (
+                r >= 1 && c >= 1,
+                "grid needs positive dimensions",
+                r.checked_mul(c),
+            ),
+            Self::Torus(r, c) => (
+                r >= 3 && c >= 3,
+                "torus needs dimensions >= 3",
+                r.checked_mul(c),
+            ),
+            Self::Hypercube(d) => (
+                d >= 1,
+                "hypercube needs dimension >= 1",
+                1usize.checked_shl(d),
+            ),
+            Self::Tree(a, d) => (a >= 1, "tree arity must be >= 1", tree(a, d)),
+        };
+        if !ok {
+            return Err(needs.to_string());
         }
+        vertices.ok_or_else(|| format!("topology {} overflows the vertex count", self.print()))
     }
 
     fn print(&self) -> String {
@@ -175,59 +238,25 @@ impl TopologySpec {
     }
 
     fn parse(args: &[&str], line: usize) -> Result<Self, SpecError> {
-        let kind = *args
-            .first()
-            .ok_or_else(|| SpecError::at(line, "topology needs a generator name"))?;
-        let want = |n: usize| -> Result<(), SpecError> {
-            if args.len() == n + 1 {
-                Ok(())
-            } else {
-                Err(SpecError::at(
+        let num = |s: &str| parse_num::<usize>(s, line);
+        Ok(match args {
+            ["line", n] => Self::Line(num(n)?),
+            ["ring", n] => Self::Ring(num(n)?),
+            ["star", n] => Self::Star(num(n)?),
+            ["complete", n] => Self::Complete(num(n)?),
+            ["grid", r, c] => Self::Grid(num(r)?, num(c)?),
+            ["torus", r, c] => Self::Torus(num(r)?, num(c)?),
+            ["hypercube", d] => Self::Hypercube(parse_num(d, line)?),
+            ["tree", a, d] => Self::Tree(num(a)?, num(d)?),
+            _ => {
+                let shapes = "line|ring|star|complete <n>, grid|torus <r> <c>, hypercube <d>, \
+                              tree <arity> <depth>";
+                return Err(SpecError::at(
                     line,
-                    format!("topology {kind} takes {n} argument(s)"),
-                ))
+                    format!("topology is {shapes}; got {args:?}"),
+                ));
             }
-        };
-        let num = |i: usize| parse_num::<usize>(args[i], line);
-        let topology = match kind {
-            "line" => {
-                want(1)?;
-                TopologySpec::Line(num(1)?)
-            }
-            "ring" => {
-                want(1)?;
-                TopologySpec::Ring(num(1)?)
-            }
-            "star" => {
-                want(1)?;
-                TopologySpec::Star(num(1)?)
-            }
-            "complete" => {
-                want(1)?;
-                TopologySpec::Complete(num(1)?)
-            }
-            "grid" => {
-                want(2)?;
-                TopologySpec::Grid(num(1)?, num(2)?)
-            }
-            "torus" => {
-                want(2)?;
-                TopologySpec::Torus(num(1)?, num(2)?)
-            }
-            "hypercube" => {
-                want(1)?;
-                TopologySpec::Hypercube(parse_num::<u32>(args[1], line)?)
-            }
-            "tree" => {
-                want(2)?;
-                TopologySpec::Tree(num(1)?, num(2)?)
-            }
-            other => {
-                return Err(SpecError::at(line, format!("unknown topology {other:?}")));
-            }
-        };
-        topology.check(line)?;
-        Ok(topology)
+        })
     }
 }
 
@@ -484,7 +513,9 @@ impl ScenarioSpec {
         out
     }
 
-    /// Parses the text form.
+    /// Parses the text form: tokenise, fill the fields, then run the one
+    /// validity gate (module docs, "Validity") with the source lines at
+    /// hand.
     ///
     /// Unknown keys are errors (a typo must not silently change an
     /// experiment); `#` starts a comment; blank lines are ignored;
@@ -498,325 +529,483 @@ impl ScenarioSpec {
         let mut name: Option<String> = None;
         let mut topology: Option<TopologySpec> = None;
         let mut cluster_size: Option<usize> = None;
-        let mut sample_line = 0;
+        // Which key was read on which line, for the gate's errors.
+        let mut log: Vec<(&str, usize)> = Vec::new();
         let mut spec = ScenarioSpec::new("", TopologySpec::Line(1), 0);
         for (idx, raw) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
+            let line = idx + 1;
+            let code = raw.split('#').next().unwrap_or("");
+            let tokens: Vec<&str> = code.split_whitespace().collect();
+            let Some((&key, args)) = tokens.split_first() else {
                 continue;
-            }
-            let tokens: Vec<&str> = line.split_whitespace().collect();
-            let (key, args) = (tokens[0], &tokens[1..]);
-            let one = |what: &str| -> Result<&str, SpecError> {
-                if args.len() == 1 {
-                    Ok(args[0])
-                } else {
-                    Err(SpecError::at(lineno, format!("{key} takes one {what}")))
-                }
             };
-            match key {
-                "name" => name = Some(one("word")?.to_string()),
-                "topology" => topology = Some(TopologySpec::parse(args, lineno)?),
-                "cluster_size" => cluster_size = Some(parse_num(one("integer")?, lineno)?),
-                "f" => spec.f = parse_num(one("integer")?, lineno)?,
-                "env" => {
-                    if args.len() != 3 {
-                        return Err(SpecError::at(lineno, "env takes three values: rho d U"));
-                    }
-                    spec.rho = parse_num(args[0], lineno)?;
-                    spec.d = parse_num(args[1], lineno)?;
-                    spec.u = parse_num(args[2], lineno)?;
+            let mut tag = key;
+            match (key, args) {
+                ("name", [word]) => name = Some(word.to_string()),
+                ("topology", _) => topology = Some(TopologySpec::parse(args, line)?),
+                ("cluster_size", [k]) => cluster_size = Some(parse_num(k, line)?),
+                ("f", [f]) => spec.f = parse_num(f, line)?,
+                ("env", [rho, d, u]) => {
+                    spec.rho = parse_num(rho, line)?;
+                    spec.d = parse_num(d, line)?;
+                    spec.u = parse_num(u, line)?;
                 }
-                "seed" => spec.seed = parse_num(one("integer")?, lineno)?,
-                "duration" => {
-                    spec.duration = match args {
-                        [secs] => DurationSpec::Secs(parse_num(secs, lineno)?),
-                        [rounds, "rounds"] => DurationSpec::Rounds(parse_num(rounds, lineno)?),
-                        _ => {
-                            return Err(SpecError::at(
-                                lineno,
-                                "duration takes `<secs>` or `<n> rounds`",
-                            ));
-                        }
+                ("seed", [seed]) => spec.seed = parse_num(seed, line)?,
+                ("duration", [secs]) => spec.duration = DurationSpec::Secs(parse_num(secs, line)?),
+                ("duration", [rounds, "rounds"]) => {
+                    spec.duration = DurationSpec::Rounds(parse_num(rounds, line)?);
+                }
+                ("delay", [dist]) => spec.delay = parse_delay(dist, line)?,
+                ("rate_model", _) => spec.rate_model = parse_rate_model(args, line)?,
+                ("sample_interval", ["half_round"]) => spec.sample_interval = SampleSpec::HalfRound,
+                ("sample_interval", ["none"]) => spec.sample_interval = SampleSpec::Off,
+                ("sample_interval", [secs]) => {
+                    spec.sample_interval = SampleSpec::Secs(parse_num(secs, line)?);
+                }
+                ("mode_policy", [policy]) => spec.mode_policy = parse_mode_policy(policy, line)?,
+                ("max_estimator", ["on"]) => spec.max_estimator = true,
+                ("max_estimator", ["off"]) => spec.max_estimator = false,
+                ("offset_spread", [x]) => spec.offset_spread = parse_num(x, line)?,
+                ("offset_ramp", [x]) => spec.offset_ramp = parse_num(x, line)?,
+                ("cluster_offset", [cluster, x]) => {
+                    let entry = (parse_num(cluster, line)?, parse_num(x, line)?);
+                    spec.cluster_offsets.push(entry);
+                }
+                // `from` splits a fault's kind tokens from its window:
+                // kinds take only numeric arguments, so the keyword
+                // cannot occur inside them. The two forms fill
+                // different fields.
+                ("fault", [node, kind @ .., "from", from, "to", to]) => {
+                    tag = "fault from";
+                    let (from, to) = (parse_num(from, line)?, parse_num(to, line)?);
+                    let entry = (parse_num(node, line)?, parse_fault(kind, line)?, from, to);
+                    spec.fault_windows.push(entry);
+                }
+                ("fault", [node, kind @ ..]) if !kind.contains(&"from") => {
+                    let entry = (parse_num(node, line)?, parse_fault(kind, line)?);
+                    spec.faults.push(entry);
+                }
+                ("churn", [count, kind @ .., "period", period, "downtime", downtime]) => {
+                    let (period, down) = (parse_num(period, line)?, parse_num(downtime, line)?);
+                    let entry = (
+                        parse_num(count, line)?,
+                        parse_fault(kind, line)?,
+                        period,
+                        down,
+                    );
+                    spec.churn.push(entry);
+                }
+                ("mobile", [count, kind @ .., "hop", hop]) => {
+                    let kind = parse_fault(kind, line)?;
+                    let entry = (parse_num(count, line)?, kind, parse_num(hop, line)?);
+                    spec.mobile.push(entry);
+                }
+                ("fault_per_cluster", [count, kind @ ..]) => {
+                    let entry = (parse_num(count, line)?, parse_fault(kind, line)?);
+                    spec.faults_per_cluster.push(entry);
+                }
+                ("random_faults", [count, seed, kind @ ..]) => {
+                    let kind = parse_fault(kind, line)?;
+                    let entry = (parse_num(count, line)?, parse_num(seed, line)?, kind);
+                    spec.random_faults.push(entry);
+                }
+                ("rate_override", [node, model @ ..]) => {
+                    let entry = (parse_num(node, line)?, parse_rate_model(model, line)?);
+                    spec.rate_overrides.push(entry);
+                }
+                ("scheduler", ["global"]) => spec.scheduler = SchedulerSpec::Global,
+                ("scheduler", ["parallel", workers]) => {
+                    spec.scheduler = SchedulerSpec::Parallel(parse_num(workers, line)?);
+                }
+                _ => {
+                    let msg = match usage(key) {
+                        Some(shape) => format!("{key} takes: {shape}"),
+                        None => format!("unknown key {key:?}"),
                     };
-                    let raw = match spec.duration {
-                        DurationSpec::Secs(x) | DurationSpec::Rounds(x) => x,
-                    };
-                    if !raw.is_finite() || raw < 0.0 {
-                        return Err(SpecError::at(
-                            lineno,
-                            "duration must be finite and non-negative",
-                        ));
-                    }
-                }
-                "delay" => spec.delay = parse_delay(one("distribution")?, lineno)?,
-                "rate_model" => spec.rate_model = parse_rate_model(args, lineno)?,
-                "sample_interval" => {
-                    sample_line = lineno;
-                    spec.sample_interval = match one("value")? {
-                        "half_round" => SampleSpec::HalfRound,
-                        "none" => SampleSpec::Off,
-                        secs => {
-                            let secs: f64 = parse_num(secs, lineno)?;
-                            // A zero interval would re-arm the sample
-                            // event at the same instant forever and
-                            // livelock the engine.
-                            if !secs.is_finite() || secs <= 0.0 {
-                                return Err(SpecError::at(
-                                    lineno,
-                                    "sample_interval must be positive and finite (or `none`)",
-                                ));
-                            }
-                            SampleSpec::Secs(secs)
-                        }
-                    };
-                }
-                "mode_policy" => spec.mode_policy = parse_mode_policy(one("policy")?, lineno)?,
-                "max_estimator" => {
-                    spec.max_estimator = match one("on/off")? {
-                        "on" => true,
-                        "off" => false,
-                        other => {
-                            return Err(SpecError::at(
-                                lineno,
-                                format!("max_estimator must be on/off, got {other:?}"),
-                            ));
-                        }
-                    };
-                }
-                "offset_spread" => spec.offset_spread = parse_num(one("value")?, lineno)?,
-                "offset_ramp" => spec.offset_ramp = parse_num(one("value")?, lineno)?,
-                "cluster_offset" => {
-                    if args.len() != 2 {
-                        return Err(SpecError::at(
-                            lineno,
-                            "cluster_offset takes: cluster offset",
-                        ));
-                    }
-                    spec.cluster_offsets
-                        .push((parse_num(args[0], lineno)?, parse_num(args[1], lineno)?));
-                }
-                "fault" => {
-                    if args.len() < 2 {
-                        return Err(SpecError::at(
-                            lineno,
-                            "fault takes: node kind [args…] [from <t> to <t>]",
-                        ));
-                    }
-                    let node = parse_num(args[0], lineno)?;
-                    // `from` splits the kind tokens from the window:
-                    // fault kinds take only numeric arguments, so the
-                    // keyword cannot occur inside them.
-                    if let Some(split) = args.iter().position(|&a| a == "from") {
-                        let kind = parse_fault(&args[1..split], lineno)?;
-                        let window = &args[split..];
-                        if window.len() != 4 || window[2] != "to" {
-                            return Err(SpecError::at(lineno, "fault window is `from <t> to <t>`"));
-                        }
-                        let from: f64 = parse_num(window[1], lineno)?;
-                        let to: f64 = parse_num(window[3], lineno)?;
-                        check_window(from, to, lineno)?;
-                        spec.fault_windows.push((node, kind, from, to));
-                    } else {
-                        spec.faults.push((node, parse_fault(&args[1..], lineno)?));
-                    }
-                }
-                "churn" => {
-                    let usage = "churn takes: count kind [args…] period <t> downtime <t>";
-                    if args.len() < 2 {
-                        return Err(SpecError::at(lineno, usage));
-                    }
-                    let count: usize = parse_num(args[0], lineno)?;
-                    if count == 0 {
-                        return Err(SpecError::at(lineno, "churn count must be at least 1"));
-                    }
-                    let split = args
-                        .iter()
-                        .position(|&a| a == "period")
-                        .ok_or_else(|| SpecError::at(lineno, usage))?;
-                    let kind = parse_fault(&args[1..split], lineno)?;
-                    let tail = &args[split..];
-                    if tail.len() != 4 || tail[2] != "downtime" {
-                        return Err(SpecError::at(lineno, usage));
-                    }
-                    let period: f64 = parse_num(tail[1], lineno)?;
-                    let downtime: f64 = parse_num(tail[3], lineno)?;
-                    check_churn(period, downtime, lineno)?;
-                    spec.churn.push((count, kind, period, downtime));
-                }
-                "mobile" => {
-                    let usage = "mobile takes: count kind [args…] hop <t>";
-                    if args.len() < 2 {
-                        return Err(SpecError::at(lineno, usage));
-                    }
-                    let count: usize = parse_num(args[0], lineno)?;
-                    if count == 0 {
-                        return Err(SpecError::at(lineno, "mobile count must be at least 1"));
-                    }
-                    let split = args
-                        .iter()
-                        .position(|&a| a == "hop")
-                        .ok_or_else(|| SpecError::at(lineno, usage))?;
-                    let kind = parse_fault(&args[1..split], lineno)?;
-                    let tail = &args[split..];
-                    if tail.len() != 2 {
-                        return Err(SpecError::at(lineno, usage));
-                    }
-                    let hop: f64 = parse_num(tail[1], lineno)?;
-                    if !hop.is_finite() || hop <= 0.0 {
-                        return Err(SpecError::at(
-                            lineno,
-                            "mobile hop must be positive and finite",
-                        ));
-                    }
-                    spec.mobile.push((count, kind, hop));
-                }
-                "fault_per_cluster" => {
-                    if args.len() < 2 {
-                        return Err(SpecError::at(
-                            lineno,
-                            "fault_per_cluster takes: count kind [args…]",
-                        ));
-                    }
-                    spec.faults_per_cluster.push((
-                        parse_num(args[0], lineno)?,
-                        parse_fault(&args[1..], lineno)?,
-                    ));
-                }
-                "random_faults" => {
-                    if args.len() < 3 {
-                        return Err(SpecError::at(
-                            lineno,
-                            "random_faults takes: count seed kind [args…]",
-                        ));
-                    }
-                    spec.random_faults.push((
-                        parse_num(args[0], lineno)?,
-                        parse_num(args[1], lineno)?,
-                        parse_fault(&args[2..], lineno)?,
-                    ));
-                }
-                "rate_override" => {
-                    if args.len() < 2 {
-                        return Err(SpecError::at(lineno, "rate_override takes: node model…"));
-                    }
-                    spec.rate_overrides.push((
-                        parse_num(args[0], lineno)?,
-                        parse_rate_model(&args[1..], lineno)?,
-                    ));
-                }
-                "scheduler" => {
-                    spec.scheduler = match args {
-                        ["global"] => SchedulerSpec::Global,
-                        ["parallel", workers] => {
-                            SchedulerSpec::Parallel(parse_num(workers, lineno)?)
-                        }
-                        _ => {
-                            return Err(SpecError::at(
-                                lineno,
-                                "scheduler is `global` or `parallel <workers>`",
-                            ));
-                        }
-                    };
-                }
-                other => {
-                    return Err(SpecError::at(lineno, format!("unknown key {other:?}")));
+                    return Err(SpecError::at(line, msg));
                 }
             }
+            log.push((tag, line));
         }
         spec.name = name.ok_or_else(|| SpecError::new("missing required key `name`"))?;
         spec.topology =
             topology.ok_or_else(|| SpecError::new("missing required key `topology`"))?;
-        spec.cluster_size = cluster_size.unwrap_or(3 * spec.f + 1);
-        if spec.name.is_empty() {
-            return Err(SpecError::new("name must not be empty"));
-        }
-        if spec.cluster_size < 3 * spec.f + 1 {
-            return Err(SpecError::new(format!(
-                "cluster_size {} is below 3f+1 = {}",
-                spec.cluster_size,
-                3 * spec.f + 1
-            )));
-        }
-        // Against the horizon, which lines after `sample_interval` may
-        // still have moved. (An infeasible `env` is `from_spec`'s to
-        // report.)
-        if let (SampleSpec::Secs(secs), Ok(params)) = (spec.sample_interval, spec.params()) {
-            check_sample_spacing(secs, spec.duration.resolve(&params), sample_line)?;
-        }
+        spec.cluster_size =
+            cluster_size.unwrap_or_else(|| spec.f.saturating_mul(3).saturating_add(1));
+        spec.check_with(&|key, nth| {
+            let mut lines = log.iter().filter(|l| l.0 == key).map(|l| l.1);
+            match nth {
+                Some(i) => lines.nth(i),
+                None => lines.next_back(),
+            }
+            .unwrap_or(0)
+        })?;
         Ok(spec)
     }
+
+    /// The validity gate, for a spec filled in code: every rule of the
+    /// module docs' "Validity" section, reported at line 0.
+    pub(crate) fn check(&self) -> Result<(), SpecError> {
+        self.check_with(&|_, _| 0)
+    }
+
+    /// The one body of every validity rule. `line_of(key, nth)` names
+    /// the source line of the `nth` entry of a repeatable key, or with
+    /// `None` the last line of a scalar one (scalars are last-wins).
+    fn check_with(&self, line_of: &dyn Fn(&str, Option<usize>) -> usize) -> Result<(), SpecError> {
+        let at = |key: &str, nth, msg: String| SpecError::at(line_of(key, nth), msg);
+
+        if self.name.is_empty() || self.name.contains(|c: char| c.is_whitespace() || c == '#') {
+            let name = &self.name;
+            let msg =
+                format!("name {name:?} is not expressible in the spec format (one word, no '#')");
+            return Err(at("name", None, msg));
+        }
+        let clusters = self.topology.check().map_err(|m| at("topology", None, m))?;
+        let nodes = clusters.checked_mul(self.cluster_size).ok_or_else(|| {
+            let msg = format!(
+                "{clusters} clusters of {} nodes overflow",
+                self.cluster_size
+            );
+            at("cluster_size", None, msg)
+        })?;
+        let params = Arc::new(self.params().map_err(|e| at("env", None, e.msg))?);
+        let (DurationSpec::Secs(raw) | DurationSpec::Rounds(raw)) = self.duration;
+        if !raw.is_finite() || raw < 0.0 {
+            let msg = "duration must be finite and non-negative".to_string();
+            return Err(at("duration", None, msg));
+        }
+        let horizon = self.duration.resolve(&params);
+
+        // A zero interval re-arms its event at the same instant forever
+        // and livelocks the engine; so does one below the f64 spacing.
+        let at_horizon = |what: &str, secs: f64| spaced(what, secs, "the horizon", horizon);
+        let interval = |sentence: &str, what: &str, secs: f64| {
+            if !secs.is_finite() || secs <= 0.0 {
+                return Err(sentence.to_string());
+            }
+            at_horizon(what, secs)
+        };
+        if let SampleSpec::Secs(secs) = self.sample_interval {
+            let sentence = "sample_interval must be positive and finite (or `none`)";
+            interval(sentence, "sample_interval", secs)
+                .map_err(|m| at("sample_interval", None, m))?;
+        }
+
+        let rate = |model: &RateModel| match rate_model_interval(model)? {
+            Some(secs) => at_horizon("rate segment", secs),
+            None => Ok(()),
+        };
+        rate(&self.rate_model).map_err(|m| at("rate_model", None, m))?;
+        for (i, (node, model)) in self.rate_overrides.iter().enumerate() {
+            node_in_range("rate_override", *node, nodes)
+                .and_then(|()| rate(model))
+                .map_err(|m| at("rate_override", Some(i), m))?;
+        }
+
+        let offset = |what: &str, x: f64| offset_rule(what, x, params.t_round);
+        let ramp_end = self.offset_ramp * (clusters - 1) as f64;
+        offset("offset_spread", self.offset_spread).map_err(|m| at("offset_spread", None, m))?;
+        offset("offset_ramp", self.offset_ramp)
+            .and_then(|()| offset("offset_ramp at the last cluster", ramp_end))
+            .map_err(|m| at("offset_ramp", None, m))?;
+        for (i, &(cluster, x)) in self.cluster_offsets.iter().enumerate() {
+            if cluster >= clusters {
+                let msg =
+                    format!("cluster_offset cluster {cluster} out of range ({clusters} clusters)");
+                return Err(at("cluster_offset", Some(i), msg));
+            }
+            offset("cluster_offset", x).map_err(|m| at("cluster_offset", Some(i), m))?;
+        }
+
+        // The conservative windows are `d − U` wide; the engine asserts
+        // on a zero width.
+        if self.scheduler != SchedulerSpec::Global && params.lookahead() <= 0.0 {
+            let msg = "scheduler parallel needs a positive lookahead d − U \
+                       (with U = d use `scheduler global`)";
+            return Err(at("scheduler", None, msg.to_string()));
+        }
+
+        let strategy = |kind: &FaultKind| match fault_interval(kind, &params)? {
+            Some(secs) => at_horizon("fault interval", secs),
+            None => Ok(()),
+        };
+        // The builder sugar would silently clamp an oversized count; a
+        // spec asking for more faults than a cluster has slots is a
+        // typo, not a request for a different experiment.
+        let per_cluster = |key: &str, count: usize, kind: &FaultKind| {
+            if count > self.cluster_size {
+                let k = self.cluster_size;
+                return Err(format!("{key} count {count} exceeds cluster_size {k}"));
+            }
+            strategy(kind)
+        };
+        // Placed round-robin over the clusters, `count ≤ f·C` moving
+        // faults keep each one at `⌈count/C⌉ ≤ f`.
+        let budget = self.f.saturating_mul(clusters);
+        let moving = |key: &str, count: usize, kind: &FaultKind| {
+            if count == 0 {
+                return Err(format!("{key} count must be at least 1"));
+            }
+            if count > budget {
+                return Err(format!(
+                    "{key} count {count} breaches the per-cluster fault budget \
+                     (at most f × clusters = {budget} keep every cluster at ≤ f)"
+                ));
+            }
+            strategy(kind)
+        };
+        for (i, (count, kind)) in self.faults_per_cluster.iter().enumerate() {
+            per_cluster("fault_per_cluster", *count, kind)
+                .map_err(|m| at("fault_per_cluster", Some(i), m))?;
+        }
+        for (i, (count, _, kind)) in self.random_faults.iter().enumerate() {
+            per_cluster("random_faults", *count, kind)
+                .map_err(|m| at("random_faults", Some(i), m))?;
+        }
+        for (i, &(count, ref kind, period, downtime)) in self.churn.iter().enumerate() {
+            moving("churn", count, kind)
+                .and_then(|()| {
+                    let sentence = "churn period must be positive and finite";
+                    interval(sentence, "churn period", period)
+                })
+                .and_then(|()| {
+                    // A node must be up part of every cycle to re-integrate.
+                    if downtime > 0.0 && downtime < period {
+                        return at_horizon("churn downtime", downtime);
+                    }
+                    let rule = "churn downtime must satisfy 0 < downtime < period";
+                    Err(format!("{rule}, got {downtime}"))
+                })
+                .map_err(|m| at("churn", Some(i), m))?;
+        }
+        for (i, &(count, ref kind, hop)) in self.mobile.iter().enumerate() {
+            let sentence = "mobile hop must be positive and finite";
+            moving("mobile", count, kind)
+                .and_then(|()| interval(sentence, "mobile hop", hop))
+                .map_err(|m| at("mobile", Some(i), m))?;
+        }
+
+        let mut placed = Placements::new(nodes, Arc::clone(&params));
+        for (i, (node, kind)) in self.faults.iter().enumerate() {
+            strategy(kind)
+                .and_then(|()| placed.fault(*node, kind.clone()))
+                .map_err(|m| at("fault", Some(i), m))?;
+        }
+        for (i, &(node, ref kind, from, to)) in self.fault_windows.iter().enumerate() {
+            strategy(kind)
+                .and_then(|()| placed.window(node, kind.clone(), from, to))
+                .map_err(|m| at("fault from", Some(i), m))?;
+        }
+        Ok(())
+    }
 }
 
-/// Is `name` expressible in the text format? One non-empty word: no
-/// whitespace (the printer emits `name <word>` on one line) and no `#`
-/// (which would start a comment on re-parse). [`ScenarioSpec::parse`]
-/// can only produce such names; [`Scenario::from_spec`] rejects others
-/// so that `to_spec().print()` always re-parses.
-///
-/// [`Scenario::from_spec`]: crate::runner::Scenario::from_spec
-pub(crate) fn name_is_canonical(name: &str) -> bool {
-    !name.is_empty() && !name.contains(char::is_whitespace) && !name.contains('#')
+/// The fault assignment of a scenario, and the two primitives through
+/// which anything is placed on it — the gate's explicit `fault` lines,
+/// `from_spec`'s sugar and lifecycle expansions, the panicking
+/// `with_fault*` builders — so that each placement rule has one body.
+/// It knows the node count, not the graph: the gate has none.
+#[derive(Debug, Clone)]
+pub(crate) struct Placements {
+    nodes: usize,
+    params: Arc<Params>,
+    /// Permanent faults `(node, strategy)`, in placement order.
+    pub(crate) faults: Vec<(usize, FaultKind)>,
+    /// Fault windows `(node, strategy, from, to)`.
+    pub(crate) windows: Vec<(usize, FaultKind, f64, f64)>,
 }
 
-/// Rejects a sample interval so small that f64 cannot add it to the
-/// time at the horizon: it passes "positive and finite", and the sample
-/// chain then never gets there (`sample_interval 1e-300`). Shared by the
-/// parser (with the line) and [`Scenario::from_spec`] (line 0).
-///
-/// [`Scenario::from_spec`]: crate::runner::Scenario::from_spec
-pub(crate) fn check_sample_spacing(secs: f64, horizon: f64, line: usize) -> Result<(), SpecError> {
-    if horizon + secs == horizon {
-        return Err(SpecError::at(
-            line,
-            format!(
-                "sample_interval {secs:e} is below the f64 spacing at the horizon \
-                 ({horizon} s): sampling would never get there"
-            ),
-        ));
+impl Placements {
+    pub(crate) fn new(nodes: usize, params: Arc<Params>) -> Self {
+        Placements {
+            nodes,
+            params,
+            faults: Vec::new(),
+            windows: Vec::new(),
+        }
     }
-    Ok(())
+
+    /// Whether `node` is faulty for the whole run.
+    pub(crate) fn permanent(&self, node: usize) -> bool {
+        self.faults.iter().any(|f| f.0 == node)
+    }
+
+    /// Whether `node` has any placement at all.
+    pub(crate) fn assigned(&self, node: usize) -> bool {
+        self.permanent(node) || self.windows.iter().any(|w| w.0 == node)
+    }
+
+    /// Whether a window of `node` overlaps *or abuts* `[from, to]`:
+    /// abutment would put a recovery and a re-infection on one instant,
+    /// and the lifecycle schedule needs strictly increasing times.
+    pub(crate) fn window_near(&self, node: usize, from: f64, to: f64) -> bool {
+        (self.windows.iter()).any(|w| w.0 == node && from <= w.3 && to >= w.2)
+    }
+
+    /// Places a permanent fault.
+    pub(crate) fn fault(&mut self, node: usize, kind: FaultKind) -> Result<(), String> {
+        node_in_range("fault", node, self.nodes)?;
+        fault_interval(&kind, &self.params)?;
+        if self.assigned(node) {
+            return Err(format!(
+                "node {node} already has a fault assigned (two faults on one node: \
+                 explicit `fault` lines and sugar expansions must not overlap)"
+            ));
+        }
+        self.faults.push((node, kind));
+        Ok(())
+    }
+
+    /// Places a fault over `[from, to)` Newtonian seconds.
+    pub(crate) fn window(
+        &mut self,
+        node: usize,
+        kind: FaultKind,
+        from: f64,
+        to: f64,
+    ) -> Result<(), String> {
+        node_in_range("fault window", node, self.nodes)?;
+        fault_interval(&kind, &self.params)?;
+        if !from.is_finite() || !to.is_finite() || from < 0.0 {
+            return Err("fault window bounds must be finite and non-negative".to_string());
+        }
+        if to <= from {
+            return Err(format!(
+                "fault window is inverted: to {to} must exceed from {from}"
+            ));
+        }
+        if self.permanent(node) {
+            return Err(format!(
+                "node {node} has both a permanent fault and a fault window"
+            ));
+        }
+        if self.window_near(node, from, to) {
+            return Err(format!(
+                "node {node} has overlapping or abutting fault windows around [{from}, {to})"
+            ));
+        }
+        self.windows.push((node, kind, from, to));
+        Ok(())
+    }
 }
 
-/// Validates one fault window: finite bounds, `from ≥ 0`, `to > from`.
-/// Shared by the parser (with a line number) and
-/// [`Scenario::from_spec`] (line 0) so programmatic specs get the same
-/// `SpecError` instead of a panic.
-///
-/// [`Scenario::from_spec`]: crate::runner::Scenario::from_spec
-pub(crate) fn check_window(from: f64, to: f64, line: usize) -> Result<(), SpecError> {
-    if !from.is_finite() || !to.is_finite() || from < 0.0 {
-        return Err(SpecError::at(
-            line,
-            "fault window bounds must be finite and non-negative",
-        ));
+/// The f64 spacing rule: adding `secs` to `base` has to move it, or the
+/// event re-arms at the same instant forever (`sample_interval 1e-300`).
+fn spaced(what: &str, secs: f64, base_name: &str, base: f64) -> Result<(), String> {
+    if base + secs != base {
+        return Ok(());
     }
-    if to <= from {
-        return Err(SpecError::at(
-            line,
-            format!("fault window is inverted: to {to} must exceed from {from}"),
-        ));
-    }
-    Ok(())
+    Err(format!(
+        "{what} {secs:e} is below the f64 spacing at {base_name} ({base} s): \
+         the run would never get past it"
+    ))
 }
 
-/// Validates churn timing: finite `period > 0` and `0 < downtime <
-/// period` (a node must be up part of every cycle to re-integrate).
-pub(crate) fn check_churn(period: f64, downtime: f64, line: usize) -> Result<(), SpecError> {
-    if !period.is_finite() || period <= 0.0 {
-        return Err(SpecError::at(
-            line,
-            "churn period must be positive and finite",
+fn node_in_range(what: &str, node: usize, nodes: usize) -> Result<(), String> {
+    if node < nodes {
+        return Ok(());
+    }
+    Err(format!(
+        "{what} node {node} out of range (graph has {nodes} nodes)"
+    ))
+}
+
+/// An initial clock offset: finite, non-negative, and not so large that
+/// a clock started there cannot resolve one round on top of it.
+pub(crate) fn offset_rule(what: &str, offset: f64, t_round: f64) -> Result<(), String> {
+    if !offset.is_finite() || offset < 0.0 {
+        return Err(format!(
+            "{what} must be finite and non-negative, got {offset}"
         ));
     }
-    if !downtime.is_finite() || downtime <= 0.0 || downtime >= period {
-        return Err(SpecError::at(
-            line,
-            format!("churn downtime must satisfy 0 < downtime < period, got {downtime}"),
-        ));
+    spaced("the round", t_round, what, offset)
+}
+
+/// The domain of a fault strategy's argument — finite, and positive
+/// where it is (`random_pulser`) or sets (`stealthy_rusher`'s track
+/// multiplier) the interval the strategy re-arms on — and that
+/// interval. The library asserts behind it stay, for direct calls.
+fn fault_interval(kind: &FaultKind, params: &Params) -> Result<Option<f64>, String> {
+    let (what, arg) = match *kind {
+        FaultKind::Silent | FaultKind::LevelFlooder { .. } => return Ok(None),
+        FaultKind::Crash { at } => ("crash time", at),
+        FaultKind::RandomPulser { mean_interval } => ("random_pulser interval", mean_interval),
+        FaultKind::TwoFaced { amplitude } => ("two_faced amplitude", amplitude),
+        FaultKind::SkewPuller { offset } => ("skew_puller offset", offset),
+        FaultKind::StealthyRusher { extra_rate } => ("stealthy_rusher extra rate", extra_rate),
+    };
+    let interval = match kind {
+        FaultKind::RandomPulser { .. } => Some(arg),
+        FaultKind::StealthyRusher { .. } => {
+            Some(params.t_round / StealthyRusher::multiplier(params, arg))
+        }
+        _ => None,
+    };
+    if arg.is_finite() && interval.is_none_or(|secs| secs.is_finite() && secs > 0.0) {
+        return Ok(interval);
     }
-    Ok(())
+    Err(format!(
+        "{what} must be finite, and positive where the strategy re-arms on it, got {arg}"
+    ))
+}
+
+/// The domain of a rate model's arguments, and the shortest segment it
+/// re-draws on when it has one. The schedule sentences are those of
+/// `HardwareClock::new`'s own asserts.
+fn rate_model_interval(model: &RateModel) -> Result<Option<f64>, String> {
+    let fraction = |frac: &f64| (0.0..=1.0).contains(frac);
+    let (ok, interval) = match *model {
+        RateModel::Constant { ref frac } => (fraction(frac), None),
+        RateModel::RandomConstant => (true, None),
+        // A negative step would walk the rate out of `[1, 1+ρ]`.
+        RateModel::RandomWalk { dwell, step } => {
+            (step.is_finite() && step >= 0.0, Some(0.5 * dwell))
+        }
+        RateModel::Sinusoid { period, phase } => (phase.is_finite(), Some(period / 32.0)),
+        RateModel::Schedule(ref points) => {
+            if points.first().is_none_or(|p| p.0 != 0.0) {
+                return Err("rate schedule must start at t = 0".to_string());
+            }
+            if !points.windows(2).all(|w| w[0].0 < w[1].0) {
+                return Err("rate schedule must be strictly increasing in time".to_string());
+            }
+            (points.iter().all(|p| fraction(&p.1)), None)
+        }
+    };
+    if ok && interval.is_none_or(|secs| secs.is_finite() && secs > 0.0) {
+        return Ok(interval);
+    }
+    Err(format!(
+        "rate model `{}` needs finite arguments, fractions in [0, 1], a non-negative \
+         step, and a positive dwell or period",
+        print_rate_model(model)
+    ))
+}
+
+/// The argument shape of each key, for the error on a line of another
+/// shape; `None` for a key the format does not have.
+fn usage(key: &str) -> Option<&'static str> {
+    Some(match key {
+        "name" => "one word",
+        "cluster_size" | "f" | "seed" => "one integer",
+        "env" => "three values: rho d U",
+        "duration" => "`<secs>` or `<n> rounds`",
+        "delay" => "one distribution",
+        "sample_interval" => "`half_round`, `none` or `<secs>`",
+        "mode_policy" => "one policy",
+        "max_estimator" => "`on` or `off`",
+        "offset_spread" | "offset_ramp" => "one value",
+        "cluster_offset" => "cluster offset",
+        "fault" => "node kind [args…] [from <t> to <t>]",
+        "churn" => "count kind [args…] period <t> downtime <t>",
+        "mobile" => "count kind [args…] hop <t>",
+        "fault_per_cluster" => "count kind [args…]",
+        "random_faults" => "count seed kind [args…]",
+        "rate_override" => "node model…",
+        "scheduler" => "`global` or `parallel <workers>`",
+        _ => return None,
+    })
 }
 
 fn parse_num<T: std::str::FromStr>(s: &str, line: usize) -> Result<T, SpecError> {
@@ -889,62 +1078,35 @@ fn print_rate_model(m: &RateModel) -> String {
 }
 
 fn parse_rate_model(args: &[&str], line: usize) -> Result<RateModel, SpecError> {
-    let kind = *args
-        .first()
-        .ok_or_else(|| SpecError::at(line, "rate model needs a kind"))?;
-    let want = |n: usize| -> Result<(), SpecError> {
-        if args.len() == n + 1 {
-            Ok(())
-        } else {
-            Err(SpecError::at(
-                line,
-                format!("rate model {kind} takes {n} argument(s)"),
-            ))
-        }
-    };
-    Ok(match kind {
-        "constant" => {
-            want(1)?;
-            RateModel::Constant {
-                frac: parse_num(args[1], line)?,
-            }
-        }
-        "random_constant" => {
-            want(0)?;
-            RateModel::RandomConstant
-        }
-        "random_walk" => {
-            want(2)?;
-            RateModel::RandomWalk {
-                dwell: parse_num(args[1], line)?,
-                step: parse_num(args[2], line)?,
-            }
-        }
-        "sinusoid" => {
-            want(2)?;
-            RateModel::Sinusoid {
-                period: parse_num(args[1], line)?,
-                phase: parse_num(args[2], line)?,
-            }
-        }
-        "schedule" => {
-            if args.len() < 2 {
-                return Err(SpecError::at(
-                    line,
-                    "schedule needs at least one t:frac pair",
-                ));
-            }
+    let num = |s: &str| parse_num::<f64>(s, line);
+    Ok(match args {
+        ["constant", frac] => RateModel::Constant { frac: num(frac)? },
+        ["random_constant"] => RateModel::RandomConstant,
+        ["random_walk", dwell, step] => RateModel::RandomWalk {
+            dwell: num(dwell)?,
+            step: num(step)?,
+        },
+        ["sinusoid", period, phase] => RateModel::Sinusoid {
+            period: num(period)?,
+            phase: num(phase)?,
+        },
+        ["schedule", pairs @ ..] if !pairs.is_empty() => {
             let mut points = Vec::new();
-            for pair in &args[1..] {
+            for pair in pairs {
                 let (t, frac) = pair.split_once(':').ok_or_else(|| {
                     SpecError::at(line, format!("schedule entries are t:frac, got {pair:?}"))
                 })?;
-                points.push((parse_num(t, line)?, parse_num(frac, line)?));
+                points.push((num(t)?, num(frac)?));
             }
             RateModel::Schedule(points)
         }
-        other => {
-            return Err(SpecError::at(line, format!("unknown rate model {other:?}")));
+        _ => {
+            let shapes = "constant <frac>, random_constant, random_walk <dwell> <step>, \
+                          sinusoid <period> <phase>, schedule <t:frac>…";
+            return Err(SpecError::at(
+                line,
+                format!("rate model is {shapes}; got {args:?}"),
+            ));
         }
     })
 }
@@ -962,62 +1124,28 @@ fn print_fault(kind: &FaultKind) -> String {
 }
 
 fn parse_fault(args: &[&str], line: usize) -> Result<FaultKind, SpecError> {
-    let kind = *args
-        .first()
-        .ok_or_else(|| SpecError::at(line, "fault needs a kind"))?;
-    let want = |n: usize| -> Result<(), SpecError> {
-        if args.len() == n + 1 {
-            Ok(())
-        } else {
-            Err(SpecError::at(
+    let num = |s: &str| parse_num::<f64>(s, line);
+    Ok(match args {
+        ["silent"] => FaultKind::Silent,
+        ["crash", at] => FaultKind::Crash { at: num(at)? },
+        ["random_pulser", x] => FaultKind::RandomPulser {
+            mean_interval: num(x)?,
+        },
+        ["two_faced", x] => FaultKind::TwoFaced { amplitude: num(x)? },
+        ["skew_puller", x] => FaultKind::SkewPuller { offset: num(x)? },
+        ["stealthy_rusher", x] => FaultKind::StealthyRusher {
+            extra_rate: num(x)?,
+        },
+        ["level_flooder", x] => FaultKind::LevelFlooder {
+            level_step: parse_num(x, line)?,
+        },
+        _ => {
+            let shapes = "silent, or crash|random_pulser|two_faced|skew_puller|\
+                          stealthy_rusher|level_flooder <x>";
+            return Err(SpecError::at(
                 line,
-                format!("fault {kind} takes {n} argument(s)"),
-            ))
-        }
-    };
-    Ok(match kind {
-        "silent" => {
-            want(0)?;
-            FaultKind::Silent
-        }
-        "crash" => {
-            want(1)?;
-            FaultKind::Crash {
-                at: parse_num(args[1], line)?,
-            }
-        }
-        "random_pulser" => {
-            want(1)?;
-            FaultKind::RandomPulser {
-                mean_interval: parse_num(args[1], line)?,
-            }
-        }
-        "two_faced" => {
-            want(1)?;
-            FaultKind::TwoFaced {
-                amplitude: parse_num(args[1], line)?,
-            }
-        }
-        "skew_puller" => {
-            want(1)?;
-            FaultKind::SkewPuller {
-                offset: parse_num(args[1], line)?,
-            }
-        }
-        "stealthy_rusher" => {
-            want(1)?;
-            FaultKind::StealthyRusher {
-                extra_rate: parse_num(args[1], line)?,
-            }
-        }
-        "level_flooder" => {
-            want(1)?;
-            FaultKind::LevelFlooder {
-                level_step: parse_num(args[1], line)?,
-            }
-        }
-        other => {
-            return Err(SpecError::at(line, format!("unknown fault kind {other:?}")));
+                format!("fault kind is {shapes}; got {args:?}"),
+            ));
         }
     })
 }

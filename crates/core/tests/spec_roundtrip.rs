@@ -6,13 +6,24 @@
 //! fixed point (`print(parse(print(s))) == print(s)`). Specs are
 //! generated over every topology kind, fault strategy, rate model,
 //! delay distribution, scheduler, and sugar combination.
+//!
+//! The other half is the validity gate (`ftgcs::spec`, "Validity"):
+//! what it turns away it turns away at both doors in the same sentence
+//! — `parse` with the line, `from_spec` at line 0 — and nothing it lets
+//! through panics on the way to a run.
 
-use ftgcs::faults::FaultKind;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use ftgcs::faults::{FaultKind, RandomPulser};
+use ftgcs::global_max::MaxEstimator;
 use ftgcs::runner::Scenario;
-use ftgcs::spec::{DurationSpec, SampleSpec, ScenarioSpec, SchedulerSpec, TopologySpec};
+use ftgcs::spec::{DurationSpec, SampleSpec, ScenarioSpec, SchedulerSpec, SpecError, TopologySpec};
 use ftgcs::triggers::ModePolicy;
-use ftgcs_sim::clock::RateModel;
+use ftgcs_sim::clock::{HardwareClock, RateModel};
 use ftgcs_sim::network::DelayDistribution;
+use ftgcs_sim::node::TrackId;
+use ftgcs_sim::rng::SimRng;
+use ftgcs_sim::time::SimTime;
 use proptest::prelude::*;
 
 /// Deterministic f64 grid that exercises awkward printing cases
@@ -57,9 +68,14 @@ fn pick_fault(kind: u64, arg: u64) -> FaultKind {
     }
 }
 
+/// A band fraction: the grid folded into `[0, 1)`.
+fn pick_frac(idx: u64) -> f64 {
+    pick_f64(idx).fract()
+}
+
 fn pick_rate_model(kind: u64, a: u64, b: u64) -> RateModel {
     match kind % 5 {
-        0 => RateModel::Constant { frac: pick_f64(a) },
+        0 => RateModel::Constant { frac: pick_frac(a) },
         1 => RateModel::RandomConstant,
         2 => RateModel::RandomWalk {
             dwell: pick_f64(a),
@@ -70,8 +86,8 @@ fn pick_rate_model(kind: u64, a: u64, b: u64) -> RateModel {
             phase: pick_f64(b),
         },
         _ => RateModel::Schedule(vec![
-            (0.0, pick_f64(a)),
-            (pick_f64(b) + 1.0, pick_f64(a ^ 1)),
+            (0.0, pick_frac(a)),
+            (pick_f64(b) + 1.0, pick_frac(a ^ 1)),
         ]),
     }
 }
@@ -86,7 +102,10 @@ fn pick_delay(kind: u64) -> DelayDistribution {
     }
 }
 
-/// Builds a spec from raw generated integers — every field exercised.
+/// Builds a spec from raw generated integers — every field exercised,
+/// every entry inside the gate's rules: indices within the graph, one
+/// explicit placement per node, counts within `k` and `f·C`, moving
+/// faults only where the budget has room for one.
 #[allow(clippy::too_many_arguments)] // proptest feeds every spec field through one flat strategy tuple
 fn assemble(
     topo: (u64, usize, usize),
@@ -100,12 +119,17 @@ fn assemble(
 ) -> ScenarioSpec {
     let mut spec = ScenarioSpec::new("generated", pick_topology(topo.0, topo.1, topo.2), f);
     spec.cluster_size = 3 * f + 1 + extra_k;
+    let clusters = spec.topology.build().node_count();
+    let nodes = clusters * spec.cluster_size;
     spec.seed = seed;
     spec.duration = if duration.0.is_multiple_of(2) {
         DurationSpec::Secs(pick_f64(duration.1))
     } else {
         DurationSpec::Rounds(pick_f64(duration.1))
     };
+    // A period or hop far below the horizon is a valid request for
+    // billions of windows; keep the expansion small.
+    let horizon = spec.duration.resolve(&spec.params().expect("default env"));
     let (delay, rate_kind, rate_a, rate_b, policy) = knobs;
     spec.delay = pick_delay(delay);
     spec.rate_model = pick_rate_model(rate_kind, rate_a, rate_b);
@@ -127,39 +151,70 @@ fn assemble(
         0 => SchedulerSpec::Global,
         _ => SchedulerSpec::Parallel((sched % 7) as usize),
     };
+    let mut placed = Vec::new();
     for (i, &(a, b, c)) in lists.iter().enumerate() {
+        let node = i % nodes;
         match a % 8 {
-            0 => spec.cluster_offsets.push((i, pick_f64(b) * 1e-4)),
+            0 => spec
+                .cluster_offsets
+                .push((i % clusters, pick_f64(b) * 1e-4)),
+            // Explicit faults and windows: one placement per node.
+            1 | 4 if placed.contains(&node) => {}
             1 => {
-                // Explicit faults must be unique per node; index by i.
-                spec.faults.push((i, pick_fault(b, c)));
+                placed.push(node);
+                spec.faults.push((node, pick_fault(b, c)));
             }
-            2 => spec
-                .faults_per_cluster
-                .push((1 + (b % 2) as usize, pick_fault(c, b))),
-            3 => spec
-                .random_faults
-                .push(((b % 3) as usize, c, pick_fault(b, c))),
+            2 => spec.faults_per_cluster.push((
+                (1 + (b % 2) as usize).min(spec.cluster_size),
+                pick_fault(c, b),
+            )),
+            3 => spec.random_faults.push((
+                ((b % 3) as usize).min(spec.cluster_size),
+                c,
+                pick_fault(b, c),
+            )),
             4 => {
-                // Windows are per-node like explicit faults; index by i
-                // keeps them collision-free, and the grid is positive so
-                // `to > from` always holds.
+                // The grid is positive, so `to > from` always holds.
+                placed.push(node);
                 let from = pick_f64(b);
                 spec.fault_windows
-                    .push((i, pick_fault(b, c), from, from + pick_f64(c)));
+                    .push((node, pick_fault(b, c), from, from + pick_f64(c)));
             }
+            5 | 6 if f == 0 => {}
             5 => {
-                let period = pick_f64(b);
+                let period = pick_f64(b).max(horizon / 8.0);
+                let count = (1 + (b % 3) as usize).min(f * clusters);
                 spec.churn
-                    .push((1 + (b % 3) as usize, pick_fault(c, b), period, period / 2.0));
+                    .push((count, pick_fault(c, b), period, period / 2.0));
             }
-            6 => spec
-                .mobile
-                .push((1 + (c % 2) as usize, pick_fault(b, c), pick_f64(c))),
-            _ => spec.rate_overrides.push((i, pick_rate_model(b, c, b ^ c))),
+            6 => {
+                let count = (1 + (c % 2) as usize).min(f * clusters);
+                let hop = pick_f64(c).max(horizon / 8.0);
+                spec.mobile.push((count, pick_fault(b, c), hop));
+            }
+            _ => spec
+                .rate_overrides
+                .push((node, pick_rate_model(b, c, b ^ c))),
         }
     }
     spec
+}
+
+/// The two things only the expansion can tell (`ftgcs::spec`,
+/// "Validity"): a sugar placement colliding with another one, in the
+/// placement primitives' sentences, and a mobile adversary with nowhere
+/// to hop.
+fn is_expansion_error(err: &SpecError) -> bool {
+    err.line == 0
+        && [
+            "already has a fault assigned",
+            "has both a permanent fault and a fault window",
+            "overlapping or abutting fault windows",
+            "no unassigned node left for churner",
+            "cannot hop anywhere",
+        ]
+        .iter()
+        .any(|sentence| err.msg.contains(sentence))
 }
 
 proptest! {
@@ -181,6 +236,447 @@ proptest! {
         prop_assert_eq!(&parsed, &spec);
         // Printing is a fixed point.
         prop_assert_eq!(parsed.print(), text);
+        // What the gate lets through assembles, or fails in one of the
+        // two ways that need the expansion — it never panics.
+        let built = catch_unwind(|| Scenario::from_spec(&parsed).map(|_| ()))
+            .map_err(|_| TestCaseError::Fail(format!("from_spec panicked on\n{text}")))?;
+        if let Err(e) = built {
+            prop_assert!(is_expansion_error(&e), "{e}\n{text}");
+        }
+    }
+}
+
+/// One valid text with a numeric token of every kind the format has, on
+/// two clusters for one round. The default rate model is constant: a
+/// timer far beyond the horizon is legal (`random_pulser 1e300` never
+/// pulses), and only a constant-rate clock reaches it without laying
+/// down every segment on the way.
+const FUZZ_BASE: &str = "\
+name fuzz
+topology line 2
+cluster_size 10
+f 3
+env 1e-4 1e-3 1e-4
+seed 7
+duration 1 rounds
+rate_model constant 0.5
+sample_interval 0.01
+offset_spread 1e-5
+offset_ramp 1e-5
+cluster_offset 1 2e-5
+fault_per_cluster 1 level_flooder 3
+random_faults 0 9 silent
+fault 1 two_faced 0.001
+fault 2 random_pulser 0.05 from 0.01 to 0.02
+fault 3 stealthy_rusher 0.01 from 0.03 to 0.05
+fault 4 skew_puller -0.001 from 0.04 to 0.06
+fault 12 crash 0.02 from 0.01 to 0.03
+churn 1 silent period 0.05 downtime 0.02
+mobile 1 silent hop 0.05
+rate_override 6 random_walk 1 0.5
+rate_override 7 sinusoid 3.5 0.25
+rate_override 15 schedule 0:0.5 0.05:1
+scheduler parallel 2
+";
+
+/// Every text that differs from [`FUZZ_BASE`] in one numeric token
+/// (either half of a `t:frac` pair counts), that token replaced by each
+/// of the hostile values.
+fn corruptions() -> Vec<String> {
+    const HOSTILE: [&str; 8] = [
+        "nan",
+        "inf",
+        "-inf",
+        "-1",
+        "0",
+        "1e-300",
+        "1e300",
+        "18446744073709551615",
+    ];
+    let lines: Vec<Vec<&str>> = FUZZ_BASE
+        .lines()
+        .map(|l| l.split_whitespace().collect())
+        .collect();
+    let mut out = Vec::new();
+    for (l, tokens) in lines.iter().enumerate() {
+        for (t, token) in tokens.iter().enumerate() {
+            let halves: Vec<&str> = token.split(':').collect();
+            for (h, half) in halves.iter().enumerate() {
+                if half.parse::<f64>().is_err() {
+                    continue;
+                }
+                for hostile in HOSTILE {
+                    let mut halves = halves.clone();
+                    halves[h] = hostile;
+                    let mut text = String::new();
+                    for (l2, tokens2) in lines.iter().enumerate() {
+                        for (t2, token2) in tokens2.iter().enumerate() {
+                            if (l2, t2) == (l, t) {
+                                text.push_str(&halves.join(":"));
+                            } else {
+                                text.push_str(token2);
+                            }
+                            text.push(' ');
+                        }
+                        text.push('\n');
+                    }
+                    out.push(text);
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn one_hostile_token_never_unwinds_and_what_parses_runs() {
+    let base = ScenarioSpec::parse(FUZZ_BASE).expect("the base is valid");
+    let scenario = Scenario::from_spec(&base).expect("the base assembles");
+    let horizon = base.duration.resolve(scenario.params());
+    assert!(scenario.run_for(horizon).stats.messages > 0);
+
+    let texts = corruptions();
+    assert!(texts.len() > 400, "{} corruptions", texts.len());
+    let (mut refused, mut ran) = (0, 0);
+    for text in texts {
+        let Ok(parsed) = catch_unwind(|| ScenarioSpec::parse(&text)) else {
+            panic!("parse unwound on\n{text}");
+        };
+        let Ok(spec) = parsed else {
+            refused += 1;
+            continue;
+        };
+        // A large but honest request (`duration 1e300 rounds`, `f 0` on
+        // `cluster_size 1000…`) is valid and not this test's to run.
+        let params = spec.params().expect("parse built them");
+        if spec.duration.resolve(&params) > horizon || spec.cluster_size > base.cluster_size {
+            continue;
+        }
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            Scenario::from_spec(&spec).map(|s| s.run_for(spec.duration.resolve(&params)))
+        }));
+        match run.unwrap_or_else(|_| panic!("accepted, then panicked:\n{text}")) {
+            Ok(_) => ran += 1,
+            Err(e) => assert!(is_expansion_error(&e), "{e}\n{text}"),
+        }
+    }
+    // Both outcomes are exercised, not one of them vacuously.
+    assert!(refused > 200 && ran > 50, "refused {refused}, ran {ran}");
+}
+
+/// A `random_walk` rate model.
+fn walk(dwell: f64, step: f64) -> RateModel {
+    RateModel::RandomWalk { dwell, step }
+}
+
+/// A clock on `model` (the library door behind `rate_model` lines).
+fn clock(model: RateModel) -> HardwareClock {
+    HardwareClock::new(1e-4, model, SimRng::seed_from(0))
+}
+
+/// A two-cluster scenario assembled in code (the builders' door).
+fn built() -> Scenario {
+    Scenario::from_spec(&ScenarioSpec::new("b", TopologySpec::Line(2), 1)).expect("valid")
+}
+
+/// One hostile spelling: the line as text, where it goes (line 2
+/// replaces the topology, anything else is appended as line 5), the
+/// same value set on the public field, and — where a library assert
+/// stands behind the rule — a direct call that must still trip it.
+type Hostile = (&'static str, usize, fn(&mut ScenarioSpec), Option<fn()>);
+
+/// Every spelling that, before the gate, made a 4-round 8-node run
+/// panic, hang, or quietly become a different run — plus the rules that
+/// used to be `from_spec`'s alone and had no line.
+#[allow(clippy::too_many_lines)] // one table, one row per spelling
+fn hostile_corpus() -> Vec<Hostile> {
+    use FaultKind::{RandomPulser as Pulser, Silent, SkewPuller, StealthyRusher, TwoFaced};
+    const NAN: f64 = f64::NAN;
+    const INF: f64 = f64::INFINITY;
+    vec![
+        // ---- panicked ----
+        (
+            "rate_model random_walk -1 0.5",
+            5,
+            |s| s.rate_model = walk(-1.0, 0.5),
+            Some(|| drop(clock(walk(-1.0, 0.5)))),
+        ),
+        (
+            "rate_model schedule 5:0.5 1:0.2",
+            5,
+            |s| s.rate_model = RateModel::Schedule(vec![(5.0, 0.5), (1.0, 0.2)]),
+            Some(|| drop(clock(RateModel::Schedule(vec![(5.0, 0.5), (1.0, 0.2)])))),
+        ),
+        (
+            "rate_model schedule 0:0.5 0:0.2",
+            5,
+            |s| s.rate_model = RateModel::Schedule(vec![(0.0, 0.5), (0.0, 0.2)]),
+            Some(|| drop(clock(RateModel::Schedule(vec![(0.0, 0.5), (0.0, 0.2)])))),
+        ),
+        (
+            "rate_model constant nan",
+            5,
+            |s| s.rate_model = RateModel::Constant { frac: NAN },
+            Some(|| {
+                let mut c = clock(RateModel::Constant { frac: NAN });
+                let reading = c.hardware_time(SimTime::from_secs(1.0));
+                let _ = c.when_hardware_reaches(reading);
+            }),
+        ),
+        (
+            "rate_model schedule 0:nan",
+            5,
+            |s| s.rate_model = RateModel::Schedule(vec![(0.0, NAN)]),
+            None,
+        ),
+        (
+            "fault 0 two_faced nan",
+            5,
+            |s| s.faults.push((0, TwoFaced { amplitude: NAN })),
+            Some(|| {
+                built().with_fault(0, TwoFaced { amplitude: NAN });
+            }),
+        ),
+        (
+            "cluster_offset 0 nan",
+            5,
+            |s| s.cluster_offsets.push((0, NAN)),
+            Some(|| {
+                built().cluster_offset(0, NAN);
+            }),
+        ),
+        (
+            "offset_ramp inf",
+            5,
+            |s| s.offset_ramp = INF,
+            Some(|| {
+                built().cluster_offset_ramp(INF);
+            }),
+        ),
+        (
+            "fault 0 random_pulser 0",
+            5,
+            |s| s.faults.push((0, Pulser { mean_interval: 0.0 })),
+            Some(|| drop(RandomPulser::new(0.0))),
+        ),
+        (
+            "fault 0 random_pulser 0 from 0.01 to 0.02",
+            5,
+            |s| {
+                s.fault_windows
+                    .push((0, Pulser { mean_interval: 0.0 }, 0.01, 0.02))
+            },
+            Some(|| {
+                built().with_fault_window(0, Pulser { mean_interval: 0.0 }, 0.01, 0.02);
+            }),
+        ),
+        (
+            "churn 1 random_pulser -1 period 0.02 downtime 0.01",
+            5,
+            |s| {
+                s.churn.push((
+                    1,
+                    Pulser {
+                        mean_interval: -1.0,
+                    },
+                    0.02,
+                    0.01,
+                ))
+            },
+            None,
+        ),
+        (
+            "fault 0 stealthy_rusher -1.1",
+            5,
+            |s| s.faults.push((0, StealthyRusher { extra_rate: -1.1 })),
+            Some(|| {
+                built().with_fault(0, StealthyRusher { extra_rate: -1.1 });
+            }),
+        ),
+        (
+            "topology hypercube 64",
+            2,
+            |s| s.topology = TopologySpec::Hypercube(64),
+            Some(|| drop(TopologySpec::Hypercube(64).build())),
+        ),
+        (
+            "topology tree 2 70",
+            2,
+            |s| s.topology = TopologySpec::Tree(2, 70),
+            Some(|| drop(TopologySpec::Tree(2, 70).build())),
+        ),
+        (
+            "env 1e-4 1e-3 0",
+            5,
+            |s| s.u = 0.0,
+            Some(|| drop(MaxEstimator::new(TrackId::MAIN, 1e-4, 1e-3, 1, Vec::new()))),
+        ),
+        ("env 0.3 1e-3 1e-4", 5, |s| s.rho = 0.3, None),
+        // ---- hung ----
+        (
+            "rate_model random_walk 0 0.5",
+            5,
+            |s| s.rate_model = walk(0.0, 0.5),
+            None,
+        ),
+        (
+            "rate_model random_walk 1e-300 0.5",
+            5,
+            |s| s.rate_model = walk(1e-300, 0.5),
+            None,
+        ),
+        (
+            "rate_model sinusoid 0 0",
+            5,
+            |s| {
+                s.rate_model = RateModel::Sinusoid {
+                    period: 0.0,
+                    phase: 0.0,
+                }
+            },
+            None,
+        ),
+        (
+            "rate_model sinusoid -1 0",
+            5,
+            |s| {
+                s.rate_model = RateModel::Sinusoid {
+                    period: -1.0,
+                    phase: 0.0,
+                }
+            },
+            None,
+        ),
+        (
+            "cluster_offset 0 inf",
+            5,
+            |s| s.cluster_offsets.push((0, INF)),
+            Some(|| {
+                built().cluster_offset(0, INF);
+            }),
+        ),
+        (
+            "offset_spread inf",
+            5,
+            |s| s.offset_spread = INF,
+            Some(|| {
+                built().initial_offset_spread(INF);
+            }),
+        ),
+        (
+            "fault 0 skew_puller inf",
+            5,
+            |s| s.faults.push((0, SkewPuller { offset: INF })),
+            Some(|| {
+                built().with_fault(0, SkewPuller { offset: INF });
+            }),
+        ),
+        (
+            "fault 0 stealthy_rusher 1e300",
+            5,
+            |s| s.faults.push((0, StealthyRusher { extra_rate: 1e300 })),
+            None,
+        ),
+        (
+            "fault 0 random_pulser 1e-300",
+            5,
+            |s| {
+                s.faults.push((
+                    0,
+                    Pulser {
+                        mean_interval: 1e-300,
+                    },
+                ))
+            },
+            None,
+        ),
+        (
+            "fault 0 random_pulser inf",
+            5,
+            |s| s.faults.push((0, Pulser { mean_interval: INF })),
+            Some(|| {
+                built().with_fault(0, Pulser { mean_interval: INF });
+            }),
+        ),
+        (
+            "mobile 1 silent hop 1e-300",
+            5,
+            |s| s.mobile.push((1, Silent, 1e-300)),
+            None,
+        ),
+        (
+            "churn 1 silent period 1e-300 downtime 1e-301",
+            5,
+            |s| s.churn.push((1, Silent, 1e-300, 1e-301)),
+            None,
+        ),
+        // ---- exited 0, having skipped or altered the line ----
+        (
+            "offset_spread -1",
+            5,
+            |s| s.offset_spread = -1.0,
+            Some(|| {
+                built().initial_offset_spread(-1.0);
+            }),
+        ),
+        ("offset_ramp -1", 5, |s| s.offset_ramp = -1.0, None),
+        ("offset_spread nan", 5, |s| s.offset_spread = NAN, None),
+        ("offset_ramp nan", 5, |s| s.offset_ramp = NAN, None),
+        (
+            "rate_override 0 constant 2",
+            5,
+            |s| {
+                s.rate_overrides
+                    .push((0, RateModel::Constant { frac: 2.0 }))
+            },
+            None,
+        ),
+        (
+            "rate_model random_walk 1 nan",
+            5,
+            |s| s.rate_model = walk(1.0, NAN),
+            None,
+        ),
+        // ---- had no line: `from_spec` alone knew the rule ----
+        (
+            "fault 99 silent",
+            5,
+            |s| s.faults.push((99, Silent)),
+            Some(|| {
+                built().with_fault(99, Silent);
+            }),
+        ),
+        (
+            "fault_per_cluster 5 silent",
+            5,
+            |s| s.faults_per_cluster.push((5, Silent)),
+            None,
+        ),
+    ]
+}
+
+#[test]
+fn hostile_spellings_are_one_sentence_at_both_doors_and_the_asserts_stay() {
+    for (spelling, line, set, direct) in hostile_corpus() {
+        let topology = if line == 2 {
+            spelling
+        } else {
+            "topology line 2"
+        };
+        let tail = if line == 2 { "" } else { spelling };
+        let text = format!("name h\n{topology}\nf 1\nduration 4 rounds\n{tail}\n");
+        let err = ScenarioSpec::parse(&text).expect_err(spelling);
+        assert_eq!(err.line, line, "{spelling}: {err}");
+        // Set in code, `from_spec` says the same sentence (no line).
+        let mut spec = ScenarioSpec::parse("name h\ntopology line 2\nf 1\nduration 4 rounds\n")
+            .expect("the base is valid");
+        set(&mut spec);
+        let built = Scenario::from_spec(&spec).expect_err(spelling);
+        assert_eq!((built.line, &built.msg), (0, &err.msg), "{spelling}");
+        // The library's own guard is still there for a direct caller.
+        if let Some(direct) = direct {
+            assert!(catch_unwind(direct).is_err(), "{spelling}: no guard fired");
+        }
     }
 }
 
@@ -379,7 +875,10 @@ fn parallel_scheduler_at_zero_lookahead_is_an_error_not_a_panic() {
              duration 8 rounds\nscheduler {scheduler}\n"
         )
     };
-    let spec = ScenarioSpec::parse(&text("parallel 2")).expect("the text itself is well-formed");
+    let err = ScenarioSpec::parse(&text("parallel 2")).unwrap_err();
+    assert_eq!(err.line, 7, "{err}");
+    let mut spec = ScenarioSpec::parse(&text("global")).unwrap();
+    spec.scheduler = SchedulerSpec::Parallel(2);
     let err = Scenario::from_spec(&spec).unwrap_err();
     assert!(err.msg.contains("lookahead"), "{err}");
 
