@@ -142,11 +142,11 @@ impl Behavior<BaseMsg> for GcsNode {
         self.arm(ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_, BaseMsg>, from: NodeId, msg: &BaseMsg) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, BaseMsg>, _from: NodeId, msg: &BaseMsg) {
         let BaseMsg::ClockReport { value } = *msg else {
             return;
         };
-        let Some(idx) = ctx.neighbors().iter().position(|&n| n == from) else {
+        let Some(idx) = ctx.sender_port() else {
             return;
         };
         let hw = ctx.hardware_now();
@@ -222,11 +222,11 @@ impl Behavior<BaseMsg> for GcsLiar {
         );
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_, BaseMsg>, from: NodeId, msg: &BaseMsg) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, BaseMsg>, _from: NodeId, msg: &BaseMsg) {
         let BaseMsg::ClockReport { value } = *msg else {
             return;
         };
-        if let Some(idx) = ctx.neighbors().iter().position(|&n| n == from) {
+        if let Some(idx) = ctx.sender_port() {
             self.last_reports[idx] = Some(value);
         }
     }

@@ -232,10 +232,12 @@ impl ClusterInstance {
         self.cluster_id
     }
 
-    /// Whether `node` is a member of the observed cluster.
+    /// The slot of `node` among the observed cluster's members, if it
+    /// is one. A scan: owners look a neighbour up once, when they build
+    /// their port tables, and hand [`Self::on_pulse`] the slot.
     #[must_use]
-    pub fn observes(&self, node: NodeId) -> bool {
-        self.observed.contains(&node)
+    pub fn slot_of(&self, node: NodeId) -> Option<usize> {
+        self.observed.iter().position(|&m| m == node)
     }
 
     /// Current round (1-indexed).
@@ -314,18 +316,13 @@ impl ClusterInstance {
         ctx.set_timer_at(self.track, start + p.t_round, tag(TIMER_ROUND_END));
     }
 
-    /// Records a pulse from `from` (a member of the observed cluster).
+    /// Records a pulse from the member in `slot` (see [`Self::slot_of`]).
     ///
     /// # Panics
     ///
-    /// Panics if `from` is not a member of the observed cluster — the
-    /// owner is responsible for routing.
-    pub fn on_pulse(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId) {
-        let slot = self
-            .observed
-            .iter()
-            .position(|&m| m == from)
-            .expect("pulse routed to wrong instance");
+    /// Panics if the observed cluster has no such slot — the owner is
+    /// responsible for routing.
+    pub fn on_pulse(&mut self, ctx: &mut Ctx<'_, Msg>, slot: usize) {
         let l = ctx.track_value(self.track);
         let bucket = match self.phase {
             Phase::Listening => &mut self.current[slot],
@@ -390,11 +387,8 @@ impl ClusterInstance {
         let own = if self.silent {
             self.own_virtual
         } else {
-            let me = ctx.my_id();
             let slot = self
-                .observed
-                .iter()
-                .position(|&m| m == me)
+                .slot_of(ctx.my_id())
                 .expect("active instance observes own cluster");
             self.current[slot]
         };
@@ -512,7 +506,10 @@ mod tests {
         }
         fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: &Msg) {
             match msg {
-                Msg::Pulse => self.inst.on_pulse(ctx, from),
+                Msg::Pulse => {
+                    let slot = self.inst.slot_of(from).expect("peers are members");
+                    self.inst.on_pulse(ctx, slot);
+                }
                 Msg::VirtualPulse { .. } => self.inst.on_virtual_pulse(ctx),
                 Msg::Level { .. } => {}
             }

@@ -272,6 +272,9 @@ struct ClusterFollower {
     cluster_id: usize,
     /// Own-cluster members excluding this node.
     peers: Vec<NodeId>,
+    /// The tracker slot of the peer behind each port (`None`: the
+    /// neighbour is in another cluster).
+    peer_slots: Vec<Option<usize>>,
     /// Tracker clock value at start (0 at boot; ≈ the cluster's logical
     /// clock for strategies adopted mid-run).
     nominal: f64,
@@ -286,6 +289,7 @@ impl ClusterFollower {
             params: Arc::clone(&cfg.params),
             cluster_id: cfg.cluster_id,
             peers: cfg.members.clone(),
+            peer_slots: Vec::new(),
             nominal,
             start_round,
         }
@@ -304,6 +308,11 @@ impl ClusterFollower {
             Arc::clone(&self.params),
         );
         tracker.start_at(ctx, self.start_round);
+        self.peer_slots = ctx
+            .neighbors()
+            .iter()
+            .map(|&n| tracker.slot_of(n))
+            .collect();
         self.tracker = Some(tracker);
     }
 
@@ -313,10 +322,13 @@ impl ClusterFollower {
             return false;
         };
         match *msg {
-            Msg::Pulse if tracker.observes(from) => {
-                tracker.on_pulse(ctx, from);
-                true
-            }
+            Msg::Pulse => match ctx.sender_port().and_then(|port| self.peer_slots[port]) {
+                Some(slot) => {
+                    tracker.on_pulse(ctx, slot);
+                    true
+                }
+                None => false,
+            },
             Msg::VirtualPulse { instance: 1 } if from == ctx.my_id() => {
                 tracker.on_virtual_pulse(ctx);
                 true

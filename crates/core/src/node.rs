@@ -23,7 +23,7 @@ use ftgcs_sim::node::{Behavior, NodeId, TimerTag, TrackId};
 
 use crate::cluster::{ClusterInstance, InstanceEvent, InstanceStats, TIMER_ROUND_END};
 use crate::global_max::{MaxEstimator, TIMER_LEVEL};
-use crate::messages::Msg;
+use crate::messages::{sender_index, senders, Msg};
 use crate::params::Params;
 use crate::triggers::{evaluate, Mode, ModePolicy};
 
@@ -69,6 +69,11 @@ pub struct FtGcsNode {
     cfg: NodeConfig,
     own: ClusterInstance,
     estimators: Vec<ClusterInstance>,
+    /// Where a pulse goes, by sender (laid out by [`senders`]): the
+    /// instance observing the sender's cluster — 0 is `own`, `1 + i` is
+    /// `estimators[i]` — and the sender's slot in it; `None` for a
+    /// sender in no observed cluster.
+    routes: Vec<Option<(u32, u32)>>,
     /// The estimators' track values at the last round boundary: the
     /// buffer `choose_mode` refills each round.
     estimates: Vec<f64>,
@@ -100,6 +105,7 @@ impl FtGcsNode {
         FtGcsNode {
             own,
             estimators: Vec::new(),
+            routes: Vec::new(),
             estimates: Vec::new(),
             max_est: None,
             mode: Mode::Slow,
@@ -178,20 +184,17 @@ impl FtGcsNode {
     }
 
     /// Routes a real pulse to the instance observing the sender's cluster.
-    fn route_pulse(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId) {
-        if self.cfg.members.contains(&from) {
-            self.own.on_pulse(ctx, from);
-            return;
+    fn route_pulse(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        // `None`: a pulse from a node in no observed cluster. Impossible
+        // for correct senders (the graph only connects adjacent
+        // clusters); ignore defensively.
+        if let Some((instance, slot)) = self.routes[sender_index(ctx, self.routes.len())] {
+            let instance = match instance {
+                0 => &mut self.own,
+                i => &mut self.estimators[i as usize - 1],
+            };
+            instance.on_pulse(ctx, slot as usize);
         }
-        for est in &mut self.estimators {
-            if est.observes(from) {
-                est.on_pulse(ctx, from);
-                return;
-            }
-        }
-        // A pulse from a node in no observed cluster: impossible for
-        // correct senders (the graph only connects adjacent clusters);
-        // ignore defensively.
     }
 }
 
@@ -212,6 +215,7 @@ impl FtGcsNode {
         }
         self.own.start_at(ctx, round);
         // One silent estimator per adjacent cluster, on its own track.
+        self.estimators.clear();
         for (i, (cluster_id, members)) in self.cfg.neighbors.iter().enumerate() {
             let init = self.cfg.neighbor_offsets.get(i).copied().unwrap_or(0.0);
             let track = ctx.new_track(init, 1.0);
@@ -227,13 +231,25 @@ impl FtGcsNode {
             inst.start_at(ctx, round);
             self.estimators.push(inst);
         }
+        // The own cluster first, as a member of several is routed.
+        let instances = || (0u32..).zip(std::iter::once(&self.own).chain(&self.estimators));
+        self.routes = senders(ctx)
+            .map(|sender| {
+                let (instance, slot) =
+                    instances().find_map(|(i, inst)| Some((i, inst.slot_of(sender)?)))?;
+                let slot = u32::try_from(slot).expect("fewer than 2^32 cluster members");
+                Some((instance, slot))
+            })
+            .collect();
         if self.cfg.enable_max_estimator {
             let p = &self.cfg.params;
             let track = ctx.new_track(0.0, 1.0 / (1.0 + p.rho));
-            let mut observable: Vec<Vec<NodeId>> = vec![self.cfg.members.clone()];
-            observable.extend(self.cfg.neighbors.iter().map(|(_, m)| m.clone()));
-            let est = MaxEstimator::new(track, p.level_unit, p.d - p.u, p.f, observable);
-            est.start(ctx);
+            let mut est = MaxEstimator::new(track, p.level_unit, p.d - p.u, p.f);
+            let adjacent = self.cfg.neighbors.iter().map(|(_, m)| m.as_slice());
+            est.start(
+                ctx,
+                std::iter::once(self.cfg.members.as_slice()).chain(adjacent),
+            );
             self.max_est = Some(est);
         }
     }
@@ -246,7 +262,7 @@ impl Behavior<Msg> for FtGcsNode {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: &Msg) {
         match *msg {
-            Msg::Pulse => self.route_pulse(ctx, from),
+            Msg::Pulse => self.route_pulse(ctx),
             Msg::VirtualPulse { instance } => {
                 // Only trust our own virtual pulses (self-loopback).
                 if from == ctx.my_id() {
@@ -258,7 +274,7 @@ impl Behavior<Msg> for FtGcsNode {
             }
             Msg::Level { level } => {
                 if let Some(est) = &mut self.max_est {
-                    est.on_level(ctx, from, level);
+                    est.on_level(ctx, level);
                 }
             }
         }

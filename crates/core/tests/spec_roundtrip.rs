@@ -509,7 +509,7 @@ fn hostile_corpus() -> Vec<Hostile> {
             "env 1e-4 1e-3 0",
             5,
             |s| s.u = 0.0,
-            Some(|| drop(MaxEstimator::new(TrackId::MAIN, 1e-4, 1e-3, 1, Vec::new()))),
+            Some(|| drop(MaxEstimator::new(TrackId::MAIN, 1e-4, 1e-3, 1))),
         ),
         ("env 0.3 1e-3 1e-4", 5, |s| s.rho = 0.3, None),
         // ---- hung ----

@@ -14,7 +14,7 @@
 //! ## Running it
 //!
 //! ```text
-//! cargo run -p ftgcs-lint -- check .        # whole workspace (CI gate)
+//! cargo run -p ftgcs-lint -- check .        # whole workspace + CI workflow (CI gate)
 //! cargo run -p ftgcs-lint -- check crates/sim
 //! cargo run -p ftgcs-lint -- rules          # list rules + rationale
 //! ```
@@ -33,6 +33,7 @@
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_code)]
 
+pub mod ci;
 pub mod rules;
 pub mod scan;
 pub mod walk;
@@ -95,7 +96,9 @@ impl Report {
     }
 }
 
-/// Checks every `.rs` file under `root` (a directory or a single file).
+/// Checks every `.rs` file under `root` (a directory or a single file)
+/// and, where `root` holds one, the CI workflows under
+/// `.github/workflows` (see [`ci`]).
 ///
 /// Classification is positional (see [`walk::classify`]), so pointing
 /// the root at the repository top-level audits the real tree, while
@@ -103,6 +106,14 @@ impl Report {
 /// mirrored crate paths.
 pub fn check_path(root: &Path) -> std::io::Result<Report> {
     let mut report = Report::default();
+    for path in walk::workflow_files(root)? {
+        let text = std::fs::read_to_string(&path)?;
+        report.files_scanned += 1;
+        let diagnostics = ci::audit_workflow(&text, root).diagnostics;
+        if !diagnostics.is_empty() {
+            report.files.push(FileReport { path, diagnostics });
+        }
+    }
     for path in walk::rust_files(root)? {
         let source = std::fs::read_to_string(&path)?;
         report.files_scanned += 1;

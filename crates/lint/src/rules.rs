@@ -64,6 +64,10 @@ pub const RULES: &[RuleInfo] = &[
         name: "allow-needs-reason",
         summary: "every #[allow(...)] must carry a trailing // justification, so suppressions stay auditable",
     },
+    RuleInfo {
+        name: crate::ci::RULE,
+        summary: "every `run:` of a CI workflow must be a well-formed YAML scalar and name only scripts, specs and manifests that exist; a workflow that does not load gates nothing",
+    },
 ];
 
 /// The pseudo-rule used for pragma machinery errors. Not suppressible.

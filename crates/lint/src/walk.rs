@@ -105,6 +105,27 @@ pub fn rust_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
+/// The CI workflows under `root/.github/workflows`, sorted (none when
+/// `root` is a file or holds no such directory — the source walk above
+/// skips dot-directories, so this is the one door to them).
+pub fn workflow_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let dir = root.join(".github").join("workflows");
+    if !dir.is_dir() {
+        return Ok(Vec::new());
+    }
+    let mut out: Vec<PathBuf> = std::fs::read_dir(&dir)?
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .map(|e| e.path())
+        .filter(|p| {
+            p.extension()
+                .is_some_and(|ext| ext == "yml" || ext == "yaml")
+        })
+        .collect();
+    out.sort();
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

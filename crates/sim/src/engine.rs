@@ -126,26 +126,42 @@ struct TimerSlot {
     list_pos: usize,
 }
 
+/// The port of a delivery that arrived on none: a loopback. Never a real
+/// port — a port is below its node's degree, which is below the node
+/// count, which [`SimBuilder::build`] keeps below 2³².
+const NO_PORT: u32 = u32::MAX;
+
 /// A queued occurrence. Timers and messages are owned by one node and
 /// dispatch on its shard; samples are engine-global and are handled by
 /// the (serial) engine loop, never by a worker.
+///
+/// Node ids, the timer slot and the port are stored as `u32` so that an
+/// event with a 16-byte message stays 32 bytes and its slab node in the
+/// calendar queue 64 — one cache line ([`queued_event_sizes`]; as
+/// `usize` they made 40 and 80, which cost the bare queue 4–5 %). The
+/// narrowing is checked once, where the value is made:
+/// [`SimBuilder::build`] for node ids and ports, `install_timer_slot`
+/// for slots.
 #[derive(Debug)]
 pub(crate) enum Pending<M> {
     /// A timer of `node`'s slab firing.
     Timer {
         /// Owning node (whose slab `id` indexes).
-        node: NodeId,
+        node: u32,
         /// Slot index in the owner's slab.
-        id: usize,
+        id: u32,
         /// Schedule generation; stale entries are skipped.
         generation: u32,
     },
     /// A message delivery.
     Message {
         /// Sender.
-        from: NodeId,
+        from: u32,
         /// Receiver (owns the event).
-        to: NodeId,
+        to: u32,
+        /// The sender's index in the receiver's neighbour list
+        /// ([`NO_PORT`] for a loopback).
+        port: u32,
         /// Payload.
         msg: M,
     },
@@ -158,11 +174,32 @@ impl<M> Pending<M> {
     /// engine-global and have no owner).
     pub(crate) fn owner(&self) -> Option<NodeId> {
         match *self {
-            Pending::Timer { node, .. } => Some(node),
-            Pending::Message { to, .. } => Some(to),
+            Pending::Timer { node, .. } => Some(NodeId(node as usize)),
+            Pending::Message { to, .. } => Some(NodeId(to as usize)),
             Pending::Sample => None,
         }
     }
+}
+
+/// A node id as a queued event stores it. Cannot truncate:
+/// [`SimBuilder::build`] refuses a simulation of 2³² nodes or more.
+#[inline(always)]
+fn id32(node: NodeId) -> u32 {
+    debug_assert!(u32::try_from(node.0).is_ok(), "node id beyond u32");
+    node.0 as u32
+}
+
+/// `(size_of::<Pending<M>>(), size of the calendar queue's slab node
+/// holding one)` — what a queued event with message type `M` occupies.
+/// Tests pin it at `(32, 64)` for the 16-byte messages of this workspace,
+/// so that a later field cannot silently push an event onto a second
+/// cache line.
+#[must_use]
+pub fn queued_event_sizes<M>() -> (usize, usize) {
+    (
+        std::mem::size_of::<Pending<M>>(),
+        crate::shard::slab_node_size::<Pending<M>>(),
+    )
 }
 
 /// Counters describing how much work a run performed.
@@ -234,13 +271,13 @@ pub(crate) struct NodeState {
     clock: HardwareClock,
     tracks: Vec<Track>,
     /// track → pending timer ids.
-    track_timers: Vec<Vec<usize>>,
+    track_timers: Vec<Vec<u32>>,
     /// Pending Newtonian (absolute-time) timer ids — the one timer list
     /// that `reanchor` never walks, since Newtonian targets are immune
     /// to track-rate changes.
-    newtonian_timers: Vec<usize>,
+    newtonian_timers: Vec<u32>,
     timer_slots: Vec<TimerSlot>,
-    timer_free: Vec<usize>,
+    timer_free: Vec<u32>,
     rng: SimRng,
     /// Per-node message-delay stream. Keeping the stream per *sender*
     /// (instead of one engine-global stream) makes the sampled delays a
@@ -283,8 +320,8 @@ impl NodeState {
     /// Unlinks a retired timer id from its track list in O(1) via the
     /// slot's back-pointer, repairing the pointer of the element swapped
     /// into its place.
-    fn unlink_timer(&mut self, id: usize) {
-        let slot = self.timer_slots[id];
+    fn unlink_timer(&mut self, id: u32) {
+        let slot = self.timer_slots[id as usize];
         let list = if slot.newtonian {
             &mut self.newtonian_timers
         } else {
@@ -295,14 +332,14 @@ impl NodeState {
         list.swap_remove(pos);
         if pos < list.len() {
             let moved = list[pos];
-            self.timer_slots[moved].list_pos = pos;
+            self.timer_slots[moved as usize].list_pos = pos;
         }
     }
 
     /// Returns whether a live timer was actually cancelled (stale
     /// handles and double-cancels are no-ops).
     fn cancel_timer(&mut self, timer: TimerId) -> bool {
-        let id = timer.id;
+        let id = timer.id as usize;
         if id >= self.timer_slots.len() || !self.timer_slots[id].active {
             return false;
         }
@@ -313,14 +350,14 @@ impl NodeState {
             return false;
         }
         self.timer_slots[id].active = false;
-        self.unlink_timer(id);
-        self.timer_free.push(id);
+        self.unlink_timer(timer.id);
+        self.timer_free.push(timer.id);
         true
     }
 
     /// Retires a timer whose queue entry just fired: O(1), no allocation.
-    fn retire_fired_timer(&mut self, id: usize) {
-        self.timer_slots[id].active = false;
+    fn retire_fired_timer(&mut self, id: u32) {
+        self.timer_slots[id as usize].active = false;
         self.unlink_timer(id);
         self.timer_free.push(id);
     }
@@ -331,9 +368,9 @@ impl NodeState {
     /// allocation beyond the free-list pushes.
     fn cancel_all_timers(&mut self) -> usize {
         let mut cancelled = 0;
-        for id in 0..self.timer_slots.len() {
-            if self.timer_slots[id].active {
-                self.timer_slots[id].active = false;
+        for (id, slot) in (0u32..).zip(&mut self.timer_slots) {
+            if slot.active {
+                slot.active = false;
                 self.timer_free.push(id);
                 cancelled += 1;
             }
@@ -371,7 +408,22 @@ pub(crate) struct NodeCell<M> {
 pub(crate) struct SimShared {
     pub(crate) config: SimConfig,
     pub(crate) adjacency: Vec<Vec<NodeId>>,
+    /// For `a`'s `i`-th link, at `first_port[a] + i`: the position of `a`
+    /// in the neighbour list of `adjacency[a][i]` — the port a message
+    /// sent over that link arrives on. Flat, four bytes per directed
+    /// link.
+    back_port: Vec<u32>,
+    /// Where each node's run of `back_port` begins.
+    first_port: Vec<u32>,
     pub(crate) telemetry: Telemetry,
+}
+
+impl SimShared {
+    /// The arrival ports of `node`'s links, beside `adjacency[node]`.
+    fn back_ports(&self, node: NodeId) -> &[u32] {
+        let first = self.first_port[node.index()] as usize;
+        &self.back_port[first..][..self.adjacency[node.index()].len()]
+    }
 }
 
 /// Where a dispatch pushes the events it creates.
@@ -446,8 +498,20 @@ pub(crate) enum RowSink<'a> {
 ///
 /// All interaction with the world — clocks, timers, messaging, tracing —
 /// goes through this context. See [`Behavior`] for an example.
+///
+/// # Ports
+///
+/// A node's links are numbered by its neighbour list: port `i` leads to
+/// `ctx.neighbors()[i]`. Inside [`Behavior::on_message`],
+/// [`Ctx::sender_port`] names the port the delivery arrived on, so
+/// per-neighbour state can be a table built once in `on_start` from
+/// `ctx.neighbors()` and indexed in O(1) per message, with no search
+/// for `from`.
 pub struct Ctx<'a, M> {
     node: NodeId,
+    /// Port the message being delivered arrived on ([`NO_PORT`] for a
+    /// loopback and wherever no message is: `on_start`, timers).
+    port: u32,
     now: SimTime,
     /// Key of the event being dispatched (tags buffered rows).
     key: Key,
@@ -474,6 +538,16 @@ impl<M: Clone> Ctx<'_, M> {
     #[must_use]
     pub fn neighbors(&self) -> &[NodeId] {
         &self.shared.adjacency[self.node.index()]
+    }
+
+    /// The port the message being delivered arrived on: `Some(p)` with
+    /// `ctx.neighbors()[p] == from` for a message from a neighbour;
+    /// `None` for a loopback ([`Ctx::send_self`], the own copy of
+    /// [`Ctx::broadcast_with_loopback`], [`Ctx::send`] to oneself) and
+    /// outside [`Behavior::on_message`].
+    #[must_use]
+    pub fn sender_port(&self) -> Option<usize> {
+        (self.port != NO_PORT).then_some(self.port as usize)
     }
 
     /// Current reading of this node's hardware clock.
@@ -557,14 +631,14 @@ impl<M: Clone> Ctx<'_, M> {
         let count = self.state.track_timers[track.index()].len();
         for i in 0..count {
             let id = self.state.track_timers[track.index()][i];
-            self.state.timer_slots[id].generation =
-                self.state.timer_slots[id].generation.wrapping_add(1);
+            let slot = &mut self.state.timer_slots[id as usize];
+            slot.generation = slot.generation.wrapping_add(1);
             self.schedule_timer_entry(id);
         }
     }
 
-    fn schedule_timer_entry(&mut self, id: usize) {
-        let slot = self.state.timer_slots[id];
+    fn schedule_timer_entry(&mut self, id: u32) {
+        let slot = self.state.timer_slots[id as usize];
         let time = if slot.newtonian {
             SimTime::from_secs(slot.target).max(self.now)
         } else {
@@ -574,7 +648,7 @@ impl<M: Clone> Ctx<'_, M> {
         let tie = self.state.next_tie(self.node);
         let node = self.node;
         self.queue.push(node, time, tie, || Pending::Timer {
-            node,
+            node: id32(node),
             id,
             generation: slot.generation,
         });
@@ -607,7 +681,7 @@ impl<M: Clone> Ctx<'_, M> {
         self.shared.telemetry.timer_set(self.node);
         TimerId {
             id,
-            epoch: self.state.timer_slots[id].epoch,
+            epoch: self.state.timer_slots[id as usize].epoch,
         }
     }
 
@@ -640,26 +714,27 @@ impl<M: Clone> Ctx<'_, M> {
         self.shared.telemetry.timer_set(self.node);
         TimerId {
             id,
-            epoch: self.state.timer_slots[id].epoch,
+            epoch: self.state.timer_slots[id as usize].epoch,
         }
     }
 
     /// Installs `slot` into the slab, reusing a free slot (bumping its
     /// generation and epoch so stale queue entries and stale handles
     /// cannot touch the new timer) or growing the slab.
-    fn install_timer_slot(&mut self, slot: TimerSlot) -> usize {
+    fn install_timer_slot(&mut self, slot: TimerSlot) -> u32 {
         if let Some(id) = self.state.timer_free.pop() {
-            let generation = self.state.timer_slots[id].generation.wrapping_add(1);
-            let epoch = self.state.timer_slots[id].epoch.wrapping_add(1);
-            self.state.timer_slots[id] = TimerSlot {
-                generation,
-                epoch,
+            let reused = &mut self.state.timer_slots[id as usize];
+            *reused = TimerSlot {
+                generation: reused.generation.wrapping_add(1),
+                epoch: reused.epoch.wrapping_add(1),
                 ..slot
             };
             id
         } else {
+            let id = u32::try_from(self.state.timer_slots.len())
+                .expect("fewer than 2^32 timer slots per node");
             self.state.timer_slots.push(slot);
-            self.state.timer_slots.len() - 1
+            id
         }
     }
 
@@ -712,7 +787,8 @@ impl<M: Clone> Ctx<'_, M> {
         }
     }
 
-    fn send_to(&mut self, to: NodeId, msg: M) {
+    /// Queues the delivery of `msg` to `to`, where it arrives on `port`.
+    fn send_to(&mut self, to: NodeId, port: u32, msg: M) {
         let from = self.node;
         let delay = self
             .shared
@@ -722,8 +798,12 @@ impl<M: Clone> Ctx<'_, M> {
         let time = self.now + delay;
         let tie = self.state.next_tie(from);
         self.shared.telemetry.message_queued(from, to);
-        self.queue
-            .push(to, time, tie, || Pending::Message { from, to, msg });
+        self.queue.push(to, time, tie, || Pending::Message {
+            from: id32(from),
+            to: id32(to),
+            port,
+            msg,
+        });
     }
 
     /// Sends `msg` to a neighbor; delivery is delayed per the configured
@@ -734,21 +814,22 @@ impl<M: Clone> Ctx<'_, M> {
     /// Panics if `to` is neither a neighbor nor the node itself — the
     /// communication graph restricts even Byzantine nodes.
     pub fn send(&mut self, to: NodeId, msg: M) {
-        assert!(
-            to == self.node || self.shared.adjacency[self.node.index()].contains(&to),
-            "{} attempted to send to non-neighbor {}",
-            self.node,
-            to
-        );
-        self.send_to(to, msg);
+        if to == self.node {
+            return self.send_to(to, NO_PORT, msg);
+        }
+        // One scan is both the neighbour check and the port lookup.
+        let Some(link) = self.neighbors().iter().position(|&n| n == to) else {
+            panic!("{} attempted to send to non-neighbor {}", self.node, to);
+        };
+        self.send_to(to, self.shared.back_ports(self.node)[link], msg);
     }
 
     /// Sends `msg` to every neighbor (not to the sender itself).
     pub fn broadcast(&mut self, msg: M) {
-        let count = self.shared.adjacency[self.node.index()].len();
-        for i in 0..count {
-            let to = self.shared.adjacency[self.node.index()][i];
-            self.send_to(to, msg.clone());
+        let shared = self.shared;
+        let links = shared.adjacency[self.node.index()].iter();
+        for (&to, &port) in links.zip(shared.back_ports(self.node)) {
+            self.send_to(to, port, msg.clone());
         }
     }
 
@@ -757,13 +838,13 @@ impl<M: Clone> Ctx<'_, M> {
     /// where a node also observes its own pulse.
     pub fn broadcast_with_loopback(&mut self, msg: M) {
         self.broadcast(msg.clone());
-        self.send_to(self.node, msg);
+        self.send_to(self.node, NO_PORT, msg);
     }
 
     /// Sends `msg` only to the sender itself (a *virtual* pulse, used by
     /// silent estimator instances).
     pub fn send_self(&mut self, msg: M) {
-        self.send_to(self.node, msg);
+        self.send_to(self.node, NO_PORT, msg);
     }
 
     /// This node's deterministic random stream.
@@ -802,6 +883,7 @@ fn with_ctx<M: Clone>(
     let mut behavior = cell.behavior.take().expect("behavior present");
     let mut ctx = Ctx {
         node,
+        port: NO_PORT,
         now: key.time,
         key,
         state: &mut cell.state,
@@ -831,7 +913,7 @@ pub(crate) fn run_event<M: Clone>(
 ) {
     match pending {
         Pending::Timer { id, generation, .. } => {
-            let slot = cell.state.timer_slots[id];
+            let slot = cell.state.timer_slots[id as usize];
             if !slot.active || slot.generation != generation {
                 return;
             }
@@ -844,11 +926,14 @@ pub(crate) fn run_event<M: Clone>(
                 b.on_timer(ctx, slot.tag);
             });
         }
-        Pending::Message { from, msg, .. } => {
+        Pending::Message {
+            from, port, msg, ..
+        } => {
             stats.messages += 1;
             shared.telemetry.message_delivered(node);
             with_ctx(cell, node, shared, queue, rows, key, |b, ctx| {
-                b.on_message(ctx, from, &msg);
+                ctx.port = port;
+                b.on_message(ctx, NodeId(from as usize), &msg);
             });
         }
         Pending::Sample => unreachable!("samples are dispatched by the engine loop"),
@@ -913,6 +998,9 @@ pub struct SimBuilder<M> {
     config: SimConfig,
     behaviors: Vec<Box<dyn Behavior<M>>>,
     adjacency: Vec<Vec<NodeId>>,
+    /// Every `add_edge(a, b)`, in call order: what `build` lays the
+    /// ports out from.
+    edges: Vec<(u32, u32)>,
     rate_overrides: Vec<Option<RateModel>>,
 }
 
@@ -930,6 +1018,7 @@ impl<M: Clone> SimBuilder<M> {
             config,
             behaviors: Vec::new(),
             adjacency: Vec::new(),
+            edges: Vec::new(),
             rate_overrides: Vec::new(),
         }
     }
@@ -957,6 +1046,8 @@ impl<M: Clone> SimBuilder<M> {
         );
         self.adjacency[a.index()].push(b);
         self.adjacency[b.index()].push(a);
+        let id = |v: NodeId| u32::try_from(v.index()).expect("fewer than 2^32 nodes");
+        self.edges.push((id(a), id(b)));
     }
 
     /// Overrides the hardware rate model of one node.
@@ -972,10 +1063,36 @@ impl<M: Clone> SimBuilder<M> {
     /// Panics if [`SchedulerKind::Parallel`] is selected with a partition
     /// that does not cover exactly the simulation's nodes, or with a zero
     /// lookahead (`d == U`) — the conservative windows would make no
-    /// progress.
+    /// progress; or if there are 2³² nodes or more (a queued event
+    /// stores node ids as `u32`).
     #[must_use]
     pub fn build(self) -> Simulation<M> {
         let n = self.behaviors.len();
+        assert!(
+            u32::try_from(n).is_ok(),
+            "a queued event stores node ids as u32: {n} nodes are too many"
+        );
+        // Ports, one pass over the edges: an edge is the next link at
+        // each of its ends, and each end's position is the port the
+        // other's messages arrive on.
+        let mut first_port = Vec::with_capacity(n);
+        let mut links = 0u32;
+        for list in &self.adjacency {
+            first_port.push(links);
+            links = u32::try_from(list.len())
+                .ok()
+                .and_then(|degree| links.checked_add(degree))
+                .expect("fewer than 2^32 directed links");
+        }
+        let mut back_port = vec![0u32; links as usize];
+        let mut next = first_port.clone();
+        for &(a, b) in &self.edges {
+            let (at_a, at_b) = (next[a as usize], next[b as usize]);
+            back_port[at_a as usize] = at_b - first_port[b as usize];
+            back_port[at_b as usize] = at_a - first_port[a as usize];
+            next[a as usize] += 1;
+            next[b as usize] += 1;
+        }
         let store = match &self.config.scheduler {
             SchedulerKind::Global => EventStore::Serial(EventQueue::new()),
             SchedulerKind::Parallel { partition, workers } => {
@@ -1045,6 +1162,8 @@ impl<M: Clone> SimBuilder<M> {
             shared: SimShared {
                 config: self.config,
                 adjacency: self.adjacency,
+                back_port,
+                first_port,
                 telemetry,
             },
             cells,

@@ -118,7 +118,7 @@ impl TimerTag {
 /// timer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerId {
-    pub(crate) id: usize,
+    pub(crate) id: u32,
     pub(crate) epoch: u32,
 }
 
@@ -161,6 +161,13 @@ pub trait Behavior<M>: Send {
     fn on_start(&mut self, ctx: &mut Ctx<'_, M>);
 
     /// Called when a message from `from` is delivered to this node.
+    ///
+    /// `from` is a neighbour or the node itself (a loopback). For a
+    /// neighbour, [`Ctx::sender_port`] is `Some(p)` with
+    /// `ctx.neighbors()[p] == from`; for a loopback it is `None`.
+    /// Per-sender state belongs in a table indexed by that port, built
+    /// from `ctx.neighbors()` in [`Behavior::on_start`] — the neighbour
+    /// list never changes during a run.
     fn on_message(&mut self, ctx: &mut Ctx<'_, M>, from: NodeId, msg: &M);
 
     /// Called when a timer set by this node fires.

@@ -321,6 +321,12 @@ struct Node<T> {
     payload: Option<T>,
 }
 
+/// Bytes one queued `T` occupies in the slab (see
+/// `engine::queued_event_sizes`).
+pub(crate) fn slab_node_size<T>() -> usize {
+    std::mem::size_of::<Node<T>>()
+}
+
 /// A sortable reference to a slab node: the key travels with the index
 /// so ordering a bucket never touches the slab.
 #[derive(Clone, Copy)]
