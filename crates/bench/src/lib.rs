@@ -13,10 +13,10 @@
 //! measurement, and CSV output.
 
 #![warn(missing_docs)]
-// Unsafety discipline (enforced by `ftgcs-lint`): this crate must
-// compile with no `unsafe` at all; the one sanctioned unsafe region in
-// the workspace is `ftgcs-sim`'s parallel executor (sim/src/par.rs).
-#![deny(unsafe_code)]
+// No `unsafe` in this library: `forbid` admits no exemption further
+// down, and `ftgcs-lint`'s workspace test keeps every library root
+// saying so.
+#![forbid(unsafe_code)]
 
 pub mod driver;
 pub mod exp;

@@ -378,6 +378,14 @@ fn serve_runs_submissions_and_answers_repeats_from_cache() {
         body.contains(&format!("spec line {line}: fault node 99 out of range")),
         "{body}"
     );
+    // So is a lookahead that no parallel window could add to the time:
+    // the last `env` and `scheduler` lines win, the error is the latter's.
+    let hostile = format!("{spec_text}env 1e-4 1e-3 0.0009999999999999998\nscheduler parallel 2\n");
+    let (code, body) = http(&addr, "POST /submit", hostile.as_bytes());
+    let body = String::from_utf8_lossy(&body).into_owned();
+    assert_eq!(code, 400, "{body}");
+    let found = format!("spec line {}: scheduler parallel's lookahead", line + 1);
+    assert!(body.contains(&found), "{body}");
 
     // Resubmitting the identical spec is answered from the cache:
     // still exactly one cell process ever spawned.

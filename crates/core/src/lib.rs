@@ -53,10 +53,10 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-// Unsafety discipline (enforced by `ftgcs-lint`): this crate must
-// compile with no `unsafe` at all; the one sanctioned unsafe region in
-// the workspace is `ftgcs-sim`'s parallel executor (sim/src/par.rs).
-#![deny(unsafe_code)]
+// No `unsafe` in this library: `forbid` admits no exemption further
+// down, and `ftgcs-lint`'s workspace test keeps every library root
+// saying so.
+#![forbid(unsafe_code)]
 // Library output goes through return values and the `Observer` sink,
 // never the process streams (enforced by `ftgcs-lint` and clippy).
 #![deny(clippy::print_stdout, clippy::print_stderr)]

@@ -58,7 +58,8 @@
 //!    schedule starts at `t = 0` and strictly increases.
 //! 7. `offset_spread`, `offset_ramp`, `cluster_offset`: the cluster
 //!    exists; finite, `≥ 0`, and a clock started there resolves a round.
-//! 8. `scheduler parallel` needs a lookahead `d − U > 0`.
+//! 8. `scheduler parallel` needs a lookahead `d − U > 0`, and not below
+//!    the f64 spacing at the horizon.
 //! 9. Sugar: `fault_per_cluster` / `random_faults` count `≤ k`; `churn`
 //!    / `mobile` count in `1..=f·C`; `0 < downtime < period`; and, like
 //!    every line naming a fault strategy, its argument finite and any
@@ -719,11 +720,15 @@ impl ScenarioSpec {
         }
 
         // The conservative windows are `d − U` wide; the engine asserts
-        // on a zero width.
-        if self.scheduler != SchedulerSpec::Global && params.lookahead() <= 0.0 {
-            let msg = "scheduler parallel needs a positive lookahead d − U \
-                       (with U = d use `scheduler global`)";
-            return Err(at("scheduler", None, msg.to_string()));
+        // on a zero width and stops where a window no longer moves time.
+        if self.scheduler != SchedulerSpec::Global {
+            if params.lookahead() <= 0.0 {
+                let msg = "scheduler parallel needs a positive lookahead d − U \
+                           (with U = d use `scheduler global`)";
+                return Err(at("scheduler", None, msg.to_string()));
+            }
+            at_horizon("scheduler parallel's lookahead d − U", params.lookahead())
+                .map_err(|m| at("scheduler", None, m))?;
         }
 
         let strategy = |kind: &FaultKind| match fault_interval(kind, &params)? {

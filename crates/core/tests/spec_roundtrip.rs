@@ -379,8 +379,8 @@ fn built() -> Scenario {
     Scenario::from_spec(&ScenarioSpec::new("b", TopologySpec::Line(2), 1)).expect("valid")
 }
 
-/// One hostile spelling: the line as text, where it goes (line 2
-/// replaces the topology, anything else is appended as line 5), the
+/// One hostile spelling: the text, where its error goes (line 2
+/// replaces the topology, anything else is appended from line 5 on), the
 /// same value set on the public field, and — where a library assert
 /// stands behind the rule — a direct call that must still trip it.
 type Hostile = (&'static str, usize, fn(&mut ScenarioSpec), Option<fn()>);
@@ -512,6 +512,18 @@ fn hostile_corpus() -> Vec<Hostile> {
             Some(|| drop(MaxEstimator::new(TrackId::MAIN, 1e-4, 1e-3, 1))),
         ),
         ("env 0.3 1e-3 1e-4", 5, |s| s.rho = 0.3, None),
+        (
+            // `U` one ulp under `d`: a positive lookahead no window can
+            // add to a time past 1 ms. The engine's own stop is
+            // `RunError::LookaheadVanished` (pinned in `sim/src/par.rs`).
+            "env 1e-4 1e-3 0.0009999999999999998\nscheduler parallel 2",
+            6,
+            |s| {
+                s.u = 0.000_999_999_999_999_999_8;
+                s.scheduler = SchedulerSpec::Parallel(2);
+            },
+            None,
+        ),
         // ---- hung ----
         (
             "rate_model random_walk 0 0.5",

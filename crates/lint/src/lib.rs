@@ -31,7 +31,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod ci;
 pub mod rules;

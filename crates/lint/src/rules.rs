@@ -6,8 +6,9 @@
 //! rules ban the ambient sources of nondeterminism Rust makes easy to
 //! reach for — wall clocks, OS-seeded randomness, hash-order iteration,
 //! stray threads — and enforce the workspace's unsafety discipline
-//! (SAFETY comments, justified `#[allow]`s) so the one sanctioned
-//! unsafe region stays auditable.
+//! (SAFETY comments, justified `#[allow]`s) so what `unsafe` remains —
+//! the allocation-counting shims of the `xp` binary and three test
+//! roots; every library forbids it — stays auditable.
 //!
 //! ## Suppression pragmas
 //!

@@ -32,10 +32,10 @@
 //! OS processes and sockets, never simulated events.
 
 #![warn(missing_docs)]
-// Unsafety discipline (enforced by `ftgcs-lint`): infrastructure code
-// has no business with raw pointers; the one sanctioned unsafe region
-// in the workspace is `ftgcs-sim`'s parallel executor.
-#![deny(unsafe_code)]
+// No `unsafe` in this library: `forbid` admits no exemption further
+// down, and `ftgcs-lint`'s workspace test keeps every library root
+// saying so.
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod exec;

@@ -226,8 +226,8 @@ impl SimStats {
 /// A run that stopped early for a structural reason (as opposed to a
 /// behavior panic, which unwinds).
 ///
-/// Returned by [`Simulation::try_run_until`]. Everything processed
-/// before the stop is preserved: the trace holds every emitted row and
+/// Returned by [`Simulation::try_run_until_with`]. Everything processed
+/// before the stop is preserved: the observer has every emitted row and
 /// sample, [`Simulation::now`] reports how far the run got, and the
 /// simulation stays usable (worker threads joined, queues intact) —
 /// though a retry of the same horizon reports the same error again.
@@ -297,6 +297,12 @@ impl NodeState {
     fn track_value(&mut self, track: TrackId, now: SimTime) -> f64 {
         let hw = self.hardware_now(now);
         self.tracks[track.index()].value_at(hw)
+    }
+
+    /// The `(logical, hardware)` clock values a sample at `now` records.
+    pub(crate) fn read_clocks(&mut self, now: SimTime) -> (f64, f64) {
+        let hw = self.hardware_now(now);
+        (self.tracks[TrackId::MAIN.index()].value_at(hw), hw)
     }
 
     /// Newtonian time at which `track` reaches `target`; never earlier
@@ -482,18 +488,6 @@ impl<M> QueueKind<'_, M> {
     }
 }
 
-/// Where a dispatch records behavior-emitted trace rows.
-pub(crate) enum RowSink<'a> {
-    /// Strict in-order mode: append to a scratch buffer that the serial
-    /// engine flushes to the run's [`Observer`] right after the
-    /// dispatch (whose order *is* the global order).
-    Direct(&'a mut Vec<Row>),
-    /// Relaxed mode: buffer per shard, tagged with the emitting event's
-    /// key; merged into global order at the barrier, where the
-    /// coordinator streams the merged batch to the observer.
-    Buffered(&'a mut Vec<(Key, Row)>),
-}
-
 /// The mutable view of the simulation handed to behavior callbacks.
 ///
 /// All interaction with the world — clocks, timers, messaging, tracing —
@@ -513,12 +507,15 @@ pub struct Ctx<'a, M> {
     /// loopback and wherever no message is: `on_start`, timers).
     port: u32,
     now: SimTime,
-    /// Key of the event being dispatched (tags buffered rows).
+    /// Key of the event being dispatched (tags its rows).
     key: Key,
     state: &'a mut NodeState,
     shared: &'a SimShared,
     queue: QueueKind<'a, M>,
-    rows: RowSink<'a>,
+    /// Rows the dispatch emits, tagged with its key: the serial loop
+    /// hands them to the observer right after the dispatch, a parallel
+    /// window merges its shards' rows by key at the barrier.
+    rows: &'a mut Vec<(Key, Row)>,
 }
 
 impl<M> std::fmt::Debug for Ctx<'_, M> {
@@ -860,10 +857,7 @@ impl<M: Clone> Ctx<'_, M> {
             kind,
             values,
         };
-        match &mut self.rows {
-            RowSink::Direct(rows) => rows.push(row),
-            RowSink::Buffered(rows) => rows.push((self.key, row)),
-        }
+        self.rows.push((self.key, row));
     }
 }
 
@@ -876,7 +870,7 @@ fn with_ctx<M: Clone>(
     node: NodeId,
     shared: &SimShared,
     queue: QueueKind<'_, M>,
-    rows: RowSink<'_>,
+    rows: &mut Vec<(Key, Row)>,
     key: Key,
     call: impl FnOnce(&mut dyn Behavior<M>, &mut Ctx<'_, M>),
 ) {
@@ -906,7 +900,7 @@ pub(crate) fn run_event<M: Clone>(
     node: NodeId,
     shared: &SimShared,
     queue: QueueKind<'_, M>,
-    rows: RowSink<'_>,
+    rows: &mut Vec<(Key, Row)>,
     stats: &mut SimStats,
     key: Key,
     pending: Pending<M>,
@@ -953,15 +947,18 @@ pub(crate) fn next_sample(time: SimTime, interval: SimDuration) -> SimTime {
     next
 }
 
-/// Records one engine-global clock sample over all nodes and streams it
-/// to the observer.
-pub(crate) fn take_sample<M>(cells: &mut [NodeCell<M>], now: SimTime, obs: &mut dyn Observer) {
-    let n = cells.len();
-    let mut logical = Vec::with_capacity(n);
-    let mut hardware = Vec::with_capacity(n);
-    for cell in cells.iter_mut() {
-        let hw = cell.state.clock.hardware_time(now);
-        logical.push(cell.state.tracks[TrackId::MAIN.index()].value_at(hw));
+/// Records one engine-global clock sample — `clocks` is every node's
+/// [`NodeState::read_clocks`], in node order — and streams it to the
+/// observer.
+pub(crate) fn take_sample(
+    clocks: impl ExactSizeIterator<Item = (f64, f64)>,
+    now: SimTime,
+    obs: &mut dyn Observer,
+) {
+    let mut logical = Vec::with_capacity(clocks.len());
+    let mut hardware = Vec::with_capacity(clocks.len());
+    for (lg, hw) in clocks {
+        logical.push(lg);
         hardware.push(hw);
     }
     obs.on_sample_owned(ClockSample {
@@ -1341,22 +1338,21 @@ impl<M: Clone + Send> Simulation<M> {
             store,
             ..
         } = self;
-        let mut scratch: Vec<Row> = Vec::new();
+        let mut rows = Vec::new();
         for (i, cell) in cells.iter_mut().enumerate() {
             let queue = match store {
                 EventStore::Serial(q) => QueueKind::Serial(q),
                 EventStore::Parallel(pq) => QueueKind::Boot(pq),
             };
             // Boot phase, always serial: every `on_start` at the zero key.
-            let rows = RowSink::Direct(&mut scratch);
             let key = Key {
                 time: SimTime::ZERO,
                 tie: 0,
             };
-            with_ctx(cell, NodeId(i), shared, queue, rows, key, |b, ctx| {
+            with_ctx(cell, NodeId(i), shared, queue, &mut rows, key, |b, ctx| {
                 b.on_start(ctx);
             });
-            for row in scratch.drain(..) {
+            for (_, row) in rows.drain(..) {
                 obs.on_row_owned(row);
             }
         }
@@ -1370,35 +1366,18 @@ impl<M: Clone + Send> Simulation<M> {
     /// [`Simulation::run_until_with`] pointed at that trace, which is
     /// the collect-everything [`Observer`].
     pub fn run_until(&mut self, until: SimTime) {
-        if let Err(e) = self.try_run_until(until) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible twin of [`Simulation::run_until`]: structural stops
-    /// (see [`RunError`]) come back as `Err` instead of a panic.
-    ///
-    /// On `Err`, everything processed before the stop is preserved —
-    /// the trace holds every row and sample emitted so far,
-    /// [`Simulation::now`] reports the stuck time, and the simulation
-    /// stays alive. Behavior panics still unwind — with the behavior's
-    /// own payload, on either scheduler — with the same partial-trace
-    /// preservation (the parallel executor's granularity is the window:
-    /// the rows of every completed one).
-    pub fn try_run_until(&mut self, until: SimTime) -> Result<(), RunError> {
         let mut trace = std::mem::take(&mut self.trace);
-        // Restore the trace even if a behavior panics, so everything
+        // Restore the trace even if the run panics, so everything
         // recorded up to the panic stays inspectable (the historical
         // contract, when the trace never left `self`). Unwind safety:
         // the trace is written back whole and the panic re-raised
         // immediately.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.try_run_until_with(until, &mut trace)
+            self.run_until_with(until, &mut trace);
         }));
         self.trace = trace;
-        match outcome {
-            Ok(result) => result,
-            Err(panic) => std::panic::resume_unwind(panic),
+        if let Err(panic) = outcome {
+            std::panic::resume_unwind(panic);
         }
     }
 
@@ -1411,17 +1390,25 @@ impl<M: Clone + Send> Simulation<M> {
     /// collect-everything observer reproduces [`Simulation::run_until`]
     /// byte-for-byte — pinned by `tests/observer_equivalence.rs`. The
     /// internal trace stays empty during streaming runs. Callers should
-    /// invoke [`Observer::on_finish`] once after the last call.
+    /// invoke [`Observer::on_finish`] once after the last call. Panics
+    /// with the message of a structural stop (see [`RunError`]), which
+    /// [`Simulation::try_run_until_with`] returns instead.
     pub fn run_until_with(&mut self, until: SimTime, obs: &mut dyn Observer) {
         if let Err(e) = self.try_run_until_with(until, obs) {
             panic!("{e}");
         }
     }
 
-    /// Fallible twin of [`Simulation::run_until_with`] — the streaming
-    /// counterpart of [`Simulation::try_run_until`], with the same
-    /// partial-progress guarantees on `Err` (every row and sample below
-    /// the stuck time has already been streamed to `obs`, in order).
+    /// The one run body: [`Simulation::run_until_with`], with structural
+    /// stops (see [`RunError`]) coming back as `Err` instead of a panic.
+    ///
+    /// On `Err`, everything processed before the stop is preserved —
+    /// every row and sample below the stuck time has already been
+    /// streamed to `obs`, in order, [`Simulation::now`] reports the stuck
+    /// time, and the simulation stays alive. Behavior panics still
+    /// unwind — with the behavior's own payload, on either scheduler —
+    /// with the same partial-progress guarantee (the parallel executor's
+    /// granularity is the window: the rows of every completed one).
     pub fn try_run_until_with(
         &mut self,
         until: SimTime,
@@ -1458,7 +1445,7 @@ impl<M: Clone + Send> Simulation<M> {
         // Per-dispatch row scratch, flushed to the observer after every
         // event so rows stream out in the exact dispatch order. The
         // buffer is reused across events — no steady-state allocation.
-        let mut scratch: Vec<Row> = Vec::new();
+        let mut scratch = Vec::new();
         while let Some((key, pending)) = queue.pop_before_keyed(until) {
             let time = key.time;
             debug_assert!(time >= *now, "time went backwards");
@@ -1467,7 +1454,8 @@ impl<M: Clone + Send> Simulation<M> {
             match pending {
                 Pending::Sample => {
                     shared.telemetry.sample_dispatched();
-                    take_sample(cells, time, obs);
+                    let clocks = cells.iter_mut().map(|cell| cell.state.read_clocks(time));
+                    take_sample(clocks, time, obs);
                     // Re-arm unconditionally: events beyond `until` stay
                     // queued, so sampling continues across consecutive
                     // run_until calls (`None` pauses the chain; a later
@@ -1486,12 +1474,12 @@ impl<M: Clone + Send> Simulation<M> {
                         node,
                         shared,
                         QueueKind::Serial(queue),
-                        RowSink::Direct(&mut scratch),
+                        &mut scratch,
                         stats,
                         key,
                         pending,
                     );
-                    for row in scratch.drain(..) {
+                    for (_, row) in scratch.drain(..) {
                         obs.on_row_owned(row);
                     }
                 }

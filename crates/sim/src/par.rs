@@ -43,12 +43,14 @@
 //! (events dispatched in the shard's last active window), then workers
 //! **steal**: after finishing their dealt shards they sweep every shard
 //! still unclaimed. A per-shard atomic claim makes ownership
-//! exactly-once per window; shards are independent within a window, so
+//! exactly-once per window, and what the claimant then locks — the
+//! shard's [`Task`] — holds the queue *and* the `&mut` cells of its
+//! nodes, dealt out once per run: that no two threads touch a node is
+//! checked by the compiler. Shards are independent within a window, so
 //! *any* executor may run *any* shard and only wall-clock changes. The
 //! dealt shares are recorded per worker
 //! ([`Simulation::planned_worker_events`]) — a deterministic balance
-//! metric, independent of how the steal race resolves on a given
-//! machine.
+//! metric, independent of how the steal race resolves on a machine.
 //!
 //! ## Determinism and byte-identity
 //!
@@ -101,8 +103,9 @@
 //!
 //! A lookahead below the f64 ulp of the current simulation time cannot
 //! advance any window; the coordinator surfaces that as the structured
-//! [`RunError::LookaheadVanished`] from [`Simulation::try_run_until`]
-//! (with every processed row preserved) instead of panicking mid-run.
+//! [`RunError::LookaheadVanished`] from
+//! [`Simulation::try_run_until_with`] (with every processed row
+//! preserved) instead of panicking mid-run.
 
 use std::any::Any;
 use std::cmp::Reverse;
@@ -111,8 +114,8 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::Mutex;
 
 use crate::engine::{
-    next_sample, run_event, take_sample, EventStore, NodeCell, Pending, QueueKind, RowSink,
-    RunError, SimShared, SimStats, Simulation,
+    next_sample, run_event, take_sample, EventStore, NodeCell, Pending, QueueKind, RunError,
+    SimShared, SimStats, Simulation,
 };
 use crate::node::NodeId;
 use crate::observe::Observer;
@@ -224,10 +227,12 @@ impl<M> Inbox<M> {
     }
 }
 
-/// One shard's window-processing state, owned by the executor that
-/// claimed it during a window and by the coordinator between windows.
+/// One shard's window state and node cells, owned through its lock by the
+/// executor that claimed it for a window, the coordinator between windows.
 struct Task<'a, M> {
     shard: &'a mut Shard<Pending<M>>,
+    /// The shard's nodes; node `v`'s cell is at [`Pool::local_of`]`[v]`.
+    cells: Vec<&'a mut NodeCell<M>>,
     /// The queue's head time as of the shard's last advance.
     head: SimTime,
     /// Relaxed-mode trace rows: `(event key, row)`, in dispatch order.
@@ -235,88 +240,6 @@ struct Task<'a, M> {
     /// Work since the last barrier (the coordinator takes it there).
     stats: SimStats,
     now: SimTime,
-}
-
-/// Raw-pointer view of the node cells, shared across the executors.
-///
-/// # Safety contract
-///
-/// Ownership of a cell is **dynamic, per window, per shard**: an
-/// executor may dereference the cells of shard `s`'s nodes during a
-/// window only if it *claimed* `s` for that window by being the one
-/// whose `fetch_or` set `deal[s]`'s [`TAKEN`] bit. The partition maps
-/// each node to exactly one shard and the bit goes `clear → set` at most
-/// once per window (only the coordinator clears it, between windows), so
-/// concurrent `&mut` accesses are disjoint. Happens-before for a cell
-/// handed from window `k`'s owner to window `k+1`'s owner is the gate
-/// chain: a spawned owner's `done.fetch_add(Release)` → the
-/// coordinator's `wait_done` `Acquire` load → the coordinator's deal
-/// stores and `epoch.fetch_add(Release)` → a spawned owner's
-/// `wait_epoch` `Acquire` load → its claim; where the coordinator is
-/// itself one of the two owners (it executes as worker 0) its end of the
-/// chain is program order. The chain starts at the scope's spawns and
-/// ends at its joins. Between windows (spawned workers waiting at the
-/// gate), only the coordinator touches cells.
-struct Cells<'a, M> {
-    ptr: *mut NodeCell<M>,
-    len: usize,
-    _marker: std::marker::PhantomData<&'a mut [NodeCell<M>]>,
-}
-
-// SAFETY: `&Cells` exposes no `&`-reachable cell data — every access
-// goes through the `unsafe fn cell`/`all` below, whose callers must
-// hold exclusive logical ownership (a window claim, or the coordinator
-// between windows) per the struct-level contract, so sharing the handle
-// itself between threads is sound. What crosses threads through it are
-// the pointees, handed from owner to owner: `NodeCell<M>` embeds the
-// boxed `Behavior` (`Send` by its trait bound) and staged `M` payloads,
-// hence `M: Send` — not `M: Sync`, cells are never shared. This impl is
-// what lets the scoped workers borrow the `Pool`; everything else in it
-// is `Sync` by the compiler's own check. (`Cells` itself never moves to
-// another thread, so it needs no `Send`.)
-unsafe impl<M: Send> Sync for Cells<'_, M> {}
-
-impl<'a, M> Cells<'a, M> {
-    fn new(cells: &'a mut [NodeCell<M>]) -> Self {
-        Cells {
-            ptr: cells.as_mut_ptr(),
-            len: cells.len(),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// One node's cell.
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold exclusive logical ownership of node `idx`
-    /// per the struct-level contract: either it claimed `idx`'s shard
-    /// for the current window, or it is the coordinator between windows.
-    #[allow(clippy::mut_from_ref)] // the &mut really is derived from a raw pointer, not from &self
-    unsafe fn cell(&self, idx: usize) -> &mut NodeCell<M> {
-        debug_assert!(idx < self.len);
-        // SAFETY: `ptr..ptr+len` is a live `&mut [NodeCell<M>]` borrow
-        // held exclusively by this `Cells` (constructor invariant), so
-        // `idx < len` stays in bounds; uniqueness of the returned &mut
-        // is the caller's obligation above.
-        unsafe { &mut *self.ptr.add(idx) }
-    }
-
-    /// The whole slice.
-    ///
-    /// # Safety
-    ///
-    /// The caller must be the only thread touching *any* cell — in
-    /// practice, the coordinator between windows (every spawned worker
-    /// has acknowledged the last window and waits at the gate).
-    #[allow(clippy::mut_from_ref)] // the &mut really is derived from a raw pointer, not from &self
-    unsafe fn all(&self) -> &mut [NodeCell<M>] {
-        // SAFETY: `ptr` and `len` come verbatim from the exclusive
-        // slice borrow captured at construction, which outlives `self`
-        // via the PhantomData lifetime; exclusivity is the caller's
-        // obligation above.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.len) }
-    }
 }
 
 /// Spin iterations before a waiting thread starts yielding its core.
@@ -408,8 +331,8 @@ struct Pool<'a, M> {
     inboxes: Vec<Mutex<Inbox<M>>>,
     /// Per shard: the worker the coordinator dealt it to this window, or
     /// [`IDLE`]; the claiming executor sets [`TAKEN`] with a `fetch_or`,
-    /// whose atomicity makes window ownership exactly-once (see
-    /// [`Cells`]). Written by the coordinator between windows
+    /// whose atomicity makes window ownership exactly-once (the task's
+    /// lock is never contended). Written by the coordinator between windows
     /// (`Relaxed`; published by the gate's `Release` epoch bump, read
     /// after the workers' `Acquire` epoch load). The claim itself is
     /// `Relaxed` too: it arbitrates and publishes nothing — what a
@@ -419,9 +342,10 @@ struct Pool<'a, M> {
     /// written and published like `deal`.
     cap_bits: AtomicU64,
     gate: Gate,
-    cells: Cells<'a, M>,
     shared: &'a SimShared,
     shard_of: &'a [u32],
+    /// Per node: its slot in its shard's [`Task::cells`].
+    local_of: Vec<u32>,
     until: SimTime,
 }
 
@@ -436,10 +360,15 @@ impl<M> Simulation<M> {
     /// balance ([`Simulation::planned_worker_events`]) at a fixed
     /// logical worker count on any machine. Thread count never changes
     /// results — traces stay byte-identical. Takes effect at the next
-    /// `run_until`. No-op on the global scheduler.
+    /// `run_until`; a changed count starts the dealt-event record over.
+    /// No-op on the global scheduler.
     pub fn pin_workers(&mut self, workers: usize) {
         if let EventStore::Parallel(pq) = &mut self.store {
-            pq.workers = workers.clamp(1, pq.shards.len());
+            let workers = workers.clamp(1, pq.shards.len());
+            if workers != pq.workers {
+                pq.workers = workers;
+                pq.planned_events.clear();
+            }
         }
     }
 
@@ -490,24 +419,31 @@ impl<M: Clone + Send> Simulation<M> {
         let nshards = pq.shards.len();
         let nworkers = pq.workers;
         debug_assert!((1..=nshards).contains(&nworkers));
-        if pq.planned_events.len() < nworkers {
-            pq.planned_events.resize(nworkers, 0);
+        pq.planned_events.resize(nworkers, 0);
+
+        let mut tasks: Vec<Task<'_, M>> = pq
+            .shards
+            .iter_mut()
+            .map(|shard| Task {
+                head: shard.head_key().time,
+                shard,
+                cells: Vec::new(),
+                rows: Vec::new(),
+                stats: SimStats::default(),
+                now: *now,
+            })
+            .collect();
+        // Deal every cell to its shard's task (any partition, contiguous
+        // or not): this run reaches a cell only through that task's lock.
+        let mut local_of = Vec::with_capacity(cells.len());
+        for (cell, &s) in cells.iter_mut().zip(&pq.shard_of) {
+            let owned = &mut tasks[s as usize].cells;
+            local_of.push(u32::try_from(owned.len()).expect("node count checked in build"));
+            owned.push(cell);
         }
 
         let pool = Pool {
-            tasks: pq
-                .shards
-                .iter_mut()
-                .map(|shard| {
-                    Mutex::new(Task {
-                        head: shard.head_key().time,
-                        shard,
-                        rows: Vec::new(),
-                        stats: SimStats::default(),
-                        now: *now,
-                    })
-                })
-                .collect(),
+            tasks: tasks.into_iter().map(Mutex::new).collect(),
             inboxes: (0..nshards).map(|_| Mutex::new(Inbox::new())).collect(),
             deal: (0..nshards).map(|_| AtomicU32::new(IDLE)).collect(),
             cap_bits: AtomicU64::new(0),
@@ -517,9 +453,9 @@ impl<M: Clone + Send> Simulation<M> {
                 stop: AtomicBool::new(false),
                 panic: Mutex::new(None),
             },
-            cells: Cells::new(cells),
             shared,
             shard_of: &pq.shard_of,
+            local_of,
             until,
         };
         let mut windows = Windows {
@@ -662,10 +598,12 @@ impl Windows<'_> {
                 self.pending_samples.swap_remove(idx);
                 self.stats.events += 1;
                 tel.sample_dispatched();
-                // SAFETY: every spawned worker has acknowledged the
-                // last window and waits at the gate; the coordinator is
-                // the only thread touching node state.
-                take_sample(unsafe { pool.cells.all() }, ts, self.obs);
+                // The spawned workers wait at the gate: uncontended locks.
+                let clocks = pool.shard_of.iter().zip(&pool.local_of).map(|(&s, &l)| {
+                    let mut task = pool.tasks[s as usize].lock().expect("task poisoned");
+                    task.cells[l as usize].state.read_clocks(ts)
+                });
+                take_sample(clocks, ts, self.obs);
                 if let Some(interval) = pool.shared.config.sample_interval {
                     self.pending_samples.push(next_sample(ts, interval));
                 }
@@ -781,7 +719,8 @@ fn worker_loop<M: Clone + Send>(me: u32, pool: &Pool<'_, M>) {
 /// message to whichever thread happened to run it: the unwind is caught
 /// here and its payload left at the gate for the coordinator to
 /// re-raise. (Unwind safety: the run is being torn down — the poisoned
-/// task mutex is never locked again.)
+/// task mutex, which holds that shard's cells too, is never locked
+/// again.)
 fn execute_window<M: Clone + Send>(me: u32, pool: &Pool<'_, M>, outbox: &mut [Batch<M>]) {
     let window = catch_unwind(AssertUnwindSafe(|| {
         // Pass 1: the shards dealt to this executor (the balanced
@@ -869,12 +808,8 @@ fn advance_shard<M: Clone + Send>(s: usize, pool: &Pool<'_, M>, outbox: &mut [Ba
             s,
             "event on wrong shard"
         );
-        // SAFETY: this executor set `deal[s]`'s TAKEN bit for the
-        // current window, so it holds exclusive logical ownership of
-        // every node mapped to `s` — see the `Cells` contract.
-        let cell = unsafe { pool.cells.cell(node.index()) };
         run_event(
-            cell,
+            &mut *task.cells[pool.local_of[node.index()] as usize],
             node,
             pool.shared,
             QueueKind::Worker {
@@ -883,7 +818,7 @@ fn advance_shard<M: Clone + Send>(s: usize, pool: &Pool<'_, M>, outbox: &mut [Ba
                 shard_of: pool.shard_of,
                 my_shard: s as u32,
             },
-            RowSink::Buffered(&mut task.rows),
+            &mut task.rows,
             &mut task.stats,
             key,
             pending,
@@ -898,6 +833,7 @@ mod tests {
     use crate::node::{Behavior, NodeId, TimerTag, TrackId};
     use crate::shard::{Partition, SchedulerKind};
     use crate::time::{SimDuration, SimTime};
+    use crate::trace::Trace;
     use proptest::prelude::*;
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
@@ -935,6 +871,14 @@ mod tests {
         b.build()
     }
 
+    /// Four two-node shards on the 8-ring.
+    fn paired(workers: usize) -> SchedulerKind {
+        SchedulerKind::Parallel {
+            partition: Partition::by_blocks(8, 2),
+            workers,
+        }
+    }
+
     fn run(scheduler: SchedulerKind) -> Vec<u8> {
         let mut sim = ring_sim(8, scheduler);
         sim.run_until(SimTime::from_secs(0.5));
@@ -947,10 +891,7 @@ mod tests {
         let reference = run(SchedulerKind::Global);
         assert!(!reference.is_empty());
         for workers in [1usize, 2, 3, 8] {
-            let parallel = run(SchedulerKind::Parallel {
-                partition: Partition::by_blocks(8, 2),
-                workers,
-            });
+            let parallel = run(paired(workers));
             assert_eq!(
                 parallel, reference,
                 "parallel trace diverged at {workers} workers"
@@ -963,17 +904,8 @@ mod tests {
         // Every `run_until` is a scope of its own: stepping in many
         // small increments (150 of them, each spawning and joining its
         // worker) must reproduce the one-shot trace exactly.
-        let one_shot = run(SchedulerKind::Parallel {
-            partition: Partition::by_blocks(8, 2),
-            workers: 2,
-        });
-        let mut sim = ring_sim(
-            8,
-            SchedulerKind::Parallel {
-                partition: Partition::by_blocks(8, 2),
-                workers: 2,
-            },
-        );
+        let one_shot = run(paired(2));
+        let mut sim = ring_sim(8, paired(2));
         // Force two real OS threads regardless of this machine's cores.
         sim.pin_workers(2);
         for _ in 0..150 {
@@ -1033,6 +965,22 @@ mod tests {
         );
     }
 
+    #[test]
+    fn a_re_pin_starts_the_dealt_record_over() {
+        let mut sim = ring_sim(8, paired(1));
+        sim.pin_workers(4);
+        sim.run_until(SimTime::from_secs(0.25));
+        let before = sim.stats().events;
+        sim.pin_workers(4); // the same count keeps the record
+        assert_eq!(sim.planned_worker_events().map(<[u64]>::len), Some(4));
+        sim.pin_workers(2);
+        sim.run_until(SimTime::from_secs(0.5));
+        let loads = sim.planned_worker_events().expect("parallel");
+        assert_eq!(loads.len(), 2, "stale entries of the four-worker deal");
+        // Only the second run's events (its samples are never dealt).
+        assert!(loads.iter().sum::<u64>() <= sim.stats().events - before);
+    }
+
     /// A behavior whose second timer lands at a magnitude where the
     /// configured (pathologically small) lookahead is below the f64
     /// ulp, so no parallel window can advance past it.
@@ -1088,22 +1036,20 @@ mod tests {
     #[test]
     fn vanishing_lookahead_is_a_structured_error() {
         let mut sim = far_timer_sim(1);
+        let mut trace = Trace::new();
         let err = sim
-            .try_run_until(SimTime::from_secs(1.0))
+            .try_run_until_with(SimTime::from_secs(1.0), &mut trace)
             .expect_err("lookahead must vanish at t = 0.01");
         let RunError::LookaheadVanished { at, lookahead } = err;
         assert_eq!(at, SimTime::from_secs(0.01));
         assert!(lookahead.is_positive());
         assert!(err.to_string().contains("vanishes"), "got: {err}");
         // The partial trace (the rows emitted at t = 1e-4) survives.
-        assert!(
-            !sim.trace().to_bytes().is_empty(),
-            "partial trace lost on error"
-        );
+        assert!(!trace.to_bytes().is_empty(), "partial trace lost on error");
         // The clock stopped at the stuck barrier, and retrying reports
         // the same error instead of wedging or panicking.
         assert_eq!(sim.now(), SimTime::from_secs(0.01));
-        let again = sim.try_run_until(SimTime::from_secs(1.0));
+        let again = sim.try_run_until_with(SimTime::from_secs(1.0), &mut trace);
         assert_eq!(again, Err(err));
     }
 
