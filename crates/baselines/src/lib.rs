@@ -17,11 +17,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 // No `unsafe` in this library: `forbid` admits no exemption further
-// down, and `ftgcs-lint`'s workspace test keeps every library root
+// down, and `crates/lint/tests/workspace.rs` keeps every library root
 // saying so.
 #![forbid(unsafe_code)]
 // Library output goes through return values and the `Observer` sink,
-// never the process streams (enforced by `ftgcs-lint` and clippy).
+// never the process streams.
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod gcs;

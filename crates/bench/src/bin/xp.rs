@@ -50,23 +50,27 @@ use ftgcs_sim::telemetry::alloc_probe;
 /// itself.
 struct CountingAlloc;
 
+#[allow(
+    unsafe_code,
+    reason = "the allocation counter behind the telemetry report's `alloc` block"
+)]
 // SAFETY: every operation delegates directly to `System`, inheriting
 // its `GlobalAlloc` contract; the added relaxed counter bump touches no
 // allocator state and cannot unwind.
 unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: forwards `layout` unchanged to `System.alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         alloc_probe::note_alloc();
-        System.alloc(layout)
+        // SAFETY: forwards `layout` unchanged to `System.alloc`.
+        unsafe { System.alloc(layout) }
     }
-    // SAFETY: forwards `ptr`/`layout` unchanged to `System.dealloc`.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: forwards `ptr`/`layout` unchanged to `System.dealloc`.
+        unsafe { System.dealloc(ptr, layout) }
     }
-    // SAFETY: forwards all arguments unchanged to `System.realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         alloc_probe::note_alloc();
-        System.realloc(ptr, layout, new_size)
+        // SAFETY: forwards all arguments unchanged to `System.realloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 

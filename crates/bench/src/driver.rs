@@ -82,16 +82,7 @@ pub fn run_text_with(label: &str, text: &str, opts: &RunOptions) -> Result<(), S
                      names an `analysis` (it runs its own grid of scenarios internally)"
                 ));
             }
-            let analysis = exp::find(name).ok_or_else(|| {
-                format!(
-                    "{label}: unknown analysis {name:?} (known: {})",
-                    exp::ANALYSES
-                        .iter()
-                        .map(|&(n, _)| n)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )
-            })?;
+            let analysis = exp::find(name).expect("SpecFile::parse checked the name");
             analysis(&file);
             Ok(())
         }

@@ -5,7 +5,8 @@
 //! extended with driver-only keys the core format does not know about:
 //!
 //! * `analysis <name>` — run the named figure/table analysis from
-//!   [`crate::exp`] instead of the default streaming run;
+//!   [`crate::exp`] instead of the default streaming run (a name not in
+//!   [`exp::ANALYSES`] is an error at its line);
 //! * `csv_stride <n>` — decimation factor of the streaming samples CSV
 //!   (default 1 = every sample).
 //!
@@ -15,6 +16,8 @@
 
 use ftgcs::params::Params;
 use ftgcs::spec::{ScenarioSpec, SpecError};
+
+use crate::exp;
 
 /// A parsed experiment file: the scenario plus driver configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,6 +55,13 @@ impl SpecFile {
                         return Err(SpecError {
                             line: lineno,
                             msg: "analysis takes exactly one name".into(),
+                        });
+                    }
+                    if exp::find(name).is_none() {
+                        let known: Vec<&str> = exp::ANALYSES.iter().map(|&(n, _)| n).collect();
+                        return Err(SpecError {
+                            line: lineno,
+                            msg: format!("unknown analysis {name:?} (known: {})", known.join(", ")),
                         });
                     }
                     analysis = Some(name.to_string());
@@ -167,11 +177,27 @@ mod tests {
 
     #[test]
     fn line_numbers_survive_driver_key_stripping() {
-        let err = SpecFile::parse("name x\nanalysis demo\ntopology line 2\nbogus 1\n").unwrap_err();
+        let err =
+            SpecFile::parse("name x\nanalysis t1_parameter_table\ntopology line 2\nbogus 1\n")
+                .unwrap_err();
         assert_eq!(err.line, 4);
         // The gate's lines too: an analysis never sees an infeasible `env`.
-        let err = SpecFile::parse("name x\nanalysis demo\ntopology line 2\nenv 0.3 1e-3 1e-4\n");
+        let err = SpecFile::parse(
+            "name x\nanalysis t1_parameter_table\ntopology line 2\nenv 0.3 1e-3 1e-4\n",
+        );
         assert_eq!(err.unwrap_err().line, 4);
+    }
+
+    #[test]
+    fn unknown_analysis_is_an_error_at_its_line() {
+        let err = SpecFile::parse("name bogus\ntopology line 2\nanalysis no_such_analysis\n")
+            .unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            msg.starts_with("spec line 3: unknown analysis \"no_such_analysis\" (known: a1_"),
+            "{msg}"
+        );
+        assert!(msg.contains("t6_trigger_audit)"), "{msg}");
     }
 
     #[test]

@@ -386,6 +386,13 @@ fn serve_runs_submissions_and_answers_repeats_from_cache() {
     assert_eq!(code, 400, "{body}");
     let found = format!("spec line {}: scheduler parallel's lookahead", line + 1);
     assert!(body.contains(&found), "{body}");
+    // And an analysis no child would know: refused by name, not queued.
+    let hostile = format!("{spec_text}analysis no_such_analysis\n");
+    let (code, body) = http(&addr, "POST /submit", hostile.as_bytes());
+    let body = String::from_utf8_lossy(&body).into_owned();
+    assert_eq!(code, 400, "{body}");
+    let found = format!("spec line {line}: unknown analysis \\\"no_such_analysis\\\"");
+    assert!(body.contains(&found), "{body}");
 
     // Resubmitting the identical spec is answered from the cache:
     // still exactly one cell process ever spawned.

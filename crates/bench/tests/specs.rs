@@ -46,14 +46,8 @@ fn every_checked_in_spec_parses_builds_and_round_trips() {
         "expected >= 17 checked-in specs, found {}",
         specs.len()
     );
+    // `SpecFile::parse` has refused any unknown `analysis` name.
     for (path, file) in &specs {
-        if let Some(name) = &file.analysis {
-            assert!(
-                exp::find(name).is_some(),
-                "{}: names unknown analysis {name:?}",
-                path.display()
-            );
-        }
         // Canonical print → parse is the identity.
         let printed = file.scenario.print();
         assert_eq!(
@@ -152,6 +146,54 @@ fn cache_keys_are_canonical_and_sensitive() {
             "semantic change did not move the cache key:\n{variant}"
         );
     }
+}
+
+/// The one-token-corruption property for the driver keys: in every
+/// checked-in analysis spec, a one-character slip in the `analysis`
+/// name, or a `csv_stride` that is not a positive `usize`, is refused
+/// with the line to blame — by `xp run`, `sweep`, `list` and `/submit`
+/// alike, which all parse through `SpecFile::parse`.
+#[test]
+fn corrupted_driver_keys_are_errors_at_their_line() {
+    let expect_error_at = |text: &str, line: usize, what: &str| {
+        let err = SpecFile::parse(text).expect_err(what);
+        assert_eq!(err.line, line, "{what}: {err}");
+        assert!(
+            err.to_string().starts_with(&format!("spec line {line}: ")),
+            "{what}: {err}"
+        );
+    };
+    let mut analyses = 0;
+    for (path, file) in checked_in_specs() {
+        let Some(name) = &file.analysis else { continue };
+        analyses += 1;
+        let text = std::fs::read_to_string(&path).expect("readable spec");
+        let lines: Vec<&str> = text.lines().collect();
+        let at = lines
+            .iter()
+            .position(|l| l.split_whitespace().next() == Some("analysis"))
+            .expect("an analysis spec has an `analysis` line");
+        // Each character dropped, each replaced, one appended (names are
+        // ASCII and hold no `-`).
+        let slips = (0..name.len()).flat_map(|i| {
+            let (head, tail) = (&name[..i], &name[i + 1..]);
+            [format!("{head}{tail}"), format!("{head}-{tail}")]
+        });
+        for slip in slips.chain([format!("{name}-")]) {
+            assert!(exp::find(&slip).is_none(), "{slip} is registered");
+            let line = format!("analysis {slip}");
+            let mut corrupted = lines.clone();
+            corrupted[at] = &line;
+            let what = format!("{}: {line}", path.display());
+            expect_error_at(&corrupted.join("\n"), at + 1, &what);
+        }
+        for stride in ["0", "-1", "1.5", "18446744073709551616"] {
+            let text = format!("{}\ncsv_stride {stride}\n", lines.join("\n"));
+            let what = format!("{}: csv_stride {stride}", path.display());
+            expect_error_at(&text, lines.len() + 1, &what);
+        }
+    }
+    assert!(analyses >= 17, "only {analyses} analysis specs read");
 }
 
 #[test]

@@ -180,7 +180,7 @@ impl ClusterInstance {
     ///
     /// Panics if `observed` is empty or smaller than `3f+1`.
     #[must_use]
-    #[allow(clippy::int_plus_one)] // mirror the paper's k >= 3f+1 form
+    #[allow(clippy::int_plus_one, reason = "mirror the paper's k >= 3f+1 form")]
     pub fn new(
         idx: u32,
         track: TrackId,

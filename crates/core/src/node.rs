@@ -88,7 +88,7 @@ impl FtGcsNode {
     ///
     /// Panics if `members` is smaller than `3f+1`.
     #[must_use]
-    #[allow(clippy::int_plus_one)] // mirror the paper's k >= 3f+1 form
+    #[allow(clippy::int_plus_one, reason = "mirror the paper's k >= 3f+1 form")]
     pub fn new(cfg: NodeConfig) -> Self {
         assert!(
             cfg.members.len() >= 3 * cfg.params.f + 1,

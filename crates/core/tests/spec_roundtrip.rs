@@ -106,7 +106,10 @@ fn pick_delay(kind: u64) -> DelayDistribution {
 /// every entry inside the gate's rules: indices within the graph, one
 /// explicit placement per node, counts within `k` and `f·C`, moving
 /// faults only where the budget has room for one.
-#[allow(clippy::too_many_arguments)] // proptest feeds every spec field through one flat strategy tuple
+#[allow(
+    clippy::too_many_arguments,
+    reason = "proptest feeds every spec field through one flat strategy tuple"
+)]
 fn assemble(
     topo: (u64, usize, usize),
     f: usize,
@@ -388,7 +391,6 @@ type Hostile = (&'static str, usize, fn(&mut ScenarioSpec), Option<fn()>);
 /// Every spelling that, before the gate, made a 4-round 8-node run
 /// panic, hang, or quietly become a different run — plus the rules that
 /// used to be `from_spec`'s alone and had no line.
-#[allow(clippy::too_many_lines)] // one table, one row per spelling
 fn hostile_corpus() -> Vec<Hostile> {
     use FaultKind::{RandomPulser as Pulser, Silent, SkewPuller, StealthyRusher, TwoFaced};
     const NAN: f64 = f64::NAN;

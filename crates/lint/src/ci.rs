@@ -1,4 +1,4 @@
-//! The `ci-paths-exist` rule: what can be checked of a CI workflow
+//! The `ci-paths-exist` audit: what can be checked of a CI workflow
 //! offline, without a YAML parser or a runner.
 //!
 //! A workflow that does not load runs no job, and one that names a
@@ -18,11 +18,6 @@
 
 use std::path::Path;
 
-use crate::rules::Diagnostic;
-
-/// The rule's name in diagnostics.
-pub const RULE: &str = "ci-paths-exist";
-
 /// File suffixes of the scripts, specs and manifests a step may name.
 const CHECKED_SUFFIXES: &[&str] = &[".sh", ".spec", ".toml"];
 
@@ -30,6 +25,15 @@ const CHECKED_SUFFIXES: &[&str] = &[".sh", ".spec", ".toml"];
 const INDICATORS: &[char] = &[
     '[', ']', '{', '}', ',', '#', '&', '*', '!', '|', '>', '\'', '"', '%', '@', '`',
 ];
+
+/// One finding.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Diagnostic {
+    /// 1-based line in the workflow file.
+    pub line: usize,
+    /// Human-readable message.
+    pub message: String,
+}
 
 /// What one workflow file held.
 #[derive(Debug, Clone, Default)]
@@ -92,7 +96,6 @@ pub fn audit_workflow(text: &str, root: &Path) -> WorkflowAudit {
     let mut finding = |line: usize, message: String| {
         audit.diagnostics.push(Diagnostic {
             line: line + 1,
-            rule: RULE,
             message,
         });
     };

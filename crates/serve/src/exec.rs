@@ -107,6 +107,10 @@ impl CellRunner {
         // Stderr must be drained concurrently with stdout: a child
         // blocked writing a full stderr pipe would deadlock against a
         // parent blocked reading stdout.
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "infrastructure thread: drains a child's stderr pipe"
+        )]
         std::thread::scope(|s| {
             s.spawn(|| {
                 for line in BufReader::new(stderr_pipe).lines() {
@@ -178,6 +182,10 @@ where
         Mutex::new((0..count).map(|_| None).collect());
     let ready = Condvar::new();
     let mut delivered = Vec::with_capacity(count);
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "infrastructure threads: the job pool runs child processes, never simulated events"
+    )]
     std::thread::scope(|s| {
         for _ in 0..jobs {
             s.spawn(|| loop {

@@ -156,6 +156,10 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let raw = raw.to_vec();
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "test client thread on the other end of a real socket"
+        )]
         std::thread::scope(|s| {
             s.spawn(move || {
                 let mut client = TcpStream::connect(addr).expect("connect");

@@ -27,13 +27,14 @@
 //! The crate is dependency-free (std only) and knows nothing about the
 //! spec format itself: the caller (the `xp` binary in `ftgcs-bench`)
 //! supplies canonical spec text and cache keys, keeping the dependency
-//! graph acyclic. Unlike the simulation crates, this one is an allowed
-//! thread-spawn and print site under `ftgcs-lint` — its threads manage
-//! OS processes and sockets, never simulated events.
+//! graph acyclic. Unlike the simulation crates, this one prints and
+//! starts threads — each `std::thread::scope` call carries its own
+//! `allow(clippy::disallowed_methods, reason = …)`, because its threads
+//! manage OS processes and sockets, never simulated events.
 
 #![warn(missing_docs)]
 // No `unsafe` in this library: `forbid` admits no exemption further
-// down, and `ftgcs-lint`'s workspace test keeps every library root
+// down, and `crates/lint/tests/workspace.rs` keeps every library root
 // saying so.
 #![forbid(unsafe_code)]
 

@@ -160,6 +160,10 @@ pub fn serve(config: ServeConfig, canonicalize: &Canonicalizer) -> Result<(), St
         shutdown: AtomicBool::new(false),
         canonicalize,
     };
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "infrastructure threads: executor workers over OS processes, never simulated events"
+    )]
     std::thread::scope(|s| {
         for _ in 0..config.jobs.max(1) {
             s.spawn(|| service.worker_loop());

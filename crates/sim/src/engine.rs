@@ -893,7 +893,10 @@ fn with_ctx<M: Clone>(
 /// Samples are engine-global and are handled by the callers directly.
 /// Inlined into both dispatch loops, so the context is put together from
 /// their registers and not from a copy of the arguments.
-#[allow(clippy::too_many_arguments)] // the flat list *is* the dispatch record
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the flat list *is* the dispatch record"
+)]
 #[inline(always)]
 pub(crate) fn run_event<M: Clone>(
     cell: &mut NodeCell<M>,
@@ -1174,7 +1177,10 @@ impl<M: Clone> SimBuilder<M> {
 }
 
 /// Where queued events live between dispatches.
-#[allow(clippy::large_enum_variant)] // one store per simulation: a Box would buy nothing
+#[allow(
+    clippy::large_enum_variant,
+    reason = "one store per simulation: a Box would buy nothing"
+)]
 pub(crate) enum EventStore<M> {
     /// The single-threaded engine's one global queue.
     Serial(EventQueue<Pending<M>>),

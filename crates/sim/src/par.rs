@@ -472,6 +472,10 @@ impl<M: Clone + Send> Simulation<M> {
             bins: vec![0; nworkers],
         };
 
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the parallel executor: workers run behind the lookahead barrier"
+        )]
         let result = std::thread::scope(|scope| {
             // Before the first spawn, so that a failed one cannot strand
             // its predecessors either.

@@ -25,13 +25,13 @@
 //!   invariants are stable (e.g. dealt + stolen shares sum to 1).
 //!
 //! Wall-clock readings are the one legitimate use of host time in the
-//! simulation crates: they never enter the trace. The `ftgcs-lint`
-//! `no-wall-clock` rule still applies file-by-file, so every `Instant`
-//! touch below carries a scoped pragma — and the opaque [`Stamp`] /
+//! simulation crates: they never enter the trace. Clippy's
+//! `disallowed_types` / `disallowed_methods` (the root `clippy.toml`)
+//! still apply here, so each of the four `Instant` sites below carries
+//! its own `allow` with a reason — and the opaque [`Stamp`] /
 //! [`Stopwatch`] wrappers exist precisely so *callers* (the engine, the
 //! parallel executor, the bench driver) never name `Instant` and never
-//! need a pragma of their own. The carve-out cannot leak into the hot
-//! path; the lint fixture corpus pins both directions.
+//! need an `allow` of their own.
 //!
 //! When the simulation is built with telemetry disabled (the default),
 //! every recording method is a single predictable branch and the struct
@@ -107,7 +107,10 @@ impl Phase {
 /// consumer is [`Telemetry::phase`] — which keeps raw `Instant`s
 /// confined to this module.
 #[derive(Debug, Clone, Copy)]
-// ftgcs-lint: allow(no-wall-clock) -- telemetry side channel: phase timings never enter the trace
+#[allow(
+    clippy::disallowed_types,
+    reason = "telemetry side channel: phase timings never enter the trace"
+)]
 pub struct Stamp(Option<std::time::Instant>);
 
 /// A free-standing wall-clock stopwatch for drivers (bench harness,
@@ -115,14 +118,21 @@ pub struct Stamp(Option<std::time::Instant>);
 /// telemetry flag — but still confined to the side channel: nothing it
 /// measures can reach a trace or a dispatch decision.
 #[derive(Debug, Clone, Copy)]
-// ftgcs-lint: allow(no-wall-clock) -- telemetry side channel: driver stopwatch, host-side only
+#[allow(
+    clippy::disallowed_types,
+    reason = "telemetry side channel: driver stopwatch, host-side only"
+)]
 pub struct Stopwatch(std::time::Instant);
 
 impl Stopwatch {
     /// Starts a stopwatch at the current host time.
     #[must_use]
+    #[allow(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "telemetry side channel: driver stopwatch, host-side only"
+    )]
     pub fn start() -> Self {
-        // ftgcs-lint: allow(no-wall-clock) -- telemetry side channel: driver stopwatch, host-side only
         Stopwatch(std::time::Instant::now())
     }
 
@@ -372,9 +382,13 @@ impl Telemetry {
     /// A wall-clock reading, or an inert stamp when disabled.
     #[inline]
     #[must_use]
+    #[allow(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "telemetry side channel: phase timings never enter the trace"
+    )]
     pub(crate) fn stamp(&self) -> Stamp {
         if self.enabled {
-            // ftgcs-lint: allow(no-wall-clock) -- telemetry side channel: phase timings never enter the trace
             Stamp(Some(std::time::Instant::now()))
         } else {
             Stamp(None)
@@ -391,7 +405,6 @@ impl Telemetry {
     }
 
     fn phase_secs(&self, phase: Phase) -> f64 {
-        #[allow(clippy::cast_precision_loss)] // report rounding only
         let ns = self.phase_ns.0[phase.index()].load(Ordering::Relaxed) as f64;
         ns / 1e9
     }
@@ -437,7 +450,6 @@ impl Telemetry {
             cross_shard_staged: sum(|s| s.staged_in),
             windows: load(&self.windows),
             planned_shard_windows: load(&self.planned_shard_windows),
-            #[allow(clippy::cast_precision_loss)] // report rounding only
             horizon_span_secs: load(&self.horizon_span_ns) as f64 / 1e9,
         };
         let nworkers = workers.unwrap_or(0);
@@ -456,7 +468,6 @@ impl Telemetry {
         let dealt = per_worker.iter().map(|w| w.dealt).sum::<u64>();
         let stolen = per_worker.iter().map(|w| w.stolen).sum::<u64>();
         let claims = dealt + stolen;
-        #[allow(clippy::cast_precision_loss)] // report rounding only
         let share = |x: u64| {
             if claims == 0 {
                 0.0
@@ -467,7 +478,6 @@ impl Telemetry {
         let inbox_merged_entries = sum(|s| s.merged_in);
         let q = queue.unwrap_or_default();
         let total_secs = self.phase_secs(Phase::Total);
-        #[allow(clippy::cast_precision_loss)] // report rounding only
         let events_per_sec = if total_secs > 0.0 {
             stats.events as f64 / total_secs
         } else {
@@ -685,7 +695,6 @@ impl TelemetryReport {
     /// nesting are the `ftgcs-telemetry-v1` schema documented in
     /// EXPERIMENTS.md.
     #[must_use]
-    #[allow(clippy::too_many_lines)] // a flat serializer reads best flat
     pub fn to_json(&self) -> String {
         let mut s = Vec::new();
         let d = &self.deterministic;

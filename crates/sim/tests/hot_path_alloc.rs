@@ -28,29 +28,30 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAllocator;
 
+#[allow(unsafe_code, reason = "a counting allocator is this test's instrument")]
 // SAFETY: delegates directly to the system allocator; the counter has
 // no allocator-visible side effects.
 unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: forwards `layout` unchanged to `System.alloc`, inheriting
-    // its contract.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if COUNTING.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
-        System.alloc(layout)
+        // SAFETY: forwards `layout` unchanged to `System.alloc`,
+        // inheriting its contract.
+        unsafe { System.alloc(layout) }
     }
-    // SAFETY: forwards `ptr`/`layout` unchanged to `System.dealloc`;
-    // the caller's obligations are exactly `System`'s.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: forwards `ptr`/`layout` unchanged to `System.dealloc`;
+        // the caller's obligations are exactly `System`'s.
+        unsafe { System.dealloc(ptr, layout) }
     }
-    // SAFETY: forwards all arguments unchanged to `System.realloc`,
-    // inheriting its contract.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if COUNTING.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
-        System.realloc(ptr, layout, new_size)
+        // SAFETY: forwards all arguments unchanged to `System.realloc`,
+        // inheriting its contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 

@@ -26,9 +26,12 @@ use proptest::prelude::*;
 /// the tag for the event's own.
 #[derive(Debug, Clone, Copy)]
 enum Wire {
-    #[allow(dead_code)] // a second payload-free variant, as `core::Msg` has
+    #[allow(
+        dead_code,
+        reason = "a second payload-free variant, as `core::Msg` has"
+    )]
     Beat,
-    #[allow(dead_code)] // a 4-byte payload, as `core::Msg::VirtualPulse`
+    #[allow(dead_code, reason = "a 4-byte payload, as `core::Msg::VirtualPulse`")]
     Tagged { instance: u32 },
     /// A relay with this many hops left.
     Relay { hops: u64 },

@@ -47,7 +47,7 @@ impl ClusterGraph {
     /// Panics unless `k ≥ 3f + 1` (the resilience bound of [DHS'84]) and
     /// `k ≥ 1`.
     #[must_use]
-    #[allow(clippy::int_plus_one)] // mirror the paper's k >= 3f+1 form
+    #[allow(clippy::int_plus_one, reason = "mirror the paper's k >= 3f+1 form")]
     pub fn new(base: Graph, cluster_size: usize, max_faults: usize) -> Self {
         assert!(cluster_size >= 1, "clusters must be non-empty");
         assert!(
