@@ -402,22 +402,22 @@ impl ParamsBuilder {
         } = self;
         if !rho.is_finite() || rho <= 0.0 {
             return Err(ParamError::InvalidInput(format!(
-                "rho must be positive and finite, got {rho}"
+                "rho must be positive and finite, got {rho:e}"
             )));
         }
         if !d.is_finite() || d <= 0.0 || !u.is_finite() || u < 0.0 || u > d {
             return Err(ParamError::InvalidInput(format!(
-                "need 0 < d and 0 <= U <= d, got d={d}, U={u}"
+                "need 0 < d and 0 <= U <= d, got d={d:e}, U={u:e}"
             )));
         }
         if !(0.0..0.5).contains(&epsilon) || epsilon == 0.0 {
             return Err(ParamError::InvalidInput(format!(
-                "epsilon must lie in (0, 1/2), got {epsilon}"
+                "epsilon must lie in (0, 1/2), got {epsilon:e}"
             )));
         }
         if c2 < 16.0 {
             return Err(ParamError::InvalidInput(format!(
-                "c2 must be >= 16 (Prop. 4.11; paper uses 32), got {c2}"
+                "c2 must be >= 16 (Prop. 4.11; paper uses 32), got {c2:e}"
             )));
         }
         if k_rounds == 0 {
@@ -439,7 +439,7 @@ impl ParamsBuilder {
         let phi = 1.0 / c1;
         if !(0.0 < phi && phi < 1.0) {
             return Err(ParamError::DerivedOutOfRange(format!(
-                "phi = 1/c1 = {phi} must lie in (0, 1); rho too large for this c2/epsilon"
+                "phi = 1/c1 = {phi:e} must lie in (0, 1); rho too large for this c2/epsilon"
             )));
         }
         let mu = c2 * rho;
@@ -497,14 +497,14 @@ impl ParamsBuilder {
         let (rho_bar, mu_bar) = params.gcs_axiom_rates();
         if mu_bar <= rho_bar {
             return Err(ParamError::DerivedOutOfRange(format!(
-                "GCS axiom A4 violated: mu_bar={mu_bar} <= rho_bar={rho_bar}"
+                "GCS axiom A4 violated: mu_bar={mu_bar:e} <= rho_bar={rho_bar:e}"
             )));
         }
         // A level pulse takes at least `d − U` to arrive; a smaller unit
         // would let the flooding over-claim (`global_max` module docs).
         if params.level_unit < params.lookahead() {
             return Err(ParamError::DerivedOutOfRange(format!(
-                "level unit {} is below the minimum delay d-U = {}",
+                "level unit {:e} is below the minimum delay d-U = {:e}",
                 params.level_unit,
                 params.lookahead()
             )));

@@ -880,6 +880,25 @@ fn a_sample_interval_below_the_f64_spacing_is_an_error_not_a_hang() {
 }
 
 #[test]
+fn an_infeasible_environment_is_one_short_line_that_names_both_numbers() {
+    // At `d = 1e300` the level unit and `d − U` are both near 1e300,
+    // which plain `{}` prints as 300-digit integers.
+    let err = ScenarioSpec::parse("name h\ntopology line 2\nf 1\nenv 1e-4 1e300 1e-4\n")
+        .expect_err("a level unit below d - U");
+    let text = err.to_string();
+    assert!(text.starts_with("spec line 4: "), "{text}");
+    assert!(
+        !text.contains('\n') && text.len() < 160,
+        "{} bytes: {text}",
+        text.len()
+    );
+    assert!(
+        text.contains("level unit 4.18") && text.contains("d-U = 1e300"),
+        "{text}"
+    );
+}
+
+#[test]
 fn parallel_scheduler_at_zero_lookahead_is_an_error_not_a_panic() {
     // `U = d` leaves the conservative windows no width: the engine's
     // builder asserts, so a spec has to be turned away before it.

@@ -1093,8 +1093,9 @@ impl<M: Clone> SimBuilder<M> {
             next[a as usize] += 1;
             next[b as usize] += 1;
         }
+        let max_delay = self.config.delay.max_delay();
         let store = match &self.config.scheduler {
-            SchedulerKind::Global => EventStore::Serial(EventQueue::new()),
+            SchedulerKind::Global => EventStore::Serial(EventQueue::new(max_delay)),
             SchedulerKind::Parallel { partition, workers } => {
                 assert_eq!(
                     partition.node_count(),
@@ -1107,7 +1108,7 @@ impl<M: Clone> SimBuilder<M> {
                     "the parallel scheduler requires a positive lookahead (d − U > 0)"
                 );
                 let resolved = resolve_workers(*workers, partition.shard_count());
-                EventStore::Parallel(ParQueue::new(partition, resolved))
+                EventStore::Parallel(ParQueue::new(partition, resolved, max_delay))
             }
         };
         // The telemetry side channel needs its own node → shard map so

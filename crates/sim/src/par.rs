@@ -151,10 +151,11 @@ pub(crate) struct ParQueue<M> {
 }
 
 impl<M> ParQueue<M> {
-    pub(crate) fn new(partition: &Partition, workers: usize) -> Self {
+    /// Per-shard queues sized for messages delayed at most `max_delay`.
+    pub(crate) fn new(partition: &Partition, workers: usize, max_delay: SimDuration) -> Self {
         let count = partition.shard_count().max(1);
         ParQueue {
-            shards: (0..count).map(|_| Shard::new()).collect(),
+            shards: (0..count).map(|_| Shard::new(max_delay)).collect(),
             shard_of: partition.shard_map().to_vec(),
             workers,
             pending_samples: Vec::new(),

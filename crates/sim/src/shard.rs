@@ -9,9 +9,11 @@
 //! becomes current — a dozen comparisons on adjacent memory where a
 //! binary heap of a few thousand 64-byte entries sifts through a dozen
 //! scattered levels. A k-member cluster pulse enqueues its k² fan-out as
-//! k² appends. The bucket width is the queue's own business: it is worked
-//! out from the spacing of the events popped, and by construction cannot
-//! change the dispatch order (see [`Shard`]).
+//! k² appends. The bucket width comes from the same bound: the queue's
+//! ring of days spans `d`, so a message goes straight to its day however
+//! far ahead of "now" it is due (Brown's calendar-queue sizing problem,
+//! CACM 1988, answered by the model). The width cannot change the
+//! dispatch order (see [`Shard`]).
 //!
 //! [`SchedulerKind::Global`] drains a single such queue ([`EventQueue`],
 //! which is also the face the differential and property tests drive).
@@ -35,7 +37,7 @@
 //! buffer cannot forward: EXPERIMENTS.md, "Cost of moving an event".)
 
 use crate::node::NodeId;
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 
 /// Assignment of simulation nodes to scheduler shards.
 ///
@@ -288,28 +290,31 @@ pub(crate) fn tie_for_engine(counter: u64) -> u128 {
     u128::from(counter)
 }
 
-/// Buckets ("days") in a ring ("year"); a power of two. A shard has
-/// two rings, so setting one up costs `2 · RING` `u32` list heads —
-/// 8 KB — and nothing else.
-const RING_BITS: u32 = 10;
-const RING: usize = 1 << RING_BITS;
-const RING_MASK: u64 = RING as u64 - 1;
+/// Buckets ("days") in the sliding ring of days; a power of two. It and
+/// the ring of years cost a shard `DAYS + YEARS` `u32` list heads —
+/// 20 KB — and nothing else.
+const DAY_BITS: u32 = 12;
+const DAYS: usize = 1 << DAY_BITS;
+const DAY_MASK: u64 = DAYS as u64 - 1;
+/// Years (`DAYS` aligned days each) in the ring of years.
+const YEARS: usize = 1 << 10;
+const YEAR_MASK: u64 = YEARS as u64 - 1;
 /// End-of-list marker of the intrusive lists.
 const NIL: u32 = u32::MAX;
-/// Pops between two looks at the bucket width.
-const EPOCH: u32 = 1024;
-/// The width aims at `2^PER_BUCKET_LOG2` typical pop-to-pop gaps per
-/// bucket. (The typical gap is a geometric mean of floored exponents,
-/// which reads about 2.5 times under the arithmetic mean of evenly
-/// random arrivals: the bucket then holds some 6 events — an insertion
-/// sort.)
-const PER_BUCKET_LOG2: i32 = 4;
-/// Consecutive epochs that must all ask for a wider bucket before the
-/// queue widens (it narrows at once: a burst is where the events are).
-const WIDEN_PATIENCE: u32 = 4;
 /// Bucket widths are `2^e` seconds for `e` in `±WIDTH_EXP_MAX`, so the
 /// reciprocal is an exact, finite `f64`.
 const WIDTH_EXP_MAX: i32 = 1000;
+
+/// The exponent of the bucket width for a maximum message delay `d`:
+/// the narrowest `2^e` whose [`DAYS`] days span `d` (`DAYS · 2^e ≥ d`),
+/// clamped to `±WIDTH_EXP_MAX`. Narrower, and a message would wait in
+/// the ring of years; wider, and the days it lands in would be fatter
+/// to sort.
+fn width_exp(d: f64) -> i32 {
+    (-WIDTH_EXP_MAX..WIDTH_EXP_MAX)
+        .find(|&e| pow2(e + DAY_BITS as i32) >= d)
+        .unwrap_or(WIDTH_EXP_MAX)
+}
 
 /// One queued event in the slab. `next` links it into its bucket's list
 /// (or into the free list once `payload` is taken); it sits between the
@@ -354,35 +359,26 @@ impl Handle {
     }
 }
 
-/// `2^exp` as an exact `f64` (`|exp| ≤ WIDTH_EXP_MAX`).
+/// `2^exp` as an exact `f64` (`|exp| ≤ 1022`).
 fn pow2(exp: i32) -> f64 {
     f64::from_bits(((1023 + exp) as u64) << 52)
 }
 
-/// `⌊log₂ x⌋` of a positive finite `x`, read off the exponent field
-/// (subnormals report −1023; callers clamp).
-fn floor_log2(x: f64) -> i32 {
-    ((x.to_bits() >> 52) & 0x7ff) as i32 - 1023
-}
-
-/// [`RING`] intrusive lists through a slab, with one occupancy bit per
-/// list so runs of empty slots are skipped a word at a time.
-struct Ring {
+/// `64 · WORDS` intrusive lists through a slab, with one occupancy bit
+/// per list so runs of empty slots are skipped a word at a time.
+struct Ring<const WORDS: usize> {
     heads: Vec<u32>,
-    occupied: [u64; RING / 64],
+    occupied: [u64; WORDS],
 }
 
-impl Ring {
+impl<const WORDS: usize> Ring<WORDS> {
+    const SLOTS: usize = 64 * WORDS;
+
     fn new() -> Self {
         Ring {
-            heads: vec![NIL; RING],
-            occupied: [0; RING / 64],
+            heads: vec![NIL; Self::SLOTS],
+            occupied: [0; WORDS],
         }
-    }
-
-    fn clear(&mut self) {
-        self.heads.fill(NIL);
-        self.occupied = [0; RING / 64];
     }
 
     fn is_occupied(&self, slot: usize) -> bool {
@@ -402,16 +398,16 @@ impl Ring {
         std::mem::replace(&mut self.heads[slot], NIL)
     }
 
-    /// The ring distance (`from..=RING`) from slot `start` to the next
+    /// The ring distance (`from..=SLOTS`) from slot `start` to the next
     /// occupied slot.
     fn next_occupied(&self, start: usize, from: usize) -> Option<usize> {
         let mut dist = from;
-        while dist <= RING {
-            let slot = (start + dist) & (RING - 1);
+        while dist <= Self::SLOTS {
+            let slot = (start + dist) & (Self::SLOTS - 1);
             let word = self.occupied[slot / 64] >> (slot % 64);
             if word != 0 {
                 let dist = dist + word.trailing_zeros() as usize;
-                return (dist <= RING).then_some(dist);
+                return (dist <= Self::SLOTS).then_some(dist);
             }
             dist += 64 - slot % 64;
         }
@@ -422,39 +418,37 @@ impl Ring {
 /// One shard's event store: a two-level calendar queue.
 ///
 /// Every queued event lives in one slab node and is due in bucket
-/// ("day") `⌊time / w⌋`; [`RING`] consecutive days, aligned, are a
-/// year. An event due later in the current year is prepended, in O(1),
-/// to the list of its day's slot in the `days` ring; one due in a later
-/// year to the list of that year's slot in the `years` ring, and moved
-/// to its day when its year begins. An event more than `RING` years
-/// ahead shares a `years` slot with nearer ones and is told apart by
-/// recomputing its year; it is stepped over once per `RING` years. (The
-/// second ring is the overflow tier. Year tags in a single ring were
-/// measured first: on `line64_global` a timer set 30 ms ahead was
-/// stepped over in each of the 60 half-millisecond years it waited,
-/// four list steps per dispatched event at the best width and eight at
-/// a quarter of it, where the second ring costs each event at most one
-/// move.) When a day becomes current its events move as [`Handle`]s
-/// into `cur`, sorted by [`Key`] so pops take from the end. An event
-/// pushed into or before the current day goes to `late`, a binary
-/// min-heap of handles, so such a push costs O(log b) whatever the day
-/// holds. The next event is the smaller of `cur`'s end and `late`'s
-/// root.
+/// ("day") `⌊time / w⌋`, where the width `w` is fixed at construction
+/// from the maximum message delay `d`: the narrowest power of two with
+/// `DAYS · w ≥ d` ([`width_exp`]). The `days` ring slides with the
+/// current day: an event due at most [`DAYS`] days ahead is prepended,
+/// in O(1), to the list of its day's slot (the current day's own slot
+/// serves the day `DAYS` ahead). A message sent from the current day is
+/// due at most `⌈d / w⌉ ≤ DAYS` days ahead, so every message lands there
+/// straight away. Only an event due more than `DAYS` days ahead — a
+/// timer beyond the span — goes to the list of its year (`DAYS` aligned
+/// days) in the `years` ring, and moves to its day when the current day
+/// enters that year. An event more than [`YEARS`] years ahead shares a
+/// `years` slot with nearer ones and is told apart by recomputing its
+/// year; it is stepped over once per `YEARS` years. When a day becomes
+/// current its events move as [`Handle`]s into `cur`, sorted by [`Key`]
+/// so pops take from the end. An event pushed into or before the current
+/// day goes to `late`, a binary min-heap of handles, so such a push
+/// costs O(log b) whatever the day holds. The next event is the smaller
+/// of `cur`'s end and `late`'s root.
 ///
 /// `⌊time / w⌋` is monotone in `time` for every `w > 0`, days dispatch
 /// in index order and each is fully sorted, so the pop order is the
 /// `(time, tie)` order **whatever `w` is** — the width only moves cost.
-/// It is a power of two chosen from the queue's own history (see
-/// [`Shard::retune`]). A new shard starts with a width that puts every
-/// finite time in day 0, i.e. as a plain heap.
 pub(crate) struct Shard<T> {
     nodes: Vec<Node<T>>,
     /// Head of the free list through `nodes`.
     free: u32,
-    /// Later days of the current year, by day.
-    days: Ring,
-    /// Later years, by year.
-    years: Ring,
+    /// The next `DAYS` days, by day.
+    days: Ring<{ DAYS / 64 }>,
+    /// Events due more than `DAYS` days ahead when pushed, by year;
+    /// never one of the current year.
+    years: Ring<{ YEARS / 64 }>,
     /// The current day's events, sorted descending.
     cur: Vec<Handle>,
     /// Min-heap of events pushed at or before the current day.
@@ -462,27 +456,15 @@ pub(crate) struct Shard<T> {
     /// Index of the current day: every event in the rings is due in a
     /// later one, every event in `cur` or `late` in this or an earlier.
     cur_bucket: u64,
-    /// Bucket width `2^width_exp` seconds and its reciprocal.
-    width_exp: i32,
+    /// Reciprocal of the bucket width.
     inv_width: f64,
     len: usize,
-    /// Time of the latest pop.
-    last_pop: SimTime,
-    /// Pops until the width is looked at again; the positive gaps
-    /// between them so far, and the sum of their floored binary
-    /// exponents.
-    pops_left: u32,
-    gaps: u32,
-    gap_exp_sum: i64,
-    /// Epochs in a row that asked for a wider bucket, and the narrowest
-    /// they asked for.
-    wider_epochs: u32,
-    wider_exp: i32,
     stats: QueueStats,
 }
 
 impl<T> Shard<T> {
-    pub(crate) fn new() -> Self {
+    /// An empty queue sized for messages delayed at most `max_delay`.
+    pub(crate) fn new(max_delay: SimDuration) -> Self {
         Shard {
             nodes: Vec::new(),
             free: NIL,
@@ -491,15 +473,8 @@ impl<T> Shard<T> {
             cur: Vec::new(),
             late: Vec::new(),
             cur_bucket: 0,
-            width_exp: WIDTH_EXP_MAX,
-            inv_width: pow2(-WIDTH_EXP_MAX),
+            inv_width: pow2(-width_exp(max_delay.as_secs())),
             len: 0,
-            last_pop: SimTime::ZERO,
-            pops_left: EPOCH,
-            gaps: 0,
-            gap_exp_sum: 0,
-            wider_epochs: 0,
-            wider_exp: WIDTH_EXP_MAX,
             stats: QueueStats::default(),
         }
     }
@@ -562,14 +537,14 @@ impl<T> Shard<T> {
         self.late[i] = handle;
     }
 
-    /// Links node `idx`, due in the later day `bucket`, into its ring.
+    /// Links node `idx`, due in the later day `bucket`, into its day, or
+    /// into its year if that day is beyond the span of the days ring.
     fn place(&mut self, idx: u32, bucket: u64) {
-        let year = bucket >> RING_BITS;
-        if year == self.cur_bucket >> RING_BITS {
-            let day = (bucket & RING_MASK) as usize;
+        if bucket - self.cur_bucket <= DAYS as u64 {
+            let day = (bucket & DAY_MASK) as usize;
             self.days.link(&mut self.nodes, day, idx);
         } else {
-            let slot = (year & RING_MASK) as usize;
+            let slot = ((bucket >> DAY_BITS) & YEAR_MASK) as usize;
             self.years.link(&mut self.nodes, slot, idx);
         }
     }
@@ -611,17 +586,6 @@ impl<T> Shard<T> {
         node.next = self.free;
         self.free = handle.node;
         self.len -= 1;
-
-        let gap = (handle.time - self.last_pop).as_secs();
-        self.last_pop = handle.time;
-        if gap > 0.0 && gap.is_finite() {
-            self.gaps += 1;
-            self.gap_exp_sum += i64::from(floor_log2(gap));
-        }
-        self.pops_left -= 1;
-        if self.pops_left == 0 {
-            self.retune();
-        }
         Some((handle.key(), payload))
     }
 
@@ -663,39 +627,50 @@ impl<T> Shard<T> {
     /// `late` empty, so every queued event is in the rings.
     fn advance(&mut self) {
         loop {
-            // The rest of the year: only later days' bits are ever set,
-            // so the ring scan cannot wrap into the next year.
-            let today = (self.cur_bucket & RING_MASK) as usize;
-            if let Some(dist) = self.days.next_occupied(today, 1) {
-                self.cur_bucket += dist as u64;
-                self.load_day(today + dist);
-                return;
-            }
-            // The next year that has events, spread over its days.
-            let year = self.cur_bucket >> RING_BITS;
-            let this_slot = (year & RING_MASK) as usize;
-            let mut from = 1;
-            let next_year = loop {
-                let Some(dist) = self.years.next_occupied(this_slot, from) else {
-                    // Nothing is due within `RING` years: go straight
-                    // to the earliest event's year.
-                    let first = self.first_bucket() >> RING_BITS;
-                    self.open_year(first);
-                    break first;
-                };
-                if self.open_year(year + dist as u64) {
-                    break year + dist as u64;
+            // The days ring holds the `DAYS` days after the current one,
+            // so at most the rest of this year and a part of the next;
+            // no event of the current year waits in the years ring.
+            let today = (self.cur_bucket & DAY_MASK) as usize;
+            let year = self.cur_bucket >> DAY_BITS;
+            let next_year = match self.days.next_occupied(today, 1) {
+                Some(dist) if dist < DAYS - today => {
+                    self.cur_bucket += dist as u64;
+                    self.load_day(today + dist);
+                    return;
                 }
-                from = dist + 1;
+                // A day of next year: its far events may come first.
+                Some(_) => {
+                    self.open_year(year + 1);
+                    year + 1
+                }
+                None => self.open_next_year(year),
             };
             // Day 0 is the one day the scan above, which starts after
             // the current day, would miss.
-            self.cur_bucket = next_year << RING_BITS;
+            self.cur_bucket = next_year << DAY_BITS;
             if self.days.is_occupied(0) {
                 self.load_day(0);
                 return;
             }
         }
+    }
+
+    /// Opens the first year after `year` that holds events and returns
+    /// it. Called with the days ring empty.
+    fn open_next_year(&mut self, year: u64) -> u64 {
+        let this_slot = (year & YEAR_MASK) as usize;
+        let mut from = 1;
+        while let Some(dist) = self.years.next_occupied(this_slot, from) {
+            if self.open_year(year + dist as u64) {
+                return year + dist as u64;
+            }
+            from = dist + 1;
+        }
+        // Nothing is due within `YEARS` years: go straight to the
+        // earliest event's year.
+        let first = self.first_bucket() >> DAY_BITS;
+        self.open_year(first);
+        first
     }
 
     /// Moves `day`'s events into `cur`, sorted.
@@ -705,20 +680,27 @@ impl<T> Shard<T> {
             self.cur.push(Handle::of(&self.nodes, idx));
             idx = self.nodes[idx as usize].next;
         }
-        self.sort_cur();
+        let mut compares = 0;
+        self.cur.sort_unstable_by(|a, b| {
+            compares += 1;
+            b.key().cmp(&a.key())
+        });
+        self.stats.key_compares += compares;
+        self.stats.buckets_sorted += 1;
+        self.stats.entries_sorted += self.cur.len() as u64;
     }
 
     /// Moves the events of `year` from their `years` slot to their days;
     /// events of later years stay. Returns whether any moved.
     fn open_year(&mut self, year: u64) -> bool {
-        let slot = (year & RING_MASK) as usize;
+        let slot = (year & YEAR_MASK) as usize;
         let mut idx = self.years.take(slot);
         let mut moved = false;
         while idx != NIL {
             let next = self.nodes[idx as usize].next;
             let bucket = self.bucket_of(self.nodes[idx as usize].time);
-            if bucket >> RING_BITS == year {
-                let day = (bucket & RING_MASK) as usize;
+            if bucket >> DAY_BITS == year {
+                let day = (bucket & DAY_MASK) as usize;
                 self.days.link(&mut self.nodes, day, idx);
                 moved = true;
             } else {
@@ -730,19 +712,8 @@ impl<T> Shard<T> {
         moved
     }
 
-    /// Sorts `cur`, freshly filled with a day's events.
-    fn sort_cur(&mut self) {
-        let mut compares = 0;
-        self.cur.sort_unstable_by(|a, b| {
-            compares += 1;
-            b.key().cmp(&a.key())
-        });
-        self.stats.key_compares += compares;
-        self.stats.buckets_sorted += 1;
-        self.stats.entries_sorted += self.cur.len() as u64;
-    }
-
-    /// The earliest day any queued event is due in.
+    /// The earliest day any queued event is due in: the fallback when
+    /// none is due within a ring of years.
     fn first_bucket(&mut self) -> u64 {
         self.stats.entries_walked += self.nodes.len() as u64;
         self.nodes
@@ -752,75 +723,15 @@ impl<T> Shard<T> {
             .min()
             .expect("a non-empty shard has a first bucket")
     }
-
-    /// Every [`EPOCH`] pops: reads the typical gap between them as the
-    /// mean binary exponent of the positive ones — a geometric mean, so
-    /// the many short gaps inside a burst outweigh the few long ones
-    /// between bursts and the width fits where the events are — and
-    /// wants a bucket of `2^PER_BUCKET_LOG2` such gaps. Narrows at once
-    /// when that is less than half the current width; widens, to the
-    /// narrowest width asked for, only after [`WIDEN_PATIENCE`] epochs
-    /// in a row asked for more than double. Too narrow costs an event
-    /// one move between the rings and too wide `log` of the bucket in
-    /// its sort, so being off is cheap either way; what this avoids is
-    /// re-bucketing on every swing between burst and lull.
-    fn retune(&mut self) {
-        let (gaps, sum) = (self.gaps, self.gap_exp_sum);
-        (self.pops_left, self.gaps, self.gap_exp_sum) = (EPOCH, 0, 0);
-        if gaps == 0 {
-            return; // one instant: no width separates it
-        }
-        let typical = sum.div_euclid(i64::from(gaps)) as i32;
-        let want = (typical + PER_BUCKET_LOG2).clamp(-WIDTH_EXP_MAX, WIDTH_EXP_MAX);
-        if want >= self.width_exp + 2 {
-            self.wider_epochs += 1;
-            self.wider_exp = self.wider_exp.min(want);
-            if self.wider_epochs < WIDEN_PATIENCE {
-                return;
-            }
-            self.rewidth(self.wider_exp);
-        } else if want <= self.width_exp - 2 {
-            self.rewidth(want);
-        }
-        (self.wider_epochs, self.wider_exp) = (0, WIDTH_EXP_MAX);
-    }
-
-    /// Re-buckets every queued event at width `2^exp`.
-    fn rewidth(&mut self, exp: i32) {
-        self.stats.rewidths += 1;
-        self.width_exp = exp;
-        self.inv_width = pow2(-exp);
-        self.days.clear();
-        self.years.clear();
-        self.cur.clear();
-        self.late.clear();
-        if self.len == 0 {
-            self.cur_bucket = self.bucket_of(self.last_pop);
-            return;
-        }
-        self.cur_bucket = self.first_bucket();
-        self.stats.entries_walked += self.nodes.len() as u64;
-        for idx in 0..self.nodes.len() {
-            if self.nodes[idx].payload.is_some() {
-                let bucket = self.bucket_of(self.nodes[idx].time);
-                if bucket == self.cur_bucket {
-                    self.cur.push(Handle::of(&self.nodes, idx as u32));
-                } else {
-                    self.place(idx as u32, bucket);
-                }
-            }
-        }
-        self.sort_cur();
-    }
 }
 
 impl<T> std::fmt::Debug for Shard<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "Shard(len={}, width=2^{}, current={}+{})",
+            "Shard(len={}, width={}s, current={}+{})",
             self.len,
-            self.width_exp,
+            1.0 / self.inv_width,
             self.cur.len(),
             self.late.len()
         )
@@ -840,11 +751,9 @@ pub struct QueueStats {
     /// Key comparisons made by the bucket sorts and the late tier's
     /// sifts: what keeping the order cost.
     pub key_compares: u64,
-    /// Times a queue re-bucketed itself at another width.
-    pub rewidths: u64,
     /// List and slab steps that dispatched nothing: events passed over
-    /// because they are due a year or more ahead, scans for the first
-    /// bucket, re-bucketing.
+    /// in a year's list because they are due a ring of years or more
+    /// later, and the slab scans for the first bucket.
     pub entries_walked: u64,
 }
 
@@ -858,7 +767,6 @@ impl QueueStats {
                 entries_sorted: sum.entries_sorted + s.entries_sorted,
                 late_pushes: sum.late_pushes + s.late_pushes,
                 key_compares: sum.key_compares + s.key_compares,
-                rewidths: sum.rewidths + s.rewidths,
                 entries_walked: sum.entries_walked + s.entries_walked,
             }
         })
@@ -877,9 +785,9 @@ impl QueueStats {
 ///
 /// ```
 /// use ftgcs_sim::shard::EventQueue;
-/// use ftgcs_sim::time::SimTime;
+/// use ftgcs_sim::time::{SimDuration, SimTime};
 ///
-/// let mut q = EventQueue::new();
+/// let mut q = EventQueue::new(SimDuration::from_millis(1.0));
 /// q.push(SimTime::from_secs(2.0), "late");
 /// q.push(SimTime::from_secs(1.0), "early");
 /// let until = SimTime::from_secs(10.0);
@@ -893,18 +801,15 @@ pub struct EventQueue<T> {
     seq: u64,
 }
 
-impl<T> Default for EventQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<T> EventQueue<T> {
-    /// Creates an empty queue.
+    /// Creates an empty queue whose buckets are sized for events due at
+    /// most `max_delay` after the latest pop — the engine passes the
+    /// model's `d`. Any bound gives the same pop order; a wrong one only
+    /// costs time.
     #[must_use]
-    pub fn new() -> Self {
+    pub fn new(max_delay: SimDuration) -> Self {
         EventQueue {
-            shard: Shard::new(),
+            shard: Shard::new(max_delay),
             seq: 0,
         }
     }
@@ -1012,9 +917,13 @@ mod tests {
         assert_eq!(resolve_workers_from(0, None, 0, 0), 1);
     }
 
+    fn ms() -> SimDuration {
+        SimDuration::from_millis(1.0)
+    }
+
     #[test]
     fn equal_times_pop_in_insertion_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::new(ms());
         q.push(t(1.0), "first");
         q.push(t(1.0), "second");
         q.push(t(1.0), "third");
@@ -1026,7 +935,7 @@ mod tests {
 
     #[test]
     fn pop_before_respects_bound() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::new(ms());
         assert_eq!(q.pop_before(t(f64::INFINITY)), None);
         q.push(t(5.0), ());
         assert_eq!(q.pop_before(t(4.999)), None);
@@ -1034,22 +943,9 @@ mod tests {
         assert_eq!(q.pop_before(t(5.0)), Some((t(5.0), ())));
     }
 
-    /// An empty queue warmed up to a real bucket width (a new queue
-    /// starts as a plain heap): pushes behind the current day (the late
-    /// tier) and ahead of it (the rings) are then different paths.
-    fn warmed_up<T: Copy>(filler: T) -> EventQueue<T> {
-        let mut q = EventQueue::new();
-        for i in 0..2 * EPOCH {
-            q.push(t(1e-3 * f64::from(i)), filler);
-        }
-        while q.pop_before(t(f64::MAX)).is_some() {}
-        assert!(q.stats().rewidths >= 1, "2048 pops must have set a width");
-        q
-    }
-
     #[test]
     fn burst_is_sorted_not_sifted_and_fast_path_covers_it() {
-        let mut q = warmed_up(0);
+        let mut q = EventQueue::new(ms());
         let before = q.stats();
         // A burst of 16 events (a pulse fan-out): 16 appends ahead of
         // the current day, none through the heap tier.
@@ -1065,7 +961,7 @@ mod tests {
 
     #[test]
     fn late_and_ring_pushes_interleave_correctly() {
-        let mut q = warmed_up("warm-up");
+        let mut q = EventQueue::new(ms());
         q.push(t(4.0), "last");
         q.push(t(3.0), "second");
         assert_eq!(q.pop_before(t(10.0)).unwrap().1, "second");
@@ -1086,9 +982,9 @@ mod tests {
     fn drain_matches_heap(shard: &mut Shard<usize>, heap: &mut BinaryHeap<Reverse<(Key, usize)>>) {
         while let Some(Reverse((key, id))) = heap.pop() {
             assert_eq!(shard.head_key(), key);
-            let before = (shard.len(), shard.stats, shard.last_pop);
+            let before = (shard.len(), shard.stats);
             assert_eq!(shard.pop_if(|time| time < key.time), None);
-            assert_eq!((shard.len(), shard.stats, shard.last_pop), before);
+            assert_eq!((shard.len(), shard.stats), before);
             assert_eq!(shard.pop_if(|time| time <= key.time), Some((key, id)));
         }
         assert_eq!(shard.head_key(), Key::max());
@@ -1096,30 +992,79 @@ mod tests {
         assert_eq!(shard.len(), 0);
     }
 
-    #[test]
-    fn sentinel_keys_and_year_wraps_pop_in_heap_order() {
-        let mut shard = Shard::new();
+    /// A queue sized for `max_delay` seconds, holding the sentinel, a
+    /// few events thousands of seconds (rings of years) ahead, timers a
+    /// few milliseconds apart and a dense stretch of pairs of equal
+    /// times, drains in heap order.
+    fn mixed_queue_drains_in_heap_order(max_delay: f64) {
+        let mut shard = Shard::new(SimDuration::from_secs(max_delay));
         let mut heap = BinaryHeap::new();
-        let mut id = 0usize;
-        let mut push = |shard: &mut Shard<usize>, heap: &mut BinaryHeap<_>, key: Key| {
+        let mut push = |key: Key| {
+            let id = heap.len();
             shard.push(key, id);
             heap.push(Reverse((key, id)));
-            id += 1;
         };
-        // A dense stretch that sets a narrow width, with the sentinel
-        // and a few far-future events (years ahead) queued throughout.
-        push(&mut shard, &mut heap, Key::max());
+        push(Key::max());
         for year in 1..4u32 {
             let time = t(f64::from(year) * 1e3);
-            push(&mut shard, &mut heap, Key { time, tie: 7 });
+            push(Key { time, tie: 7 });
         }
-        for i in 0..3 * EPOCH {
+        for i in 0..64u32 {
+            push(Key {
+                time: t(5e-3 * f64::from(i)),
+                tie: 9,
+            });
+        }
+        for i in 0..3072u32 {
             let time = t(1e-6 * f64::from(i));
-            push(&mut shard, &mut heap, Key { time, tie: 1 });
-            push(&mut shard, &mut heap, Key { time, tie: 0 });
+            push(Key { time, tie: 1 });
+            push(Key { time, tie: 0 });
         }
         drain_matches_heap(&mut shard, &mut heap);
-        assert!(shard.stats.rewidths >= 1);
+    }
+
+    #[test]
+    fn sentinel_keys_and_year_wraps_pop_in_heap_order() {
+        mixed_queue_drains_in_heap_order(1e-3);
+    }
+
+    #[test]
+    fn the_width_is_the_narrowest_power_of_two_whose_days_span_d() {
+        assert_eq!(width_exp(1e-3), -21);
+        assert_eq!(width_exp(1.0), -12);
+        let days = DAYS as f64;
+        let mut d = 1e-9;
+        while d <= 1e3 {
+            let e = width_exp(d);
+            assert!(
+                days * pow2(e) >= d && d > days * pow2(e - 1),
+                "d = {d}: 2^{e}"
+            );
+            d *= 1.07;
+        }
+        for d in [0.0, 5e-324, 1e300] {
+            let e = width_exp(d);
+            assert!(e.abs() <= WIDTH_EXP_MAX, "d = {d}: 2^{e}");
+            mixed_queue_drains_in_heap_order(d);
+        }
+    }
+
+    /// The point of the width: a message, sent from the current day and
+    /// due at most `d` later, never waits in the ring of years — not
+    /// even at exactly `d` when `d` is a power of two and so spans all
+    /// `DAYS` days.
+    #[test]
+    fn a_message_never_waits_in_the_years_ring() {
+        for d in [1e-3, 1.0] {
+            let mut shard = Shard::new(SimDuration::from_secs(d));
+            let mut time = t(0.0);
+            for i in 0..20_000usize {
+                shard.push(Key { time, tie: 0 }, ());
+                assert_eq!(shard.years.occupied, [0; YEARS / 64], "d = {d}");
+                let (now, ()) = shard.pop_if(|_| true).expect("one in flight");
+                time = t(now.time.as_secs() + d * [1.0, 0.5, 0.999][i % 3]);
+            }
+        }
     }
 
     /// A fatter event is a decision, not an accident: with a message of
@@ -1137,14 +1082,12 @@ mod tests {
     fn ring_scan_wraps_and_width_helpers_are_exact() {
         assert_eq!(pow2(-3), 0.125);
         assert_eq!(pow2(WIDTH_EXP_MAX).log2(), f64::from(WIDTH_EXP_MAX));
-        assert_eq!(floor_log2(0.75), -1);
-        assert_eq!(floor_log2(8.0), 3);
-        let mut ring = Ring::new();
+        let mut ring = Ring::<{ YEARS / 64 }>::new();
         assert_eq!(ring.next_occupied(5, 1), None);
         ring.occupied[0] = 1 << 5 | 1 << 2;
-        // From slot 5: slot 2 is 1021 slots ahead, slot 5 itself a year.
-        assert_eq!(ring.next_occupied(5, 1), Some(RING - 3));
-        assert_eq!(ring.next_occupied(5, RING - 2), Some(RING));
-        assert_eq!(ring.next_occupied(RING - 1, 1), Some(3));
+        // From slot 5: slot 2 is 1021 slots ahead, slot 5 itself a ring.
+        assert_eq!(ring.next_occupied(5, 1), Some(YEARS - 3));
+        assert_eq!(ring.next_occupied(5, YEARS - 2), Some(YEARS));
+        assert_eq!(ring.next_occupied(YEARS - 1, 1), Some(3));
     }
 }

@@ -500,7 +500,6 @@ impl Telemetry {
                 queue_entries_sorted: q.entries_sorted,
                 queue_late_pushes: q.late_pushes,
                 queue_key_compares: q.key_compares,
-                queue_rewidths: q.rewidths,
                 queue_entries_walked: q.entries_walked,
                 per_worker,
             },
@@ -606,16 +605,14 @@ pub struct Diagnostics {
     /// Calendar queues (all shards): buckets made current and sorted.
     pub queue_buckets_sorted: u64,
     /// Events in those buckets; ÷ `queue_buckets_sorted` is the mean
-    /// bucket the adaptive width settled on.
+    /// bucket at the width the delay bound `d` sets.
     pub queue_entries_sorted: u64,
     /// Pushes into or before the current bucket (O(log b) heap tier).
     pub queue_late_pushes: u64,
     /// Key comparisons in bucket sorts and heap-tier sifts.
     pub queue_key_compares: u64,
-    /// Times a queue re-bucketed itself at another width.
-    pub queue_rewidths: u64,
-    /// List and slab steps that dispatched nothing (events a year or
-    /// more ahead passed over, first-bucket scans, re-bucketing).
+    /// List and slab steps that dispatched nothing (events a ring of
+    /// years or more ahead passed over, first-bucket scans).
     pub queue_entries_walked: u64,
     /// Per-executor claim records.
     pub per_worker: Vec<WorkerReport>,
@@ -768,7 +765,6 @@ impl TelemetryReport {
             ("queue_entries_sorted", g.queue_entries_sorted),
             ("queue_late_pushes", g.queue_late_pushes),
             ("queue_key_compares", g.queue_key_compares),
-            ("queue_rewidths", g.queue_rewidths),
             ("queue_entries_walked", g.queue_entries_walked),
         ] {
             let _ = writeln!(s, "    \"{name}\": {count},");

@@ -5,11 +5,12 @@
 //!
 //! 1. **Pop order** — against `std`'s `BinaryHeap` as the reference,
 //!    events pop in exactly the `(time, insertion)` order wherever the
-//!    calendar queue puts an event (the current day, the rings, years
-//!    ahead, the saturated last day), whatever width it has given
-//!    itself and whatever horizon the pop is held to (none, the head's
-//!    own time, just below it — where nothing may pop or move) — with
-//!    the queue's work, not its time, bounded at both density extremes.
+//!    calendar queue puts an event (the current day, either edge of the
+//!    span of its days ring, years ahead, the saturated last day), at
+//!    every width a delay bound from 1 µs to 1 s gives it and whatever
+//!    horizon the pop is held to (none, the head's own time, just below
+//!    it — where nothing may pop or move) — with the queue's work, not
+//!    its time, bounded at both density extremes.
 //! 2. **Lookahead floor & dispatch order** — under the parallel
 //!    scheduler with cross-shard traffic, the merged trace lists
 //!    deliveries in nondecreasing global time order (the scheduler
@@ -54,10 +55,23 @@ fn lcg(state: u64) -> u64 {
         .wrapping_add(1442695040888963407)
 }
 
+/// Days in the queue's ring of days, and so in one of its years.
+const DAYS: f64 = 4096.0;
+
+/// The delay bounds the pop-order property draws from, each with the
+/// day width the queue takes from it: the narrowest power of two whose
+/// `DAYS` days span the bound. (The order the test checks does not
+/// depend on the widths; where the edge cases land does.)
+const BOUNDS: [(f64, f64); 3] = [
+    (1e-6, 1.0 / (1u64 << 31) as f64),
+    (1e-3, 1.0 / (1u64 << 21) as f64),
+    (1.0, 1.0 / (1u64 << 12) as f64),
+];
+
 impl Twin {
-    fn new() -> Self {
+    fn new(max_delay: f64) -> Self {
         Twin {
-            queue: EventQueue::new(),
+            queue: EventQueue::new(SimDuration::from_secs(max_delay)),
             heap: BinaryHeap::new(),
             pushed: 0,
             now: SimTime::ZERO,
@@ -120,8 +134,7 @@ impl Twin {
     }
 
     /// A hold model: `pops` times, pop one event and push one a random
-    /// lead in `[0, spread)` ahead — steady traffic at a density the
-    /// queue then fits its width to.
+    /// lead in `[0, spread)` ahead — steady traffic at one density.
     fn hold(&mut self, pops: usize, spread: f64, lcg: &mut u64) -> Result<(), String> {
         for _ in 0..pops {
             self.pop()?;
@@ -145,11 +158,13 @@ impl Twin {
 proptest! {
     #[test]
     fn pops_match_a_binary_heap_wherever_an_event_lands(
-        ops in prop::collection::vec((0u8..12, 0.0f64..1.0), 50..400),
+        bound in 0usize..BOUNDS.len(),
+        ops in prop::collection::vec((0u8..16, 0.0f64..1.0), 50..400),
     ) {
-        let mut twin = Twin::new();
-        // Give the queue a real bucket width first: some 40 events in
-        // flight, a millisecond of leads, 3000 pops.
+        let (max_delay, width) = BOUNDS[bound];
+        let mut twin = Twin::new(max_delay);
+        // Some 40 events in flight, a millisecond of leads, 3000 pops:
+        // days, years or beyond a ring of years ahead, by the bound.
         let mut lcg = 0x2545_F491_4F6C_DD1Du64;
         for n in 0..40 {
             twin.push(SimTime::from_secs(1e-5 * f64::from(n)));
@@ -157,9 +172,10 @@ proptest! {
         if let Err(e) = twin.hold(3000, 1e-3, &mut lcg) {
             prop_assert!(false, "warm-up: {e}");
         }
-        prop_assert!(twin.queue.stats().rewidths >= 1);
         for (kind, x) in ops {
             let now = twin.now.as_secs();
+            // A time `x` into the day `days` after the current one.
+            let day_ahead = |days: f64| ((now / width).floor() + days + x) * width;
             let time = match kind {
                 // Pop (a third of the ops).
                 0..=3 => {
@@ -182,7 +198,18 @@ proptest! {
                 // the cases above add nothing to it).
                 10 => 9.0e15 + (x * 64.0).floor(),
                 // The empty-queue sentinel's time.
-                _ => f64::INFINITY,
+                11 => f64::INFINITY,
+                // Either edge of the days ring's span, and just past it
+                // (into the ring of years).
+                12 => day_ahead(DAYS - 1.0),
+                13 => day_ahead(DAYS),
+                14 => day_ahead(DAYS + 1.0),
+                // The first day of the next year, with a later day of
+                // that year already in the days ring.
+                _ => {
+                    twin.push(SimTime::from_secs(day_ahead(DAYS)));
+                    ((now / width / DAYS).floor() + 1.0) * DAYS * width
+                }
             };
             twin.push(SimTime::from_secs(time));
         }
@@ -192,13 +219,13 @@ proptest! {
     }
 }
 
-/// The horizon cases by name, on a queue with a real width: the head
-/// in the current day and in the late tier, a bound below, at and
-/// between equal times, no bound on an empty queue.
+/// The horizon cases by name: the head in the current day and in the
+/// late tier, a bound below, at and between equal times, no bound on an
+/// empty queue.
 #[test]
 fn finite_horizons_hold_the_head_back_and_nothing_else() {
     let t = SimTime::from_secs;
-    let mut twin = Twin::new();
+    let mut twin = Twin::new(1e-3);
     let mut lcg = 3;
     for n in 0..40 {
         twin.push(t(1e-5 * f64::from(n)));
@@ -239,7 +266,7 @@ fn finite_horizons_hold_the_head_back_and_nothing_else() {
 #[test]
 fn one_crowded_instant_costs_n_log_n_comparisons() {
     const N: u64 = 100_000;
-    let mut twin = Twin::new();
+    let mut twin = Twin::new(1e-3);
     let mut lcg = 7;
     for n in 0..64 {
         twin.push(SimTime::from_secs(1e-5 * f64::from(n)));
@@ -279,17 +306,18 @@ fn one_crowded_instant_costs_n_log_n_comparisons() {
 #[test]
 fn a_million_empty_days_between_events_are_never_walked() {
     const N: u64 = 6000;
-    let mut twin = Twin::new();
+    let mut twin = Twin::new(1e-3);
     let mut lcg = 7;
     for n in 0..64 {
         twin.push(SimTime::from_secs(1e-5 * f64::from(n)));
     }
-    // Leads within a millisecond, 64 in flight: days of some 100 µs.
+    // Leads within a millisecond, 64 in flight.
     twin.hold(4000, 1e-3, &mut lcg).unwrap();
     twin.drain().unwrap();
     let before = twin.queue.stats();
-    // Now one event every 100 s: a million such days apart, a thousand
-    // years, so each is beyond even the ring of years when pushed.
+    // Now one event every 100 s: 2·10⁸ days of 2⁻²¹ s apart, fifty
+    // thousand years, so each is beyond even the ring of years when
+    // pushed.
     for n in 1..=N {
         twin.push(twin.now + SimDuration::from_secs(100.0 * n as f64));
     }
@@ -297,38 +325,13 @@ fn a_million_empty_days_between_events_are_never_walked() {
     let stats = twin.queue.stats();
     let sorted = stats.buckets_sorted - before.buckets_sorted;
     assert!(sorted <= N, "{sorted} days sorted for {N} events");
-    // Until the width has caught up each pop may look through every
-    // queued event once or twice; day by day it would be 10⁶ steps per
-    // event.
+    // Each pop may look through every queued event a few times (its
+    // year's list, the slab for the first bucket); day by day it would
+    // be 2·10⁸ steps per event.
     let walked = stats.entries_walked - before.entries_walked;
     assert!(
         walked < N * 20_000,
         "{walked} steps for {N} sparse events: walking the empty days?"
-    );
-    assert!(
-        stats.rewidths > before.rewidths,
-        "the width never caught up"
-    );
-}
-
-#[test]
-fn rewidths_in_both_directions_leave_the_pop_order_alone() {
-    let mut twin = Twin::new();
-    let mut lcg = 11;
-    for n in 0..64 {
-        twin.push(SimTime::from_secs(1e-7 * f64::from(n)));
-    }
-    // Dense (a microsecond of leads), then a thousand times sparser,
-    // then dense again: leaves the plain-heap start, widens, narrows.
-    let mut rewidths = Vec::new();
-    for spread in [1e-6, 1e-3, 1e-6] {
-        twin.hold(8 * 1024, spread, &mut lcg).unwrap();
-        rewidths.push(twin.queue.stats().rewidths);
-    }
-    twin.drain().unwrap();
-    assert!(
-        rewidths[0] >= 1 && rewidths[1] > rewidths[0] && rewidths[2] > rewidths[1],
-        "re-widths after each phase: {rewidths:?}"
     );
 }
 
