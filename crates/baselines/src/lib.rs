@@ -17,7 +17,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 // No `unsafe` in this library: `forbid` admits no exemption further
-// down, and `crates/lint/tests/workspace.rs` keeps every library root
+// down, and `crates/bench/tests/workflow.rs` keeps every library root
 // saying so.
 #![forbid(unsafe_code)]
 // Library output goes through return values and the `Observer` sink,

@@ -160,6 +160,7 @@ fn streaming_run(label: &str, file: &SpecFile, opts: &RunOptions) -> Result<(), 
     let horizon = spec.duration.resolve(scenario.params());
     let nodes = scenario.cluster_graph().physical().node_count();
     let mask = FaultMask::from_nodes(nodes, &scenario.faulty_nodes());
+    let never_faulty = mask.correct_count();
     let warm = crate::warmup(scenario.params());
 
     println!(
@@ -194,6 +195,10 @@ fn streaming_run(label: &str, file: &SpecFile, opts: &RunOptions) -> Result<(), 
 
     let mut summary = Table::new(&["quantity", "value"]);
     summary.row(&["nodes".into(), nodes.to_string()]);
+    // The skew rows below are over these nodes only: zero of them (every
+    // node faulty at some point) leaves no sample, and one leaves a
+    // skew of zero that measures nothing.
+    summary.row(&["never-faulty nodes".into(), never_faulty.to_string()]);
     summary.row(&["horizon (s)".into(), format!("{horizon}")]);
     summary.row(&["warmup (s)".into(), format!("{warm}")]);
     summary.row(&["events".into(), stats.events.to_string()]);

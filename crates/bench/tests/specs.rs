@@ -289,3 +289,49 @@ fn smoke_spec_samples_csv_bytes_are_pinned() {
         String::from_utf8_lossy(&csv)
     );
 }
+
+/// A mobile adversary that hops often enough makes every node faulty at
+/// some point, and the skew summary covers never-faulty nodes only: the
+/// summary says over how many, so an empty skew (no node left) and a
+/// zero skew (one node left) read as what they are.
+#[test]
+fn the_skew_summary_says_how_many_nodes_it_covers() {
+    let dir = std::env::temp_dir().join(format!("ftgcs_specs_nobody_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let summary = |seed: u64| {
+        let path = dir.join(format!("hop{seed}.spec"));
+        let text = format!(
+            "name hop{seed}\ntopology line 3\nf 1\nseed {seed}\nduration 25 rounds\nmobile 1 silent hop 0.3\n"
+        );
+        std::fs::write(&path, text).expect("spec written");
+        let run = std::process::Command::new(env!("CARGO_BIN_EXE_xp"))
+            .current_dir(&dir)
+            .arg("run")
+            .arg(&path)
+            .output()
+            .expect("xp run");
+        assert!(
+            run.status.success(),
+            "{}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        let stdout = String::from_utf8(run.stdout).expect("utf-8 stdout");
+        let value = |quantity: &str| {
+            stdout
+                .lines()
+                .find_map(|l| l.trim_start().strip_prefix(quantity))
+                .map(|rest| rest.trim().to_string())
+                .unwrap_or_else(|| panic!("no `{quantity}` row:\n{stdout}"))
+        };
+        [
+            value("never-faulty nodes"),
+            value("samples (post-warmup)"),
+            value("global skew max (s)"),
+        ]
+    };
+    let (nobody, one) = (summary(1), summary(2));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(nobody, ["0", "0", "-"]);
+    assert_eq!(one, ["1", "41", "0.000e0"]);
+}

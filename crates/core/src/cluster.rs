@@ -42,7 +42,8 @@ use crate::params::Params;
 const SHARDS_PER_WORKER: usize = 4;
 
 /// The engine [`Partition`] of the parallel scheduler for `workers`
-/// (resolved, see [`ftgcs_sim::shard::resolve_workers`]) threads:
+/// threads (resolved by [`ftgcs_sim::shard::resolve_workers`], which
+/// changes only `0` and counts above the cluster count):
 /// `min(4 · workers, clusters)` shards, each a contiguous run of whole
 /// clusters, the runs' lengths differing by at most one.
 ///

@@ -346,13 +346,12 @@ impl Scenario {
     /// each a contiguous run of clusters ([`worker_partition`]),
     /// advanced by `workers` threads — the caller and `workers − 1`
     /// spawned for the length of the run — between `d − U` lookahead
-    /// barriers ([`Params::lookahead`] is the window width). The
-    /// `FTGCS_WORKERS` environment variable, when set, pins the exact
-    /// thread count and overrides this argument (that is how CI
-    /// exercises pinned counts); otherwise `workers` is used — `0`
-    /// meaning the machine's available parallelism — capped at both
-    /// the core count and the cluster count. The count is resolved
-    /// here, where the partition is sized by it.
+    /// barriers ([`Params::lookahead`] is the window width). `workers`
+    /// is honoured exactly, above the core count too, capped only at
+    /// the cluster count; `0` means the machine's available
+    /// parallelism. The count is resolved here, where the partition is
+    /// sized by it, so an explicit count gives the same partition on
+    /// every host.
     ///
     /// The merged trace is byte-identical to the global scheduler's on
     /// every worker count; see `crates/sim/src/par.rs` for the

@@ -5,8 +5,8 @@
 //!
 //! Lifecycle transitions are ordinary Newtonian timer events with the
 //! standard `(time, source, counter)` dispatch key, so nothing here
-//! should depend on scheduling — this suite pins that. It runs in CI
-//! both free-threaded and with `FTGCS_WORKERS` pinned to 2 and 4.
+//! should depend on scheduling — this suite pins that, on real 2- and
+//! 4-thread runs whatever the host's core count.
 
 use ftgcs::runner::{Scenario, ScenarioRun};
 use ftgcs::spec::{DurationSpec, ScenarioSpec, TopologySpec};

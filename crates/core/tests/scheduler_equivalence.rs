@@ -58,6 +58,32 @@ fn parallel_executor_matches_global_heap_byte_for_byte() {
 }
 
 #[test]
+fn the_partition_of_parallel_4_depends_on_the_spec_alone() {
+    // `parallel(4)` on `line 64` cuts 16 shards for 4 threads on every
+    // host, whatever its core count.
+    let params = Params::practical(1e-4, 1e-3, 1e-4, 1).expect("feasible environment");
+    let line = || {
+        let mut s = Scenario::new(
+            ClusterGraph::new(generators::line(64), 4, 1),
+            params.clone(),
+        );
+        s.seed(7).telemetry(true);
+        s
+    };
+    let horizon = 0.02;
+    let global = line().run_for(horizon);
+    let mut sim = line().parallel(4).build();
+    sim.run_until(ftgcs_sim::time::SimTime::from_secs(horizon));
+    let report = sim.telemetry();
+    assert_eq!(report.shards, 16);
+    assert_eq!(report.workers, Some(4));
+    assert!(
+        sim.into_trace().byte_identical(&global.trace),
+        "four workers on line 64 diverged from the global heap"
+    );
+}
+
+#[test]
 fn explicit_cluster_partition_matches_the_parallel_convenience() {
     // `scheduler(Parallel { worker_partition(.., resolved), .. })` is
     // exactly what `parallel(workers)` selects; handing the partition

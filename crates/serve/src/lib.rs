@@ -34,7 +34,7 @@
 
 #![warn(missing_docs)]
 // No `unsafe` in this library: `forbid` admits no exemption further
-// down, and `crates/lint/tests/workspace.rs` keeps every library root
+// down, and `crates/bench/tests/workflow.rs` keeps every library root
 // saying so.
 #![forbid(unsafe_code)]
 

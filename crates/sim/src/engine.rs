@@ -1588,9 +1588,6 @@ mod tests {
             b.add_node(Box::new(EmitThenBoom { ticks: 0 }));
             b.add_node(Box::new(EmitThenBoom { ticks: 0 }));
             let mut sim = b.build();
-            // Two real threads on the parallel scheduler, whatever
-            // this machine's core count (no-op on the global one).
-            sim.pin_workers(2);
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 sim.run_until(SimTime::from_secs(1.0));
             }));

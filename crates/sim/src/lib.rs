@@ -50,7 +50,7 @@
 #![warn(missing_debug_implementations)]
 // No `unsafe` in this library, the parallel executor included (a
 // shard's task owns its node cells; see `par`): `forbid` admits no
-// exemption further down, and `crates/lint/tests/workspace.rs` keeps
+// exemption further down, and `crates/bench/tests/workflow.rs` keeps
 // every library root saying so.
 #![forbid(unsafe_code)]
 // Library output goes through the `Observer` sink, never the process

@@ -83,11 +83,12 @@
 //! (`Shard::pop_if`), held strictly below the cap.
 //!
 //! The worker count is a pure throughput knob — results are
-//! byte-identical on every count — so it is clamped to the machine's
-//! available parallelism ([`crate::shard::resolve_workers`];
-//! [`Simulation::pin_workers`] overrides the resolution for balance
-//! measurement and tests). The rendezvous is hand-rolled because the
-//! build environment has no crates.io access.
+//! byte-identical on every count — and an explicit count runs exactly
+//! that many threads, above the core count too
+//! ([`crate::shard::resolve_workers`]); waiting threads yield after a
+//! short spin, so an oversubscribed run still makes progress. The
+//! rendezvous is hand-rolled because the build environment has no
+//! crates.io access.
 //!
 //! ## Panics and structured stops
 //!
@@ -136,7 +137,7 @@ pub(crate) struct ParQueue<M> {
     pub(crate) shards: Vec<Shard<Pending<M>>>,
     pub(crate) shard_of: Vec<u32>,
     /// Resolved worker count, in `[1, shards]` (see
-    /// [`crate::shard::resolve_workers`] and [`Simulation::pin_workers`]).
+    /// [`crate::shard::resolve_workers`]).
     pub(crate) workers: usize,
     /// Pending engine-global sample times (usually one; transiently more
     /// after `set_sample_interval` toggles, mirroring the serial queue).
@@ -245,7 +246,7 @@ struct Task<'a, M> {
 
 /// Spin iterations before a waiting thread starts yielding its core.
 /// Windows are microseconds apart, so a short spin usually wins; the
-/// yield keeps a run pinned above the core count making progress.
+/// yield keeps a run with more threads than cores making progress.
 const SPINS_BEFORE_YIELD: u32 = 256;
 
 /// Spins, then yields, until `cond` holds.
@@ -351,28 +352,6 @@ struct Pool<'a, M> {
 }
 
 impl<M> Simulation<M> {
-    /// Overrides the parallel scheduler's resolved worker count.
-    ///
-    /// [`crate::shard::resolve_workers`] clamps the requested count to
-    /// the machine's available parallelism at build time; this knob
-    /// replaces that resolution outright (clamped to `[1, shards]`: a
-    /// shard is the unit of sequential work), which is useful for
-    /// forcing real OS threads in tests and for measuring the deal-out
-    /// balance ([`Simulation::planned_worker_events`]) at a fixed
-    /// logical worker count on any machine. Thread count never changes
-    /// results — traces stay byte-identical. Takes effect at the next
-    /// `run_until`; a changed count starts the dealt-event record over.
-    /// No-op on the global scheduler.
-    pub fn pin_workers(&mut self, workers: usize) {
-        if let EventStore::Parallel(pq) = &mut self.store {
-            let workers = workers.clamp(1, pq.shards.len());
-            if workers != pq.workers {
-                pq.workers = workers;
-                pq.planned_events.clear();
-            }
-        }
-    }
-
     /// Cumulative per-worker totals of events *dealt* by the parallel
     /// executor's window balancer, or `None` on the global scheduler.
     ///
@@ -911,8 +890,6 @@ mod tests {
         // worker) must reproduce the one-shot trace exactly.
         let one_shot = run(paired(2));
         let mut sim = ring_sim(8, paired(2));
-        // Force two real OS threads regardless of this machine's cores.
-        sim.pin_workers(2);
         for _ in 0..150 {
             sim.run_for(SimDuration::from_millis(5.0));
         }
@@ -937,11 +914,9 @@ mod tests {
             32,
             SchedulerKind::Parallel {
                 partition: Partition::from_assignment(assignment),
-                workers: 1,
+                workers: 4,
             },
         );
-        // Fixed logical worker count => machine-independent balance.
-        sim.pin_workers(4);
         sim.run_until(SimTime::from_secs(0.5));
         let loads = sim
             .planned_worker_events()
@@ -968,22 +943,6 @@ mod tests {
             reference,
             "deal-out changed the trace"
         );
-    }
-
-    #[test]
-    fn a_re_pin_starts_the_dealt_record_over() {
-        let mut sim = ring_sim(8, paired(1));
-        sim.pin_workers(4);
-        sim.run_until(SimTime::from_secs(0.25));
-        let before = sim.stats().events;
-        sim.pin_workers(4); // the same count keeps the record
-        assert_eq!(sim.planned_worker_events().map(<[u64]>::len), Some(4));
-        sim.pin_workers(2);
-        sim.run_until(SimTime::from_secs(0.5));
-        let loads = sim.planned_worker_events().expect("parallel");
-        assert_eq!(loads.len(), 2, "stale entries of the four-worker deal");
-        // Only the second run's events (its samples are never dealt).
-        assert!(loads.iter().sum::<u64>() <= sim.stats().events - before);
     }
 
     /// A behavior whose second timer lands at a magnitude where the
@@ -1066,7 +1025,6 @@ mod tests {
         // and joined by the scope — not as a mid-window deadlock, which
         // would hang (and fail) the test.
         let mut sim = far_timer_sim(2);
-        sim.pin_workers(2);
         sim.run_until(SimTime::from_secs(1.0));
     }
 
@@ -1108,8 +1066,6 @@ mod tests {
                     }));
                 }
                 let mut sim = b.build();
-                // Real OS threads regardless of this machine's cores.
-                sim.pin_workers(workers);
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     sim.run_until(SimTime::from_secs(1.0));
                 }));
@@ -1147,7 +1103,6 @@ mod tests {
                 workers: 2,
             },
         );
-        sim.pin_workers(2);
         sim.run_until_with(SimTime::from_secs(0.5), &mut Fragile);
     }
 

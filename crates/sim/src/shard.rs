@@ -146,58 +146,22 @@ impl Partition {
     }
 }
 
-/// Environment variable pinning the worker-thread count of
-/// [`SchedulerKind::Parallel`] to an exact value (capped only at the
-/// shard count). Benches and CI set it to pin thread counts
-/// deterministically; it takes precedence over both the requested
-/// count and the core-count clamp.
-pub const WORKERS_ENV: &str = "FTGCS_WORKERS";
-
-/// Resolves the worker-thread count for a parallel run.
-///
-/// Precedence: the [`WORKERS_ENV`] environment variable pins an exact
-/// count; otherwise `requested` (or, when `requested == 0`, the
-/// machine's available parallelism) is used, additionally capped at the
-/// available parallelism — spawning more OS threads than cores can only
-/// add scheduling overhead, and the dispatch order is byte-identical on
-/// every thread count, so the clamp is invisible to results. Everything
-/// is clamped to `[1, shards]`: a shard is the unit of sequential work.
-/// # Panics
-///
-/// Panics if [`WORKERS_ENV`] is set but is not a positive integer — a
-/// mistyped pin silently falling back to auto would let CI's
-/// pinned-worker equivalence jobs stop testing the multi-thread
-/// barrier protocol without anyone noticing.
+/// Resolves the worker-thread count for a parallel run: `requested`
+/// exactly, or the machine's available parallelism when it is `0`,
+/// clamped to `[1, shards]` (a shard is the unit of sequential work).
+/// An explicit count is honoured even above the core count: the
+/// dispatch order is byte-identical on every thread count, and a
+/// count that does not depend on the host keeps the partition a
+/// function of the spec alone.
 #[must_use]
 pub fn resolve_workers(requested: usize, shards: usize) -> usize {
-    let env = std::env::var(WORKERS_ENV).ok().map(|v| {
-        v.trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&w| w > 0)
-            .unwrap_or_else(|| panic!("{WORKERS_ENV} must be a positive integer, got {v:?}"))
-    });
     let avail = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    resolve_workers_from(requested, env, avail, shards)
+    resolve_workers_from(requested, avail, shards)
 }
 
 /// Pure core of [`resolve_workers`].
-fn resolve_workers_from(
-    requested: usize,
-    env: Option<usize>,
-    avail: usize,
-    shards: usize,
-) -> usize {
-    let want = match env {
-        Some(pinned) => pinned,
-        None => {
-            if requested > 0 {
-                requested.min(avail.max(1))
-            } else {
-                avail
-            }
-        }
-    };
+fn resolve_workers_from(requested: usize, avail: usize, shards: usize) -> usize {
+    let want = if requested > 0 { requested } else { avail };
     want.clamp(1, shards.max(1))
 }
 
@@ -223,9 +187,9 @@ pub enum SchedulerKind {
         /// Node → shard assignment; must cover exactly the
         /// simulation's nodes.
         partition: Partition,
-        /// Executing threads; `0` means auto (the [`WORKERS_ENV`]
-        /// environment variable, else available parallelism), always
-        /// capped at the shard count. See [`resolve_workers`].
+        /// Executing threads, honoured exactly even above the core
+        /// count; `0` means auto (available parallelism). Always capped
+        /// at the shard count. See [`resolve_workers`].
         workers: usize,
     },
 }
@@ -902,19 +866,16 @@ mod tests {
 
     #[test]
     fn worker_resolution_precedence() {
-        // Env pin wins over everything, capped only at the shard count.
-        assert_eq!(resolve_workers_from(4, Some(2), 16, 64), 2);
-        assert_eq!(resolve_workers_from(0, Some(8), 1, 64), 8);
-        assert_eq!(resolve_workers_from(0, Some(100), 4, 16), 16);
-        // Explicit request, capped at cores and shards.
-        assert_eq!(resolve_workers_from(4, None, 16, 64), 4);
-        assert_eq!(resolve_workers_from(8, None, 2, 64), 2);
-        assert_eq!(resolve_workers_from(8, None, 16, 3), 3);
+        // An explicit request is honoured above the core count, capped
+        // only at the shard count.
+        assert_eq!(resolve_workers_from(4, 16, 64), 4);
+        assert_eq!(resolve_workers_from(8, 2, 64), 8);
+        assert_eq!(resolve_workers_from(8, 16, 3), 3);
         // Auto: available parallelism, capped at shards.
-        assert_eq!(resolve_workers_from(0, None, 16, 64), 16);
-        assert_eq!(resolve_workers_from(0, None, 16, 4), 4);
+        assert_eq!(resolve_workers_from(0, 16, 64), 16);
+        assert_eq!(resolve_workers_from(0, 16, 4), 4);
         // Degenerate inputs still yield at least one worker.
-        assert_eq!(resolve_workers_from(0, None, 0, 0), 1);
+        assert_eq!(resolve_workers_from(0, 0, 0), 1);
     }
 
     fn ms() -> SimDuration {

@@ -145,7 +145,6 @@ fn deliveries(
     scripts: &[Vec<(f64, Op)>],
     seed: u64,
     scheduler: SchedulerKind,
-    workers: usize,
 ) -> Vec<(SimTime, NodeId, Vec<f64>)> {
     let mut b = SimBuilder::new(config(seed, scheduler));
     for script in scripts {
@@ -157,7 +156,6 @@ fn deliveries(
         b.add_edge(NodeId(x), NodeId(y));
     }
     let mut sim = b.build();
-    sim.pin_workers(workers);
     sim.run_until(SimTime::from_secs(0.1));
     assert_eq!(sim.node_count(), n);
     let rows = sim.into_trace().rows;
@@ -193,7 +191,7 @@ proptest! {
             scripts[who % n].push((f64::from(at) * 1e-3, Op { kind, arg }));
         }
 
-        let global = deliveries(n, &edges, &scripts, seed, SchedulerKind::Global, 1);
+        let global = deliveries(n, &edges, &scripts, seed, SchedulerKind::Global);
         // Guards the comparison below against two empty lists: only a
         // plain broadcast from an isolated node delivers nothing.
         let linked = |v: usize| edges.iter().any(|&(x, y)| x == v || y == v);
@@ -206,7 +204,7 @@ proptest! {
                 partition: Partition::by_blocks(n, n.div_ceil(4)),
                 workers,
             };
-            let got = deliveries(n, &edges, &scripts, seed, parallel, workers);
+            let got = deliveries(n, &edges, &scripts, seed, parallel);
             prop_assert!(
                 got == global,
                 "deliveries differ on {workers} worker(s): {} vs {} on the global queue",

@@ -186,7 +186,7 @@ fn partitions(n: usize) -> Vec<(&'static str, Partition)> {
 
 /// The parallel-executor axis: partition × worker-count pairs, zipped
 /// to keep the matrix affordable while covering even, fine, ragged, and
-/// auto (`0` = `FTGCS_WORKERS` / available parallelism) configurations.
+/// auto (`0` = available parallelism) configurations.
 fn parallel_axes(n: usize) -> Vec<(String, SchedulerKind)> {
     let mut axes = Vec::new();
     for ((name, partition), workers) in partitions(n).into_iter().zip([1usize, 2, 4, 0]) {

@@ -8,13 +8,9 @@
 //! the deal-out/steal machinery actually runs (idle workers sweep the
 //! unclaimed heavy shards). Determinism is the
 //! assertion: whatever the claim race does, the merged trace must be
-//! byte-identical to the serial global heap, at every worker count,
-//! with real OS threads forced via [`Simulation::pin_workers`]
-//! regardless of this machine's core count.
-//!
-//! CI additionally re-runs this suite under `FTGCS_WORKERS=2` and `=4`
-//! (the env pin takes precedence at build time; `pin_workers` then
-//! overrides it identically on every job, keeping the axes stable).
+//! byte-identical to the serial global heap, at every worker count. A
+//! requested count runs that many OS threads whatever this machine's
+//! core count, so the 2- and 4-worker axes are real threads everywhere.
 
 use ftgcs_sim::clock::RateModel;
 use ftgcs_sim::engine::{Ctx, SimBuilder, SimConfig, SimStats, Simulation};
@@ -111,16 +107,8 @@ fn giant_partition(n: usize) -> Partition {
     Partition::from_assignment(assignment)
 }
 
-fn run_to_bytes(
-    n: usize,
-    seed: u64,
-    scheduler: SchedulerKind,
-    pin: Option<usize>,
-) -> (Vec<u8>, SimStats) {
+fn run_to_bytes(n: usize, seed: u64, scheduler: SchedulerKind) -> (Vec<u8>, SimStats) {
     let mut sim = build(n, seed, scheduler);
-    if let Some(workers) = pin {
-        sim.pin_workers(workers);
-    }
     sim.run_until(SimTime::from_secs(0.4));
     // Step tail: stepping granularity must not change the bytes either.
     sim.run_for(SimDuration::from_millis(35.0));
@@ -132,20 +120,14 @@ fn run_to_bytes(
 fn assert_ragged_partition_equivalent(name: &str, partition_of: fn(usize) -> Partition) {
     let n = 18;
     for seed in [3u64, 77, 2024] {
-        let reference = run_to_bytes(n, seed, SchedulerKind::Global, None);
+        let reference = run_to_bytes(n, seed, SchedulerKind::Global);
         assert!(
             !reference.0.is_empty(),
             "{name}/seed {seed}: empty reference"
         );
-        // workers: 1 (nothing spawned), 2 and 4 (pinned to real OS
-        // threads, the caller among them), and auto (resolve_workers /
-        // FTGCS_WORKERS).
-        for (label, workers, pin) in [
-            ("w1", 1usize, Some(1usize)),
-            ("w2", 2, Some(2)),
-            ("w4", 4, Some(4)),
-            ("auto", 0, None),
-        ] {
+        // workers: 1 (nothing spawned), 2 and 4 (real OS threads, the
+        // caller among them), and auto (available parallelism).
+        for (label, workers) in [("w1", 1usize), ("w2", 2), ("w4", 4), ("auto", 0)] {
             let candidate = run_to_bytes(
                 n,
                 seed,
@@ -153,7 +135,6 @@ fn assert_ragged_partition_equivalent(name: &str, partition_of: fn(usize) -> Par
                     partition: partition_of(n),
                     workers,
                 },
-                pin,
             );
             assert_eq!(
                 candidate.1, reference.1,
@@ -180,8 +161,8 @@ fn one_giant_cluster_partition_is_byte_identical_with_stealing() {
 #[test]
 fn stealing_is_stable_across_repeated_runs() {
     // The claim race resolves differently every run; 12 repetitions
-    // cycling the pinned thread count must all merge to the same bytes.
-    let reference = run_to_bytes(18, 7, SchedulerKind::Global, None);
+    // cycling the thread count must all merge to the same bytes.
+    let reference = run_to_bytes(18, 7, SchedulerKind::Global);
     for rep in 0..12u32 {
         let workers = [2usize, 3, 4][rep as usize % 3];
         let candidate = run_to_bytes(
@@ -191,7 +172,6 @@ fn stealing_is_stable_across_repeated_runs() {
                 partition: hub_partition(18),
                 workers,
             },
-            Some(workers),
         );
         assert_eq!(
             candidate.0, reference.0,
@@ -212,10 +192,9 @@ fn dealt_load_is_spread_on_hub_and_spoke() {
         7,
         SchedulerKind::Parallel {
             partition: hub_partition(18),
-            workers: 1,
+            workers: 4,
         },
     );
-    sim.pin_workers(4);
     sim.run_until(SimTime::from_secs(0.4));
     let loads = sim
         .planned_worker_events()

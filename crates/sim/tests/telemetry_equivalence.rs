@@ -242,22 +242,42 @@ fn every_shard_window_is_dealt_or_stolen_and_shares_sum_to_one() {
 
 #[test]
 fn a_pin_above_the_shard_count_reports_the_executors_that_ran() {
-    // Three shards cannot occupy eight workers: the pin clamps like
-    // `resolve_workers` does, and the report says what ran.
+    // Three shards cannot occupy eight workers: the request clamps to
+    // the shard count, and the report says what ran.
     let mut sim = build(
         SchedulerKind::Parallel {
             partition: Partition::by_blocks(N, 6),
-            workers: 1,
+            workers: 8,
         },
         true,
     );
-    sim.pin_workers(8);
     sim.run_until(SimTime::from_secs(0.2));
     let report = sim.telemetry();
     assert_eq!(report.shards, 3);
     assert_eq!(report.workers, Some(3));
     assert_eq!(report.diagnostics.per_worker.len(), 3);
     assert_eq!(sim.planned_worker_events().map(<[u64]>::len), Some(3));
+}
+
+#[test]
+fn a_requested_count_runs_exactly_that_many_workers() {
+    // Four workers on eight shards run four threads on any host, one
+    // or two cores included: the count is the spec's, not the machine's.
+    let (trace, _, report) = run(
+        SchedulerKind::Parallel {
+            partition: Partition::by_blocks(N, 2),
+            workers: 4,
+        },
+        true,
+    );
+    assert_eq!(report.shards, 8);
+    assert_eq!(report.workers, Some(4));
+    assert_eq!(report.diagnostics.per_worker.len(), 4);
+    let global = run(SchedulerKind::Global, false).0;
+    assert!(
+        trace.byte_identical(&global),
+        "four workers diverged from the global queue"
+    );
 }
 
 #[test]
