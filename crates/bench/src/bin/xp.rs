@@ -15,8 +15,8 @@
 //! samples and rows flow through bounded-memory observers into
 //! `results/*.csv`, never materializing a full trace.
 //!
-//! `--telemetry <out.json>` turns on the engine's side-channel counters
-//! and writes the machine-readable run report (schema
+//! `--telemetry <out.json>` times the engine's wall-clock phases and
+//! writes the machine-readable run report (schema
 //! `ftgcs-telemetry-v1`); `--progress` adds a stderr heartbeat. Both
 //! leave stdout, the CSVs, and the simulated trace byte-identical.
 //!

@@ -421,6 +421,27 @@ fn serve_runs_submissions_and_answers_repeats_from_cache() {
     assert_eq!(code, 400);
     let (code, _) = http(&addr, "GET /stats", b"");
     assert_eq!(code, 200);
+    // A body that claims more than the request limit is refused before
+    // the server waits for it.
+    let (code, _) = http_raw(
+        &addr,
+        b"POST /submit HTTP/1.1\r\nHost: x\r\nContent-Length: 9000000\r\n\r\n0123456789",
+    );
+    assert_eq!(code, 400);
+    // One request per connection: bytes pipelined after a valid request
+    // are never parsed as a second one, so exactly one reply comes back.
+    let (code, body) = http_raw(
+        &addr,
+        b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n\x00\xffGET /shutdown HTTP/9\r\n\r\n\x01garbage",
+    );
+    assert_eq!(code, 200);
+    assert!(
+        !body.windows(9).any(|w| w == b"HTTP/1.1 "),
+        "pipelined bytes drew a second reply: {}",
+        String::from_utf8_lossy(&body)
+    );
+    let (code, _) = http(&addr, "GET /stats", b"");
+    assert_eq!(code, 200);
 
     let (code, _) = http(&addr, "POST /shutdown", b"");
     assert_eq!(code, 200);

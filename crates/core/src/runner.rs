@@ -368,12 +368,12 @@ impl Scenario {
         worker_partition(&self.cg, resolved)
     }
 
-    /// Enables or disables runtime telemetry (see
-    /// [`ftgcs_sim::telemetry`]). Strictly a side channel: traces are
+    /// Enables or disables wall-clock phase timing in the telemetry
+    /// report (see [`ftgcs_sim::telemetry`]); the report's counts are
+    /// kept either way. Strictly a side channel: traces are
     /// byte-identical on or off (`tests/telemetry_equivalence.rs` pins
-    /// it), and the report comes back from
-    /// [`Scenario::run_streaming_telemetry`] or
-    /// `Simulation::telemetry()` on a hand-built simulation.
+    /// it), and the report comes back from [`Scenario::run_streaming`]
+    /// or `Simulation::telemetry()` on a hand-built simulation.
     pub fn telemetry(&mut self, enabled: bool) -> &mut Self {
         self.telemetry = enabled;
         self
@@ -643,19 +643,10 @@ impl Scenario {
     ///
     /// The stream is byte-equivalent to the materialized trace of
     /// [`Scenario::run_for`] on every scheduler — pinned by the
-    /// observer-equivalence suites.
+    /// observer-equivalence suites. Returns the run's work counters and
+    /// its [`TelemetryReport`] (whose wall-clock phases are timed only
+    /// if [`Scenario::telemetry`] asked for it).
     pub fn run_streaming(
-        &self,
-        duration: impl Into<SimDuration>,
-        obs: &mut dyn Observer,
-    ) -> SimStats {
-        self.run_streaming_telemetry(duration, obs).0
-    }
-
-    /// Like [`Scenario::run_streaming`], but also returns the run's
-    /// [`TelemetryReport`] (all zeros unless [`Scenario::telemetry`]
-    /// enabled recording).
-    pub fn run_streaming_telemetry(
         &self,
         duration: impl Into<SimDuration>,
         obs: &mut dyn Observer,

@@ -41,7 +41,7 @@ use crate::shard::{
     resolve_workers, tie_for_engine, tie_for_node, EventQueue, Key, QueueStats, SchedulerKind,
     Shard,
 };
-use crate::telemetry::{Phase, Telemetry, TelemetryReport};
+use crate::telemetry::{EngineCounts, NodeCounts, Phase, ShardReport, Telemetry, TelemetryReport};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{ClockSample, Row, Trace};
 
@@ -62,9 +62,9 @@ pub struct SimConfig {
     /// several threads under conservative lookahead. Never changes a
     /// run's result — only its throughput.
     pub scheduler: SchedulerKind,
-    /// Record runtime telemetry (see [`crate::telemetry`]). Strictly a
-    /// side channel: traces are byte-identical on or off, and the
-    /// disabled path costs one predictable branch per counter site.
+    /// Time the run's wall-clock phases for the telemetry report (see
+    /// [`crate::telemetry`]). The report's counts are kept either way.
+    /// Strictly a side channel: traces are byte-identical on or off.
     pub telemetry: bool,
 }
 
@@ -202,7 +202,8 @@ pub fn queued_event_sizes<M>() -> (usize, usize) {
     )
 }
 
-/// Counters describing how much work a run performed.
+/// Counters describing how much work a run performed: sums of the
+/// per-node counts the telemetry report groups by shard.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Events dispatched (timers + deliveries + samples).
@@ -211,16 +212,6 @@ pub struct SimStats {
     pub messages: u64,
     /// Timers fired.
     pub timers: u64,
-}
-
-impl SimStats {
-    /// Accumulates another stats block (used to merge per-worker
-    /// counters).
-    pub(crate) fn absorb(&mut self, other: SimStats) {
-        self.events += other.events;
-        self.messages += other.messages;
-        self.timers += other.timers;
-    }
 }
 
 /// A run that stopped early for a structural reason (as opposed to a
@@ -287,6 +278,8 @@ pub(crate) struct NodeState {
     /// Monotone counter stamping every event this node creates; the
     /// deterministic tie-break of the global dispatch order.
     key_counter: u64,
+    /// The work dispatched on this node, counted where it happens.
+    pub(crate) counts: NodeCounts,
 }
 
 impl NodeState {
@@ -408,8 +401,7 @@ pub(crate) struct NodeCell<M> {
 }
 
 /// Engine data shared read-only by every dispatch (worker or serial):
-/// the configuration, the communication graph, and the telemetry side
-/// channel (interior-mutable — all atomics). Mutated only between
+/// the configuration and the communication graph. Mutated only between
 /// [`Simulation::run_until`] calls.
 pub(crate) struct SimShared {
     pub(crate) config: SimConfig,
@@ -421,7 +413,6 @@ pub(crate) struct SimShared {
     back_port: Vec<u32>,
     /// Where each node's run of `back_port` begins.
     first_port: Vec<u32>,
-    pub(crate) telemetry: Telemetry,
 }
 
 impl SimShared {
@@ -438,8 +429,8 @@ pub(crate) enum QueueKind<'a, M> {
     /// `(time, tie)` pop order.
     Serial(&'a mut EventQueue<Pending<M>>),
     /// The parallel store outside any window (`on_start`, i.e. the boot
-    /// phase, runs serially).
-    Boot(&'a mut ParQueue<M>),
+    /// phase, runs serially), with the shard of the booting node.
+    Boot(&'a mut ParQueue<M>, u32),
     /// A worker advancing one shard inside a lookahead window: local
     /// events go straight into the owned shard, cross-shard events into
     /// the worker's per-destination outbox (flushed once per window).
@@ -465,7 +456,7 @@ impl<M> QueueKind<'_, M> {
         let key = Key { time, tie };
         match self {
             QueueKind::Serial(q) => q.push_keyed(time, tie, make()),
-            QueueKind::Boot(pq) => pq.push(dst, key, make()),
+            QueueKind::Boot(pq, from_shard) => pq.push(*from_shard, dst, key, make()),
             QueueKind::Worker {
                 local,
                 outbox,
@@ -675,7 +666,7 @@ impl<M: Clone> Ctx<'_, M> {
         let id = self.install_timer_slot(slot);
         self.state.track_timers[track.index()].push(id);
         self.schedule_timer_entry(id);
-        self.shared.telemetry.timer_set(self.node);
+        self.state.counts.timers_set += 1;
         TimerId {
             id,
             epoch: self.state.timer_slots[id as usize].epoch,
@@ -708,7 +699,7 @@ impl<M: Clone> Ctx<'_, M> {
         let id = self.install_timer_slot(slot);
         self.state.newtonian_timers.push(id);
         self.schedule_timer_entry(id);
-        self.shared.telemetry.timer_set(self.node);
+        self.state.counts.timers_set += 1;
         TimerId {
             id,
             epoch: self.state.timer_slots[id as usize].epoch,
@@ -744,9 +735,7 @@ impl<M: Clone> Ctx<'_, M> {
     /// timers through the event queue for the rest of the run.
     pub fn cancel_all_timers(&mut self) -> usize {
         let cancelled = self.state.cancel_all_timers();
-        self.shared
-            .telemetry
-            .timers_cancelled(self.node, cancelled as u64);
+        self.state.counts.timers_cancelled += cancelled as u64;
         cancelled
     }
 
@@ -780,7 +769,7 @@ impl<M: Clone> Ctx<'_, M> {
     /// timer is a no-op.
     pub fn cancel_timer(&mut self, timer: TimerId) {
         if self.state.cancel_timer(timer) {
-            self.shared.telemetry.timers_cancelled(self.node, 1);
+            self.state.counts.timers_cancelled += 1;
         }
     }
 
@@ -794,7 +783,6 @@ impl<M: Clone> Ctx<'_, M> {
             .sample(from, to, &mut self.state.delay_rng);
         let time = self.now + delay;
         let tie = self.state.next_tie(from);
-        self.shared.telemetry.message_queued(from, to);
         self.queue.push(to, time, tie, || Pending::Message {
             from: id32(from),
             to: id32(to),
@@ -889,14 +877,11 @@ fn with_ctx<M: Clone>(
     cell.behavior = Some(behavior);
 }
 
-/// Dispatches one popped timer or message event on its owning node.
-/// Samples are engine-global and are handled by the callers directly.
-/// Inlined into both dispatch loops, so the context is put together from
-/// their registers and not from a copy of the arguments.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "the flat list *is* the dispatch record"
-)]
+/// Dispatches one popped timer or message event on its owning node,
+/// counting it in the node's own state. Samples are engine-global and
+/// are handled by the callers directly. Inlined into both dispatch
+/// loops, so the context is put together from their registers and not
+/// from a copy of the arguments.
 #[inline(always)]
 pub(crate) fn run_event<M: Clone>(
     cell: &mut NodeCell<M>,
@@ -904,10 +889,10 @@ pub(crate) fn run_event<M: Clone>(
     shared: &SimShared,
     queue: QueueKind<'_, M>,
     rows: &mut Vec<(Key, Row)>,
-    stats: &mut SimStats,
     key: Key,
     pending: Pending<M>,
 ) {
+    cell.state.counts.events += 1;
     match pending {
         Pending::Timer { id, generation, .. } => {
             let slot = cell.state.timer_slots[id as usize];
@@ -917,8 +902,7 @@ pub(crate) fn run_event<M: Clone>(
             // Retire the timer before dispatch so the behavior can set a
             // new one from the callback.
             cell.state.retire_fired_timer(id);
-            stats.timers += 1;
-            shared.telemetry.timer_fired(node);
+            cell.state.counts.timers_fired += 1;
             with_ctx(cell, node, shared, queue, rows, key, |b, ctx| {
                 b.on_timer(ctx, slot.tag);
             });
@@ -926,8 +910,7 @@ pub(crate) fn run_event<M: Clone>(
         Pending::Message {
             from, port, msg, ..
         } => {
-            stats.messages += 1;
-            shared.telemetry.message_delivered(node);
+            cell.state.counts.messages += 1;
             with_ctx(cell, node, shared, queue, rows, key, |b, ctx| {
                 ctx.port = port;
                 b.on_message(ctx, NodeId(from as usize), &msg);
@@ -1111,20 +1094,6 @@ impl<M: Clone> SimBuilder<M> {
                 EventStore::Parallel(ParQueue::new(partition, resolved, max_delay))
             }
         };
-        // The telemetry side channel needs its own node → shard map so
-        // counter sites can attribute work without reaching into the
-        // store (workers hold the store's shards exclusively).
-        let telemetry = if self.config.telemetry {
-            let (shard_of, nshards) = match &self.config.scheduler {
-                SchedulerKind::Global => (vec![0u32; n], 1),
-                SchedulerKind::Parallel { partition: p, .. } => {
-                    (p.shard_map().to_vec(), p.shard_count())
-                }
-            };
-            Telemetry::new(shard_of, nshards)
-        } else {
-            Telemetry::disabled()
-        };
         let root = SimRng::seed_from(self.config.seed);
         let cells = self
             .behaviors
@@ -1153,6 +1122,7 @@ impl<M: Clone> SimBuilder<M> {
                         rng: root.derive("node", i as u64),
                         delay_rng: root.derive("delay", i as u64),
                         key_counter: 0,
+                        counts: NodeCounts::default(),
                     },
                     behavior: Some(behavior),
                 }
@@ -1160,17 +1130,17 @@ impl<M: Clone> SimBuilder<M> {
             .collect();
         Simulation {
             now: SimTime::ZERO,
+            telemetry: Telemetry::new(self.config.telemetry),
             shared: SimShared {
                 config: self.config,
                 adjacency: self.adjacency,
                 back_port,
                 first_port,
-                telemetry,
             },
             cells,
             store,
             trace: Trace::new(),
-            stats: SimStats::default(),
+            counts: EngineCounts::default(),
             sample_seq: 0,
             started: false,
         }
@@ -1196,7 +1166,10 @@ pub struct Simulation<M> {
     pub(crate) cells: Vec<NodeCell<M>>,
     pub(crate) store: EventStore<M>,
     pub(crate) trace: Trace,
-    pub(crate) stats: SimStats,
+    /// Samples and windows, counted by whichever loop runs.
+    pub(crate) counts: EngineCounts,
+    /// Wall-clock phase timing (the `telemetry` flag).
+    pub(crate) telemetry: Telemetry,
     /// Tie counter for engine-global (sample) events.
     sample_seq: u64,
     started: bool,
@@ -1209,7 +1182,7 @@ impl<M> std::fmt::Debug for Simulation<M> {
             "Simulation(nodes={}, now={}, events={})",
             self.cells.len(),
             self.now,
-            self.stats.events
+            self.stats().events
         )
     }
 }
@@ -1227,30 +1200,60 @@ impl<M> Simulation<M> {
         self.now
     }
 
-    /// Work counters for the run so far.
+    /// Work counters for the run so far: every node's counts summed,
+    /// plus the engine's samples.
     #[must_use]
     pub fn stats(&self) -> SimStats {
-        self.stats
+        let mut stats = SimStats {
+            events: self.counts.samples,
+            ..SimStats::default()
+        };
+        for cell in &self.cells {
+            let c = &cell.state.counts;
+            stats.events += c.events;
+            stats.messages += c.messages;
+            stats.timers += c.timers_fired;
+        }
+        stats
     }
 
     /// Snapshot of the runtime telemetry recorded so far (see
-    /// [`crate::telemetry`]). Always callable: when the simulation was
-    /// built with `telemetry: false` the report is all zeros and says
-    /// `enabled: false`.
+    /// [`crate::telemetry`]): the nodes' counts grouped by the store's
+    /// shard map (the global scheduler has one shard), beside the
+    /// coordinator's and the parallel store's own. The counts are kept
+    /// on every run; the wall-clock phases only when the simulation was
+    /// built with `telemetry: true`, which the report's `enabled` says.
     #[must_use]
     pub fn telemetry(&self) -> TelemetryReport {
-        let (scheduler, workers, queue, planned) = match &self.store {
-            EventStore::Serial(q) => ("global", None, Some(q.stats()), None),
-            EventStore::Parallel(pq) => (
-                "parallel",
-                Some(pq.workers),
-                Some(QueueStats::of_shards(&pq.shards)),
-                Some(pq.planned_events.as_slice()),
-            ),
-        };
-        self.shared
-            .telemetry
-            .report(scheduler, workers, self.stats, queue, planned)
+        let counts = self.cells.iter().map(|cell| &cell.state.counts);
+        match &self.store {
+            EventStore::Serial(q) => {
+                let mut total = ShardReport::default();
+                counts.for_each(|c| total.add_node(c));
+                self.telemetry.report(
+                    "global",
+                    None,
+                    vec![total],
+                    self.counts,
+                    q.stats(),
+                    Vec::new(),
+                )
+            }
+            EventStore::Parallel(pq) => {
+                let mut per_shard = pq.shard_reports();
+                for (c, &s) in counts.zip(&pq.shard_of) {
+                    per_shard[s as usize].add_node(c);
+                }
+                self.telemetry.report(
+                    "parallel",
+                    Some(pq.workers),
+                    per_shard,
+                    self.counts,
+                    QueueStats::of_shards(&pq.shards),
+                    pq.worker_reports(),
+                )
+            }
+        }
     }
 
     /// The trace recorded so far.
@@ -1349,7 +1352,10 @@ impl<M: Clone + Send> Simulation<M> {
         for (i, cell) in cells.iter_mut().enumerate() {
             let queue = match store {
                 EventStore::Serial(q) => QueueKind::Serial(q),
-                EventStore::Parallel(pq) => QueueKind::Boot(pq),
+                EventStore::Parallel(pq) => {
+                    let shard = pq.shard_of[i];
+                    QueueKind::Boot(pq, shard)
+                }
             };
             // Boot phase, always serial: every `on_start` at the zero key.
             let key = Key {
@@ -1424,7 +1430,7 @@ impl<M: Clone + Send> Simulation<M> {
         self.start_if_needed(obs);
         // Whole-run wall clock (telemetry side channel; inert stamp
         // when telemetry is off).
-        let t0 = self.shared.telemetry.stamp();
+        let t0 = self.telemetry.stamp();
         let result = match self.store {
             EventStore::Serial(_) => {
                 self.run_serial(until, obs);
@@ -1432,7 +1438,7 @@ impl<M: Clone + Send> Simulation<M> {
             }
             EventStore::Parallel(_) => self.run_parallel(until, obs),
         };
-        self.shared.telemetry.phase(Phase::Total, t0);
+        self.telemetry.phase(Phase::Total, t0);
         result
     }
 
@@ -1442,7 +1448,7 @@ impl<M: Clone + Send> Simulation<M> {
             shared,
             cells,
             store,
-            stats,
+            counts,
             sample_seq,
             ..
         } = self;
@@ -1457,10 +1463,9 @@ impl<M: Clone + Send> Simulation<M> {
             let time = key.time;
             debug_assert!(time >= *now, "time went backwards");
             *now = time;
-            stats.events += 1;
             match pending {
                 Pending::Sample => {
-                    shared.telemetry.sample_dispatched();
+                    counts.samples += 1;
                     let clocks = cells.iter_mut().map(|cell| cell.state.read_clocks(time));
                     take_sample(clocks, time, obs);
                     // Re-arm unconditionally: events beyond `until` stay
@@ -1475,14 +1480,12 @@ impl<M: Clone + Send> Simulation<M> {
                 }
                 pending => {
                     let node = pending.owner().expect("timer/message has an owner");
-                    shared.telemetry.event_dispatched(node);
                     run_event(
                         &mut cells[node.index()],
                         node,
                         shared,
                         QueueKind::Serial(queue),
                         &mut scratch,
-                        stats,
                         key,
                         pending,
                     );

@@ -48,9 +48,9 @@
 //! nodes, dealt out once per run: that no two threads touch a node is
 //! checked by the compiler. Shards are independent within a window, so
 //! *any* executor may run *any* shard and only wall-clock changes. The
-//! dealt shares are recorded per worker
-//! ([`Simulation::planned_worker_events`]) — a deterministic balance
-//! metric, independent of how the steal race resolves on a machine.
+//! dealt shares are recorded per worker (the telemetry report's
+//! `per_worker[].planned_events`) — a deterministic balance metric,
+//! independent of how the steal race resolves on a machine.
 //!
 //! ## Determinism and byte-identity
 //!
@@ -116,12 +116,12 @@ use std::sync::Mutex;
 
 use crate::engine::{
     next_sample, run_event, take_sample, EventStore, NodeCell, Pending, QueueKind, RunError,
-    SimShared, SimStats, Simulation,
+    SimShared, Simulation,
 };
 use crate::node::NodeId;
 use crate::observe::Observer;
 use crate::shard::{Key, Partition, Shard};
-use crate::telemetry::Phase;
+use crate::telemetry::{Claims, EngineCounts, Phase, ShardReport, Telemetry, WorkerReport};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Row;
 
@@ -131,8 +131,8 @@ fn time_inf() -> SimTime {
 }
 
 /// The parallel executor's event store: per-shard queues plus the sample
-/// chain (samples never enter a shard — they are engine-global) and the
-/// balancer's record.
+/// chain (samples never enter a shard — they are engine-global), the
+/// balancer's record and the per-shard counts of parallel work.
 pub(crate) struct ParQueue<M> {
     pub(crate) shards: Vec<Shard<Pending<M>>>,
     pub(crate) shard_of: Vec<u32>,
@@ -146,9 +146,25 @@ pub(crate) struct ParQueue<M> {
     /// dispatched in its last active window (halved while idle).
     pub(crate) shard_cost: Vec<u64>,
     /// Cumulative events dealt to each worker by the balancer — the
-    /// deterministic load-balance record behind
-    /// [`Simulation::planned_worker_events`].
+    /// deterministic load-balance record, a pure function of `(seed,
+    /// config, worker count)`.
     pub(crate) planned_events: Vec<u64>,
+    /// Per worker: the shard-windows it won, dealt or stolen.
+    pub(crate) claims: Vec<Claims>,
+    /// Per shard: cross-shard messages staged to it, counted where
+    /// they are queued (boot) or flushed to its inbox (windows).
+    pub(crate) staged_in: Vec<u64>,
+    /// Per shard: what the executor holding its task counted.
+    pub(crate) work: Vec<ShardWork>,
+}
+
+/// One shard's executor-side counts, written under its task's lock.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ShardWork {
+    /// Staged arrivals drained from its inbox into its queue.
+    merged_in: u64,
+    /// Windows in which an executor advanced it.
+    windows: u64,
 }
 
 impl<M> ParQueue<M> {
@@ -161,15 +177,42 @@ impl<M> ParQueue<M> {
             workers,
             pending_samples: Vec::new(),
             shard_cost: vec![0; count],
-            planned_events: Vec::new(),
+            planned_events: vec![0; workers],
+            claims: (0..workers).map(|_| Claims::default()).collect(),
+            staged_in: vec![0; count],
+            work: vec![ShardWork::default(); count],
         }
     }
 
-    /// Serial-phase push (boot / between runs): straight into the owning
-    /// shard's queue.
-    pub(crate) fn push(&mut self, dst: NodeId, key: Key, payload: Pending<M>) {
-        let shard = self.shard_of[dst.index()] as usize;
-        self.shards[shard].push(key, payload);
+    /// Serial-phase push (boot): straight into the owning shard's queue,
+    /// counted as staged when it crosses from `from_shard`.
+    pub(crate) fn push(&mut self, from_shard: u32, dst: NodeId, key: Key, payload: Pending<M>) {
+        let shard = self.shard_of[dst.index()];
+        if shard != from_shard {
+            self.staged_in[shard as usize] += 1;
+        }
+        self.shards[shard as usize].push(key, payload);
+    }
+
+    /// The store's own per-shard counts, to which the report adds its
+    /// nodes'.
+    pub(crate) fn shard_reports(&self) -> Vec<ShardReport> {
+        (self.staged_in.iter().zip(&self.work).enumerate())
+            .map(|(shard, (&staged_in, w))| ShardReport {
+                shard,
+                staged_in,
+                merged_in: w.merged_in,
+                windows: w.windows,
+                ..ShardReport::default()
+            })
+            .collect()
+    }
+
+    /// Each executor's deal and claim record.
+    pub(crate) fn worker_reports(&self) -> Vec<WorkerReport> {
+        (self.claims.iter().zip(&self.planned_events).enumerate())
+            .map(|(w, (claims, &planned))| claims.report(w, planned))
+            .collect()
     }
 }
 
@@ -195,17 +238,20 @@ fn new_outbox<M>(nshards: usize) -> Vec<Batch<M>> {
 /// Staged cross-shard arrivals for one shard, with their earliest time
 /// so the barrier's front scan need not walk them. Lives behind a mutex
 /// in [`Pool::inboxes`]: any executor may stage into it mid-window.
-struct Inbox<M> {
+struct Inbox<'a, M> {
     entries: Batch<M>,
     /// Earliest staged time (`INFINITY` when empty).
     min_time: SimTime,
+    /// The shard's staged count in [`ParQueue::staged_in`].
+    staged_in: &'a mut u64,
 }
 
-impl<M> Inbox<M> {
-    fn new() -> Self {
+impl<'a, M> Inbox<'a, M> {
+    fn new(staged_in: &'a mut u64) -> Self {
         Inbox {
             entries: Vec::new(),
             min_time: time_inf(),
+            staged_in,
         }
     }
 
@@ -214,11 +260,12 @@ impl<M> Inbox<M> {
         for &(key, _) in batch.iter() {
             self.min_time = self.min_time.min(key.time);
         }
+        *self.staged_in += batch.len() as u64;
         self.entries.append(batch);
     }
 
     /// Moves all staged arrivals into `shard`'s queue, returning how
-    /// many entries moved (telemetry: arrival batching).
+    /// many entries moved.
     fn drain_into(&mut self, shard: &mut Shard<Pending<M>>) -> u64 {
         let moved = self.entries.len() as u64;
         for (key, payload) in self.entries.drain(..) {
@@ -233,14 +280,17 @@ impl<M> Inbox<M> {
 /// executor that claimed it for a window, the coordinator between windows.
 struct Task<'a, M> {
     shard: &'a mut Shard<Pending<M>>,
+    /// The shard's counts in [`ParQueue::work`].
+    work: &'a mut ShardWork,
     /// The shard's nodes; node `v`'s cell is at [`Pool::local_of`]`[v]`.
     cells: Vec<&'a mut NodeCell<M>>,
     /// The queue's head time as of the shard's last advance.
     head: SimTime,
     /// Relaxed-mode trace rows: `(event key, row)`, in dispatch order.
     rows: Vec<(Key, Row)>,
-    /// Work since the last barrier (the coordinator takes it there).
-    stats: SimStats,
+    /// Events dispatched since the last barrier: the deal's cost model
+    /// (the coordinator takes it there).
+    events: u64,
     now: SimTime,
 }
 
@@ -330,7 +380,9 @@ const TAKEN: u32 = 1 << 31;
 /// by the scoped workers.
 struct Pool<'a, M> {
     tasks: Vec<Mutex<Task<'a, M>>>,
-    inboxes: Vec<Mutex<Inbox<M>>>,
+    inboxes: Vec<Mutex<Inbox<'a, M>>>,
+    /// Per executor (see [`ParQueue::claims`]).
+    claims: &'a [Claims],
     /// Per shard: the worker the coordinator dealt it to this window, or
     /// [`IDLE`]; the claiming executor sets [`TAKEN`] with a `fetch_or`,
     /// whose atomicity makes window ownership exactly-once (the task's
@@ -351,26 +403,6 @@ struct Pool<'a, M> {
     until: SimTime,
 }
 
-impl<M> Simulation<M> {
-    /// Cumulative per-worker totals of events *dealt* by the parallel
-    /// executor's window balancer, or `None` on the global scheduler.
-    ///
-    /// Entry `w` sums, over all windows so far, the events dispatched
-    /// by the shards the coordinator dealt to worker `w` in that
-    /// window. This is the scheduler's load-balance record: it is a
-    /// pure function of `(seed, config, worker count)` — unlike the
-    /// per-thread *execution* shares, which depend on how the steal
-    /// race resolves on a given machine — so benches and tests can
-    /// assert on it deterministically.
-    #[must_use]
-    pub fn planned_worker_events(&self) -> Option<&[u64]> {
-        match &self.store {
-            EventStore::Parallel(pq) => Some(&pq.planned_events),
-            EventStore::Serial(_) => None,
-        }
-    }
-}
-
 impl<M: Clone + Send> Simulation<M> {
     /// The parallel twin of the serial `run_until` loop. Called with the
     /// boot phase already done.
@@ -384,7 +416,8 @@ impl<M: Clone + Send> Simulation<M> {
             shared,
             cells,
             store,
-            stats,
+            counts,
+            telemetry,
             ..
         } = self;
         let EventStore::Parallel(pq) = store else {
@@ -399,17 +432,15 @@ impl<M: Clone + Send> Simulation<M> {
         let nshards = pq.shards.len();
         let nworkers = pq.workers;
         debug_assert!((1..=nshards).contains(&nworkers));
-        pq.planned_events.resize(nworkers, 0);
 
-        let mut tasks: Vec<Task<'_, M>> = pq
-            .shards
-            .iter_mut()
-            .map(|shard| Task {
+        let mut tasks: Vec<Task<'_, M>> = (pq.shards.iter_mut().zip(&mut pq.work))
+            .map(|(shard, work)| Task {
                 head: shard.head_key().time,
                 shard,
+                work,
                 cells: Vec::new(),
                 rows: Vec::new(),
-                stats: SimStats::default(),
+                events: 0,
                 now: *now,
             })
             .collect();
@@ -424,7 +455,10 @@ impl<M: Clone + Send> Simulation<M> {
 
         let pool = Pool {
             tasks: tasks.into_iter().map(Mutex::new).collect(),
-            inboxes: (0..nshards).map(|_| Mutex::new(Inbox::new())).collect(),
+            inboxes: (pq.staged_in.iter_mut())
+                .map(|staged_in| Mutex::new(Inbox::new(staged_in)))
+                .collect(),
+            claims: &pq.claims,
             deal: (0..nshards).map(|_| AtomicU32::new(IDLE)).collect(),
             cap_bits: AtomicU64::new(0),
             gate: Gate {
@@ -441,7 +475,8 @@ impl<M: Clone + Send> Simulation<M> {
         let mut windows = Windows {
             pending_samples: &mut pq.pending_samples,
             obs,
-            stats,
+            counts,
+            telemetry,
             lookahead,
             until,
             shard_cost: &mut pq.shard_cost,
@@ -473,12 +508,10 @@ impl<M: Clone + Send> Simulation<M> {
         // Arrivals staged after a shard's last window (all beyond the
         // final cap) survive into the next run_until call.
         let Pool { tasks, inboxes, .. } = pool;
-        for (s, (task, inbox)) in tasks.into_iter().zip(inboxes).enumerate() {
+        for (task, inbox) in tasks.into_iter().zip(inboxes) {
             let task = task.into_inner().expect("task poisoned");
             let mut inbox = inbox.into_inner().expect("inbox poisoned");
-            shared
-                .telemetry
-                .inbox_merged(s, inbox.drain_into(task.shard));
+            task.work.merged_in += inbox.drain_into(task.shard);
         }
         match result {
             Ok(()) => {
@@ -496,12 +529,15 @@ impl<M: Clone + Send> Simulation<M> {
     }
 }
 
-/// The coordinator's per-run state: the sample chain, the observer/stat
-/// accumulators, and the deal-out bookkeeping it owns between windows.
+/// The coordinator's per-run state: the sample chain, the observer, its
+/// counts and phase clock, and the deal-out bookkeeping it owns between
+/// windows.
 struct Windows<'a> {
     pending_samples: &'a mut Vec<SimTime>,
     obs: &'a mut dyn Observer,
-    stats: &'a mut SimStats,
+    /// Samples and windows (see [`EngineCounts`]).
+    counts: &'a mut EngineCounts,
+    telemetry: &'a mut Telemetry,
     lookahead: SimDuration,
     until: SimTime,
     /// Persistent per-shard cost estimates (see [`ParQueue`]).
@@ -525,14 +561,13 @@ impl Windows<'_> {
     /// shard fronts, emit the window's rows, fire due samples, set the
     /// cap, deal shards to executors, run the window as worker 0.
     fn coordinate<M: Clone + Send>(&mut self, pool: &Pool<'_, M>) -> Result<(), RunError> {
-        let tel = &pool.shared.telemetry;
         let mut outbox = new_outbox(pool.tasks.len());
         let mut ran_window = false;
         loop {
             // Telemetry phase clock: collect + scan + row emission +
             // samples are the coordinator's "merge" work. Inert stamps
             // when telemetry is off.
-            let t_merge = tel.stamp();
+            let t_merge = self.telemetry.stamp();
             // Collect the previous window's results — its rows, and the
             // per-shard event counts for the cost model and the deal
             // record — and scan the shard fronts (queue heads and
@@ -541,21 +576,20 @@ impl Windows<'_> {
             for (s, task) in pool.tasks.iter().enumerate() {
                 let mut task = task.lock().expect("task poisoned");
                 self.rows.append(&mut task.rows);
-                let done = std::mem::take(&mut task.stats);
+                let done = std::mem::take(&mut task.events);
                 // (Skipped before the first window so persisted costs
                 // are not decayed by stepping runs that open none.)
                 if ran_window {
-                    self.shard_cost[s] = if done.events > 0 {
-                        done.events
+                    self.shard_cost[s] = if done > 0 {
+                        done
                     } else {
                         self.shard_cost[s] / 2
                     };
                 }
                 let slot = pool.deal[s].load(Ordering::Relaxed);
                 if slot != IDLE {
-                    self.planned_events[(slot & !TAKEN) as usize] += done.events;
+                    self.planned_events[(slot & !TAKEN) as usize] += done;
                 }
-                self.stats.absorb(done);
                 let staged = pool.inboxes[s].lock().expect("inbox poisoned").min_time;
                 self.front[s] = task.head.min(staged);
                 t_min = t_min.min(self.front[s]);
@@ -580,8 +614,7 @@ impl Windows<'_> {
                     break;
                 }
                 self.pending_samples.swap_remove(idx);
-                self.stats.events += 1;
-                tel.sample_dispatched();
+                self.counts.samples += 1;
                 // The spawned workers wait at the gate: uncontended locks.
                 let clocks = pool.shard_of.iter().zip(&pool.local_of).map(|(&s, &l)| {
                     let mut task = pool.tasks[s as usize].lock().expect("task poisoned");
@@ -592,7 +625,7 @@ impl Windows<'_> {
                     self.pending_samples.push(next_sample(ts, interval));
                 }
             }
-            tel.phase(Phase::Merge, t_merge);
+            self.telemetry.phase(Phase::Merge, t_merge);
             if t_min == time_inf() || t_min > self.until {
                 return Ok(());
             }
@@ -600,12 +633,12 @@ impl Windows<'_> {
             // Set the cap and deal shards to executors; fails (cleanly,
             // every processed row already emitted) if the lookahead has
             // vanished below the f64 ulp at this magnitude.
-            let t_barrier = tel.stamp();
+            let t_barrier = self.telemetry.stamp();
             let planned = self.plan_window(pool, t_min);
-            tel.phase(Phase::Barrier, t_barrier);
+            self.telemetry.phase(Phase::Barrier, t_barrier);
             planned?;
             ran_window = true;
-            let t_exec = tel.stamp();
+            let t_exec = self.telemetry.stamp();
             pool.gate.open();
             execute_window(0, pool, &mut outbox);
             pool.gate.wait_done(self.bins.len() - 1);
@@ -616,7 +649,7 @@ impl Windows<'_> {
                 // through.
                 resume_unwind(payload);
             }
-            tel.phase(Phase::Execute, t_exec);
+            self.telemetry.phase(Phase::Execute, t_exec);
         }
     }
 
@@ -651,8 +684,7 @@ impl Windows<'_> {
                 self.order.push(s as u32);
             }
         }
-        pool.shared
-            .telemetry
+        self.counts
             .window_planned(self.order.len() as u64, horizon_span);
 
         // Deal-out: due shards, heaviest estimated cost first, each to
@@ -739,7 +771,7 @@ fn execute_window<M: Clone + Send>(me: u32, pool: &Pool<'_, M>, outbox: &mut [Ba
 
 /// Claims shard `s` for this window and advances it; no-ops if the
 /// shard is idle or another executor holds the claim. `me` identifies
-/// the claiming executor for the telemetry dealt/stolen record.
+/// the claiming executor for the dealt/stolen record.
 fn try_claim_advance<M: Clone + Send>(
     s: usize,
     pool: &Pool<'_, M>,
@@ -759,7 +791,7 @@ fn try_claim_advance<M: Clone + Send>(
     // Won the claim: record whether this shard was dealt to us or
     // stolen. A pure side-channel write — the claim outcome itself is
     // machine-dependent, the dealt/stolen *sum* is not.
-    pool.shared.telemetry.claim(me as usize, dealt_to == me);
+    pool.claims[me as usize].claim(dealt_to == me);
     advance_shard(s, pool, outbox);
 }
 
@@ -768,15 +800,13 @@ fn try_claim_advance<M: Clone + Send>(
 /// head.
 fn advance_shard<M: Clone + Send>(s: usize, pool: &Pool<'_, M>, outbox: &mut [Batch<M>]) {
     let cap = SimTime::from_secs(f64::from_bits(pool.cap_bits.load(Ordering::Relaxed)));
-    let tel = &pool.shared.telemetry;
-    tel.shard_window(s);
     let mut task = pool.tasks[s].lock().expect("task poisoned");
     let task = &mut *task;
-    let drained = pool.inboxes[s]
+    task.work.windows += 1;
+    task.work.merged_in += pool.inboxes[s]
         .lock()
         .expect("inbox poisoned")
         .drain_into(task.shard);
-    tel.inbox_merged(s, drained);
     // Strictly below the cap: an arrival from another shard may still
     // land exactly on it.
     let due =
@@ -784,9 +814,8 @@ fn advance_shard<M: Clone + Send>(s: usize, pool: &Pool<'_, M>, outbox: &mut [Ba
     while let Some((key, pending)) = task.shard.pop_if(due) {
         debug_assert!(key.time >= task.now, "shard time went backwards");
         task.now = key.time;
-        task.stats.events += 1;
+        task.events += 1;
         let node = pending.owner().expect("samples never enter shard queues");
-        tel.event_dispatched(node);
         debug_assert_eq!(
             pool.shard_of[node.index()] as usize,
             s,
@@ -803,7 +832,6 @@ fn advance_shard<M: Clone + Send>(s: usize, pool: &Pool<'_, M>, outbox: &mut [Ba
                 my_shard: s as u32,
             },
             &mut task.rows,
-            &mut task.stats,
             key,
             pending,
         );
@@ -918,10 +946,9 @@ mod tests {
             },
         );
         sim.run_until(SimTime::from_secs(0.5));
-        let loads = sim
-            .planned_worker_events()
-            .expect("parallel scheduler records dealt loads")
-            .to_vec();
+        let loads: Vec<u64> = (sim.telemetry().diagnostics.per_worker.iter())
+            .map(|w| w.planned_events)
+            .collect();
         assert_eq!(loads.len(), 4);
         let total: u64 = loads.iter().sum();
         assert!(total > 0, "no events dealt");

@@ -4,25 +4,35 @@
 //! The determinism contract of this codebase is that both schedulers —
 //! the global queue, and the parallel one on any worker count — dispatch
 //! the identical `(time, source, counter)` event order. Telemetry must
-//! therefore never feed back into scheduling: everything in this module
-//! is write-only from the engine's point of view (relaxed atomic
-//! counters, wall-clock phase accumulators) and is read only when a
-//! caller asks for a [`TelemetryReport`]. Traces are byte-identical
-//! with telemetry on or off, pinned by `tests/telemetry_equivalence.rs`
-//! in the `ftgcs` crate.
+//! therefore never feed back into scheduling: nothing here is read by a
+//! dispatch decision, and a [`TelemetryReport`] is assembled only when a
+//! caller asks for one. Traces are byte-identical with telemetry on or
+//! off, pinned by `tests/telemetry_equivalence.rs`.
+//!
+//! **Every count is kept once, always, as a plain integer beside the
+//! state it describes**, written only by the thread that owns that
+//! state: each node counts the events, timers and messages dispatched on
+//! it ([`NodeCounts`]); the parallel store counts per shard what crossed
+//! into it, what it merged and how many windows advanced it; the
+//! coordinator counts samples and windows ([`EngineCounts`]). A report
+//! is a grouping of those counts by the store's own shard map, and
+//! `Simulation::stats` is their sum. The only atomics are the
+//! per-executor claim outcomes ([`Claims`]), where executors race. The
+//! `telemetry` flag of `SimConfig` has one job: timing the wall-clock
+//! phases.
 //!
 //! Two kinds of numbers live here, and the report keeps them apart:
 //!
 //! - **Deterministic counters** — events dispatched, timers
 //!   set/fired/cancelled, messages delivered, cross-shard messages
-//!   staged at send time, windows planned, horizon spans. These are
-//!   pure functions of `(seed, config)` and are identical across
-//!   schedulers and worker counts (cross-shard and window counters
-//!   within the family that has shards/windows at all).
+//!   staged, windows planned, horizon spans. These are pure functions of
+//!   `(seed, config)` and are identical across schedulers and worker
+//!   counts (cross-shard and window counters within the family that has
+//!   shards/windows at all).
 //! - **Machine-dependent diagnostics** — dealt vs. stolen claim
-//!   outcomes (the steal race resolves differently per machine), inbox
-//!   merge batching, and all wall-clock phase timings. Only their
-//!   invariants are stable (e.g. dealt + stolen shares sum to 1).
+//!   outcomes (the steal race resolves differently per machine), and all
+//!   wall-clock phase timings. Only their invariants are stable (e.g.
+//!   dealt + stolen shares sum to 1).
 //!
 //! Wall-clock readings are the one legitimate use of host time in the
 //! simulation crates: they never enter the trace. Clippy's
@@ -32,16 +42,10 @@
 //! [`Stopwatch`] wrappers exist precisely so *callers* (the engine, the
 //! parallel executor, the bench driver) never name `Instant` and never
 //! need an `allow` of their own.
-//!
-//! When the simulation is built with telemetry disabled (the default),
-//! every recording method is a single predictable branch and the struct
-//! holds no per-shard storage: the overhead is a dead `bool` test.
 
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::engine::SimStats;
-use crate::node::NodeId;
 use crate::shard::QueueStats;
 
 /// Process-wide allocation probe, in the style of the
@@ -75,7 +79,7 @@ pub mod alloc_probe {
 }
 
 /// A wall-clock phase of the parallel executor's barrier loop (plus the
-/// whole-run total), accumulated by [`Telemetry::phase`].
+/// whole-run total), accumulated by `Telemetry::phase`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Coordinator barrier work: the window's cap and the deal-out.
@@ -100,11 +104,11 @@ impl Phase {
     }
 }
 
-/// An opaque wall-clock reading handed out by [`Telemetry::stamp`].
+/// An opaque wall-clock reading handed out by `Telemetry::stamp`.
 ///
 /// `None` when telemetry is disabled, so the disabled path never
 /// touches the host clock. Callers cannot see through it — the only
-/// consumer is [`Telemetry::phase`] — which keeps raw `Instant`s
+/// consumer is `Telemetry::phase` — which keeps raw `Instant`s
 /// confined to this module.
 #[derive(Debug, Clone, Copy)]
 #[allow(
@@ -143,239 +147,110 @@ impl Stopwatch {
     }
 }
 
-/// One shard's counters, padded to a cache line so shards advanced by
-/// different workers never false-share.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct ShardCounters {
-    /// Events popped and dispatched on this shard (incl. stale timers).
-    events: AtomicU64,
-    /// Timers installed by this shard's nodes.
-    timers_set: AtomicU64,
-    /// Live timers fired.
-    timers_fired: AtomicU64,
-    /// Timers explicitly cancelled while still pending.
-    timers_cancelled: AtomicU64,
-    /// Messages delivered to this shard's nodes.
-    messages: AtomicU64,
-    /// Cross-shard messages staged *to* this shard, counted
-    /// deterministically at send time.
-    staged_in: AtomicU64,
-    /// Entries drained from this shard's parallel arrival inbox
-    /// (machine-dependent batching).
-    merged_in: AtomicU64,
-    /// Windows in which an executor advanced this shard.
-    windows: AtomicU64,
+/// One node's work, kept in its `NodeState` and written only by the
+/// dispatch that holds that state.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct NodeCounts {
+    /// Events popped and dispatched on this node (incl. stale timers).
+    pub(crate) events: u64,
+    /// Timers this node installed.
+    pub(crate) timers_set: u64,
+    /// Live timers fired on this node.
+    pub(crate) timers_fired: u64,
+    /// Timers this node cancelled while still pending.
+    pub(crate) timers_cancelled: u64,
+    /// Messages delivered to this node.
+    pub(crate) messages: u64,
 }
 
-/// One executor's claim outcomes, cache-line padded like
-/// [`ShardCounters`].
+/// What the engine's coordinator counts beside the nodes: the serial
+/// loop or the parallel barrier loop, whichever runs, is its only
+/// writer.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct EngineCounts {
+    /// Engine-global clock samples dispatched.
+    pub(crate) samples: u64,
+    /// Parallel barrier windows planned.
+    pub(crate) windows: u64,
+    /// Due shard-windows over all planned windows (what the deal-out
+    /// distributed; executed claims must sum to the same number).
+    pub(crate) planned_shard_windows: u64,
+    /// Sum over due shard-windows of `cap_s − m_s`, in nanoseconds of
+    /// simulated time: how much horizon each window granted.
+    pub(crate) horizon_span_ns: u64,
+}
+
+impl EngineCounts {
+    /// One barrier window planned with `due_shards` due shard-windows
+    /// granting `horizon_span_secs` of summed horizon.
+    pub(crate) fn window_planned(&mut self, due_shards: u64, horizon_span_secs: f64) {
+        self.windows += 1;
+        self.planned_shard_windows += due_shards;
+        // Accumulated in integer nanoseconds so the sum is exact and
+        // associative (f64 accumulation order would otherwise vary with
+        // nothing to pin it).
+        let ns = (horizon_span_secs * 1e9).round();
+        if ns.is_finite() && ns > 0.0 {
+            // The cast is exact: checked finite and positive above, and
+            // at most one lookahead per due shard — far below u64 range
+            // in nanoseconds.
+            self.horizon_span_ns += ns as u64;
+        }
+    }
+}
+
+/// One executor's claim outcomes, padded to a cache line so executors
+/// recording their claims never false-share. The one place executors
+/// race, hence the one place counts are atomic.
 #[derive(Debug, Default)]
 #[repr(align(64))]
-struct WorkerCounters {
+pub(crate) struct Claims {
     /// Shard windows this executor ran that the balancer dealt to it.
     dealt: AtomicU64,
     /// Shard windows this executor ran via the steal sweep.
     stolen: AtomicU64,
-    _pad: [u64; 6],
 }
 
-/// Wall-clock phase accumulators, in nanoseconds.
-#[derive(Debug, Default)]
-struct PhaseNanos([AtomicU64; 4]);
+impl Claims {
+    /// This executor won the claim on a shard-window; `dealt` says
+    /// whether the balancer had planned that shard for it (else it was
+    /// stolen).
+    pub(crate) fn claim(&self, dealt: bool) {
+        let outcome = if dealt { &self.dealt } else { &self.stolen };
+        outcome.fetch_add(1, Ordering::Relaxed);
+    }
 
-/// The engine's runtime counters: shared read-only (it is all atomics)
-/// by every dispatch path via `SimShared`.
-///
-/// Constructed once per simulation by `SimBuilder::build`. All
-/// recording methods are no-ops when the simulation was configured with
-/// `telemetry: false`.
+    /// This executor's record, with the events the balancer dealt it.
+    pub(crate) fn report(&self, worker: usize, planned_events: u64) -> WorkerReport {
+        WorkerReport {
+            worker,
+            dealt: self.dealt.load(Ordering::Relaxed),
+            stolen: self.stolen.load(Ordering::Relaxed),
+            planned_events,
+        }
+    }
+}
+
+/// The wall-clock side of a simulation: the phase accumulators the
+/// `telemetry` flag turns on. Owned by the simulation and written only
+/// by the thread that drives it (the coordinator).
 #[derive(Debug)]
-pub struct Telemetry {
+pub(crate) struct Telemetry {
     enabled: bool,
-    /// Node → shard map (copied from the partition; all-zero for the
-    /// global scheduler). Empty when disabled.
-    shard_of: Vec<u32>,
-    shards: Vec<ShardCounters>,
-    /// Indexed by executor id; executors never outnumber shards.
-    workers: Vec<WorkerCounters>,
-    /// Engine-global clock samples dispatched.
-    samples: AtomicU64,
-    /// Parallel barrier windows planned.
-    windows: AtomicU64,
-    /// Due shard-windows over all planned windows (what the deal-out
-    /// distributed; executed claims must sum to the same number).
-    planned_shard_windows: AtomicU64,
-    /// Sum over due shard-windows of `cap_s − m_s`, in nanoseconds of
-    /// simulated time: how much horizon each window granted.
-    horizon_span_ns: AtomicU64,
-    phase_ns: PhaseNanos,
+    /// Phase accumulators, in nanoseconds, indexed by `Phase::index`.
+    phase_ns: [u64; 4],
     /// [`alloc_probe::allocs`] at construction time.
     alloc_base: u64,
 }
 
 impl Telemetry {
-    /// Builds an active telemetry block for `nshards` shards with the
-    /// given node → shard map.
+    /// Phase timing on or off.
     #[must_use]
-    pub(crate) fn new(shard_of: Vec<u32>, nshards: usize) -> Self {
-        let nshards = nshards.max(1);
+    pub(crate) fn new(enabled: bool) -> Self {
         Telemetry {
-            enabled: true,
-            shard_of,
-            shards: (0..nshards).map(|_| ShardCounters::default()).collect(),
-            workers: (0..nshards).map(|_| WorkerCounters::default()).collect(),
-            samples: AtomicU64::new(0),
-            windows: AtomicU64::new(0),
-            planned_shard_windows: AtomicU64::new(0),
-            horizon_span_ns: AtomicU64::new(0),
-            phase_ns: PhaseNanos::default(),
+            enabled,
+            phase_ns: [0; 4],
             alloc_base: alloc_probe::allocs(),
-        }
-    }
-
-    /// The disabled block: every recording call is a dead branch, no
-    /// per-shard storage exists.
-    #[must_use]
-    pub(crate) fn disabled() -> Self {
-        Telemetry {
-            enabled: false,
-            shard_of: Vec::new(),
-            shards: Vec::new(),
-            workers: Vec::new(),
-            samples: AtomicU64::new(0),
-            windows: AtomicU64::new(0),
-            planned_shard_windows: AtomicU64::new(0),
-            horizon_span_ns: AtomicU64::new(0),
-            phase_ns: PhaseNanos::default(),
-            alloc_base: 0,
-        }
-    }
-
-    /// Whether this simulation records telemetry.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    #[inline]
-    fn shard(&self, node: NodeId) -> &ShardCounters {
-        &self.shards[self.shard_of[node.index()] as usize]
-    }
-
-    /// One event popped and dispatched on `node`'s shard.
-    #[inline]
-    pub(crate) fn event_dispatched(&self, node: NodeId) {
-        if self.enabled {
-            self.shard(node).events.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// One engine-global clock sample dispatched.
-    #[inline]
-    pub(crate) fn sample_dispatched(&self) {
-        if self.enabled {
-            self.samples.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// `node` installed a timer.
-    #[inline]
-    pub(crate) fn timer_set(&self, node: NodeId) {
-        if self.enabled {
-            self.shard(node).timers_set.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// A live timer fired on `node`.
-    #[inline]
-    pub(crate) fn timer_fired(&self, node: NodeId) {
-        if self.enabled {
-            self.shard(node)
-                .timers_fired
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// `node` cancelled `count` still-pending timers.
-    #[inline]
-    pub(crate) fn timers_cancelled(&self, node: NodeId, count: u64) {
-        if self.enabled && count > 0 {
-            self.shard(node)
-                .timers_cancelled
-                .fetch_add(count, Ordering::Relaxed);
-        }
-    }
-
-    /// A message was delivered to `node`.
-    #[inline]
-    pub(crate) fn message_delivered(&self, node: NodeId) {
-        if self.enabled {
-            self.shard(node).messages.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// A message was queued from `from` to `to`; counts toward the
-    /// destination shard's `staged_in` iff the send crosses shards.
-    /// Deterministic: it is counted at send time, which is part of the
-    /// canonical dispatch sequence, not at (path-dependent) merge time.
-    #[inline]
-    pub(crate) fn message_queued(&self, from: NodeId, to: NodeId) {
-        if self.enabled && self.shard_of[from.index()] != self.shard_of[to.index()] {
-            self.shard(to).staged_in.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// `count` staged arrivals were drained from shard `s`'s parallel
-    /// inbox into its heap.
-    #[inline]
-    pub(crate) fn inbox_merged(&self, s: usize, count: u64) {
-        if self.enabled && count > 0 {
-            self.shards[s].merged_in.fetch_add(count, Ordering::Relaxed);
-        }
-    }
-
-    /// An executor advanced shard `s` for one window.
-    #[inline]
-    pub(crate) fn shard_window(&self, s: usize) {
-        if self.enabled {
-            self.shards[s].windows.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Executor `worker` won the claim on a shard-window; `dealt` says
-    /// whether the balancer had planned that shard for this executor
-    /// (else it was stolen).
-    #[inline]
-    pub(crate) fn claim(&self, worker: usize, dealt: bool) {
-        if self.enabled {
-            let w = &self.workers[worker];
-            if dealt {
-                w.dealt.fetch_add(1, Ordering::Relaxed);
-            } else {
-                w.stolen.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// The coordinator planned one barrier window with `due_shards` due
-    /// shard-windows granting `horizon_span_secs` of summed horizon.
-    #[inline]
-    pub(crate) fn window_planned(&self, due_shards: u64, horizon_span_secs: f64) {
-        if self.enabled {
-            self.windows.fetch_add(1, Ordering::Relaxed);
-            self.planned_shard_windows
-                .fetch_add(due_shards, Ordering::Relaxed);
-            // Accumulated in integer nanoseconds so the sum is exact
-            // and associative (f64 accumulation order would otherwise
-            // vary with nothing to pin it).
-            let ns = (horizon_span_secs * 1e9).round();
-            if ns.is_finite() && ns > 0.0 {
-                // The cast is exact: checked finite and positive above,
-                // and at most one lookahead per due shard — far below u64
-                // range in nanoseconds.
-                self.horizon_span_ns.fetch_add(ns as u64, Ordering::Relaxed);
-            }
         }
     }
 
@@ -388,83 +263,50 @@ impl Telemetry {
         reason = "telemetry side channel: phase timings never enter the trace"
     )]
     pub(crate) fn stamp(&self) -> Stamp {
-        if self.enabled {
-            Stamp(Some(std::time::Instant::now()))
-        } else {
-            Stamp(None)
-        }
+        Stamp(self.enabled.then(std::time::Instant::now))
     }
 
     /// Accumulates the time since `since` into `phase`.
     #[inline]
-    pub(crate) fn phase(&self, phase: Phase, since: Stamp) {
+    pub(crate) fn phase(&mut self, phase: Phase, since: Stamp) {
         if let Some(t0) = since.0 {
             let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.phase_ns.0[phase.index()].fetch_add(ns, Ordering::Relaxed);
+            let acc = &mut self.phase_ns[phase.index()];
+            *acc = acc.saturating_add(ns);
         }
     }
 
     fn phase_secs(&self, phase: Phase) -> f64 {
-        let ns = self.phase_ns.0[phase.index()].load(Ordering::Relaxed) as f64;
-        ns / 1e9
+        self.phase_ns[phase.index()] as f64 / 1e9
     }
 
-    /// Assembles the report. The engine passes the run-level context
-    /// telemetry cannot see on its own: scheduler identity, run stats,
-    /// the shards' queue counters, and the parallel deal record.
+    /// Assembles the report from the counts the engine grouped: per
+    /// shard (node counts summed by the store's shard map, plus the
+    /// parallel store's own), the coordinator's, the shards' queue
+    /// counters, and the per-executor deal and claim record.
     #[must_use]
     pub(crate) fn report(
         &self,
         scheduler: &'static str,
         workers: Option<usize>,
-        stats: SimStats,
-        queue: Option<QueueStats>,
-        planned_events: Option<&[u64]>,
+        per_shard: Vec<ShardReport>,
+        engine: EngineCounts,
+        queue: QueueStats,
+        per_worker: Vec<WorkerReport>,
     ) -> TelemetryReport {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        let per_shard: Vec<ShardReport> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(s, c)| ShardReport {
-                shard: s,
-                events: load(&c.events),
-                timers_set: load(&c.timers_set),
-                timers_fired: load(&c.timers_fired),
-                timers_cancelled: load(&c.timers_cancelled),
-                messages: load(&c.messages),
-                staged_in: load(&c.staged_in),
-                merged_in: load(&c.merged_in),
-                windows: load(&c.windows),
-            })
-            .collect();
         let sum = |f: fn(&ShardReport) -> u64| per_shard.iter().map(f).sum::<u64>();
-        let samples = load(&self.samples);
         let deterministic = DeterministicCounters {
-            events: sum(|s| s.events) + samples,
-            samples,
+            events: sum(|s| s.events) + engine.samples,
+            samples: engine.samples,
             timers_set: sum(|s| s.timers_set),
             timers_fired: sum(|s| s.timers_fired),
             timers_cancelled: sum(|s| s.timers_cancelled),
             messages_delivered: sum(|s| s.messages),
             cross_shard_staged: sum(|s| s.staged_in),
-            windows: load(&self.windows),
-            planned_shard_windows: load(&self.planned_shard_windows),
-            horizon_span_secs: load(&self.horizon_span_ns) as f64 / 1e9,
+            windows: engine.windows,
+            planned_shard_windows: engine.planned_shard_windows,
+            horizon_span_secs: engine.horizon_span_ns as f64 / 1e9,
         };
-        let nworkers = workers.unwrap_or(0);
-        let per_worker: Vec<WorkerReport> = self
-            .workers
-            .iter()
-            .take(nworkers)
-            .enumerate()
-            .map(|(w, c)| WorkerReport {
-                worker: w,
-                dealt: load(&c.dealt),
-                stolen: load(&c.stolen),
-                planned_events: planned_events.and_then(|p| p.get(w)).copied().unwrap_or(0),
-            })
-            .collect();
         let dealt = per_worker.iter().map(|w| w.dealt).sum::<u64>();
         let stolen = per_worker.iter().map(|w| w.stolen).sum::<u64>();
         let claims = dealt + stolen;
@@ -476,17 +318,16 @@ impl Telemetry {
             }
         };
         let inbox_merged_entries = sum(|s| s.merged_in);
-        let q = queue.unwrap_or_default();
         let total_secs = self.phase_secs(Phase::Total);
         let events_per_sec = if total_secs > 0.0 {
-            stats.events as f64 / total_secs
+            deterministic.events as f64 / total_secs
         } else {
             0.0
         };
         TelemetryReport {
             enabled: self.enabled,
             scheduler,
-            shards: self.shards.len(),
+            shards: per_shard.len(),
             workers,
             deterministic,
             per_shard,
@@ -496,11 +337,11 @@ impl Telemetry {
                 dealt_share: share(dealt),
                 stolen_share: share(stolen),
                 inbox_merged_entries,
-                queue_buckets_sorted: q.buckets_sorted,
-                queue_entries_sorted: q.entries_sorted,
-                queue_late_pushes: q.late_pushes,
-                queue_key_compares: q.key_compares,
-                queue_entries_walked: q.entries_walked,
+                queue_buckets_sorted: queue.buckets_sorted,
+                queue_entries_sorted: queue.entries_sorted,
+                queue_late_pushes: queue.late_pushes,
+                queue_key_compares: queue.key_compares,
+                queue_entries_walked: queue.entries_walked,
                 per_worker,
             },
             wall: WallClock {
@@ -537,7 +378,7 @@ pub struct DeterministicCounters {
     pub timers_cancelled: u64,
     /// Messages delivered — matches `SimStats::messages`.
     pub messages_delivered: u64,
-    /// Messages queued across a shard boundary, counted at send time.
+    /// Messages queued across a shard boundary.
     pub cross_shard_staged: u64,
     /// Parallel barrier windows planned.
     pub windows: u64,
@@ -549,7 +390,7 @@ pub struct DeterministicCounters {
 }
 
 /// Per-shard counter block of a [`TelemetryReport`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardReport {
     /// Shard index.
     pub shard: usize,
@@ -563,12 +404,23 @@ pub struct ShardReport {
     pub timers_cancelled: u64,
     /// Messages delivered to this shard's nodes.
     pub messages: u64,
-    /// Cross-shard messages staged to this shard (send-time count).
+    /// Cross-shard messages staged to this shard.
     pub staged_in: u64,
     /// Arrival-inbox entries bulk-merged (parallel path batching).
     pub merged_in: u64,
     /// Windows in which an executor advanced this shard.
     pub windows: u64,
+}
+
+impl ShardReport {
+    /// Adds one of this shard's nodes' counts.
+    pub(crate) fn add_node(&mut self, c: &NodeCounts) {
+        self.events += c.events;
+        self.timers_set += c.timers_set;
+        self.timers_fired += c.timers_fired;
+        self.timers_cancelled += c.timers_cancelled;
+        self.messages += c.messages;
+    }
 }
 
 /// Per-executor claim record of a [`TelemetryReport`].
@@ -580,8 +432,9 @@ pub struct WorkerReport {
     pub dealt: u64,
     /// Shard-windows run via the steal sweep.
     pub stolen: u64,
-    /// Events the balancer dealt to this executor (the deterministic
-    /// balance record, `Simulation::planned_worker_events`).
+    /// Events the balancer dealt to this executor, summed over windows:
+    /// the deterministic balance record, a pure function of `(seed,
+    /// config, worker count)` however the steal race resolves.
     pub planned_events: u64,
 }
 
@@ -649,8 +502,8 @@ pub struct AllocReport {
 /// [`TelemetryReport::to_json`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryReport {
-    /// Whether the simulation recorded telemetry (a disabled report is
-    /// all zeros).
+    /// Whether the wall-clock phases were timed (the counts are kept
+    /// either way; untimed, the `wall` section is all zeros).
     pub enabled: bool,
     /// `"global"` or `"parallel"`.
     pub scheduler: &'static str,
@@ -802,47 +655,92 @@ impl TelemetryReport {
 mod tests {
     use super::*;
 
+    /// Shard `s`'s block with only its index set.
+    fn shard(s: usize) -> ShardReport {
+        ShardReport {
+            shard: s,
+            ..ShardReport::default()
+        }
+    }
+
+    /// A report of `per_shard` with no coordinator, queue or worker
+    /// counts.
+    fn bare(tel: &Telemetry, per_shard: Vec<ShardReport>) -> TelemetryReport {
+        tel.report(
+            "global",
+            None,
+            per_shard,
+            EngineCounts::default(),
+            QueueStats::default(),
+            Vec::new(),
+        )
+    }
+
     #[test]
-    fn disabled_telemetry_records_nothing_and_allocates_no_blocks() {
-        let tel = Telemetry::disabled();
-        tel.sample_dispatched();
-        tel.window_planned(3, 1.0);
-        tel.claim(0, true);
-        let r = tel.report("global", None, SimStats::default(), None, None);
+    fn an_untimed_report_keeps_every_count() {
+        let mut tel = Telemetry::new(false);
+        let t0 = tel.stamp();
+        tel.phase(Phase::Total, t0);
+        let mut s0 = shard(0);
+        s0.add_node(&NodeCounts {
+            events: 3,
+            messages: 2,
+            ..NodeCounts::default()
+        });
+        let r = bare(&tel, vec![s0]);
         assert!(!r.enabled);
-        assert_eq!(r.shards, 0);
-        assert_eq!(r.deterministic.events, 0);
-        assert_eq!(r.deterministic.windows, 0);
-        assert_eq!(r.diagnostics.shards_dealt, 0);
+        assert_eq!(r.shards, 1);
+        assert_eq!(r.deterministic.events, 3);
+        assert_eq!(r.deterministic.messages_delivered, 2);
+        // Disabled stamps are inert: nothing was timed.
+        assert_eq!(r.wall.total_secs, 0.0);
+        assert_eq!(r.wall.events_per_sec, 0.0);
     }
 
     #[test]
     fn counters_roll_up_per_shard_and_per_worker() {
         // Two shards: nodes 0,1 on shard 0, node 2 on shard 1.
-        let tel = Telemetry::new(vec![0, 0, 1], 2);
-        tel.event_dispatched(NodeId(0));
-        tel.event_dispatched(NodeId(2));
-        tel.event_dispatched(NodeId(2));
-        tel.sample_dispatched();
-        tel.timer_set(NodeId(1));
-        tel.timer_fired(NodeId(1));
-        tel.timers_cancelled(NodeId(0), 2);
-        tel.message_delivered(NodeId(2));
-        tel.message_queued(NodeId(0), NodeId(2)); // crosses 0 → 1
-        tel.message_queued(NodeId(0), NodeId(1)); // same shard: not staged
-        tel.inbox_merged(1, 4);
-        tel.shard_window(0);
-        tel.shard_window(1);
-        tel.claim(0, true);
-        tel.claim(1, false);
-        tel.window_planned(2, 0.5);
-
-        let stats = SimStats {
-            events: 4,
-            messages: 1,
-            timers: 1,
+        let nodes = [
+            NodeCounts {
+                events: 1,
+                timers_cancelled: 2,
+                ..NodeCounts::default()
+            },
+            NodeCounts {
+                timers_set: 1,
+                timers_fired: 1,
+                ..NodeCounts::default()
+            },
+            NodeCounts {
+                events: 2,
+                messages: 1,
+                ..NodeCounts::default()
+            },
+        ];
+        let mut per_shard = vec![shard(0), shard(1)];
+        for (c, s) in nodes.iter().zip([0, 0, 1]) {
+            per_shard[s].add_node(c);
+        }
+        per_shard[1].staged_in = 1;
+        per_shard[1].merged_in = 4;
+        let mut engine = EngineCounts {
+            samples: 1,
+            ..EngineCounts::default()
         };
-        let r = tel.report("parallel", Some(2), stats, None, Some(&[10, 20]));
+        engine.window_planned(2, 0.5);
+        let claims = [Claims::default(), Claims::default()];
+        claims[0].claim(true);
+        claims[1].claim(false);
+        let per_worker = vec![claims[0].report(0, 10), claims[1].report(1, 20)];
+
+        let r = Telemetry::new(true).report(
+            "parallel",
+            Some(2),
+            per_shard,
+            engine,
+            QueueStats::default(),
+            per_worker,
+        );
         let d = &r.deterministic;
         assert_eq!(d.events, 4, "3 shard events + 1 sample");
         assert_eq!(d.samples, 1);
@@ -857,7 +755,7 @@ mod tests {
         assert_eq!(r.per_shard[0].events, 1);
         assert_eq!(r.per_shard[1].events, 2);
         assert_eq!(r.per_shard[1].staged_in, 1);
-        assert_eq!(r.per_shard[1].merged_in, 4);
+        assert_eq!(r.diagnostics.inbox_merged_entries, 4);
         assert_eq!(r.diagnostics.shards_dealt, 1);
         assert_eq!(r.diagnostics.shards_stolen, 1);
         assert!((r.diagnostics.dealt_share + r.diagnostics.stolen_share - 1.0).abs() < 1e-12);
@@ -866,9 +764,7 @@ mod tests {
 
     #[test]
     fn json_has_the_stable_schema_shape() {
-        let tel = Telemetry::new(vec![0], 1);
-        tel.event_dispatched(NodeId(0));
-        let mut r = tel.report("global", None, SimStats::default(), None, None);
+        let mut r = bare(&Telemetry::new(true), vec![shard(0)]);
         r.wall.total_secs = 0.1 + 0.2;
         r.wall.events_per_sec = f64::INFINITY;
         let json = r.to_json();
@@ -901,20 +797,11 @@ mod tests {
     fn stopwatch_and_stamps_measure_nonnegative_time() {
         let sw = Stopwatch::start();
         assert!(sw.elapsed_secs() >= 0.0);
-        let tel = Telemetry::new(vec![0], 1);
+        let mut tel = Telemetry::new(true);
         let t0 = tel.stamp();
         tel.phase(Phase::Total, t0);
-        let r = tel.report("global", None, SimStats::default(), None, None);
+        let r = bare(&tel, vec![shard(0)]);
+        assert!(r.enabled);
         assert!(r.wall.total_secs >= 0.0);
-        // Disabled stamps are inert.
-        let off = Telemetry::disabled();
-        let t1 = off.stamp();
-        off.phase(Phase::Total, t1);
-        assert_eq!(
-            off.report("global", None, SimStats::default(), None, None)
-                .wall
-                .total_secs,
-            0.0
-        );
     }
 }

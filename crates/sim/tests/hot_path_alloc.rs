@@ -180,10 +180,10 @@ fn steady_state_event_loop_does_not_allocate() {
          events — a per-event allocation crept back in"
     );
 
-    // Telemetry is a fixed-size block of relaxed atomics allocated at
-    // build time: with the counters *enabled*, the steady-state window
-    // must still be allocation-free — the side channel may never put a
-    // per-event allocation on the hot path.
+    // Telemetry times phases into fixed-size accumulators: with it
+    // *enabled*, the steady-state window must still be allocation-free —
+    // the side channel may never put a per-event allocation on the hot
+    // path.
     let mut sim = build_with(8, true);
     sim.run_until(SimTime::from_secs(20.0));
     let events_before = sim.stats().events;

@@ -184,9 +184,9 @@ fn stealing_is_stable_across_repeated_runs() {
 fn dealt_load_is_spread_on_hub_and_spoke() {
     // The acceptance bar for the balancer itself: on the hub-and-spoke
     // partition, no worker's dealt share exceeds 60% of all events.
-    // The dealt record is machine-independent (see
-    // `Simulation::planned_worker_events`), so this is a hard assert,
-    // not a flaky perf check.
+    // The dealt record is machine-independent (the telemetry report's
+    // `per_worker[].planned_events`), so this is a hard assert, not a
+    // flaky perf check.
     let mut sim = build(
         18,
         7,
@@ -196,10 +196,10 @@ fn dealt_load_is_spread_on_hub_and_spoke() {
         },
     );
     sim.run_until(SimTime::from_secs(0.4));
-    let loads = sim
-        .planned_worker_events()
-        .expect("parallel scheduler records dealt loads")
-        .to_vec();
+    let loads: Vec<u64> = (sim.telemetry().diagnostics.per_worker.iter())
+        .map(|w| w.planned_events)
+        .collect();
+    assert_eq!(loads.len(), 4);
     let total: u64 = loads.iter().sum();
     assert!(total > 0, "no events dealt");
     for (w, &load) in loads.iter().enumerate() {

@@ -1,19 +1,22 @@
-//! Telemetry is a pure side channel — this suite pins the three
+//! Telemetry is a pure side channel — this suite pins the four
 //! guarantees `ftgcs_sim::telemetry` makes:
 //!
 //! 1. **Trace neutrality**: the trace and work counters of a run are
 //!    byte-identical whether telemetry is enabled or disabled, on every
 //!    scheduler and worker count.
-//! 2. **Deterministic counters**: the report's `deterministic` block is
+//! 2. **One set of books**: the counts are kept with the flag off too —
+//!    the same `deterministic` and `per_shard` blocks either way — and
+//!    `SimStats` is their sum.
+//! 3. **Deterministic counters**: the report's `deterministic` block is
 //!    a pure function of `(seed, config, partition)` — identical across
 //!    worker counts, and (for the partition-independent fields) across
 //!    schedulers.
-//! 3. **Steal accounting**: every executed shard-window was either
+//! 4. **Steal accounting**: every executed shard-window was either
 //!    dealt or stolen, and the two shares sum to 1.
 //!
-//! (The fourth guarantee — zero hot-path allocations with counters
-//! enabled — lives in `tests/hot_path_alloc.rs`, which owns the
-//! process-wide counting allocator.)
+//! (A fifth — zero hot-path allocations with telemetry enabled — lives
+//! in `tests/hot_path_alloc.rs`, which owns the process-wide counting
+//! allocator.)
 
 use ftgcs_sim::clock::RateModel;
 use ftgcs_sim::engine::{Ctx, SimBuilder, SimConfig, SimStats, Simulation};
@@ -131,6 +134,32 @@ fn enabling_telemetry_leaves_every_trace_byte_identical() {
         assert!(
             !off.0.rows.is_empty() && !off.0.samples.is_empty(),
             "{label}: comparison is vacuous on an empty trace"
+        );
+    }
+}
+
+#[test]
+fn counts_are_kept_without_the_flag() {
+    for (label, scheduler) in axes() {
+        let (_, stats, off) = run(scheduler.clone(), false);
+        let on = run(scheduler, true).2;
+        let d = &off.deterministic;
+        assert!(
+            d.events > 0,
+            "{label}: a run without the flag counted nothing"
+        );
+        assert_eq!(
+            *d, on.deterministic,
+            "{label}: the flag changed the deterministic block"
+        );
+        assert_eq!(
+            off.per_shard, on.per_shard,
+            "{label}: the flag changed the per-shard counts"
+        );
+        assert_eq!(
+            (stats.events, stats.messages, stats.timers),
+            (d.events, d.messages_delivered, d.timers_fired),
+            "{label}: SimStats and the report disagree"
         );
     }
 }
@@ -256,7 +285,6 @@ fn a_pin_above_the_shard_count_reports_the_executors_that_ran() {
     assert_eq!(report.shards, 3);
     assert_eq!(report.workers, Some(3));
     assert_eq!(report.diagnostics.per_worker.len(), 3);
-    assert_eq!(sim.planned_worker_events().map(<[u64]>::len), Some(3));
 }
 
 #[test]
