@@ -24,6 +24,7 @@
 //! how long the horizon, no full-`Trace` materialization.
 
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use ftgcs::runner::Scenario;
@@ -299,6 +300,7 @@ struct SweepCell {
 
 /// What one measured cell contributes: the six table fields plus the
 /// raw numbers behind the stderr progress lines.
+#[derive(Clone)]
 struct CellMeasurement {
     fields: [String; 6],
     events: u64,
@@ -344,7 +346,16 @@ fn cell_stderr(k: usize, cells: usize, name: &str, wall: f64, events: u64, cache
         0.0
     };
     let suffix = if cached { " (cached)" } else { "" };
-    eprintln!("[xp sweep {k}/{cells}] {name}: {wall:.2} s wall, {rate:.0} events/s{suffix}");
+    stderr_line(&format!(
+        "[xp sweep {k}/{cells}] {name}: {wall:.2} s wall, {rate:.0} events/s{suffix}\n"
+    ));
+}
+
+/// Writes one formatted line to stderr in a single `write_all`:
+/// `eprintln!` on the unbuffered stderr makes one write per format
+/// piece.
+fn stderr_line(line: &str) {
+    let _ = std::io::stderr().write_all(line.as_bytes());
 }
 
 /// Serializes one measured cell as the `run-cell --row` wire line:
@@ -360,26 +371,35 @@ fn row_tsv(m: &CellMeasurement) -> String {
     line
 }
 
-/// Parses a [`row_tsv`] line back into `(wall, events, fields)`.
-fn parse_row_tsv(line: &str) -> Result<(f64, u64, Vec<String>), String> {
+/// Parses a [`row_tsv`] line back into the measurement.
+fn parse_row_tsv(line: &str) -> Result<CellMeasurement, String> {
     let parts: Vec<&str> = line.trim_end_matches('\n').split('\t').collect();
-    if parts.len() != 8 {
-        return Err(format!(
-            "malformed row from run-cell child ({} of 8 fields)",
-            parts.len()
-        ));
+    let Ok([wall, events, fields @ ..]) = <[&str; 8]>::try_from(parts.as_slice()) else {
+        return Err(format!("malformed row ({} of 8 fields)", parts.len()));
+    };
+    Ok(CellMeasurement {
+        fields: fields.map(str::to_string),
+        events: events
+            .parse()
+            .map_err(|e| format!("bad event count {events:?}: {e}"))?,
+        wall: wall
+            .parse()
+            .map_err(|e| format!("bad wall clock {wall:?}: {e}"))?,
+    })
+}
+
+/// The cell's cached row, if its entry holds one that parses. A
+/// completed entry without such a row is evicted, so the cell is a miss
+/// and the row its child computes takes the entry's place.
+fn cached_row(store: &ResultStore, key: &CellKey) -> Option<CellMeasurement> {
+    let row = store
+        .read(key, "row.tsv")
+        .ok()
+        .and_then(|bytes| parse_row_tsv(std::str::from_utf8(&bytes).ok()?).ok());
+    if row.is_none() && store.is_done(key) {
+        let _ = store.evict(key);
     }
-    let wall = parts[0]
-        .parse::<f64>()
-        .map_err(|e| format!("bad wall clock {:?}: {e}", parts[0]))?;
-    let events = parts[1]
-        .parse::<u64>()
-        .map_err(|e| format!("bad event count {:?}: {e}", parts[1]))?;
-    Ok((
-        wall,
-        events,
-        parts[2..].iter().map(ToString::to_string).collect(),
-    ))
+    row
 }
 
 /// Runs the cartesian product of the axes over a base spec file.
@@ -394,8 +414,9 @@ fn parse_row_tsv(line: &str) -> Result<(f64, u64, Vec<String>), String> {
 /// the bounded job pool: every cell is expanded and canonicalized up
 /// front, results are delivered (and printed) in cell order, crashed
 /// children are retried (byte-identical by determinism), and finished
-/// rows are kept in the content-addressed cache so a repeated sweep
-/// spawns nothing.
+/// rows are kept in the content-addressed cache. The cache is read
+/// before the pool starts, so a repeated sweep starts no thread and
+/// spawns nothing; a cached row that does not parse is recomputed.
 ///
 /// # Errors
 ///
@@ -461,57 +482,62 @@ pub fn sweep_file_with(path: &Path, axes: &[SweepAxis], opts: &SweepOptions) -> 
 
     let total_sw = Stopwatch::start();
     let mut total_events: u64 = 0;
+    // Called in cell order on this thread in both modes, which is what
+    // keeps stdout byte-identical between them.
+    let mut deliver = |k: usize, m: &CellMeasurement, cached: bool| {
+        let cell = &expanded[k];
+        cell_stderr(k + 1, cells, &cell.name, m.wall, m.events, cached);
+        total_events += m.events;
+        let mut row = cell.values.clone();
+        row.extend(m.fields.iter().cloned());
+        table.row(&row);
+        println!("[{}/{cells}] done", k + 1);
+    };
     if opts.parallel {
         let runner = CellRunner {
             binary: std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?,
             retries: 2,
         };
         let store = ResultStore::from_env();
+        // Every cell is looked up here, before the pool starts, and the
+        // pool is sized to the misses: a sweep without a miss starts no
+        // thread and no child.
+        let keys: Vec<CellKey> = expanded
+            .iter()
+            .map(|cell| cell_key(&cell.file, CellKind::SweepRow))
+            .collect();
+        let hits: Vec<Option<CellMeasurement>> =
+            keys.iter().map(|key| cached_row(&store, key)).collect();
+        let misses = hits.iter().filter(|hit| hit.is_none()).count();
         let mut first_err: Option<String> = None;
         run_indexed(
             cells,
-            opts.jobs,
+            opts.jobs.min(misses),
             |k| {
-                let cell = &expanded[k];
-                let key = cell_key(&cell.file, CellKind::SweepRow);
-                if store.is_done(&key) {
-                    if let Ok(line) = store.read(&key, "row.tsv") {
-                        if let Ok(line) = String::from_utf8(line) {
-                            return Ok((line, true));
-                        }
-                    }
+                if let Some(hit) = &hits[k] {
+                    return Ok((hit.clone(), true));
                 }
+                let cell = &expanded[k];
                 let outcome = runner
                     .run_cell(&["--row"], &cell.file.print(), None)
                     .map_err(|e| format!("cell {}: {e}", cell.name))?;
-                if let Ok(staging) = store.begin(&key) {
+                let m = parse_row_tsv(&outcome.stdout)
+                    .map_err(|e| format!("cell {}: run-cell child: {e}", cell.name))?;
+                if let Ok(staging) = store.begin(&keys[k]) {
                     if std::fs::write(staging.dir().join("row.tsv"), &outcome.stdout).is_ok() {
                         let _ = staging.publish();
                     } else {
                         staging.discard();
                     }
                 }
-                Ok((outcome.stdout, false))
+                Ok((m, false))
             },
             |k, result| {
-                // Delivered in cell order on this thread, which is what
-                // keeps stdout byte-identical to the sequential sweep.
                 if first_err.is_some() {
                     return;
                 }
-                let cell = &expanded[k];
                 match result {
-                    Ok((line, cached)) => match parse_row_tsv(line) {
-                        Ok((wall, events, fields)) => {
-                            cell_stderr(k + 1, cells, &cell.name, wall, events, *cached);
-                            total_events += events;
-                            let mut row = cell.values.clone();
-                            row.extend(fields);
-                            table.row(&row);
-                            println!("[{}/{cells}] done", k + 1);
-                        }
-                        Err(e) => first_err = Some(format!("cell {}: {e}", cell.name)),
-                    },
+                    Ok((m, cached)) => deliver(k, m, *cached),
                     Err(e) => first_err = Some(e.clone()),
                 }
             },
@@ -522,12 +548,7 @@ pub fn sweep_file_with(path: &Path, axes: &[SweepAxis], opts: &SweepOptions) -> 
     } else {
         for (k, cell) in expanded.iter().enumerate() {
             let m = measure_cell(&cell.file).map_err(|e| format!("cell {}: {e}", cell.name))?;
-            cell_stderr(k + 1, cells, &cell.name, m.wall, m.events, false);
-            total_events += m.events;
-            let mut row = cell.values.clone();
-            row.extend(m.fields);
-            table.row(&row);
-            println!("[{}/{cells}] done", k + 1);
+            deliver(k, &m, false);
         }
     }
     println!();
@@ -538,7 +559,9 @@ pub fn sweep_file_with(path: &Path, axes: &[SweepAxis], opts: &SweepOptions) -> 
     } else {
         0.0
     };
-    eprintln!("[xp sweep] {cells} cell(s) in {total_wall:.2} s wall, {rate:.0} events/s aggregate");
+    stderr_line(&format!(
+        "[xp sweep] {cells} cell(s) in {total_wall:.2} s wall, {rate:.0} events/s aggregate\n"
+    ));
     Ok(())
 }
 

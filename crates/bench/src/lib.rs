@@ -23,8 +23,7 @@ pub mod exp;
 pub mod spec;
 
 use std::fs;
-use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use ftgcs::params::Params;
 use ftgcs::runner::{Scenario, ScenarioRun};
@@ -116,7 +115,9 @@ pub fn results_dir() -> PathBuf {
 }
 
 /// Writes a rendered table to stdout and its CSV twin to
-/// `results/<name>.csv`.
+/// `results/<name>.csv`. A file that already holds exactly these bytes
+/// is left alone: re-creating it is the largest single cost of a
+/// cached sweep.
 ///
 /// # Panics
 ///
@@ -125,10 +126,16 @@ pub fn results_dir() -> PathBuf {
 pub fn emit_table(name: &str, table: &Table) {
     println!("{}", table.render());
     let path = results_dir().join(format!("{name}.csv"));
-    let mut file = fs::File::create(&path).expect("create csv");
-    file.write_all(table.to_csv().as_bytes())
-        .expect("write csv");
+    write_if_changed(&path, table.to_csv().as_bytes()).expect("write csv");
     println!("[csv written to {}]", path.display());
+}
+
+/// Writes `bytes` to `path` unless the file already holds exactly them.
+fn write_if_changed(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    if fs::read(path).is_ok_and(|old| old == bytes) {
+        return Ok(());
+    }
+    fs::write(path, bytes)
 }
 
 #[cfg(test)]
@@ -152,6 +159,31 @@ mod tests {
         // The scenario builds fine with all overrides in place.
         let sim = s.build();
         assert_eq!(sim.node_count(), 16);
+    }
+
+    #[test]
+    fn an_unchanged_csv_is_not_rewritten() {
+        let dir = std::env::temp_dir().join(format!("ftgcs_emit_{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.csv");
+        fs::write(&path, b"a,b\n1,2\n").unwrap();
+        let modified = || fs::metadata(&path).unwrap().modified().unwrap();
+        let past = modified() - std::time::Duration::from_secs(86_400);
+        fs::File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_modified(past)
+            .unwrap();
+        write_if_changed(&path, b"a,b\n1,2\n").unwrap();
+        assert_eq!(modified(), past, "identical bytes touched the file");
+        write_if_changed(&path, b"a,b\n1,3\n").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"a,b\n1,3\n");
+        assert_ne!(modified(), past, "new bytes left the file alone");
+        // Shorter bytes that the old file starts with still replace it.
+        write_if_changed(&path, b"a,b\n").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"a,b\n");
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -116,8 +116,13 @@ fn parallel_sweep_matches_sequential(name: &str, axis: &str) -> String {
     }
 
     // A repeated parallel sweep is served from the cache ((cached)
-    // markers on stderr) and still byte-identical on stdout.
-    let again = sweep(&dir.join("par2"), &dir.join("cache"), axis, &PARALLEL);
+    // markers on stderr) and still byte-identical on stdout. It starts
+    // no child: a `run-cell` child would create this marker.
+    let marker = dir.join("child_marker");
+    let again = sweep_command(&dir.join("par2"), &dir.join("cache"), axis, &PARALLEL)
+        .env("FTGCS_RUN_CELL_CRASH_ONCE", &marker)
+        .output()
+        .expect("xp sweep");
     assert!(again.status.success());
     assert_eq!(seq.stdout, again.stdout);
     assert!(
@@ -125,7 +130,54 @@ fn parallel_sweep_matches_sequential(name: &str, axis: &str) -> String {
         "repeat sweep did not hit the cache: {}",
         String::from_utf8_lossy(&again.stderr)
     );
+    assert!(!marker.exists(), "a fully cached sweep spawned a child");
     csv
+}
+
+/// A cached row that does not parse, or is not there, is a miss: the
+/// cell is recomputed, its entry replaced, and the sweep's bytes are
+/// those of the sequential sweep. A later sweep finds the recomputed
+/// row.
+#[test]
+fn a_corrupt_cached_row_is_recomputed() {
+    let dir = scratch("corrupt_row");
+    let seq = sweep(&dir.join("seq"), &dir.join("seq_cache"), SEEDS, &[]);
+    assert!(seq.status.success());
+    let seq_csv = std::fs::read(dir.join("seq/results/smoke_sweep.csv")).expect("sequential CSV");
+    let cache = dir.join("cache");
+    assert!(sweep(&dir.join("cold"), &cache, SEEDS, &PARALLEL)
+        .status
+        .success());
+    let row = std::fs::read_dir(&cache)
+        .expect("cache dir")
+        .filter_map(Result::ok)
+        .map(|entry| entry.path().join("row.tsv"))
+        .find(|row| row.is_file())
+        .expect("a cached row");
+    for (round, corrupt) in [Some(&b"0.01\t12"[..]), Some(b""), None]
+        .into_iter()
+        .enumerate()
+    {
+        match corrupt {
+            Some(bytes) => std::fs::write(&row, bytes).expect("corrupt the row"),
+            None => std::fs::remove_file(&row).expect("remove the row"),
+        }
+        let cwd = dir.join(format!("fixed{round}"));
+        let fixed = sweep(&cwd, &cache, SEEDS, &PARALLEL);
+        let err = String::from_utf8_lossy(&fixed.stderr);
+        assert!(fixed.status.success(), "{err}");
+        assert_eq!(err.matches("(cached)").count(), 2, "{err}");
+        assert_eq!(seq.stdout, fixed.stdout);
+        assert_eq!(
+            seq_csv,
+            std::fs::read(cwd.join("results/smoke_sweep.csv")).expect("sweep CSV")
+        );
+        let again = sweep(&dir.join(format!("again{round}")), &cache, SEEDS, &PARALLEL);
+        let err = String::from_utf8_lossy(&again.stderr);
+        assert!(again.status.success(), "{err}");
+        assert_eq!(err.matches("(cached)").count(), 3, "{err}");
+        assert_eq!(seq.stdout, again.stdout);
+    }
 }
 
 /// Sweeps `axis` in both modes and asserts the sweep is refused before

@@ -65,7 +65,8 @@ impl ResultStore {
     /// Reads one artifact from a **completed** entry. `rel` must be a
     /// plain file name ([`artifact_name_ok`]); full runs may nest
     /// their CSVs under `results/`, so a name not found at the entry
-    /// root is also looked up there.
+    /// root is also looked up there. A hit costs one probe of the
+    /// `DONE` marker and the read.
     ///
     /// # Errors
     ///
@@ -78,18 +79,34 @@ impl ResultStore {
                 format!("invalid artifact name {rel:?}"),
             ));
         }
-        if !self.is_done(key) {
+        let dir = self.entry_dir(key);
+        if !dir.join(DONE_MARKER).is_file() {
             return Err(io::Error::new(
                 io::ErrorKind::NotFound,
                 format!("no completed entry for {key}"),
             ));
         }
-        let dir = self.entry_dir(key);
-        let direct = dir.join(rel);
-        if direct.is_file() {
-            return std::fs::read(direct);
+        match std::fs::read(dir.join(rel)) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                std::fs::read(dir.join("results").join(rel))
+            }
+            read => read,
         }
-        std::fs::read(dir.join("results").join(rel))
+    }
+
+    /// Removes the entry for `key`, if there is one. A reader that
+    /// finds an artifact it cannot use evicts the entry, so that the
+    /// recomputed one takes its place: [`Staging::publish`] keeps any
+    /// completed entry it finds.
+    ///
+    /// # Errors
+    ///
+    /// Propagates removal failures other than `NotFound`.
+    pub fn evict(&self, key: &CellKey) -> io::Result<()> {
+        match std::fs::remove_dir_all(self.entry_dir(key)) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+            removed => removed,
+        }
     }
 
     /// Lists a completed entry's artifacts (entry root plus the
@@ -231,7 +248,38 @@ mod tests {
         std::fs::write(staging.dir().join("results/x_samples.csv"), b"t,v\n").unwrap();
         staging.publish().unwrap();
         assert_eq!(store.read(&key, "x_samples.csv").unwrap(), b"t,v\n");
-        assert!(store.read(&key, "missing.csv").is_err());
+        assert_eq!(
+            store.read(&key, "missing.csv").unwrap_err().kind(),
+            io::ErrorKind::NotFound
+        );
+    }
+
+    #[test]
+    fn an_entry_without_its_marker_is_not_read() {
+        let store = ResultStore::new(scratch("unmarked"));
+        let key = CellKey::from_parts(&["t", "f"]);
+        std::fs::create_dir_all(store.entry_dir(&key)).unwrap();
+        std::fs::write(store.entry_dir(&key).join("row.tsv"), b"1\t2\n").unwrap();
+        let err = store.read(&key, "row.tsv").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        std::fs::write(store.entry_dir(&key).join(DONE_MARKER), b"ok\n").unwrap();
+        assert_eq!(store.read(&key, "row.tsv").unwrap(), b"1\t2\n");
+    }
+
+    #[test]
+    fn an_evicted_entry_gives_way_to_the_next_publisher() {
+        let store = ResultStore::new(scratch("evict"));
+        let key = CellKey::from_parts(&["t", "g"]);
+        store.evict(&key).unwrap();
+        let first = store.begin(&key).unwrap();
+        std::fs::write(first.dir().join("row.tsv"), b"bad\n").unwrap();
+        first.publish().unwrap();
+        store.evict(&key).unwrap();
+        assert!(!store.is_done(&key));
+        let second = store.begin(&key).unwrap();
+        std::fs::write(second.dir().join("row.tsv"), b"good\n").unwrap();
+        second.publish().unwrap();
+        assert_eq!(store.read(&key, "row.tsv").unwrap(), b"good\n");
     }
 
     #[test]

@@ -3,7 +3,9 @@
 # the real CLI and a real HTTP client (curl):
 #
 #   1. `xp sweep --parallel --jobs 2` must produce stdout and a merged
-#      sweep CSV byte-identical to the sequential in-process sweep.
+#      sweep CSV byte-identical to the sequential in-process sweep, cold,
+#      again from the warm cache, and again after one cached row is
+#      truncated (a row that does not parse is recomputed).
 #   2. `xp serve` on an ephemeral port must accept experiments/smoke.spec
 #      over POST /submit, run it to completion, and serve back a samples
 #      CSV byte-identical to an in-process `xp run` of the same spec.
@@ -38,6 +40,21 @@ mkdir -p "$work/seq" "$work/par"
 diff "$work/seq.out" "$work/par.out"
 diff "$work/seq/results/smoke_sweep.csv" "$work/par/results/smoke_sweep.csv"
 echo "parallel sweep is byte-identical to sequential"
+
+cached_sweep() {
+    mkdir -p "$work/$1"
+    (cd "$work/$1" && FTGCS_CACHE_DIR="$work/cache" \
+        xp sweep "$spec" seed=1,2,3 --parallel --jobs 2) > "$work/$1.out"
+    diff "$work/seq.out" "$work/$1.out"
+    diff "$work/seq/results/smoke_sweep.csv" "$work/$1/results/smoke_sweep.csv"
+}
+cached_sweep warm
+echo "cached sweep is byte-identical to sequential"
+row="$(ls "$work"/cache/*/row.tsv | head -n 1)"
+: > "$row"
+cached_sweep truncated
+[ -s "$row" ] || { echo "the truncated row was not recomputed"; exit 1; }
+echo "a truncated cached row is recomputed"
 
 echo "== xp serve end-to-end =="
 mkdir -p "$work/ref" "$work/srv"
