@@ -141,8 +141,9 @@ pub struct ClusterInstance {
     track: TrackId,
     /// Base-graph id of the observed cluster (for tracing).
     cluster_id: usize,
-    /// Physical members of the observed cluster, in slot order.
-    observed: Vec<NodeId>,
+    /// Physical members of the observed cluster, in slot order (shared
+    /// with every instance observing the same cluster).
+    observed: Arc<[NodeId]>,
     /// True for estimator instances (no real broadcast).
     silent: bool,
     params: Arc<Params>,
@@ -186,10 +187,11 @@ impl ClusterInstance {
         idx: u32,
         track: TrackId,
         cluster_id: usize,
-        observed: Vec<NodeId>,
+        observed: impl Into<Arc<[NodeId]>>,
         silent: bool,
         params: Arc<Params>,
     ) -> Self {
+        let observed = observed.into();
         // Correct nodes always observe full clusters of k >= 3f+1 members;
         // Byzantine self-trackers observe their own cluster minus
         // themselves (k-1 >= 3f members), which still satisfies the

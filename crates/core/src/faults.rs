@@ -288,7 +288,7 @@ impl ClusterFollower {
             tracker: None,
             params: Arc::clone(&cfg.params),
             cluster_id: cfg.cluster_id,
-            peers: cfg.members.clone(),
+            peers: cfg.members.to_vec(),
             peer_slots: Vec::new(),
             nominal,
             start_round,
@@ -669,7 +669,7 @@ impl LifecycleNode {
                 // the first correction re-synchronizes exactly.
                 let mut cfg = self.cfg.clone();
                 cfg.initial_offset = nominal;
-                cfg.neighbor_offsets = vec![nominal; cfg.neighbors.len()];
+                cfg.neighbor_offsets = vec![nominal; cfg.neighbors.len()].into();
                 let mut node = FtGcsNode::new(cfg);
                 node.start_at_round(ctx, round);
                 Box::new(node)
@@ -710,8 +710,8 @@ mod tests {
             params: Arc::new(Params::practical(1e-4, 1e-3, 1e-4, 1).unwrap()),
             cluster_id: 0,
             members: (0..4).map(NodeId).collect(),
-            neighbors: vec![],
-            neighbor_offsets: vec![],
+            neighbors: Vec::new().into(),
+            neighbor_offsets: Vec::new().into(),
             mode_policy: crate::triggers::ModePolicy::CatchUp,
             enable_max_estimator: false,
             initial_offset: 0.0,

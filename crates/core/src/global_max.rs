@@ -574,8 +574,8 @@ mod tests {
             params,
             cluster_id: 0,
             members: (0..4).map(NodeId).collect(),
-            neighbors: vec![(1, (4..8).map(NodeId).collect())],
-            neighbor_offsets: Vec::new(),
+            neighbors: vec![(1, (4..8).map(NodeId).collect())].into(),
+            neighbor_offsets: Vec::new().into(),
             mode_policy: ModePolicy::CatchUp,
             enable_max_estimator: true,
             initial_offset: 0.0,

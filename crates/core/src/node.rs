@@ -33,6 +33,10 @@ use crate::triggers::{evaluate, Mode, ModePolicy};
 pub const ROW_MODE: &str = "mode";
 
 /// Static wiring of one FTGCS node.
+///
+/// Everything but `initial_offset` is the same for every member of a
+/// cluster, and the lists are shared: cloning a config copies no list,
+/// so one built per cluster serves all `k` members.
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
     /// Shared algorithm parameters.
@@ -41,14 +45,14 @@ pub struct NodeConfig {
     pub cluster_id: usize,
     /// Members of this node's cluster (including the node itself), in slot
     /// order.
-    pub members: Vec<NodeId>,
+    pub members: Arc<[NodeId]>,
     /// Adjacent clusters: `(cluster_id, members)` in a fixed order.
-    pub neighbors: Vec<(usize, Vec<NodeId>)>,
+    pub neighbors: Arc<[(usize, Arc<[NodeId]>)]>,
     /// Initial logical clock value of each adjacent cluster (aligned with
     /// `neighbors`). Estimator tracks start here — the natural
     /// generalization of the paper's perfect-initialization assumption
     /// (estimates start exact). Empty means all zeros.
-    pub neighbor_offsets: Vec<f64>,
+    pub neighbor_offsets: Arc<[f64]>,
     /// Policy when neither trigger fires.
     pub mode_policy: ModePolicy,
     /// Whether to run the global-max estimator (needed by
@@ -98,7 +102,7 @@ impl FtGcsNode {
             0,
             TrackId::MAIN,
             cfg.cluster_id,
-            cfg.members.clone(),
+            Arc::clone(&cfg.members),
             false,
             Arc::clone(&cfg.params),
         );
@@ -224,7 +228,7 @@ impl FtGcsNode {
                 (i + 1) as u32,
                 track,
                 *cluster_id,
-                members.clone(),
+                Arc::clone(members),
                 true,
                 Arc::clone(&self.cfg.params),
             );
@@ -245,11 +249,8 @@ impl FtGcsNode {
             let p = &self.cfg.params;
             let track = ctx.new_track(0.0, 1.0 / (1.0 + p.rho));
             let mut est = MaxEstimator::new(track, p.level_unit, p.d - p.u, p.f);
-            let adjacent = self.cfg.neighbors.iter().map(|(_, m)| m.as_slice());
-            est.start(
-                ctx,
-                std::iter::once(self.cfg.members.as_slice()).chain(adjacent),
-            );
+            let adjacent = self.cfg.neighbors.iter().map(|(_, m)| &**m);
+            est.start(ctx, std::iter::once(&*self.cfg.members).chain(adjacent));
             self.max_est = Some(est);
         }
     }
@@ -318,8 +319,8 @@ mod tests {
             params: params(),
             cluster_id: 0,
             members: (0..4).map(NodeId).collect(),
-            neighbors: vec![(1, (4..8).map(NodeId).collect())],
-            neighbor_offsets: Vec::new(),
+            neighbors: vec![(1, (4..8).map(NodeId).collect())].into(),
+            neighbor_offsets: Vec::new().into(),
             mode_policy: ModePolicy::CatchUp,
             enable_max_estimator: true,
             initial_offset: 0.0,
@@ -333,7 +334,7 @@ mod tests {
         assert_eq!(node.mode(), Mode::Slow);
         let mut cfg = config();
         cfg.enable_max_estimator = false;
-        cfg.neighbors.clear();
+        cfg.neighbors = Vec::new().into();
         assert_eq!(FtGcsNode::new(cfg).track_count(), 1);
     }
 
@@ -341,7 +342,7 @@ mod tests {
     #[should_panic(expected = "3f+1")]
     fn rejects_undersized_cluster() {
         let mut cfg = config();
-        cfg.members.truncate(3);
+        cfg.members = cfg.members[..3].into();
         let _ = FtGcsNode::new(cfg);
     }
 }

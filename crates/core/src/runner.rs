@@ -528,26 +528,19 @@ impl Scenario {
         })
     }
 
-    fn node_config(&self, cluster: usize) -> NodeConfig {
-        let members: Vec<NodeId> = self.cg.members(cluster).map(NodeId).collect();
-        let neighbors: Vec<(usize, Vec<NodeId>)> = self
-            .cg
-            .neighbor_clusters(cluster)
-            .iter()
-            .map(|&b| (b, self.cg.members(b).map(NodeId).collect()))
-            .collect();
-        let neighbor_offsets = self
-            .cg
-            .neighbor_clusters(cluster)
-            .iter()
-            .map(|&b| self.cluster_offsets[b])
-            .collect();
+    /// The configuration every member of `cluster` starts from;
+    /// `members` holds each cluster's member list, shared by all the
+    /// configurations that name it.
+    fn node_config(&self, cluster: usize, members: &[Arc<[NodeId]>]) -> NodeConfig {
+        let adjacent = self.cg.neighbor_clusters(cluster);
         NodeConfig {
             params: Arc::clone(&self.params),
             cluster_id: cluster,
-            members,
-            neighbors,
-            neighbor_offsets,
+            members: Arc::clone(&members[cluster]),
+            neighbors: (adjacent.iter())
+                .map(|&b| (b, Arc::clone(&members[b])))
+                .collect(),
+            neighbor_offsets: adjacent.iter().map(|&b| self.cluster_offsets[b]).collect(),
             mode_policy: self.mode_policy,
             enable_max_estimator: self.enable_max_estimator,
             initial_offset: self.cluster_offsets[cluster],
@@ -574,10 +567,14 @@ impl Scenario {
         let offset_rng = SimRng::seed_from(self.seed).derive("init-offset", 0);
         let mut offsets = offset_rng;
         let mut builder = SimBuilder::new(config);
+        let members: Vec<Arc<[NodeId]>> = (0..self.cg.cluster_count())
+            .map(|c| self.cg.members(c).map(NodeId).collect())
+            .collect();
         for c in 0..self.cg.cluster_count() {
+            let cluster_cfg = self.node_config(c, &members);
             for slot in 0..self.cg.cluster_size() {
                 let node = self.cg.node_id(c, slot);
-                let mut cfg = self.node_config(c);
+                let mut cfg = cluster_cfg.clone();
                 if self.initial_offset_spread > 0.0 {
                     cfg.initial_offset += offsets.uniform(0.0, self.initial_offset_spread);
                 }

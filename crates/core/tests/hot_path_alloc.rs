@@ -15,6 +15,11 @@
 //! used to clone and sort its cluster's reports on every level message,
 //! which alone read about 820.
 //!
+//! Set-up is held to a count too: parsing a spec, expanding it and
+//! building its simulation allocates per node and per edge only where
+//! the result has to own memory, never to regrow a list or to copy a
+//! configuration that a whole cluster shares.
+//!
 //! The test binary has exactly one test so no concurrent test thread
 //! can pollute the counter.
 
@@ -23,6 +28,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use ftgcs::params::Params;
 use ftgcs::runner::Scenario;
+use ftgcs::spec::ScenarioSpec;
 use ftgcs_sim::observe::Observer;
 use ftgcs_sim::time::SimTime;
 use ftgcs_topology::{generators, ClusterGraph};
@@ -107,5 +113,42 @@ fn level_flooding_does_not_allocate_per_message() {
         "{allocs} allocations over {events} events ({} per 1 000): \
          a per-message allocation is back on the algorithm's path",
         allocs * 1000 / events
+    );
+
+    setup_stays_within_its_allocation_bound();
+}
+
+/// Allocations of parse → `from_spec` → `build` for `spec`.
+fn setup_allocations(spec: &str) -> u64 {
+    ALLOCS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    let parsed = ScenarioSpec::parse(spec).expect("valid spec");
+    let scenario = Scenario::from_spec(&parsed).expect("buildable spec");
+    let sim = scenario.build();
+    COUNTING.store(false, Ordering::SeqCst);
+    drop((sim, scenario, parsed));
+    ALLOCS.load(Ordering::SeqCst)
+}
+
+/// Parse → `from_spec` → `build` stays within a fixed count of
+/// allocations. With a node configuration copied per node and
+/// neighbour lists regrown per edge it read 734 and 4 702.
+fn setup_stays_within_its_allocation_bound() {
+    const ENV: &str = "env 1e-4 1e-3 1e-4\nseed 3\nduration 20 rounds\n";
+    // 36 nodes, 9 clusters of degree 2 to 4.
+    let grid = setup_allocations(&format!(
+        "name grid\ntopology grid 3 3\nf 1\n{ENV}sample_interval 0.0005\n"
+    ));
+    // 256 nodes, 64 clusters in a line.
+    let line = setup_allocations(&format!(
+        "name line\ntopology line 64\nf 1\n{ENV}sample_interval half_round\n"
+    ));
+    assert!(
+        grid <= 400,
+        "grid 3 3 set-up allocated {grid} times (bound 400)"
+    );
+    assert!(
+        line <= 3_000,
+        "line 64 set-up allocated {line} times (bound 3 000)"
     );
 }

@@ -12,13 +12,18 @@
 //! * [`CsvSampleWriter`] — incremental samples CSV (optionally
 //!   decimated), each line printed by the same [`ftgcs_sim::numfmt`]
 //!   function as
-//!   [`Trace::write_samples_csv`](ftgcs_sim::trace::Trace::write_samples_csv);
+//!   [`Trace::write_samples_csv`](ftgcs_sim::trace::Trace::write_samples_csv),
+//!   on a formatter thread of its own while the calling thread keeps
+//!   the writer;
 //! * [`RowCounter`] — row counts per kind.
 //!
 //! Combine several with [`ftgcs_sim::observe::Fanout`].
 
 use std::collections::BTreeMap;
 use std::io::{self, Write};
+use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
+use std::thread::{self, JoinHandle, Thread};
+use std::time::Duration;
 
 use ftgcs_sim::engine::SimStats;
 use ftgcs_sim::numfmt;
@@ -256,29 +261,57 @@ impl Observer for SkewStream {
     }
 }
 
+/// Lines per batch handed to a writer's formatter thread, at most.
+const BATCH_LINES: usize = 32;
+/// Numbers per batch, at most — unless one line holds more: wide lines
+/// travel in shorter batches, so a writer holds about 3 × 128 KB, or
+/// three lines where one line is wider than that.
+const BATCH_NUMBERS: usize = 4096;
+/// Batches one writer owns: the one it fills, the rest at its formatter
+/// thread or back and waiting to be written.
+const BATCHES: usize = 3;
+/// How long a writer waiting for a batch sleeps before it looks again:
+/// the formatter wakes the thread that started it, so only a formatter
+/// that stopped, or a writer since moved to another thread, is waited
+/// for this long.
+const WAIT_SLICE: Duration = Duration::from_millis(10);
+
 /// Streaming CSV writer for clock samples.
 ///
 /// Emits the format of
 /// [`Trace::write_samples_csv`](ftgcs_sim::trace::Trace::write_samples_csv)
 /// (`t,n0,n1,…` header then one line per sample, both through
 /// [`ftgcs_sim::numfmt`]) but incrementally, so no sample is ever held
-/// in memory: each line is built in one reused buffer and handed to
-/// the `BufWriter` whole. A `stride > 1` decimates: every
-/// stride-th sample is written (the windowed form used by long-horizon
-/// runs, where full-rate CSV would dwarf the simulation itself).
+/// in memory beyond the batch it rides in. A `stride > 1` decimates:
+/// every stride-th sample is written (the windowed form used by
+/// long-horizon runs, where full-rate CSV would dwarf the simulation
+/// itself).
 ///
-/// I/O errors are deferred: the writer records the first error and
+/// Printing the numbers is most of a line's cost, so it runs on one
+/// formatter thread per writer, started by the first written sample.
+/// The calling thread copies each written sample's time and logical
+/// clocks into a batch of up to 32 lines (fewer when lines are very
+/// wide); a full batch goes to the formatter over a bounded channel and
+/// comes back as bytes, which the calling thread writes to its
+/// `BufWriter` in sample order. So `W` never leaves the calling thread
+/// (it needs neither `Send` nor `'static`), the bytes are exactly the
+/// single-threaded ones, and three batches, sized once, circulate:
+/// streaming allocates nothing on either thread once the first line is
+/// out.
+///
+/// I/O errors are deferred: the writer records the first error — a
+/// formatter thread that stopped is one — and
 /// [`CsvSampleWriter::finish`] (or [`Observer::on_finish`]) surfaces
-/// it; the observer callbacks themselves stay infallible.
+/// it; the observer callbacks themselves stay infallible. Dropping the
+/// writer without `finish` still writes every line, as a `BufWriter`
+/// does.
 pub struct CsvSampleWriter<W: Write> {
     out: io::BufWriter<W>,
-    /// The current line; reused, so streaming allocates nothing per
-    /// sample once it has grown to the line length.
-    line: Vec<u8>,
+    /// The formatter thread, from the first written sample on.
+    formatter: Option<Formatter>,
     stride: usize,
     seen: usize,
     written: usize,
-    header_done: bool,
     error: Option<io::Error>,
 }
 
@@ -314,11 +347,10 @@ impl<W: Write> CsvSampleWriter<W> {
         assert!(stride > 0, "stride must be positive");
         CsvSampleWriter {
             out: io::BufWriter::new(out),
-            line: Vec::new(),
+            formatter: None,
             stride,
             seen: 0,
             written: 0,
-            header_done: false,
             error: None,
         }
     }
@@ -329,29 +361,44 @@ impl<W: Write> CsvSampleWriter<W> {
         self.written
     }
 
-    /// Flushes and surfaces any deferred I/O error.
+    /// Writes every line so far, flushes and surfaces any deferred I/O
+    /// error.
     ///
     /// # Errors
     ///
     /// Returns the first I/O error hit during streaming or the flush.
     pub fn finish(&mut self) -> io::Result<()> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
+        self.flush();
+        self.error.take().map_or(Ok(()), Err)
+    }
+
+    /// Writes every line so far and flushes, unless an error is
+    /// already recorded; records the error this hits.
+    fn flush(&mut self) {
+        if self.error.is_some() {
+            return;
         }
-        self.out.flush()
+        let out = &mut self.out;
+        let drained = self.formatter.as_mut().map_or(Ok(()), |f| f.drain(out));
+        if let Err(e) = drained.and_then(|()| out.flush()) {
+            self.error = Some(e);
+        }
     }
 
     fn try_write(&mut self, sample: &ClockSample) -> io::Result<()> {
-        self.line.clear();
-        if !self.header_done {
-            self.header_done = true;
-            // 17 digits, a point and a comma per clock, plus slack:
-            // sized once, ordinary clock values never regrow the line.
-            self.line.reserve(24 * (sample.logical.len() + 1));
-            numfmt::push_sample_header(&mut self.line, sample.logical.len());
+        let (t, logical) = (sample.t.as_secs(), &sample.logical[..]);
+        if let Some(formatter) = &mut self.formatter {
+            formatter.push(t, logical, &mut self.out)?;
+        } else {
+            let mut header = Vec::new();
+            numfmt::push_sample_header(&mut header, logical.len());
+            self.out.write_all(&header)?;
+            let formatter = self.formatter.insert(Formatter::start(1 + logical.len())?);
+            // The first line makes the round trip before this returns:
+            // the thread is up, and what starting it allocates is done.
+            formatter.push(t, logical, &mut self.out)?;
+            formatter.drain(&mut self.out)?;
         }
-        numfmt::push_sample_line(&mut self.line, sample);
-        self.out.write_all(&self.line)?;
         self.written += 1;
         Ok(())
     }
@@ -370,12 +417,203 @@ impl<W: Write> Observer for CsvSampleWriter<W> {
     }
 
     fn on_finish(&mut self, _stats: &SimStats) {
-        if self.error.is_none() {
-            if let Err(e) = self.out.flush() {
-                self.error = Some(e);
+        self.flush();
+    }
+}
+
+impl<W: Write> Drop for CsvSampleWriter<W> {
+    fn drop(&mut self) {
+        if let Some(mut formatter) = self.formatter.take() {
+            if self.error.is_none() {
+                // Best effort, as `BufWriter`'s own drop (which follows
+                // and flushes these bytes) is.
+                let _ = formatter.drain(&mut self.out);
+            }
+            formatter.stop();
+        }
+    }
+}
+
+/// A few sample lines (see [`Batch::lines`]): their numbers on the way
+/// to the formatter thread, their bytes on the way back.
+#[derive(Default)]
+struct Batch {
+    /// Numbers per line: the time, then each logical clock.
+    width: usize,
+    /// The lines' numbers, `width` per line.
+    values: Vec<f64>,
+    /// The lines as the samples CSV prints them.
+    bytes: Vec<u8>,
+}
+
+impl Batch {
+    /// An empty batch sized for lines of `width` numbers.
+    fn new(width: usize) -> Self {
+        let numbers = Batch::lines(width) * width;
+        Batch {
+            width,
+            values: Vec::with_capacity(numbers),
+            // 17 digits, a point and a comma per number, plus slack:
+            // ordinary clock values never regrow the bytes.
+            bytes: Vec::with_capacity(24 * numbers),
+        }
+    }
+
+    /// The lines a full batch of `width`-number lines holds.
+    fn lines(width: usize) -> usize {
+        (BATCH_NUMBERS / width).clamp(1, BATCH_LINES)
+    }
+
+    /// Prints the lines into `bytes`.
+    fn format(&mut self) {
+        self.bytes.clear();
+        for line in self.values.chunks_exact(self.width) {
+            numfmt::push_sample_values(&mut self.bytes, line[0], &line[1..]);
+        }
+    }
+}
+
+/// One writer's formatter thread and the batches circulating between
+/// the two: the one being filled, those at the thread (`in_flight`, in
+/// the order sent) and the spare ones.
+struct Formatter {
+    to_thread: SyncSender<Batch>,
+    from_thread: Receiver<Batch>,
+    thread: JoinHandle<()>,
+    filling: Batch,
+    spare: Vec<Batch>,
+    in_flight: usize,
+}
+
+impl Formatter {
+    /// Starts the thread, with every batch sized for lines of `width`
+    /// numbers.
+    fn start(width: usize) -> io::Result<Self> {
+        let (to_thread, batches) = mpsc::sync_channel(BATCHES);
+        let (done, from_thread) = mpsc::sync_channel(BATCHES);
+        let writer = thread::current();
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the sample formatter: it prints the numbers it is handed and hands the \
+                      bytes back, which the calling thread writes in sample order"
+        )]
+        let thread = thread::Builder::new()
+            .name("ftgcs-csv".into())
+            .spawn(move || format_batches(&batches, &done, &writer))?;
+        let mut spare = Vec::with_capacity(BATCHES);
+        spare.extend((1..BATCHES).map(|_| Batch::new(width)));
+        Ok(Formatter {
+            to_thread,
+            from_thread,
+            thread,
+            filling: Batch::new(width),
+            spare,
+            in_flight: 0,
+        })
+    }
+
+    /// Adds the line of time `t` and clocks `logical`.
+    fn push(&mut self, t: f64, logical: &[f64], out: &mut impl Write) -> io::Result<()> {
+        let width = 1 + logical.len();
+        if width != self.filling.width && !self.filling.values.is_empty() {
+            self.dispatch(out)?;
+        }
+        self.filling.width = width;
+        self.filling.values.push(t);
+        self.filling.values.extend_from_slice(logical);
+        if self.filling.values.len() == Batch::lines(width) * width {
+            self.dispatch(out)?;
+        }
+        Ok(())
+    }
+
+    /// Sends the batch being filled to the thread and takes the next one
+    /// to fill: a spare, or else the oldest at the thread once it is
+    /// back and written.
+    fn dispatch(&mut self, out: &mut impl Write) -> io::Result<()> {
+        let full = std::mem::take(&mut self.filling);
+        self.to_thread.try_send(full).map_err(|_| stopped())?;
+        self.in_flight += 1;
+        self.thread.thread().unpark();
+        while let Ok(batch) = self.from_thread.try_recv() {
+            let batch = self.write_back(batch, out)?;
+            self.spare.push(batch);
+        }
+        self.filling = match self.spare.pop() {
+            Some(batch) => batch,
+            None => self.wait(out)?,
+        };
+        Ok(())
+    }
+
+    /// Sends the partial batch and writes every batch at the thread, in
+    /// order.
+    fn drain(&mut self, out: &mut impl Write) -> io::Result<()> {
+        if !self.filling.values.is_empty() {
+            self.dispatch(out)?;
+        }
+        while self.in_flight > 0 {
+            let batch = self.wait(out)?;
+            self.spare.push(batch);
+        }
+        Ok(())
+    }
+
+    /// Waits for the oldest batch at the thread; returns it written and
+    /// emptied.
+    fn wait(&mut self, out: &mut impl Write) -> io::Result<Batch> {
+        loop {
+            match self.from_thread.try_recv() {
+                Ok(batch) => return self.write_back(batch, out),
+                Err(TryRecvError::Empty) => thread::park_timeout(WAIT_SLICE),
+                Err(TryRecvError::Disconnected) => return Err(stopped()),
             }
         }
     }
+
+    /// Writes a batch back from the thread and empties it.
+    fn write_back(&mut self, mut batch: Batch, out: &mut impl Write) -> io::Result<Batch> {
+        self.in_flight -= 1;
+        out.write_all(&batch.bytes)?;
+        batch.values.clear();
+        Ok(batch)
+    }
+
+    /// Hangs up and waits for the thread to end.
+    fn stop(self) {
+        let Formatter {
+            to_thread, thread, ..
+        } = self;
+        drop(to_thread);
+        thread.thread().unpark();
+        // A thread that panicked has already cost its writer an error.
+        let _ = thread.join();
+    }
+}
+
+/// The formatter thread: prints each batch it is sent and sends it back,
+/// until its writer hangs up. It waits by parking, not in the channel's
+/// blocking receive, which allocates the first time a thread blocks in
+/// it; the writer unparks it after every send and after hanging up.
+fn format_batches(batches: &Receiver<Batch>, done: &SyncSender<Batch>, writer: &Thread) {
+    loop {
+        match batches.try_recv() {
+            Ok(mut batch) => {
+                batch.format();
+                if done.try_send(batch).is_err() {
+                    return;
+                }
+                writer.unpark();
+            }
+            Err(TryRecvError::Empty) => thread::park(),
+            Err(TryRecvError::Disconnected) => return,
+        }
+    }
+}
+
+/// The error a writer records when its formatter thread is gone.
+fn stopped() -> io::Error {
+    io::Error::other("the sample formatter thread stopped")
 }
 
 /// Streaming row-count accumulator: one counter per row kind. Row
@@ -510,24 +748,28 @@ mod tests {
         let mut reference = Vec::new();
         trace.write_samples_csv(&mut reference).unwrap();
 
-        let mut streamed = CsvSampleWriter::new(Vec::new(), 1);
+        let mut bytes = Vec::new();
+        let mut streamed = CsvSampleWriter::new(&mut bytes, 1);
         for s in &samples {
             streamed.on_sample(s);
         }
         streamed.finish().unwrap();
         assert_eq!(streamed.written(), 3);
-        assert_eq!(streamed.out.into_inner().unwrap(), reference);
+        drop(streamed);
+        assert_eq!(bytes, reference);
     }
 
     #[test]
     fn csv_writer_decimates_by_stride() {
-        let mut w = CsvSampleWriter::new(Vec::new(), 2);
+        let mut bytes = Vec::new();
+        let mut w = CsvSampleWriter::new(&mut bytes, 2);
         for i in 0..5 {
             w.on_sample(&sample(f64::from(i), vec![0.0]));
         }
         w.finish().unwrap();
         assert_eq!(w.written(), 3); // samples 0, 2, 4
-        let text = String::from_utf8(w.out.into_inner().unwrap()).unwrap();
+        drop(w);
+        let text = String::from_utf8(bytes).unwrap();
         assert_eq!(text.lines().count(), 4); // header + 3
     }
 

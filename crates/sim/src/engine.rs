@@ -405,21 +405,34 @@ pub(crate) struct NodeCell<M> {
 /// [`Simulation::run_until`] calls.
 pub(crate) struct SimShared {
     pub(crate) config: SimConfig,
-    pub(crate) adjacency: Vec<Vec<NodeId>>,
+    /// Every node's neighbour list, one after the other: `node`'s runs
+    /// from `first_port[node]` to `first_port[node + 1]`.
+    neighbors: Vec<NodeId>,
     /// For `a`'s `i`-th link, at `first_port[a] + i`: the position of `a`
-    /// in the neighbour list of `adjacency[a][i]` — the port a message
-    /// sent over that link arrives on. Flat, four bytes per directed
-    /// link.
+    /// in the neighbour list of `a`'s `i`-th neighbour — the port a
+    /// message sent over that link arrives on. Flat, four bytes per
+    /// directed link.
     back_port: Vec<u32>,
-    /// Where each node's run of `back_port` begins.
+    /// Where each node's run of `neighbors` and `back_port` begins, and
+    /// (last) the number of directed links.
     first_port: Vec<u32>,
 }
 
 impl SimShared {
-    /// The arrival ports of `node`'s links, beside `adjacency[node]`.
+    /// Where `node`'s links sit in `neighbors` and `back_port`.
+    fn links(&self, node: NodeId) -> std::ops::Range<usize> {
+        let i = node.index();
+        self.first_port[i] as usize..self.first_port[i + 1] as usize
+    }
+
+    /// `node`'s neighbours, in `add_edge` order.
+    fn neighbors(&self, node: NodeId) -> &[NodeId] {
+        &self.neighbors[self.links(node)]
+    }
+
+    /// The arrival ports of `node`'s links, beside its neighbours.
     fn back_ports(&self, node: NodeId) -> &[u32] {
-        let first = self.first_port[node.index()] as usize;
-        &self.back_port[first..][..self.adjacency[node.index()].len()]
+        &self.back_port[self.links(node)]
     }
 }
 
@@ -525,7 +538,7 @@ impl<M: Clone> Ctx<'_, M> {
     /// Neighbors of this node in the communication graph.
     #[must_use]
     pub fn neighbors(&self) -> &[NodeId] {
-        &self.shared.adjacency[self.node.index()]
+        self.shared.neighbors(self.node)
     }
 
     /// The port the message being delivered arrived on: `Some(p)` with
@@ -812,7 +825,7 @@ impl<M: Clone> Ctx<'_, M> {
     /// Sends `msg` to every neighbor (not to the sender itself).
     pub fn broadcast(&mut self, msg: M) {
         let shared = self.shared;
-        let links = shared.adjacency[self.node.index()].iter();
+        let links = shared.neighbors(self.node).iter();
         for (&to, &port) in links.zip(shared.back_ports(self.node)) {
             self.send_to(to, port, msg.clone());
         }
@@ -933,25 +946,24 @@ pub(crate) fn next_sample(time: SimTime, interval: SimDuration) -> SimTime {
     next
 }
 
-/// Records one engine-global clock sample — `clocks` is every node's
-/// [`NodeState::read_clocks`], in node order — and streams it to the
-/// observer.
+/// Records one engine-global clock sample into `sample` — `clocks` is
+/// every node's [`NodeState::read_clocks`], in node order — and streams
+/// it to the observer. The sample is the simulation's own and reused,
+/// so sampling allocates nothing once its vectors hold every node.
 pub(crate) fn take_sample(
-    clocks: impl ExactSizeIterator<Item = (f64, f64)>,
+    clocks: impl Iterator<Item = (f64, f64)>,
     now: SimTime,
+    sample: &mut ClockSample,
     obs: &mut dyn Observer,
 ) {
-    let mut logical = Vec::with_capacity(clocks.len());
-    let mut hardware = Vec::with_capacity(clocks.len());
+    sample.t = now;
+    sample.logical.clear();
+    sample.hardware.clear();
     for (lg, hw) in clocks {
-        logical.push(lg);
-        hardware.push(hw);
+        sample.logical.push(lg);
+        sample.hardware.push(hw);
     }
-    obs.on_sample_owned(ClockSample {
-        t: now,
-        logical,
-        hardware,
-    });
+    obs.on_sample(sample);
 }
 
 /// Builder for a [`Simulation`].
@@ -980,9 +992,8 @@ pub(crate) fn take_sample(
 pub struct SimBuilder<M> {
     config: SimConfig,
     behaviors: Vec<Box<dyn Behavior<M>>>,
-    adjacency: Vec<Vec<NodeId>>,
     /// Every `add_edge(a, b)`, in call order: what `build` lays the
-    /// ports out from.
+    /// neighbour lists and ports out from.
     edges: Vec<(u32, u32)>,
     rate_overrides: Vec<Option<RateModel>>,
 }
@@ -1000,7 +1011,6 @@ impl<M: Clone> SimBuilder<M> {
         SimBuilder {
             config,
             behaviors: Vec::new(),
-            adjacency: Vec::new(),
             edges: Vec::new(),
             rate_overrides: Vec::new(),
         }
@@ -1009,7 +1019,6 @@ impl<M: Clone> SimBuilder<M> {
     /// Adds a node driven by `behavior`, returning its id.
     pub fn add_node(&mut self, behavior: Box<dyn Behavior<M>>) -> NodeId {
         self.behaviors.push(behavior);
-        self.adjacency.push(Vec::new());
         self.rate_overrides.push(None);
         NodeId(self.behaviors.len() - 1)
     }
@@ -1018,17 +1027,12 @@ impl<M: Clone> SimBuilder<M> {
     ///
     /// # Panics
     ///
-    /// Panics on self-loops, unknown endpoints, or duplicate edges.
+    /// Panics on self-loops or unknown endpoints; a duplicate edge
+    /// panics in [`SimBuilder::build`].
     pub fn add_edge(&mut self, a: NodeId, b: NodeId) {
         assert_ne!(a, b, "self-loops are implicit (loopback), not edges");
         let n = self.behaviors.len();
         assert!(a.index() < n && b.index() < n, "unknown endpoint");
-        assert!(
-            !self.adjacency[a.index()].contains(&b),
-            "duplicate edge {a}-{b}"
-        );
-        self.adjacency[a.index()].push(b);
-        self.adjacency[b.index()].push(a);
         let id = |v: NodeId| u32::try_from(v.index()).expect("fewer than 2^32 nodes");
         self.edges.push((id(a), id(b)));
     }
@@ -1043,11 +1047,11 @@ impl<M: Clone> SimBuilder<M> {
     ///
     /// # Panics
     ///
-    /// Panics if [`SchedulerKind::Parallel`] is selected with a partition
-    /// that does not cover exactly the simulation's nodes, or with a zero
-    /// lookahead (`d == U`) — the conservative windows would make no
-    /// progress; or if there are 2³² nodes or more (a queued event
-    /// stores node ids as `u32`).
+    /// Panics on a duplicate edge; if [`SchedulerKind::Parallel`] is
+    /// selected with a partition that does not cover exactly the
+    /// simulation's nodes, or with a zero lookahead (`d == U`) — the
+    /// conservative windows would make no progress; or if there are 2³²
+    /// nodes or more (a queued event stores node ids as `u32`).
     #[must_use]
     pub fn build(self) -> Simulation<M> {
         let n = self.behaviors.len();
@@ -1055,26 +1059,43 @@ impl<M: Clone> SimBuilder<M> {
             u32::try_from(n).is_ok(),
             "a queued event stores node ids as u32: {n} nodes are too many"
         );
-        // Ports, one pass over the edges: an edge is the next link at
-        // each of its ends, and each end's position is the port the
-        // other's messages arrive on.
-        let mut first_port = Vec::with_capacity(n);
-        let mut links = 0u32;
-        for list in &self.adjacency {
-            first_port.push(links);
-            links = u32::try_from(list.len())
-                .ok()
-                .and_then(|degree| links.checked_add(degree))
+        // Degrees first, so every node's run of the flat lists is sized
+        // once: `first_port[v]` is where `v`'s run begins.
+        let mut first_port = vec![0u32; n + 1];
+        for &(a, b) in &self.edges {
+            first_port[a as usize + 1] += 1;
+            first_port[b as usize + 1] += 1;
+        }
+        for v in 0..n {
+            first_port[v + 1] = first_port[v]
+                .checked_add(first_port[v + 1])
                 .expect("fewer than 2^32 directed links");
         }
-        let mut back_port = vec![0u32; links as usize];
+        // One pass over the edges: an edge is the next link at each of
+        // its ends, and each end's position is the port the other's
+        // messages arrive on.
+        let links = first_port[n] as usize;
+        let mut neighbors = vec![NodeId(0); links];
+        let mut back_port = vec![0u32; links];
         let mut next = first_port.clone();
         for &(a, b) in &self.edges {
             let (at_a, at_b) = (next[a as usize], next[b as usize]);
+            neighbors[at_a as usize] = NodeId(b as usize);
+            neighbors[at_b as usize] = NodeId(a as usize);
             back_port[at_a as usize] = at_b - first_port[b as usize];
             back_port[at_b as usize] = at_a - first_port[a as usize];
             next[a as usize] += 1;
             next[b as usize] += 1;
+        }
+        // Duplicates, one sorted copy of each node's run: O(d log d).
+        let mut run = Vec::new();
+        for a in 0..n {
+            run.clear();
+            run.extend_from_slice(&neighbors[first_port[a] as usize..first_port[a + 1] as usize]);
+            run.sort_unstable();
+            if let Some(pair) = run.windows(2).find(|pair| pair[0] == pair[1]) {
+                panic!("duplicate edge {}-{}", NodeId(a), pair[0]);
+            }
         }
         let max_delay = self.config.delay.max_delay();
         let store = match &self.config.scheduler {
@@ -1133,7 +1154,7 @@ impl<M: Clone> SimBuilder<M> {
             telemetry: Telemetry::new(self.config.telemetry),
             shared: SimShared {
                 config: self.config,
-                adjacency: self.adjacency,
+                neighbors,
                 back_port,
                 first_port,
             },
@@ -1141,6 +1162,11 @@ impl<M: Clone> SimBuilder<M> {
             store,
             trace: Trace::new(),
             counts: EngineCounts::default(),
+            sample: ClockSample {
+                t: SimTime::ZERO,
+                logical: Vec::with_capacity(n),
+                hardware: Vec::with_capacity(n),
+            },
             sample_seq: 0,
             started: false,
         }
@@ -1170,6 +1196,8 @@ pub struct Simulation<M> {
     pub(crate) counts: EngineCounts,
     /// Wall-clock phase timing (the `telemetry` flag).
     pub(crate) telemetry: Telemetry,
+    /// The one clock sample, refilled by every [`take_sample`].
+    pub(crate) sample: ClockSample,
     /// Tie counter for engine-global (sample) events.
     sample_seq: u64,
     started: bool,
@@ -1449,6 +1477,7 @@ impl<M: Clone + Send> Simulation<M> {
             cells,
             store,
             counts,
+            sample,
             sample_seq,
             ..
         } = self;
@@ -1467,7 +1496,7 @@ impl<M: Clone + Send> Simulation<M> {
                 Pending::Sample => {
                     counts.samples += 1;
                     let clocks = cells.iter_mut().map(|cell| cell.state.read_clocks(time));
-                    take_sample(clocks, time, obs);
+                    take_sample(clocks, time, sample, obs);
                     // Re-arm unconditionally: events beyond `until` stay
                     // queued, so sampling continues across consecutive
                     // run_until calls (`None` pauses the chain; a later
@@ -2008,6 +2037,23 @@ mod tests {
         }));
         let mut sim = b.build();
         sim.run_until(SimTime::from_secs(1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate edge n1-n2")]
+    fn a_duplicate_edge_is_refused_by_name() {
+        let mut b = SimBuilder::<()>::new(fixed_delay_config());
+        let ids: Vec<NodeId> = (0..3)
+            .map(|_| {
+                b.add_node(Box::new(CancelNode {
+                    fired: Arc::new(Mutex::new(Vec::new())),
+                }))
+            })
+            .collect();
+        b.add_edge(ids[1], ids[2]);
+        b.add_edge(ids[0], ids[1]);
+        b.add_edge(ids[1], ids[2]);
+        let _ = b.build();
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! `results/*.csv`, the content-addressed cache and
 //! [`Trace::to_bytes`](crate::trace::Trace::to_bytes) all depend on it —
 //! so its one formatter lives here, next to the number writer:
-//! [`push_sample_header`] and [`push_sample_line`] are what both
+//! [`push_sample_header`] and [`push_sample_values`] (which
+//! [`push_sample_line`] calls) are what both
 //! [`Trace::write_samples_csv`](crate::trace::Trace::write_samples_csv)
 //! and the streaming `CsvSampleWriter` in `ftgcs_metrics` call.
 //!
@@ -320,8 +321,15 @@ pub fn push_sample_header(out: &mut Vec<u8>, nodes: usize) {
 /// Appends one samples-CSV line: the sample time in seconds, then
 /// every node's logical clock, comma-separated, newline-terminated.
 pub fn push_sample_line(out: &mut Vec<u8>, sample: &ClockSample) {
-    push_f64(out, sample.t.as_secs());
-    for &v in &sample.logical {
+    push_sample_values(out, sample.t.as_secs(), &sample.logical);
+}
+
+/// Appends the samples-CSV line of time `t` (seconds) and the logical
+/// clocks `logical`: what [`push_sample_line`] prints for a sample it
+/// no longer holds, only its numbers.
+pub fn push_sample_values(out: &mut Vec<u8>, t: f64, logical: &[f64]) {
+    push_f64(out, t);
+    for &v in logical {
         out.push(b',');
         push_f64(out, v);
     }

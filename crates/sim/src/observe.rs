@@ -111,19 +111,13 @@ pub trait Observer {
     /// Called for every behavior-emitted row, in global dispatch order.
     fn on_row(&mut self, _row: &Row) {}
 
-    /// Ownership-passing variant of [`Observer::on_sample`]. The engine
-    /// calls this where it holds the freshly built sample, so
-    /// collecting observers ([`Trace`]) can move it instead of cloning;
-    /// the default delegates to `on_sample`, so streaming observers
-    /// implement only the borrowed form. Overrides must stay
-    /// behaviorally identical to `on_sample` — the engine picks
-    /// whichever form fits the call site.
-    fn on_sample_owned(&mut self, sample: ClockSample) {
-        self.on_sample(&sample);
-    }
-
-    /// Ownership-passing variant of [`Observer::on_row`]; same contract
-    /// as [`Observer::on_sample_owned`].
+    /// Ownership-passing variant of [`Observer::on_row`]. The engine
+    /// calls this where it holds the freshly emitted row, so collecting
+    /// observers ([`Trace`]) can move it instead of cloning; the
+    /// default delegates to `on_row`, so streaming observers implement
+    /// only the borrowed form. Overrides must stay behaviorally
+    /// identical to `on_row` — the engine picks whichever form fits the
+    /// call site.
     fn on_row_owned(&mut self, row: Row) {
         self.on_row(&row);
     }
@@ -134,9 +128,9 @@ pub trait Observer {
 
 /// [`Trace`] is the collect-everything observer: it collects every
 /// sample and row into its `Vec`s, reproducing the classic materialized
-/// trace. The owned callbacks move; the borrowed ones clone — so
-/// `run_until` (which feeds the internal trace through the owned path)
-/// costs what the pre-observer engine did.
+/// trace. Rows move in through the owned callback; samples are cloned,
+/// since the engine refills one sample in place — the two vectors a
+/// stored sample needs are allocated here and only here.
 impl Observer for Trace {
     fn on_sample(&mut self, sample: &ClockSample) {
         self.samples.push(sample.clone());
@@ -144,10 +138,6 @@ impl Observer for Trace {
 
     fn on_row(&mut self, row: &Row) {
         self.rows.push(row.clone());
-    }
-
-    fn on_sample_owned(&mut self, sample: ClockSample) {
-        self.samples.push(sample);
     }
 
     fn on_row_owned(&mut self, row: Row) {

@@ -123,7 +123,7 @@ use crate::observe::Observer;
 use crate::shard::{Key, Partition, Shard};
 use crate::telemetry::{Claims, EngineCounts, Phase, ShardReport, Telemetry, WorkerReport};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Row;
+use crate::trace::{ClockSample, Row};
 
 /// The "no pending event" sentinel.
 fn time_inf() -> SimTime {
@@ -418,6 +418,7 @@ impl<M: Clone + Send> Simulation<M> {
             store,
             counts,
             telemetry,
+            sample,
             ..
         } = self;
         let EventStore::Parallel(pq) = store else {
@@ -474,6 +475,7 @@ impl<M: Clone + Send> Simulation<M> {
         };
         let mut windows = Windows {
             pending_samples: &mut pq.pending_samples,
+            sample,
             obs,
             counts,
             telemetry,
@@ -534,6 +536,8 @@ impl<M: Clone + Send> Simulation<M> {
 /// windows.
 struct Windows<'a> {
     pending_samples: &'a mut Vec<SimTime>,
+    /// The simulation's reused clock sample.
+    sample: &'a mut ClockSample,
     obs: &'a mut dyn Observer,
     /// Samples and windows (see [`EngineCounts`]).
     counts: &'a mut EngineCounts,
@@ -620,7 +624,7 @@ impl Windows<'_> {
                     let mut task = pool.tasks[s as usize].lock().expect("task poisoned");
                     task.cells[l as usize].state.read_clocks(ts)
                 });
-                take_sample(clocks, ts, self.obs);
+                take_sample(clocks, ts, self.sample, self.obs);
                 if let Some(interval) = pool.shared.config.sample_interval {
                     self.pending_samples.push(next_sample(ts, interval));
                 }

@@ -8,7 +8,9 @@
 //! a counting global allocator: after a warm-up that reaches the
 //! engine's high-water mark (heap capacities, slot free lists), an
 //! identical steady-state window must perform (essentially) zero
-//! allocations.
+//! allocations. The same holds for a sampled run under a streaming
+//! observer: the engine refills one clock sample in place, so a sample
+//! costs no allocation either.
 //!
 //! The test binary has exactly one test so no concurrent test thread
 //! can pollute the counter.
@@ -20,8 +22,10 @@ use ftgcs_sim::clock::RateModel;
 use ftgcs_sim::engine::{Ctx, SimBuilder, SimConfig};
 use ftgcs_sim::network::{DelayConfig, DelayDistribution};
 use ftgcs_sim::node::{Behavior, NodeId, TimerTag, TrackId};
-use ftgcs_sim::shard::SchedulerKind;
+use ftgcs_sim::observe::Observer;
+use ftgcs_sim::shard::{Partition, SchedulerKind};
 use ftgcs_sim::time::{SimDuration, SimTime};
+use ftgcs_sim::trace::ClockSample;
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -105,6 +109,29 @@ fn build(nodes: usize) -> ftgcs_sim::engine::Simulation<u8> {
 }
 
 fn build_with(nodes: usize, telemetry: bool) -> ftgcs_sim::engine::Simulation<u8> {
+    build_config(nodes, telemetry, None, SchedulerKind::Global)
+}
+
+/// A streaming observer: reads every clock of every sample, keeps none.
+#[derive(Default)]
+struct SampleSum {
+    samples: u64,
+    sum: f64,
+}
+
+impl Observer for SampleSum {
+    fn on_sample(&mut self, sample: &ClockSample) {
+        self.samples += 1;
+        self.sum += sample.logical.iter().chain(&sample.hardware).sum::<f64>();
+    }
+}
+
+fn build_config(
+    nodes: usize,
+    telemetry: bool,
+    sample_interval: Option<SimDuration>,
+    scheduler: SchedulerKind,
+) -> ftgcs_sim::engine::Simulation<u8> {
     let config = SimConfig {
         delay: DelayConfig::new(
             SimDuration::from_millis(1.0),
@@ -116,8 +143,8 @@ fn build_with(nodes: usize, telemetry: bool) -> ftgcs_sim::engine::Simulation<u8
         // allocation the window sees is the engine's own.
         rate_model: RateModel::Constant { frac: 0.5 },
         seed: 3,
-        sample_interval: None,
-        scheduler: SchedulerKind::Global,
+        sample_interval,
+        scheduler,
         telemetry,
     };
     let mut b = SimBuilder::new(config);
@@ -204,4 +231,43 @@ fn steady_state_event_loop_does_not_allocate() {
         "telemetry-enabled hot path allocated {window_allocs} times over \
          {window_events} events — the side channel must not allocate per event"
     );
+
+    streamed_samples_do_not_allocate();
+}
+
+/// A sampled run under a streaming observer, on both schedulers: the
+/// engine refills one sample, so sampling allocates nothing.
+fn streamed_samples_do_not_allocate() {
+    let interval = Some(SimDuration::from_millis(1.0));
+    let parallel = SchedulerKind::Parallel {
+        partition: Partition::by_blocks(8, 4),
+        workers: 2,
+    };
+    for (label, scheduler) in [("global", SchedulerKind::Global), ("parallel 2", parallel)] {
+        let mut sim = build_config(8, false, interval, scheduler);
+        let mut obs = SampleSum::default();
+        sim.run_until_with(SimTime::from_secs(5.0), &mut obs);
+        let samples_before = obs.samples;
+
+        ALLOCS.store(0, Ordering::SeqCst);
+        COUNTING.store(true, Ordering::SeqCst);
+        sim.run_until_with(SimTime::from_secs(25.0), &mut obs);
+        COUNTING.store(false, Ordering::SeqCst);
+
+        let window_allocs = ALLOCS.load(Ordering::SeqCst);
+        let window_samples = obs.samples - samples_before;
+        assert!(obs.sum.is_finite());
+        assert!(
+            window_samples >= 20_000,
+            "{label}: window too small: {window_samples} samples"
+        );
+        // A fresh pair of vectors per sample would read 40 000 here;
+        // the parallel executor's per-call set-up (its worker thread
+        // and task tables) is what may remain.
+        assert!(
+            window_allocs < 64,
+            "{label}: a streamed run allocated {window_allocs} times over \
+             {window_samples} samples — a sample allocates again"
+        );
+    }
 }

@@ -56,12 +56,12 @@ impl ClusterGraph {
         );
         let k = cluster_size;
         let n = base.node_count();
-        let mut physical = Graph::new(n * k);
+        let mut edges = Vec::with_capacity(n * k * (k - 1) / 2 + base.edge_count() * k * k);
         // Cluster edges: each cluster is a clique.
         for c in 0..n {
             for i in 0..k {
                 for j in (i + 1)..k {
-                    physical.add_edge(c * k + i, c * k + j);
+                    edges.push((c * k + i, c * k + j));
                 }
             }
         }
@@ -69,10 +69,12 @@ impl ClusterGraph {
         for (b, c) in base.edges() {
             for i in 0..k {
                 for j in 0..k {
-                    physical.add_edge(b * k + i, c * k + j);
+                    edges.push((b * k + i, c * k + j));
                 }
             }
         }
+        // Every list is sized once, to its degree `(k − 1) + k·deg(c)`.
+        let physical = Graph::from_edges(n * k, &edges);
         ClusterGraph {
             base,
             cluster_size,

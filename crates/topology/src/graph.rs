@@ -39,18 +39,43 @@ impl Graph {
         }
     }
 
-    /// Builds a graph from an edge list.
+    /// Builds a graph from an edge list: the graph that
+    /// [`Graph::add_edge`] on each edge in turn builds, with every
+    /// neighbour list sized once and duplicates found in O(d log d) per
+    /// list instead of O(d) per edge.
     ///
     /// # Panics
     ///
     /// Panics on out-of-range endpoints, self-loops, or duplicate edges.
     #[must_use]
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
-        let mut g = Graph::new(n);
+        let mut degree = vec![0usize; n];
         for &(a, b) in edges {
-            g.add_edge(a, b);
+            assert!(a < n && b < n, "edge endpoint out of range");
+            assert_ne!(a, b, "self-loops are not allowed");
+            degree[a] += 1;
+            degree[b] += 1;
         }
-        g
+        let mut adjacency: Vec<Vec<usize>> =
+            degree.iter().map(|&d| Vec::with_capacity(d)).collect();
+        for &(a, b) in edges {
+            adjacency[a].push(b);
+            adjacency[b].push(a);
+        }
+        // The counts are spent: their buffer holds each list, sorted.
+        let mut sorted = degree;
+        for (a, list) in adjacency.iter().enumerate() {
+            sorted.clear();
+            sorted.extend_from_slice(list);
+            sorted.sort_unstable();
+            if let Some(pair) = sorted.windows(2).find(|pair| pair[0] == pair[1]) {
+                panic!("duplicate edge {a}-{}", pair[0]);
+            }
+        }
+        Graph {
+            adjacency,
+            edge_count: edges.len(),
+        }
     }
 
     /// Number of vertices.
@@ -183,6 +208,45 @@ mod tests {
         let mut g = Graph::new(2);
         g.add_edge(0, 1);
         g.add_edge(1, 0);
+    }
+
+    #[test]
+    fn from_edges_builds_what_add_edge_builds() {
+        let edges = [(2, 0), (0, 1), (3, 2), (1, 3), (0, 3)];
+        let mut g = Graph::new(4);
+        for &(a, b) in &edges {
+            g.add_edge(a, b);
+        }
+        let bulk = Graph::from_edges(4, &edges);
+        assert_eq!(bulk, g);
+        assert!(bulk.is_consistent());
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate edge 1-2")]
+    fn add_edge_rejects_a_duplicate_by_name() {
+        let mut g = Graph::new(3);
+        g.add_edge(0, 1);
+        g.add_edge(1, 2);
+        g.add_edge(1, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate edge 1-2")]
+    fn from_edges_rejects_a_duplicate_by_name() {
+        let _ = Graph::from_edges(3, &[(0, 1), (1, 2), (2, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn from_edges_rejects_out_of_range() {
+        let _ = Graph::from_edges(2, &[(0, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "self-loops")]
+    fn from_edges_rejects_self_loop() {
+        let _ = Graph::from_edges(2, &[(1, 1)]);
     }
 
     #[test]
