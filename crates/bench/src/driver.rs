@@ -587,25 +587,6 @@ pub fn cell_key(file: &SpecFile, kind: CellKind) -> CellKey {
     CellKey::from_parts(&["ftgcs-cell-v1", tag, &file.print()])
 }
 
-/// Test hook: when `FTGCS_RUN_CELL_CRASH_ONCE` names a path that does
-/// not exist yet, the child creates it, emits some partial stdout, and
-/// aborts — a deterministic stand-in for an OOM-killed or crashed cell.
-/// The retry then finds the marker and runs normally, letting tests
-/// pin that a crashed cell is re-run and that its partial output never
-/// reaches the merged results.
-fn crash_once_hook() {
-    let Ok(marker) = std::env::var("FTGCS_RUN_CELL_CRASH_ONCE") else {
-        return;
-    };
-    if marker.is_empty() || Path::new(&marker).exists() {
-        return;
-    }
-    if std::fs::write(&marker, b"crashed\n").is_ok() {
-        println!("partial output from a crashing cell");
-        std::process::abort();
-    }
-}
-
 /// Implements `xp run-cell`, the child half of the multi-process
 /// executor: reads one spec text from **stdin** and either measures a
 /// sweep row (`--row`, one [`row_tsv`] line on stdout) or performs a
@@ -621,7 +602,6 @@ pub fn run_cell_cmd(row: bool, dir: Option<&Path>) -> Result<(), String> {
     let mut text = String::new();
     std::io::Read::read_to_string(&mut std::io::stdin(), &mut text)
         .map_err(|e| format!("reading spec from stdin: {e}"))?;
-    crash_once_hook();
     let file = SpecFile::parse(&text).map_err(|e| format!("run-cell: {e}"))?;
     if row {
         if file.analysis.is_some() {

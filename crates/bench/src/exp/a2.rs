@@ -13,11 +13,11 @@
 use ftgcs::node::ROW_MODE;
 use ftgcs::params::Params;
 use ftgcs::runner::Scenario;
+use ftgcs::triggers::conditions;
 use ftgcs_metrics::skew::{cluster_clock_samples, cluster_local_skew_series, FaultMask};
 use ftgcs_metrics::table::Table;
 use ftgcs_topology::{generators, ClusterGraph};
 
-use crate::exp::fc_holds;
 use crate::spec::SpecFile;
 use crate::{adversarial_rate_split, emit_table};
 
@@ -56,6 +56,7 @@ fn run_with_scale(base: &Params, scale: f64, seed: u64) -> (f64, usize, usize) {
     let mut idx = 0usize;
     let mut checks = 0usize;
     let mut violations = 0usize;
+    let mut neighbor_clocks = Vec::new();
     for (t, clocks) in cluster_clock_samples(&run.trace, &cg, &mask) {
         while idx < mode_rows.len() && mode_rows[idx].0 <= t {
             latest[mode_rows[idx].1] = Some(mode_rows[idx].2);
@@ -65,7 +66,9 @@ fn run_with_scale(base: &Params, scale: f64, seed: u64) -> (f64, usize, usize) {
             continue;
         }
         for c in 0..cg.cluster_count() {
-            if fc_holds(&clocks, cg.neighbor_clusters(c), c, params.kappa) {
+            neighbor_clocks.clear();
+            neighbor_clocks.extend(cg.neighbor_clusters(c).iter().map(|&a| clocks[a]));
+            if conditions(clocks[c], &neighbor_clocks, params.kappa).fast {
                 checks += 1;
                 for v in cg.members(c) {
                     if latest[v] == Some(false) {

@@ -60,34 +60,3 @@ pub const ANALYSES: &[(&str, Analysis)] = &[
 pub fn find(name: &str) -> Option<Analysis> {
     ANALYSES.iter().find(|&&(n, _)| n == name).map(|&(_, f)| f)
 }
-
-/// Does FC hold for cluster `c` given all cluster clocks? (Def. 4.1:
-/// `∃ s ≥ 1: up ≥ 2sκ ∧ down ≤ 2sκ`.) Shared by the t6 audit and the
-/// a2 slack ablation.
-pub(crate) fn fc_holds(clocks: &[f64], neighbors: &[usize], c: usize, kappa: f64) -> bool {
-    let up = neighbors
-        .iter()
-        .map(|&a| clocks[a] - clocks[c])
-        .fold(f64::NEG_INFINITY, f64::max);
-    let down = neighbors
-        .iter()
-        .map(|&b| clocks[c] - clocks[b])
-        .fold(f64::NEG_INFINITY, f64::max);
-    let s_lo = (down / (2.0 * kappa)).ceil().max(1.0);
-    up >= 2.0 * s_lo * kappa
-}
-
-/// Does SC hold for cluster `c`? (Def. 4.2:
-/// `∃ s ≥ 1: behind ≥ (2s−1)κ ∧ ahead ≤ (2s−1)κ`.)
-pub(crate) fn sc_holds(clocks: &[f64], neighbors: &[usize], c: usize, kappa: f64) -> bool {
-    let behind = neighbors
-        .iter()
-        .map(|&a| clocks[c] - clocks[a])
-        .fold(f64::NEG_INFINITY, f64::max);
-    let ahead = neighbors
-        .iter()
-        .map(|&b| clocks[b] - clocks[c])
-        .fold(f64::NEG_INFINITY, f64::max);
-    let s_lo = ((ahead / kappa + 1.0) / 2.0).ceil().max(1.0);
-    behind >= (2.0 * s_lo - 1.0) * kappa
-}

@@ -15,11 +15,11 @@
 
 use ftgcs::node::ROW_MODE;
 use ftgcs::runner::Scenario;
+use ftgcs::triggers::conditions;
 use ftgcs_metrics::skew::{cluster_clock_samples, FaultMask};
 use ftgcs_metrics::table::Table;
 use ftgcs_topology::{generators, ClusterGraph};
 
-use crate::exp::{fc_holds, sc_holds};
 use crate::spec::SpecFile;
 use crate::{adversarial_rate_split, emit_table};
 
@@ -91,6 +91,7 @@ pub fn run(spec: &SpecFile) {
     let mut sc_checks = 0usize;
     let mut sc_violations = 0usize;
     let warm = 5.0 * params.t_round;
+    let mut neighbor_clocks = Vec::new();
     for (t, clocks) in cluster_clock_samples(&run.trace, &cg, &mask) {
         while row_idx < mode_rows.len() && mode_rows[row_idx].0 <= t {
             let (_, node, ft, st) = mode_rows[row_idx];
@@ -101,8 +102,10 @@ pub fn run(spec: &SpecFile) {
             continue;
         }
         for c in 0..cg.cluster_count() {
-            let neigh = cg.neighbor_clusters(c);
-            if fc_holds(&clocks, neigh, c, params.kappa) {
+            neighbor_clocks.clear();
+            neighbor_clocks.extend(cg.neighbor_clusters(c).iter().map(|&a| clocks[a]));
+            let holds = conditions(clocks[c], &neighbor_clocks, params.kappa);
+            if holds.fast {
                 fc_checks += 1;
                 for v in cg.members(c) {
                     if let Some((ft, _)) = latest[v] {
@@ -112,7 +115,7 @@ pub fn run(spec: &SpecFile) {
                     }
                 }
             }
-            if sc_holds(&clocks, neigh, c, params.kappa) {
+            if holds.slow {
                 sc_checks += 1;
                 for v in cg.members(c) {
                     if let Some((_, st)) = latest[v] {

@@ -3,9 +3,9 @@
 //!
 //! * `xp sweep --parallel` must produce **byte-identical** stdout and
 //!   sweep CSV to the sequential in-process sweep;
-//! * a `run-cell` child that crashes mid-cell must be retried, with
-//!   the merged output still byte-identical (retries are safe because
-//!   a cell is a pure function of its canonical spec text);
+//! * a `run-cell` child that crashes mid-cell must be retried, and its
+//!   partial output dropped (retries are safe because a cell is a pure
+//!   function of its canonical spec text);
 //! * `xp serve` must run a submitted spec to completion, serve back
 //!   CSVs byte-identical to an in-process `xp run`, and answer a
 //!   repeated submission entirely from the content-addressed cache —
@@ -40,22 +40,16 @@ const SEEDS: &str = "seed=1,2,3";
 const SCHEDULERS: &str = "scheduler=global,parallel 1,parallel 2";
 const PARALLEL: [&str; 3] = ["--parallel", "--jobs", "2"];
 
-/// `xp sweep smoke.spec <axis> <extra…>` in `cwd`, not yet run.
-fn sweep_command(cwd: &Path, cache: &Path, axis: &str, extra: &[&str]) -> Command {
+/// Runs `xp sweep smoke.spec <axis> <extra…>` in `cwd`.
+fn sweep(cwd: &Path, cache: &Path, axis: &str, extra: &[&str]) -> std::process::Output {
     std::fs::create_dir_all(cwd).expect("sweep cwd");
-    let mut command = Command::new(xp());
-    command
+    Command::new(xp())
         .current_dir(cwd)
         .env("FTGCS_CACHE_DIR", cache)
         .arg("sweep")
         .arg(spec_path("smoke.spec"))
         .arg(axis)
-        .args(extra);
-    command
-}
-
-fn sweep(cwd: &Path, cache: &Path, axis: &str, extra: &[&str]) -> std::process::Output {
-    sweep_command(cwd, cache, axis, extra)
+        .args(extra)
         .output()
         .expect("xp sweep")
 }
@@ -115,22 +109,18 @@ fn parallel_sweep_matches_sequential(name: &str, axis: &str) -> String {
         assert!(err.contains("events/s aggregate"), "{err}");
     }
 
-    // A repeated parallel sweep is served from the cache ((cached)
-    // markers on stderr) and still byte-identical on stdout. It starts
-    // no child: a `run-cell` child would create this marker.
-    let marker = dir.join("child_marker");
-    let again = sweep_command(&dir.join("par2"), &dir.join("cache"), axis, &PARALLEL)
-        .env("FTGCS_RUN_CELL_CRASH_ONCE", &marker)
-        .output()
-        .expect("xp sweep");
+    // A repeated parallel sweep is served from the cache — every cell
+    // reads `(cached)` on stderr, so none ran a child — and is still
+    // byte-identical on stdout.
+    let again = sweep(&dir.join("par2"), &dir.join("cache"), axis, &PARALLEL);
     assert!(again.status.success());
     assert_eq!(seq.stdout, again.stdout);
-    assert!(
-        String::from_utf8_lossy(&again.stderr).contains("(cached)"),
-        "repeat sweep did not hit the cache: {}",
-        String::from_utf8_lossy(&again.stderr)
+    let err = String::from_utf8_lossy(&again.stderr);
+    assert_eq!(
+        err.matches("(cached)").count(),
+        axis.split(',').count(),
+        "repeat sweep did not hit the cache on every cell: {err}"
     );
-    assert!(!marker.exists(), "a fully cached sweep spawned a child");
     csv
 }
 
@@ -181,18 +171,13 @@ fn a_corrupt_cached_row_is_recomputed() {
 }
 
 /// Sweeps `axis` in both modes and asserts the sweep is refused before
-/// any cell runs: exit 1, no table, no CSV, no child, no cache entry,
-/// and the same one line on stderr, which is returned.
+/// any cell runs: exit 1, no table, no CSV, no cache entry, and the same
+/// one line on stderr, which is returned.
 fn sweep_refused_before_any_cell_runs(name: &str, axis: &str) -> String {
     let dir = scratch(name);
-    // A `run-cell` child would create this marker before parsing.
-    let marker = dir.join("child_marker");
     let refused = |mode: &str, extra: &[&str]| {
         let cwd = dir.join(mode);
-        let out = sweep_command(&cwd, &dir.join("cache"), axis, extra)
-            .env("FTGCS_RUN_CELL_CRASH_ONCE", &marker)
-            .output()
-            .expect("xp sweep");
+        let out = sweep(&cwd, &dir.join("cache"), axis, extra);
         assert_eq!(out.status.code(), Some(1), "{mode}");
         assert!(out.stdout.is_empty(), "{mode} printed a banner or a table");
         assert!(!cwd.join("results").exists(), "{mode} wrote a CSV");
@@ -201,7 +186,6 @@ fn sweep_refused_before_any_cell_runs(name: &str, axis: &str) -> String {
     let seq = refused("seq", &[]);
     assert_eq!(seq.lines().count(), 1, "{seq}");
     assert_eq!(seq, refused("par", &PARALLEL));
-    assert!(!marker.exists(), "a run-cell child was spawned");
     assert!(!dir.join("cache").exists(), "a cache entry was created");
     seq
 }
@@ -247,36 +231,64 @@ fn list_names_a_file_the_gate_rejects() {
     assert!(!err.contains("good.spec"), "{err}");
 }
 
+/// A cell whose child crashes is run again, and the crashed attempt's
+/// partial output is dropped. The crash comes from the test side: the
+/// runner spawns a wrapper script that, on its first call only, prints
+/// a partial line and exits non-zero, and otherwise `exec`s `xp`.
+#[cfg(unix)]
 #[test]
 fn crashed_cell_is_retried_with_identical_output() {
-    let dir = scratch("crash");
-    let seq = sweep(&dir.join("seq"), &dir.join("seq_cache"), SEEDS, &[]);
-    assert!(seq.status.success());
+    use ftgcs_serve::CellRunner;
+    use std::os::unix::fs::PermissionsExt as _;
 
-    let marker = dir.join("crash_once_marker");
-    let par = sweep_command(&dir.join("par"), &dir.join("cache"), SEEDS, &PARALLEL)
-        .env("FTGCS_RUN_CELL_CRASH_ONCE", &marker)
-        .output()
-        .expect("xp sweep");
-    assert!(
-        par.status.success(),
-        "{}",
-        String::from_utf8_lossy(&par.stderr)
-    );
-    assert!(
-        marker.is_file(),
-        "no run-cell child actually took the crash path"
-    );
-    assert_eq!(
-        String::from_utf8_lossy(&seq.stdout),
-        String::from_utf8_lossy(&par.stdout),
-        "crash + retry changed the merged sweep stdout"
-    );
-    assert_eq!(
-        std::fs::read(dir.join("seq/results/smoke_sweep.csv")).expect("sequential sweep CSV"),
-        std::fs::read(dir.join("par/results/smoke_sweep.csv")).expect("parallel sweep CSV"),
-        "crash + retry changed the merged sweep CSV"
-    );
+    const PARTIAL: &str = "partial output from a crashing cell";
+    let dir = scratch("crash");
+    let marker = dir.join("crashed_once");
+    let wrapper = dir.join("xp_crashing_once.sh");
+    std::fs::write(
+        &wrapper,
+        format!(
+            "#!/bin/sh\nif [ ! -e '{marker}' ]; then\n  : > '{marker}'\n  echo '{PARTIAL}'\n  \
+             exit 3\nfi\nexec '{xp}' \"$@\"\n",
+            marker = marker.display(),
+            xp = xp(),
+        ),
+    )
+    .expect("wrapper script");
+    std::fs::set_permissions(&wrapper, std::fs::Permissions::from_mode(0o755))
+        .expect("wrapper is executable");
+    let spec = std::fs::read_to_string(spec_path("smoke.spec")).expect("smoke.spec");
+
+    let mut direct = Command::new(xp())
+        .args(["run-cell", "--row"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("xp run-cell");
+    direct
+        .stdin
+        .take()
+        .expect("stdin was piped")
+        .write_all(spec.as_bytes())
+        .expect("spec to run-cell");
+    let direct = direct.wait_with_output().expect("xp run-cell");
+    assert!(direct.status.success());
+    let direct = String::from_utf8(direct.stdout).expect("stdout is UTF-8");
+
+    let runner = CellRunner {
+        binary: wrapper,
+        retries: 2,
+    };
+    let outcome = runner
+        .run_cell(&["--row"], &spec, None)
+        .expect("the retry succeeds");
+    assert_eq!(outcome.attempts, 2, "the first attempt must have crashed");
+    assert!(marker.is_file(), "the wrapper never took the crash path");
+    assert!(!outcome.stdout.contains(PARTIAL), "{}", outcome.stdout);
+    // A row is the cell's wall clock, then what it measured: everything
+    // after the wall clock is a pure function of the spec.
+    let measured = |row: &str| row.split_once('\t').expect("a row").1.to_string();
+    assert_eq!(measured(&outcome.stdout), measured(&direct));
 }
 
 /// Kills the serve child if a test assertion fires before shutdown.

@@ -16,15 +16,22 @@
 //! per node, which is what lets [`SchedulerKind::Parallel`] hand disjoint
 //! node sets to worker threads (see [`crate::par`]).
 //!
-//! Events wait in calendar queues (see [`crate::shard`]): a single
-//! [`EventQueue`] under [`SchedulerKind::Global`], one queue per shard of
-//! the network under [`SchedulerKind::Parallel`]. Both schedulers — the
-//! parallel one on any worker count — dispatch the identical global
-//! event order, so they produce byte-identical traces. The order is
-//! `(time, source, per-source counter)`: each node stamps the events it
-//! creates with its own monotone counter, which is a deterministic
-//! function of the node's observed event sequence and therefore
-//! independent of how shards raced across threads.
+//! Node events — timers and message deliveries — wait in one store of
+//! calendar queues, one queue per shard of the network (see
+//! [`crate::shard`] and [`crate::par`]): [`SchedulerKind::Global`] is the
+//! store over a single shard, drained by the serial loop here;
+//! [`SchedulerKind::Parallel`] advances its shards on several threads.
+//! Both schedulers — the parallel one on any worker count — dispatch the
+//! identical global event order, so they produce byte-identical traces.
+//! The order is `(time, source, per-source counter)`: each node stamps
+//! the events it creates with its own monotone counter, which is a
+//! deterministic function of the node's observed event sequence and
+//! therefore independent of how shards raced across threads.
+//!
+//! A clock sample is not an event: no node receives it. The pending
+//! sample instants live beside the store (`Samples`), and both loops
+//! fire a sample once every node event before its instant has run, so
+//! at equal times the sample comes before every node event.
 //!
 //! Both dispatch loops (the serial one here, a parallel window's in
 //! [`crate::par`]) have the pop and `run_event` inlined into them, and
@@ -35,13 +42,12 @@ use crate::clock::{HardwareClock, RateModel};
 use crate::network::{DelayConfig, DelayDistribution};
 use crate::node::{Behavior, NodeId, TimerId, TimerTag, TrackId};
 use crate::observe::Observer;
-use crate::par::ParQueue;
+use crate::par::EventStore;
 use crate::rng::SimRng;
 use crate::shard::{
-    resolve_workers, tie_for_engine, tie_for_node, EventQueue, Key, QueueStats, SchedulerKind,
-    Shard,
+    resolve_workers, tie_for_node, Key, Partition, QueueStats, SchedulerKind, Shard,
 };
-use crate::telemetry::{EngineCounts, NodeCounts, Phase, ShardReport, Telemetry, TelemetryReport};
+use crate::telemetry::{EngineCounts, NodeCounts, Phase, Telemetry, TelemetryReport};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{ClockSample, Row, Trace};
 
@@ -131,9 +137,8 @@ struct TimerSlot {
 /// count, which [`SimBuilder::build`] keeps below 2³².
 const NO_PORT: u32 = u32::MAX;
 
-/// A queued occurrence. Timers and messages are owned by one node and
-/// dispatch on its shard; samples are engine-global and are handled by
-/// the (serial) engine loop, never by a worker.
+/// A queued event: a timer or a message, owned by one node and
+/// dispatched on its shard.
 ///
 /// Node ids, the timer slot and the port are stored as `u32` so that an
 /// event with a 16-byte message stays 32 bytes and its slab node in the
@@ -165,18 +170,14 @@ pub(crate) enum Pending<M> {
         /// Payload.
         msg: M,
     },
-    /// A periodic engine-global clock sample.
-    Sample,
 }
 
 impl<M> Pending<M> {
-    /// The node whose shard dispatches this event (samples are
-    /// engine-global and have no owner).
-    pub(crate) fn owner(&self) -> Option<NodeId> {
+    /// The node whose shard dispatches this event.
+    pub(crate) fn owner(&self) -> NodeId {
         match *self {
-            Pending::Timer { node, .. } => Some(NodeId(node as usize)),
-            Pending::Message { to, .. } => Some(NodeId(to as usize)),
-            Pending::Sample => None,
+            Pending::Timer { node, .. } => NodeId(node as usize),
+            Pending::Message { to, .. } => NodeId(to as usize),
         }
     }
 }
@@ -438,12 +439,12 @@ impl SimShared {
 
 /// Where a dispatch pushes the events it creates.
 pub(crate) enum QueueKind<'a, M> {
-    /// The single-threaded engine: one [`EventQueue`] in global
-    /// `(time, tie)` pop order.
-    Serial(&'a mut EventQueue<Pending<M>>),
-    /// The parallel store outside any window (`on_start`, i.e. the boot
-    /// phase, runs serially), with the shard of the booting node.
-    Boot(&'a mut ParQueue<M>, u32),
+    /// The global scheduler's loop: the one shard of its store, in
+    /// global `(time, tie)` pop order.
+    Serial(&'a mut Shard<Pending<M>>),
+    /// The store outside any loop (`on_start`, i.e. the boot phase, runs
+    /// serially on either scheduler), with the shard of the booting node.
+    Boot(&'a mut EventStore<M>, u32),
     /// A worker advancing one shard inside a lookahead window: local
     /// events go straight into the owned shard, cross-shard events into
     /// the worker's per-destination outbox (flushed once per window).
@@ -468,8 +469,8 @@ impl<M> QueueKind<'_, M> {
     fn push(&mut self, dst: NodeId, time: SimTime, tie: u128, make: impl FnOnce() -> Pending<M>) {
         let key = Key { time, tie };
         match self {
-            QueueKind::Serial(q) => q.push_keyed(time, tie, make()),
-            QueueKind::Boot(pq, from_shard) => pq.push(*from_shard, dst, key, make()),
+            QueueKind::Serial(shard) => shard.push(key, make()),
+            QueueKind::Boot(store, from_shard) => store.push(*from_shard, dst, key, make()),
             QueueKind::Worker {
                 local,
                 outbox,
@@ -891,8 +892,7 @@ fn with_ctx<M: Clone>(
 }
 
 /// Dispatches one popped timer or message event on its owning node,
-/// counting it in the node's own state. Samples are engine-global and
-/// are handled by the callers directly. Inlined into both dispatch
+/// counting it in the node's own state. Inlined into both dispatch
 /// loops, so the context is put together from their registers and not
 /// from a copy of the arguments.
 #[inline(always)]
@@ -929,41 +929,69 @@ pub(crate) fn run_event<M: Clone>(
                 b.on_message(ctx, NodeId(from as usize), &msg);
             });
         }
-        Pending::Sample => unreachable!("samples are dispatched by the engine loop"),
     }
 }
 
-/// When the sample after the one at `time` is due. An interval below
-/// the f64 spacing at `time` would re-arm the chain at the same instant
-/// for ever: that is a panic, not a hang.
-pub(crate) fn next_sample(time: SimTime, interval: SimDuration) -> SimTime {
-    let next = time + interval;
-    assert!(
-        next > time,
-        "sample interval {} s is below the f64 spacing at t = {time}",
-        interval.as_secs()
-    );
-    next
+/// The sample chain: when the periodic clock samples are due, and the
+/// one [`ClockSample`] every firing refills. A sample reads every node's
+/// clock and no node reacts to it, so it never enters the event store;
+/// both dispatch loops fire it once every node event before its instant
+/// has run.
+pub(crate) struct Samples {
+    /// Pending sample instants. Usually one; each fired sample re-arms
+    /// itself, so a chain started by `set_sample_interval` while another
+    /// was pending runs beside it.
+    pending: Vec<SimTime>,
+    /// Refilled by every firing, so sampling allocates nothing once its
+    /// vectors hold every node.
+    sample: ClockSample,
 }
 
-/// Records one engine-global clock sample into `sample` — `clocks` is
-/// every node's [`NodeState::read_clocks`], in node order — and streams
-/// it to the observer. The sample is the simulation's own and reused,
-/// so sampling allocates nothing once its vectors hold every node.
-pub(crate) fn take_sample(
-    clocks: impl Iterator<Item = (f64, f64)>,
-    now: SimTime,
-    sample: &mut ClockSample,
-    obs: &mut dyn Observer,
-) {
-    sample.t = now;
-    sample.logical.clear();
-    sample.hardware.clear();
-    for (lg, hw) in clocks {
-        sample.logical.push(lg);
-        sample.hardware.push(hw);
+impl Samples {
+    /// The earliest pending sample instant.
+    pub(crate) fn next(&self) -> Option<SimTime> {
+        self.pending.iter().copied().min()
     }
-    obs.on_sample(sample);
+
+    /// Fires the sample due at `now`, a pending instant: `clocks` is
+    /// every node's [`NodeState::read_clocks`] at `now`, in node order.
+    /// Streams it to `obs` and re-arms it `interval` later (`None` ends
+    /// its chain). An interval below the f64 spacing at `now` would
+    /// re-arm it at the same instant for ever: that is a panic, not a
+    /// hang.
+    pub(crate) fn fire(
+        &mut self,
+        now: SimTime,
+        clocks: impl Iterator<Item = (f64, f64)>,
+        interval: Option<SimDuration>,
+        obs: &mut dyn Observer,
+    ) {
+        let sample = &mut self.sample;
+        sample.t = now;
+        sample.logical.clear();
+        sample.hardware.clear();
+        for (lg, hw) in clocks {
+            sample.logical.push(lg);
+            sample.hardware.push(hw);
+        }
+        obs.on_sample(sample);
+        let at = self.pending.iter().position(|&t| t == now);
+        let at = at.expect("a sample fires at a pending instant");
+        match interval {
+            Some(interval) => {
+                let next = now + interval;
+                assert!(
+                    next > now,
+                    "sample interval {} s is below the f64 spacing at t = {now}",
+                    interval.as_secs()
+                );
+                self.pending[at] = next;
+            }
+            None => {
+                self.pending.swap_remove(at);
+            }
+        }
+    }
 }
 
 /// Builder for a [`Simulation`].
@@ -1099,7 +1127,7 @@ impl<M: Clone> SimBuilder<M> {
         }
         let max_delay = self.config.delay.max_delay();
         let store = match &self.config.scheduler {
-            SchedulerKind::Global => EventStore::Serial(EventQueue::new(max_delay)),
+            SchedulerKind::Global => EventStore::new(&Partition::single(n), 1, max_delay),
             SchedulerKind::Parallel { partition, workers } => {
                 assert_eq!(
                     partition.node_count(),
@@ -1112,7 +1140,7 @@ impl<M: Clone> SimBuilder<M> {
                     "the parallel scheduler requires a positive lookahead (d − U > 0)"
                 );
                 let resolved = resolve_workers(*workers, partition.shard_count());
-                EventStore::Parallel(ParQueue::new(partition, resolved, max_delay))
+                EventStore::new(partition, resolved, max_delay)
             }
         };
         let root = SimRng::seed_from(self.config.seed);
@@ -1162,27 +1190,17 @@ impl<M: Clone> SimBuilder<M> {
             store,
             trace: Trace::new(),
             counts: EngineCounts::default(),
-            sample: ClockSample {
-                t: SimTime::ZERO,
-                logical: Vec::with_capacity(n),
-                hardware: Vec::with_capacity(n),
+            samples: Samples {
+                pending: Vec::new(),
+                sample: ClockSample {
+                    t: SimTime::ZERO,
+                    logical: Vec::with_capacity(n),
+                    hardware: Vec::with_capacity(n),
+                },
             },
-            sample_seq: 0,
             started: false,
         }
     }
-}
-
-/// Where queued events live between dispatches.
-#[allow(
-    clippy::large_enum_variant,
-    reason = "one store per simulation: a Box would buy nothing"
-)]
-pub(crate) enum EventStore<M> {
-    /// The single-threaded engine's one global queue.
-    Serial(EventQueue<Pending<M>>),
-    /// The parallel executor's per-shard queues.
-    Parallel(ParQueue<M>),
 }
 
 /// A runnable discrete-event simulation.
@@ -1196,10 +1214,8 @@ pub struct Simulation<M> {
     pub(crate) counts: EngineCounts,
     /// Wall-clock phase timing (the `telemetry` flag).
     pub(crate) telemetry: Telemetry,
-    /// The one clock sample, refilled by every [`take_sample`].
-    pub(crate) sample: ClockSample,
-    /// Tie counter for engine-global (sample) events.
-    sample_seq: u64,
+    /// When the clock samples are due, and the sample they refill.
+    pub(crate) samples: Samples,
     started: bool,
 }
 
@@ -1253,35 +1269,25 @@ impl<M> Simulation<M> {
     /// built with `telemetry: true`, which the report's `enabled` says.
     #[must_use]
     pub fn telemetry(&self) -> TelemetryReport {
-        let counts = self.cells.iter().map(|cell| &cell.state.counts);
-        match &self.store {
-            EventStore::Serial(q) => {
-                let mut total = ShardReport::default();
-                counts.for_each(|c| total.add_node(c));
-                self.telemetry.report(
-                    "global",
-                    None,
-                    vec![total],
-                    self.counts,
-                    q.stats(),
-                    Vec::new(),
-                )
-            }
-            EventStore::Parallel(pq) => {
-                let mut per_shard = pq.shard_reports();
-                for (c, &s) in counts.zip(&pq.shard_of) {
-                    per_shard[s as usize].add_node(c);
-                }
-                self.telemetry.report(
-                    "parallel",
-                    Some(pq.workers),
-                    per_shard,
-                    self.counts,
-                    QueueStats::of_shards(&pq.shards),
-                    pq.worker_reports(),
-                )
-            }
+        let store = &self.store;
+        let mut per_shard = store.shard_reports();
+        for (cell, &s) in self.cells.iter().zip(&store.shard_of) {
+            per_shard[s as usize].add_node(&cell.state.counts);
         }
+        let (scheduler, workers, per_worker) = match self.shared.config.scheduler {
+            SchedulerKind::Global => ("global", None, Vec::new()),
+            SchedulerKind::Parallel { .. } => {
+                ("parallel", Some(store.workers), store.worker_reports())
+            }
+        };
+        self.telemetry.report(
+            scheduler,
+            workers,
+            per_shard,
+            self.counts,
+            QueueStats::of_shards(&store.shards),
+            per_worker,
+        )
     }
 
     /// The trace recorded so far.
@@ -1341,22 +1347,7 @@ impl<M> Simulation<M> {
         let was_off = self.shared.config.sample_interval.is_none();
         self.shared.config.sample_interval = interval;
         if was_off && interval.is_some() && self.started {
-            let now = self.now;
-            self.push_sample(now);
-        }
-    }
-
-    /// Schedules the next periodic sample. Samples are engine-global
-    /// events dispatched in global order like everything else (the
-    /// parallel executor handles them at barriers).
-    fn push_sample(&mut self, time: SimTime) {
-        match &mut self.store {
-            EventStore::Serial(q) => {
-                let tie = tie_for_engine(self.sample_seq);
-                self.sample_seq += 1;
-                q.push_keyed(time, tie, Pending::Sample);
-            }
-            EventStore::Parallel(pq) => pq.pending_samples.push(time),
+            self.samples.pending.push(self.now);
         }
     }
 }
@@ -1368,7 +1359,7 @@ impl<M: Clone + Send> Simulation<M> {
         }
         self.started = true;
         if self.shared.config.sample_interval.is_some() {
-            self.push_sample(SimTime::ZERO);
+            self.samples.pending.push(SimTime::ZERO);
         }
         let Simulation {
             shared,
@@ -1378,13 +1369,7 @@ impl<M: Clone + Send> Simulation<M> {
         } = self;
         let mut rows = Vec::new();
         for (i, cell) in cells.iter_mut().enumerate() {
-            let queue = match store {
-                EventStore::Serial(q) => QueueKind::Serial(q),
-                EventStore::Parallel(pq) => {
-                    let shard = pq.shard_of[i];
-                    QueueKind::Boot(pq, shard)
-                }
-            };
+            let queue = QueueKind::Boot(store, store.shard_of[i]);
             // Boot phase, always serial: every `on_start` at the zero key.
             let key = Key {
                 time: SimTime::ZERO,
@@ -1459,17 +1444,20 @@ impl<M: Clone + Send> Simulation<M> {
         // Whole-run wall clock (telemetry side channel; inert stamp
         // when telemetry is off).
         let t0 = self.telemetry.stamp();
-        let result = match self.store {
-            EventStore::Serial(_) => {
+        let result = match self.shared.config.scheduler {
+            SchedulerKind::Global => {
                 self.run_serial(until, obs);
                 Ok(())
             }
-            EventStore::Parallel(_) => self.run_parallel(until, obs),
+            SchedulerKind::Parallel { .. } => self.run_parallel(until, obs),
         };
         self.telemetry.phase(Phase::Total, t0);
         result
     }
 
+    /// The reference loop: the store's one shard, drained on the calling
+    /// thread, with no windows. Node events due strictly before the next
+    /// sample dispatch first, then the sample fires.
     fn run_serial(&mut self, until: SimTime, obs: &mut dyn Observer) {
         let Simulation {
             now,
@@ -1477,52 +1465,47 @@ impl<M: Clone + Send> Simulation<M> {
             cells,
             store,
             counts,
-            sample,
-            sample_seq,
+            samples,
             ..
         } = self;
-        let EventStore::Serial(queue) = store else {
-            unreachable!("run_serial on a parallel store");
-        };
+        debug_assert_eq!(store.shards.len(), 1, "the global scheduler has one shard");
+        let queue = &mut store.shards[0];
         // Per-dispatch row scratch, flushed to the observer after every
         // event so rows stream out in the exact dispatch order. The
         // buffer is reused across events — no steady-state allocation.
         let mut scratch = Vec::new();
-        while let Some((key, pending)) = queue.pop_before_keyed(until) {
-            let time = key.time;
-            debug_assert!(time >= *now, "time went backwards");
-            *now = time;
-            match pending {
-                Pending::Sample => {
-                    counts.samples += 1;
-                    let clocks = cells.iter_mut().map(|cell| cell.state.read_clocks(time));
-                    take_sample(clocks, time, sample, obs);
-                    // Re-arm unconditionally: events beyond `until` stay
-                    // queued, so sampling continues across consecutive
-                    // run_until calls (`None` pauses the chain; a later
-                    // set_sample_interval resumes it).
-                    if let Some(interval) = shared.config.sample_interval {
-                        let tie = tie_for_engine(*sample_seq);
-                        *sample_seq += 1;
-                        queue.push_keyed(next_sample(time, interval), tie, Pending::Sample);
-                    }
-                }
-                pending => {
-                    let node = pending.owner().expect("timer/message has an owner");
-                    run_event(
-                        &mut cells[node.index()],
-                        node,
-                        shared,
-                        QueueKind::Serial(queue),
-                        &mut scratch,
-                        key,
-                        pending,
-                    );
-                    for (_, row) in scratch.drain(..) {
-                        obs.on_row_owned(row);
-                    }
+        loop {
+            let next = samples.next();
+            let cap = next.map_or(f64::INFINITY, SimTime::as_secs);
+            let due = |time: SimTime| time.as_secs() <= until.as_secs() && time.as_secs() < cap;
+            while let Some((key, pending)) = queue.pop_if(due) {
+                debug_assert!(key.time >= *now, "time went backwards");
+                *now = key.time;
+                let node = pending.owner();
+                run_event(
+                    &mut cells[node.index()],
+                    node,
+                    shared,
+                    QueueKind::Serial(queue),
+                    &mut scratch,
+                    key,
+                    pending,
+                );
+                for (_, row) in scratch.drain(..) {
+                    obs.on_row_owned(row);
                 }
             }
+            // Sampling continues across consecutive run_until calls: a
+            // sample beyond `until` stays pending (`None` ends a chain;
+            // a later set_sample_interval starts one).
+            let Some(time) = next.filter(|&time| time <= until) else {
+                break;
+            };
+            debug_assert!(time >= *now, "time went backwards");
+            *now = time;
+            counts.samples += 1;
+            let clocks = cells.iter_mut().map(|cell| cell.state.read_clocks(time));
+            samples.fire(time, clocks, shared.config.sample_interval, obs);
         }
         *now = until;
     }

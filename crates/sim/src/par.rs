@@ -66,12 +66,13 @@
 //!   with the emitting event's key; the coordinator sorts each window's
 //!   rows by key and streams them out at the barrier. The result is
 //!   exactly the serial engine's strict in-order stream.
-//! * **Barrier-handled samples.** Periodic clock samples read *every*
-//!   node's clock, so they are executed by the coordinator between
-//!   windows. The cap never passes the earliest pending sample time, so
-//!   when a sample fires no processed event at or after it exists — and
-//!   at equal times samples sort before node events ([`crate::shard`]'s
-//!   engine tie), matching the serial order.
+//! * **Barrier-handled samples.** A periodic clock sample reads *every*
+//!   node's clock and is no node's event: it never enters a shard, and
+//!   the coordinator fires it from the simulation's sample chain
+//!   (`Samples`) between windows. The cap never passes the earliest
+//!   pending sample time, so when a sample fires every event before it
+//!   has run and none at or after it has — the serial loop's order,
+//!   where a sample comes before every node event at its instant.
 //!
 //! Cross-shard sends are batched in a per-executor outbox and flushed
 //! into the destination shards' mutex-guarded inboxes once per window
@@ -115,33 +116,29 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::Mutex;
 
 use crate::engine::{
-    next_sample, run_event, take_sample, EventStore, NodeCell, Pending, QueueKind, RunError,
-    SimShared, Simulation,
+    run_event, NodeCell, Pending, QueueKind, RunError, Samples, SimShared, Simulation,
 };
 use crate::node::NodeId;
 use crate::observe::Observer;
 use crate::shard::{Key, Partition, Shard};
 use crate::telemetry::{Claims, EngineCounts, Phase, ShardReport, Telemetry, WorkerReport};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{ClockSample, Row};
+use crate::trace::Row;
 
 /// The "no pending event" sentinel.
 fn time_inf() -> SimTime {
     SimTime::from_secs(f64::INFINITY)
 }
 
-/// The parallel executor's event store: per-shard queues plus the sample
-/// chain (samples never enter a shard — they are engine-global), the
+/// The event store of both schedulers: one calendar queue per shard
+/// (the global scheduler's store has one shard and one worker), the
 /// balancer's record and the per-shard counts of parallel work.
-pub(crate) struct ParQueue<M> {
+pub(crate) struct EventStore<M> {
     pub(crate) shards: Vec<Shard<Pending<M>>>,
     pub(crate) shard_of: Vec<u32>,
     /// Resolved worker count, in `[1, shards]` (see
     /// [`crate::shard::resolve_workers`]).
     pub(crate) workers: usize,
-    /// Pending engine-global sample times (usually one; transiently more
-    /// after `set_sample_interval` toggles, mirroring the serial queue).
-    pub(crate) pending_samples: Vec<SimTime>,
     /// Per-shard cost estimate for the deal-out: events the shard
     /// dispatched in its last active window (halved while idle).
     pub(crate) shard_cost: Vec<u64>,
@@ -167,15 +164,14 @@ pub(crate) struct ShardWork {
     windows: u64,
 }
 
-impl<M> ParQueue<M> {
+impl<M> EventStore<M> {
     /// Per-shard queues sized for messages delayed at most `max_delay`.
     pub(crate) fn new(partition: &Partition, workers: usize, max_delay: SimDuration) -> Self {
         let count = partition.shard_count().max(1);
-        ParQueue {
+        EventStore {
             shards: (0..count).map(|_| Shard::new(max_delay)).collect(),
             shard_of: partition.shard_map().to_vec(),
             workers,
-            pending_samples: Vec::new(),
             shard_cost: vec![0; count],
             planned_events: vec![0; workers],
             claims: (0..workers).map(|_| Claims::default()).collect(),
@@ -216,11 +212,11 @@ impl<M> ParQueue<M> {
     }
 }
 
-impl<M> std::fmt::Debug for ParQueue<M> {
+impl<M> std::fmt::Debug for EventStore<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "ParQueue(shards={}, workers={})",
+            "EventStore(shards={}, workers={})",
             self.shards.len(),
             self.workers
         )
@@ -242,7 +238,7 @@ struct Inbox<'a, M> {
     entries: Batch<M>,
     /// Earliest staged time (`INFINITY` when empty).
     min_time: SimTime,
-    /// The shard's staged count in [`ParQueue::staged_in`].
+    /// The shard's staged count in [`EventStore::staged_in`].
     staged_in: &'a mut u64,
 }
 
@@ -280,7 +276,7 @@ impl<'a, M> Inbox<'a, M> {
 /// executor that claimed it for a window, the coordinator between windows.
 struct Task<'a, M> {
     shard: &'a mut Shard<Pending<M>>,
-    /// The shard's counts in [`ParQueue::work`].
+    /// The shard's counts in [`EventStore::work`].
     work: &'a mut ShardWork,
     /// The shard's nodes; node `v`'s cell is at [`Pool::local_of`]`[v]`.
     cells: Vec<&'a mut NodeCell<M>>,
@@ -361,15 +357,6 @@ impl Drop for ReleaseOnDrop<'_> {
     }
 }
 
-/// Index and value of the earliest pending sample, if any.
-fn earliest_sample(pending: &[SimTime]) -> Option<(usize, SimTime)> {
-    pending
-        .iter()
-        .copied()
-        .enumerate()
-        .min_by(|a, b| a.1.cmp(&b.1))
-}
-
 /// `deal` slot of a shard with no work this window. Has [`TAKEN`] set,
 /// so the claim's filter skips it like a shard already claimed.
 const IDLE: u32 = u32::MAX;
@@ -381,7 +368,7 @@ const TAKEN: u32 = 1 << 31;
 struct Pool<'a, M> {
     tasks: Vec<Mutex<Task<'a, M>>>,
     inboxes: Vec<Mutex<Inbox<'a, M>>>,
-    /// Per executor (see [`ParQueue::claims`]).
+    /// Per executor (see [`EventStore::claims`]).
     claims: &'a [Claims],
     /// Per shard: the worker the coordinator dealt it to this window, or
     /// [`IDLE`]; the claiming executor sets [`TAKEN`] with a `fetch_or`,
@@ -418,23 +405,20 @@ impl<M: Clone + Send> Simulation<M> {
             store,
             counts,
             telemetry,
-            sample,
+            samples,
             ..
         } = self;
-        let EventStore::Parallel(pq) = store else {
-            unreachable!("run_parallel on a serial store");
-        };
         let lookahead = shared.config.delay.min_delay();
         debug_assert!(
             lookahead.is_positive(),
             "parallel scheduler built with zero lookahead"
         );
         let shared: &SimShared = shared;
-        let nshards = pq.shards.len();
-        let nworkers = pq.workers;
+        let nshards = store.shards.len();
+        let nworkers = store.workers;
         debug_assert!((1..=nshards).contains(&nworkers));
 
-        let mut tasks: Vec<Task<'_, M>> = (pq.shards.iter_mut().zip(&mut pq.work))
+        let mut tasks: Vec<Task<'_, M>> = (store.shards.iter_mut().zip(&mut store.work))
             .map(|(shard, work)| Task {
                 head: shard.head_key().time,
                 shard,
@@ -448,7 +432,7 @@ impl<M: Clone + Send> Simulation<M> {
         // Deal every cell to its shard's task (any partition, contiguous
         // or not): this run reaches a cell only through that task's lock.
         let mut local_of = Vec::with_capacity(cells.len());
-        for (cell, &s) in cells.iter_mut().zip(&pq.shard_of) {
+        for (cell, &s) in cells.iter_mut().zip(&store.shard_of) {
             let owned = &mut tasks[s as usize].cells;
             local_of.push(u32::try_from(owned.len()).expect("node count checked in build"));
             owned.push(cell);
@@ -456,10 +440,10 @@ impl<M: Clone + Send> Simulation<M> {
 
         let pool = Pool {
             tasks: tasks.into_iter().map(Mutex::new).collect(),
-            inboxes: (pq.staged_in.iter_mut())
+            inboxes: (store.staged_in.iter_mut())
                 .map(|staged_in| Mutex::new(Inbox::new(staged_in)))
                 .collect(),
-            claims: &pq.claims,
+            claims: &store.claims,
             deal: (0..nshards).map(|_| AtomicU32::new(IDLE)).collect(),
             cap_bits: AtomicU64::new(0),
             gate: Gate {
@@ -469,20 +453,19 @@ impl<M: Clone + Send> Simulation<M> {
                 panic: Mutex::new(None),
             },
             shared,
-            shard_of: &pq.shard_of,
+            shard_of: &store.shard_of,
             local_of,
             until,
         };
         let mut windows = Windows {
-            pending_samples: &mut pq.pending_samples,
-            sample,
+            samples,
             obs,
             counts,
             telemetry,
             lookahead,
             until,
-            shard_cost: &mut pq.shard_cost,
-            planned_events: &mut pq.planned_events,
+            shard_cost: &mut store.shard_cost,
+            planned_events: &mut store.planned_events,
             rows: Vec::new(),
             front: vec![time_inf(); nshards],
             order: Vec::with_capacity(nshards),
@@ -535,18 +518,16 @@ impl<M: Clone + Send> Simulation<M> {
 /// counts and phase clock, and the deal-out bookkeeping it owns between
 /// windows.
 struct Windows<'a> {
-    pending_samples: &'a mut Vec<SimTime>,
-    /// The simulation's reused clock sample.
-    sample: &'a mut ClockSample,
+    samples: &'a mut Samples,
     obs: &'a mut dyn Observer,
     /// Samples and windows (see [`EngineCounts`]).
     counts: &'a mut EngineCounts,
     telemetry: &'a mut Telemetry,
     lookahead: SimDuration,
     until: SimTime,
-    /// Persistent per-shard cost estimates (see [`ParQueue`]).
+    /// Persistent per-shard cost estimates (see [`EventStore`]).
     shard_cost: &'a mut [u64],
-    /// Persistent per-worker dealt-event totals (see [`ParQueue`]).
+    /// Persistent per-worker dealt-event totals (see [`EventStore`]).
     planned_events: &'a mut [u64],
     /// The last window's rows, merged from the shards (scratch; empty
     /// between barriers).
@@ -608,26 +589,20 @@ impl Windows<'_> {
                 self.obs.on_row_owned(row);
             }
 
-            // Fire due samples: engine-global reads, dispatched here at
-            // the barrier. The cap never passes the earliest sample
-            // time, so no processed event at or after it exists — and
-            // at equal times samples sort before node events, so firing
-            // now matches the serial tie-break.
-            while let Some((idx, ts)) = earliest_sample(self.pending_samples) {
-                if ts > self.until || ts > t_min {
-                    break;
-                }
-                self.pending_samples.swap_remove(idx);
+            // Fire due samples, here at the barrier. The cap never
+            // passes the earliest sample time, so every event before it
+            // has run and none at or after it has: a sample comes before
+            // every node event at its instant, as in the serial loop.
+            let due = |ts: &SimTime| *ts <= self.until && *ts <= t_min;
+            while let Some(ts) = self.samples.next().filter(due) {
                 self.counts.samples += 1;
                 // The spawned workers wait at the gate: uncontended locks.
                 let clocks = pool.shard_of.iter().zip(&pool.local_of).map(|(&s, &l)| {
                     let mut task = pool.tasks[s as usize].lock().expect("task poisoned");
                     task.cells[l as usize].state.read_clocks(ts)
                 });
-                take_sample(clocks, ts, self.sample, self.obs);
-                if let Some(interval) = pool.shared.config.sample_interval {
-                    self.pending_samples.push(next_sample(ts, interval));
-                }
+                let interval = pool.shared.config.sample_interval;
+                self.samples.fire(ts, clocks, interval, self.obs);
             }
             self.telemetry.phase(Phase::Merge, t_merge);
             if t_min == time_inf() || t_min > self.until {
@@ -675,7 +650,7 @@ impl Windows<'_> {
         // before any event at/after them. (Every pending sample is past
         // `t_min` here — the due ones just fired — so the window stays
         // non-empty.)
-        let cap = earliest_sample(self.pending_samples).map_or(reach, |(_, ts)| reach.min(ts));
+        let cap = self.samples.next().map_or(reach, |ts| reach.min(ts));
         pool.cap_bits
             .store(cap.as_secs().to_bits(), Ordering::Relaxed);
 
@@ -819,7 +794,7 @@ fn advance_shard<M: Clone + Send>(s: usize, pool: &Pool<'_, M>, outbox: &mut [Ba
         debug_assert!(key.time >= task.now, "shard time went backwards");
         task.now = key.time;
         task.events += 1;
-        let node = pending.owner().expect("samples never enter shard queues");
+        let node = pending.owner();
         debug_assert_eq!(
             pool.shard_of[node.index()] as usize,
             s,

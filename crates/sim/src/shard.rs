@@ -15,10 +15,9 @@
 //! CACM 1988, answered by the model). The width cannot change the
 //! dispatch order (see [`Shard`]).
 //!
-//! [`SchedulerKind::Global`] drains a single such queue ([`EventQueue`],
-//! which is also the face the differential and property tests drive).
-//! [`SchedulerKind::Parallel`] splits the network along the seam the
-//! paper's model provides — every message is delayed by at least
+//! [`SchedulerKind::Global`] drains a single such queue on the calling
+//! thread. [`SchedulerKind::Parallel`] splits the network along the seam
+//! the paper's model provides — every message is delayed by at least
 //! `d − U > 0` — into one queue per [`Partition`] shard and advances
 //! them on several threads between lookahead barriers (see
 //! [`crate::par`]). Events carry a `(time, tie)` key whose tie the engine
@@ -169,14 +168,16 @@ fn resolve_workers_from(requested: usize, avail: usize, shards: usize) -> usize 
 ///
 /// Both variants dispatch events in the identical global order, so
 /// switching the scheduler never changes a run's trace — only its
-/// throughput. `Global` drains one [`EventQueue`]; `Parallel` runs one
-/// queue of the same kind per shard, on the calling thread and
-/// `workers − 1` threads scoped to the `run_until` call, between
-/// conservative lookahead barriers.
+/// throughput. Both keep their events in the same store of per-shard
+/// calendar queues: `Global` drains its one shard in a plain loop on the
+/// calling thread; `Parallel` runs one queue per shard, on the calling
+/// thread and `workers − 1` threads scoped to the `run_until` call,
+/// between conservative lookahead barriers.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
-    /// One global queue; the reference path, and the only one that runs
-    /// at zero lookahead (`U = d`).
+    /// One shard drained in one loop, with no windows and no threads;
+    /// the reference path, and the only one that runs at zero lookahead
+    /// (`U = d`).
     #[default]
     Global,
     /// Per-shard queues advanced by `workers` threads (the caller is
@@ -196,10 +197,10 @@ pub enum SchedulerKind {
 
 /// Total dispatch order: earliest time first, tie-break among equal
 /// times. The tie is either an insertion sequence number
-/// ([`EventQueue::push`]) or an engine-supplied deterministic
-/// `(source, per-source counter)` encoding — the latter is what makes
-/// the dispatch order independent of how events raced across worker
-/// threads.
+/// ([`EventQueue::push`]) or, for the engine's node events, a
+/// deterministic `(source, per-source counter)` encoding — the latter is
+/// what makes the dispatch order independent of how events raced across
+/// worker threads. Clock samples are not queued, so they have no key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Key {
     pub(crate) time: SimTime,
@@ -242,16 +243,9 @@ impl Key {
 }
 
 /// Deterministic tie for an event created by `node`: node events order
-/// by `(node, counter)` among equal times, after engine-global events.
+/// by `(node, counter)` among equal times.
 pub(crate) fn tie_for_node(node: NodeId, counter: u64) -> u128 {
     ((node.index() as u128 + 1) << 64) | u128::from(counter)
-}
-
-/// Deterministic tie for an engine-global event (periodic samples):
-/// sorts before every node event at the same time, matching the serial
-/// engine's behaviour of arming the sample chain first.
-pub(crate) fn tie_for_engine(counter: u64) -> u128 {
-    u128::from(counter)
 }
 
 /// Buckets ("days") in the sliding ring of days; a power of two. It and
@@ -737,13 +731,12 @@ impl QueueStats {
     }
 }
 
-/// The single event queue behind [`SchedulerKind::Global`]: one calendar
-/// queue popping in `(time, tie)` order.
+/// The calendar queue's public face: one queue popping in `(time,
+/// insertion order)` order.
 ///
 /// Generic over its payload so it can be property-tested independently
-/// of the engine. The public push breaks ties by insertion order; the
-/// engine supplies its own deterministic `(source, counter)` ties — the
-/// two must not be mixed on one queue.
+/// of the engine, which drives the same queue with its own deterministic
+/// `(source, counter)` ties.
 ///
 /// # Examples
 ///
@@ -800,29 +793,14 @@ impl<T> EventQueue<T> {
     pub fn push(&mut self, time: SimTime, payload: T) {
         let tie = u128::from(self.seq);
         self.seq += 1;
-        self.push_keyed(time, tie, payload);
-    }
-
-    /// Keyed variant of [`EventQueue::push`]: the caller supplies the
-    /// tie-break (unique per queue). The engine uses this with its
-    /// deterministic `(source, counter)` ties so dispatch order is
-    /// identical across schedulers and thread counts.
-    #[inline(always)]
-    pub(crate) fn push_keyed(&mut self, time: SimTime, tie: u128, payload: T) {
         self.shard.push(Key { time, tie }, payload);
     }
 
     /// Pops the earliest event if its time is at most `until`.
     pub fn pop_before(&mut self, until: SimTime) -> Option<(SimTime, T)> {
-        self.pop_before_keyed(until).map(|(key, p)| (key.time, p))
-    }
-
-    /// Like [`EventQueue::pop_before`], but returns the full dispatch
-    /// key (the engine threads it into row tagging so serial and
-    /// relaxed trace modes agree on event identity).
-    #[inline]
-    pub(crate) fn pop_before_keyed(&mut self, until: SimTime) -> Option<(Key, T)> {
-        self.shard.pop_if(|time| time.as_secs() <= until.as_secs())
+        self.shard
+            .pop_if(|time| time <= until)
+            .map(|(key, p)| (key.time, p))
     }
 }
 

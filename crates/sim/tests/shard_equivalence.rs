@@ -21,9 +21,10 @@ use ftgcs_sim::clock::RateModel;
 use ftgcs_sim::engine::{Ctx, SimBuilder, SimConfig, SimStats, Simulation};
 use ftgcs_sim::network::{DelayConfig, DelayDistribution};
 use ftgcs_sim::node::{Behavior, NodeId, TimerId, TimerTag, TrackId};
+use ftgcs_sim::observe::Observer;
 use ftgcs_sim::shard::{Partition, SchedulerKind};
 use ftgcs_sim::time::{SimDuration, SimTime};
-use ftgcs_sim::trace::Trace;
+use ftgcs_sim::trace::{ClockSample, Row, Trace};
 
 /// A workload that exercises every engine feature the schedulers must
 /// agree on: timers, cancellations, rate changes, track jumps,
@@ -309,5 +310,93 @@ fn a_vanishing_sample_interval_panics_instead_of_spinning() {
             message.contains("below the f64 spacing"),
             "{scheduler:?}: {message}"
         );
+    }
+}
+
+/// What an observer saw, in order: a sample at `t`, or a row of a node
+/// at `t`.
+#[derive(Debug, PartialEq)]
+enum Seen {
+    Sample(f64),
+    Row(usize, f64),
+}
+
+#[derive(Default)]
+struct Seeing(Vec<Seen>);
+
+impl Observer for Seeing {
+    fn on_sample(&mut self, sample: &ClockSample) {
+        self.0.push(Seen::Sample(sample.t.as_secs()));
+    }
+    fn on_row(&mut self, row: &Row) {
+        self.0.push(Seen::Row(row.node.index(), row.t.as_secs()));
+    }
+}
+
+/// Emits one row at each of two Newtonian instants, both of them sample
+/// instants of the run below.
+struct Ticks;
+
+impl Behavior<u64> for Ticks {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
+        ctx.set_timer_at_newtonian(0.5, TimerTag::new(0));
+        ctx.set_timer_at_newtonian(1.25, TimerTag::new(0));
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, _tag: TimerTag) {
+        ctx.emit("tick", Vec::new());
+    }
+    fn on_message(&mut self, _: &mut Ctx<'_, u64>, _: NodeId, _: &u64) {}
+}
+
+#[test]
+fn a_sample_comes_before_every_node_event_at_its_instant() {
+    // Both schedulers fire samples from one chain, so the differential
+    // tests above cannot catch a bug in it: this one states the order.
+    use Seen::{Row, Sample};
+    let expected = [
+        Sample(0.0),
+        Sample(0.25),
+        Sample(0.5),
+        Row(0, 0.5),
+        Row(1, 0.5),
+        // Off and on at 0.625 starts a chain there; the sample pending
+        // at 0.75 fires and re-arms beside it.
+        Sample(0.625),
+        Sample(0.75),
+        Sample(0.875),
+        Sample(1.0),
+        // Off at 1.0: each chain fires its pending sample, then stops.
+        Sample(1.125),
+        Sample(1.25),
+        Row(0, 1.25),
+        Row(1, 1.25),
+        // On at 1.5, every 0.5 s.
+        Sample(1.5),
+        Sample(2.0),
+    ];
+    let parallel = |workers| SchedulerKind::Parallel {
+        partition: Partition::by_blocks(2, 1),
+        workers,
+    };
+    let secs = SimDuration::from_secs;
+    for scheduler in [SchedulerKind::Global, parallel(1), parallel(2)] {
+        let mut builder = SimBuilder::new(SimConfig {
+            sample_interval: Some(secs(0.25)),
+            scheduler: scheduler.clone(),
+            ..SimConfig::default()
+        });
+        builder.add_node(Box::new(Ticks));
+        builder.add_node(Box::new(Ticks));
+        let mut sim = builder.build();
+        let mut seen = Seeing::default();
+        sim.run_until_with(SimTime::from_secs(0.625), &mut seen);
+        sim.set_sample_interval(None);
+        sim.set_sample_interval(Some(secs(0.25)));
+        sim.run_until_with(SimTime::from_secs(1.0), &mut seen);
+        sim.set_sample_interval(None);
+        sim.run_until_with(SimTime::from_secs(1.5), &mut seen);
+        sim.set_sample_interval(Some(secs(0.5)));
+        sim.run_until_with(SimTime::from_secs(2.0), &mut seen);
+        assert_eq!(seen.0, expected, "{scheduler:?}");
     }
 }
