@@ -199,17 +199,6 @@ impl GcsLiar {
             last_reports: Vec::new(),
         }
     }
-
-    /// Creates the attacker with a custom escalation rate (claimed
-    /// seconds of extra offset per logical second).
-    #[must_use]
-    pub fn with_escalation(cfg: GcsConfig, escalation: f64) -> Self {
-        GcsLiar {
-            cfg,
-            escalation,
-            last_reports: Vec::new(),
-        }
-    }
 }
 
 impl Behavior<BaseMsg> for GcsLiar {

@@ -253,9 +253,9 @@ impl Behavior<Msg> for RandomPulser {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _tag: TimerTag) {
         // Send to a random subset of neighbors, one by one (Byzantine
         // nodes are not bound to broadcast).
-        let neighbors: Vec<NodeId> = ctx.neighbors().to_vec();
-        for to in neighbors {
+        for i in 0..ctx.neighbors().len() {
             if ctx.rng().chance(0.7) {
+                let to = ctx.neighbors()[i];
                 ctx.send(to, Msg::Pulse);
             }
         }
@@ -396,9 +396,9 @@ impl TwoFacedPulser {
     }
 
     fn send_face(&self, ctx: &mut Ctx<'_, Msg>, early: bool) {
-        let neighbors: Vec<NodeId> = ctx.neighbors().to_vec();
-        for (i, to) in neighbors.into_iter().enumerate() {
+        for i in 0..ctx.neighbors().len() {
             if (i % 2 == 0) == early {
+                let to = ctx.neighbors()[i];
                 ctx.send(to, Msg::Pulse);
             }
         }

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use ftgcs_sim::engine::Ctx;
 use ftgcs_sim::node::{Behavior, NodeId, TimerTag, TrackId};
 
-use crate::cluster::{ClusterInstance, InstanceEvent, InstanceStats, TIMER_ROUND_END};
+use crate::cluster::{ClusterInstance, InstanceEvent, TIMER_ROUND_END};
 use crate::global_max::{MaxEstimator, TIMER_LEVEL};
 use crate::messages::{sender_index, senders, Msg};
 use crate::params::Params;
@@ -121,12 +121,6 @@ impl FtGcsNode {
     #[must_use]
     pub fn track_count(&self) -> usize {
         1 + self.cfg.neighbors.len() + usize::from(self.cfg.enable_max_estimator)
-    }
-
-    /// Robustness counters of the own-cluster instance.
-    #[must_use]
-    pub fn own_stats(&self) -> InstanceStats {
-        self.own.stats()
     }
 
     /// The current InterclusterSync mode.

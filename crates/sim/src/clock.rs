@@ -13,7 +13,7 @@
 //! explicit schedule for adversarial hand-built scenarios.
 
 use crate::rng::SimRng;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Hardware-time reading of a clock (seconds on the clock's own scale).
 pub type HardwareTime = f64;
@@ -282,12 +282,6 @@ impl HardwareClock {
         };
         let s = self.segments[i];
         SimTime::from_secs(s.start + (target - s.hw_at_start) / s.rate)
-    }
-
-    /// Returns the elapsed hardware duration between two Newtonian times.
-    #[must_use]
-    pub fn hardware_elapsed(&mut self, from: SimTime, to: SimTime) -> SimDuration {
-        SimDuration::from_secs(self.hardware_time(to) - self.hardware_time(from))
     }
 }
 

@@ -28,21 +28,24 @@
 //! deterministic function of the node's observed event sequence and
 //! therefore independent of how shards raced across threads.
 //!
-//! A clock sample is not an event: no node receives it. The pending
-//! sample instants live beside the store (`Samples`), and both loops
-//! fire a sample once every node event before its instant has run, so
-//! at equal times the sample comes before every node event.
+//! A clock sample is not an event: no node receives it. The one pending
+//! sample instant lives beside the store (`Samples`), and both loops
+//! fire it once every node event before its instant has run, so at
+//! equal times the sample comes before every node event.
 //!
-//! Both dispatch loops (the serial one here, a parallel window's in
-//! [`crate::par`]) have the pop and `run_event` inlined into them, and
-//! `QueueKind::push` builds an event inside the arm that stores it: an
-//! event is copied once into the queue and once out (see [`crate::shard`]).
+//! Every event a dispatch creates goes through one `Queue::push`, on
+//! either scheduler and at boot: into the dispatching shard's queue, or
+//! into an outbox bound for another shard. Both dispatch loops (the
+//! serial one here, a parallel window's in [`crate::par`]) have the pop
+//! and `run_event` inlined into them, and `push` builds the event where
+//! it stores it: an event is copied once into the queue and once out
+//! (see [`crate::shard`]).
 
 use crate::clock::{HardwareClock, RateModel};
 use crate::network::{DelayConfig, DelayDistribution};
 use crate::node::{Behavior, NodeId, TimerId, TimerTag, TrackId};
 use crate::observe::Observer;
-use crate::par::EventStore;
+use crate::par::{new_outbox, Batch, EventStore};
 use crate::rng::SimRng;
 use crate::shard::{
     resolve_workers, tie_for_node, Key, Partition, QueueStats, SchedulerKind, Shard,
@@ -111,9 +114,9 @@ struct TimerSlot {
     target: f64,
     tag: TimerTag,
     /// Newtonian timers fire at an absolute simulation time instead of a
-    /// track reading: `target` is interpreted in Newtonian seconds, the
-    /// slot lives on `NodeState::newtonian_timers` rather than a track
-    /// list, and re-anchoring a track never reschedules it. Used by the
+    /// track reading: `target` is interpreted in Newtonian seconds, and
+    /// the slot is on no timer list — nothing ever reschedules it, so
+    /// only its `active` flag says it is pending. Used by the
     /// fault-lifecycle layer, whose transition times are spec-given
     /// Newtonian instants.
     newtonian: bool,
@@ -128,7 +131,7 @@ struct TimerSlot {
     active: bool,
     /// Index of this slot's id inside its `track_timers` list — kept in
     /// sync on every insertion/removal so firing and cancelling are O(1)
-    /// with no list scan.
+    /// with no list scan. Unused by a Newtonian slot.
     list_pos: usize,
 }
 
@@ -262,12 +265,8 @@ impl std::error::Error for RunError {}
 pub(crate) struct NodeState {
     clock: HardwareClock,
     tracks: Vec<Track>,
-    /// track → pending timer ids.
+    /// track → pending track timer ids (Newtonian timers are on no list).
     track_timers: Vec<Vec<u32>>,
-    /// Pending Newtonian (absolute-time) timer ids — the one timer list
-    /// that `reanchor` never walks, since Newtonian targets are immune
-    /// to track-rate changes.
-    newtonian_timers: Vec<u32>,
     timer_slots: Vec<TimerSlot>,
     timer_free: Vec<u32>,
     rng: SimRng,
@@ -319,14 +318,13 @@ impl NodeState {
 
     /// Unlinks a retired timer id from its track list in O(1) via the
     /// slot's back-pointer, repairing the pointer of the element swapped
-    /// into its place.
+    /// into its place. A Newtonian timer is on no list.
     fn unlink_timer(&mut self, id: u32) {
         let slot = self.timer_slots[id as usize];
-        let list = if slot.newtonian {
-            &mut self.newtonian_timers
-        } else {
-            &mut self.track_timers[slot.track.index()]
-        };
+        if slot.newtonian {
+            return;
+        }
+        let list = &mut self.track_timers[slot.track.index()];
         let pos = slot.list_pos;
         debug_assert_eq!(list[pos], id, "timer back-pointer out of sync");
         list.swap_remove(pos);
@@ -378,7 +376,6 @@ impl NodeState {
         for list in &mut self.track_timers {
             list.clear();
         }
-        self.newtonian_timers.clear();
         cancelled
     }
 }
@@ -437,58 +434,39 @@ impl SimShared {
     }
 }
 
-/// Where a dispatch pushes the events it creates.
-pub(crate) enum QueueKind<'a, M> {
-    /// The global scheduler's loop: the one shard of its store, in
-    /// global `(time, tie)` pop order.
-    Serial(&'a mut Shard<Pending<M>>),
-    /// The store outside any loop (`on_start`, i.e. the boot phase, runs
-    /// serially on either scheduler), with the shard of the booting node.
-    Boot(&'a mut EventStore<M>, u32),
-    /// A worker advancing one shard inside a lookahead window: local
-    /// events go straight into the owned shard, cross-shard events into
-    /// the worker's per-destination outbox (flushed once per window).
-    Worker {
-        /// The shard currently being advanced.
-        local: &'a mut Shard<Pending<M>>,
-        /// Per-destination-shard batches of cross-shard sends.
-        outbox: &'a mut [Vec<(Key, Pending<M>)>],
-        /// Node → shard map.
-        shard_of: &'a [u32],
-        /// Index of `local` among the shards.
-        my_shard: u32,
-    },
+/// Where a dispatch pushes the events it creates: the queue of the
+/// shard it runs on, or an outbox bound for another shard. The global
+/// loop passes its one shard and an empty outbox (every node is on
+/// shard 0); the boot phase and a parallel window pass a batch per
+/// shard, moved on after each `on_start` (into the destination queues)
+/// or once per window (into their inboxes).
+pub(crate) struct Queue<'a, M> {
+    /// The queue of the shard being advanced.
+    pub(crate) local: &'a mut Shard<Pending<M>>,
+    /// Per-destination-shard batches of cross-shard sends.
+    pub(crate) outbox: &'a mut [Batch<M>],
+    /// Node → shard map.
+    pub(crate) shard_of: &'a [u32],
+    /// Index of `local` among the shards.
+    pub(crate) my_shard: u32,
 }
 
-impl<M> QueueKind<'_, M> {
-    /// Queues the event `make` builds for node `dst`. Each arm calls
+impl<M> Queue<'_, M> {
+    /// Queues the event `make` builds for node `dst`. Each branch calls
     /// `make` where it stores the result, so the event is built in
-    /// place: as an argument, the one out-of-line arm would make every
-    /// caller stage it on the stack first.
+    /// place: as an argument, it would be staged on the stack first.
     #[inline(always)]
     fn push(&mut self, dst: NodeId, time: SimTime, tie: u128, make: impl FnOnce() -> Pending<M>) {
         let key = Key { time, tie };
-        match self {
-            QueueKind::Serial(shard) => shard.push(key, make()),
-            QueueKind::Boot(store, from_shard) => store.push(*from_shard, dst, key, make()),
-            QueueKind::Worker {
-                local,
-                outbox,
-                shard_of,
-                my_shard,
-            } => {
-                let shard = shard_of[dst.index()];
-                if shard == *my_shard {
-                    local.push(key, make());
-                } else {
-                    // Cross-shard: batch in the worker's outbox; the
-                    // whole window's batch is delivered to the
-                    // destination inbox under one lock at the barrier.
-                    // The lookahead floor keeps the arrival outside the
-                    // current window, so deferred delivery is invisible.
-                    outbox[shard as usize].push((key, make()));
-                }
-            }
+        let shard = self.shard_of[dst.index()];
+        if shard == self.my_shard {
+            self.local.push(key, make());
+        } else {
+            // Cross-shard: batch in the outbox; a window's batch is
+            // delivered to the destination inbox under one lock at the
+            // barrier. The lookahead floor keeps the arrival outside the
+            // current window, so deferred delivery is invisible.
+            self.outbox[shard as usize].push((key, make()));
         }
     }
 }
@@ -516,7 +494,7 @@ pub struct Ctx<'a, M> {
     key: Key,
     state: &'a mut NodeState,
     shared: &'a SimShared,
-    queue: QueueKind<'a, M>,
+    queue: Queue<'a, M>,
     /// Rows the dispatch emits, tagged with its key: the serial loop
     /// hands them to the observer right after the dispatch, a parallel
     /// window merges its shards' rows by key at the barrier.
@@ -708,10 +686,9 @@ impl<M: Clone> Ctx<'_, M> {
             generation: 0,
             epoch: 0,
             active: true,
-            list_pos: self.state.newtonian_timers.len(),
+            list_pos: 0,
         };
         let id = self.install_timer_slot(slot);
-        self.state.newtonian_timers.push(id);
         self.schedule_timer_entry(id);
         self.state.counts.timers_set += 1;
         TimerId {
@@ -770,8 +747,7 @@ impl<M: Clone> Ctx<'_, M> {
     /// Panics if any timer is still pending.
     pub fn reset_tracks(&mut self) {
         assert!(
-            self.state.track_timers.iter().all(Vec::is_empty)
-                && self.state.newtonian_timers.is_empty(),
+            !self.state.timer_slots.iter().any(|slot| slot.active),
             "reset_tracks with pending timers on {}: cancel_all_timers first",
             self.node
         );
@@ -871,7 +847,7 @@ fn with_ctx<M: Clone>(
     cell: &mut NodeCell<M>,
     node: NodeId,
     shared: &SimShared,
-    queue: QueueKind<'_, M>,
+    queue: Queue<'_, M>,
     rows: &mut Vec<(Key, Row)>,
     key: Key,
     call: impl FnOnce(&mut dyn Behavior<M>, &mut Ctx<'_, M>),
@@ -900,7 +876,7 @@ pub(crate) fn run_event<M: Clone>(
     cell: &mut NodeCell<M>,
     node: NodeId,
     shared: &SimShared,
-    queue: QueueKind<'_, M>,
+    queue: Queue<'_, M>,
     rows: &mut Vec<(Key, Row)>,
     key: Key,
     pending: Pending<M>,
@@ -932,31 +908,30 @@ pub(crate) fn run_event<M: Clone>(
     }
 }
 
-/// The sample chain: when the periodic clock samples are due, and the
+/// The sample chain: when the next periodic clock sample is due, and the
 /// one [`ClockSample`] every firing refills. A sample reads every node's
 /// clock and no node reacts to it, so it never enters the event store;
 /// both dispatch loops fire it once every node event before its instant
 /// has run.
 pub(crate) struct Samples {
-    /// Pending sample instants. Usually one; each fired sample re-arms
-    /// itself, so a chain started by `set_sample_interval` while another
-    /// was pending runs beside it.
-    pending: Vec<SimTime>,
+    /// The pending sample instant (`None`: no chain). Each fired sample
+    /// re-arms it; `set_sample_interval` restarting a chain replaces it.
+    pending: Option<SimTime>,
     /// Refilled by every firing, so sampling allocates nothing once its
     /// vectors hold every node.
     sample: ClockSample,
 }
 
 impl Samples {
-    /// The earliest pending sample instant.
+    /// The pending sample instant.
     pub(crate) fn next(&self) -> Option<SimTime> {
-        self.pending.iter().copied().min()
+        self.pending
     }
 
-    /// Fires the sample due at `now`, a pending instant: `clocks` is
+    /// Fires the sample due at `now`, the pending instant: `clocks` is
     /// every node's [`NodeState::read_clocks`] at `now`, in node order.
     /// Streams it to `obs` and re-arms it `interval` later (`None` ends
-    /// its chain). An interval below the f64 spacing at `now` would
+    /// the chain). An interval below the f64 spacing at `now` would
     /// re-arm it at the same instant for ever: that is a panic, not a
     /// hang.
     pub(crate) fn fire(
@@ -975,22 +950,16 @@ impl Samples {
             sample.hardware.push(hw);
         }
         obs.on_sample(sample);
-        let at = self.pending.iter().position(|&t| t == now);
-        let at = at.expect("a sample fires at a pending instant");
-        match interval {
-            Some(interval) => {
-                let next = now + interval;
-                assert!(
-                    next > now,
-                    "sample interval {} s is below the f64 spacing at t = {now}",
-                    interval.as_secs()
-                );
-                self.pending[at] = next;
-            }
-            None => {
-                self.pending.swap_remove(at);
-            }
-        }
+        debug_assert_eq!(self.pending, Some(now), "not the pending sample");
+        self.pending = interval.map(|interval| {
+            let next = now + interval;
+            assert!(
+                next > now,
+                "sample interval {} s is below the f64 spacing at t = {now}",
+                interval.as_secs()
+            );
+            next
+        });
     }
 }
 
@@ -1165,7 +1134,6 @@ impl<M: Clone> SimBuilder<M> {
                             multiplier: 1.0,
                         }],
                         track_timers: vec![Vec::new()],
-                        newtonian_timers: Vec::new(),
                         timer_slots: Vec::new(),
                         timer_free: Vec::new(),
                         rng: root.derive("node", i as u64),
@@ -1191,7 +1159,7 @@ impl<M: Clone> SimBuilder<M> {
             trace: Trace::new(),
             counts: EngineCounts::default(),
             samples: Samples {
-                pending: Vec::new(),
+                pending: None,
                 sample: ClockSample {
                     t: SimTime::ZERO,
                     logical: Vec::with_capacity(n),
@@ -1341,13 +1309,15 @@ impl<M> Simulation<M> {
 
     /// Changes the clock-sampling interval mid-run (e.g. to record a
     /// short window at high resolution). Takes effect from the next
-    /// pending sample; if sampling was configured off, a new chain
-    /// starts at the current time.
+    /// pending sample, and `None` ends the chain after it. If sampling
+    /// was configured off, the chain restarts at the current time,
+    /// replacing a sample still pending from before: there is only
+    /// ever one chain.
     pub fn set_sample_interval(&mut self, interval: Option<SimDuration>) {
         let was_off = self.shared.config.sample_interval.is_none();
         self.shared.config.sample_interval = interval;
         if was_off && interval.is_some() && self.started {
-            self.samples.pending.push(self.now);
+            self.samples.pending = Some(self.now);
         }
     }
 }
@@ -1359,7 +1329,7 @@ impl<M: Clone + Send> Simulation<M> {
         }
         self.started = true;
         if self.shared.config.sample_interval.is_some() {
-            self.samples.pending.push(SimTime::ZERO);
+            self.samples.pending = Some(SimTime::ZERO);
         }
         let Simulation {
             shared,
@@ -1368,8 +1338,15 @@ impl<M: Clone + Send> Simulation<M> {
             ..
         } = self;
         let mut rows = Vec::new();
+        let mut outbox = new_outbox(store.shards.len());
         for (i, cell) in cells.iter_mut().enumerate() {
-            let queue = QueueKind::Boot(store, store.shard_of[i]);
+            let my_shard = store.shard_of[i];
+            let queue = Queue {
+                local: &mut store.shards[my_shard as usize],
+                outbox: &mut outbox,
+                shard_of: &store.shard_of,
+                my_shard,
+            };
             // Boot phase, always serial: every `on_start` at the zero key.
             let key = Key {
                 time: SimTime::ZERO,
@@ -1378,6 +1355,9 @@ impl<M: Clone + Send> Simulation<M> {
             with_ctx(cell, NodeId(i), shared, queue, &mut rows, key, |b, ctx| {
                 b.on_start(ctx);
             });
+            // Flushed per node, so every shard receives its events in
+            // the order the nodes sent them.
+            store.stage(&mut outbox);
             for (_, row) in rows.drain(..) {
                 obs.on_row_owned(row);
             }
@@ -1470,6 +1450,7 @@ impl<M: Clone + Send> Simulation<M> {
         } = self;
         debug_assert_eq!(store.shards.len(), 1, "the global scheduler has one shard");
         let queue = &mut store.shards[0];
+        let shard_of = &store.shard_of;
         // Per-dispatch row scratch, flushed to the observer after every
         // event so rows stream out in the exact dispatch order. The
         // buffer is reused across events — no steady-state allocation.
@@ -1486,7 +1467,12 @@ impl<M: Clone + Send> Simulation<M> {
                     &mut cells[node.index()],
                     node,
                     shared,
-                    QueueKind::Serial(queue),
+                    Queue {
+                        local: queue,
+                        outbox: &mut [],
+                        shard_of,
+                        my_shard: 0,
+                    },
                     &mut scratch,
                     key,
                     pending,
@@ -1496,8 +1482,8 @@ impl<M: Clone + Send> Simulation<M> {
                 }
             }
             // Sampling continues across consecutive run_until calls: a
-            // sample beyond `until` stays pending (`None` ends a chain;
-            // a later set_sample_interval starts one).
+            // sample beyond `until` stays pending (`None` ends the chain;
+            // a later set_sample_interval restarts it).
             let Some(time) = next.filter(|&time| time <= until) else {
                 break;
             };
@@ -1782,6 +1768,12 @@ mod tests {
                     ctx.set_timer_at(TrackId::MAIN, 2.0, TimerTag::new(3));
                     ctx.set_timer_at(TrackId::MAIN, 1.0, TimerTag::new(1));
                 }
+                "reset-newtonian-pending" => {
+                    // Tag 1 is the only track timer: once it fires, the
+                    // Newtonian timer alone is pending.
+                    ctx.set_timer_at_newtonian(2.0, TimerTag::new(4));
+                    ctx.set_timer_at(TrackId::MAIN, 1.0, TimerTag::new(1));
+                }
                 _ => unreachable!(),
             }
         }
@@ -1811,7 +1803,7 @@ mod tests {
                     // A fresh track re-issues the first extra index.
                     assert_eq!(ctx.new_track(5.0, 1.0).index(), 1);
                 }
-                "reset-pending" => ctx.reset_tracks(),
+                "reset-pending" | "reset-newtonian-pending" => ctx.reset_tracks(),
                 _ => {}
             }
         }
@@ -1882,6 +1874,12 @@ mod tests {
     #[should_panic(expected = "cancel_all_timers first")]
     fn reset_tracks_with_pending_timers_panics() {
         let _ = run_lifecycle_plan("reset-pending");
+    }
+
+    #[test]
+    #[should_panic(expected = "cancel_all_timers first")]
+    fn reset_tracks_with_only_a_newtonian_timer_pending_panics() {
+        let _ = run_lifecycle_plan("reset-newtonian-pending");
     }
 
     struct StaleCanceller {

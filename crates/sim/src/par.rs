@@ -116,9 +116,8 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::Mutex;
 
 use crate::engine::{
-    run_event, NodeCell, Pending, QueueKind, RunError, Samples, SimShared, Simulation,
+    run_event, NodeCell, Pending, Queue, RunError, Samples, SimShared, Simulation,
 };
-use crate::node::NodeId;
 use crate::observe::Observer;
 use crate::shard::{Key, Partition, Shard};
 use crate::telemetry::{Claims, EngineCounts, Phase, ShardReport, Telemetry, WorkerReport};
@@ -148,8 +147,8 @@ pub(crate) struct EventStore<M> {
     pub(crate) planned_events: Vec<u64>,
     /// Per worker: the shard-windows it won, dealt or stolen.
     pub(crate) claims: Vec<Claims>,
-    /// Per shard: cross-shard messages staged to it, counted where
-    /// they are queued (boot) or flushed to its inbox (windows).
+    /// Per shard: cross-shard messages staged to it, counted where a
+    /// boot outbox or a window's batch is handed to it.
     pub(crate) staged_in: Vec<u64>,
     /// Per shard: what the executor holding its task counted.
     pub(crate) work: Vec<ShardWork>,
@@ -180,14 +179,15 @@ impl<M> EventStore<M> {
         }
     }
 
-    /// Serial-phase push (boot): straight into the owning shard's queue,
-    /// counted as staged when it crosses from `from_shard`.
-    pub(crate) fn push(&mut self, from_shard: u32, dst: NodeId, key: Key, payload: Pending<M>) {
-        let shard = self.shard_of[dst.index()];
-        if shard != from_shard {
-            self.staged_in[shard as usize] += 1;
+    /// Moves a boot-time outbox into the destination shards' queues,
+    /// counting every entry as staged to its shard.
+    pub(crate) fn stage(&mut self, outbox: &mut [Batch<M>]) {
+        for (s, batch) in outbox.iter_mut().enumerate() {
+            self.staged_in[s] += batch.len() as u64;
+            for (key, payload) in batch.drain(..) {
+                self.shards[s].push(key, payload);
+            }
         }
-        self.shards[shard as usize].push(key, payload);
     }
 
     /// The store's own per-shard counts, to which the report adds its
@@ -225,9 +225,9 @@ impl<M> std::fmt::Debug for EventStore<M> {
 
 /// Cross-shard sends bound for one shard. An executor's *outbox* holds
 /// one batch per destination shard.
-type Batch<M> = Vec<(Key, Pending<M>)>;
+pub(crate) type Batch<M> = Vec<(Key, Pending<M>)>;
 
-fn new_outbox<M>(nshards: usize) -> Vec<Batch<M>> {
+pub(crate) fn new_outbox<M>(nshards: usize) -> Vec<Batch<M>> {
     (0..nshards).map(|_| Vec::new()).collect()
 }
 
@@ -647,7 +647,7 @@ impl Windows<'_> {
             });
         }
         // Never past the next engine sample: samples must dispatch
-        // before any event at/after them. (Every pending sample is past
+        // before any event at/after them. (The pending sample is past
         // `t_min` here — the due ones just fired — so the window stays
         // non-empty.)
         let cap = self.samples.next().map_or(reach, |ts| reach.min(ts));
@@ -804,7 +804,7 @@ fn advance_shard<M: Clone + Send>(s: usize, pool: &Pool<'_, M>, outbox: &mut [Ba
             &mut *task.cells[pool.local_of[node.index()] as usize],
             node,
             pool.shared,
-            QueueKind::Worker {
+            Queue {
                 local: &mut *task.shard,
                 outbox,
                 shard_of: pool.shard_of,

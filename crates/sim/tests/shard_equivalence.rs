@@ -359,15 +359,12 @@ fn a_sample_comes_before_every_node_event_at_its_instant() {
         Sample(0.5),
         Row(0, 0.5),
         Row(1, 0.5),
-        // Off and on at 0.625 starts a chain there; the sample pending
-        // at 0.75 fires and re-arms beside it.
+        // Off and on at 0.625 restarts the one chain there: the sample
+        // pending at 0.75 is replaced, not fired beside it.
         Sample(0.625),
-        Sample(0.75),
         Sample(0.875),
-        Sample(1.0),
-        // Off at 1.0: each chain fires its pending sample, then stops.
+        // Off at 1.0: the chain fires its pending sample, then stops.
         Sample(1.125),
-        Sample(1.25),
         Row(0, 1.25),
         Row(1, 1.25),
         // On at 1.5, every 0.5 s.

@@ -10,7 +10,8 @@
 //! 3. **Deterministic counters**: the report's `deterministic` block is
 //!    a pure function of `(seed, config, partition)` — identical across
 //!    worker counts, and (for the partition-independent fields) across
-//!    schedulers.
+//!    schedulers. Its `cross_shard_staged` counts every cross-shard
+//!    send exactly once, boot included.
 //! 4. **Steal accounting**: every executed shard-window was either
 //!    dealt or stolen, and the two shares sum to 1.
 //!
@@ -27,6 +28,7 @@ use ftgcs_sim::telemetry::SCHEMA;
 use ftgcs_sim::time::{SimDuration, SimTime};
 use ftgcs_sim::trace::Trace;
 use ftgcs_sim::TelemetryReport;
+use std::sync::{Arc, Mutex};
 
 const N: usize = 16;
 
@@ -76,10 +78,17 @@ fn config(scheduler: SchedulerKind, telemetry: bool) -> SimConfig {
 }
 
 fn build(scheduler: SchedulerKind, telemetry: bool) -> Simulation<u64> {
-    let mut builder = SimBuilder::new(config(scheduler, telemetry));
-    let ids: Vec<NodeId> = (0..N)
-        .map(|_| builder.add_node(Box::new(Beater { beats: 0 })))
-        .collect();
+    build_with(config(scheduler, telemetry), || {
+        Box::new(Beater { beats: 0 })
+    })
+}
+
+fn build_with(
+    config: SimConfig,
+    mut behavior: impl FnMut() -> Box<dyn Behavior<u64>>,
+) -> Simulation<u64> {
+    let mut builder = SimBuilder::new(config);
+    let ids: Vec<NodeId> = (0..N).map(|_| builder.add_node(behavior())).collect();
     // Ring plus cross chords: every 4-node block talks to the next, so
     // the 4-block partition always has cross-shard traffic.
     for i in 0..N {
@@ -225,6 +234,82 @@ fn deterministic_counters_are_identical_across_schedulers_and_workers() {
             report.deterministic, first.deterministic,
             "{label}: deterministic block diverged from {first_label}"
         );
+    }
+}
+
+/// Counts, at send time, every send bound for another shard of
+/// [`quads`], per destination shard: the independent tally the store's
+/// `staged_in` must equal.
+struct Stager {
+    staged: Arc<Mutex<Vec<u64>>>,
+    /// Sends counted from `on_start`.
+    at_boot: Arc<Mutex<u64>>,
+}
+
+impl Stager {
+    /// Broadcasts with a loopback (never cross-shard) and counts the
+    /// broadcast's cross-shard half.
+    fn volley(&self, ctx: &mut Ctx<'_, u64>) -> u64 {
+        let shards = quads();
+        let mine = shards.shard_of(ctx.my_id());
+        let mut crossing = 0;
+        for &to in ctx.neighbors() {
+            let theirs = shards.shard_of(to);
+            if theirs != mine {
+                self.staged.lock().unwrap()[theirs] += 1;
+                crossing += 1;
+            }
+        }
+        let token = ctx.rng().next_u64();
+        ctx.broadcast_with_loopback(token);
+        crossing
+    }
+}
+
+impl Behavior<u64> for Stager {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
+        *self.at_boot.lock().unwrap() += self.volley(ctx);
+        ctx.set_timer_at(TrackId::MAIN, 0.01, TimerTag::new(0));
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, _tag: TimerTag) {
+        self.volley(ctx);
+        let next = ctx.track_value(TrackId::MAIN) + 0.01;
+        ctx.set_timer_at(TrackId::MAIN, next, TimerTag::new(0));
+    }
+
+    fn on_message(&mut self, _: &mut Ctx<'_, u64>, _: NodeId, _: &u64) {}
+}
+
+#[test]
+fn a_cross_shard_send_is_staged_exactly_once_boot_included() {
+    for workers in [1usize, 2] {
+        let staged = Arc::new(Mutex::new(vec![0u64; quads().shard_count()]));
+        let at_boot = Arc::new(Mutex::new(0));
+        let scheduler = SchedulerKind::Parallel {
+            partition: quads(),
+            workers,
+        };
+        let mut sim = build_with(config(scheduler, false), || {
+            Box::new(Stager {
+                staged: Arc::clone(&staged),
+                at_boot: Arc::clone(&at_boot),
+            })
+        });
+        sim.run_until(SimTime::from_secs(0.2));
+        let report = sim.telemetry();
+        let staged = staged.lock().unwrap().clone();
+        assert!(
+            *at_boot.lock().unwrap() > 0,
+            "w{workers}: boot must send across shards"
+        );
+        assert_eq!(
+            report.deterministic.cross_shard_staged,
+            staged.iter().sum::<u64>(),
+            "w{workers}: cross_shard_staged is not the number of cross-shard sends"
+        );
+        let staged_in: Vec<u64> = report.per_shard.iter().map(|s| s.staged_in).collect();
+        assert_eq!(staged_in, staged, "w{workers}: per-shard staged_in");
     }
 }
 
