@@ -285,7 +285,6 @@ mod tests {
             samples: samples
                 .into_iter()
                 .map(|(t, logical)| ClockSample {
-                    hardware: logical.clone(),
                     t: SimTime::from_secs(t),
                     logical,
                 })

@@ -154,7 +154,6 @@ impl LogHistogram {
 /// acc.on_sample(&ClockSample {
 ///     t: SimTime::from_secs(1.0),
 ///     logical: vec![1.0, 1.25],
-///     hardware: vec![1.0, 1.0],
 /// });
 /// assert_eq!(acc.max(), Some(0.25));
 /// ```
@@ -659,11 +658,9 @@ mod tests {
     use ftgcs_sim::trace::Trace;
 
     fn sample(t: f64, logical: Vec<f64>) -> ClockSample {
-        let hardware = logical.clone();
         ClockSample {
             t: SimTime::from_secs(t),
             logical,
-            hardware,
         }
     }
 

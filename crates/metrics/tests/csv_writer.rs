@@ -26,7 +26,6 @@ fn sample(i: usize, nodes: usize) -> ClockSample {
         .collect();
     ClockSample {
         t: SimTime::from_secs(t),
-        hardware: vec![0.0; nodes],
         logical,
     }
 }

@@ -104,7 +104,6 @@ fn streaming_samples_after_the_first_line_does_not_allocate() {
     let mut sample = ClockSample {
         t: SimTime::ZERO,
         logical: vec![0.0; NODES],
-        hardware: vec![0.0; NODES],
     };
     let mut writer = CsvSampleWriter::new(io::sink(), 1);
     writer.on_sample(&sample);

@@ -12,6 +12,8 @@
 //! random walk, a piecewise-sampled sinusoid (slow thermal wander), or an
 //! explicit schedule for adversarial hand-built scenarios.
 
+use std::collections::VecDeque;
+
 use crate::rng::SimRng;
 use crate::time::SimTime;
 
@@ -83,6 +85,21 @@ struct Segment {
 
 /// A drifting hardware clock with exact forward and inverse evaluation.
 ///
+/// The clock keeps the segment of its latest reading inline, with the
+/// instant that segment ends, so a reading inside it is one multiply-add:
+/// no segment list, no extension, no search. A reading past it extends the
+/// schedule, searches it, caches the segment found and drops every
+/// segment before it, so memory stays flat however long the run.
+///
+/// # Contract
+///
+/// Readings never go back: [`Self::hardware_time`] is asked at
+/// nondecreasing instants, and [`Self::when_hardware_reaches`] only for
+/// targets at or above the hardware reading where the latest reading's
+/// segment starts. Asking before that segment panics. The engine reads a node's clock at the
+/// instant it dispatches or samples, and inverts only targets above the
+/// current reading, so it keeps the contract by construction.
+///
 /// # Examples
 ///
 /// ```
@@ -106,12 +123,20 @@ pub struct HardwareClock {
     rho: f64,
     model: RateModel,
     rng: SimRng,
-    /// Generated segments, in increasing `start` order; never empty.
-    segments: Vec<Segment>,
+    /// Generated segments, in increasing `start` order, from the cached
+    /// one on; never empty.
+    segments: VecDeque<Segment>,
     /// Newtonian time up to which segments have been generated. The last
     /// segment extends to `generated_until`; beyond it, more segments are
     /// appended on demand.
     generated_until: f64,
+    /// The segment of the latest reading (`segments[0]`).
+    current: Segment,
+    /// Where `current` ends (exclusive): the next segment's start, or
+    /// `generated_until` when `current` was the last one generated.
+    /// Either stays true when more segments are appended. Empty until
+    /// the first reading, which therefore takes the search.
+    current_end: f64,
 }
 
 impl HardwareClock {
@@ -138,17 +163,17 @@ impl HardwareClock {
             rho,
             model,
             rng,
-            segments: Vec::new(),
+            segments: VecDeque::new(),
             generated_until: 0.0,
+            current: Segment {
+                start: 0.0,
+                hw_at_start: 0.0,
+                rate: 1.0,
+            },
+            current_end: 0.0,
         };
         clock.bootstrap();
         clock
-    }
-
-    /// The drift bound ρ this clock was created with.
-    #[must_use]
-    pub fn rho(&self) -> f64 {
-        self.rho
     }
 
     fn bootstrap(&mut self) {
@@ -165,7 +190,7 @@ impl HardwareClock {
             RateModel::Sinusoid { phase, .. } => self.rate_from_frac((1.0 + phase.sin()) / 2.0),
             RateModel::Schedule(entries) => self.rate_from_frac(entries[0].1),
         };
-        self.segments.push(Segment {
+        self.segments.push_back(Segment {
             start: 0.0,
             hw_at_start: 0.0,
             rate: first_rate,
@@ -199,7 +224,7 @@ impl HardwareClock {
     /// Appends segments until the schedule covers Newtonian time `t`.
     fn extend_to(&mut self, t: f64) {
         while self.generated_until <= t {
-            let last = *self.segments.last().expect("segments never empty");
+            let last = *self.segments.back().expect("segments never empty");
             let seg_end = self.generated_until;
             let hw_at_end = last.hw_at_start + last.rate * (seg_end - last.start);
             let new_rate = match &self.model {
@@ -224,7 +249,7 @@ impl HardwareClock {
                     self.rate_from_frac(frac)
                 }
             };
-            self.segments.push(Segment {
+            self.segments.push_back(Segment {
                 start: seg_end,
                 hw_at_start: hw_at_end,
                 rate: new_rate,
@@ -233,32 +258,52 @@ impl HardwareClock {
         }
     }
 
-    /// Index of the segment containing Newtonian time `t`.
-    fn segment_at(&mut self, t: f64) -> usize {
+    /// Makes the segment containing Newtonian time `t` the cached one,
+    /// dropping every segment before it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` lies before the retained segments (a reading that
+    /// went back) or is NaN.
+    #[cold]
+    fn seek(&mut self, t: f64) {
         self.extend_to(t);
-        match self
+        let i = match self
             .segments
             .binary_search_by(|s| s.start.partial_cmp(&t).expect("no NaN"))
         {
             Ok(i) => i,
+            Err(0) => panic!(
+                "hardware clock read at t = {t} s, before its retained segment \
+                 (from {} s): readings must not go back",
+                self.segments[0].start
+            ),
             Err(i) => i - 1,
-        }
+        };
+        self.segments.drain(..i);
+        self.current = self.segments[0];
+        self.current_end = self
+            .segments
+            .get(1)
+            .map_or(self.generated_until, |s| s.start);
     }
 
     /// Returns the hardware reading `H_v(t)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is earlier than the segment of the previous reading
+    /// (see the contract on [`HardwareClock`]) or is NaN.
     #[must_use]
     pub fn hardware_time(&mut self, t: SimTime) -> HardwareTime {
         let t = t.as_secs();
-        let i = self.segment_at(t);
-        let s = self.segments[i];
+        // `current_end` is exclusive, so an exact segment start reads in
+        // the segment it starts, as the search would choose it.
+        if !(self.current.start <= t && t < self.current_end) {
+            self.seek(t);
+        }
+        let s = self.current;
         s.hw_at_start + s.rate * (t - s.start)
-    }
-
-    /// Returns the instantaneous rate `h_v(t)`.
-    #[must_use]
-    pub fn rate_at(&mut self, t: SimTime) -> f64 {
-        let i = self.segment_at(t.as_secs());
-        self.segments[i].rate
     }
 
     /// Returns the Newtonian time at which the hardware reading reaches
@@ -266,7 +311,8 @@ impl HardwareClock {
     ///
     /// # Panics
     ///
-    /// Panics if `target` is negative or NaN.
+    /// Panics if `target` is negative or NaN, or lies before the retained
+    /// segments (see the contract on [`HardwareClock`]).
     #[must_use]
     pub fn when_hardware_reaches(&mut self, target: HardwareTime) -> SimTime {
         assert!(target >= 0.0, "hardware targets are non-negative");
@@ -278,7 +324,14 @@ impl HardwareClock {
             .binary_search_by(|s| s.hw_at_start.partial_cmp(&target).expect("no NaN"))
         {
             Ok(i) => i,
-            Err(i) => i.saturating_sub(1),
+            // Only once segments were dropped: the first one generated
+            // starts at hardware 0 ≤ `target`.
+            Err(0) => panic!(
+                "hardware target {target} lies before the clock's retained segment \
+                 (from {}): inverses must not go back",
+                self.segments[0].hw_at_start
+            ),
+            Err(i) => i - 1,
         };
         let s = self.segments[i];
         SimTime::from_secs(s.start + (target - s.hw_at_start) / s.rate)
@@ -350,17 +403,21 @@ mod tests {
 
     #[test]
     fn schedule_switches_rates() {
-        let mut c = HardwareClock::new(
-            1e-2,
-            RateModel::Schedule(vec![(0.0, 0.0), (10.0, 1.0)]),
-            SimRng::seed_from(0),
-        );
-        assert_eq!(c.rate_at(SimTime::from_secs(5.0)), 1.0);
-        assert_eq!(c.rate_at(SimTime::from_secs(15.0)), 1.01);
-        // H(20) = 10·1 + 10·1.01 = 20.1
+        let clock = || {
+            HardwareClock::new(
+                1e-2,
+                RateModel::Schedule(vec![(0.0, 0.0), (10.0, 1.0)]),
+                SimRng::seed_from(0),
+            )
+        };
+        let mut c = clock();
+        // Rate 1 up to t = 10, then 1.01: H(20) = 10·1 + 10·1.01 = 20.1.
+        assert_eq!(c.hardware_time(SimTime::from_secs(5.0)), 5.0);
         let h = c.hardware_time(SimTime::from_secs(20.0));
         assert!((h - 20.1).abs() < 1e-9);
-        check_bounds_and_inverse(c, 1e-2);
+        let h = c.hardware_time(SimTime::from_secs(30.0));
+        assert!((h - 30.2).abs() < 1e-9);
+        check_bounds_and_inverse(clock(), 1e-2);
     }
 
     #[test]

@@ -292,10 +292,12 @@ impl NodeState {
         self.tracks[track.index()].value_at(hw)
     }
 
-    /// The `(logical, hardware)` clock values a sample at `now` records.
-    pub(crate) fn read_clocks(&mut self, now: SimTime) -> (f64, f64) {
+    /// The value a sample at `now` records: the main track, `L_v(now)`.
+    /// One hardware reading, a multiply-add while `now` stays in the
+    /// clock's current rate segment.
+    pub(crate) fn read_clocks(&mut self, now: SimTime) -> f64 {
         let hw = self.hardware_now(now);
-        (self.tracks[TrackId::MAIN.index()].value_at(hw), hw)
+        self.tracks[TrackId::MAIN.index()].value_at(hw)
     }
 
     /// Newtonian time at which `track` reaches `target`; never earlier
@@ -929,7 +931,8 @@ impl Samples {
     }
 
     /// Fires the sample due at `now`, the pending instant: `clocks` is
-    /// every node's [`NodeState::read_clocks`] at `now`, in node order.
+    /// every node's logical clock ([`NodeState::read_clocks`]) at `now`,
+    /// in node order, and refills the one vector the sample holds.
     /// Streams it to `obs` and re-arms it `interval` later (`None` ends
     /// the chain). An interval below the f64 spacing at `now` would
     /// re-arm it at the same instant for ever: that is a panic, not a
@@ -937,18 +940,14 @@ impl Samples {
     pub(crate) fn fire(
         &mut self,
         now: SimTime,
-        clocks: impl Iterator<Item = (f64, f64)>,
+        clocks: impl Iterator<Item = f64>,
         interval: Option<SimDuration>,
         obs: &mut dyn Observer,
     ) {
         let sample = &mut self.sample;
         sample.t = now;
         sample.logical.clear();
-        sample.hardware.clear();
-        for (lg, hw) in clocks {
-            sample.logical.push(lg);
-            sample.hardware.push(hw);
-        }
+        sample.logical.extend(clocks);
         obs.on_sample(sample);
         debug_assert_eq!(self.pending, Some(now), "not the pending sample");
         self.pending = interval.map(|interval| {
@@ -1163,7 +1162,6 @@ impl<M: Clone> SimBuilder<M> {
                 sample: ClockSample {
                     t: SimTime::ZERO,
                     logical: Vec::with_capacity(n),
-                    hardware: Vec::with_capacity(n),
                 },
             },
             started: false,

@@ -384,7 +384,6 @@ mod tests {
         let sample = ClockSample {
             t: SimTime::from_secs(0.0015),
             logical: vec![0.0015000000000000002, 1.0, 0.0, 12.000_000_1],
-            hardware: vec![0.0; 4],
         };
         let mut out = Vec::new();
         push_sample_header(&mut out, 12);

@@ -217,7 +217,6 @@ mod tests {
         let sample = ClockSample {
             t: SimTime::from_secs(1.0),
             logical: vec![1.0, 2.0],
-            hardware: vec![1.0, 2.0],
         };
         let row = Row {
             t: SimTime::from_secs(0.5),
@@ -239,7 +238,6 @@ mod tests {
         let sample = ClockSample {
             t: SimTime::ZERO,
             logical: vec![0.0],
-            hardware: vec![0.0],
         };
         {
             let mut fan = Fanout::new(vec![&mut a, &mut b]);

@@ -3,9 +3,9 @@
 //! The engine records two kinds of data for offline analysis:
 //!
 //! * **Clock samples** — the main logical clock `L_v(t)` of every node on a
-//!   periodic Newtonian grid (plus hardware readings), which metrics code
-//!   turns into skew curves. Their CSV form is printed by
-//!   [`numfmt`](crate::numfmt), the one sample-line formatter.
+//!   periodic Newtonian grid, which metrics code turns into skew curves.
+//!   Their CSV form is printed by [`numfmt`](crate::numfmt), the one
+//!   sample-line formatter.
 //! * **Rows** — untyped, behavior-emitted records `(t, node, kind, values)`
 //!   used for algorithm-internal quantities (round corrections `Δ_v(r)`,
 //!   pulse times, trigger decisions, ...). Keeping rows untyped lets the
@@ -15,15 +15,18 @@ use crate::node::NodeId;
 use crate::numfmt;
 use crate::time::SimTime;
 
-/// One periodic snapshot of every node's clocks.
+/// One periodic snapshot of every node's logical clock.
+///
+/// It records what the skews are computed from, `L_v(t)`, and no
+/// hardware readings:
+/// [`Simulation::hardware_value`](crate::engine::Simulation::hardware_value)
+/// reads one on demand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClockSample {
     /// Newtonian sample time.
     pub t: SimTime,
     /// Main logical clock `L_v(t)` per node, indexed by node id.
     pub logical: Vec<f64>,
-    /// Hardware reading `H_v(t)` per node, indexed by node id.
-    pub hardware: Vec<f64>,
 }
 
 /// One behavior-emitted record.
@@ -151,12 +154,10 @@ mod tests {
                 ClockSample {
                     t: SimTime::from_secs(0.0),
                     logical: vec![0.0, 0.0],
-                    hardware: vec![0.0, 0.0],
                 },
                 ClockSample {
                     t: SimTime::from_secs(1.0),
                     logical: vec![1.0, 1.1],
-                    hardware: vec![1.0, 1.05],
                 },
             ],
             rows: vec![
