@@ -10,11 +10,10 @@
 //! * the local skew (which scales like `O(κ log D)`, so oversized slack
 //!   directly costs precision).
 
-use ftgcs::node::ROW_MODE;
+use ftgcs::audit;
 use ftgcs::params::Params;
 use ftgcs::runner::Scenario;
-use ftgcs::triggers::conditions;
-use ftgcs_metrics::skew::{cluster_clock_samples, cluster_local_skew_series, FaultMask};
+use ftgcs_metrics::skew::{cluster_local_skew_series, FaultMask};
 use ftgcs_metrics::table::Table;
 use ftgcs_topology::{generators, ClusterGraph};
 
@@ -44,41 +43,10 @@ fn run_with_scale(base: &Params, scale: f64, seed: u64) -> (f64, usize, usize) {
         .max()
         .unwrap_or(0.0);
 
-    // Faithfulness audit (same proxy as t6): FC at a sample without the
+    // Faithfulness audit (the same as t6's): FC at a sample without the
     // responsible nodes' latest FT.
-    let mut mode_rows: Vec<(f64, usize, bool)> = run
-        .trace
-        .rows_of_kind(ROW_MODE)
-        .map(|r| (r.t.as_secs(), r.node.index(), r.values[3] > 0.5))
-        .collect();
-    mode_rows.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut latest: Vec<Option<bool>> = vec![None; n];
-    let mut idx = 0usize;
-    let mut checks = 0usize;
-    let mut violations = 0usize;
-    let mut neighbor_clocks = Vec::new();
-    for (t, clocks) in cluster_clock_samples(&run.trace, &cg, &mask) {
-        while idx < mode_rows.len() && mode_rows[idx].0 <= t {
-            latest[mode_rows[idx].1] = Some(mode_rows[idx].2);
-            idx += 1;
-        }
-        if t < warm {
-            continue;
-        }
-        for c in 0..cg.cluster_count() {
-            neighbor_clocks.clear();
-            neighbor_clocks.extend(cg.neighbor_clusters(c).iter().map(|&a| clocks[a]));
-            if conditions(clocks[c], &neighbor_clocks, params.kappa).fast {
-                checks += 1;
-                for v in cg.members(c) {
-                    if latest[v] == Some(false) {
-                        violations += 1;
-                    }
-                }
-            }
-        }
-    }
-    (local, checks, violations)
+    let faithful = audit::faithfulness(&run.trace, &cg, &mask, params.kappa, warm);
+    (local, faithful.fc_checks, faithful.fc_violations)
 }
 
 /// Runs the analysis (spec: environment, seed base of the scale sweep).

@@ -6,9 +6,10 @@
 //! volume scales like `1/X` while the estimate lag grows like `X`. This
 //! ablation sweeps `X` and measures both, justifying the default.
 
-use ftgcs::node::ROW_MODE;
+use ftgcs::audit;
 use ftgcs::params::Params;
 use ftgcs::runner::Scenario;
+use ftgcs_metrics::skew::FaultMask;
 use ftgcs_metrics::table::Table;
 use ftgcs_sim::clock::RateModel;
 use ftgcs_topology::{generators, ClusterGraph};
@@ -58,38 +59,25 @@ pub fn run(spec: &SpecFile) {
         let run = s.run_for(horizon);
 
         // Worst estimate lag across mode rows (cf. t4).
-        let samples = &run.trace.samples;
+        let mask = FaultMask::none(cg.physical().node_count());
         let mut worst_lag = 0.0f64;
-        for row in run.trace.rows_of_kind(ROW_MODE) {
-            let m = row.values[6];
-            if m < 0.0 {
+        for bracket in audit::max_brackets(&run.trace, &mask) {
+            if bracket.t.as_secs() < 5.0 * params.t_round {
                 continue;
             }
-            if row.t.as_secs() < 5.0 * params.t_round {
+            let (Some(before), Some(after)) = (bracket.before, bracket.after) else {
                 continue;
-            }
-            let after = samples.partition_point(|sm| sm.t < row.t);
-            if after == 0 || after >= samples.len() {
-                continue;
-            }
+            };
             // Interpolate L_max at the row time between the bracketing
             // samples (it is piecewise near-linear), so the measured lag
             // is not swamped by sampling staleness.
-            let lmax_of = |idx: usize| {
-                samples[idx]
-                    .logical
-                    .iter()
-                    .fold(f64::NEG_INFINITY, |a, &b| a.max(b))
-            };
-            let (t0, t1) = (samples[after - 1].t.as_secs(), samples[after].t.as_secs());
-            let (l0, l1) = (lmax_of(after - 1), lmax_of(after));
-            let frac = if t1 > t0 {
-                (row.t.as_secs() - t0) / (t1 - t0)
+            let frac = if after.t > before.t {
+                (bracket.t.as_secs() - before.t) / (after.t - before.t)
             } else {
                 0.0
             };
-            let lmax = l0 + frac * (l1 - l0);
-            worst_lag = worst_lag.max(lmax - m);
+            let lmax = before.value + frac * (after.value - before.value);
+            worst_lag = worst_lag.max(lmax - bracket.estimate);
         }
         // Engineering lag envelope: quantization X + propagation 2dD +
         // one round of rate mismatch.

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use ftgcs::node::ROW_MODE;
+use ftgcs::node::{ModeRow, ROW_MODE};
 use ftgcs::runner::Scenario;
 use ftgcs_metrics::stats::Summary;
 use ftgcs_metrics::table::Table;
@@ -47,11 +47,11 @@ pub fn run(spec: &SpecFile) {
     // node -> round -> (t, L, gamma).
     let mut per_node: BTreeMap<usize, Vec<(f64, f64, bool)>> = BTreeMap::new();
     for row in run.trace.rows_of_kind(ROW_MODE) {
-        // values = [cluster, round, gamma, ft, st, own_logical, max_est]
+        let mode = ModeRow::of(row);
         per_node.entry(row.node.index()).or_default().push((
             row.t.as_secs(),
-            row.values[5],
-            row.values[2] > 0.5,
+            mode.own_logical,
+            mode.fast_mode,
         ));
     }
 

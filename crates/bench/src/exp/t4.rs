@@ -8,7 +8,7 @@
 //! clock `L_max(t)` (never overestimate), while tracking it to within
 //! `O(δD)`.
 
-use ftgcs::node::ROW_MODE;
+use ftgcs::audit;
 use ftgcs::runner::Scenario;
 use ftgcs_metrics::skew::FaultMask;
 use ftgcs_metrics::table::Table;
@@ -49,31 +49,14 @@ pub fn run(spec: &SpecFile) {
         let mask = FaultMask::none(n);
         let mut overestimates = 0usize;
         let mut worst_lag = 0.0f64;
-        let samples = &run.trace.samples;
-        let l_max_at = |idx: usize| -> f64 {
-            samples[idx]
-                .logical
-                .iter()
-                .enumerate()
-                .filter(|(v, _)| !mask.is_faulty(*v))
-                .map(|(_, &l)| l)
-                .fold(f64::NEG_INFINITY, f64::max)
-        };
-        for row in run.trace.rows_of_kind(ROW_MODE) {
-            let m = row.values[6];
-            if m < 0.0 {
-                continue; // estimator disabled
-            }
-            let t = row.t.as_secs();
-            // First sample at or after t (and the one before, for the lag).
-            let after = samples.partition_point(|s| s.t.as_secs() < t);
-            if after >= samples.len() || after == 0 {
+        for bracket in audit::max_brackets(&run.trace, &mask) {
+            let (Some(before), Some(after)) = (bracket.before, bracket.after) else {
                 continue;
-            }
-            if m > l_max_at(after) + 1e-9 {
+            };
+            if bracket.estimate > after.value + 1e-9 {
                 overestimates += 1;
             }
-            worst_lag = worst_lag.max(l_max_at(after - 1) - m);
+            worst_lag = worst_lag.max(before.value - bracket.estimate);
         }
         let lag_bound = params.global_skew_bound(diameter);
 

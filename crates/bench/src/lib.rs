@@ -34,21 +34,6 @@ use ftgcs_metrics::table::Table;
 use ftgcs_sim::clock::RateModel;
 use ftgcs_topology::ClusterGraph;
 
-/// Default network characteristics `(ρ, d, U)` used by the experiments:
-/// drift `1e-4`, delay 1 ms, uncertainty 0.1 ms.
-pub const DEFAULT_ENV: (f64, f64, f64) = (1e-4, 1e-3, 1e-4);
-
-/// Derives the default practical parameter set for fault budget `f`.
-///
-/// # Panics
-///
-/// Panics if the default environment is infeasible (it is not).
-#[must_use]
-pub fn default_params(f: usize) -> Params {
-    let (rho, d, u) = DEFAULT_ENV;
-    Params::practical(rho, d, u, f).expect("default environment is feasible")
-}
-
 /// Pins the hardware clocks of the left half of the clusters to the
 /// fastest legal rate and the right half to the slowest — the adversarial
 /// schedule that maximizes skew across a line (cf. the lower-bound
@@ -141,18 +126,26 @@ fn write_if_changed(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftgcs::spec::{ScenarioSpec, TopologySpec};
     use ftgcs_topology::generators::line;
+
+    /// The parameters of the workspace-default environment at `f = 1`.
+    fn default_params() -> Params {
+        ScenarioSpec::new("default", TopologySpec::Line(2), 1)
+            .params()
+            .expect("the default environment is feasible")
+    }
 
     #[test]
     fn default_params_are_feasible() {
-        let p = default_params(1);
+        let p = default_params();
         assert!(p.alpha < 1.0);
         assert_eq!(p.cluster_size, 4);
     }
 
     #[test]
     fn adversarial_split_overrides_all_nodes() {
-        let p = default_params(1);
+        let p = default_params();
         let cg = ClusterGraph::new(line(4), 4, 1);
         let mut s = Scenario::new(cg.clone(), p);
         adversarial_rate_split(&mut s, &cg);
@@ -188,7 +181,7 @@ mod tests {
 
     #[test]
     fn measure_skews_produces_finite_values() {
-        let p = default_params(1);
+        let p = default_params();
         let cg = ClusterGraph::new(line(2), 4, 1);
         let mut s = Scenario::new(cg.clone(), p.clone());
         s.seed(1);

@@ -357,11 +357,12 @@ fn ci_workflow_is_read_and_its_old_defect_is_a_finding() {
 /// No `unsafe` in any library: every `crates/*/src/lib.rs` says
 /// `#![forbid(unsafe_code)]`, which no inner `allow` can lift. That no
 /// `unsafe` is written anywhere else is the compiler's job:
-/// `[workspace.lints]` sets `unsafe_code = "deny"`, and exactly four
+/// `[workspace.lints]` sets `unsafe_code = "deny"`, and exactly two
 /// sites say `allow(unsafe_code, …)` — the `GlobalAlloc` counting shims
-/// of the `xp` binary and of three allocation tests, each `System` call
-/// in its own `unsafe {}` under a `// SAFETY:` that
-/// `clippy::undocumented_unsafe_blocks` requires.
+/// of the `xp` binary and of the allocation tests (one file,
+/// `crates/sim/tests/support/counting_alloc.rs`, which all three
+/// include), each `System` call in its own `unsafe {}` under a
+/// `// SAFETY:` that `clippy::undocumented_unsafe_blocks` requires.
 #[test]
 fn every_library_forbids_unsafe_and_none_is_written() {
     let mut roots = 0;

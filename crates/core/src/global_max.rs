@@ -228,12 +228,6 @@ impl MaxEstimator {
             TimerTag::new(TIMER_LEVEL).with_b(next_level),
         );
     }
-
-    /// Highest level announced so far.
-    #[must_use]
-    pub fn sent_level(&self) -> u64 {
-        self.sent_level
-    }
 }
 
 #[cfg(test)]
@@ -260,7 +254,7 @@ mod tests {
     #[test]
     fn construction_and_accessors() {
         let est = MaxEstimator::new(TrackId(1), 0.01, 1e-3, 1);
-        assert_eq!(est.sent_level(), 0);
+        assert_eq!(est.sent_level, 0);
     }
 
     const UNIT: f64 = 0.01;

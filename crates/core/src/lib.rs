@@ -62,6 +62,7 @@
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod agreement;
+pub mod audit;
 pub mod cluster;
 pub mod faults;
 pub mod global_max;

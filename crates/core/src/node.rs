@@ -20,6 +20,7 @@ use std::sync::Arc;
 
 use ftgcs_sim::engine::Ctx;
 use ftgcs_sim::node::{Behavior, NodeId, TimerTag, TrackId};
+use ftgcs_sim::trace::Row;
 
 use crate::cluster::{ClusterInstance, InstanceEvent, TIMER_ROUND_END};
 use crate::global_max::{MaxEstimator, TIMER_LEVEL};
@@ -27,10 +28,70 @@ use crate::messages::{sender_index, senders, Msg};
 use crate::params::Params;
 use crate::triggers::{evaluate, Mode, ModePolicy};
 
-/// Trace row kind for per-round mode decisions:
-/// `values = [cluster, round, gamma, ft, st, own_logical, max_estimate]`
-/// (`max_estimate = -1` when the estimator is disabled).
+/// Trace row kind for per-round mode decisions; [`ModeRow`] is its
+/// payload.
 pub const ROW_MODE: &str = "mode";
+
+/// One per-round mode decision, the payload of a [`ROW_MODE`] row.
+///
+/// On the trace its values are
+/// `[cluster, round, gamma, ft, st, own_logical, max_estimate]`, flags
+/// as `0`/`1` and a missing max estimate as `-1`. [`ModeRow::values`]
+/// writes that layout and [`ModeRow::of`] reads it; no other code
+/// knows it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ModeRow {
+    /// Base-graph id of the node's cluster.
+    pub cluster: usize,
+    /// The round this decision starts.
+    pub round: u64,
+    /// `γ_v`: whether the node runs fast in the round.
+    pub fast_mode: bool,
+    /// Whether the fast trigger FT fired.
+    pub fast_trigger: bool,
+    /// Whether the slow trigger ST fired.
+    pub slow_trigger: bool,
+    /// `L_v` at the round boundary.
+    pub own_logical: f64,
+    /// `M_v` at the round boundary; `None` with the estimator disabled.
+    pub max_estimate: Option<f64>,
+}
+
+impl ModeRow {
+    /// The row's trace values.
+    #[must_use]
+    pub fn values(&self) -> Vec<f64> {
+        vec![
+            self.cluster as f64,
+            self.round as f64,
+            f64::from(self.fast_mode),
+            f64::from(self.fast_trigger),
+            f64::from(self.slow_trigger),
+            self.own_logical,
+            self.max_estimate.unwrap_or(-1.0),
+        ]
+    }
+
+    /// Decodes a [`ROW_MODE`] row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is of another kind.
+    #[must_use]
+    pub fn of(row: &Row) -> Self {
+        assert_eq!(row.kind, ROW_MODE, "not a mode row");
+        let v = &row.values;
+        ModeRow {
+            cluster: v[0] as usize,
+            round: v[1] as u64,
+            fast_mode: v[2] > 0.5,
+            fast_trigger: v[3] > 0.5,
+            slow_trigger: v[4] > 0.5,
+            own_logical: v[5],
+            max_estimate: (v[6] >= 0.0).then_some(v[6]),
+        }
+    }
+}
 
 /// Static wiring of one FTGCS node.
 ///
@@ -139,12 +200,10 @@ impl FtGcsNode {
             .extend(self.estimators.iter().map(|e| ctx.track_value(e.track())));
         let outcome = evaluate(own_l, &self.estimates, p.kappa, p.delta);
         // Keep M_v >= L_v before it is consulted.
-        let max_value = if let Some(est) = &mut self.max_est {
+        let max_value = self.max_est.as_mut().map(|est| {
             est.observe_own_clock(ctx, own_l);
             est.value(ctx)
-        } else {
-            -1.0
-        };
+        });
         self.mode = if outcome.fast {
             Mode::Fast
         } else if outcome.slow {
@@ -153,13 +212,10 @@ impl FtGcsNode {
             match self.cfg.mode_policy {
                 ModePolicy::Sticky => self.mode,
                 ModePolicy::DefaultSlow => Mode::Slow,
-                ModePolicy::CatchUp => {
-                    if self.max_est.is_some() && own_l <= max_value - p.catch_up_c * p.delta {
-                        Mode::Fast
-                    } else {
-                        Mode::Slow
-                    }
-                }
+                ModePolicy::CatchUp => match max_value {
+                    Some(m) if own_l <= m - p.catch_up_c * p.delta => Mode::Fast,
+                    _ => Mode::Slow,
+                },
             }
         };
         let factor = match self.mode {
@@ -167,18 +223,16 @@ impl FtGcsNode {
             Mode::Slow => 1.0,
         };
         self.own.set_gamma_factor(factor);
-        ctx.emit(
-            ROW_MODE,
-            vec![
-                self.cfg.cluster_id as f64,
-                new_round as f64,
-                f64::from(self.mode == Mode::Fast),
-                f64::from(outcome.fast),
-                f64::from(outcome.slow),
-                own_l,
-                max_value,
-            ],
-        );
+        let row = ModeRow {
+            cluster: self.cfg.cluster_id,
+            round: new_round,
+            fast_mode: self.mode == Mode::Fast,
+            fast_trigger: outcome.fast,
+            slow_trigger: outcome.slow,
+            own_logical: own_l,
+            max_estimate: max_value,
+        };
+        ctx.emit(ROW_MODE, row.values());
     }
 
     /// Routes a real pulse to the instance observing the sender's cluster.
@@ -330,6 +384,33 @@ mod tests {
         cfg.enable_max_estimator = false;
         cfg.neighbors = Vec::new().into();
         assert_eq!(FtGcsNode::new(cfg).track_count(), 1);
+    }
+
+    #[test]
+    fn mode_row_layout_round_trips() {
+        let mode = ModeRow {
+            cluster: 3,
+            round: 17,
+            fast_mode: true,
+            fast_trigger: true,
+            slow_trigger: false,
+            own_logical: 1.25,
+            max_estimate: None,
+        };
+        let values = mode.values();
+        assert_eq!(values, [3.0, 17.0, 1.0, 1.0, 0.0, 1.25, -1.0]);
+        let row = |values| Row {
+            t: ftgcs_sim::time::SimTime::ZERO,
+            node: NodeId(0),
+            kind: ROW_MODE,
+            values,
+        };
+        assert_eq!(ModeRow::of(&row(values)), mode);
+        let estimated = ModeRow {
+            max_estimate: Some(2.5),
+            ..mode
+        };
+        assert_eq!(ModeRow::of(&row(estimated.values())), estimated);
     }
 
     #[test]

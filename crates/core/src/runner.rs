@@ -470,14 +470,6 @@ impl Scenario {
         self
     }
 
-    /// Makes `count` random members of each cluster Byzantine.
-    pub fn with_random_faults(&mut self, kind: &FaultKind, count: usize, seed: u64) -> &mut Self {
-        for node in random_fault_nodes(&self.cg, count, seed) {
-            self.with_fault(node, kind.clone());
-        }
-        self
-    }
-
     /// Ids of the currently assigned faulty nodes: permanent faults plus
     /// every node that is faulty during *some* window. Metrics mask the
     /// union — a recovered node's clock is usable again, but excluding
@@ -677,9 +669,8 @@ fn per_cluster_fault_nodes(cg: &ClusterGraph, count: usize) -> Vec<usize> {
     nodes
 }
 
-/// The node ids [`Scenario::with_random_faults`] assigns for
-/// `(count, seed)`: a seeded Fisher–Yates prefix per cluster. Shared
-/// with [`Scenario::from_spec`].
+/// The node ids a spec's `random_faults count seed` line assigns: a
+/// seeded Fisher–Yates prefix per cluster.
 fn random_fault_nodes(cg: &ClusterGraph, count: usize, seed: u64) -> Vec<usize> {
     let mut rng = SimRng::seed_from(seed);
     let mut nodes = Vec::new();
@@ -865,8 +856,9 @@ mod tests {
 
     #[test]
     fn random_faults_stay_within_count() {
-        let mut s = scenario();
-        s.with_random_faults(&FaultKind::Silent, 1, 3);
+        let spec = ScenarioSpec::parse("name r\ntopology line 2\nf 1\nrandom_faults 1 3 silent\n")
+            .expect("valid spec");
+        let s = Scenario::from_spec(&spec).expect("buildable spec");
         assert_eq!(s.faulty_nodes().len(), 2);
         assert!(!s.faults_exceed_budget());
     }

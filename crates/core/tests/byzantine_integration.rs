@@ -3,6 +3,7 @@
 //! leave both the intra-cluster bound (Corollary 3.2) and the gradient
 //! bound (Theorem 4.10) intact.
 
+use ftgcs::audit;
 use ftgcs::params::Params;
 use ftgcs::runner::Scenario;
 use ftgcs::FaultKind;
@@ -97,35 +98,18 @@ fn level_flooder_cannot_inflate_max_estimates() {
     let run = s.run_for(40.0);
     let mask = FaultMask::from_nodes(cg.physical().node_count(), &run.faulty);
     // Safety (Lemma C.2): every correct node's M_v must stay at or below
-    // the max correct clock at the same instant. Mode rows carry
-    // [cluster, round, gamma, ft, st, own_L, M_v]; compare M_v against
-    // the clock sample taken at or after the row.
+    // the max correct clock at the same instant: compare M_v against the
+    // clock sample taken at or after the row.
     let mut checked = 0;
-    for row in run.trace.rows_of_kind(ftgcs::node::ROW_MODE) {
-        if mask.is_faulty(row.node.index()) {
-            continue;
-        }
-        let m = row.values[6];
-        if m < 0.0 {
-            continue;
-        }
-        let sample = run
-            .trace
-            .samples
-            .iter()
-            .find(|s| s.t >= row.t)
-            .expect("sample after row");
-        let lmax = sample
-            .logical
-            .iter()
-            .enumerate()
-            .filter(|&(v, _)| !mask.is_faulty(v))
-            .map(|(_, &l)| l)
-            .fold(f64::MIN, f64::max);
+    for bracket in audit::max_brackets(&run.trace, &mask) {
+        let (m, lmax) = (
+            bracket.estimate,
+            bracket.after.expect("sample after row").value,
+        );
         assert!(
             m <= lmax + 1e-9,
             "M_v = {m} exceeds L_max = {lmax} at t={} despite flooding",
-            row.t
+            bracket.t
         );
         checked += 1;
     }

@@ -4,6 +4,7 @@
 //! the model excludes (over-budget clusters) may break, and we check the
 //! implementation *degrades* rather than panics.
 
+use ftgcs::audit;
 use ftgcs::params::Params;
 use ftgcs::runner::Scenario;
 use ftgcs::FaultKind;
@@ -150,28 +151,15 @@ fn level_flooders_cannot_poison_the_max_estimate() {
     );
     let run = s.run_for(30.0);
     let mask = FaultMask::from_nodes(cg.physical().node_count(), &run.faulty);
-    for row in run.trace.rows_of_kind(ftgcs::node::ROW_MODE) {
-        let m = row.values[6];
-        if m < 0.0 || mask.is_faulty(row.node.index()) {
-            continue;
-        }
-        let sample = run
-            .trace
-            .samples
-            .iter()
-            .find(|s| s.t >= row.t)
-            .expect("sample after row");
-        let lmax = sample
-            .logical
-            .iter()
-            .enumerate()
-            .filter(|(v, _)| !mask.is_faulty(*v))
-            .map(|(_, &l)| l)
-            .fold(f64::NEG_INFINITY, f64::max);
+    for bracket in audit::max_brackets(&run.trace, &mask) {
+        let (m, lmax) = (
+            bracket.estimate,
+            bracket.after.expect("sample after row").value,
+        );
         assert!(
             m <= lmax + 1e-9,
             "flooders poisoned M_v: {m} > L_max {lmax} at t={}",
-            row.t
+            bracket.t
         );
     }
 }

@@ -2,7 +2,8 @@
 //! max-estimate safety (`M_v ≤ L_max`, Lemma C.2), catch-up effectiveness
 //! (Theorem C.3), and the `O(δD)` global skew bound.
 
-use ftgcs::node::ROW_MODE;
+use ftgcs::audit;
+use ftgcs::node::{ModeRow, ROW_MODE};
 use ftgcs::params::Params;
 use ftgcs::runner::Scenario;
 use ftgcs::ModePolicy;
@@ -38,23 +39,15 @@ fn max_estimate_never_exceeds_l_max() {
     let run = s.run_for(60.0);
     let mask = FaultMask::none(12);
     let mut checked = 0;
-    for row in run.trace.rows_of_kind(ROW_MODE) {
-        let m = row.values[6];
-        if m < 0.0 {
-            continue;
-        }
-        let sample = run
-            .trace
-            .samples
-            .iter()
-            .find(|s| s.t >= row.t)
-            .expect("sample after row");
-        let lmax = sample.logical.iter().cloned().fold(f64::MIN, f64::max);
-        assert!(m <= lmax + 1e-9, "M_v={m} > L_max={lmax} at {}", row.t);
+    for bracket in audit::max_brackets(&run.trace, &mask) {
+        let (m, lmax) = (
+            bracket.estimate,
+            bracket.after.expect("sample after row").value,
+        );
+        assert!(m <= lmax + 1e-9, "M_v={m} > L_max={lmax} at {}", bracket.t);
         checked += 1;
     }
     assert!(checked > 200, "audited only {checked} rows");
-    let _ = mask;
 }
 
 #[test]
@@ -66,22 +59,12 @@ fn max_estimate_stays_reasonably_fresh() {
     // unit + propagation term (our engineering bound: X + 2dD + slack).
     let lag_bound = p.level_unit + 2.0 * p.d * 3.0 + 3.0 * p.e + p.t_round;
     let mut worst: f64 = 0.0;
-    for row in run.trace.rows_of_kind(ROW_MODE) {
-        if row.t.as_secs() < 20.0 {
+    for bracket in audit::max_brackets(&run.trace, &FaultMask::none(12)) {
+        if bracket.t.as_secs() < 20.0 {
             continue;
         }
-        let m = row.values[6];
-        if m < 0.0 {
-            continue;
-        }
-        let sample = run
-            .trace
-            .samples
-            .iter()
-            .find(|s| s.t >= row.t)
-            .expect("sample after row");
-        let lmax = sample.logical.iter().cloned().fold(f64::MIN, f64::max);
-        worst = worst.max(lmax - m);
+        let lmax = bracket.after.expect("sample after row").value;
+        worst = worst.max(lmax - bracket.estimate);
     }
     assert!(
         worst <= lag_bound,
@@ -143,6 +126,10 @@ fn disabled_estimator_reports_sentinel() {
         .mode_policy(ModePolicy::DefaultSlow);
     let run = s.run_for(5.0);
     for row in run.trace.rows_of_kind(ROW_MODE) {
-        assert_eq!(row.values[6], -1.0, "sentinel expected when disabled");
+        assert_eq!(
+            ModeRow::of(row).max_estimate,
+            None,
+            "no estimate expected when disabled"
+        );
     }
 }

@@ -3,7 +3,8 @@
 //! gradient smoothing of an initial skew ramp, and the GCS axioms
 //! (Proposition 4.11 / Definition 4.9).
 
-use ftgcs::node::ROW_MODE;
+use ftgcs::audit;
+use ftgcs::node::{ModeRow, ROW_MODE};
 use ftgcs::params::Params;
 use ftgcs::runner::Scenario;
 use ftgcs_metrics::skew::{
@@ -95,17 +96,15 @@ fn gradient_smooths_an_initial_ramp() {
 #[test]
 fn triggers_are_mutually_exclusive_at_runtime() {
     let s = rate_split_line(4, 3);
+    let cg = s.cluster_graph().clone();
     let run = s.run_for(60.0);
-    let mut rows = 0;
-    for row in run.trace.rows_of_kind(ROW_MODE) {
-        let (ft, st) = (row.values[3], row.values[4]);
-        assert!(
-            !(ft == 1.0 && st == 1.0),
-            "Lemma 4.5 violated at t={}",
-            row.t
-        );
-        rows += 1;
-    }
+    let mask = FaultMask::none(cg.physical().node_count());
+    assert_eq!(
+        audit::both_triggers(&run.trace, &mask),
+        0,
+        "Lemma 4.5 violated"
+    );
+    let rows = run.trace.rows_of_kind(ROW_MODE).count();
     assert!(rows > 100, "expected many mode rows, saw {rows}");
 }
 
@@ -168,7 +167,8 @@ fn fast_mode_engages_when_behind() {
     let fast_rows = run
         .trace
         .rows_of_kind(ROW_MODE)
-        .filter(|r| r.values[0] == 0.0 && r.values[2] == 1.0)
+        .map(ModeRow::of)
+        .filter(|mode| mode.cluster == 0 && mode.fast_mode)
         .count();
     assert!(
         fast_rows > 5,

@@ -21,11 +21,7 @@
 //! configuration that a whole cluster shares.
 //!
 //! The test binary has exactly one test so no concurrent test thread
-//! can pollute the counter, and the allocator does not count the
-//! process's main thread, where libtest keeps its own books.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+//! can pollute the counter ([`counting_alloc`]).
 
 use ftgcs::params::Params;
 use ftgcs::runner::Scenario;
@@ -34,67 +30,10 @@ use ftgcs_sim::observe::Observer;
 use ftgcs_sim::time::SimTime;
 use ftgcs_topology::{generators, ClusterGraph};
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+#[path = "../../sim/tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-thread_local! {
-    /// Its address names the thread, and taking it allocates nothing.
-    static THREAD_MARK: u8 = const { 0 };
-}
-
-/// The address of the main thread's [`THREAD_MARK`], recorded at the
-/// process's first allocation, which comes before libtest starts any
-/// thread.
-static MAIN_THREAD: AtomicUsize = AtomicUsize::new(0);
-
-/// Whether an allocation made now counts: inside the window, and on any
-/// thread but the process's main one, where libtest does its own
-/// bookkeeping for the test it started (and once in about a hundred
-/// debug runs did it inside the window). Threads the test or the
-/// library start are counted.
-fn counted() -> bool {
-    let here = THREAD_MARK.with(|mark| std::ptr::from_ref(mark).addr());
-    let mut main = MAIN_THREAD.load(Ordering::Relaxed);
-    if main == 0 {
-        main = match MAIN_THREAD.compare_exchange(0, here, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => here,
-            Err(first) => first,
-        };
-    }
-    COUNTING.load(Ordering::Relaxed) && here != main
-}
-
-struct CountingAllocator;
-
-#[allow(unsafe_code, reason = "a counting allocator is this test's instrument")]
-// SAFETY: delegates directly to the system allocator; the counter has
-// no allocator-visible side effects.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counted() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: forwards `layout` unchanged to `System.alloc`,
-        // inheriting its contract.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwards `ptr`/`layout` unchanged to `System.dealloc`;
-        // the caller's obligations are exactly `System`'s.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counted() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: forwards all arguments unchanged to `System.realloc`,
-        // inheriting its contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
+use counting_alloc::count;
 
 /// Drops every row and sample: what is counted is the simulation's own.
 struct Discard;
@@ -104,11 +43,8 @@ impl Observer for Discard {}
 fn level_flooding_does_not_allocate_per_message() {
     // Sanity: the counter must actually observe allocations, or the
     // assertion below would pass vacuously.
-    COUNTING.store(true, Ordering::SeqCst);
-    std::hint::black_box(Vec::<u64>::with_capacity(32));
-    COUNTING.store(false, Ordering::SeqCst);
     assert!(
-        ALLOCS.load(Ordering::SeqCst) >= 1,
+        count(|| drop(std::hint::black_box(Vec::<u64>::with_capacity(32)))) >= 1,
         "counting allocator is not wired up"
     );
 
@@ -124,12 +60,7 @@ fn level_flooding_does_not_allocate_per_message() {
     let events_before = sim.stats().events;
     let messages_before = sim.stats().messages;
 
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    sim.run_until_with(SimTime::from_secs(8.0), &mut Discard);
-    COUNTING.store(false, Ordering::SeqCst);
-
-    let allocs = ALLOCS.load(Ordering::SeqCst);
+    let allocs = count(|| sim.run_until_with(SimTime::from_secs(8.0), &mut Discard));
     let events = sim.stats().events - events_before;
     let messages = sim.stats().messages - messages_before;
     assert!(
@@ -148,14 +79,11 @@ fn level_flooding_does_not_allocate_per_message() {
 
 /// Allocations of parse → `from_spec` → `build` for `spec`.
 fn setup_allocations(spec: &str) -> u64 {
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    let parsed = ScenarioSpec::parse(spec).expect("valid spec");
-    let scenario = Scenario::from_spec(&parsed).expect("buildable spec");
-    let sim = scenario.build();
-    COUNTING.store(false, Ordering::SeqCst);
-    drop((sim, scenario, parsed));
-    ALLOCS.load(Ordering::SeqCst)
+    count(|| {
+        let parsed = ScenarioSpec::parse(spec).expect("valid spec");
+        let scenario = Scenario::from_spec(&parsed).expect("buildable spec");
+        drop(scenario.build());
+    })
 }
 
 /// Parse → `from_spec` → `build` stays within a fixed count of

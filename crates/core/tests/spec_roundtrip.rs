@@ -772,7 +772,7 @@ fn from_spec_rejects_sugar_explicit_fault_collisions_without_panicking() {
     assert!(Scenario::from_spec(&spec).is_err());
 
     // Sugar counts beyond the cluster size are typos, not experiments
-    // (with_fault_per_cluster would panic; with_random_faults would
+    // (with_fault_per_cluster would panic; random_fault_nodes would
     // silently clamp).
     let mut spec = ScenarioSpec::new("big", TopologySpec::Line(2), 1);
     spec.faults_per_cluster = vec![(5, FaultKind::Silent)];

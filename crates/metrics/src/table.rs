@@ -51,18 +51,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience: appends a row of formatted floats (6 significant
-    /// digits) prefixed by a label.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `1 + values.len()` differs from the header width.
-    pub fn row_labeled(&mut self, label: &str, values: &[f64]) {
-        let mut cells = vec![label.to_owned()];
-        cells.extend(values.iter().map(|v| format_sig(*v)));
-        self.row(&cells);
-    }
-
     /// Number of data rows.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -133,22 +121,6 @@ impl Table {
     }
 }
 
-/// Formats a float with 6 significant digits, using scientific notation for
-/// very large/small magnitudes.
-#[must_use]
-pub fn format_sig(v: f64) -> String {
-    if v == 0.0 {
-        return "0".to_owned();
-    }
-    let a = v.abs();
-    if !(1e-4..1e7).contains(&a) {
-        format!("{v:.4e}")
-    } else {
-        let digits = (6 - (a.log10().floor() as i32) - 1).clamp(0, 9) as usize;
-        format!("{v:.digits$}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,24 +146,6 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.starts_with("\"a,b\",c\n"));
         assert!(csv.contains("\"x\"\"y\""));
-    }
-
-    #[test]
-    fn labeled_rows_format_floats() {
-        let mut t = Table::new(&["case", "x", "y"]);
-        t.row_labeled("run1", &[0.000123456, 123456.789]);
-        let csv = t.to_csv();
-        assert!(csv.contains("run1"), "{csv}");
-        assert!(csv.contains("0.000123456"), "{csv}");
-    }
-
-    #[test]
-    fn sig_format_edges() {
-        assert_eq!(format_sig(0.0), "0");
-        assert_eq!(format_sig(1.0), "1.00000");
-        assert!(format_sig(1e-9).contains('e'));
-        assert!(format_sig(-3.25e9).contains('e'));
-        assert_eq!(format_sig(123456.7), "123457");
     }
 
     #[test]

@@ -70,13 +70,6 @@ impl SimTime {
         self.0
     }
 
-    /// Returns the duration elapsed since `earlier` (negative if `self`
-    /// precedes `earlier`).
-    #[must_use]
-    pub fn duration_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0 - earlier.0)
-    }
-
     /// Returns the larger of two time points.
     #[must_use]
     pub fn max(self, other: SimTime) -> SimTime {
@@ -152,28 +145,10 @@ impl SimDuration {
         Self::from_secs(us * 1e-6)
     }
 
-    /// Creates a duration from nanoseconds.
-    #[must_use]
-    pub fn from_nanos(ns: f64) -> Self {
-        Self::from_secs(ns * 1e-9)
-    }
-
     /// Returns the duration in seconds.
     #[must_use]
     pub fn as_secs(self) -> f64 {
         self.0
-    }
-
-    /// Returns the duration in milliseconds.
-    #[must_use]
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
-    }
-
-    /// Returns the duration in microseconds.
-    #[must_use]
-    pub fn as_micros(self) -> f64 {
-        self.0 * 1e6
     }
 
     /// Returns the absolute value of the duration.
@@ -329,7 +304,6 @@ mod tests {
         let d = SimDuration::from_secs(0.5);
         assert_eq!((t + d) - t, d);
         assert_eq!((t + d) - d, t);
-        assert_eq!(t.duration_since(SimTime::ZERO).as_secs(), 2.0);
     }
 
     #[test]
@@ -346,9 +320,6 @@ mod tests {
     fn duration_units_convert() {
         assert_eq!(SimDuration::from_millis(1.0).as_secs(), 1e-3);
         assert_eq!(SimDuration::from_micros(1.0).as_secs(), 1e-6);
-        assert_eq!(SimDuration::from_nanos(1.0).as_secs(), 1e-9);
-        assert_eq!(SimDuration::from_secs(0.25).as_millis(), 250.0);
-        assert_eq!(SimDuration::from_secs(2e-6).as_micros(), 2.0);
     }
 
     #[test]

@@ -74,15 +74,6 @@ impl Trace {
         self.rows.iter().filter(move |r| r.kind == kind)
     }
 
-    /// Iterates over rows of one kind emitted by one node.
-    pub fn rows_of_node<'a>(
-        &'a self,
-        kind: &'a str,
-        node: NodeId,
-    ) -> impl Iterator<Item = &'a Row> + 'a {
-        self.rows_of_kind(kind).filter(move |r| r.node == node)
-    }
-
     /// Returns the last sampled logical clock values, if any samples exist.
     #[must_use]
     pub fn final_logical(&self) -> Option<&[f64]> {
@@ -183,8 +174,9 @@ mod tests {
         assert_eq!(t.rows_of_kind("pulse").count(), 1);
         assert_eq!(t.rows_of_kind("round").count(), 1);
         assert_eq!(t.rows_of_kind("nope").count(), 0);
-        assert_eq!(t.rows_of_node("pulse", NodeId(0)).count(), 1);
-        assert_eq!(t.rows_of_node("pulse", NodeId(1)).count(), 0);
+        let of_node = |node| t.rows_of_kind("pulse").filter(|r| r.node == node).count();
+        assert_eq!(of_node(NodeId(0)), 1);
+        assert_eq!(of_node(NodeId(1)), 0);
     }
 
     #[test]

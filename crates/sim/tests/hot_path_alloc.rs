@@ -13,11 +13,7 @@
 //! costs no allocation either.
 //!
 //! The test binary has exactly one test so no concurrent test thread
-//! can pollute the counter, and the allocator does not count the
-//! process's main thread, where libtest keeps its own books.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+//! can pollute the counter ([`counting_alloc`]).
 
 use ftgcs_sim::clock::RateModel;
 use ftgcs_sim::engine::{Ctx, SimBuilder, SimConfig};
@@ -28,67 +24,10 @@ use ftgcs_sim::shard::{Partition, SchedulerKind};
 use ftgcs_sim::time::{SimDuration, SimTime};
 use ftgcs_sim::trace::ClockSample;
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
-thread_local! {
-    /// Its address names the thread, and taking it allocates nothing.
-    static THREAD_MARK: u8 = const { 0 };
-}
-
-/// The address of the main thread's [`THREAD_MARK`], recorded at the
-/// process's first allocation, which comes before libtest starts any
-/// thread.
-static MAIN_THREAD: AtomicUsize = AtomicUsize::new(0);
-
-/// Whether an allocation made now counts: inside the window, and on any
-/// thread but the process's main one, where libtest does its own
-/// bookkeeping for the test it started (and once in about a hundred
-/// debug runs did it inside the window). Threads the test or the
-/// library start are counted.
-fn counted() -> bool {
-    let here = THREAD_MARK.with(|mark| std::ptr::from_ref(mark).addr());
-    let mut main = MAIN_THREAD.load(Ordering::Relaxed);
-    if main == 0 {
-        main = match MAIN_THREAD.compare_exchange(0, here, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => here,
-            Err(first) => first,
-        };
-    }
-    COUNTING.load(Ordering::Relaxed) && here != main
-}
-
-struct CountingAllocator;
-
-#[allow(unsafe_code, reason = "a counting allocator is this test's instrument")]
-// SAFETY: delegates directly to the system allocator; the counter has
-// no allocator-visible side effects.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counted() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: forwards `layout` unchanged to `System.alloc`,
-        // inheriting its contract.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwards `ptr`/`layout` unchanged to `System.dealloc`;
-        // the caller's obligations are exactly `System`'s.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counted() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: forwards all arguments unchanged to `System.realloc`,
-        // inheriting its contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
+use counting_alloc::count;
 
 /// A round-phase caricature: every node keeps three pending timers on
 /// its main track (like a ClusterSync round's pulse/compute/end), and
@@ -197,12 +136,8 @@ fn build_config(
 fn steady_state_event_loop_does_not_allocate() {
     // Sanity: the counter must actually observe allocations, or the
     // assertion below would pass vacuously.
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    std::hint::black_box(Vec::<u64>::with_capacity(32));
-    COUNTING.store(false, Ordering::SeqCst);
     assert!(
-        ALLOCS.load(Ordering::SeqCst) >= 1,
+        count(|| drop(std::hint::black_box(Vec::<u64>::with_capacity(32)))) >= 1,
         "counting allocator is not wired up"
     );
 
@@ -213,12 +148,7 @@ fn steady_state_event_loop_does_not_allocate() {
     sim.run_until(SimTime::from_secs(20.0));
     let events_before = sim.stats().events;
 
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    sim.run_until(SimTime::from_secs(40.0));
-    COUNTING.store(false, Ordering::SeqCst);
-
-    let window_allocs = ALLOCS.load(Ordering::SeqCst);
+    let window_allocs = count(|| sim.run_until(SimTime::from_secs(40.0)));
     let window_events = sim.stats().events - events_before;
     assert!(
         window_events > 10_000,
@@ -243,12 +173,7 @@ fn steady_state_event_loop_does_not_allocate() {
     sim.run_until(SimTime::from_secs(20.0));
     let events_before = sim.stats().events;
 
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    sim.run_until(SimTime::from_secs(40.0));
-    COUNTING.store(false, Ordering::SeqCst);
-
-    let window_allocs = ALLOCS.load(Ordering::SeqCst);
+    let window_allocs = count(|| sim.run_until(SimTime::from_secs(40.0)));
     let window_events = sim.stats().events - events_before;
     assert!(
         window_events > 10_000,
@@ -277,12 +202,7 @@ fn streamed_samples_do_not_allocate() {
         sim.run_until_with(SimTime::from_secs(5.0), &mut obs);
         let samples_before = obs.samples;
 
-        ALLOCS.store(0, Ordering::SeqCst);
-        COUNTING.store(true, Ordering::SeqCst);
-        sim.run_until_with(SimTime::from_secs(25.0), &mut obs);
-        COUNTING.store(false, Ordering::SeqCst);
-
-        let window_allocs = ALLOCS.load(Ordering::SeqCst);
+        let window_allocs = count(|| sim.run_until_with(SimTime::from_secs(25.0), &mut obs));
         let window_samples = obs.samples - samples_before;
         assert!(obs.sum.is_finite());
         assert!(

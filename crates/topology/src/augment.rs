@@ -160,23 +160,6 @@ impl ClusterGraph {
     pub fn intercluster_edge_count(&self) -> usize {
         self.base.edge_count() * self.cluster_size * self.cluster_size
     }
-
-    /// Node overhead factor over the base graph (= `k`).
-    #[must_use]
-    pub fn node_overhead(&self) -> usize {
-        self.cluster_size
-    }
-
-    /// Edge overhead factor over the base graph: total physical edges per
-    /// base edge, counting clique edges amortized over base edges
-    /// (`∞` is avoided by returning `None` for edgeless bases).
-    #[must_use]
-    pub fn edge_overhead(&self) -> Option<f64> {
-        if self.base.edge_count() == 0 {
-            return None;
-        }
-        Some(self.physical.edge_count() as f64 / self.base.edge_count() as f64)
-    }
 }
 
 #[cfg(test)]
@@ -245,13 +228,14 @@ mod tests {
     #[test]
     fn overhead_factors() {
         let cg = ClusterGraph::new(complete(4), 7, 2);
-        assert_eq!(cg.node_overhead(), 7);
-        let per_edge = cg.edge_overhead().unwrap();
+        assert_eq!(cg.physical().node_count(), 7 * 4);
         // 6 base edges -> 6·49 inter + 4·21 intra = 294 + 84 = 378 edges.
-        assert!((per_edge - 378.0 / 6.0).abs() < 1e-12);
-        assert!(ClusterGraph::new(Graph::new(2), 4, 1)
-            .edge_overhead()
-            .is_none());
+        assert_eq!(cg.intercluster_edge_count(), 294);
+        assert_eq!(cg.cluster_edge_count(), 84);
+        assert_eq!(cg.physical().edge_count(), 378);
+        let edgeless = ClusterGraph::new(Graph::new(2), 4, 1);
+        assert_eq!(edgeless.intercluster_edge_count(), 0);
+        assert_eq!(edgeless.physical().edge_count(), 2 * 6);
     }
 
     #[test]

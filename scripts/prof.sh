@@ -9,7 +9,11 @@
 # `ftgcs-benchmark --workload <workload> --trace 0`: one sample per
 # tick of the CPU-time timer (asked for every millisecond; a 250 Hz
 # kernel gives one every 4 ms), each the address of the interrupted
-# instruction. Prints the samples three ways, heaviest first:
+# instruction and whether its thread is the process's main one. Prints
+# the main thread's and the other threads' sample totals (a workload's
+# simulation runs on the main thread; `stream_dense` also formats its
+# CSV lines on an `ftgcs-csv` thread), then the main thread's samples
+# three ways, heaviest first:
 #
 #   by outer symbol   the function the address lies in, as `nm` names it
 #                     (what inlining left standing);
@@ -41,9 +45,13 @@ cc -O2 -shared -fPIC -o "$tmp/sampler.so" scripts/prof/sampler.c
 
 PROF_OUT="$tmp/samples" LD_PRELOAD="$tmp/sampler.so" \
     "$bin" --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 | grep -E '^(workload|work_per_s|run_wall_s) ?' || true
-total="$(wc -l < "$tmp/samples")"
-[ "$total" -gt 0 ] || { echo "prof.sh: no samples recorded" >&2; exit 1; }
 export LC_ALL=C
+awk '$2 == 1 { print $1 }' "$tmp/samples" > "$tmp/main"
+total="$(wc -l < "$tmp/main")"
+others="$(( $(wc -l < "$tmp/samples") - total ))"
+echo
+echo "== $total samples on the main thread, $others on other threads =="
+[ "$total" -gt 0 ] || { echo "prof.sh: no main-thread samples recorded" >&2; exit 1; }
 # The heaviest $top lines of a `count text` list, with their share. (awk
 # reads its input to the end: `head` would break the pipe under pipefail.)
 heaviest() {
@@ -52,12 +60,12 @@ heaviest() {
 }
 
 echo
-echo "== $total samples by outer symbol =="
+echo "== by outer symbol =="
 # One sorted stream of symbol starts (S) and samples (X): a sample
 # belongs to the last symbol at or before it.
 {
     nm -n -C --defined-only "$bin" | awk '$2 ~ /^[tTwW]$/ { name = substr($0, index($0, $3)); print $1, "S", name }'
-    awk '{ print $1, "X" }' "$tmp/samples"
+    awk '{ print $1, "X" }' "$tmp/main"
 } | sort -s -k1,2 | awk '
     $2 == "S" { name = substr($0, index($0, $3)); next }
     { count[$1 == "0000000000000000" ? "[outside the executable]" : name]++ }
@@ -67,7 +75,7 @@ echo "== $total samples by outer symbol =="
 # Every distinct address once through addr2line: `-a` starts each
 # answer with the address, then (function, file:line) pairs from the
 # innermost inlined frame outwards.
-sort "$tmp/samples" | uniq -c | awk '$2 != "0000000000000000" { print $1, $2 }' > "$tmp/counts"
+sort "$tmp/main" | uniq -c | awk '$2 != "0000000000000000" { print $1, $2 }' > "$tmp/counts"
 awk '{ print $2 }' "$tmp/counts" | addr2line -a -f -i -C -e "$bin" | awk '
     NR == FNR { count["0x" $2] = $1; next }
     /^0x/ { addr = $1; frame = 0; next }

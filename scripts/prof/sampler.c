@@ -1,23 +1,31 @@
 /* A SIGPROF sampling profiler to LD_PRELOAD (see scripts/prof.sh): every
  * millisecond of CPU time (or every kernel tick, if that is longer) it
  * records the interrupted instruction's address minus the executable's
- * load base, and at exit writes the samples, one 16-digit hex address a
- * line, to the file named by PROF_OUT. Samples outside the executable
- * (libc, the vdso) are written as 0. */
+ * load base and whether the interrupted thread is the process's main
+ * one, and at exit writes the samples, a 16-digit hex address and a
+ * 1 (main thread) or 0 (any other) a line, to the file named by
+ * PROF_OUT. Samples outside the executable (libc, the vdso) are written
+ * as address 0. */
 #define _GNU_SOURCE
 #include <link.h>
 #include <signal.h>
 #include <stdio.h>
 #include <stdlib.h>
+#include <sys/syscall.h>
 #include <sys/time.h>
 #include <ucontext.h>
+#include <unistd.h>
 
 #define CAP (1ul << 22)
 static unsigned long samples[CAP], count, base, end;
+static unsigned char on_main[CAP];
 
 static void on_prof(int sig, siginfo_t *info, void *uc) {
     unsigned long i = __atomic_fetch_add(&count, 1, __ATOMIC_RELAXED);
-    if (i < CAP) samples[i] = ((ucontext_t *)uc)->uc_mcontext.gregs[REG_RIP];
+    if (i < CAP) {
+        samples[i] = ((ucontext_t *)uc)->uc_mcontext.gregs[REG_RIP];
+        on_main[i] = syscall(SYS_gettid) == getpid();
+    }
     (void)sig, (void)info;
 }
 
@@ -49,6 +57,6 @@ __attribute__((destructor)) static void stop(void) {
     FILE *out = fopen(getenv("PROF_OUT") ? getenv("PROF_OUT") : "prof.out", "w");
     if (!out) return;
     for (unsigned long i = 0; i < count && i < CAP; i++)
-        fprintf(out, "%016lx\n", samples[i] >= base && samples[i] < end ? samples[i] - base : 0ul);
+        fprintf(out, "%016lx %d\n", samples[i] >= base && samples[i] < end ? samples[i] - base : 0ul, on_main[i]);
     fclose(out);
 }
