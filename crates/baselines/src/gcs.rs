@@ -253,6 +253,7 @@ mod tests {
     use ftgcs_sim::engine::SimConfig;
     use ftgcs_sim::network::{DelayConfig, DelayDistribution};
     use ftgcs_sim::time::{SimDuration, SimTime};
+    use ftgcs_sim::trace::Trace;
     use ftgcs_topology::generators::ring;
 
     fn sim_config() -> SimConfig {
@@ -276,8 +277,9 @@ mod tests {
         let cfg = GcsConfig::for_network(1e-4, 1e-3, 1e-4);
         let kappa = cfg.kappa;
         let mut sim = build_gcs_sim(&g, cfg, sim_config(), &[]);
-        sim.run_until(SimTime::from_secs(60.0));
-        let skew = local_skew_series(sim.trace(), &g, &FaultMask::none(8));
+        let mut trace = Trace::new();
+        sim.run_until_with(SimTime::from_secs(60.0), &mut trace);
+        let skew = local_skew_series(&trace, &g, &FaultMask::none(8));
         // Steady-state local skew should stay within a few kappa levels.
         let steady = skew.after(30.0).max().unwrap();
         assert!(steady < 6.0 * kappa, "steady local skew {steady}");
@@ -288,9 +290,10 @@ mod tests {
         let g = ring(8);
         let cfg = GcsConfig::for_network(1e-4, 1e-3, 1e-4);
         let mut sim = build_gcs_sim(&g, cfg, sim_config(), &[0]);
-        sim.run_until(SimTime::from_secs(120.0));
+        let mut trace = Trace::new();
+        sim.run_until_with(SimTime::from_secs(120.0), &mut trace);
         let faulty = FaultMask::from_nodes(8, &[0]);
-        let skew = local_skew_series(sim.trace(), &g, &faulty);
+        let skew = local_skew_series(&trace, &g, &faulty);
         // Divergence: skew in the second half far exceeds the first half.
         let early = skew.after(10.0).value_at_or_before(30.0).unwrap();
         let late = skew.last().unwrap();

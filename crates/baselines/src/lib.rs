@@ -125,6 +125,7 @@ mod tests {
     use super::*;
     use ftgcs_sim::clock::RateModel;
     use ftgcs_sim::time::{SimDuration, SimTime};
+    use ftgcs_sim::trace::Trace;
     use ftgcs_topology::generators::line;
 
     #[test]
@@ -138,7 +139,7 @@ mod tests {
         let g = line(2);
         let mut sim = build_free_run_sim(&g, config);
         assert_eq!(sim.logical_value(NodeId(0)), 0.0);
-        sim.run_until(SimTime::from_secs(100.0));
+        sim.run_until_with(SimTime::from_secs(100.0), &mut Trace::new());
         let l1 = sim.logical_value(NodeId(1));
         // Both run at the extreme rate 1+rho: equal clocks, rho*t ahead of
         // real time.

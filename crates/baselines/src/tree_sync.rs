@@ -131,6 +131,7 @@ mod tests {
     use ftgcs_sim::engine::SimConfig;
     use ftgcs_sim::network::{DelayConfig, DelayDistribution};
     use ftgcs_sim::time::{SimDuration, SimTime};
+    use ftgcs_sim::trace::Trace;
     use ftgcs_topology::generators::line;
 
     fn config() -> SimConfig {
@@ -152,8 +153,9 @@ mod tests {
     fn tree_sync_bounds_global_skew() {
         let g = line(6);
         let mut sim = build_tree_sim(&g, 0, config(), 0.5, Correction::Jump);
-        sim.run_until(SimTime::from_secs(20.0));
-        let final_clocks = sim.trace().final_logical().unwrap().to_vec();
+        let mut trace = Trace::new();
+        sim.run_until_with(SimTime::from_secs(20.0), &mut trace);
+        let final_clocks = trace.final_logical().unwrap().to_vec();
         let spread = final_clocks.iter().cloned().fold(f64::MIN, f64::max)
             - final_clocks.iter().cloned().fold(f64::MAX, f64::min);
         // Free-running would spread ~rho*t per hop pair; synced stays near
@@ -166,8 +168,9 @@ mod tests {
     fn jump_mode_clocks_never_go_backwards() {
         let g = line(4);
         let mut sim = build_tree_sim(&g, 0, config(), 0.2, Correction::Jump);
-        sim.run_until(SimTime::from_secs(5.0));
-        let samples = &sim.trace().samples;
+        let mut trace = Trace::new();
+        sim.run_until_with(SimTime::from_secs(5.0), &mut trace);
+        let samples = &trace.samples;
         for node in 0..4 {
             for w in samples.windows(2) {
                 assert!(
@@ -182,8 +185,9 @@ mod tests {
     fn slew_mode_also_synchronizes() {
         let g = line(4);
         let mut sim = build_tree_sim(&g, 0, config(), 0.2, Correction::Slew);
-        sim.run_until(SimTime::from_secs(30.0));
-        let final_clocks = sim.trace().final_logical().unwrap().to_vec();
+        let mut trace = Trace::new();
+        sim.run_until_with(SimTime::from_secs(30.0), &mut trace);
+        let final_clocks = trace.final_logical().unwrap().to_vec();
         let spread = final_clocks.iter().cloned().fold(f64::MIN, f64::max)
             - final_clocks.iter().cloned().fold(f64::MAX, f64::min);
         assert!(spread < 0.05, "slewed spread {spread}");

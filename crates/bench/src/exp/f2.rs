@@ -26,6 +26,7 @@ use ftgcs_sim::clock::RateModel;
 use ftgcs_sim::engine::SimConfig;
 use ftgcs_sim::network::{DelayConfig, DelayDistribution};
 use ftgcs_sim::time::{SimDuration, SimTime};
+use ftgcs_sim::trace::Trace;
 use ftgcs_topology::{generators, ClusterGraph, Graph};
 
 use crate::spec::SpecFile;
@@ -57,10 +58,11 @@ fn baseline_config(env: (f64, f64, f64), seed: u64) -> SimConfig {
 /// correction jump — the skew the wavefront carries across one edge.
 fn run_tree(g: &Graph, env: (f64, f64, f64), seed: u64) -> f64 {
     let mut sim = build_tree_sim(g, 0, baseline_config(env, seed), BEACON, Correction::Jump);
-    sim.run_until(SimTime::from_secs(STRETCH));
+    let mut trace = Trace::new();
+    sim.run_until_with(SimTime::from_secs(STRETCH), &mut trace);
     sim.set_delay_distribution(DelayDistribution::Minimal);
-    sim.run_until(SimTime::from_secs(STRETCH + COMPRESS));
-    sim.trace()
+    sim.run_until_with(SimTime::from_secs(STRETCH + COMPRESS), &mut trace);
+    trace
         .rows_of_kind(ROW_TREE_JUMP)
         .filter(|r| r.t.as_secs() > STRETCH)
         .map(|r| r.values[0])
@@ -69,9 +71,10 @@ fn run_tree(g: &Graph, env: (f64, f64, f64), seed: u64) -> f64 {
 
 fn run_free(g: &Graph, env: (f64, f64, f64), seed: u64) -> f64 {
     let mut sim = build_free_run_sim(g, baseline_config(env, seed));
-    sim.run_until(SimTime::from_secs(STRETCH + COMPRESS));
+    let mut trace = Trace::new();
+    sim.run_until_with(SimTime::from_secs(STRETCH + COMPRESS), &mut trace);
     let mask = FaultMask::none(g.node_count());
-    local_skew_series(sim.trace(), g, &mask)
+    local_skew_series(&trace, g, &mask)
         .after(1.0)
         .max()
         .unwrap_or(0.0)
@@ -83,13 +86,14 @@ fn run_ftgcs(spec: &SpecFile, base: &Graph, seed: u64) -> (f64, f64) {
     let mut scenario = Scenario::new(cg.clone(), params.clone());
     scenario.seed(seed);
     let mut sim = scenario.build();
-    sim.run_until(SimTime::from_secs(STRETCH));
+    let mut trace = Trace::new();
+    sim.run_until_with(SimTime::from_secs(STRETCH), &mut trace);
     sim.set_delay_distribution(DelayDistribution::Minimal);
-    sim.run_until(SimTime::from_secs(STRETCH + COMPRESS));
+    sim.run_until_with(SimTime::from_secs(STRETCH + COMPRESS), &mut trace);
     let run = ftgcs::runner::ScenarioRun {
         faulty: Vec::new(),
         stats: sim.stats(),
-        trace: sim.into_trace(),
+        trace,
     };
     let skews = measure_skews(&run, &cg, warmup(&params));
     (skews.local, params.local_skew_bound(base.node_count() - 1))

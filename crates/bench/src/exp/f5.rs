@@ -18,6 +18,7 @@ use ftgcs_sim::clock::RateModel;
 use ftgcs_sim::engine::SimConfig;
 use ftgcs_sim::network::{DelayConfig, DelayDistribution};
 use ftgcs_sim::time::{SimDuration, SimTime};
+use ftgcs_sim::trace::Trace;
 use ftgcs_topology::{generators, ClusterGraph};
 
 use crate::emit_table;
@@ -50,9 +51,10 @@ pub fn run(spec: &SpecFile) {
         ..SimConfig::default()
     };
     let mut gcs = build_gcs_sim(&ring, gcs_cfg, config, &[0]);
-    gcs.run_until(SimTime::from_secs(horizon));
+    let mut trace = Trace::new();
+    gcs.run_until_with(SimTime::from_secs(horizon), &mut trace);
     let gcs_mask = FaultMask::from_nodes(8, &[0]);
-    let gcs_local = local_skew_series(gcs.trace(), &ring, &gcs_mask);
+    let gcs_local = local_skew_series(&trace, &ring, &gcs_mask);
 
     // --- Side B: FTGCS, one two-faced node in EVERY cluster. ---
     let cg = ClusterGraph::new(ring.clone(), params.cluster_size, params.f);

@@ -25,6 +25,7 @@ use ftgcs::FaultKind;
 use ftgcs_metrics::skew::{cluster_local_skew_series, intra_cluster_skew_series, FaultMask};
 use ftgcs_sim::network::DelayDistribution;
 use ftgcs_sim::time::{SimDuration, SimTime};
+use ftgcs_sim::trace::Trace;
 use ftgcs_topology::{generators, ClusterGraph};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -44,18 +45,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let switch_at = 20.0;
     let horizon = 40.0;
     let mut sim = scenario.build();
-    sim.run_until(SimTime::from_secs(switch_at));
+    let mut trace = Trace::new();
+    sim.run_until_with(SimTime::from_secs(switch_at), &mut trace);
 
     // Phase 2 — compress: every message takes d − U, and we sample the
     // clocks 10x more densely to watch the switch land.
     sim.set_delay_distribution(DelayDistribution::Minimal);
     sim.set_sample_interval(Some(SimDuration::from_secs(params.t_round / 20.0)));
-    sim.run_until(SimTime::from_secs(horizon));
+    sim.run_until_with(SimTime::from_secs(horizon), &mut trace);
 
     let run = ScenarioRun {
         faulty,
         stats: sim.stats(),
-        trace: sim.into_trace(),
+        trace,
     };
     let mask = FaultMask::from_nodes(cg.physical().node_count(), &run.faulty);
     let warm = 3.0 * params.t_round;

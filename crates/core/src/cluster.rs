@@ -480,6 +480,7 @@ mod tests {
     use ftgcs_sim::network::{DelayConfig, DelayDistribution};
     use ftgcs_sim::node::Behavior;
     use ftgcs_sim::time::{SimDuration, SimTime};
+    use ftgcs_sim::trace::Trace;
     use std::sync::Mutex;
 
     /// Shared observation window for the harness.
@@ -604,7 +605,7 @@ mod tests {
         let s = b.add_node(Box::new(ScriptedPulser { at: pulse_times }));
         b.add_edge(h, s);
         let mut sim = b.build();
-        sim.run_until(SimTime::from_secs(horizon));
+        sim.run_until_with(SimTime::from_secs(horizon), &mut Trace::new());
         (probe, p)
     }
 
@@ -632,7 +633,7 @@ mod tests {
             initial_jump: 0.0,
         }));
         let mut sim = b.build();
-        sim.run_until(SimTime::from_secs(3.5 * p.t_round));
+        sim.run_until_with(SimTime::from_secs(3.5 * p.t_round), &mut Trace::new());
         let probe = probe.lock().unwrap();
         assert!(probe.rounds.len() >= 3, "rounds seen: {:?}", probe.rounds);
         assert_eq!(probe.rounds[0], 2);
@@ -726,7 +727,7 @@ mod tests {
         let s = b.add_node(Box::new(ScriptedPulser { at: honest }));
         b.add_edge(h, s);
         let mut sim = b.build();
-        sim.run_until(SimTime::from_secs(4.0 * p.t_round));
+        sim.run_until_with(SimTime::from_secs(4.0 * p.t_round), &mut Trace::new());
         let probe = probe.lock().unwrap();
         let limit = p.phi * p.tau3;
         assert!(
@@ -771,7 +772,7 @@ mod tests {
         let silent = b.add_node(Box::new(ScriptedPulser { at: vec![] }));
         b.add_edge(h, silent);
         let mut sim = b.build();
-        sim.run_until(SimTime::from_secs(0.9 * p.t_round));
+        sim.run_until_with(SimTime::from_secs(0.9 * p.t_round), &mut Trace::new());
         let probe = probe.lock().unwrap();
         assert_eq!(probe.deltas.len(), 1);
         assert!(probe.deltas[0].abs() < 1e-12, "delta {}", probe.deltas[0]);

@@ -241,6 +241,7 @@ mod tests {
     use ftgcs_sim::network::{DelayConfig, DelayDistribution};
     use ftgcs_sim::node::Behavior;
     use ftgcs_sim::time::{SimDuration, SimTime};
+    use ftgcs_sim::trace::Trace;
     use proptest::prelude::*;
     use std::sync::Arc;
     use std::sync::Mutex;
@@ -417,7 +418,10 @@ mod tests {
             values: Arc::clone(&values),
         };
         let mut sim = world(Box::new(harness), reporters, script, |j| j as f64 * STEP);
-        sim.run_until(SimTime::from_secs(script.len() as f64 * STEP + 2.0 * DELAY));
+        sim.run_until_with(
+            SimTime::from_secs(script.len() as f64 * STEP + 2.0 * DELAY),
+            &mut Trace::new(),
+        );
         let out = values.lock().unwrap().clone();
         out
     }
@@ -593,7 +597,7 @@ mod tests {
         };
         let mut sim = world(Box::new(rejoiner), 7, &script, at);
         let mut m_v_at = |t: f64| {
-            sim.run_until(SimTime::from_secs(t));
+            sim.run_until_with(SimTime::from_secs(t), &mut Trace::new());
             sim.track_value_of(NodeId(0), max_track)
         };
         let bump = |level: f64| level * unit + min_delay;

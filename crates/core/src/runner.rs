@@ -614,13 +614,12 @@ impl Scenario {
     /// convert rounds.
     #[must_use]
     pub fn run_for(&self, duration: impl Into<SimDuration>) -> ScenarioRun {
-        let mut sim = self.build();
-        sim.run_until(SimTime::ZERO + duration.into());
-        let stats = sim.stats();
+        let mut trace = Trace::new();
+        let (stats, _) = self.run_streaming(duration, &mut trace);
         ScenarioRun {
             faulty: self.faulty_nodes(),
             stats,
-            trace: sim.into_trace(),
+            trace,
         }
     }
 
@@ -630,11 +629,10 @@ impl Scenario {
     /// the accumulators in `ftgcs_metrics::stream`) regardless of run
     /// length. Calls [`Observer::on_finish`] once at the end.
     ///
-    /// The stream is byte-equivalent to the materialized trace of
-    /// [`Scenario::run_for`] on every scheduler — pinned by the
-    /// observer-equivalence suites. Returns the run's work counters and
-    /// its [`TelemetryReport`] (whose wall-clock phases are timed only
-    /// if [`Scenario::telemetry`] asked for it).
+    /// [`Scenario::run_for`] is this run streamed into a [`Trace`].
+    /// Returns the run's work counters and its [`TelemetryReport`]
+    /// (whose wall-clock phases are timed only if
+    /// [`Scenario::telemetry`] asked for it).
     pub fn run_streaming(
         &self,
         duration: impl Into<SimDuration>,

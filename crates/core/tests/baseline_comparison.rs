@@ -16,6 +16,7 @@ use ftgcs_sim::clock::RateModel;
 use ftgcs_sim::engine::SimConfig;
 use ftgcs_sim::network::{DelayConfig, DelayDistribution};
 use ftgcs_sim::time::{SimDuration, SimTime};
+use ftgcs_sim::trace::Trace;
 use ftgcs_topology::generators::{line, ring};
 
 fn sim_config(seed: u64) -> SimConfig {
@@ -39,10 +40,11 @@ fn tree_sync_compresses_global_skew_onto_one_edge() {
     // the wavefront visible as local skew.
     let g = line(8);
     let mut sim = build_tree_sim(&g, 0, sim_config(1), 5.0, Correction::Jump);
-    sim.run_until(SimTime::from_secs(60.0));
+    let mut trace = Trace::new();
+    sim.run_until_with(SimTime::from_secs(60.0), &mut trace);
     let mask = FaultMask::none(8);
-    let local = local_skew_series(sim.trace(), &g, &mask);
-    let global = global_skew_series(sim.trace(), &mask);
+    let local = local_skew_series(&trace, &g, &mask);
+    let global = global_skew_series(&trace, &mask);
     let max_local = local.after(10.0).max().unwrap();
     let max_global = global.after(10.0).max().unwrap();
     // The compression phenomenon: worst local skew within a constant
@@ -60,9 +62,10 @@ fn plain_gcs_diverges_under_one_byzantine_node() {
     let gcs_cfg = GcsConfig::for_network(1e-4, 1e-3, 1e-4);
     let kappa = gcs_cfg.kappa;
     let mut sim = build_gcs_sim(&g, gcs_cfg, sim_config(2), &[0]);
-    sim.run_until(SimTime::from_secs(150.0));
+    let mut trace = Trace::new();
+    sim.run_until_with(SimTime::from_secs(150.0), &mut trace);
     let faulty = FaultMask::from_nodes(8, &[0]);
-    let local = local_skew_series(sim.trace(), &g, &faulty);
+    let local = local_skew_series(&trace, &g, &faulty);
     // Divergence between *correct* neighbors: the late skew dwarfs both
     // kappa and the early skew.
     let early = local.value_at_or_before(20.0).unwrap();
@@ -107,7 +110,7 @@ fn free_running_clocks_drift_apart_linearly() {
     config.rho = 1e-3;
     let mut sim = ftgcs_baselines::build_free_run_sim(&g, config);
     // Pin extreme rates on the two nodes.
-    sim.run_until(SimTime::from_secs(0.0));
+    sim.run_until_with(SimTime::from_secs(0.0), &mut Trace::new());
     drop(sim);
     // Build again with explicit per-node overrides via the raw builder.
     let mut builder = ftgcs_sim::engine::SimBuilder::<ftgcs_baselines::BaseMsg>::new(SimConfig {
@@ -121,7 +124,7 @@ fn free_running_clocks_drift_apart_linearly() {
     builder.set_rate_model(a, RateModel::Constant { frac: 1.0 });
     builder.set_rate_model(b, RateModel::Constant { frac: 0.0 });
     let mut sim = builder.build();
-    sim.run_until(SimTime::from_secs(100.0));
+    sim.run_until_with(SimTime::from_secs(100.0), &mut Trace::new());
     let skew = (sim.logical_value(a) - sim.logical_value(b)).abs();
     assert!((skew - 100.0 * 1e-3).abs() < 1e-9, "skew {skew}");
 }

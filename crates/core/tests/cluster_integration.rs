@@ -10,6 +10,7 @@ use ftgcs_metrics::skew::{intra_cluster_skew_series, pulse_diameters, FaultMask}
 use ftgcs_sim::clock::RateModel;
 use ftgcs_sim::node::{NodeId, TrackId};
 use ftgcs_sim::time::SimTime;
+use ftgcs_sim::trace::Trace;
 use ftgcs_topology::generators::line;
 use ftgcs_topology::ClusterGraph;
 
@@ -148,7 +149,7 @@ fn estimators_track_neighbor_cluster_clocks() {
     let mut s = Scenario::new(cg.clone(), p.clone());
     s.seed(7).rate_model(RateModel::RandomConstant);
     let mut sim = s.build();
-    sim.run_until(SimTime::from_secs(30.0));
+    sim.run_until_with(SimTime::from_secs(30.0), &mut Trace::new());
     // Cluster 1's clock = midpoint of its members' extremes.
     let clocks: Vec<f64> = (4..8).map(|v| sim.logical_value(NodeId(v))).collect();
     let lmax = clocks.iter().cloned().fold(f64::MIN, f64::max);

@@ -7,6 +7,7 @@ use ftgcs::runner::Scenario;
 use ftgcs::FaultKind;
 use ftgcs_sim::node::{NodeId, TrackId};
 use ftgcs_sim::time::SimTime;
+use ftgcs_sim::trace::Trace;
 use ftgcs_topology::generators::line;
 use ftgcs_topology::ClusterGraph;
 
@@ -42,7 +43,7 @@ fn estimates_track_neighbor_cluster_clocks() {
     let mut scenario = Scenario::new(cg.clone(), p.clone());
     scenario.seed(71);
     let mut sim = scenario.build();
-    sim.run_until(SimTime::from_secs(20.0 * p.t_round));
+    sim.run_until_with(SimTime::from_secs(20.0 * p.t_round), &mut Trace::new());
 
     // Track layout: track 1+i estimates neighbor_clusters()[i]. On a
     // 2-cluster line each node has exactly one neighbor cluster.
@@ -76,7 +77,7 @@ fn estimates_stay_locked_under_byzantine_members() {
     );
     let faulty = scenario.faulty_nodes();
     let mut sim = scenario.build();
-    sim.run_until(SimTime::from_secs(20.0 * p.t_round));
+    sim.run_until_with(SimTime::from_secs(20.0 * p.t_round), &mut Trace::new());
 
     for v in cg.members(0) {
         let estimate = sim.track_value_of(NodeId(v), TrackId(1));
@@ -99,7 +100,7 @@ fn estimate_error_grows_gracefully_with_initial_offset() {
     let mut scenario = Scenario::new(cg.clone(), p.clone());
     scenario.seed(73).cluster_offset(1, 0.5 * p.kappa);
     let mut sim = scenario.build();
-    sim.run_until(SimTime::from_secs(30.0 * p.t_round));
+    sim.run_until_with(SimTime::from_secs(30.0 * p.t_round), &mut Trace::new());
 
     for v in cg.members(0) {
         let estimate = sim.track_value_of(NodeId(v), TrackId(1));
@@ -122,7 +123,7 @@ fn every_node_creates_the_documented_track_layout() {
     let mut scenario = Scenario::new(cg.clone(), p.clone());
     scenario.seed(74);
     let mut sim = scenario.build();
-    sim.run_until(SimTime::from_secs(p.t_round));
+    sim.run_until_with(SimTime::from_secs(p.t_round), &mut Trace::new());
     // Middle-cluster nodes estimate two clusters: tracks 0..=3 exist.
     for v in cg.members(1) {
         // Estimator tracks progress like clocks (≥ 1 rate): nonzero after

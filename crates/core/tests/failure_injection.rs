@@ -241,15 +241,16 @@ fn delay_regime_switch_mid_run_keeps_bounds() {
     // that breaks master/slave sync in experiment F2. FTGCS's trigger
     // slack must absorb it.
     use ftgcs_sim::time::SimTime;
+    use ftgcs_sim::trace::Trace;
     let p = params();
     let cg = ClusterGraph::new(line(3), 4, 1);
     let mut s = Scenario::new(cg.clone(), p.clone());
     s.seed(44).delay_distribution(DelayDistribution::Maximal);
     let mut sim = s.build();
-    sim.run_until(SimTime::from_secs(20.0));
+    let mut trace = Trace::new();
+    sim.run_until_with(SimTime::from_secs(20.0), &mut trace);
     sim.set_delay_distribution(DelayDistribution::Minimal);
-    sim.run_until(SimTime::from_secs(40.0));
-    let trace = sim.into_trace();
+    sim.run_until_with(SimTime::from_secs(40.0), &mut trace);
     let mask = FaultMask::none(cg.physical().node_count());
     let mut worst_local: f64 = 0.0;
     let mut worst_intra: f64 = 0.0;

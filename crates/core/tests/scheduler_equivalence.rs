@@ -13,6 +13,7 @@ use ftgcs::params::Params;
 use ftgcs::runner::Scenario;
 use ftgcs::FaultKind;
 use ftgcs_sim::shard::{resolve_workers, SchedulerKind};
+use ftgcs_sim::trace::Trace;
 use ftgcs_topology::{generators, ClusterGraph};
 
 fn scenario(seed: u64, faulty: bool) -> Scenario {
@@ -73,12 +74,13 @@ fn the_partition_of_parallel_4_depends_on_the_spec_alone() {
     let horizon = 0.02;
     let global = line().run_for(horizon);
     let mut sim = line().parallel(4).build();
-    sim.run_until(ftgcs_sim::time::SimTime::from_secs(horizon));
+    let mut trace = Trace::new();
+    sim.run_until_with(ftgcs_sim::time::SimTime::from_secs(horizon), &mut trace);
     let report = sim.telemetry();
     assert_eq!(report.shards, 16);
     assert_eq!(report.workers, Some(4));
     assert!(
-        sim.into_trace().byte_identical(&global.trace),
+        trace.byte_identical(&global.trace),
         "four workers on line 64 diverged from the global heap"
     );
 }

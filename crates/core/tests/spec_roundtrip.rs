@@ -516,8 +516,9 @@ fn hostile_corpus() -> Vec<Hostile> {
         ("env 0.3 1e-3 1e-4", 5, |s| s.rho = 0.3, None),
         (
             // `U` one ulp under `d`: a positive lookahead no window can
-            // add to a time past 1 ms. The engine's own stop is
-            // `RunError::LookaheadVanished` (pinned in `sim/src/par.rs`).
+            // add to a time past 1 ms. The engine's own stop is a
+            // "vanishes" panic at the stuck barrier (pinned in
+            // `sim/src/par.rs`).
             "env 1e-4 1e-3 0.0009999999999999998\nscheduler parallel 2",
             6,
             |s| {

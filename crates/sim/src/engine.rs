@@ -52,7 +52,7 @@ use crate::shard::{
 };
 use crate::telemetry::{EngineCounts, NodeCounts, Phase, Telemetry, TelemetryReport};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{ClockSample, Row, Trace};
+use crate::trace::{ClockSample, Row};
 
 /// Global simulation parameters.
 #[derive(Debug, Clone)]
@@ -218,46 +218,6 @@ pub struct SimStats {
     pub timers: u64,
 }
 
-/// A run that stopped early for a structural reason (as opposed to a
-/// behavior panic, which unwinds).
-///
-/// Returned by [`Simulation::try_run_until_with`]. Everything processed
-/// before the stop is preserved: the observer has every emitted row and
-/// sample, [`Simulation::now`] reports how far the run got, and the
-/// simulation stays usable (worker threads joined, queues intact) —
-/// though a retry of the same horizon reports the same error again.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
-pub enum RunError {
-    /// The parallel scheduler's conservative lookahead `d − U` fell
-    /// below the f64 time resolution at the current simulation time, so
-    /// no window can advance: `at + lookahead == at` in f64. This is a
-    /// livelock, not a soundness issue — it occurs only at extreme
-    /// magnitudes (`t / (d − U)` beyond ~2⁵³) where the float timeline
-    /// itself can no longer separate events by the minimum delay.
-    LookaheadVanished {
-        /// The barrier time the run could not advance past.
-        at: SimTime,
-        /// The configured lookahead that vanished.
-        lookahead: SimDuration,
-    },
-}
-
-impl std::fmt::Display for RunError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            RunError::LookaheadVanished { at, lookahead } => write!(
-                f,
-                "lookahead {} s vanishes at t = {at} (below f64 resolution): \
-                 parallel windows cannot advance",
-                lookahead.as_secs()
-            ),
-        }
-    }
-}
-
-impl std::error::Error for RunError {}
-
 /// All mutable state owned by one node: its clock, tracks, timer slab,
 /// and RNG streams. Behaviors only ever touch their own `NodeState`
 /// (via [`Ctx`]), which is the disjointness the parallel executor
@@ -402,7 +362,7 @@ pub(crate) struct NodeCell<M> {
 
 /// Engine data shared read-only by every dispatch (worker or serial):
 /// the configuration and the communication graph. Mutated only between
-/// [`Simulation::run_until`] calls.
+/// [`Simulation::run_until_with`] calls.
 pub(crate) struct SimShared {
     pub(crate) config: SimConfig,
     /// Every node's neighbour list, one after the other: `node`'s runs
@@ -1039,7 +999,7 @@ impl<M: Clone> SimBuilder<M> {
     }
 
     /// Finalizes the simulation. Behaviors' `on_start` runs on the first
-    /// [`Simulation::run_until`] call.
+    /// [`Simulation::run_until_with`] call.
     ///
     /// # Panics
     ///
@@ -1155,7 +1115,6 @@ impl<M: Clone> SimBuilder<M> {
             },
             cells,
             store,
-            trace: Trace::new(),
             counts: EngineCounts::default(),
             samples: Samples {
                 pending: None,
@@ -1175,7 +1134,6 @@ pub struct Simulation<M> {
     pub(crate) shared: SimShared,
     pub(crate) cells: Vec<NodeCell<M>>,
     pub(crate) store: EventStore<M>,
-    pub(crate) trace: Trace,
     /// Samples and windows, counted by whichever loop runs.
     pub(crate) counts: EngineCounts,
     /// Wall-clock phase timing (the `telemetry` flag).
@@ -1254,22 +1212,6 @@ impl<M> Simulation<M> {
             QueueStats::of_shards(&store.shards),
             per_worker,
         )
-    }
-
-    /// The trace recorded so far.
-    ///
-    /// Populated by [`Simulation::run_until`]/[`Simulation::run_for`];
-    /// streaming runs ([`Simulation::run_until_with`]) bypass it and
-    /// leave it empty.
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Consumes the simulation and returns its trace.
-    #[must_use]
-    pub fn into_trace(self) -> Trace {
-        self.trace
     }
 
     /// Current main logical clock value `L_v` of a node.
@@ -1362,75 +1304,40 @@ impl<M: Clone + Send> Simulation<M> {
         }
     }
 
-    /// Processes events until Newtonian time `until` (inclusive); `now()`
-    /// afterwards equals `until` even if the queue drained early.
-    ///
-    /// Samples and rows are collected into the internal [`Trace`]
-    /// (see [`Simulation::trace`]); this is exactly
-    /// [`Simulation::run_until_with`] pointed at that trace, which is
-    /// the collect-everything [`Observer`].
-    pub fn run_until(&mut self, until: SimTime) {
-        let mut trace = std::mem::take(&mut self.trace);
-        // Restore the trace even if the run panics, so everything
-        // recorded up to the panic stays inspectable (the historical
-        // contract, when the trace never left `self`). Unwind safety:
-        // the trace is written back whole and the panic re-raised
-        // immediately.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.run_until_with(until, &mut trace);
-        }));
-        self.trace = trace;
-        if let Err(panic) = outcome {
-            std::panic::resume_unwind(panic);
-        }
-    }
-
-    /// Processes events until `until`, streaming every sample and row to
-    /// `obs` instead of materializing them.
+    /// Processes events until Newtonian time `until` (inclusive),
+    /// streaming every sample and row to `obs`; `now()` afterwards equals
+    /// `until` even if the queue drained early. This is the one way to
+    /// run a simulation: a caller that wants the whole record passes a
+    /// [`Trace`](crate::trace::Trace), the collect-everything
+    /// [`Observer`].
     ///
     /// The observer receives samples and rows in the global dispatch
     /// order on every scheduler (the parallel executor merges its
-    /// per-shard buffers back into that order at each barrier), so a
-    /// collect-everything observer reproduces [`Simulation::run_until`]
-    /// byte-for-byte — pinned by `tests/observer_equivalence.rs`. The
-    /// internal trace stays empty during streaming runs. Callers should
-    /// invoke [`Observer::on_finish`] once after the last call. Panics
-    /// with the message of a structural stop (see [`RunError`]), which
-    /// [`Simulation::try_run_until_with`] returns instead.
-    pub fn run_until_with(&mut self, until: SimTime, obs: &mut dyn Observer) {
-        if let Err(e) = self.try_run_until_with(until, obs) {
-            panic!("{e}");
-        }
-    }
-
-    /// The one run body: [`Simulation::run_until_with`], with structural
-    /// stops (see [`RunError`]) coming back as `Err` instead of a panic.
+    /// per-shard buffers back into that order at each barrier), so the
+    /// collected trace is byte-identical across schedulers and worker
+    /// counts. Consecutive calls continue the run. Callers should invoke
+    /// [`Observer::on_finish`] once after the last call.
     ///
-    /// On `Err`, everything processed before the stop is preserved —
-    /// every row and sample below the stuck time has already been
-    /// streamed to `obs`, in order, [`Simulation::now`] reports the stuck
-    /// time, and the simulation stays alive. Behavior panics still
-    /// unwind — with the behavior's own payload, on either scheduler —
-    /// with the same partial-progress guarantee (the parallel executor's
-    /// granularity is the window: the rows of every completed one).
-    pub fn try_run_until_with(
-        &mut self,
-        until: SimTime,
-        obs: &mut dyn Observer,
-    ) -> Result<(), RunError> {
+    /// # Panics
+    ///
+    /// A behavior's panic unwinds with the behavior's own payload, on
+    /// either scheduler. The parallel scheduler also panics when its
+    /// lookahead `d − U` falls below the f64 resolution of the current
+    /// time, so that no window can advance (`ScenarioSpec`'s checks
+    /// refuse such a configuration before it gets here). Either way,
+    /// every row and sample emitted before the panic has already reached
+    /// `obs`, in order (on the parallel scheduler, the rows of every
+    /// completed window).
+    pub fn run_until_with(&mut self, until: SimTime, obs: &mut dyn Observer) {
         self.start_if_needed(obs);
         // Whole-run wall clock (telemetry side channel; inert stamp
         // when telemetry is off).
         let t0 = self.telemetry.stamp();
-        let result = match self.shared.config.scheduler {
-            SchedulerKind::Global => {
-                self.run_serial(until, obs);
-                Ok(())
-            }
+        match self.shared.config.scheduler {
+            SchedulerKind::Global => self.run_serial(until, obs),
             SchedulerKind::Parallel { .. } => self.run_parallel(until, obs),
-        };
+        }
         self.telemetry.phase(Phase::Total, t0);
-        result
     }
 
     /// The reference loop: the store's one shard, drained on the calling
@@ -1479,7 +1386,7 @@ impl<M: Clone + Send> Simulation<M> {
                     obs.on_row_owned(row);
                 }
             }
-            // Sampling continues across consecutive run_until calls: a
+            // Sampling continues across consecutive run_until_with calls: a
             // sample beyond `until` stays pending (`None` ends the chain;
             // a later set_sample_interval restarts it).
             let Some(time) = next.filter(|&time| time <= until) else {
@@ -1493,12 +1400,6 @@ impl<M: Clone + Send> Simulation<M> {
         }
         *now = until;
     }
-
-    /// Runs for a further duration of Newtonian time.
-    pub fn run_for(&mut self, duration: SimDuration) {
-        let until = self.now + duration;
-        self.run_until(until);
-    }
 }
 
 #[cfg(test)]
@@ -1506,6 +1407,7 @@ mod tests {
     use super::*;
     use crate::network::DelayDistribution;
     use crate::shard::Partition;
+    use crate::trace::Trace;
     use std::sync::{Arc, Mutex};
 
     #[derive(Clone)]
@@ -1587,15 +1489,16 @@ mod tests {
             b.add_node(Box::new(EmitThenBoom { ticks: 0 }));
             b.add_node(Box::new(EmitThenBoom { ticks: 0 }));
             let mut sim = b.build();
+            let mut trace = Trace::new();
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                sim.run_until(SimTime::from_secs(1.0));
+                sim.run_until_with(SimTime::from_secs(1.0), &mut trace);
             }));
             assert!(outcome.is_err(), "the behavior must have panicked");
-            // Everything materialized before the panic stays
-            // inspectable: both nodes' first two ticks (on the parallel
+            // Everything streamed before the panic is in the caller's
+            // trace: both nodes' first two ticks (on the parallel
             // scheduler, the rows of every completed window).
-            assert_eq!(sim.trace().rows.len(), 4);
-            assert!(sim.trace().rows.iter().all(|row| row.kind == "tick"));
+            assert_eq!(trace.rows.len(), 4);
+            assert!(trace.rows.iter().all(|row| row.kind == "tick"));
         }
     }
 
@@ -1615,7 +1518,7 @@ mod tests {
         }));
         b.add_edge(a, c);
         let mut sim = b.build();
-        sim.run_until(SimTime::from_secs(1.0));
+        sim.run_until_with(SimTime::from_secs(1.0), &mut Trace::new());
         let log = log.lock().unwrap();
         // Ping bounces: n1 at 1ms, n0 at 2ms, n1 at 3ms, ...
         assert!(log.len() >= 4);
@@ -1671,7 +1574,7 @@ mod tests {
             plan,
         }));
         let mut sim = b.build();
-        sim.run_until(SimTime::from_secs(100.0));
+        sim.run_until_with(SimTime::from_secs(100.0), &mut Trace::new());
         let v = fired.lock().unwrap().clone();
         v
     }
@@ -1724,7 +1627,7 @@ mod tests {
             fired: fired.clone(),
         }));
         let mut sim = b.build();
-        sim.run_until(SimTime::from_secs(10.0));
+        sim.run_until_with(SimTime::from_secs(10.0), &mut Trace::new());
         assert_eq!(*fired.lock().unwrap(), vec![2]);
     }
 
@@ -1815,7 +1718,7 @@ mod tests {
             plan,
         }));
         let mut sim = b.build();
-        sim.run_until(SimTime::from_secs(10.0));
+        sim.run_until_with(SimTime::from_secs(10.0), &mut Trace::new());
         let v = fired.lock().unwrap().clone();
         v
     }
@@ -1913,7 +1816,7 @@ mod tests {
             first: None,
         }));
         let mut sim = b.build();
-        sim.run_until(SimTime::from_secs(10.0));
+        sim.run_until_with(SimTime::from_secs(10.0), &mut Trace::new());
         assert_eq!(*fired.lock().unwrap(), vec![1, 2]);
     }
 
@@ -1939,9 +1842,10 @@ mod tests {
         let mut b = SimBuilder::new(fixed_delay_config());
         b.add_node(Box::new(Extra { track: None }));
         let mut sim = b.build();
-        sim.run_until(SimTime::from_secs(10.0));
+        let mut trace = Trace::new();
+        sim.run_until_with(SimTime::from_secs(10.0), &mut trace);
         // multiplier 0.5 → track gains 1.0 after 2 s.
-        let rows: Vec<_> = sim.trace().rows_of_kind("extra_fired").collect();
+        let rows: Vec<_> = trace.rows_of_kind("extra_fired").collect();
         assert_eq!(rows.len(), 1);
         assert!((rows[0].values[0] - 2.0).abs() < 1e-12);
         assert_eq!(
@@ -1959,8 +1863,9 @@ mod tests {
             fired: Arc::new(Mutex::new(Vec::new())),
         }));
         let mut sim = b.build();
-        sim.run_until(SimTime::from_secs(1.0));
-        let samples = &sim.trace().samples;
+        let mut trace = Trace::new();
+        sim.run_until_with(SimTime::from_secs(1.0), &mut trace);
+        let samples = &trace.samples;
         assert_eq!(samples.len(), 5); // t = 0, .25, .5, .75, 1.0
         assert!((samples[4].logical[0] - 1.0).abs() < 1e-12);
     }
@@ -1987,7 +1892,7 @@ mod tests {
             }));
             b.add_edge(a, c);
             let mut sim = b.build();
-            sim.run_until(SimTime::from_secs(1.0));
+            sim.run_until_with(SimTime::from_secs(1.0), &mut Trace::new());
             let v = log.lock().unwrap().clone();
             (v, sim.stats())
         };
@@ -2015,7 +1920,7 @@ mod tests {
             fired: Arc::new(Mutex::new(Vec::new())),
         }));
         let mut sim = b.build();
-        sim.run_until(SimTime::from_secs(1.0));
+        sim.run_until_with(SimTime::from_secs(1.0), &mut Trace::new());
     }
 
     #[test]
@@ -2042,9 +1947,10 @@ mod tests {
             fired: Arc::new(Mutex::new(Vec::new())),
         }));
         let mut sim = b.build();
-        sim.run_until(SimTime::from_secs(3.5));
+        let mut trace = Trace::new();
+        sim.run_until_with(SimTime::from_secs(3.5), &mut trace);
         assert_eq!(sim.now(), SimTime::from_secs(3.5));
-        sim.run_for(SimDuration::from_secs(0.5));
+        sim.run_until_with(SimTime::from_secs(4.0), &mut trace);
         assert_eq!(sim.now(), SimTime::from_secs(4.0));
         assert!((sim.logical_value(NodeId(0)) - 4.0).abs() < 1e-12);
     }
@@ -2058,15 +1964,16 @@ mod tests {
             fired: Arc::new(Mutex::new(Vec::new())),
         }));
         let mut sim = b.build();
-        sim.run_until(SimTime::from_secs(1.0));
-        let after_first = sim.trace().samples.len();
-        sim.run_until(SimTime::from_secs(2.0));
-        let after_second = sim.trace().samples.len();
+        let mut trace = Trace::new();
+        sim.run_until_with(SimTime::from_secs(1.0), &mut trace);
+        let after_first = trace.samples.len();
+        sim.run_until_with(SimTime::from_secs(2.0), &mut trace);
+        let after_second = trace.samples.len();
         assert!(after_first >= 10);
         // The sample chain must keep running in the second window.
         assert!(
             after_second >= after_first + 9,
-            "sampling died between run_until calls: {after_first} -> {after_second}"
+            "sampling died between calls: {after_first} -> {after_second}"
         );
     }
 
@@ -2079,11 +1986,12 @@ mod tests {
             fired: Arc::new(Mutex::new(Vec::new())),
         }));
         let mut sim = b.build();
-        sim.run_until(SimTime::from_secs(1.0));
-        let coarse = sim.trace().samples.len();
+        let mut trace = Trace::new();
+        sim.run_until_with(SimTime::from_secs(1.0), &mut trace);
+        let coarse = trace.samples.len();
         sim.set_sample_interval(Some(SimDuration::from_millis(10.0)));
-        sim.run_until(SimTime::from_secs(2.0));
-        let fine = sim.trace().samples.len() - coarse;
+        sim.run_until_with(SimTime::from_secs(2.0), &mut trace);
+        let fine = trace.samples.len() - coarse;
         assert!(coarse <= 4, "coarse phase oversampled: {coarse}");
         // The new interval takes effect after the pending coarse sample
         // (up to one old interval of latency), so ~50 of the 100 fine
@@ -2114,11 +2022,11 @@ mod tests {
         }));
         b.add_edge(a, c);
         let mut sim = b.build();
-        sim.run_until(SimTime::from_secs(0.0105));
+        sim.run_until_with(SimTime::from_secs(0.0105), &mut Trace::new());
         // ~10 hops at 1 ms each.
         let hops_maximal = log.lock().unwrap().len();
         sim.set_delay_distribution(DelayDistribution::Minimal);
-        sim.run_until(SimTime::from_secs(0.021));
+        sim.run_until_with(SimTime::from_secs(0.021), &mut Trace::new());
         let hops_minimal = log.lock().unwrap().len() - hops_maximal;
         // Same wall-clock window, half the delay: about twice the hops.
         assert!(

@@ -23,6 +23,7 @@
 //! use ftgcs_sim::engine::{Ctx, SimBuilder, SimConfig};
 //! use ftgcs_sim::node::{Behavior, NodeId, TimerTag, TrackId};
 //! use ftgcs_sim::time::{SimDuration, SimTime};
+//! use ftgcs_sim::trace::Trace;
 //!
 //! // A node that speeds its logical clock up by 1% at logical time 5.
 //! struct SpeedUp;
@@ -42,7 +43,8 @@
 //! });
 //! let v = builder.add_node(Box::new(SpeedUp));
 //! let mut sim = builder.build();
-//! sim.run_until(SimTime::from_secs(10.0));
+//! let mut trace = Trace::new();
+//! sim.run_until_with(SimTime::from_secs(10.0), &mut trace);
 //! assert!((sim.logical_value(v) - (5.0 + 5.0 * 1.01)).abs() < 1e-12);
 //! ```
 

@@ -14,11 +14,12 @@
 //! skew accumulators, windowed CSV writers — see `ftgcs_metrics`) then
 //! keep O(nodes) state regardless of run length.
 //!
-//! [`Trace`] itself is reimplemented as the collect-everything observer:
-//! `Simulation::run_until` is literally `run_until_with` pointed at the
-//! simulation's internal `Trace`. The observer/trace equivalence suite
-//! (`tests/observer_equivalence.rs`) pins the two paths byte-identical
-//! on every scheduler.
+//! [`Trace`] itself is the collect-everything observer: a caller that
+//! wants the whole record creates one and passes it to
+//! `Simulation::run_until_with`, the one way to run a simulation. The
+//! observer-equivalence suite (`tests/observer_equivalence.rs`) pins
+//! the collected trace byte-identical across schedulers, worker counts
+//! and stepping.
 //!
 //! # Examples
 //!
@@ -100,8 +101,6 @@ use crate::trace::{ClockSample, Row, Trace};
 /// sim.run_until_with(SimTime::from_secs(1.0), &mut spread);
 /// spread.on_finish(&sim.stats());
 /// assert!(spread.0 >= 0.0);
-/// // The internal trace stays empty: nothing was materialized.
-/// assert!(sim.trace().samples.is_empty());
 /// ```
 pub trait Observer {
     /// Called for every periodic engine-global clock sample, in time

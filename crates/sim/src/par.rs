@@ -91,23 +91,22 @@
 //! rendezvous is hand-rolled because the build environment has no
 //! crates.io access.
 //!
-//! ## Panics and structured stops
+//! ## Panics
 //!
 //! A behaviour that panics inside a window keeps its message whichever
 //! thread ran its shard: the executor catches the unwind, stores the
 //! payload at the gate and finishes the window like any other; the
 //! coordinator, once every executor has acknowledged, re-raises the
-//! original payload from `run_until`. Rows of every completed window
-//! have reached the observer by then. The coordinator releases the
-//! spawned workers from a drop guard, so neither that unwind nor one out
-//! of its own barrier work (an observer, say) can leave a worker waiting
-//! while the scope joins it.
+//! original payload from `run_until_with`. Rows of every completed
+//! window have reached the observer by then. The coordinator releases
+//! the spawned workers from a drop guard, so neither that unwind nor one
+//! out of its own barrier work (an observer, say) can leave a worker
+//! waiting while the scope joins it.
 //!
 //! A lookahead below the f64 ulp of the current simulation time cannot
-//! advance any window; the coordinator surfaces that as the structured
-//! [`RunError::LookaheadVanished`] from
-//! [`Simulation::try_run_until_with`] (with every processed row
-//! preserved) instead of panicking mid-run.
+//! advance any window. The coordinator panics at that barrier, between
+//! windows, so every processed row has reached the observer and no
+//! worker is mid-window when the drop guard releases it.
 
 use std::any::Any;
 use std::cmp::Reverse;
@@ -115,9 +114,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::engine::{
-    run_event, NodeCell, Pending, Queue, RunError, Samples, SimShared, Simulation,
-};
+use crate::engine::{run_event, NodeCell, Pending, Queue, Samples, SimShared, Simulation};
 use crate::observe::Observer;
 use crate::shard::{Key, Partition, Shard};
 use crate::telemetry::{Claims, EngineCounts, Phase, ShardReport, Telemetry, WorkerReport};
@@ -391,13 +388,9 @@ struct Pool<'a, M> {
 }
 
 impl<M: Clone + Send> Simulation<M> {
-    /// The parallel twin of the serial `run_until` loop. Called with the
-    /// boot phase already done.
-    pub(crate) fn run_parallel(
-        &mut self,
-        until: SimTime,
-        obs: &mut dyn Observer,
-    ) -> Result<(), RunError> {
+    /// The parallel twin of `run_serial`. Called with the boot phase
+    /// already done.
+    pub(crate) fn run_parallel(&mut self, until: SimTime, obs: &mut dyn Observer) {
         let Simulation {
             now,
             shared,
@@ -476,7 +469,7 @@ impl<M: Clone + Send> Simulation<M> {
             clippy::disallowed_methods,
             reason = "the parallel executor: workers run behind the lookahead barrier"
         )]
-        let result = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             // Before the first spawn, so that a failed one cannot strand
             // its predecessors either.
             let _release = ReleaseOnDrop(&pool.gate);
@@ -487,30 +480,18 @@ impl<M: Clone + Send> Simulation<M> {
                     .spawn_scoped(scope, move || worker_loop(w as u32, pool))
                     .expect("spawn parallel worker thread");
             }
-            windows.coordinate(&pool)
+            windows.coordinate(&pool);
         });
 
         // Arrivals staged after a shard's last window (all beyond the
-        // final cap) survive into the next run_until call.
+        // final cap) survive into the next run_until_with call.
         let Pool { tasks, inboxes, .. } = pool;
         for (task, inbox) in tasks.into_iter().zip(inboxes) {
             let task = task.into_inner().expect("task poisoned");
             let mut inbox = inbox.into_inner().expect("inbox poisoned");
             task.work.merged_in += inbox.drain_into(task.shard);
         }
-        match result {
-            Ok(()) => {
-                *now = until;
-                Ok(())
-            }
-            Err(err) => {
-                // The stuck barrier time: everything below it was
-                // processed and emitted, nothing at or above it ran.
-                let RunError::LookaheadVanished { at, .. } = err;
-                *now = (*now).max(at);
-                Err(err)
-            }
-        }
+        *now = until;
     }
 }
 
@@ -545,7 +526,7 @@ impl Windows<'_> {
     /// The barrier loop: collect the last window's results and scan the
     /// shard fronts, emit the window's rows, fire due samples, set the
     /// cap, deal shards to executors, run the window as worker 0.
-    fn coordinate<M: Clone + Send>(&mut self, pool: &Pool<'_, M>) -> Result<(), RunError> {
+    fn coordinate<M: Clone + Send>(&mut self, pool: &Pool<'_, M>) {
         let mut outbox = new_outbox(pool.tasks.len());
         let mut ran_window = false;
         loop {
@@ -606,16 +587,16 @@ impl Windows<'_> {
             }
             self.telemetry.phase(Phase::Merge, t_merge);
             if t_min == time_inf() || t_min > self.until {
-                return Ok(());
+                return;
             }
 
-            // Set the cap and deal shards to executors; fails (cleanly,
-            // every processed row already emitted) if the lookahead has
-            // vanished below the f64 ulp at this magnitude.
+            // Set the cap and deal shards to executors; panics (cleanly,
+            // between windows, every processed row already emitted) if
+            // the lookahead has vanished below the f64 ulp at this
+            // magnitude.
             let t_barrier = self.telemetry.stamp();
-            let planned = self.plan_window(pool, t_min);
+            self.plan_window(pool, t_min);
             self.telemetry.phase(Phase::Barrier, t_barrier);
-            planned?;
             ran_window = true;
             let t_exec = self.telemetry.stamp();
             pool.gate.open();
@@ -635,17 +616,21 @@ impl Windows<'_> {
     /// Sets this window's cap, checks progress, and deals the due shards
     /// to executors (greedy LPT over cost estimates). All stores are
     /// published to workers by the subsequent gate open.
-    fn plan_window<M>(&mut self, pool: &Pool<'_, M>, t_min: SimTime) -> Result<(), RunError> {
-        // If the global front cannot advance, `L` has vanished below
-        // the f64 ulp at this magnitude and every future window would
-        // be empty.
+    ///
+    /// # Panics
+    ///
+    /// If the global front cannot advance: `L` has vanished below the
+    /// f64 ulp at this magnitude, and every future window would be
+    /// empty. This is a livelock, not a soundness issue; it occurs only
+    /// where `t / (d − U)` exceeds about 2⁵³.
+    fn plan_window<M>(&mut self, pool: &Pool<'_, M>, t_min: SimTime) {
         let reach = t_min + self.lookahead;
-        if reach <= t_min {
-            return Err(RunError::LookaheadVanished {
-                at: t_min,
-                lookahead: self.lookahead,
-            });
-        }
+        assert!(
+            reach > t_min,
+            "lookahead {} s vanishes at t = {t_min} (below f64 resolution): \
+             parallel windows cannot advance",
+            self.lookahead.as_secs()
+        );
         // Never past the next engine sample: samples must dispatch
         // before any event at/after them. (The pending sample is past
         // `t_min` here — the due ones just fired — so the window stays
@@ -684,7 +669,6 @@ impl Windows<'_> {
             pool.deal[s as usize].store(w as u32, Ordering::Relaxed);
             self.bins[w] += self.shard_cost[s as usize] + 1;
         }
-        Ok(())
     }
 }
 
@@ -820,7 +804,7 @@ fn advance_shard<M: Clone + Send>(s: usize, pool: &Pool<'_, M>, outbox: &mut [Ba
 
 #[cfg(test)]
 mod tests {
-    use crate::engine::{Ctx, RunError, SimBuilder, SimConfig};
+    use crate::engine::{Ctx, SimBuilder, SimConfig};
     use crate::node::{Behavior, NodeId, TimerTag, TrackId};
     use crate::shard::{Partition, SchedulerKind};
     use crate::time::{SimDuration, SimTime};
@@ -872,9 +856,10 @@ mod tests {
 
     fn run(scheduler: SchedulerKind) -> Vec<u8> {
         let mut sim = ring_sim(8, scheduler);
-        sim.run_until(SimTime::from_secs(0.5));
-        sim.run_for(SimDuration::from_secs(0.25));
-        sim.into_trace().to_bytes()
+        let mut trace = Trace::new();
+        sim.run_until_with(SimTime::from_secs(0.5), &mut trace);
+        sim.run_until_with(SimTime::from_secs(0.75), &mut trace);
+        trace.to_bytes()
     }
 
     #[test]
@@ -892,16 +877,18 @@ mod tests {
 
     #[test]
     fn pool_survives_many_fine_grained_steps() {
-        // Every `run_until` is a scope of its own: stepping in many
+        // Every `run_until_with` is a scope of its own: stepping in many
         // small increments (150 of them, each spawning and joining its
         // worker) must reproduce the one-shot trace exactly.
         let one_shot = run(paired(2));
         let mut sim = ring_sim(8, paired(2));
+        let mut trace = Trace::new();
         for _ in 0..150 {
-            sim.run_for(SimDuration::from_millis(5.0));
+            let next = sim.now() + SimDuration::from_millis(5.0);
+            sim.run_until_with(next, &mut trace);
         }
         assert_eq!(
-            sim.into_trace().to_bytes(),
+            trace.to_bytes(),
             one_shot,
             "stepping granularity changed the trace"
         );
@@ -924,7 +911,8 @@ mod tests {
                 workers: 4,
             },
         );
-        sim.run_until(SimTime::from_secs(0.5));
+        let mut trace = Trace::new();
+        sim.run_until_with(SimTime::from_secs(0.5), &mut trace);
         let loads: Vec<u64> = (sim.telemetry().diagnostics.per_worker.iter())
             .map(|w| w.planned_events)
             .collect();
@@ -941,14 +929,11 @@ mod tests {
         // The trace must still match the serial reference exactly.
         let reference = {
             let mut s = ring_sim(32, SchedulerKind::Global);
-            s.run_until(SimTime::from_secs(0.5));
-            s.into_trace().to_bytes()
+            let mut reference = Trace::new();
+            s.run_until_with(SimTime::from_secs(0.5), &mut reference);
+            reference.to_bytes()
         };
-        assert_eq!(
-            sim.into_trace().to_bytes(),
-            reference,
-            "deal-out changed the trace"
-        );
+        assert_eq!(trace.to_bytes(), reference, "deal-out changed the trace");
     }
 
     /// A behavior whose second timer lands at a magnitude where the
@@ -1004,34 +989,34 @@ mod tests {
     }
 
     #[test]
-    fn vanishing_lookahead_is_a_structured_error() {
+    fn vanishing_lookahead_panics_after_the_emitted_rows() {
         let mut sim = far_timer_sim(1);
         let mut trace = Trace::new();
-        let err = sim
-            .try_run_until_with(SimTime::from_secs(1.0), &mut trace)
-            .expect_err("lookahead must vanish at t = 0.01");
-        let RunError::LookaheadVanished { at, lookahead } = err;
-        assert_eq!(at, SimTime::from_secs(0.01));
-        assert!(lookahead.is_positive());
-        assert!(err.to_string().contains("vanishes"), "got: {err}");
-        // The partial trace (the rows emitted at t = 1e-4) survives.
-        assert!(!trace.to_bytes().is_empty(), "partial trace lost on error");
-        // The clock stopped at the stuck barrier, and retrying reports
-        // the same error instead of wedging or panicking.
-        assert_eq!(sim.now(), SimTime::from_secs(0.01));
-        let again = sim.try_run_until_with(SimTime::from_secs(1.0), &mut trace);
-        assert_eq!(again, Err(err));
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            sim.run_until_with(SimTime::from_secs(1.0), &mut trace);
+        }));
+        let payload = outcome.expect_err("lookahead must vanish at t = 0.01");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert!(
+            message.contains("vanishes at t = 0.010000s"),
+            "got: {message}"
+        );
+        // The rows emitted before the stuck barrier (both nodes' at
+        // t = 1e-4) are in the caller's trace.
+        assert_eq!(trace.rows.len(), 2, "partial trace lost on the panic");
+        assert!(trace.rows.iter().all(|row| row.kind == "early"));
     }
 
     #[test]
     #[should_panic(expected = "vanishes")]
-    fn vanishing_lookahead_panics_via_run_until() {
-        // Two real threads: the error must come out of `run_until` as
-        // a panic *after* a clean barrier stop — the worker released
-        // and joined by the scope — not as a mid-window deadlock, which
-        // would hang (and fail) the test.
+    fn vanishing_lookahead_panics_with_two_threads() {
+        // Two real threads: the panic must come *after* a clean barrier
+        // stop — the worker released and joined by the scope — not as a
+        // mid-window deadlock, which would hang (and fail) the test.
         let mut sim = far_timer_sim(2);
-        sim.run_until(SimTime::from_secs(1.0));
+        sim.run_until_with(SimTime::from_secs(1.0), &mut Trace::new());
     }
 
     #[test]
@@ -1073,7 +1058,7 @@ mod tests {
                 }
                 let mut sim = b.build();
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    sim.run_until(SimTime::from_secs(1.0));
+                    sim.run_until_with(SimTime::from_secs(1.0), &mut Trace::new());
                 }));
                 payloads.push(outcome.expect_err("the bomb must go off"));
             }

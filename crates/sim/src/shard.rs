@@ -171,7 +171,7 @@ fn resolve_workers_from(requested: usize, avail: usize, shards: usize) -> usize 
 /// throughput. Both keep their events in the same store of per-shard
 /// calendar queues: `Global` drains its one shard in a plain loop on the
 /// calling thread; `Parallel` runs one queue per shard, on the calling
-/// thread and `workers − 1` threads scoped to the `run_until` call,
+/// thread and `workers − 1` threads scoped to the `run_until_with` call,
 /// between conservative lookahead barriers.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum SchedulerKind {

@@ -89,7 +89,7 @@ pub enum Phase {
     /// Collecting the shards' results and fronts, merging rows back
     /// into global order, plus sample firing.
     Merge,
-    /// The whole `run_until` span (all schedulers).
+    /// The whole `run_until_with` span (all schedulers).
     Total,
 }
 
@@ -476,7 +476,7 @@ pub struct Diagnostics {
 /// contract.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WallClock {
-    /// Total host seconds spent inside `run_until` calls.
+    /// Total host seconds spent inside `run_until_with` calls.
     pub total_secs: f64,
     /// Coordinator barrier work (window cap, deal).
     pub barrier_secs: f64,

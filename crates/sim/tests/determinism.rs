@@ -61,8 +61,9 @@ fn run(seed: u64) -> Trace {
         builder.add_edge(ids[i], ids[(i + 1) % n]);
     }
     let mut sim: Simulation<u64> = builder.build();
-    sim.run_until(SimTime::from_secs(20.0));
-    sim.into_trace()
+    let mut trace = Trace::new();
+    sim.run_until_with(SimTime::from_secs(20.0), &mut trace);
+    trace
 }
 
 #[test]

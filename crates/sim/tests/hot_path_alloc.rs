@@ -22,7 +22,7 @@ use ftgcs_sim::node::{Behavior, NodeId, TimerTag, TrackId};
 use ftgcs_sim::observe::Observer;
 use ftgcs_sim::shard::{Partition, SchedulerKind};
 use ftgcs_sim::time::{SimDuration, SimTime};
-use ftgcs_sim::trace::ClockSample;
+use ftgcs_sim::trace::{ClockSample, Trace};
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -145,10 +145,11 @@ fn steady_state_event_loop_does_not_allocate() {
     // Warm-up: reach the allocation high-water mark (queue capacities,
     // timer slot pool, RNG state). 20 simulated seconds ≈ 400 phases
     // per node.
-    sim.run_until(SimTime::from_secs(20.0));
+    let mut trace = Trace::new();
+    sim.run_until_with(SimTime::from_secs(20.0), &mut trace);
     let events_before = sim.stats().events;
 
-    let window_allocs = count(|| sim.run_until(SimTime::from_secs(40.0)));
+    let window_allocs = count(|| sim.run_until_with(SimTime::from_secs(40.0), &mut trace));
     let window_events = sim.stats().events - events_before;
     assert!(
         window_events > 10_000,
@@ -170,10 +171,11 @@ fn steady_state_event_loop_does_not_allocate() {
     // the side channel may never put a per-event allocation on the hot
     // path.
     let mut sim = build_with(8, true);
-    sim.run_until(SimTime::from_secs(20.0));
+    let mut trace = Trace::new();
+    sim.run_until_with(SimTime::from_secs(20.0), &mut trace);
     let events_before = sim.stats().events;
 
-    let window_allocs = count(|| sim.run_until(SimTime::from_secs(40.0)));
+    let window_allocs = count(|| sim.run_until_with(SimTime::from_secs(40.0), &mut trace));
     let window_events = sim.stats().events - events_before;
     assert!(
         window_events > 10_000,

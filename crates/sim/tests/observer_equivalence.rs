@@ -1,12 +1,10 @@
-//! Streaming-observer ⇄ materialized-trace equivalence.
+//! What an observer receives does not depend on how the run is driven.
 //!
-//! The observer redesign must not change a single byte of recorded
-//! output: for every scheduler kind (global queue, parallel on several
-//! worker counts), streaming the run through a
-//! collect-everything observer must reproduce the materialized
-//! [`Trace`] exactly, and stepping the simulation in fine increments
-//! must match the one-shot run byte-for-byte (where a call's window
-//! boundaries fall must be invisible to results).
+//! A fan-out must feed every sink the whole stream, and stepping the
+//! simulation in fine increments must collect, on every scheduler kind
+//! (global queue, parallel on several worker counts), the trace of the
+//! one-shot global run byte-for-byte: where a call's window boundaries
+//! fall must be invisible to results.
 
 use ftgcs_sim::engine::{Ctx, SimBuilder, SimConfig, Simulation};
 use ftgcs_sim::node::{Behavior, NodeId, TimerTag, TrackId};
@@ -66,38 +64,19 @@ fn schedulers() -> Vec<(String, SchedulerKind)> {
     kinds
 }
 
-/// One materialized run of the workload under `scheduler`.
-fn materialized(scheduler: SchedulerKind) -> Trace {
-    let mut sim = build(scheduler);
-    sim.run_until(SimTime::from_secs(HORIZON));
-    sim.into_trace()
-}
-
-#[test]
-fn streaming_observer_matches_materialized_trace_on_every_scheduler() {
-    let reference = materialized(SchedulerKind::Global).to_bytes();
-    assert!(!reference.is_empty());
-    for (name, kind) in schedulers() {
-        // Stream the identical run into a collect-everything observer.
-        let mut sim = build(kind);
-        let mut collected = Trace::new();
-        sim.run_until_with(SimTime::from_secs(HORIZON), &mut collected);
-        collected.on_finish(&sim.stats());
-        assert!(
-            sim.trace().samples.is_empty() && sim.trace().rows.is_empty(),
-            "{name}: streaming run must not materialize the internal trace"
-        );
-        assert_eq!(
-            collected.to_bytes(),
-            reference,
-            "{name}: streamed output diverged from the materialized trace"
-        );
-    }
+/// The trace of one run of the workload on the global scheduler.
+fn reference() -> Vec<u8> {
+    let mut sim = build(SchedulerKind::Global);
+    let mut trace = Trace::new();
+    sim.run_until_with(SimTime::from_secs(HORIZON), &mut trace);
+    let bytes = trace.to_bytes();
+    assert!(!bytes.is_empty());
+    bytes
 }
 
 #[test]
 fn fanout_observer_feeds_every_sink_the_full_stream() {
-    let reference = materialized(SchedulerKind::Global).to_bytes();
+    let reference = reference();
     let mut sim = build(SchedulerKind::Global);
     let mut a = Trace::new();
     let mut b = Trace::new();
@@ -112,24 +91,25 @@ fn fanout_observer_feeds_every_sink_the_full_stream() {
 
 #[test]
 fn stepping_granularity_never_changes_the_trace() {
-    // Fine-grained driver stepping (many run_until calls) must be
-    // byte-identical to one long call, on the serial and the parallel
-    // engines alike — every call is a thread scope of its own, and the
-    // step boundaries fall at arbitrary times (including mid-window
-    // for the parallel executor).
+    // Fine-grained driver stepping (many run_until_with calls) must be
+    // byte-identical to one long global run, on the serial and the
+    // parallel engines alike — every call is a thread scope of its own,
+    // and the step boundaries fall at arbitrary times (including
+    // mid-window for the parallel executor).
+    let reference = reference();
     for (name, kind) in schedulers() {
-        let reference = materialized(kind.clone()).to_bytes();
         for step_ms in [7.0, 50.0] {
             let mut sim = build(kind.clone());
+            let mut trace = Trace::new();
             let step = SimDuration::from_millis(step_ms);
             while sim.now() < SimTime::from_secs(HORIZON) {
                 let next = (sim.now() + step).min(SimTime::from_secs(HORIZON));
-                sim.run_until(next);
+                sim.run_until_with(next, &mut trace);
             }
             assert_eq!(
-                sim.into_trace().to_bytes(),
+                trace.to_bytes(),
                 reference,
-                "{name}: stepping at {step_ms} ms diverged from the one-shot run"
+                "{name}: stepping at {step_ms} ms diverged from the one-shot global run"
             );
         }
     }
@@ -139,7 +119,7 @@ fn stepping_granularity_never_changes_the_trace() {
 fn streaming_and_stepping_compose() {
     // Stream a stepped parallel run into an observer: both redesign
     // axes at once.
-    let reference = materialized(SchedulerKind::Global).to_bytes();
+    let reference = reference();
     let kind = SchedulerKind::Parallel {
         partition: Partition::by_blocks(NODES, 2),
         workers: 2,

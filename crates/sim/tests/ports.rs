@@ -19,7 +19,7 @@ use ftgcs_sim::network::{DelayConfig, DelayDistribution};
 use ftgcs_sim::node::{Behavior, NodeId, TimerTag, TrackId};
 use ftgcs_sim::shard::{Partition, SchedulerKind};
 use ftgcs_sim::time::{SimDuration, SimTime};
-use ftgcs_sim::trace::Row;
+use ftgcs_sim::trace::{Row, Trace};
 use proptest::prelude::*;
 
 /// The shape of the algorithm crates' messages: 16 bytes, and room in
@@ -156,9 +156,10 @@ fn deliveries(
         b.add_edge(NodeId(x), NodeId(y));
     }
     let mut sim = b.build();
-    sim.run_until(SimTime::from_secs(0.1));
+    let mut trace = Trace::new();
+    sim.run_until_with(SimTime::from_secs(0.1), &mut trace);
     assert_eq!(sim.node_count(), n);
-    let rows = sim.into_trace().rows;
+    let rows = trace.rows;
     rows.into_iter()
         .map(
             |Row {

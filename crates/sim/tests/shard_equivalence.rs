@@ -167,9 +167,10 @@ fn build(topology: &str, n: usize, seed: u64, scheduler: SchedulerKind) -> Simul
 
 fn run(topology: &str, n: usize, seed: u64, scheduler: SchedulerKind) -> (Trace, SimStats) {
     let mut sim = build(topology, n, seed, scheduler);
-    sim.run_until(SimTime::from_secs(1.0));
+    let mut trace = Trace::new();
+    sim.run_until_with(SimTime::from_secs(1.0), &mut trace);
     let stats = sim.stats();
-    (sim.into_trace(), stats)
+    (trace, stats)
 }
 
 /// The partitions each cell is checked under.
@@ -264,14 +265,15 @@ fn mid_run_reconfiguration_stays_equivalent() {
     // agree afterwards.
     let drive = |scheduler: SchedulerKind| {
         let mut sim = build("clique", 8, 7, scheduler);
-        sim.run_until(SimTime::from_secs(0.3));
+        let mut trace = Trace::new();
+        sim.run_until_with(SimTime::from_secs(0.3), &mut trace);
         sim.set_delay_distribution(DelayDistribution::Minimal);
         sim.set_sample_interval(Some(SimDuration::from_millis(10.0)));
-        sim.run_until(SimTime::from_secs(0.6));
+        sim.run_until_with(SimTime::from_secs(0.6), &mut trace);
         sim.set_delay_distribution(DelayDistribution::Maximal);
-        sim.run_until(SimTime::from_secs(1.0));
+        sim.run_until_with(SimTime::from_secs(1.0), &mut trace);
         let stats = sim.stats();
-        (sim.into_trace().to_bytes(), stats)
+        (trace.to_bytes(), stats)
     };
     let (global, gs) = drive(SchedulerKind::Global);
     for workers in [1usize, 2] {
@@ -299,10 +301,11 @@ fn a_vanishing_sample_interval_panics_instead_of_spinning() {
         },
     ] {
         let mut sim = build("clique", 4, 7, scheduler.clone());
-        sim.run_until(SimTime::from_secs(0.3));
+        let mut trace = Trace::new();
+        sim.run_until_with(SimTime::from_secs(0.3), &mut trace);
         sim.set_sample_interval(Some(SimDuration::from_secs(1e-300)));
         let stuck = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sim.run_until(SimTime::from_secs(0.6));
+            sim.run_until_with(SimTime::from_secs(0.6), &mut trace);
         }))
         .expect_err("the run must stop");
         let message = stuck.downcast_ref::<String>().expect("a formatted panic");

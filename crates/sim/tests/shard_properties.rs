@@ -31,6 +31,7 @@ use ftgcs_sim::network::{DelayConfig, DelayDistribution};
 use ftgcs_sim::node::{Behavior, NodeId, TimerId, TimerTag, TrackId};
 use ftgcs_sim::shard::{EventQueue, Partition, SchedulerKind};
 use ftgcs_sim::time::{SimDuration, SimTime};
+use ftgcs_sim::trace::Trace;
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -408,8 +409,9 @@ proptest! {
             b.add_edge(ids[0], ids[nodes / 2]);
         }
         let mut sim = b.build();
-        sim.run_until(SimTime::from_secs(0.5));
-        let deliveries = &sim.trace().rows;
+        let mut trace = Trace::new();
+        sim.run_until_with(SimTime::from_secs(0.5), &mut trace);
+        let deliveries = &trace.rows;
         prop_assert!(!deliveries.is_empty(), "workload delivered nothing");
         let mut cross_shard = 0usize;
         // The trace lists rows in the merged dispatch order, which must
@@ -567,7 +569,7 @@ proptest! {
             log: Arc::clone(&log),
         }));
         let mut sim = b.build();
-        sim.run_until(SimTime::from_secs(horizon));
+        sim.run_until_with(SimTime::from_secs(horizon), &mut Trace::new());
         let log = log.lock().unwrap();
         for token in &log.fired {
             prop_assert!(

@@ -18,6 +18,7 @@ use ftgcs_sim::network::{DelayConfig, DelayDistribution};
 use ftgcs_sim::node::{Behavior, NodeId, TimerTag, TrackId};
 use ftgcs_sim::shard::{Partition, SchedulerKind};
 use ftgcs_sim::time::{SimDuration, SimTime};
+use ftgcs_sim::trace::Trace;
 
 /// Timer + broadcast churn with per-node RNG and trace rows — enough
 /// machinery that any mis-merged window shows up in the byte stream.
@@ -109,12 +110,13 @@ fn giant_partition(n: usize) -> Partition {
 
 fn run_to_bytes(n: usize, seed: u64, scheduler: SchedulerKind) -> (Vec<u8>, SimStats) {
     let mut sim = build(n, seed, scheduler);
-    sim.run_until(SimTime::from_secs(0.4));
+    let mut trace = Trace::new();
+    sim.run_until_with(SimTime::from_secs(0.4), &mut trace);
     // Step tail: stepping granularity must not change the bytes either.
-    sim.run_for(SimDuration::from_millis(35.0));
-    sim.run_for(SimDuration::from_millis(65.0));
+    sim.run_until_with(sim.now() + SimDuration::from_millis(35.0), &mut trace);
+    sim.run_until_with(sim.now() + SimDuration::from_millis(65.0), &mut trace);
     let stats = sim.stats();
-    (sim.into_trace().to_bytes(), stats)
+    (trace.to_bytes(), stats)
 }
 
 fn assert_ragged_partition_equivalent(name: &str, partition_of: fn(usize) -> Partition) {
@@ -195,7 +197,7 @@ fn dealt_load_is_spread_on_hub_and_spoke() {
             workers: 4,
         },
     );
-    sim.run_until(SimTime::from_secs(0.4));
+    sim.run_until_with(SimTime::from_secs(0.4), &mut Trace::new());
     let loads: Vec<u64> = (sim.telemetry().diagnostics.per_worker.iter())
         .map(|w| w.planned_events)
         .collect();

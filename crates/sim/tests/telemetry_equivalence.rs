@@ -100,10 +100,11 @@ fn build_with(
 
 fn run(scheduler: SchedulerKind, telemetry: bool) -> (Trace, SimStats, TelemetryReport) {
     let mut sim = build(scheduler, telemetry);
-    sim.run_until(SimTime::from_secs(1.0));
+    let mut trace = Trace::new();
+    sim.run_until_with(SimTime::from_secs(1.0), &mut trace);
     let stats = sim.stats();
     let report = sim.telemetry();
-    (sim.into_trace(), stats, report)
+    (trace, stats, report)
 }
 
 fn quads() -> Partition {
@@ -296,7 +297,7 @@ fn a_cross_shard_send_is_staged_exactly_once_boot_included() {
                 at_boot: Arc::clone(&at_boot),
             })
         });
-        sim.run_until(SimTime::from_secs(0.2));
+        sim.run_until_with(SimTime::from_secs(0.2), &mut Trace::new());
         let report = sim.telemetry();
         let staged = staged.lock().unwrap().clone();
         assert!(
@@ -365,7 +366,7 @@ fn a_pin_above_the_shard_count_reports_the_executors_that_ran() {
         },
         true,
     );
-    sim.run_until(SimTime::from_secs(0.2));
+    sim.run_until_with(SimTime::from_secs(0.2), &mut Trace::new());
     let report = sim.telemetry();
     assert_eq!(report.shards, 3);
     assert_eq!(report.workers, Some(3));
