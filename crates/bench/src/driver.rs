@@ -767,7 +767,7 @@ mod tests {
             t: SimTime::from_secs(0.5),
             node: ftgcs_sim::NodeId(0),
             kind: "round",
-            values: Vec::new(),
+            values: Default::default(),
         };
         for _ in 0..ROWS_PER_CLOCK_READ {
             progress.on_row(&row);

@@ -53,8 +53,9 @@ fn run_with_scale(base: &Params, scale: f64, seed: u64) -> (f64, audit::Faithful
 
     // Faithfulness audit (the same as t6's): FC at a sample without the
     // responsible nodes' latest FT.
-    let faithful = audit::faithfulness(&run_on_ramp(2.5).trace, &cg, &mask, params.kappa, warm);
-    (local, faithful)
+    let mut faithful = audit::FaithfulnessAudit::new(&cg, &mask, params.kappa, warm);
+    run_on_ramp(2.5).replay(&mut faithful);
+    (local, faithful.counts())
 }
 
 /// Runs the analysis (spec: environment, seed base of the scale sweep).

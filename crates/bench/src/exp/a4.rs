@@ -56,17 +56,16 @@ pub fn run(spec: &SpecFile) {
         for v in cg.members(0) {
             s.rate_override(v, RateModel::Constant { frac: 1.0 });
         }
-        let run = s.run_for(horizon);
 
-        // Worst estimate lag across mode rows (cf. t4).
+        // Worst estimate lag across mode rows (cf. t4), streamed.
         let mask = FaultMask::none(cg.physical().node_count());
         let mut worst_lag = 0.0f64;
-        for bracket in audit::max_brackets(&run.trace, &mask) {
+        let lag = |bracket: audit::MaxBracket| {
             if bracket.t.as_secs() < 5.0 * params.t_round {
-                continue;
+                return;
             }
             let (Some(before), Some(after)) = (bracket.before, bracket.after) else {
-                continue;
+                return;
             };
             // Interpolate L_max at the row time between the bracketing
             // samples (it is piecewise near-linear), so the measured lag
@@ -78,7 +77,8 @@ pub fn run(spec: &SpecFile) {
             };
             let lmax = before.value + frac * (after.value - before.value);
             worst_lag = worst_lag.max(lmax - bracket.estimate);
-        }
+        };
+        let (stats, _) = s.run_streaming(horizon, &mut audit::MaxBrackets::new(&mask, lag));
         // Engineering lag envelope: quantization X + propagation 2dD +
         // one round of rate mismatch.
         let lag_bound = unit
@@ -88,7 +88,7 @@ pub fn run(spec: &SpecFile) {
         table.row(&[
             label.clone(),
             format!("{unit:.3e}"),
-            run.stats.messages.to_string(),
+            stats.messages.to_string(),
             format!("{worst_lag:.3e}"),
             format!("{lag_bound:.3e}"),
         ]);

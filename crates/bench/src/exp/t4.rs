@@ -49,15 +49,15 @@ pub fn run(spec: &SpecFile) {
         let mask = FaultMask::none(n);
         let mut overestimates = 0usize;
         let mut worst_lag = 0.0f64;
-        for bracket in audit::max_brackets(&run.trace, &mask) {
+        run.replay(&mut audit::MaxBrackets::new(&mask, |bracket| {
             let (Some(before), Some(after)) = (bracket.before, bracket.after) else {
-                continue;
+                return;
             };
             if bracket.estimate > after.value + 1e-9 {
                 overestimates += 1;
             }
             worst_lag = worst_lag.max(before.value - bracket.estimate);
-        }
+        }));
         let lag_bound = params.global_skew_bound(diameter);
 
         table.row(&[

@@ -1,7 +1,8 @@
 //! **T6 — Trigger and axiom audit** (Lemma 4.5, Lemma 4.8, Definition
 //! 4.9's axioms A1–A4).
 //!
-//! Instruments a gradient run and counts violations (all must be zero):
+//! Streams a gradient run, with no trace kept, into the audits of
+//! `ftgcs::audit` and counts violations (all must be zero):
 //!
 //! 1. **Mutual exclusion** (Lemma 4.5): no mode row may report both the
 //!    fast and the slow trigger satisfied.
@@ -13,12 +14,16 @@
 //!    (and symmetrically for SC/ST). The run starts on a ramp of `2.5κ`
 //!    per hop, so FC and SC still hold after the warm-up; an audit that
 //!    finds no such cluster-sample fails rather than passing vacuously.
-//! 4. **Axiom A4**: the effective parameters `µ̄/ρ̄ > 1`.
+//! 4. **Axiom A4**: the effective parameters `µ̄/ρ̄ > 1`. It needs no
+//!    audit of the run: deriving [`Params`](ftgcs::params::Params)
+//!    already refuses `µ̄ ≤ ρ̄`, so every run has it; the row restates
+//!    it.
 
-use ftgcs::audit;
+use ftgcs::audit::{BothTriggers, FaithfulnessAudit, RateEnvelope};
 use ftgcs::runner::Scenario;
 use ftgcs_metrics::skew::FaultMask;
 use ftgcs_metrics::table::Table;
+use ftgcs_sim::observe::Fanout;
 use ftgcs_topology::{generators, ClusterGraph};
 
 use crate::spec::SpecFile;
@@ -40,33 +45,20 @@ pub fn run(spec: &SpecFile) {
         .seed(spec.seed())
         .cluster_offset_ramp(2.5 * params.kappa);
     adversarial_rate_split(&mut scenario, &cg);
-    let run = scenario.run_for(params.suggested_horizon(diameter));
     let mask = FaultMask::none(n);
 
-    // --- 1. Mutual exclusion. ---
-    let both_triggers = audit::both_triggers(&run.trace, &mask);
-
-    // --- 2. Rate envelope between samples. ---
-    let mut rate_violations = 0usize;
-    let mut min_rate = f64::INFINITY;
-    let mut max_rate = f64::NEG_INFINITY;
-    for pair in run.trace.samples.windows(2) {
-        let dt = pair[1].t.as_secs() - pair[0].t.as_secs();
-        if dt <= 0.0 {
-            continue;
-        }
-        for v in 0..n {
-            let rate = (pair[1].logical[v] - pair[0].logical[v]) / dt;
-            min_rate = min_rate.min(rate);
-            max_rate = max_rate.max(rate);
-            if rate < 1.0 - 1e-9 || rate > params.theta_max + 1e-9 {
-                rate_violations += 1;
-            }
-        }
-    }
-
-    // --- 3. Faithfulness proxy. ---
-    let faithful = audit::faithfulness(&run.trace, &cg, &mask, params.kappa, warmup(&params));
+    // 1. Mutual exclusion, 2. rate envelope, 3. faithfulness proxy.
+    let mut both = BothTriggers::new(&mask);
+    let mut rates = RateEnvelope::new(&mask, params.theta_max);
+    let mut faithful = FaithfulnessAudit::new(&cg, &mask, params.kappa, warmup(&params));
+    scenario.run_streaming(
+        params.suggested_horizon(diameter),
+        &mut Fanout::new(vec![&mut both, &mut rates, &mut faithful]),
+    );
+    let both_triggers = both.count();
+    let rate_violations = rates.violations();
+    let (min_rate, max_rate) = rates.range();
+    let faithful = faithful.counts();
 
     // --- 4. Axiom A4. ---
     let (rho_bar, mu_bar) = params.gcs_axiom_rates();

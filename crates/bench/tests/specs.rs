@@ -2,8 +2,9 @@
 //! must parse, name a known analysis (or be a streaming run), build a
 //! runnable scenario, and round-trip through the canonical printer.
 //! A streaming spec is also executed end-to-end at the spec level,
-//! pinning the observer path byte-identical to the materialized trace,
-//! and through the real `xp run`, pinning the samples CSV's bytes.
+//! pinning the observer path byte-identical to the materialized trace
+//! and the trace's own bytes, and through the real `xp run`, pinning the
+//! samples CSV's bytes.
 
 use std::path::{Path, PathBuf};
 
@@ -287,6 +288,33 @@ fn smoke_spec_samples_csv_bytes_are_pinned() {
         (LEN, FNV1A),
         "smoke_samples.csv drifted:\n{}",
         String::from_utf8_lossy(&csv)
+    );
+}
+
+/// The whole trace of `experiments/smoke.spec` — its samples CSV and one
+/// `Debug` line per row — is pinned too, so a row payload whose `Debug`
+/// drifts from a `Vec<f64>`'s fails here and not only in a comparison
+/// of two runs that drifted together.
+#[test]
+fn smoke_spec_trace_bytes_are_pinned() {
+    const LEN: usize = 27_296;
+    const FNV1A: u64 = 0xd165_10d3_e519_012b;
+
+    let (_, file) = checked_in_specs()
+        .into_iter()
+        .find(|(_, f)| f.scenario.name == "smoke")
+        .expect("smoke.spec must stay checked in");
+    let spec = &file.scenario;
+    let scenario = Scenario::from_spec(spec).expect("buildable");
+    let bytes = scenario
+        .run_for(spec.duration.resolve(scenario.params()))
+        .trace
+        .to_bytes();
+    assert_eq!(
+        (bytes.len(), ftgcs_serve::hash::fnv1a_64(&bytes)),
+        (LEN, FNV1A),
+        "the smoke trace drifted:\n{}",
+        String::from_utf8_lossy(&bytes)
     );
 }
 

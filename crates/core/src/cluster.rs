@@ -364,7 +364,7 @@ impl ClusterInstance {
                     ctx.send_self(Msg::VirtualPulse { instance: self.idx });
                 } else {
                     ctx.broadcast_with_loopback(Msg::Pulse);
-                    ctx.emit(ROW_PULSE, vec![self.cluster_id as f64, self.round as f64]);
+                    ctx.emit(ROW_PULSE, &[self.cluster_id as f64, self.round as f64]);
                 }
                 InstanceEvent::None
             }
@@ -446,7 +446,7 @@ impl ClusterInstance {
         if !self.silent {
             ctx.emit(
                 ROW_ROUND,
-                vec![
+                &[
                     self.cluster_id as f64,
                     self.round as f64,
                     clamped,

@@ -390,7 +390,7 @@ impl TwoFacedPulser {
             // exceeds τ₁): clamping onto t = 0 would make the "early"
             // face indistinguishable from start-of-round noise, so the
             // degenerate face is skipped and logged instead.
-            ctx.emit(ROW_FACE_SKIPPED, vec![round as f64, target, self.amplitude]);
+            ctx.emit(ROW_FACE_SKIPPED, &[round as f64, target, self.amplitude]);
         }
         ctx.set_timer_at(track, target + self.amplitude, tag(TIMER_LATE));
     }

@@ -60,8 +60,8 @@ pub struct ModeRow {
 impl ModeRow {
     /// The row's trace values.
     #[must_use]
-    pub fn values(&self) -> Vec<f64> {
-        vec![
+    pub fn values(&self) -> [f64; 7] {
+        [
             self.cluster as f64,
             self.round as f64,
             f64::from(self.fast_mode),
@@ -232,7 +232,7 @@ impl FtGcsNode {
             own_logical: own_l,
             max_estimate: max_value,
         };
-        ctx.emit(ROW_MODE, row.values());
+        ctx.emit(ROW_MODE, &row.values());
     }
 
     /// Routes a real pulse to the instance observing the sender's cluster.
@@ -399,11 +399,11 @@ mod tests {
         };
         let values = mode.values();
         assert_eq!(values, [3.0, 17.0, 1.0, 1.0, 0.0, 1.25, -1.0]);
-        let row = |values| Row {
+        let row = |values: [f64; 7]| Row {
             t: ftgcs_sim::time::SimTime::ZERO,
             node: NodeId(0),
             kind: ROW_MODE,
-            values,
+            values: ftgcs_sim::trace::RowValues::new(&values).unwrap(),
         };
         assert_eq!(ModeRow::of(&row(values)), mode);
         let estimated = ModeRow {

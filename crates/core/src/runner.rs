@@ -816,6 +816,25 @@ pub struct ScenarioRun {
     pub stats: SimStats,
 }
 
+impl ScenarioRun {
+    /// Streams the recorded trace into `obs` as the run did, then
+    /// finishes it with the run's counters. A trace does not record
+    /// where a row at a sample's very instant fell; it is replayed after
+    /// the sample, where the engine delivers every such row but the boot
+    /// phase's.
+    pub fn replay(&self, obs: &mut dyn Observer) {
+        let mut rows = self.trace.rows.iter().peekable();
+        for sample in &self.trace.samples {
+            while let Some(row) = rows.next_if(|row| row.t < sample.t) {
+                obs.on_row(row);
+            }
+            obs.on_sample(sample);
+        }
+        rows.for_each(|row| obs.on_row(row));
+        obs.on_finish(&self.stats);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -824,6 +843,62 @@ mod tests {
     fn scenario() -> Scenario {
         let params = Params::practical(1e-4, 1e-3, 1e-4, 1).unwrap();
         Scenario::new(ClusterGraph::new(line(2), 4, 1), params)
+    }
+
+    #[test]
+    fn replay_streams_the_record_in_run_order_and_finishes_it() {
+        use ftgcs_sim::trace::{ClockSample, Row};
+
+        let run = scenario().run_for(0.5);
+        let mut copy = Trace::new();
+        run.replay(&mut copy);
+        assert!(copy.byte_identical(&run.trace));
+
+        #[derive(Default)]
+        struct Order(Vec<(&'static str, f64)>);
+        impl Observer for Order {
+            fn on_sample(&mut self, s: &ClockSample) {
+                self.0.push(("sample", s.t.as_secs()));
+            }
+            fn on_row(&mut self, row: &Row) {
+                self.0.push((row.kind, row.t.as_secs()));
+            }
+            fn on_finish(&mut self, _: &SimStats) {
+                self.0.push(("finish", 0.0));
+            }
+        }
+        let sample = |t| ClockSample {
+            t: SimTime::from_secs(t),
+            logical: vec![t],
+        };
+        let row = |t| Row {
+            t: SimTime::from_secs(t),
+            node: NodeId(0),
+            kind: "row",
+            values: Default::default(),
+        };
+        let run = ScenarioRun {
+            trace: Trace {
+                samples: vec![sample(1.0), sample(2.0)],
+                rows: vec![row(0.5), row(1.0), row(2.5)],
+            },
+            faulty: Vec::new(),
+            stats: SimStats::default(),
+        };
+        let mut order = Order::default();
+        run.replay(&mut order);
+        // A row at a sample's instant comes after it, as in a run.
+        assert_eq!(
+            order.0,
+            [
+                ("row", 0.5),
+                ("sample", 1.0),
+                ("row", 1.0),
+                ("sample", 2.0),
+                ("row", 2.5),
+                ("finish", 0.0)
+            ]
+        );
     }
 
     #[test]

@@ -101,7 +101,7 @@ fn level_flooder_cannot_inflate_max_estimates() {
     // the max correct clock at the same instant: compare M_v against the
     // clock sample taken at or after the row.
     let mut checked = 0;
-    for bracket in audit::max_brackets(&run.trace, &mask) {
+    run.replay(&mut audit::MaxBrackets::new(&mask, |bracket| {
         let (m, lmax) = (
             bracket.estimate,
             bracket.after.expect("sample after row").value,
@@ -112,7 +112,7 @@ fn level_flooder_cannot_inflate_max_estimates() {
             bracket.t
         );
         checked += 1;
-    }
+    }));
     assert!(checked > 100, "too few mode rows audited: {checked}");
 }
 

@@ -151,7 +151,7 @@ fn level_flooders_cannot_poison_the_max_estimate() {
     );
     let run = s.run_for(30.0);
     let mask = FaultMask::from_nodes(cg.physical().node_count(), &run.faulty);
-    for bracket in audit::max_brackets(&run.trace, &mask) {
+    run.replay(&mut audit::MaxBrackets::new(&mask, |bracket| {
         let (m, lmax) = (
             bracket.estimate,
             bracket.after.expect("sample after row").value,
@@ -161,7 +161,7 @@ fn level_flooders_cannot_poison_the_max_estimate() {
             "flooders poisoned M_v: {m} > L_max {lmax} at t={}",
             bracket.t
         );
-    }
+    }));
 }
 
 #[test]

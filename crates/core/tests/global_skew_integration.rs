@@ -39,14 +39,14 @@ fn max_estimate_never_exceeds_l_max() {
     let run = s.run_for(60.0);
     let mask = FaultMask::none(12);
     let mut checked = 0;
-    for bracket in audit::max_brackets(&run.trace, &mask) {
+    run.replay(&mut audit::MaxBrackets::new(&mask, |bracket| {
         let (m, lmax) = (
             bracket.estimate,
             bracket.after.expect("sample after row").value,
         );
         assert!(m <= lmax + 1e-9, "M_v={m} > L_max={lmax} at {}", bracket.t);
         checked += 1;
-    }
+    }));
     assert!(checked > 200, "audited only {checked} rows");
 }
 
@@ -59,13 +59,13 @@ fn max_estimate_stays_reasonably_fresh() {
     // unit + propagation term (our engineering bound: X + 2dD + slack).
     let lag_bound = p.level_unit + 2.0 * p.d * 3.0 + 3.0 * p.e + p.t_round;
     let mut worst: f64 = 0.0;
-    for bracket in audit::max_brackets(&run.trace, &FaultMask::none(12)) {
-        if bracket.t.as_secs() < 20.0 {
-            continue;
+    let mask = FaultMask::none(12);
+    run.replay(&mut audit::MaxBrackets::new(&mask, |bracket| {
+        if bracket.t.as_secs() >= 20.0 {
+            let lmax = bracket.after.expect("sample after row").value;
+            worst = worst.max(lmax - bracket.estimate);
         }
-        let lmax = bracket.after.expect("sample after row").value;
-        worst = worst.max(lmax - bracket.estimate);
-    }
+    }));
     assert!(
         worst <= lag_bound,
         "M_v lag {worst} exceeds engineering bound {lag_bound}"

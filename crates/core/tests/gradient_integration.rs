@@ -99,11 +99,9 @@ fn triggers_are_mutually_exclusive_at_runtime() {
     let cg = s.cluster_graph().clone();
     let run = s.run_for(60.0);
     let mask = FaultMask::none(cg.physical().node_count());
-    assert_eq!(
-        audit::both_triggers(&run.trace, &mask),
-        0,
-        "Lemma 4.5 violated"
-    );
+    let mut both = audit::BothTriggers::new(&mask);
+    run.replay(&mut both);
+    assert_eq!(both.count(), 0, "Lemma 4.5 violated");
     let rows = run.trace.rows_of_kind(ROW_MODE).count();
     assert!(rows > 100, "expected many mode rows, saw {rows}");
 }

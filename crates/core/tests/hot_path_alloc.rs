@@ -1,19 +1,20 @@
 //! Regression test: the algorithm's message path — level reports into
 //! the max estimator above all, three quarters of a line's events —
-//! must not allocate per message.
+//! must not allocate at all once warmed up.
 //!
 //! The sibling of `crates/sim/tests/hot_path_alloc.rs` one layer up:
 //! that one pins the engine at (essentially) zero allocations per event,
-//! this one a small FT-GCS line with the max estimator on at under 30
-//! per 1 000 events. What remains (about 20) is per *round*, not per
-//! message: the three rows a node emits each round (`pulse`, `round`,
-//! `mode`), whose values are owned by whoever observes them.
-//! ClusterSync's per-round vectors used to be allocated per instance
-//! per round (about 74 with them): the offset multiset is now built and
-//! sorted where the round's receive times were, and the estimates handed
-//! to the triggers sit in a buffer the node keeps. `MaxEstimator::on_level`
-//! used to clone and sort its cluster's reports on every level message,
-//! which alone read about 820.
+//! this one a small FT-GCS line with the max estimator on at zero over
+//! some 80 000 events. The three rows a node emits each round (`pulse`,
+//! `round`, `mode`) used to own a `Vec` each, about 20 allocations per
+//! 1 000 events; a row is now a `Copy` value with its payload inline,
+//! and the serial loop keeps its row buffer between calls. ClusterSync's
+//! per-round vectors used to be allocated per instance per round (about
+//! 74 with them): the offset multiset is now built and sorted where the
+//! round's receive times were, and the estimates handed to the triggers
+//! sit in a buffer the node keeps. `MaxEstimator::on_level` used to
+//! clone and sort its cluster's reports on every level message, which
+//! alone read about 820.
 //!
 //! Set-up is held to a count too: parsing a spec, expanding it and
 //! building its simulation allocates per node and per edge only where
@@ -67,11 +68,10 @@ fn level_flooding_does_not_allocate_per_message() {
         events > 50_000 && 2 * messages > events,
         "window too small or not message-bound: {events} events, {messages} messages"
     );
-    assert!(
-        allocs * 1000 < events * 30,
-        "{allocs} allocations over {events} events ({} per 1 000): \
-         a per-message allocation is back on the algorithm's path",
-        allocs * 1000 / events
+    assert_eq!(
+        allocs, 0,
+        "{allocs} allocations over {events} events: an allocation per \
+         message, row or round is back on the algorithm's path"
     );
 
     setup_stays_within_its_allocation_bound();

@@ -148,26 +148,33 @@ pub fn cluster_clock_samples(
         .samples
         .iter()
         .map(|s| {
-            let clocks = (0..cg.cluster_count())
-                .map(|c| {
-                    let mut min = f64::INFINITY;
-                    let mut max = f64::NEG_INFINITY;
-                    for v in cg.members(c) {
-                        if !faulty.is_faulty(v) {
-                            min = min.min(s.logical[v]);
-                            max = max.max(s.logical[v]);
-                        }
-                    }
-                    if min.is_finite() {
-                        (min + max) / 2.0
-                    } else {
-                        f64::NAN
-                    }
-                })
-                .collect();
+            let mut clocks = Vec::new();
+            cluster_clocks(&s.logical, cg, faulty, &mut clocks);
             (s.t.as_secs(), clocks)
         })
         .collect()
+}
+
+/// The cluster clocks `L_C` of one sample's logical clocks, into `out`
+/// (cleared first), indexed by cluster; NaN for a cluster with no
+/// correct member.
+pub fn cluster_clocks(logical: &[f64], cg: &ClusterGraph, faulty: &FaultMask, out: &mut Vec<f64>) {
+    out.clear();
+    out.extend((0..cg.cluster_count()).map(|c| {
+        let mut min = f64::INFINITY;
+        let mut max = f64::NEG_INFINITY;
+        for v in cg.members(c) {
+            if !faulty.is_faulty(v) {
+                min = min.min(logical[v]);
+                max = max.max(logical[v]);
+            }
+        }
+        if min.is_finite() {
+            (min + max) / 2.0
+        } else {
+            f64::NAN
+        }
+    }));
 }
 
 /// Local skew between *cluster clocks* over base-graph edges (the quantity
@@ -380,7 +387,7 @@ mod tests {
                 t: SimTime::from_secs(t),
                 node: NodeId(node),
                 kind: "pulse",
-                values: vec![0.0, round as f64],
+                values: ftgcs_sim::trace::RowValues::new(&[0.0, round as f64]).unwrap(),
             });
         }
         let faulty = FaultMask::from_nodes(4, &[3]);

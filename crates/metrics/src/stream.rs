@@ -778,7 +778,7 @@ mod tests {
                 t: SimTime::ZERO,
                 node: NodeId(0),
                 kind,
-                values: vec![],
+                values: Default::default(),
             });
         }
         assert_eq!(c.count("pulse"), 2);

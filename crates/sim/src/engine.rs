@@ -52,7 +52,7 @@ use crate::shard::{
 };
 use crate::telemetry::{EngineCounts, NodeCounts, Phase, Telemetry, TelemetryReport};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{ClockSample, Row};
+use crate::trace::{ClockSample, Row, RowValues};
 
 /// Global simulation parameters.
 #[derive(Debug, Clone)]
@@ -789,15 +789,21 @@ impl<M: Clone> Ctx<'_, M> {
         &mut self.state.rng
     }
 
-    /// Emits an untyped trace row.
-    pub fn emit(&mut self, kind: &'static str, values: Vec<f64>) {
-        let row = Row {
-            t: self.now,
-            node: self.node,
-            kind,
-            values,
-        };
-        self.rows.push((self.key, row));
+    /// Emits a trace row of `kind` holding `values`; panics, naming the
+    /// kind, if they are more than [`RowValues::CAPACITY`].
+    pub fn emit(&mut self, kind: &'static str, values: &[f64]) {
+        let (n, cap) = (values.len(), RowValues::CAPACITY);
+        let values = RowValues::new(values)
+            .unwrap_or_else(|| panic!("a `{kind}` row of {n} values: rows hold at most {cap}"));
+        self.rows.push((
+            self.key,
+            Row {
+                t: self.now,
+                node: self.node,
+                kind,
+                values,
+            },
+        ));
     }
 }
 
@@ -1123,6 +1129,7 @@ impl<M: Clone> SimBuilder<M> {
                     logical: Vec::with_capacity(n),
                 },
             },
+            rows: Vec::new(),
             started: false,
         }
     }
@@ -1140,6 +1147,8 @@ pub struct Simulation<M> {
     pub(crate) telemetry: Telemetry,
     /// When the clock samples are due, and the sample they refill.
     pub(crate) samples: Samples,
+    /// The rows of one serial dispatch, flushed to the observer after it.
+    rows: Vec<(Key, Row)>,
     started: bool,
 }
 
@@ -1275,9 +1284,9 @@ impl<M: Clone + Send> Simulation<M> {
             shared,
             cells,
             store,
+            rows,
             ..
         } = self;
-        let mut rows = Vec::new();
         let mut outbox = new_outbox(store.shards.len());
         for (i, cell) in cells.iter_mut().enumerate() {
             let my_shard = store.shard_of[i];
@@ -1292,14 +1301,14 @@ impl<M: Clone + Send> Simulation<M> {
                 time: SimTime::ZERO,
                 tie: 0,
             };
-            with_ctx(cell, NodeId(i), shared, queue, &mut rows, key, |b, ctx| {
+            with_ctx(cell, NodeId(i), shared, queue, rows, key, |b, ctx| {
                 b.on_start(ctx);
             });
             // Flushed per node, so every shard receives its events in
             // the order the nodes sent them.
             store.stage(&mut outbox);
             for (_, row) in rows.drain(..) {
-                obs.on_row_owned(row);
+                obs.on_row(&row);
             }
         }
     }
@@ -1312,11 +1321,9 @@ impl<M: Clone + Send> Simulation<M> {
     /// [`Observer`].
     ///
     /// The observer receives samples and rows in the global dispatch
-    /// order on every scheduler (the parallel executor merges its
-    /// per-shard buffers back into that order at each barrier), so the
-    /// collected trace is byte-identical across schedulers and worker
-    /// counts. Consecutive calls continue the run. Callers should invoke
-    /// [`Observer::on_finish`] once after the last call.
+    /// order on every scheduler ([`crate::observe`]). Consecutive calls
+    /// continue the run; callers invoke [`Observer::on_finish`] once
+    /// after the last.
     ///
     /// # Panics
     ///
@@ -1351,15 +1358,12 @@ impl<M: Clone + Send> Simulation<M> {
             store,
             counts,
             samples,
+            rows,
             ..
         } = self;
         debug_assert_eq!(store.shards.len(), 1, "the global scheduler has one shard");
         let queue = &mut store.shards[0];
         let shard_of = &store.shard_of;
-        // Per-dispatch row scratch, flushed to the observer after every
-        // event so rows stream out in the exact dispatch order. The
-        // buffer is reused across events — no steady-state allocation.
-        let mut scratch = Vec::new();
         loop {
             let next = samples.next();
             let cap = next.map_or(f64::INFINITY, SimTime::as_secs);
@@ -1378,12 +1382,12 @@ impl<M: Clone + Send> Simulation<M> {
                         shard_of,
                         my_shard: 0,
                     },
-                    &mut scratch,
+                    rows,
                     key,
                     pending,
                 );
-                for (_, row) in scratch.drain(..) {
-                    obs.on_row_owned(row);
+                for (_, row) in rows.drain(..) {
+                    obs.on_row(&row);
                 }
             }
             // Sampling continues across consecutive run_until_with calls: a
@@ -1469,7 +1473,7 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _tag: TimerTag) {
             self.ticks += 1;
             assert!(self.ticks < 3, "boom");
-            ctx.emit("tick", vec![f64::from(self.ticks)]);
+            ctx.emit("tick", &[f64::from(self.ticks)]);
             let next = ctx.track_value(TrackId::MAIN) + 0.1;
             ctx.set_timer_at(TrackId::MAIN, next, TimerTag::new(0));
         }
@@ -1500,6 +1504,25 @@ mod tests {
             assert_eq!(trace.rows.len(), 4);
             assert!(trace.rows.iter().all(|row| row.kind == "tick"));
         }
+    }
+
+    /// Emits one row of eight values at start.
+    struct Overfull;
+
+    impl Behavior<Msg> for Overfull {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            ctx.emit("overfull", &[0.0; 8]);
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: NodeId, _msg: &Msg) {}
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_, Msg>, _tag: TimerTag) {}
+    }
+
+    #[test]
+    #[should_panic(expected = "a `overfull` row of 8 values: rows hold at most 7")]
+    fn a_row_of_more_values_than_it_holds_panics_naming_its_kind() {
+        let mut b = SimBuilder::new(fixed_delay_config());
+        b.add_node(Box::new(Overfull));
+        b.build().run_until_with(SimTime::ZERO, &mut Trace::new());
     }
 
     #[test]
@@ -1833,7 +1856,7 @@ mod tests {
         fn on_message(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: &()) {}
         fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, tag: TimerTag) {
             assert_eq!(tag.kind, 7);
-            ctx.emit("extra_fired", vec![ctx.newtonian_now().as_secs()]);
+            ctx.emit("extra_fired", &[ctx.newtonian_now().as_secs()]);
         }
     }
 

@@ -1,50 +1,42 @@
 //! Streaming observation of a running simulation.
 //!
-//! Historically the engine materialized everything it recorded into a
-//! [`Trace`] — every periodic [`ClockSample`] and every behavior-emitted
-//! [`Row`] appended to `Vec`s. That caps run length and node count by
-//! memory: an hour-long million-event run holds *all* of its history
-//! before any analysis sees a single byte.
+//! An [`Observer`] is called the instant each [`ClockSample`] or [`Row`]
+//! is produced, **in the exact global dispatch order** — on every
+//! scheduler, including the parallel one, whose per-shard buffers are
+//! merged back into the strict serial order before the observer sees
+//! them. Each has one callback; a row, a `Copy` value, is lent to
+//! [`Observer::on_row`]. Bounded-memory observers (`ftgcs_metrics`'s
+//! skew accumulators and CSV writers, `ftgcs::audit`'s lemma audits)
+//! keep state that does not grow with run length.
 //!
-//! An [`Observer`] inverts the flow: the engine calls the observer the
-//! instant each sample or row is produced, **in the exact global
-//! dispatch order** — on every scheduler, including the parallel one,
-//! whose per-shard buffers are merged back into the strict serial order
-//! before the observer sees them. Bounded-memory observers (streaming
-//! skew accumulators, windowed CSV writers — see `ftgcs_metrics`) then
-//! keep O(nodes) state regardless of run length.
-//!
-//! [`Trace`] itself is the collect-everything observer: a caller that
-//! wants the whole record creates one and passes it to
+//! [`Trace`] is the collect-everything observer: a caller that wants
+//! the whole record creates one and passes it to
 //! `Simulation::run_until_with`, the one way to run a simulation. The
-//! observer-equivalence suite (`tests/observer_equivalence.rs`) pins
-//! the collected trace byte-identical across schedulers, worker counts
+//! observer-equivalence suite (`tests/observer_equivalence.rs`) pins the
+//! collected trace byte-identical across schedulers, worker counts
 //! and stepping.
 //!
 //! # Examples
 //!
-//! Count rows by kind without materializing them:
+//! Keep the latest pulse row; a row is `Copy`:
 //!
 //! ```
 //! use ftgcs_sim::observe::Observer;
-//! use ftgcs_sim::trace::{ClockSample, Row};
+//! use ftgcs_sim::trace::Row;
 //!
-//! #[derive(Default)]
-//! struct PulseCounter {
-//!     pulses: u64,
-//! }
+//! struct LastPulse(Option<Row>);
 //!
-//! impl Observer for PulseCounter {
+//! impl Observer for LastPulse {
 //!     fn on_row(&mut self, row: &Row) {
 //!         if row.kind == "pulse" {
-//!             self.pulses += 1;
+//!             self.0 = Some(*row);
 //!         }
 //!     }
 //! }
 //!
-//! let mut counter = PulseCounter::default();
-//! // sim.run_until_with(until, &mut counter) would stream into it.
-//! assert_eq!(counter.pulses, 0);
+//! let mut last = LastPulse(None);
+//! // sim.run_until_with(until, &mut last) would stream into it.
+//! assert!(last.0.is_none());
 //! ```
 
 use crate::engine::SimStats;
@@ -58,10 +50,9 @@ use crate::trace::{ClockSample, Row, Trace};
 /// callbacks default to no-ops so observers implement only what they
 /// consume.
 ///
-/// Drivers call [`Observer::on_finish`] exactly once after the last
-/// `run_until_with` call of a run (e.g. `Scenario::run_streaming` in the
-/// `ftgcs` crate does this); observers that buffer output should flush
-/// there.
+/// Drivers call [`Observer::on_finish`] exactly once after a run's last
+/// `run_until_with` (`ftgcs`'s `Scenario::run_streaming` does); observers
+/// that buffer output flush there.
 ///
 /// # Examples
 ///
@@ -110,37 +101,19 @@ pub trait Observer {
     /// Called for every behavior-emitted row, in global dispatch order.
     fn on_row(&mut self, _row: &Row) {}
 
-    /// Ownership-passing variant of [`Observer::on_row`]. The engine
-    /// calls this where it holds the freshly emitted row, so collecting
-    /// observers ([`Trace`]) can move it instead of cloning; the
-    /// default delegates to `on_row`, so streaming observers implement
-    /// only the borrowed form. Overrides must stay behaviorally
-    /// identical to `on_row` — the engine picks whichever form fits the
-    /// call site.
-    fn on_row_owned(&mut self, row: Row) {
-        self.on_row(&row);
-    }
-
     /// Called once by the driver when the run is complete.
     fn on_finish(&mut self, _stats: &SimStats) {}
 }
 
-/// [`Trace`] is the collect-everything observer: it collects every
-/// sample and row into its `Vec`s, reproducing the classic materialized
-/// trace. Rows move in through the owned callback; samples are cloned,
-/// since the engine refills one sample in place — the two vectors a
-/// stored sample needs are allocated here and only here.
+/// [`Trace`] collects everything. Rows are copied in; a sample is
+/// cloned, since the engine refills one sample in place.
 impl Observer for Trace {
     fn on_sample(&mut self, sample: &ClockSample) {
         self.samples.push(sample.clone());
     }
 
     fn on_row(&mut self, row: &Row) {
-        self.rows.push(row.clone());
-    }
-
-    fn on_row_owned(&mut self, row: Row) {
-        self.rows.push(row);
+        self.rows.push(*row);
     }
 }
 
@@ -160,7 +133,7 @@ impl Observer for Trace {
 ///         t: ftgcs_sim::time::SimTime::ZERO,
 ///         node: ftgcs_sim::node::NodeId(0),
 ///         kind: "pulse",
-///         values: vec![],
+///         values: Default::default(),
 ///     });
 /// }
 /// assert_eq!(a.rows.len(), 1);
@@ -221,7 +194,7 @@ mod tests {
             t: SimTime::from_secs(0.5),
             node: NodeId(1),
             kind: "pulse",
-            values: vec![3.0],
+            values: crate::trace::RowValues::new(&[3.0]).unwrap(),
         };
         t.on_sample(&sample);
         t.on_row(&row);

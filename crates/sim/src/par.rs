@@ -567,7 +567,7 @@ impl Windows<'_> {
             // keep their emission order.
             self.rows.sort_by_key(|&(key, _)| key);
             for (_, row) in self.rows.drain(..) {
-                self.obs.on_row_owned(row);
+                self.obs.on_row(&row);
             }
 
             // Fire due samples, here at the barrier. The cap never
@@ -827,7 +827,7 @@ mod tests {
             ctx.set_timer_at(TrackId::MAIN, next, TimerTag::new(0));
         }
         fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, from: NodeId, msg: &u32) {
-            ctx.emit("beat", vec![from.index() as f64, f64::from(*msg % 64)]);
+            ctx.emit("beat", &[from.index() as f64, f64::from(*msg % 64)]);
         }
     }
 
@@ -952,7 +952,7 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, _tag: TimerTag) {
             if !self.fired {
                 self.fired = true;
-                ctx.emit("early", vec![1.0]);
+                ctx.emit("early", &[1.0]);
                 // ulp(0.01) ≈ 1.7e-18 > the lookahead: vanishes here.
                 ctx.set_timer_at(TrackId::MAIN, 0.01, TimerTag::new(0));
             }

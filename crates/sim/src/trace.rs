@@ -6,10 +6,11 @@
 //!   periodic Newtonian grid, which metrics code turns into skew curves.
 //!   Their CSV form is printed by [`numfmt`](crate::numfmt), the one
 //!   sample-line formatter.
-//! * **Rows** — untyped, behavior-emitted records `(t, node, kind, values)`
-//!   used for algorithm-internal quantities (round corrections `Δ_v(r)`,
-//!   pulse times, trigger decisions, ...). Keeping rows untyped lets the
-//!   substrate stay independent of any particular algorithm.
+//! * **Rows** — behavior-emitted values `(t, node, kind, values)` for
+//!   algorithm-internal quantities (round corrections `Δ_v(r)`, pulse
+//!   times, trigger decisions, ...), `Copy`, with at most seven `f64`
+//!   held inline ([`RowValues`]): emitting one allocates nothing. The
+//!   emitting crate defines each kind's layout; the substrate knows none.
 
 use crate::node::NodeId;
 use crate::numfmt;
@@ -29,8 +30,45 @@ pub struct ClockSample {
     pub logical: Vec<f64>,
 }
 
+/// A row's payload: at most [`RowValues::CAPACITY`] values, held inline
+/// (the slots past its length are zero, so derived equality is the
+/// slice's). It reads as a `&[f64]` and prints as a `Vec<f64>` does.
+#[derive(Clone, Copy, Default, PartialEq)]
+pub struct RowValues {
+    len: u8,
+    buf: [f64; RowValues::CAPACITY],
+}
+
+impl RowValues {
+    /// The most values a row holds: `ftgcs`'s mode row, the longest.
+    pub const CAPACITY: usize = 7;
+
+    /// `values` as a payload; `None` if more than [`RowValues::CAPACITY`].
+    #[must_use]
+    pub fn new(values: &[f64]) -> Option<Self> {
+        let mut buf = [0.0; Self::CAPACITY];
+        buf.get_mut(..values.len())?.copy_from_slice(values);
+        let len = values.len() as u8;
+        Some(RowValues { len, buf })
+    }
+}
+
+impl std::ops::Deref for RowValues {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        &self.buf[..usize::from(self.len)]
+    }
+}
+
+impl std::fmt::Debug for RowValues {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// One behavior-emitted record.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Row {
     /// Newtonian emission time.
     pub t: SimTime,
@@ -40,19 +78,14 @@ pub struct Row {
     /// emitting algorithm crate.
     pub kind: &'static str,
     /// Numeric payload; meaning is kind-specific.
-    pub values: Vec<f64>,
+    pub values: RowValues,
 }
 
 /// Collected output of a simulation run.
 ///
-/// # Examples
-///
 /// ```
-/// use ftgcs_sim::trace::Trace;
-///
-/// let trace = Trace::default();
-/// assert!(trace.samples.is_empty());
-/// assert!(trace.rows_of_kind("pulse").next().is_none());
+/// let trace = ftgcs_sim::trace::Trace::default();
+/// assert!(trace.samples.is_empty() && trace.rows_of_kind("pulse").next().is_none());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
@@ -81,12 +114,8 @@ impl Trace {
     }
 
     /// Canonical byte serialization of the whole trace: the samples CSV
-    /// followed by one `Debug`-formatted line per row.
-    ///
-    /// This is the format the determinism and scheduler-equivalence
-    /// suites compare — two runs are "byte-identical" exactly when
-    /// their `to_bytes()` outputs are equal — so it lives here rather
-    /// than being redefined per test crate.
+    /// followed by one `Debug`-formatted line per row, the format the
+    /// determinism and scheduler-equivalence suites compare.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -99,14 +128,8 @@ impl Trace {
     }
 
     /// Whether two traces serialize to identical bytes
-    /// ([`Trace::to_bytes`]).
-    ///
-    /// This is *the* equivalence the determinism and scheduler
-    /// differential suites assert. Relaxed-ordering runs (the parallel
-    /// scheduler) merge their per-shard row buffers back into global
-    /// `(time, key)` order before the trace is observable, so the same
-    /// comparison covers strict and relaxed traces without separate
-    /// assertions.
+    /// ([`Trace::to_bytes`]): *the* equivalence the determinism and
+    /// scheduler differential suites assert, on every scheduler alike.
     #[must_use]
     pub fn byte_identical(&self, other: &Trace) -> bool {
         self.to_bytes() == other.to_bytes()
@@ -156,16 +179,28 @@ mod tests {
                     t: SimTime::from_secs(0.5),
                     node: NodeId(0),
                     kind: "pulse",
-                    values: vec![1.0],
+                    values: RowValues::new(&[1.0]).unwrap(),
                 },
                 Row {
                     t: SimTime::from_secs(0.6),
                     node: NodeId(1),
                     kind: "round",
-                    values: vec![2.0, 3.0],
+                    values: RowValues::new(&[2.0, 3.0]).unwrap(),
                 },
             ],
         }
+    }
+
+    #[test]
+    fn row_values_print_as_a_vec_does() {
+        for len in [0, 1, 7] {
+            let vec: Vec<f64> = (0..len).map(|i| f64::from(i) * 1.5 - 2.0).collect();
+            let values = RowValues::new(&vec).unwrap();
+            assert_eq!(format!("{values:?}"), format!("{vec:?}"));
+            assert_eq!(format!("{values:#?}"), format!("{vec:#?}"));
+            assert_eq!(&*values, &vec[..]);
+        }
+        assert_eq!(RowValues::new(&[0.0; RowValues::CAPACITY + 1]), None);
     }
 
     #[test]

@@ -26,12 +26,12 @@ impl Behavior<u32> for Churn {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, u32>, _tag: TimerTag) {
         let token = ctx.rng().next_u32();
         ctx.broadcast(token);
-        ctx.emit("tick", vec![f64::from(token % 97)]);
+        ctx.emit("tick", &[f64::from(token % 97)]);
         let next = ctx.track_value(TrackId::MAIN) + 0.004;
         ctx.set_timer_at(TrackId::MAIN, next, TimerTag::new(0));
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, from: NodeId, msg: &u32) {
-        ctx.emit("beat", vec![from.index() as f64, f64::from(*msg % 64)]);
+        ctx.emit("beat", &[from.index() as f64, f64::from(*msg % 64)]);
     }
 }
 

@@ -19,7 +19,7 @@ use ftgcs_sim::network::{DelayConfig, DelayDistribution};
 use ftgcs_sim::node::{Behavior, NodeId, TimerTag, TrackId};
 use ftgcs_sim::shard::{Partition, SchedulerKind};
 use ftgcs_sim::time::{SimDuration, SimTime};
-use ftgcs_sim::trace::{Row, Trace};
+use ftgcs_sim::trace::{Row, RowValues, Trace};
 use proptest::prelude::*;
 
 /// The shape of the algorithm crates' messages: 16 bytes, and room in
@@ -107,7 +107,7 @@ impl Behavior<Wire> for Scripted {
         }
         ctx.emit(
             "delivery",
-            vec![from.index() as f64, port.map_or(-1.0, |p| p as f64)],
+            &[from.index() as f64, port.map_or(-1.0, |p| p as f64)],
         );
         if let Wire::Relay { hops } = *msg {
             if hops > 0 {
@@ -145,7 +145,7 @@ fn deliveries(
     scripts: &[Vec<(f64, Op)>],
     seed: u64,
     scheduler: SchedulerKind,
-) -> Vec<(SimTime, NodeId, Vec<f64>)> {
+) -> Vec<(SimTime, NodeId, RowValues)> {
     let mut b = SimBuilder::new(config(seed, scheduler));
     for script in scripts {
         b.add_node(Box::new(Scripted {

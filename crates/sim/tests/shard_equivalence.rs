@@ -68,7 +68,7 @@ impl Behavior<u64> for Churn {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, from: NodeId, msg: &u64) {
-        ctx.emit("churn", vec![from.index() as f64, (*msg % 4096) as f64]);
+        ctx.emit("churn", &[from.index() as f64, (*msg % 4096) as f64]);
     }
 }
 
@@ -346,7 +346,7 @@ impl Behavior<u64> for Ticks {
         ctx.set_timer_at_newtonian(1.25, TimerTag::new(0));
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, _tag: TimerTag) {
-        ctx.emit("tick", Vec::new());
+        ctx.emit("tick", &[]);
     }
     fn on_message(&mut self, _: &mut Ctx<'_, u64>, _: NodeId, _: &u64) {}
 }

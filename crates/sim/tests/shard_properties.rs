@@ -358,7 +358,7 @@ impl Behavior<f64> for Beacon {
         ctx.set_timer_at(TrackId::MAIN, next, TimerTag::new(0));
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_, f64>, from: NodeId, msg: &f64) {
-        ctx.emit("delivery", vec![from.index() as f64, *msg]);
+        ctx.emit("delivery", &[from.index() as f64, *msg]);
     }
 }
 

@@ -44,7 +44,7 @@ impl Behavior<u64> for Churn {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, from: NodeId, msg: &u64) {
-        ctx.emit("churn", vec![from.index() as f64, (*msg % 4096) as f64]);
+        ctx.emit("churn", &[from.index() as f64, (*msg % 4096) as f64]);
     }
 }
 

@@ -56,7 +56,7 @@ impl Behavior<u64> for Beater {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, from: NodeId, msg: &u64) {
         if msg.is_multiple_of(64) {
-            ctx.emit("beat", vec![from.index() as f64]);
+            ctx.emit("beat", &[from.index() as f64]);
         }
     }
 }
